@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the DSE machinery: GP regression, hypervolume
-//! computation, and full optimizer runs on a synthetic problem.
+//! computation and the hypervolume trace, and full optimizer runs on a
+//! synthetic problem.
 
 use autopilot_bench::tinybench::{BenchmarkId, Criterion};
 use autopilot_bench::{bench_group, bench_main};
@@ -7,8 +8,8 @@ use autopilot_rng::Rng;
 use dse_opt::linalg::sq_dist;
 use dse_opt::pareto::{hypervolume, hypervolume_contribution, ContributionScorer};
 use dse_opt::{
-    DesignSpace, EvalError, Evaluator, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer,
-    RandomSearch, SmsEgoOptimizer, SparseGaussianProcess,
+    DesignSpace, EvalError, EvaluationRecord, Evaluator, GaussianProcess, MultiObjectiveOptimizer,
+    Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseGaussianProcess,
 };
 use std::hint::black_box;
 
@@ -229,6 +230,31 @@ fn bench_hypervolume(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hv_trace(c: &mut Criterion) {
+    // The convergence curve every optimizer result carries: the
+    // hypervolume after each of 840 evaluations, as `from_history`
+    // builds it from one incremental front.
+    let mut group = c.benchmark_group("hv_trace");
+    let mut rng = Rng::seed_from_u64(5);
+    let history: Vec<EvaluationRecord> = (0..840)
+        .map(|i| EvaluationRecord {
+            iteration: i,
+            point: vec![i],
+            objectives: (0..3).map(|_| rng.next_f64()).collect(),
+        })
+        .collect();
+    group.bench_with_input(BenchmarkId::new("from_history", 840), &history, |b, history| {
+        b.iter(|| {
+            black_box(OptimizationResult::from_history(
+                "bench",
+                black_box(history.clone()),
+                vec![1.5, 1.5, 1.5],
+            ))
+        })
+    });
+    group.finish();
+}
+
 fn bench_optimizers(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer_run_budget40");
     group.sample_size(10);
@@ -261,6 +287,7 @@ bench_group!(
     bench_sparse_inference,
     bench_fastexp,
     bench_hypervolume,
+    bench_hv_trace,
     bench_optimizers
 );
 bench_main!(benches);

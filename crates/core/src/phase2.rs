@@ -625,11 +625,7 @@ impl Phase2 {
             };
             candidates.push(c);
         }
-        let pareto: Vec<usize> = {
-            let objs: Vec<Vec<f64>> =
-                result.evaluations.iter().map(|e| e.objectives.clone()).collect();
-            dse_opt::pareto::pareto_indices(&objs)
-        };
+        let pareto = result.pareto_indices();
         let stats_after = cache.stats();
         let cache_stats = CacheStats {
             hits: stats_after.hits - stats_before.hits,

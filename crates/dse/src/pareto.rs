@@ -21,9 +21,9 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly
 }
 
-/// Indices of the non-dominated points in `points`.
+/// Indices of the non-dominated points in `points`, ascending.
 ///
-/// Duplicate objective vectors are all retained (none dominates another).
+/// Of several equal objective vectors only the first is retained.
 pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
     let mut out = Vec::new();
     'outer: for (i, p) in points.iter().enumerate() {
@@ -284,21 +284,22 @@ fn hv2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 
 /// 3-D hypervolume by slicing along the third objective: between
 /// consecutive z-levels the dominated area is the 2-D hypervolume of the
-/// points at or below the slab.
+/// points at or below the slab. Those points' 2-D front is kept by an
+/// [`IncrementalFront`] pushed in z order, which holds exactly what
+/// `pareto_indices` over the slab's points would select, in the same
+/// order, so each slab's area is bit-identical to a per-slab rebuild.
 fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     let mut order: Vec<usize> = (0..front.len()).collect();
     order.sort_by(|&a, &b| front[a][2].total_cmp(&front[b][2]));
+    let ref2 = [reference[0], reference[1]];
     let mut hv = 0.0;
-    let mut active: Vec<Vec<f64>> = Vec::new();
+    let mut front2 = IncrementalFront::new();
     for (rank, &i) in order.iter().enumerate() {
         let z_lo = front[i][2];
         let z_hi = if rank + 1 < order.len() { front[order[rank + 1]][2] } else { reference[2] };
-        active.push(vec![front[i][0], front[i][1]]);
+        front2.push(rank, vec![front[i][0], front[i][1]]);
         if z_hi > z_lo {
-            let ref2 = [reference[0], reference[1]];
-            let idx = pareto_indices(&active);
-            let front2: Vec<Vec<f64>> = idx.iter().map(|&j| active[j].clone()).collect();
-            hv += hv2d(&front2, &ref2) * (z_hi - z_lo);
+            hv += hv2d(front2.points(), &ref2) * (z_hi - z_lo);
         }
     }
     hv

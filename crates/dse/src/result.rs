@@ -2,7 +2,7 @@
 
 use autopilot_obs as obs;
 
-use crate::pareto::{hypervolume, pareto_indices};
+use crate::pareto::{hypervolume, IncrementalFront};
 
 /// One evaluated design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,17 +31,35 @@ pub struct OptimizationResult {
 impl OptimizationResult {
     /// Builds a result from an evaluation history, computing the
     /// hypervolume trace.
+    ///
+    /// The trace keeps one [`IncrementalFront`] over the evaluations that
+    /// strictly dominate the reference point and recomputes the
+    /// hypervolume only when a point joins that front; otherwise the
+    /// previous value repeats. Every entry is bit-identical to
+    /// `hypervolume` over the whole prefix: a point outside the
+    /// reference never dominates one inside it, and the incremental
+    /// front holds exactly the prefix's `pareto_indices` members in the
+    /// same order.
     pub fn from_history(
         algorithm: impl Into<String>,
         evaluations: Vec<EvaluationRecord>,
         reference_point: Vec<f64>,
     ) -> OptimizationResult {
-        let mut trace = Vec::with_capacity(evaluations.len());
-        let mut seen: Vec<Vec<f64>> = Vec::new();
-        for ev in &evaluations {
-            seen.push(ev.objectives.clone());
-            trace.push(hypervolume(&seen, &reference_point));
-        }
+        let (trace, updates) = obs::time("dse.hv_trace", || {
+            let mut trace = Vec::with_capacity(evaluations.len());
+            let mut front = IncrementalFront::new();
+            let mut hv = 0.0;
+            let mut updates = 0u64;
+            for (i, ev) in evaluations.iter().enumerate() {
+                let inside = ev.objectives.iter().zip(&reference_point).all(|(x, r)| x < r);
+                if inside && front.push(i, ev.objectives.clone()) {
+                    hv = hypervolume(front.points(), &reference_point);
+                    updates += 1;
+                }
+                trace.push(hv);
+            }
+            (trace, updates)
+        });
         let result = OptimizationResult {
             algorithm: algorithm.into(),
             evaluations,
@@ -50,15 +68,26 @@ impl OptimizationResult {
         };
         if obs::metrics_enabled() {
             obs::add("dse.evaluations", result.evaluations.len() as u64);
+            obs::add("dse.hv_trace.front_updates", updates);
             obs::gauge_set("dse.final_hypervolume", result.final_hypervolume());
         }
         result
     }
 
+    /// Indices of the non-dominated evaluations, ascending (the first of
+    /// equal objective vectors is kept), as `pareto_indices` over all
+    /// objectives would return them, in O(n·|front|).
+    pub fn pareto_indices(&self) -> Vec<usize> {
+        let mut front = IncrementalFront::new();
+        for (i, e) in self.evaluations.iter().enumerate() {
+            front.push(i, e.objectives.clone());
+        }
+        front.indices().to_vec()
+    }
+
     /// The non-dominated subset of all evaluations.
     pub fn pareto_front(&self) -> Vec<&EvaluationRecord> {
-        let objs: Vec<Vec<f64>> = self.evaluations.iter().map(|e| e.objectives.clone()).collect();
-        pareto_indices(&objs).into_iter().map(|i| &self.evaluations[i]).collect()
+        self.pareto_indices().into_iter().map(|i| &self.evaluations[i]).collect()
     }
 
     /// Final hypervolume of the archive.

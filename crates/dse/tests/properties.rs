@@ -7,8 +7,9 @@ use dse_opt::pareto::{
     pareto_indices, IncrementalFront,
 };
 use dse_opt::{
-    AnnealingOptimizer, CachedEvaluator, DesignSpace, EvalError, Evaluator, ExhaustiveSearch,
-    GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch, SparseGaussianProcess,
+    AnnealingOptimizer, CachedEvaluator, DesignSpace, EvalError, EvaluationRecord, Evaluator,
+    ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
+    RandomSearch, SparseGaussianProcess,
 };
 
 const CASES: u64 = 64;
@@ -226,6 +227,137 @@ fn incremental_front_tracks_batch_pareto_indices() {
                 assert_eq!(stored, &points[idx], "case {case}: stored point mismatch");
             }
         }
+    }
+}
+
+/// Reference hypervolume: batch Pareto filter, then a 2-D sweep or a
+/// 3-D slab sweep that re-filters every slab's points from scratch.
+/// Slow by design; it is the oracle the production code must match
+/// bit for bit.
+fn oracle_hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let inside: Vec<Vec<f64>> =
+        points.iter().filter(|p| p.iter().zip(reference).all(|(x, r)| x < r)).cloned().collect();
+    if inside.is_empty() {
+        return 0.0;
+    }
+    let front: Vec<Vec<f64>> =
+        pareto_indices(&inside).into_iter().map(|i| inside[i].clone()).collect();
+    match reference.len() {
+        1 => reference[0] - front.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min),
+        2 => oracle_hv2d(&front, reference),
+        _ => oracle_hv3d(&front, reference),
+    }
+}
+
+fn oracle_hv2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let mut pts: Vec<(f64, f64)> = front.iter().map(|p| (p[0], p[1])).collect();
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut hv = 0.0;
+    let mut prev_y = reference[1];
+    for (x, y) in pts {
+        if y < prev_y {
+            hv += (reference[0] - x) * (prev_y - y);
+            prev_y = y;
+        }
+    }
+    hv
+}
+
+fn oracle_hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+    let mut order: Vec<usize> = (0..front.len()).collect();
+    order.sort_by(|&a, &b| front[a][2].total_cmp(&front[b][2]));
+    let mut hv = 0.0;
+    let mut active: Vec<Vec<f64>> = Vec::new();
+    for (rank, &i) in order.iter().enumerate() {
+        let z_lo = front[i][2];
+        let z_hi = if rank + 1 < order.len() { front[order[rank + 1]][2] } else { reference[2] };
+        active.push(vec![front[i][0], front[i][1]]);
+        if z_hi > z_lo {
+            let ref2 = [reference[0], reference[1]];
+            let front2: Vec<Vec<f64>> =
+                pareto_indices(&active).into_iter().map(|j| active[j].clone()).collect();
+            hv += oracle_hv2d(&front2, &ref2) * (z_hi - z_lo);
+        }
+    }
+    hv
+}
+
+/// Reference trace: the hypervolume of every history prefix, rebuilt
+/// from scratch.
+fn oracle_trace(history: &[Vec<f64>], reference: &[f64]) -> Vec<f64> {
+    (1..=history.len()).map(|k| oracle_hypervolume(&history[..k], reference)).collect()
+}
+
+/// A seeded history in `d` objectives that exercises every edge of the
+/// incremental trace: coordinates quantized to quarter steps (so ties in
+/// each coordinate and exact duplicates occur) or left continuous,
+/// repeats of earlier points, and points on or beyond the reference
+/// (which sits at 3.0 inside the 0..4 sampling range).
+fn edge_case_history(rng: &mut Rng, d: usize) -> Vec<Vec<f64>> {
+    let quantized = rng.below(4) != 0;
+    let mut history: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..rng.range_usize(1, 48) {
+        let point = if !history.is_empty() && rng.below(6) == 0 {
+            history[rng.below(history.len())].clone()
+        } else {
+            (0..d)
+                .map(|_| {
+                    let x = rng.range_f64(0.0, 4.0);
+                    if quantized {
+                        (x * 4.0).floor() / 4.0
+                    } else {
+                        x
+                    }
+                })
+                .collect()
+        };
+        history.push(point);
+    }
+    history
+}
+
+/// `hypervolume` (incremental 2-D front per z-slab) is bit-identical to
+/// the per-slab batch rebuild in 1, 2 and 3 objectives.
+#[test]
+fn hypervolume_bit_identical_to_per_slab_rebuild() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_stream(0xd5e_000a, case);
+        let d = rng.range_usize(1, 4);
+        let points = edge_case_history(&mut rng, d);
+        let reference = vec![3.0; d];
+        let (got, want) =
+            (hypervolume(&points, &reference), oracle_hypervolume(&points, &reference));
+        assert_eq!(got.to_bits(), want.to_bits(), "case {case} (d={d}): {got} vs {want}");
+    }
+}
+
+/// `OptimizationResult::from_history` (one incremental front, a
+/// hypervolume recomputed only on admission) reproduces the per-prefix
+/// rebuild bit for bit at every step, and its Pareto front matches the
+/// batch `pareto_indices`.
+#[test]
+fn from_history_trace_bit_identical_to_per_prefix_rebuild() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_stream(0xd5e_000b, case);
+        let d = rng.range_usize(1, 4);
+        let history = edge_case_history(&mut rng, d);
+        let reference = vec![3.0; d];
+        let records: Vec<EvaluationRecord> = history
+            .iter()
+            .enumerate()
+            .map(|(i, o)| EvaluationRecord { iteration: i, point: vec![i], objectives: o.clone() })
+            .collect();
+        let result = OptimizationResult::from_history("oracle", records, reference.clone());
+        let want = oracle_trace(&history, &reference);
+        assert_eq!(result.hypervolume_trace.len(), want.len(), "case {case}");
+        for (i, (got, want)) in result.hypervolume_trace.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case} (d={d}) step {i}: {got} vs {want}"
+            );
+        }
+        assert_eq!(result.pareto_indices(), pareto_indices(&history), "case {case}");
     }
 }
 

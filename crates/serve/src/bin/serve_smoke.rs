@@ -9,7 +9,8 @@
 //!   caches (cross-run layer-memo and candidate hits observable);
 //! * `/metrics` round-trips through `autopilot_obs::json`;
 //! * keep-alive, malformed-request, cancellation, and shutdown paths
-//!   all answer with the documented status codes.
+//!   all answer with the documented status codes, and sequential
+//!   keep-alive exchanges do not stall on Nagle + delayed ACK.
 //!
 //! Writes `results/telemetry_serve_smoke.json` for the perf budget
 //! gate (`counter:systolic.memo.cross_run_hits` floor).
@@ -156,11 +157,22 @@ fn main() {
     let cache = manager.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
     assert!(cache.cross_run_hits() > 0, "no cross-run candidate hits");
 
-    // Keep-alive: two requests on one connection.
+    // Keep-alive: requests on one connection. Twenty sequential
+    // exchanges on a client socket with default options must not each
+    // stall on Nagle + delayed ACK (~40 ms apiece when a reply leaves
+    // in two segments).
     {
         let mut stream = TcpStream::connect(addr).expect("server reachable");
         stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout set");
-        assert_eq!(rpc(&mut stream, "GET", "/healthz", "").status, 200);
+        let started = Instant::now();
+        for _ in 0..20 {
+            assert_eq!(rpc(&mut stream, "GET", "/healthz", "").status, 200);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "20 keep-alive healthz exchanges took {elapsed:?}: per-reply stall is back"
+        );
         let reply = rpc(&mut stream, "GET", "/jobs", "");
         assert_eq!(reply.status, 200);
         let jobs = Value::parse(&reply.body).expect("job list parses");

@@ -8,7 +8,7 @@
 //! [`MAX_BODY_BYTES`]. Oversized requests are rejected with a typed
 //! [`HttpError`] the server maps to `431`/`413` responses.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 
 /// Maximum accepted request-head size (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -81,35 +81,37 @@ impl Request {
 
 /// Reads one request from `stream`. Blocks until a full head (and any
 /// declared body) arrives, the configured socket timeout fires, or the
-/// peer closes.
+/// peer closes. Consumes exactly that request's bytes, so a pipelined
+/// next request stays buffered for the next call.
 ///
 /// # Errors
 ///
 /// [`HttpError::ConnectionClosed`] on a clean close before any byte,
 /// [`HttpError::Io`] on transport failures/timeouts, and the parse
 /// variants on protocol violations.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
-    // Accumulate until the blank line; one byte at a time is fine for a
-    // control-plane server (heads are tiny and the OS buffers reads).
+pub fn read_request(stream: &mut impl BufRead) -> Result<Request, HttpError> {
+    // Accumulate until the blank line, consuming only the head's bytes.
     let mut head: Vec<u8> = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return if head.is_empty() {
-                    Err(HttpError::ConnectionClosed)
-                } else {
-                    Err(HttpError::Malformed("connection closed mid-head".into()))
-                };
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(HttpError::Io(e)),
+    while !head.ends_with(b"\r\n\r\n") {
+        let buf = stream.fill_buf().map_err(HttpError::Io)?;
+        if buf.is_empty() {
+            return if head.is_empty() {
+                Err(HttpError::ConnectionClosed)
+            } else {
+                Err(HttpError::Malformed("connection closed mid-head".into()))
+            };
         }
+        let mut used = 0;
+        for &byte in buf {
+            head.push(byte);
+            used += 1;
+            if head.ends_with(b"\r\n\r\n") {
+                break;
+            }
+        }
+        stream.consume(used);
         if head.len() > MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge);
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
         }
     }
     let head_text = String::from_utf8_lossy(&head);
@@ -206,15 +208,17 @@ impl Response {
     /// Propagates transport failures (including write timeouts).
     pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let head = format!(
+        // One buffer, one write: a head and body written separately leave
+        // the body waiting on the peer's delayed ACK under Nagle.
+        let mut reply = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len(),
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
+        reply.push_str(&self.body);
+        stream.write_all(reply.as_bytes())?;
         stream.flush()
     }
 }
@@ -272,10 +276,43 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_requests_parse_back_to_back_from_one_buffer() {
+        let raw =
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n";
+        let mut reader = io::BufReader::new(io::Cursor::new(raw.to_vec()));
+        let first = read_request(&mut reader).unwrap();
+        assert_eq!((first.method.as_str(), first.path.as_str()), ("POST", "/jobs"));
+        assert_eq!(first.body_str(), "{}");
+        let second = read_request(&mut reader).unwrap();
+        assert_eq!((second.method.as_str(), second.path.as_str()), ("GET", "/healthz"));
+        assert!(second.body.is_empty());
+        assert!(matches!(read_request(&mut reader), Err(HttpError::ConnectionClosed)));
+    }
+
+    /// Counts `write` calls; a response must be exactly one.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
     fn response_serializes_with_content_length() {
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         Response::json(200, "{}").write_to(&mut out, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        assert_eq!(out.writes, 1, "head and body must leave in one segment");
+        let text = String::from_utf8(out.bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));

@@ -13,7 +13,7 @@ use crate::jobs::{AdmitError, JobManager, JobState};
 use crate::signal;
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -157,35 +157,41 @@ impl Server {
 }
 
 /// Serves one connection: keep-alive request loop with socket timeouts.
+/// One read buffer lives as long as the connection, so bytes of a
+/// pipelined next request survive between requests; replies go straight
+/// to the socket, which has Nagle's algorithm off.
 fn handle_connection(stream: TcpStream, manager: &JobManager, shutdown: &AtomicBool) {
-    let mut stream = stream;
     if stream.set_nonblocking(false).is_err()
+        || stream.set_nodelay(true).is_err()
         || stream.set_read_timeout(Some(SOCKET_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(SOCKET_TIMEOUT)).is_err()
     {
         return;
     }
+    let mut reader = BufReader::new(stream);
     loop {
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        let request = match http::read_request(&mut stream) {
+        let request = http::read_request(&mut reader);
+        let stream = reader.get_mut();
+        let request = match request {
             Ok(req) => req,
             Err(HttpError::ConnectionClosed) => break,
             Err(HttpError::Io(_)) => break, // timeout or transport loss
             Err(HttpError::HeadTooLarge) => {
                 let resp = error_response(431, "request head too large");
-                let _ = resp.write_to(&mut stream, false);
+                let _ = resp.write_to(stream, false);
                 break;
             }
             Err(HttpError::BodyTooLarge) => {
                 let resp = error_response(413, "request body too large");
-                let _ = resp.write_to(&mut stream, false);
+                let _ = resp.write_to(stream, false);
                 break;
             }
             Err(HttpError::Malformed(m)) => {
                 let resp = error_response(400, &m);
-                let _ = resp.write_to(&mut stream, false);
+                let _ = resp.write_to(stream, false);
                 break;
             }
         };
@@ -195,7 +201,7 @@ fn handle_connection(stream: TcpStream, manager: &JobManager, shutdown: &AtomicB
         obs::add("serve.http.requests", 1);
         obs::add(status_class_counter(response.status), 1);
         obs::observe(endpoint_latency_name(endpoint), started.elapsed().as_secs_f64());
-        if response.write_to(&mut stream, keep_alive).is_err() || !keep_alive {
+        if response.write_to(stream, keep_alive).is_err() || !keep_alive {
             break;
         }
     }
