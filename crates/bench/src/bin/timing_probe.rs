@@ -109,9 +109,9 @@ fn main() {
     let evaluator = DssocEvaluator::new(db.clone(), density).with_layer_memo(job.layer_memo);
 
     let workers = job.effective_threads();
-    let phase2 = job.apply_to_phase2(Phase2::new(config.optimizer, budget, config.seed));
+    let phase2 = Phase2::new(config.optimizer, budget, config.seed).with_job_config(job);
     let phase2_seq =
-        job.with_threads(1).apply_to_phase2(Phase2::new(config.optimizer, budget, config.seed));
+        Phase2::new(config.optimizer, budget, config.seed).with_job_config(job.with_threads(1));
 
     // Obs overhead: identical sequential runs with metrics gated off and
     // forced on, alternated (after a warmup pass) and reduced with min —
@@ -272,7 +272,15 @@ fn main() {
     let ls = gp0.lengthscale_sq();
     let gps: Vec<dse_opt::GaussianProcess> = ys
         .iter()
-        .map(|y| dse_opt::GaussianProcess::fit_with_lengthscale(&xs, y, ls).expect("GP fits"))
+        .map(|y| {
+            dse_opt::GaussianProcess::fit_with_lengthscale(
+                &xs,
+                y,
+                ls,
+                dse_opt::KernelExpMode::Exact,
+            )
+            .expect("GP fits")
+        })
         .collect();
     let pool = &xs;
     for (gp, y) in gps.iter().zip(&ys) {
@@ -365,7 +373,7 @@ fn main() {
         ("span_bo_acquisition_score_s".into(), num(span_acquisition_score_s)),
         ("span_bo_front_sync_s".into(), num(span_front_sync_s)),
         ("span_bo_surrogate_update_s".into(), num(span_surrogate_s)),
-        ("kernel_exp_mode".into(), Value::Str(dse_opt::KernelExpMode::from_env().id().into())),
+        ("kernel_exp_mode".into(), Value::Str(job.exp_mode.unwrap_or_default().id().into())),
         ("bit_identical_across_threads".into(), Value::Bool(true)),
     ]);
     let json = report.to_json_pretty();
@@ -375,7 +383,7 @@ fn main() {
     // mode, where the probe exists only to gate perf regressions.
     if !fast {
         let t0 = Instant::now();
-        let pilot = AutoPilot::new(config);
+        let pilot = AutoPilot::new(config).with_job_config(job);
         let result =
             pilot.run(&UavSpec::nano(), &TaskSpec::navigation(density)).expect("pipeline runs");
         let sel = result.selection.expect("selection");
@@ -425,18 +433,19 @@ fn scale_probe(budget: usize) {
     let density = ObstacleDensity::Dense;
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
-    let evaluator = DssocEvaluator::new(db, density);
-    let phase2 = Phase2::new(config.optimizer, budget, config.seed)
-        .with_gp_window(GP_WINDOW)
-        .with_surrogate_mode(dse_opt::SurrogateMode::Sparse {
+    let job = JobConfig::from_env().with_threads(1).with_gp_window(GP_WINDOW).with_surrogate(
+        dse_opt::SurrogateMode::Sparse {
             threshold: GP_SPARSE_THRESHOLD,
             inducing: GP_SPARSE_INDUCING,
-        });
+        },
+    );
+    let evaluator = DssocEvaluator::new(db, density).with_layer_memo(job.layer_memo);
+    let phase2 = Phase2::new(config.optimizer, budget, config.seed).with_job_config(job);
 
     obs::force_metrics(true);
     obs::reset();
     let t0 = Instant::now();
-    let out = phase2.with_threads(1).run(&evaluator).expect("phase 2 runs");
+    let out = phase2.run(&evaluator).expect("phase 2 runs");
     let wall_s = t0.elapsed().as_secs_f64();
     let snap = obs::snapshot();
     let span_phase2_run_s = snap.span_total_s("phase2.run");
@@ -461,15 +470,26 @@ fn scale_probe(budget: usize) {
     let exact: Vec<dse_opt::GaussianProcess> = ys
         .iter()
         .map(|y| {
-            dse_opt::GaussianProcess::fit_with_lengthscale(&xs[..n_exact], &y[..n_exact], ls)
-                .expect("exact GP fits")
+            dse_opt::GaussianProcess::fit_with_lengthscale(
+                &xs[..n_exact],
+                &y[..n_exact],
+                ls,
+                dse_opt::KernelExpMode::Exact,
+            )
+            .expect("exact GP fits")
         })
         .collect();
     let sparse: Vec<dse_opt::SparseGaussianProcess> = ys
         .iter()
         .map(|y| {
-            dse_opt::SparseGaussianProcess::fit_with_lengthscale(&xs, y, ls, 64)
-                .expect("sparse GP fits")
+            dse_opt::SparseGaussianProcess::fit_with_lengthscale(
+                &xs,
+                y,
+                ls,
+                64,
+                dse_opt::KernelExpMode::Exact,
+            )
+            .expect("sparse GP fits")
         })
         .collect();
     let pool: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
@@ -495,7 +515,7 @@ fn scale_probe(budget: usize) {
     // workers time-slice one CPU, so ~1.0 is the expected reading there,
     // and the budget-gate floor below 1.0 only catches the engine
     // pessimizing parallel assembly outright.
-    let exp_mode = dse_opt::KernelExpMode::from_env();
+    let exp_mode = job.exp_mode.unwrap_or_default();
     let panel_rows: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
     let panel_scale = -0.5 / ls;
     let panel_workers = dse_opt::par::worker_count().max(2);

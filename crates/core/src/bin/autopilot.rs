@@ -6,7 +6,9 @@
 //! ```
 
 use air_sim::ObstacleDensity;
-use autopilot::{registry, AutoPilot, AutopilotConfig, OptimizerChoice, RunSummary, TaskSpec};
+use autopilot::{
+    registry, AutoPilot, AutopilotConfig, JobConfig, OptimizerChoice, RunSummary, TaskSpec,
+};
 use autopilot_obs::{obs_error, obs_info, obs_warn};
 use std::process::ExitCode;
 use uav_dynamics::UavSpec;
@@ -152,7 +154,8 @@ fn main() -> ExitCode {
         args.budget,
         args.optimizer.name()
     );
-    let result = match AutoPilot::new(config).run(&args.uav, &task) {
+    let pilot = AutoPilot::new(config).with_job_config(JobConfig::from_env());
+    let result = match pilot.run(&args.uav, &task) {
         Ok(r) => r,
         Err(e) => {
             obs_error!("error: {e}");

@@ -1,43 +1,43 @@
 //! Per-job engine configuration.
 //!
-//! The DSE engine historically read its tuning knobs straight from the
-//! environment (`AUTOPILOT_THREADS`, `AUTOPILOT_GP_SPARSE`,
-//! `AUTOPILOT_LAYER_MEMO`, `AUTOPILOT_TRACE`) at whatever moment the
-//! knob was first needed. A multi-tenant server cannot work that way:
-//! two jobs in one process need *different* knobs, and mutating the
-//! process environment mid-flight is a race. [`JobConfig`] inverts the
-//! flow — the environment is captured **once at startup** (via
-//! [`autopilot_obs::env_once`], which warns if the live environment
-//! later diverges) into the [`JobConfig::from_env`] defaults, and every
-//! job carries its own explicit copy from there.
+//! [`JobConfig`] is the one carrier of the engine's knobs from the edge
+//! (CLI, server, probes) down to the optimizer: [`crate::AutoPilot`],
+//! [`crate::Phase2`] and [`crate::registry::OptimizerContext`] each hold
+//! one, and nothing below them reads the environment. The environment
+//! is read in exactly one place, [`JobConfig::from_env`], which captures
+//! it **once per process** (via [`autopilot_obs::env_once`], which warns
+//! if the live environment later diverges). Library defaults
+//! ([`JobConfig::default`]) are constants, so two jobs in one process
+//! can carry different knobs without mutating the environment.
 
-use crate::phase2::Phase2;
-use crate::pipeline::AutopilotConfig;
 use crate::swap::SwapMode;
 use autopilot_obs as obs;
 use dse_opt::{KernelExpMode, SurrogateMode};
 use systolic_sim::LayerMemo;
 
 /// Explicit per-job engine knobs: thread count, GP history window,
-/// surrogate mode, layer-memo gating, and trace gating.
+/// surrogate mode, kernel exponential mode, layer-memo gating, trace
+/// gating and the SWaP constraint.
 ///
-/// Construct with [`JobConfig::from_env`] (startup-captured environment
-/// defaults) and override per job with the builder methods. Results are
-/// bit-identical across `threads` values; the other knobs legitimately
-/// change the search trajectory and are part of a job's identity.
+/// [`JobConfig::default`] is the engine's constant defaults;
+/// [`JobConfig::from_env`] layers the startup environment on top.
+/// Results are bit-identical across `threads`, `layer_memo` and `trace`
+/// values; the other knobs legitimately change the search or its
+/// objectives (see [`JobConfig::searches_differently`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobConfig {
     /// Optimizer worker-pool size. `None` = the engine-wide default
-    /// (startup `AUTOPILOT_THREADS`, else hardware parallelism).
+    /// (`dse_opt::par::worker_count`: startup `AUTOPILOT_THREADS`, else
+    /// hardware parallelism).
     pub threads: Option<usize>,
     /// Exact-GP history window cap for GP-based optimizers; `None` =
     /// the optimizer's built-in default.
     pub gp_window: Option<usize>,
-    /// Surrogate mode for GP-based optimizers; `None` = the startup
-    /// `AUTOPILOT_GP_SPARSE` default resolved at build time.
+    /// Surrogate mode for GP-based optimizers; `None` = the optimizer's
+    /// built-in default ([`SurrogateMode::default_sparse`]).
     pub surrogate: Option<SurrogateMode>,
     /// Kernel exponential mode for GP-based optimizers; `None` = the
-    /// startup `AUTOPILOT_GP_FASTEXP` default resolved at build time.
+    /// optimizer's built-in default ([`KernelExpMode::Exact`]).
     pub exp_mode: Option<KernelExpMode>,
     /// Whether layer simulations go through the layer memo.
     pub layer_memo: bool,
@@ -54,22 +54,20 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// The startup-environment defaults: `AUTOPILOT_THREADS`,
-    /// `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_LAYER_MEMO`, and
-    /// `AUTOPILOT_TRACE` as captured on first read (later mutations of
-    /// the live environment warn once and are ignored).
+    /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE`,
+    /// `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_LAYER_MEMO`, `AUTOPILOT_TRACE`
+    /// and `AUTOPILOT_SWAP` as captured on first read (later mutations
+    /// of the live environment warn once and are ignored). This is the
+    /// only library function that reads them; call it at the edge and
+    /// pass the result down.
     pub fn from_env() -> JobConfig {
         JobConfig {
-            // `None` defers to `dse_opt::par::worker_count()` /
-            // `SurrogateMode::from_env()`, both of which cache the
-            // startup environment through `env_once` themselves.
-            threads: None,
-            gp_window: None,
-            surrogate: None,
-            exp_mode: None,
+            surrogate: Some(SurrogateMode::from_env()),
+            exp_mode: Some(KernelExpMode::from_env()),
             layer_memo: LayerMemo::env_default_enabled(),
             trace: obs::trace::enabled(),
             swap: SwapMode::from_env(),
+            ..JobConfig::default()
         }
     }
 
@@ -110,8 +108,7 @@ impl JobConfig {
         self
     }
 
-    /// Sets the SWaP-constraint mode, overriding the startup
-    /// `AUTOPILOT_SWAP` default.
+    /// Sets the SWaP-constraint mode.
     pub fn with_swap(mut self, mode: SwapMode) -> JobConfig {
         self.swap = mode;
         self
@@ -122,33 +119,39 @@ impl JobConfig {
         self.threads.unwrap_or_else(dse_opt::par::worker_count)
     }
 
-    /// Applies this job's knobs to a [`Phase2`] runner.
-    pub fn apply_to_phase2(&self, mut phase2: Phase2) -> Phase2 {
-        if let Some(t) = self.threads {
-            phase2 = phase2.with_threads(t);
-        }
-        if let Some(w) = self.gp_window {
-            phase2 = phase2.with_gp_window(w);
-        }
-        if let Some(mode) = self.surrogate {
-            phase2 = phase2.with_surrogate_mode(mode);
-        }
-        if let Some(mode) = self.exp_mode {
-            phase2 = phase2.with_exp_mode(mode);
-        }
-        phase2
-    }
-
-    /// A [`Phase2`] runner for `config`, with this job's knobs applied.
-    pub fn phase2(&self, config: &AutopilotConfig) -> Phase2 {
-        self.apply_to_phase2(Phase2::new(config.optimizer, config.phase2_budget, config.seed))
+    /// True when a Phase-2 run under this job can differ from one at
+    /// [`JobConfig::default`] — the run a [`crate::PipelineCache`]
+    /// holds, keyed by scenario alone. Every result-changing knob
+    /// counts: the GP window, surrogate and kernel exponential modes
+    /// steer the search, and the SWaP constraint makes objectives depend
+    /// on the UAV's airframe. Threads, memo and tracing never change
+    /// results.
+    pub fn searches_differently(&self) -> bool {
+        // Destructured so that a new knob cannot be added without
+        // deciding here whether it changes results.
+        let JobConfig { threads: _, gp_window, surrogate, exp_mode, layer_memo: _, trace: _, swap } =
+            *self;
+        gp_window.is_some()
+            || surrogate.is_some_and(|m| m != SurrogateMode::default_sparse())
+            || exp_mode.is_some_and(|m| m != KernelExpMode::default())
+            || swap.is_on()
     }
 }
 
 impl Default for JobConfig {
-    /// Same as [`JobConfig::from_env`].
+    /// The engine's constant defaults: optimizer-default threads, GP
+    /// window, surrogate and exponential modes; layer memo on; tracing
+    /// and the SWaP constraint off. Reads no environment.
     fn default() -> JobConfig {
-        JobConfig::from_env()
+        JobConfig {
+            threads: None,
+            gp_window: None,
+            surrogate: None,
+            exp_mode: None,
+            layer_memo: true,
+            trace: false,
+            swap: SwapMode::Off,
+        }
     }
 }
 
@@ -183,7 +186,25 @@ mod tests {
     }
 
     #[test]
-    fn default_is_from_env() {
-        assert_eq!(JobConfig::default(), JobConfig::from_env());
+    fn defaults_search_like_the_pipeline_cache() {
+        assert!(!JobConfig::default().searches_differently());
+        // Pinning a knob to its default value keeps the cached search;
+        // threads, memo and tracing never change results.
+        let same = JobConfig::default()
+            .with_threads(3)
+            .with_surrogate(SurrogateMode::default_sparse())
+            .with_exp_mode(KernelExpMode::Exact)
+            .with_layer_memo(false)
+            .with_trace(true)
+            .with_swap(SwapMode::Off);
+        assert!(!same.searches_differently());
+        for job in [
+            JobConfig::default().with_gp_window(128),
+            JobConfig::default().with_surrogate(SurrogateMode::Exact),
+            JobConfig::default().with_exp_mode(KernelExpMode::Fast),
+            JobConfig::default().with_swap(SwapMode::Constraint),
+        ] {
+            assert!(job.searches_differently(), "{job:?}");
+        }
     }
 }

@@ -62,7 +62,8 @@ pub use config::JobConfig;
 pub use error::AutopilotError;
 pub use phase1::{Phase1, SuccessModel};
 pub use phase2::{
-    CandidateCache, DesignCandidate, DssocEvaluator, OptimizerChoice, Phase2, Phase2Output,
+    CacheStats, CandidateCache, DesignCandidate, DssocEvaluator, OptimizerChoice, Phase2,
+    Phase2Output,
 };
 pub use phase3::{FineTuning, Phase3, Phase3Selection};
 pub use pipeline::{AutoPilot, AutopilotConfig, AutopilotResult, PipelineCache};

@@ -3,13 +3,14 @@
 use air_sim::{AirLearningDatabase, ObstacleDensity, SuccessSurrogate};
 use autopilot_obs as obs;
 use autopilot_shard::ShardedMap;
-use dse_opt::{CacheStats, EvalError, Evaluator, OptimizationResult, RunControl};
+use dse_opt::{EvalError, Evaluator, OptimizationResult, RunControl};
 use policy_nn::{PolicyHyperparams, PolicyModel};
 use soc_power::SocPowerModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use systolic_sim::{ArrayConfig, LayerMemo, MemoStats, Simulator};
 
+use crate::config::JobConfig;
 use crate::error::AutopilotError;
 use crate::registry::{self, OptimizerContext};
 use crate::space::JointSpace;
@@ -161,15 +162,13 @@ impl DssocEvaluator {
         self.layer_memo.stats()
     }
 
-    /// True when layer simulations are served through the memo (the
-    /// `AUTOPILOT_LAYER_MEMO` gate was not switched off).
+    /// True when layer simulations are served through the memo.
     pub fn layer_memo_enabled(&self) -> bool {
         self.layer_memo.enabled()
     }
 
     /// Returns a copy of this evaluator with a fresh layer-simulation
-    /// memo, switched on or off explicitly (overriding the
-    /// `AUTOPILOT_LAYER_MEMO` environment gate).
+    /// memo, switched on or off (on by default).
     pub fn with_layer_memo(mut self, enabled: bool) -> DssocEvaluator {
         self.layer_memo = Arc::new(LayerMemo::with_enabled(enabled));
         self
@@ -306,6 +305,30 @@ pub struct DesignCandidate {
     pub payload_g: f64,
     /// Compute efficiency, FPS per watt.
     pub efficiency_fps_per_w: f64,
+}
+
+/// Hit/miss/entry counters of a memoizing cache ([`CandidateCache`],
+/// [`crate::PipelineCache`]), captured at a point in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: usize,
+    /// Lookups that ran the full evaluation.
+    pub misses: usize,
+    /// Distinct entries currently stored.
+    pub entries: usize,
+}
+
+impl CacheStats {
+    /// Fraction of lookups served from the cache, in `[0, 1]`.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
 /// Number of shards in a [`CandidateCache`]; matches the layer memo so
@@ -479,16 +502,17 @@ impl Evaluator for CachingEvaluator<'_> {
 /// The optimizer is selected *by name* through the
 /// [`registry`](crate::registry): the built-in choices are covered by
 /// [`OptimizerChoice`] (which converts into its registry name), and any
-/// optimizer registered at runtime is equally selectable.
+/// optimizer registered at runtime is equally selectable. Engine knobs
+/// come from one [`JobConfig`] (constant defaults unless
+/// [`Phase2::with_job_config`] sets one); the optimizer sees its worker
+/// count, GP window, surrogate and exponential modes, while memo and
+/// SWaP gating belong to the evaluator.
 #[derive(Debug, Clone)]
 pub struct Phase2 {
     optimizer: String,
     budget: usize,
     seed: u64,
-    threads: Option<usize>,
-    gp_window: Option<usize>,
-    surrogate: Option<dse_opt::SurrogateMode>,
-    exp_mode: Option<dse_opt::KernelExpMode>,
+    job: JobConfig,
 }
 
 impl Phase2 {
@@ -499,10 +523,7 @@ impl Phase2 {
             optimizer: optimizer.into(),
             budget: budget.max(4),
             seed,
-            threads: None,
-            gp_window: None,
-            surrogate: None,
-            exp_mode: None,
+            job: JobConfig::default(),
         }
     }
 
@@ -515,33 +536,14 @@ impl Phase2 {
     /// see `dse_opt::par::worker_count`). Results are bit-identical at
     /// any thread count.
     pub fn with_threads(mut self, n: usize) -> Phase2 {
-        self.threads = Some(n.max(1));
+        self.job = self.job.with_threads(n);
         self
     }
 
-    /// Caps the exact-GP history window for GP-based optimizers (others
-    /// ignore it). Together with [`Phase2::with_surrogate_mode`] this
-    /// controls when the exact window slides (incremental downdates)
-    /// versus when the sparse surrogate takes over.
-    pub fn with_gp_window(mut self, n: usize) -> Phase2 {
-        self.gp_window = Some(n);
-        self
-    }
-
-    /// Pins the surrogate mode for GP-based optimizers, overriding the
-    /// `AUTOPILOT_GP_SPARSE` environment default (others ignore it).
-    pub fn with_surrogate_mode(mut self, mode: dse_opt::SurrogateMode) -> Phase2 {
-        self.surrogate = Some(mode);
-        self
-    }
-
-    /// Pins the kernel exponential mode for GP-based optimizers,
-    /// overriding the `AUTOPILOT_GP_FASTEXP` environment default (others
-    /// ignore it). The default [`dse_opt::KernelExpMode::Exact`] is
-    /// bit-identical legacy behaviour; `Fast` trades ≤4 ULP of kernel
-    /// accuracy for a vectorizable in-repo exponential.
-    pub fn with_exp_mode(mut self, mode: dse_opt::KernelExpMode) -> Phase2 {
-        self.exp_mode = Some(mode);
+    /// Runs with `job`'s engine knobs, replacing every knob set so far
+    /// (the thread count included).
+    pub fn with_job_config(mut self, job: JobConfig) -> Phase2 {
+        self.job = job;
         self
     }
 
@@ -594,26 +596,10 @@ impl Phase2 {
     ) -> Result<Phase2Output, AutopilotError> {
         let _span = obs::span("phase2.run");
         let stats_before = cache.stats();
-        let space = JointSpace::design_space();
-        // Domain-informed seeding (Section III-A): start the search at the
-        // best-validated policy across a spread of array sizes.
-        let best = evaluator.best_policy();
-        let seeds: Vec<Vec<usize>> = [16usize, 64, 256]
-            .iter()
-            .filter_map(|&pe| JointSpace::encode(best, pe, pe, 64, 64, 64))
-            .collect();
         let cached = CachingEvaluator { inner: evaluator, cache };
-        let ctx = OptimizerContext {
-            seed: self.seed,
-            budget: self.budget,
-            threads: self.threads,
-            seed_points: seeds,
-            gp_window: self.gp_window,
-            surrogate: self.surrogate,
-            exp_mode: self.exp_mode,
-        };
-        let mut opt = registry::build_optimizer(&self.optimizer, &ctx)?;
-        let result = opt.run_controlled(&space, &cached, self.budget, control)?;
+        let mut opt = registry::build_optimizer(&self.optimizer, &self.context(evaluator))?;
+        let result =
+            opt.run_controlled(&JointSpace::design_space(), &cached, self.budget, control)?;
         // Every history point went through the cache, so assembling the
         // candidate list is a lookup, not a re-simulation (this used to
         // re-run the simulator once per history point).
@@ -634,6 +620,18 @@ impl Phase2 {
         };
         obs::gauge_set("phase2.final_hypervolume", result.final_hypervolume());
         Ok(Phase2Output { result, candidates, pareto_indices: pareto, cache_stats })
+    }
+
+    /// The optimizer context for a run against `evaluator`, with
+    /// domain-informed seeding (Section III-A): the search starts at the
+    /// best-validated policy across a spread of array sizes.
+    fn context(&self, evaluator: &DssocEvaluator) -> OptimizerContext {
+        let best = evaluator.best_policy();
+        let seed_points = [16usize, 64, 256]
+            .iter()
+            .filter_map(|&pe| JointSpace::encode(best, pe, pe, 64, 64, 64))
+            .collect();
+        OptimizerContext { seed: self.seed, budget: self.budget, seed_points, job: self.job }
     }
 }
 
@@ -886,6 +884,48 @@ mod tests {
         let c = off.evaluate_design(&[5, 2, 5, 5, 3, 3, 3]).unwrap();
         assert_eq!(off.objectives(&c), legacy.objectives(&c));
         assert_eq!(off.evaluate(&[5, 2, 5, 5, 3, 3, 3]), legacy.evaluate(&[5, 2, 5, 5, 3, 3, 3]));
+    }
+
+    #[test]
+    fn candidate_cache_is_transparent_to_the_trajectory() {
+        // The same optimizer driven straight by the evaluator, with no
+        // cache in between, walks the trajectory Phase 2 walks through
+        // its candidate cache.
+        let ev = evaluator();
+        for choice in [OptimizerChoice::SmsEgo, OptimizerChoice::Nsga2, OptimizerChoice::Random] {
+            let phase2 = Phase2::new(choice, 24, 5);
+            let cached = phase2.run(&ev).unwrap();
+            let mut opt = registry::build_optimizer(choice.name(), &phase2.context(&ev)).unwrap();
+            let direct = opt.run(&JointSpace::design_space(), &ev, 24).unwrap();
+            assert_eq!(cached.result, direct, "{choice:?}");
+        }
+    }
+
+    #[test]
+    fn candidate_cache_entries_never_go_stale() {
+        let ev = evaluator();
+        let cache = CandidateCache::new();
+        let out = Phase2::new(OptimizerChoice::Nsga2, 24, 17).run_with_cache(&ev, &cache).unwrap();
+        let mut points: Vec<&Vec<usize>> =
+            out.result.evaluations.iter().map(|e| &e.point).collect();
+        points.sort();
+        points.dedup();
+        assert_eq!(cache.len(), points.len());
+        // Every stored entry, and every hit served from it, equals a
+        // fresh evaluation of its point.
+        for point in points {
+            let fresh = ev.evaluate_design(point).unwrap();
+            assert_eq!(cache.get(point).as_ref(), Some(&fresh), "stale entry for {point:?}");
+            assert_eq!(cache.evaluate(&ev, point).unwrap(), fresh);
+        }
+        assert_eq!(cache.stats().misses, cache.len(), "revisits must all be hits");
+    }
+
+    #[test]
+    fn cache_stats_hit_rate() {
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        let stats = CacheStats { hits: 1, misses: 1, entries: 1 };
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot_obs as obs;
-use dse_opt::CacheStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -11,10 +10,9 @@ use uav_dynamics::UavSpec;
 use crate::config::JobConfig;
 use crate::error::AutopilotError;
 use crate::phase1::{Phase1, SuccessModel};
-use crate::phase2::{DssocEvaluator, OptimizerChoice, Phase2, Phase2Output};
+use crate::phase2::{CacheStats, DssocEvaluator, OptimizerChoice, Phase2, Phase2Output};
 use crate::phase3::{Phase3, Phase3Selection};
 use crate::spec::TaskSpec;
-use crate::swap::SwapMode;
 use uav_dynamics::Airframe;
 
 /// Pipeline configuration.
@@ -170,14 +168,14 @@ impl PipelineCache {
 pub struct AutoPilot {
     config: AutopilotConfig,
     cache: Option<Arc<PipelineCache>>,
-    threads: Option<usize>,
-    job: Option<JobConfig>,
+    job: JobConfig,
 }
 
 impl AutoPilot {
-    /// Creates a pipeline with `config`.
+    /// Creates a pipeline with `config` and the engine's default knobs
+    /// ([`JobConfig::default`]; the environment is not read).
     pub fn new(config: AutopilotConfig) -> AutoPilot {
-        AutoPilot { config, cache: None, threads: None, job: None }
+        AutoPilot { config, cache: None, job: JobConfig::default() }
     }
 
     /// Shares phase-1/phase-2 results with other runs through `cache`.
@@ -189,21 +187,17 @@ impl AutoPilot {
 
     /// Pins the Phase-2 worker count (default: the engine-wide default).
     pub fn with_threads(mut self, n: usize) -> AutoPilot {
-        self.threads = Some(n.max(1));
+        self.job = self.job.with_threads(n);
         self
     }
 
-    /// Applies an explicit per-job engine configuration: worker count,
-    /// GP window, surrogate mode, and layer-memo gating all come from
-    /// `job` instead of the process environment. Thread counts never
-    /// change results; the GP knobs legitimately do, so the pipeline
-    /// cache (scenario-keyed, knob-agnostic) is only consulted when no
-    /// GP knob deviates from the default.
+    /// Runs with `job`'s engine knobs — worker count, GP window,
+    /// surrogate and exponential modes, layer-memo gating and SWaP mode —
+    /// replacing every knob set so far (the thread count included). A
+    /// job that [searches differently](JobConfig::searches_differently)
+    /// from the defaults bypasses the scenario-keyed pipeline cache.
     pub fn with_job_config(mut self, job: JobConfig) -> AutoPilot {
-        if let Some(t) = job.threads {
-            self.threads = Some(t.max(1));
-        }
-        self.job = Some(job);
+        self.job = job;
         self
     }
 
@@ -212,17 +206,11 @@ impl AutoPilot {
         &self.config
     }
 
-    /// The effective SWaP mode of this pipeline: the job's explicit
-    /// knob when one is set, else the startup `AUTOPILOT_SWAP` default.
-    fn swap_mode(&self) -> SwapMode {
-        self.job.as_ref().map(|j| j.swap).unwrap_or_else(SwapMode::from_env)
-    }
-
     /// Applies the SWaP constraint to an evaluator for `uav`: in
     /// constraint mode the check runs against the UAV's own airframe
     /// when one was built, else the default build of its class.
     fn apply_swap(&self, ev: DssocEvaluator, uav: &UavSpec) -> DssocEvaluator {
-        let swap = self.swap_mode();
+        let swap = self.job.swap;
         if swap.is_on() {
             let airframe = uav.airframe.clone().unwrap_or_else(|| Airframe::default_for(uav.class));
             ev.with_swap(swap, airframe)
@@ -257,35 +245,17 @@ impl AutoPilot {
         };
 
         // Phase 2: multi-objective DSE.
-        let evaluator = {
-            let ev = DssocEvaluator::new(db.clone(), task.density);
-            let ev = match &self.job {
-                Some(job) => ev.with_layer_memo(job.layer_memo),
-                None => ev,
-            };
-            self.apply_swap(ev, uav)
-        };
-        // GP knobs change the search trajectory, and the SWaP constraint
-        // makes Phase-2 objectives depend on the UAV's airframe; a job
-        // that deviates from the defaults must bypass the knob-agnostic,
-        // UAV-agnostic scenario cache.
-        let cacheable = !self.swap_mode().is_on()
-            && self.job.is_none_or(|j| j.gp_window.is_none() && j.surrogate.is_none());
+        let evaluator = self.apply_swap(
+            DssocEvaluator::new(db.clone(), task.density).with_layer_memo(self.job.layer_memo),
+            uav,
+        );
         let phase2 = match &self.cache {
-            Some(cache) if cacheable => {
-                cache.phase2_output(&self.config, &evaluator, self.threads)?
+            Some(cache) if !self.job.searches_differently() => {
+                cache.phase2_output(&self.config, &evaluator, self.job.threads)?
             }
-            _ => {
-                let mut phase2 =
-                    Phase2::new(self.config.optimizer, self.config.phase2_budget, self.config.seed);
-                if let Some(t) = self.threads {
-                    phase2 = phase2.with_threads(t);
-                }
-                if let Some(job) = &self.job {
-                    phase2 = job.apply_to_phase2(phase2);
-                }
-                phase2.run(&evaluator)?
-            }
+            _ => Phase2::new(self.config.optimizer, self.config.phase2_budget, self.config.seed)
+                .with_job_config(self.job)
+                .run(&evaluator)?,
         };
 
         // Phase 3: full-system back end.
@@ -357,7 +327,9 @@ pub struct AutopilotResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swap::SwapMode;
     use air_sim::ObstacleDensity;
+    use dse_opt::KernelExpMode;
 
     fn fast_pilot(seed: u64) -> AutoPilot {
         AutoPilot::new(
@@ -433,7 +405,7 @@ mod tests {
         let cache = Arc::new(PipelineCache::new());
         let config =
             AutopilotConfig::fast(5).with_optimizer(OptimizerChoice::Random).with_budget(24);
-        let job = JobConfig::from_env().with_swap(SwapMode::Constraint);
+        let job = JobConfig::default().with_swap(SwapMode::Constraint);
         let pilot = AutoPilot::new(config).with_cache(Arc::clone(&cache)).with_job_config(job);
         let uav = UavSpec::nano().with_airframe(Airframe::nano());
         let result = pilot.run(&uav, &task).expect("pipeline runs");
@@ -444,7 +416,7 @@ mod tests {
         // The UAV-agnostic scenario cache must not serve swap-mode runs.
         assert_eq!(cache.phase2_stats().hits + cache.phase2_stats().misses, 0);
         // An explicit Off job stays on the legacy path and caches.
-        let legacy_job = JobConfig::from_env().with_swap(SwapMode::Off);
+        let legacy_job = JobConfig::default().with_swap(SwapMode::Off);
         let legacy = AutoPilot::new(config)
             .with_cache(Arc::clone(&cache))
             .with_job_config(legacy_job)
@@ -452,6 +424,35 @@ mod tests {
             .expect("pipeline runs");
         assert!(legacy.selection.expect("legacy selection").swap.is_none());
         assert_eq!(cache.phase2_stats().misses, 1);
+    }
+
+    #[test]
+    fn search_changing_jobs_miss_the_phase2_cache() {
+        let task = TaskSpec::navigation(ObstacleDensity::Dense);
+        let cache = Arc::new(PipelineCache::new());
+        let config =
+            AutopilotConfig::fast(5).with_optimizer(OptimizerChoice::Random).with_budget(12);
+        let run = |job: JobConfig| {
+            AutoPilot::new(config)
+                .with_cache(Arc::clone(&cache))
+                .with_job_config(job)
+                .run(&UavSpec::nano(), &task)
+                .expect("pipeline runs");
+            cache.phase2_stats().hits
+        };
+        assert_eq!(run(JobConfig::default()), 0, "the default run warms the cache");
+        assert_eq!(cache.phase2_stats().misses, 1);
+        for job in [
+            JobConfig::default().with_exp_mode(KernelExpMode::Fast),
+            JobConfig::default().with_gp_window(64),
+        ] {
+            assert_eq!(run(job), 0, "{job:?} must not be served the default search");
+        }
+        // A startup-environment job that only pins threads searches like
+        // the default unless the environment itself sets a search knob.
+        let env_job = JobConfig::from_env().with_threads(1);
+        let hits = run(env_job);
+        assert_eq!(hits == 1, !env_job.searches_differently(), "{env_job:?}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The registry maps a name (e.g. `"sms-ego-bo"`) to a factory closure
 //! that builds a boxed [`MultiObjectiveOptimizer`] from an
-//! [`OptimizerContext`] (seed, budget, worker count, and domain-informed
-//! seed points). The built-in optimizers register themselves on first
-//! access; downstream crates add their own with [`register_optimizer`]:
+//! [`OptimizerContext`] (seed, budget, domain-informed seed points, and
+//! the job's engine knobs). The built-in optimizers register themselves
+//! on first access; downstream crates add their own with
+//! [`register_optimizer`]:
 //!
 //! ```
 //! use autopilot::registry::{self, OptimizerContext};
@@ -18,17 +19,21 @@
 //! ```
 
 use dse_opt::{
-    AnnealingOptimizer, ExhaustiveSearch, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
-    RandomSearch, SmsEgoOptimizer, SurrogateMode,
+    AnnealingOptimizer, ExhaustiveSearch, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch,
+    SmsEgoOptimizer,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
+use crate::config::JobConfig;
 use crate::error::AutopilotError;
 
 /// Everything a factory may use to parameterize an optimizer. Budgets
 /// and seeds come from the Phase-2 configuration; `seed_points` carry
-/// the domain-informed warm starts (Section III-A).
+/// the domain-informed warm starts (Section III-A); `job` carries the
+/// engine knobs (worker count, GP window, surrogate and kernel
+/// exponential modes), which factories for non-GP optimizers partly
+/// ignore.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct OptimizerContext {
@@ -36,34 +41,16 @@ pub struct OptimizerContext {
     pub seed: u64,
     /// Evaluation budget the optimizer will be run with.
     pub budget: usize,
-    /// Pinned worker count, when the caller requested one.
-    pub threads: Option<usize>,
     /// Warm-start design points (may be empty).
     pub seed_points: Vec<Vec<usize>>,
-    /// Cap on exact-GP history points (surrogate window), when the
-    /// caller wants one. Factories for non-GP optimizers ignore it.
-    pub gp_window: Option<usize>,
-    /// Explicit surrogate mode, overriding the `AUTOPILOT_GP_SPARSE`
-    /// environment default. Factories for non-GP optimizers ignore it.
-    pub surrogate: Option<SurrogateMode>,
-    /// Explicit kernel exponential mode, overriding the
-    /// `AUTOPILOT_GP_FASTEXP` environment default. Factories for non-GP
-    /// optimizers ignore it.
-    pub exp_mode: Option<KernelExpMode>,
+    /// The job's engine knobs.
+    pub job: JobConfig,
 }
 
 impl OptimizerContext {
-    /// A context with no warm starts and default threading.
+    /// A context with no warm starts and the engine's default knobs.
     pub fn new(seed: u64, budget: usize) -> OptimizerContext {
-        OptimizerContext {
-            seed,
-            budget,
-            threads: None,
-            seed_points: Vec::new(),
-            gp_window: None,
-            surrogate: None,
-            exp_mode: None,
-        }
+        OptimizerContext { seed, budget, seed_points: Vec::new(), job: JobConfig::default() }
     }
 }
 
@@ -82,20 +69,21 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
     map.insert(
         "sms-ego-bo".to_owned(),
         Arc::new(|ctx: &OptimizerContext| {
+            let job = &ctx.job;
             let mut opt = SmsEgoOptimizer::new(ctx.seed)
                 .with_init_samples((ctx.budget / 4).clamp(8, 32))
                 .with_candidate_pool(128)
                 .with_seed_points(ctx.seed_points.clone());
-            if let Some(t) = ctx.threads {
+            if let Some(t) = job.threads {
                 opt = opt.with_threads(t);
             }
-            if let Some(w) = ctx.gp_window {
+            if let Some(w) = job.gp_window {
                 opt = opt.with_max_gp_points(w);
             }
-            if let Some(mode) = ctx.surrogate {
+            if let Some(mode) = job.surrogate {
                 opt = opt.with_surrogate_mode(mode);
             }
-            if let Some(mode) = ctx.exp_mode {
+            if let Some(mode) = job.exp_mode {
                 opt = opt.with_exp_mode(mode);
             }
             Box::new(opt)
@@ -106,7 +94,7 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
         Arc::new(|ctx: &OptimizerContext| {
             let mut opt =
                 Nsga2Optimizer::new(ctx.seed).with_population((ctx.budget / 6).clamp(8, 32));
-            if let Some(t) = ctx.threads {
+            if let Some(t) = ctx.job.threads {
                 opt = opt.with_threads(t);
             }
             Box::new(opt)
@@ -120,7 +108,7 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
         "random-search".to_owned(),
         Arc::new(|ctx: &OptimizerContext| {
             let mut opt = RandomSearch::new(ctx.seed);
-            if let Some(t) = ctx.threads {
+            if let Some(t) = ctx.job.threads {
                 opt = opt.with_threads(t);
             }
             Box::new(opt)

@@ -8,7 +8,7 @@ use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
 use crate::fastexp::KernelExpMode;
-use crate::gp::{DistanceCache, GaussianProcess, SparseGaussianProcess, SurrogateMode};
+use crate::gp::{median_sq_dist, GaussianProcess, SparseGaussianProcess, SurrogateMode};
 use crate::linalg::Matrix;
 use crate::par;
 use crate::pareto::{ContributionScorer, IncrementalFront};
@@ -36,7 +36,7 @@ use crate::space::DesignSpace;
 /// bit-identical for a fixed seed regardless of thread count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
-/// 256, overridable via the `AUTOPILOT_GP_SPARSE` env variable), the
+/// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
 /// per-objective surrogates switch from exact GPs to low-rank sparse
 /// ones over the *full* archive, keeping large-budget runs
 /// (paper-style budget-2000 fleet sweeps) out of O(n³) territory.
@@ -62,24 +62,23 @@ impl SmsEgoOptimizer {
             candidate_pool: 256,
             beta: 1.0,
             max_gp_points: 256,
-            surrogate: SurrogateMode::from_env(),
-            exp_mode: KernelExpMode::from_env(),
+            surrogate: SurrogateMode::default_sparse(),
+            exp_mode: KernelExpMode::Exact,
             seed_points: Vec::new(),
             threads: None,
         }
     }
 
-    /// Overrides the surrogate engagement policy (default: read from the
-    /// `AUTOPILOT_GP_SPARSE` env variable, falling back to sparse past
-    /// 256 archived points).
+    /// Overrides the surrogate engagement policy (default:
+    /// [`SurrogateMode::default_sparse`], sparse past 256 archived
+    /// points).
     pub fn with_surrogate_mode(mut self, mode: SurrogateMode) -> SmsEgoOptimizer {
         self.surrogate = mode;
         self
     }
 
-    /// Overrides the kernel exponential mode (default: read from the
-    /// `AUTOPILOT_GP_FASTEXP` env variable, falling back to the
-    /// bit-exact [`KernelExpMode::Exact`]).
+    /// Overrides the kernel exponential mode (default: the bit-exact
+    /// [`KernelExpMode::Exact`]).
     pub fn with_exp_mode(mut self, mode: KernelExpMode) -> SmsEgoOptimizer {
         self.exp_mode = mode;
         self
@@ -442,11 +441,7 @@ impl Surrogates {
         let n = archive.len();
         let train = &archive.history[start..];
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
-        let mut dists = DistanceCache::new();
-        for x in &xs {
-            dists.push(x.clone());
-        }
-        let lengthscale_sq = dists.median_sq_dist();
+        let lengthscale_sq = median_sq_dist(&xs);
         let n_obj = archive.mins.len();
         let targets = |obj: usize| -> Vec<f64> {
             train
@@ -461,7 +456,7 @@ impl Surrogates {
             let mut gps = Vec::with_capacity(n_obj);
             for obj in 0..n_obj {
                 gps.push(
-                    SparseGaussianProcess::fit_with_lengthscale_mode(
+                    SparseGaussianProcess::fit_with_lengthscale(
                         &xs,
                         &targets(obj),
                         lengthscale_sq,
@@ -478,7 +473,7 @@ impl Surrogates {
             let mut gps = Vec::with_capacity(n_obj);
             for obj in 0..n_obj {
                 gps.push(
-                    GaussianProcess::fit_with_lengthscale_mode(
+                    GaussianProcess::fit_with_lengthscale(
                         &xs,
                         &targets(obj),
                         lengthscale_sq,
@@ -647,28 +642,32 @@ impl SmsEgoOptimizer {
         drop(distinct);
         obs::observe("bo.acquisition.pool_size", pool.len() as f64);
 
-        // Sparse pack: resolve the whole pool's kernel columns up front
-        // through the per-generation panel cache — recurring candidates
-        // (front neighbours, intra-pool duplicates) skip both the
-        // encode and the kernel panel, and the panel over the remaining
-        // misses runs once pool-wide (column-striped across workers)
-        // instead of once per chunk. Charged to the same score /
-        // gp_predict spans the per-chunk panel used to live in, so the
-        // budget-gate ratio sees real savings only.
-        let sparse_corr: Option<Vec<Matrix>> = match &surrogates.pack {
-            SurrogatePack::Sparse(gps) => obs::time("bo.acquisition.score", || {
-                obs::time("bo.acquisition.gp_predict", || {
-                    Some(cached_chunk_correlations(
-                        &gps[0],
-                        space,
-                        &pool,
-                        surrogates.fit_generation,
-                        &mut acquisition.panel_cache,
-                        &mut acquisition.panel_cache_generation,
-                    ))
-                })
-            }),
-            SurrogatePack::Exact(_) => None,
+        // Resolve the pack into its per-chunk predictor. Sparse pack:
+        // the whole pool's kernel columns are resolved up front through
+        // the per-generation panel cache — recurring candidates (front
+        // neighbours, intra-pool duplicates) skip both the encode and the
+        // kernel panel, and the panel over the remaining misses runs once
+        // pool-wide (column-striped across workers) instead of once per
+        // chunk. Charged to the same score / gp_predict spans the
+        // per-chunk panel used to live in, so the budget-gate ratio sees
+        // real savings only.
+        let predictor = match &surrogates.pack {
+            SurrogatePack::Exact(gps) => Predictor::Exact(gps),
+            SurrogatePack::Sparse(gps) => {
+                let corrs = obs::time("bo.acquisition.score", || {
+                    obs::time("bo.acquisition.gp_predict", || {
+                        cached_chunk_correlations(
+                            &gps[0],
+                            space,
+                            &pool,
+                            surrogates.fit_generation,
+                            &mut acquisition.panel_cache,
+                            &mut acquisition.panel_cache_generation,
+                        )
+                    })
+                });
+                Predictor::Sparse(gps, corrs)
+            }
         };
 
         // Score the pool in parallel, a chunk of candidates at a time;
@@ -683,30 +682,18 @@ impl SmsEgoOptimizer {
             par::parallel_map_with(workers, &chunks, |_, &(ci, chunk)| {
                 obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
                 let preds: Vec<Vec<(f64, f64)>> =
-                    obs::time("bo.acquisition.gp_predict", || match &surrogates.pack {
-                        SurrogatePack::Exact(gps) => {
+                    obs::time("bo.acquisition.gp_predict", || match &predictor {
+                        Predictor::Exact(gps) => {
                             let xs: Vec<Vec<f64>> =
                                 chunk.iter().map(|cand| space.encode(cand)).collect();
                             let corr = gps[0].cross_correlations(&xs);
                             gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
                         }
-                        SurrogatePack::Sparse(gps) => {
+                        Predictor::Sparse(gps, corrs) => {
                             obs::add("bo.gp.sparse.predict", 1);
-                            let fallback;
-                            let corr = match &sparse_corr {
-                                Some(corrs) => &corrs[ci],
-                                // Unreachable in practice — the
-                                // pool-wide resolve above always runs
-                                // for a sparse pack — but recomputing
-                                // keeps this arm self-sufficient.
-                                None => {
-                                    let xs: Vec<Vec<f64>> =
-                                        chunk.iter().map(|cand| space.encode(cand)).collect();
-                                    fallback = gps[0].cross_correlations(&xs);
-                                    &fallback
-                                }
-                            };
-                            gps.iter().map(|gp| gp.predict_batch_from_correlations(corr)).collect()
+                            gps.iter()
+                                .map(|gp| gp.predict_batch_from_correlations(&corrs[ci]))
+                                .collect()
                         }
                     });
                 // Buffers reused across the whole chunk: steady-state
@@ -750,6 +737,14 @@ impl SmsEgoOptimizer {
         }
         best.map(|(_, i)| pool.swap_remove(i))
     }
+}
+
+/// A surrogate pack ready to score candidate chunks: the exact kind
+/// builds each chunk's kernel cross-matrix on the fly, the sparse kind
+/// carries one pre-resolved inducing-correlation matrix per chunk.
+enum Predictor<'a> {
+    Exact(&'a [GaussianProcess]),
+    Sparse(&'a [SparseGaussianProcess], Vec<Matrix>),
 }
 
 /// Resolves the pool's inducing-correlation columns through the

@@ -64,8 +64,9 @@ impl KernelExpMode {
     ///
     /// The variable is captured **once per process** (via
     /// [`autopilot_obs::env_once`]); later env mutations warn once and
-    /// are otherwise ignored. Per-job modes go through
-    /// [`SmsEgoOptimizer::with_exp_mode`] instead.
+    /// are otherwise ignored. Only the core crate's `JobConfig::from_env`
+    /// calls this; optimizers take their mode explicitly
+    /// ([`SmsEgoOptimizer::with_exp_mode`]).
     ///
     /// [`SmsEgoOptimizer::with_exp_mode`]: crate::SmsEgoOptimizer::with_exp_mode
     pub fn from_env() -> KernelExpMode {

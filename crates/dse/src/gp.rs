@@ -54,8 +54,9 @@ impl SurrogateMode {
     ///
     /// The variable is captured **once per process** (via
     /// [`autopilot_obs::env_once`]); later env mutations warn once and
-    /// are otherwise ignored. Per-job surrogate modes go through
-    /// [`SmsEgoOptimizer::with_surrogate_mode`] instead.
+    /// are otherwise ignored. Only the core crate's `JobConfig::from_env`
+    /// calls this; optimizers take their mode explicitly
+    /// ([`SmsEgoOptimizer::with_surrogate_mode`]).
     ///
     /// [`SmsEgoOptimizer::with_surrogate_mode`]: crate::SmsEgoOptimizer::with_surrogate_mode
     pub fn from_env() -> SurrogateMode {
@@ -404,49 +405,19 @@ impl GaussianProcess {
     /// * [`GpError::NotPositiveDefinite`] when the kernel matrix cannot be
     ///   factorized (singular or non-finite).
     pub fn fit(x: &[Vec<f64>], y: &[f64]) -> Result<GaussianProcess, GpError> {
-        if x.len() != y.len() {
-            return Err(GpError::DimensionMismatch {
-                detail: format!("{} inputs vs {} targets", x.len(), y.len()),
-            });
-        }
-        let n = x.len();
-        if n < 2 {
-            return Err(GpError::TooFewPoints { got: n });
-        }
-        // Median pairwise squared distance as the (squared) lengthscale.
-        let mut dists: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                dists.push(sq_dist(&x[i], &x[j]));
-            }
-        }
-        let lengthscale_sq = median_sq_dist(&mut dists);
-        GaussianProcess::fit_with_lengthscale(x, y, lengthscale_sq)
+        validate_training(x, y)?;
+        GaussianProcess::fit_with_lengthscale(x, y, median_sq_dist(x), KernelExpMode::Exact)
     }
 
-    /// Fits a GP at an explicitly chosen squared lengthscale, skipping the
-    /// pairwise-distance heuristic. Used by incremental callers that cache
-    /// distances themselves (see [`DistanceCache`]).
+    /// Fits a GP at an explicitly chosen squared lengthscale and kernel
+    /// exponential mode, skipping the pairwise-distance heuristic. The
+    /// mode is frozen into the GP so every later query uses the same
+    /// exponential as the fit-time factorization.
     ///
     /// # Errors
     ///
     /// Same taxonomy as [`GaussianProcess::fit`].
     pub fn fit_with_lengthscale(
-        x: &[Vec<f64>],
-        y: &[f64],
-        lengthscale_sq: f64,
-    ) -> Result<GaussianProcess, GpError> {
-        GaussianProcess::fit_with_lengthscale_mode(x, y, lengthscale_sq, KernelExpMode::Exact)
-    }
-
-    /// [`GaussianProcess::fit_with_lengthscale`] with an explicit kernel
-    /// exponential mode; the mode is frozen into the GP so every later
-    /// query uses the same exponential as the fit-time factorization.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`GaussianProcess::fit`].
-    pub fn fit_with_lengthscale_mode(
         x: &[Vec<f64>],
         y: &[f64],
         lengthscale_sq: f64,
@@ -799,18 +770,18 @@ impl SparseGaussianProcess {
         inducing: usize,
     ) -> Result<SparseGaussianProcess, GpError> {
         validate_training(x, y)?;
-        let n = x.len();
-        let mut dists: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                dists.push(sq_dist(&x[i], &x[j]));
-            }
-        }
-        let lengthscale_sq = median_sq_dist(&mut dists);
-        SparseGaussianProcess::fit_with_lengthscale(x, y, lengthscale_sq, inducing)
+        SparseGaussianProcess::fit_with_lengthscale(
+            x,
+            y,
+            median_sq_dist(x),
+            inducing,
+            KernelExpMode::Exact,
+        )
     }
 
-    /// Fits a sparse GP at an explicitly chosen squared lengthscale.
+    /// Fits a sparse GP at an explicitly chosen squared lengthscale and
+    /// kernel exponential mode (frozen into the GP for every later
+    /// query).
     ///
     /// Inducing points are selected deterministically from the training
     /// inputs by greedy farthest-point traversal: start from index 0,
@@ -824,27 +795,6 @@ impl SparseGaussianProcess {
     ///
     /// Same taxonomy as [`GaussianProcess::fit`].
     pub fn fit_with_lengthscale(
-        x: &[Vec<f64>],
-        y: &[f64],
-        lengthscale_sq: f64,
-        inducing: usize,
-    ) -> Result<SparseGaussianProcess, GpError> {
-        SparseGaussianProcess::fit_with_lengthscale_mode(
-            x,
-            y,
-            lengthscale_sq,
-            inducing,
-            KernelExpMode::Exact,
-        )
-    }
-
-    /// [`SparseGaussianProcess::fit_with_lengthscale`] with an explicit
-    /// kernel exponential mode, frozen into the GP for every later query.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`GaussianProcess::fit`].
-    pub fn fit_with_lengthscale_mode(
         x: &[Vec<f64>],
         y: &[f64],
         lengthscale_sq: f64,
@@ -1188,65 +1138,24 @@ fn select_inducing(x: &[Vec<f64>], m: usize) -> Vec<Vec<f64>> {
     chosen.into_iter().map(|i| x[i].clone()).collect()
 }
 
-/// Median of a scratch list of squared distances (via selection, O(m));
-/// matches the sorted-middle convention with a floor of `1e-6`.
-fn median_sq_dist(dists: &mut [f64]) -> f64 {
+/// The median-pairwise-distance lengthscale heuristic: the median
+/// squared distance over all pairs of `x` (via selection, matching the
+/// sorted-middle convention), floored at `1e-6`; 1.0 with fewer than two
+/// points.
+pub(crate) fn median_sq_dist(x: &[Vec<f64>]) -> f64 {
+    let n = x.len();
+    let mut dists: Vec<f64> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            dists.push(sq_dist(&x[i], &x[j]));
+        }
+    }
     if dists.is_empty() {
         return 1.0;
     }
     let mid = dists.len() / 2;
     let (_, m, _) = dists.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
     (*m).max(1e-6)
-}
-
-/// Incrementally maintained pairwise squared distances for the median
-/// lengthscale heuristic.
-///
-/// Appending the `n`-th point costs O(n·d) instead of rebuilding all
-/// O(n²) pairs, so a Bayesian-optimization loop can keep the heuristic
-/// current without quadratic rescans per iteration.
-#[derive(Debug, Clone, Default)]
-pub struct DistanceCache {
-    points: Vec<Vec<f64>>,
-    dists: Vec<f64>,
-}
-
-impl DistanceCache {
-    /// Creates an empty cache.
-    pub fn new() -> DistanceCache {
-        DistanceCache::default()
-    }
-
-    /// Appends a point, recording its distance to every existing point.
-    pub fn push(&mut self, p: Vec<f64>) {
-        for q in &self.points {
-            self.dists.push(sq_dist(q, &p));
-        }
-        self.points.push(p);
-    }
-
-    /// Number of points recorded.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no point has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Drops all recorded points and distances.
-    pub fn clear(&mut self) {
-        self.points.clear();
-        self.dists.clear();
-    }
-
-    /// Median pairwise squared distance (1.0 when fewer than two points),
-    /// floored at `1e-6` — the GP's squared-lengthscale heuristic.
-    pub fn median_sq_dist(&self) -> f64 {
-        let mut scratch = self.dists.clone();
-        median_sq_dist(&mut scratch)
-    }
 }
 
 #[cfg(test)]
@@ -1301,8 +1210,12 @@ mod tests {
     fn mismatched_lengths_are_an_error() {
         let r = GaussianProcess::fit(&[vec![0.0], vec![1.0]], &[1.0]);
         assert!(matches!(r, Err(GpError::DimensionMismatch { .. })));
-        let r =
-            GaussianProcess::fit_with_lengthscale(&[vec![0.0], vec![1.0, 2.0]], &[1.0, 2.0], 0.5);
+        let r = GaussianProcess::fit_with_lengthscale(
+            &[vec![0.0], vec![1.0, 2.0]],
+            &[1.0, 2.0],
+            0.5,
+            KernelExpMode::Exact,
+        );
         assert!(matches!(r, Err(GpError::DimensionMismatch { .. })));
     }
 
@@ -1352,7 +1265,7 @@ mod tests {
         for i in 6..10 {
             assert!(inc.extend(&x[i], y[i]), "extension failed at {i}");
         }
-        let full = GaussianProcess::fit_with_lengthscale(&x, &y, ls).unwrap();
+        let full = GaussianProcess::fit_with_lengthscale(&x, &y, ls, KernelExpMode::Exact).unwrap();
         for q in [0.05, 0.33, 0.61, 0.97] {
             let (mi, vi) = inc.predict(&[q]);
             let (mf, vf) = full.predict(&[q]);
@@ -1407,7 +1320,13 @@ mod tests {
         let y1: Vec<f64> = x.iter().map(|p| p[0] * p[0]).collect();
         let y2: Vec<f64> = x.iter().map(|p| (5.0 * p[0]).cos()).collect();
         let a = GaussianProcess::fit(&x, &y1).unwrap();
-        let b = GaussianProcess::fit_with_lengthscale(&x, &y2, a.lengthscale_sq()).unwrap();
+        let b = GaussianProcess::fit_with_lengthscale(
+            &x,
+            &y2,
+            a.lengthscale_sq(),
+            KernelExpMode::Exact,
+        )
+        .unwrap();
         let pool: Vec<Vec<f64>> = (0..11).map(|j| vec![j as f64 * 0.09 - 0.05]).collect();
         let corr = a.cross_correlations(&pool);
         let via_shared = b.predict_batch_from_correlations(&corr);
@@ -1427,14 +1346,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_cache_matches_direct_median() {
+    fn median_sq_dist_matches_sorted_middle() {
         let pts: Vec<Vec<f64>> =
             (0..9).map(|i| vec![(i * i % 7) as f64 * 0.13, i as f64 * 0.1]).collect();
-        let mut cache = DistanceCache::new();
-        for p in &pts {
-            cache.push(p.clone());
-        }
-        assert_eq!(cache.len(), 9);
         // Direct computation, seed convention: sort all pairs, take mid.
         let mut dists = Vec::new();
         for i in 0..pts.len() {
@@ -1444,10 +1358,9 @@ mod tests {
         }
         dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let expect = dists[dists.len() / 2].max(1e-6);
-        assert_eq!(cache.median_sq_dist(), expect);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.median_sq_dist(), 1.0);
+        assert_eq!(median_sq_dist(&pts), expect);
+        assert_eq!(median_sq_dist(&pts[..1]), 1.0);
+        assert_eq!(median_sq_dist(&[]), 1.0);
     }
 
     #[test]
@@ -1455,11 +1368,9 @@ mod tests {
         let x = grid1d(7);
         let y: Vec<f64> = x.iter().map(|p| p[0]).collect();
         let gp = GaussianProcess::fit(&x, &y).unwrap();
-        let mut cache = DistanceCache::new();
-        for p in &x {
-            cache.push(p.clone());
-        }
-        assert_eq!(gp.lengthscale_sq(), cache.median_sq_dist());
+        assert_eq!(gp.lengthscale_sq(), median_sq_dist(&x));
+        let sparse = SparseGaussianProcess::fit(&x, &y, 4).unwrap();
+        assert_eq!(sparse.lengthscale_sq(), median_sq_dist(&x));
     }
 
     #[test]
@@ -1489,9 +1400,14 @@ mod tests {
             (0..24).map(|i| vec![(i * 7 % 24) as f64 / 23.0, (i * 5 % 24) as f64 / 23.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (4.0 * p[0]).sin() - p[1] * p[1]).collect();
         let exact = GaussianProcess::fit(&x, &y).unwrap();
-        let sparse =
-            SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), x.len())
-                .unwrap();
+        let sparse = SparseGaussianProcess::fit_with_lengthscale(
+            &x,
+            &y,
+            exact.lengthscale_sq(),
+            x.len(),
+            KernelExpMode::Exact,
+        )
+        .unwrap();
         assert_eq!(sparse.inducing_count(), x.len());
         for q in [[0.1, 0.9], [0.45, 0.2], [0.77, 0.61], [1.3, -0.2]] {
             let (me, ve) = exact.predict(&q);
@@ -1508,8 +1424,14 @@ mod tests {
         let x = grid1d(32);
         let y: Vec<f64> = x.iter().map(|p| (2.0 * p[0]).sin()).collect();
         let exact = GaussianProcess::fit(&x, &y).unwrap();
-        let sparse =
-            SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), 8).unwrap();
+        let sparse = SparseGaussianProcess::fit_with_lengthscale(
+            &x,
+            &y,
+            exact.lengthscale_sq(),
+            8,
+            KernelExpMode::Exact,
+        )
+        .unwrap();
         assert_eq!(sparse.inducing_count(), 8);
         for q in [0.05, 0.31, 0.62, 0.94] {
             let (me, _) = exact.predict(&[q]);
@@ -1550,7 +1472,9 @@ mod tests {
         // A refit over all 16 points selects its own inducing set, so
         // compare against a refit that reuses the incremental GP's frozen
         // lengthscale and (via the first 12 points) inducing selection.
-        let refit = SparseGaussianProcess::fit_with_lengthscale(&x, &y, ls, 5).unwrap();
+        let refit =
+            SparseGaussianProcess::fit_with_lengthscale(&x, &y, ls, 5, KernelExpMode::Exact)
+                .unwrap();
         for q in [0.08, 0.37, 0.66, 0.91] {
             let (mi, _) = inc.predict(&[q]);
             let (mr, _) = refit.predict(&[q]);
@@ -1581,9 +1505,14 @@ mod tests {
         let y2: Vec<f64> = x.iter().map(|p| (6.0 * p[0]).sin()).collect();
         let mut gp = SparseGaussianProcess::fit(&x, &y1, x.len()).unwrap();
         assert!(gp.retarget(&y2));
-        let fresh =
-            SparseGaussianProcess::fit_with_lengthscale(&x, &y2, gp.lengthscale_sq(), x.len())
-                .unwrap();
+        let fresh = SparseGaussianProcess::fit_with_lengthscale(
+            &x,
+            &y2,
+            gp.lengthscale_sq(),
+            x.len(),
+            KernelExpMode::Exact,
+        )
+        .unwrap();
         for q in [0.11, 0.48, 0.83] {
             let (mr, _) = gp.predict(&[q]);
             let (mf, _) = fresh.predict(&[q]);
@@ -1619,7 +1548,13 @@ mod tests {
         assert!(gp.retarget(&y2));
         // Same factorization, new targets: close to a fresh fit (which
         // differs only through the target-dependent jitter).
-        let fresh = GaussianProcess::fit_with_lengthscale(&x, &y2, gp.lengthscale_sq()).unwrap();
+        let fresh = GaussianProcess::fit_with_lengthscale(
+            &x,
+            &y2,
+            gp.lengthscale_sq(),
+            KernelExpMode::Exact,
+        )
+        .unwrap();
         for q in [0.15, 0.52, 0.88] {
             let (mr, _) = gp.predict(&[q]);
             let (mf, _) = fresh.predict(&[q]);
@@ -1640,7 +1575,9 @@ mod tests {
         assert!(gp.drop_oldest());
         assert!(gp.drop_oldest());
         assert_eq!(gp.len(), 8);
-        let fresh = GaussianProcess::fit_with_lengthscale(&x[2..], &y[2..], ls).unwrap();
+        let fresh =
+            GaussianProcess::fit_with_lengthscale(&x[2..], &y[2..], ls, KernelExpMode::Exact)
+                .unwrap();
         for q in [0.3, 0.55, 0.81] {
             let (md, vd) = gp.predict(&[q]);
             let (mf, vf) = fresh.predict(&[q]);

@@ -55,7 +55,6 @@
 
 mod anneal;
 mod bayesopt;
-mod cache;
 mod control;
 mod error;
 mod evaluator;
@@ -72,7 +71,6 @@ mod space;
 
 pub use anneal::AnnealingOptimizer;
 pub use bayesopt::SmsEgoOptimizer;
-pub use cache::{CacheStats, CachedEvaluator};
 pub use control::RunControl;
 pub use error::{DseError, EvalError, GpError};
 pub use evaluator::{Evaluator, MultiObjectiveOptimizer};
@@ -80,8 +78,8 @@ pub use exhaustive::ExhaustiveSearch;
 pub use fastexp::{exp_slice, fast_exp, ulp_distance, KernelExpMode, GP_FASTEXP_ENV};
 pub use ga::Nsga2Optimizer;
 pub use gp::{
-    correlation_panel, correlation_panel_with, DistanceCache, GaussianProcess,
-    SparseGaussianProcess, SurrogateMode, GP_SPARSE_ENV,
+    correlation_panel, correlation_panel_with, GaussianProcess, SparseGaussianProcess,
+    SurrogateMode, GP_SPARSE_ENV,
 };
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};

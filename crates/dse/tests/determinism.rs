@@ -1,16 +1,14 @@
 //! Cross-cutting guarantees of the parallel evaluation engine: for a
 //! fixed seed, every optimizer produces bit-identical results at any
-//! worker count, and wrapping an evaluator in [`CachedEvaluator`] never
-//! changes what the optimizer sees.
+//! worker count.
 
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dse_opt::{
-    CachedEvaluator, DesignSpace, EvalError, Evaluator, KernelExpMode, MultiObjectiveOptimizer,
-    Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer,
+    DesignSpace, EvalError, Evaluator, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
+    OptimizationResult, RandomSearch, SmsEgoOptimizer,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A three-objective bowl with competing minima — enough structure that
 /// the optimizers actually take different trajectories if anything about
@@ -33,31 +31,6 @@ impl Evaluator for Bowl {
     }
     fn reference_point(&self) -> Vec<f64> {
         vec![2.0, 2.0, 2.0]
-    }
-}
-
-/// `Bowl` plus an invocation counter, to assert how often the underlying
-/// simulator actually ran.
-struct CountingBowl {
-    calls: AtomicUsize,
-}
-
-impl CountingBowl {
-    fn new() -> CountingBowl {
-        CountingBowl { calls: AtomicUsize::new(0) }
-    }
-}
-
-impl Evaluator for CountingBowl {
-    fn num_objectives(&self) -> usize {
-        Bowl.num_objectives()
-    }
-    fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        Bowl.evaluate(point)
-    }
-    fn reference_point(&self) -> Vec<f64> {
-        Bowl.reference_point()
     }
 }
 
@@ -217,65 +190,4 @@ fn optimizers_bit_identical_across_thread_counts() {
             assert_eq!(b, g, "{} diverged at {threads} threads", b.algorithm);
         }
     }
-}
-
-#[test]
-fn cached_evaluator_transparent_to_optimizers() {
-    let space = space();
-    let plain = SmsEgoOptimizer::new(5).run(&space, &Bowl, 24).unwrap();
-    let cached_eval = CachedEvaluator::new(Bowl);
-    let cached = SmsEgoOptimizer::new(5).run(&space, &cached_eval, 24).unwrap();
-    assert_eq!(plain, cached);
-
-    let plain = Nsga2Optimizer::new(5).with_population(8).run(&space, &Bowl, 36).unwrap();
-    let cached = Nsga2Optimizer::new(5)
-        .with_population(8)
-        .run(&space, &CachedEvaluator::new(Bowl), 36)
-        .unwrap();
-    assert_eq!(plain, cached);
-
-    let plain = RandomSearch::new(5).run(&space, &Bowl, 24).unwrap();
-    let cached = RandomSearch::new(5).run(&space, &CachedEvaluator::new(Bowl), 24).unwrap();
-    assert_eq!(plain, cached);
-}
-
-#[test]
-fn cache_shared_across_runs_skips_reevaluation() {
-    let space = space();
-    let counting = CountingBowl::new();
-    let cached = CachedEvaluator::new(&counting);
-
-    let first = SmsEgoOptimizer::new(2).run(&space, &cached, 20).unwrap();
-    let after_first = counting.calls.load(Ordering::Relaxed);
-    assert_eq!(after_first, first.evaluation_count());
-
-    // Same seed, same trajectory: the second run must be pure cache hits.
-    let second = SmsEgoOptimizer::new(2).run(&space, &cached, 20).unwrap();
-    assert_eq!(first, second);
-    assert_eq!(counting.calls.load(Ordering::Relaxed), after_first);
-    let stats = cached.stats();
-    assert_eq!(stats.misses, after_first);
-    assert!(stats.hits >= second.evaluation_count());
-}
-
-#[test]
-fn cached_objectives_always_match_inner() {
-    let space = space();
-    let cached = CachedEvaluator::new(Bowl);
-    let _ = Nsga2Optimizer::new(17).with_population(8).run(&space, &cached, 48).unwrap();
-    // Every memoized entry must still agree with a fresh evaluation.
-    let mut checked = 0usize;
-    for x in 0..8 {
-        for y in 0..8 {
-            for z in 0..8 {
-                let point = vec![x, y, z];
-                if let Some(stored) = cached.peek(&point) {
-                    assert_eq!(stored, Bowl.evaluate(&point).unwrap(), "stale entry for {point:?}");
-                    checked += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(checked, cached.len());
-    assert!(checked > 0);
 }

@@ -1,13 +1,12 @@
 //! Error-path coverage: a failing evaluator must surface as `Err` from
-//! every optimizer — never a panic — and failed evaluations must not be
-//! memoized by [`CachedEvaluator`].
+//! every optimizer — never a panic.
 
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dse_opt::{
-    AnnealingOptimizer, CachedEvaluator, DesignSpace, DseError, EvalError, Evaluator,
-    ExhaustiveSearch, MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch, SmsEgoOptimizer,
+    AnnealingOptimizer, DesignSpace, DseError, EvalError, Evaluator, ExhaustiveSearch,
+    MultiObjectiveOptimizer, Nsga2Optimizer, RandomSearch, SmsEgoOptimizer,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -100,34 +99,4 @@ fn mid_run_failures_also_propagate() {
         let result = opt.run(&space, &flaky, 32);
         assert!(result.is_err(), "{name} ignored a mid-run failure");
     }
-}
-
-#[test]
-fn failures_propagate_through_cached_evaluator() {
-    let space = space();
-    for mut opt in all_optimizers(7) {
-        let name = opt.name().to_string();
-        let cached = CachedEvaluator::new(FailingEvaluator::new());
-        assert!(opt.run(&space, &cached, 12).is_err(), "{name} via cache");
-        // Nothing was memoized: every retry hits the inner evaluator.
-        assert_eq!(cached.len(), 0, "{name} cached a failed evaluation");
-    }
-}
-
-#[test]
-fn cached_evaluator_does_not_cache_failures() {
-    let flaky = EventuallyFailing { ok_budget: 1, calls: AtomicUsize::new(0) };
-    let cached = CachedEvaluator::new(flaky);
-    // First call succeeds and is cached; second distinct point fails and
-    // must not be cached.
-    assert!(cached.evaluate(&[0, 0]).is_ok());
-    assert!(cached.evaluate(&[1, 1]).is_err());
-    assert!(cached.evaluate(&[1, 1]).is_err());
-    assert_eq!(cached.len(), 1);
-    assert_eq!(cached.peek(&[1, 1]), None);
-    // The failing point was re-attempted on each call (1 success + 2
-    // failed attempts), while the cached success is served without a
-    // third inner call.
-    assert!(cached.evaluate(&[0, 0]).is_ok());
-    assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 3);
 }

@@ -7,8 +7,8 @@ use dse_opt::pareto::{
     pareto_indices, IncrementalFront,
 };
 use dse_opt::{
-    AnnealingOptimizer, CachedEvaluator, DesignSpace, EvalError, EvaluationRecord, Evaluator,
-    ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
+    AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExhaustiveSearch,
+    GaussianProcess, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
     RandomSearch, SparseGaussianProcess,
 };
 
@@ -361,32 +361,6 @@ fn from_history_trace_bit_identical_to_per_prefix_rebuild() {
     }
 }
 
-/// A memoizing evaluator never returns stale objectives: for any query
-/// sequence (duplicates included), every answer equals a fresh inner
-/// evaluation, and the bookkeeping adds up.
-#[test]
-fn cached_evaluator_never_stale() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_stream(0xd5e_0007, case);
-        let queries: Vec<Vec<usize>> =
-            (0..rng.range_usize(1, 64)).map(|_| vec![rng.below(16), rng.below(16)]).collect();
-        let cached = CachedEvaluator::new(Weighted);
-        for q in &queries {
-            let fresh = Weighted.evaluate(q).unwrap();
-            assert_eq!(cached.evaluate(q).unwrap(), fresh.clone(), "case {case}: query {q:?}");
-            // The stored entry matches what was just returned.
-            assert_eq!(cached.peek(q), Some(fresh), "case {case}");
-        }
-        let mut distinct: Vec<&Vec<usize>> = queries.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        let stats = cached.stats();
-        assert_eq!(stats.misses, distinct.len(), "case {case}");
-        assert_eq!(stats.entries, distinct.len(), "case {case}");
-        assert_eq!(stats.hits, queries.len() - distinct.len(), "case {case}");
-    }
-}
-
 /// A smooth synthetic target over the unit cube.
 fn smooth_target(p: &[f64]) -> f64 {
     p.iter().enumerate().map(|(i, v)| (v * (1.3 + i as f64 * 0.4)).sin()).sum()
@@ -405,8 +379,14 @@ fn sparse_gp_with_full_inducing_matches_exact() {
         let x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
         let y: Vec<f64> = x.iter().map(|p| smooth_target(p)).collect();
         let exact = GaussianProcess::fit(&x, &y).expect("exact GP fits");
-        let sparse = SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), n)
-            .expect("sparse GP fits");
+        let sparse = SparseGaussianProcess::fit_with_lengthscale(
+            &x,
+            &y,
+            exact.lengthscale_sq(),
+            n,
+            KernelExpMode::Exact,
+        )
+        .expect("sparse GP fits");
         assert_eq!(sparse.inducing_count(), n, "case {case}");
         for _ in 0..8 {
             let q: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();

@@ -123,9 +123,10 @@ impl Value {
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the first offending byte
-    /// offset on malformed input.
+    /// offset on malformed input, including arrays and objects nested
+    /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -214,9 +215,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use: an
+/// untrusted body of nested `[` is a parse error, not a stack overflow
+/// that aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -245,8 +254,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -435,6 +451,20 @@ mod tests {
         for text in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "tru", "1 2", "nan", "{\"a\":}"] {
             assert!(Value::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count toward the same cap, and a body far past it (the
+        // size a request may carry) fails fast instead of recursing.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects).is_err());
+        assert!(Value::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! * the second job is served from the first one's shared sharded
 //!   caches (cross-run layer-memo and candidate hits observable);
 //! * `/metrics` round-trips through `autopilot_obs::json`;
-//! * keep-alive, malformed-request, cancellation, and shutdown paths
-//!   all answer with the documented status codes, and sequential
-//!   keep-alive exchanges do not stall on Nagle + delayed ACK.
+//! * keep-alive, malformed-request, deeply-nested-body, cancellation,
+//!   and shutdown paths all answer with the documented status codes,
+//!   and sequential keep-alive exchanges do not stall on Nagle +
+//!   delayed ACK.
 //!
 //! Writes `results/telemetry_serve_smoke.json` for the perf budget
 //! gate (`counter:systolic.memo.cross_run_hits` floor).
@@ -25,6 +26,7 @@ use autopilot::{
 };
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
+use autopilot_serve::http::MAX_BODY_BYTES;
 use autopilot_serve::{JobManager, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -194,6 +196,14 @@ fn main() {
     assert_eq!(one_shot(addr, "POST", "/jobs", "{}").status, 400);
     assert_eq!(one_shot(addr, "GET", "/jobs/999", "").status, 404);
     assert_eq!(one_shot(addr, "DELETE", "/jobs/999", "").status, 404);
+
+    // Adversarial nesting: a body of `[` as large as a request may carry
+    // is a 400 from the depth-capped JSON parser, not a stack overflow
+    // on the connection thread that aborts the server.
+    let nested = "[".repeat(MAX_BODY_BYTES);
+    let reply = one_shot(addr, "POST", "/jobs", &nested);
+    assert_eq!(reply.status, 400, "deeply nested body: {}", reply.body);
+    assert_eq!(one_shot(addr, "GET", "/healthz", "").status, 200, "server survives nesting");
 
     // Cancellation: DELETE either catches the job before/while it runs
     // (200, state ends cancelled) or loses the race to a fast worker

@@ -556,12 +556,8 @@ fn run_pipeline(caches: &SharedCaches, job: &Job) -> Result<String, String> {
     // from the evaluator, so hits on other jobs' entries are counted as
     // cross-run traffic.
     let cache = caches.candidate_cache(spec.scenario, model, spec.seed);
-    let phase2_runner = spec.config.apply_to_phase2(autopilot::Phase2::new(
-        spec.optimizer.clone(),
-        spec.budget,
-        spec.seed,
-    ));
-    let phase2 = phase2_runner
+    let phase2 = autopilot::Phase2::new(spec.optimizer.clone(), spec.budget, spec.seed)
+        .with_job_config(spec.config)
         .run_with_cache_controlled(&evaluator, &cache, &job.control)
         .map_err(|e| e.to_string())?;
 

@@ -108,11 +108,11 @@ impl MemoStats {
 /// simulations — while `systolic.memo.hits`/`systolic.memo.misses`
 /// record the memo traffic itself.
 ///
-/// Set `AUTOPILOT_LAYER_MEMO=0` (or `off`/`false`) in the environment to
-/// construct disabled memos that delegate every call straight to the
-/// simulator. The variable is captured once per process (see
-/// [`autopilot_obs::env_once`]); per-job gating goes through the core
-/// crate's `JobConfig` instead of env mutation.
+/// A disabled memo ([`LayerMemo::with_enabled`]`(false)`) delegates
+/// every call straight to the simulator. Constructors never read the
+/// environment; the `AUTOPILOT_LAYER_MEMO` startup gate
+/// ([`LayerMemo::env_default_enabled`]) reaches runs only through the
+/// core crate's `JobConfig::from_env`.
 #[derive(Debug)]
 pub struct LayerMemo {
     map: ShardedMap<MemoKey, LayerStats>,
@@ -128,28 +128,26 @@ const MEMO_SHARDS: usize = 8;
 
 impl Default for LayerMemo {
     fn default() -> LayerMemo {
-        LayerMemo::with_enabled(true)
+        LayerMemo::new()
     }
 }
 
 impl LayerMemo {
-    /// Creates an empty, unbounded memo, honouring the
-    /// `AUTOPILOT_LAYER_MEMO` environment gate (as captured at the first
-    /// read this process) at construction time.
+    /// Creates an empty, unbounded, enabled memo.
     pub fn new() -> LayerMemo {
-        LayerMemo::with_enabled(LayerMemo::env_default_enabled())
+        LayerMemo::with_enabled(true)
     }
 
     /// The `AUTOPILOT_LAYER_MEMO` startup default: `false` when the
     /// variable was `0`/`off`/`false` at its first read this process.
-    /// This is the default `JobConfig` picks up.
+    /// Only the core crate's `JobConfig::from_env` reads it.
     pub fn env_default_enabled() -> bool {
         static CACHED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let raw = obs::env_once("AUTOPILOT_LAYER_MEMO");
         *CACHED.get_or_init(|| !matches!(raw.as_deref(), Some("0") | Some("off") | Some("false")))
     }
 
-    /// Creates an unbounded memo with the environment gate overridden.
+    /// Creates an unbounded memo, switched on or off explicitly.
     pub fn with_enabled(enabled: bool) -> LayerMemo {
         LayerMemo {
             map: ShardedMap::new(MEMO_SHARDS, 0).with_obs_prefix("systolic.memo"),

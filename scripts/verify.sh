@@ -23,6 +23,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench self-tests (the benchmark package against the library API)"
+# perfbench is its own package outside the workspace, so the workspace
+# build above never compiles it; a library API change that breaks the
+# benchmark fails here instead of when the benchmark next runs.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> env matrix (goldens invariant under AUTOPILOT_SWAP x AUTOPILOT_GP_SPARSE x AUTOPILOT_GP_FASTEXP)"
 # The golden tests pin the swap mode per run via JobConfig, so the
 # environment knobs must not leak into them: the legacy fingerprints

@@ -7,11 +7,11 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{
-    AutoPilot, AutopilotConfig, CandidateCache, DssocEvaluator, OptimizerChoice, Phase1, Phase2,
-    PipelineCache, SuccessModel, TaskSpec,
+    AutoPilot, AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, OptimizerChoice, Phase1,
+    Phase2, PipelineCache, SuccessModel, TaskSpec,
 };
 use autopilot_obs as obs;
-use dse_opt::{CachedEvaluator, Evaluator};
+use dse_opt::Evaluator;
 use std::sync::{Arc, Mutex, MutexGuard};
 use uav_dynamics::UavSpec;
 
@@ -170,9 +170,9 @@ fn gp_window_plumbs_through_and_records_downdates() {
     // incremental Cholesky downdate path must actually fire.
     let ev = evaluator();
     let before = obs::snapshot();
-    let phase2 = Phase2::new(OptimizerChoice::SmsEgo, 24, 5)
-        .with_gp_window(10)
-        .with_surrogate_mode(dse_opt::SurrogateMode::Exact);
+    let phase2 = Phase2::new(OptimizerChoice::SmsEgo, 24, 5).with_job_config(
+        JobConfig::default().with_gp_window(10).with_surrogate(dse_opt::SurrogateMode::Exact),
+    );
     phase2.run(&ev).expect("phase 2 runs");
     let after = obs::snapshot();
     let downdates = after.counter("bo.gp.downdate") - before.counter("bo.gp.downdate");
@@ -180,24 +180,6 @@ fn gp_window_plumbs_through_and_records_downdates() {
         downdates > 0,
         "a budget-24 SMS-EGO run with a 10-point GP window must slide the window"
     );
-}
-
-#[test]
-fn cached_evaluator_traffic_reaches_obs() {
-    let _guard = guard();
-    obs::force_metrics(true);
-    let before = obs::snapshot();
-
-    let cached = CachedEvaluator::new(evaluator());
-    let point = vec![5, 2, 3, 3, 3, 3, 3];
-    let a = cached.evaluate(&point);
-    let b = cached.evaluate(&point);
-    assert_eq!(a, b);
-
-    let after = obs::snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("dse.cached_evaluator.misses"), 1);
-    assert_eq!(delta("dse.cached_evaluator.hits"), 1);
 }
 
 #[test]
