@@ -25,9 +25,10 @@
 //!   schedules of the pre-incremental engine and the current engine,
 //!   replayed over the same history,
 //! - `acquisition_scalar_s` / `acquisition_batched_s` /
-//!   `acquisition_batch_speedup` — per-point GP `predict` calls vs one
-//!   shared kernel cross-matrix with blocked triangular solves, over the
-//!   run history as the candidate pool,
+//!   `acquisition_batch_speedup` — per-point solves
+//!   (`ExactColumn::solve`, one forward substitution per objective) vs
+//!   one shared kernel cross-matrix with blocked triangular solves, over
+//!   the run history as the candidate pool,
 //! - `uncached_baseline_s` — a faithful reconstruction of the
 //!   pre-optimization sequential implementation,
 //!
@@ -184,6 +185,8 @@ fn main() {
     let gp_retargets = seq_snap.counter("bo.gp.retarget");
     let gp_downdates = seq_snap.counter("bo.gp.downdate");
     let hv_incremental_scores = seq_snap.counter("bo.hv.incremental");
+    let column_cache_hits = seq_snap.counter("bo.acquisition.column_cache.hit");
+    let column_cache_misses = seq_snap.counter("bo.acquisition.column_cache.miss");
     let systolic_layers = seq_snap.counter("systolic.layers");
     let span_phase2_run_s = seq_snap.span_total_s("phase2.run");
     let span_acquisition_s = seq_snap.span_total_s("bo.acquisition");
@@ -265,9 +268,14 @@ fn main() {
     });
     let gp_savings_s = (gp_every_iteration_s - gp_milestones_s).max(0.0);
 
-    // Batched vs scalar acquisition prediction: the surrogate pack the
+    // Batched vs per-point acquisition prediction: the surrogate pack the
     // optimizer actually uses — one GP per objective sharing inputs and
     // lengthscale — queried over the run history as the candidate pool.
+    // The per-point side solves each candidate on its own
+    // (`ExactColumn::solve`: one forward substitution per objective, the
+    // `Matrix::solve_lower` loop, and an ascending dot for the mean), so
+    // it shares neither the kernel panel nor the blocked solve with the
+    // batched side it checks and is timed against.
     let gp0 = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("objective 0 GP fits");
     let ls = gp0.lengthscale_sq();
     let gps: Vec<dse_opt::GaussianProcess> = ys
@@ -283,18 +291,19 @@ fn main() {
         })
         .collect();
     let pool = &xs;
-    for (gp, y) in gps.iter().zip(&ys) {
-        // Bit-identity spot check before timing anything.
-        let batch = gp.predict_batch(pool);
-        for (p, b) in pool.iter().zip(&batch) {
-            assert_eq!(gp.predict(p), *b, "batched prediction diverged from scalar");
+    // Bit-identity spot check before timing anything.
+    let batch: Vec<Vec<(f64, f64)>> = gps.iter().map(|gp| gp.predict_batch(pool)).collect();
+    for (j, p) in pool.iter().enumerate() {
+        let per_point = dse_opt::ExactColumn::solve(&gps, p);
+        for (o, pred) in per_point.predict(&gps).enumerate() {
+            assert_eq!(pred, batch[o][j], "batched prediction diverged from per-point");
         }
-        assert_eq!(batch.len(), y.len());
     }
     let acquisition_scalar_s = min_time(OVERHEAD_REPS, || {
         for p in pool {
-            for gp in &gps {
-                let _ = std::hint::black_box(gp.predict(p));
+            let column = dse_opt::ExactColumn::solve(&gps, p);
+            for pred in column.predict(&gps) {
+                let _ = std::hint::black_box(pred);
             }
         }
     });
@@ -350,6 +359,12 @@ fn main() {
         ("gp_retargets".into(), num(gp_retargets as f64)),
         ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(hv_incremental_scores as f64)),
+        ("acquisition_column_cache_hits".into(), num(column_cache_hits as f64)),
+        ("acquisition_column_cache_misses".into(), num(column_cache_misses as f64)),
+        (
+            "acquisition_column_cache_hit_rate".into(),
+            num(column_cache_hits as f64 / (column_cache_hits + column_cache_misses).max(1) as f64),
+        ),
         (
             "systolic_memo_note".into(),
             Value::Str(
@@ -592,8 +607,14 @@ fn scale_probe(budget: usize) {
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),
         ("gp_panel_inline".into(), num(snap.counter("bo.gp.panel.inline") as f64)),
         ("gp_panel_parallel".into(), num(snap.counter("bo.gp.panel.parallel") as f64)),
-        ("gp_panel_cache_hits".into(), num(snap.counter("bo.gp.panel.cache_hit") as f64)),
-        ("gp_panel_cache_misses".into(), num(snap.counter("bo.gp.panel.cache_miss") as f64)),
+        (
+            "acquisition_column_cache_hits".into(),
+            num(snap.counter("bo.acquisition.column_cache.hit") as f64),
+        ),
+        (
+            "acquisition_column_cache_misses".into(),
+            num(snap.counter("bo.acquisition.column_cache.miss") as f64),
+        ),
     ]);
     autopilot_bench::emit("BENCH_phase2_scale.json", &report.to_json_pretty());
     autopilot_bench::write_trace("timing_probe_scale");

@@ -2,13 +2,17 @@
 
 use autopilot_obs as obs;
 use autopilot_rng::Rng;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, PoisonError};
 
 use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
 use crate::fastexp::KernelExpMode;
-use crate::gp::{median_sq_dist, GaussianProcess, SparseGaussianProcess, SurrogateMode};
+use crate::gp::{
+    median_sq_dist, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
+};
 use crate::linalg::Matrix;
 use crate::par;
 use crate::pareto::{ContributionScorer, IncrementalFront};
@@ -30,10 +34,14 @@ use crate::space::DesignSpace;
 /// factorization instead of refitting, window slides *downdate* it one
 /// oldest point at a time, objective ranges are running min/max rather
 /// than per-iteration rescans, candidate scores reuse a per-iteration
-/// [`ContributionScorer`] (no full-front rescan per candidate), and
-/// both the initial sampling and the acquisition scoring fan out over
-/// worker threads with results gathered in index order — so a run is
-/// bit-identical for a fixed seed regardless of thread count.
+/// [`ContributionScorer`] (no full-front rescan per candidate), front
+/// neighbours that recur from one pool to the next keep their surrogate
+/// columns in a cross-iteration cache (an exact-pack hit solves only the
+/// rows added since, bit-identical to a fresh solve — see
+/// [`ExactColumn`]), and both the initial sampling and the acquisition
+/// scoring fan out over worker threads with results gathered in index
+/// order — so a run is bit-identical for a fixed seed regardless of
+/// thread count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
 /// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
@@ -180,27 +188,18 @@ const ACQ_CHUNK: usize = 64;
 /// the corresponding point sequence exactly (see
 /// [`IncrementalFront`]'s equivalence contract), so acquisition scores
 /// are bit-identical to the full-rescan implementation.
+///
+/// It also carries the [`ColumnCache`]: the surrogate columns of the
+/// previous pool's front neighbours, which mostly recur in the next
+/// pool.
 struct AcquisitionState {
     raw_front: IncrementalFront,
     norm_front: IncrementalFront,
     norm_mins: Vec<f64>,
     norm_maxs: Vec<f64>,
     synced: usize,
-    /// Memoized kernel columns against the sparse pack's inducing set,
-    /// keyed by ordinal candidate. A column's bits depend only on
-    /// (inducing set, lengthscale, exp mode, candidate) — all frozen
-    /// between sparse refits — so hits replay recomputation exactly
-    /// while skipping the kernel panel (and the candidate encode)
-    /// entirely. Cleared whenever [`Surrogates::fit_generation`] moves.
-    panel_cache: HashMap<Vec<usize>, Vec<f64>>,
-    /// The [`Surrogates::fit_generation`] the cache was filled under.
-    panel_cache_generation: u64,
+    columns: ColumnCache,
 }
-
-/// Entry cap for [`AcquisitionState::panel_cache`]; the steady-state
-/// working set (front neighbours plus recent randoms) refills within an
-/// iteration or two of a clear.
-const PANEL_CACHE_CAP: usize = 65_536;
 
 impl AcquisitionState {
     fn new(n_obj: usize) -> AcquisitionState {
@@ -210,8 +209,7 @@ impl AcquisitionState {
             norm_mins: vec![f64::INFINITY; n_obj],
             norm_maxs: vec![f64::NEG_INFINITY; n_obj],
             synced: 0,
-            panel_cache: HashMap::new(),
-            panel_cache_generation: 0,
+            columns: ColumnCache { key: (0, 0), columns: HashMap::new() },
         }
     }
 
@@ -242,6 +240,64 @@ impl AcquisitionState {
             obs::add("bo.front.rebuild", 1);
         }
         self.synced = archive.len();
+    }
+}
+
+/// One candidate's surrogate state, as held by the [`ColumnCache`].
+enum Column {
+    /// Kernel correlations and per-objective forward solves against the
+    /// exact pack's training rows.
+    Exact(ExactColumn),
+    /// Kernel correlations against the sparse pack's inducing set.
+    Sparse(Vec<f64>),
+}
+
+/// The cross-iteration column cache: per-candidate surrogate columns,
+/// keyed by ordinal candidate, valid for one `(fit generation, window
+/// start)`.
+///
+/// Within one key the exact pack only extends and retargets, so an exact
+/// column is brought current by [`ExactColumn::refresh`] (bit-identical
+/// to a fresh solve), and the sparse pack's inducing set, lengthscale
+/// and exp mode are frozen, so a sparse column is reused as is. A full
+/// refit or a downdate changes the key and clears the cache.
+///
+/// Only front neighbours are kept: each iteration takes the pool's
+/// entries out, drops everything else, and puts back the columns of the
+/// candidates that were drawn as neighbours of the Pareto set. Random
+/// draws almost never recur in a large space and are never stored, so
+/// memory is bounded by the live neighbourhood rather than by a cap.
+struct ColumnCache {
+    key: (u64, usize),
+    columns: HashMap<Vec<usize>, Column>,
+}
+
+impl ColumnCache {
+    /// Takes the pool's cached columns out, in pool order (`None` for a
+    /// miss), and evicts every other entry. A cache filled under another
+    /// key is cleared first.
+    fn take(&mut self, key: (u64, usize), pool: &[Vec<usize>]) -> Vec<Option<Column>> {
+        if self.key != key {
+            self.columns.clear();
+            self.key = key;
+        }
+        let taken: Vec<Option<Column>> =
+            pool.iter().map(|cand| self.columns.remove(cand)).collect();
+        self.columns.clear();
+        let hits = taken.iter().filter(|c| c.is_some()).count();
+        obs::add("bo.acquisition.column_cache.hit", hits as u64);
+        obs::add("bo.acquisition.column_cache.miss", (pool.len() - hits) as u64);
+        taken
+    }
+
+    /// Puts back the columns scoring kept (the pool's front neighbours'),
+    /// in pool order.
+    fn put_back(&mut self, pool: &[Vec<usize>], columns: Vec<Option<Column>>) {
+        for (cand, column) in pool.iter().zip(columns) {
+            if let Some(column) = column {
+                self.columns.insert(cand.clone(), column);
+            }
+        }
     }
 }
 
@@ -294,6 +350,98 @@ impl SurrogatePack {
             SurrogatePack::Sparse(_) => false,
         }
     }
+
+    /// Fills the sparse pool's missing columns from one pool-wide kernel
+    /// panel against the inducing set (column-striped across workers),
+    /// so only candidates new to the cache are encoded and correlated.
+    /// The exact kind solves its misses per chunk instead.
+    fn resolve_sparse_misses(
+        &self,
+        space: &DesignSpace,
+        pool: &[Vec<usize>],
+        columns: &mut [Option<Column>],
+    ) {
+        let SurrogatePack::Sparse(gps) = self else { return };
+        let misses: Vec<usize> =
+            (0..pool.len()).filter(|&j| !matches!(columns[j], Some(Column::Sparse(_)))).collect();
+        if misses.is_empty() {
+            return;
+        }
+        let miss_xs: Vec<Vec<f64>> = misses.iter().map(|&j| space.encode(&pool[j])).collect();
+        let panel = gps[0].cross_correlations(&miss_xs);
+        for (k, &j) in misses.iter().enumerate() {
+            columns[j] = Some(Column::Sparse((0..panel.rows()).map(|i| panel[(i, k)]).collect()));
+        }
+    }
+
+    /// Per-objective `(mean, variance)` for a chunk of candidates, given
+    /// the chunk's cached columns (`None` for a miss). On return a slot
+    /// holds the candidate's current column if `keep` marks it (a front
+    /// neighbour) and `None` otherwise.
+    ///
+    /// Exact pack: hits are refreshed over the rows added since they
+    /// were solved, and all misses are solved into columns together, one
+    /// kernel panel and one blocked triangular solve per objective; every
+    /// candidate then predicts from its column, and the random draws'
+    /// columns are dropped afterwards. Sparse pack: the columns (all resolved
+    /// by [`SurrogatePack::resolve_sparse_misses`]) are assembled into
+    /// one `m × chunk` matrix that every objective predicts from. Either
+    /// way each prediction is bit-identical to the member's
+    /// `predict_batch`.
+    fn predict_chunk(
+        &self,
+        space: &DesignSpace,
+        chunk: &[Vec<usize>],
+        keep: &[bool],
+        columns: &mut [Option<Column>],
+    ) -> Vec<Vec<(f64, f64)>> {
+        let preds = match self {
+            SurrogatePack::Exact(gps) => {
+                let mut miss_xs = Vec::new();
+                for (cand, column) in chunk.iter().zip(columns.iter_mut()) {
+                    match column {
+                        Some(Column::Exact(col)) => col.refresh(gps, &space.encode(cand)),
+                        _ => miss_xs.push(space.encode(cand)),
+                    }
+                }
+                let mut solved = if miss_xs.is_empty() {
+                    Vec::new().into_iter()
+                } else {
+                    ExactColumn::solve_batch(gps, &miss_xs).into_iter()
+                };
+                let mut preds = vec![Vec::with_capacity(chunk.len()); gps.len()];
+                for column in columns.iter_mut() {
+                    if !matches!(column, Some(Column::Exact(_))) {
+                        *column = solved.next().map(Column::Exact);
+                    }
+                    if let Some(Column::Exact(col)) = column {
+                        for (p, pred) in preds.iter_mut().zip(col.predict(gps)) {
+                            p.push(pred);
+                        }
+                    }
+                }
+                preds
+            }
+            SurrogatePack::Sparse(gps) => {
+                obs::add("bo.gp.sparse.predict", 1);
+                let mut corr = Matrix::zeros(gps[0].inducing_count(), chunk.len());
+                for (j, column) in columns.iter().enumerate() {
+                    if let Some(Column::Sparse(col)) = column {
+                        for (i, &v) in col.iter().enumerate() {
+                            corr[(i, j)] = v;
+                        }
+                    }
+                }
+                gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
+            }
+        };
+        for (column, &keep) in columns.iter_mut().zip(keep) {
+            if !keep {
+                *column = None;
+            }
+        }
+        preds
+    }
 }
 
 /// Per-objective GP surrogates kept current incrementally.
@@ -323,10 +471,11 @@ struct Surrogates {
     norm_mins: Vec<f64>,
     norm_maxs: Vec<f64>,
     /// Bumped on every full refit — the only event that can change the
-    /// pack's training rows, inducing set, or lengthscale wholesale.
-    /// Incremental reuse (extend/retarget/downdate) keeps the
-    /// generation, which is what lets the acquisition side's kernel
-    /// panel cache survive across iterations.
+    /// pack's training rows, inducing set, or lengthscale wholesale —
+    /// and never reused within a run. Incremental reuse
+    /// (extend/retarget/downdate) keeps the generation; together with
+    /// `start` (which a downdate moves) it keys the acquisition side's
+    /// [`ColumnCache`].
     fit_generation: u64,
 }
 
@@ -334,7 +483,9 @@ impl Surrogates {
     /// Brings the surrogates up to date with the archive, incrementally
     /// when valid and refitting otherwise. Returns `None` when the
     /// window cannot be fitted (degenerate geometry); the caller then
-    /// falls back to random sampling for this iteration.
+    /// falls back to random sampling for this iteration. `generations`
+    /// counts the run's full fits, including failed ones, and numbers
+    /// the next one.
     fn update(
         current: Option<Surrogates>,
         space: &DesignSpace,
@@ -342,6 +493,7 @@ impl Surrogates {
         max_gp_points: usize,
         mode: SurrogateMode,
         exp_mode: KernelExpMode,
+        generations: &mut u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
         let sparse_inducing = match mode {
@@ -351,7 +503,6 @@ impl Surrogates {
         // The sparse surrogate is low-rank in the inducing set, so it
         // affords the full archive; the exact kind slides a window.
         let start = if sparse_inducing.is_some() { 0 } else { n.saturating_sub(max_gp_points) };
-        let next_generation = current.as_ref().map_or(1, |s| s.fit_generation + 1);
         if let Some(mut s) = current {
             let compatible = s.pack.is_sparse() == sparse_inducing.is_some()
                 && s.start <= start
@@ -364,7 +515,8 @@ impl Surrogates {
             }
         }
         obs::add("dse.gp.full_refit", 1);
-        Surrogates::full_fit(space, archive, start, sparse_inducing, exp_mode, next_generation)
+        *generations += 1;
+        Surrogates::full_fit(space, archive, start, sparse_inducing, exp_mode, *generations)
     }
 
     /// Brings an existing pack current without refitting: retarget on
@@ -555,6 +707,7 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
         // BO loop: one evaluation per iteration, surrogates and Pareto
         // fronts kept current incrementally.
         let mut surrogates: Option<Surrogates> = None;
+        let mut generations = 0;
         let mut acquisition = AcquisitionState::new(n_obj);
         while archive.len() < budget {
             control.check()?;
@@ -568,6 +721,7 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
                     self.max_gp_points,
                     self.surrogate,
                     self.exp_mode,
+                    &mut generations,
                 )
             });
             let next = match &surrogates {
@@ -623,12 +777,12 @@ impl SmsEgoOptimizer {
         // Candidate pool: random points plus ordinal neighbours of the
         // Pareto-set designs (local refinement). Drawn sequentially so the
         // RNG stream is independent of the parallel scoring below.
-        let mut pool: Vec<Vec<usize>> = Vec::with_capacity(self.candidate_pool + 64);
+        let mut drawn: Vec<Vec<usize>> = Vec::with_capacity(self.candidate_pool + 64);
         for _ in 0..self.candidate_pool {
-            pool.push(space.random_point(rng));
+            drawn.push(space.random_point(rng));
         }
         for &i in acquisition.raw_front.indices().iter().take(16) {
-            pool.extend(space.neighbors(&archive.history[i].point));
+            drawn.extend(space.neighbors(&archive.history[i].point));
         }
         // Drop already-evaluated candidates and intra-pool duplicates
         // before any GP work: a seen candidate's score is structurally
@@ -636,66 +790,64 @@ impl SmsEgoOptimizer {
         // under first-max-wins neither can change the selection — the
         // pool just stops paying kernel and triangular work for
         // candidates that cannot win. (The RNG draws above are
-        // untouched; only the scored set shrinks.)
-        let mut distinct: HashSet<Vec<usize>> = HashSet::with_capacity(pool.len());
-        pool.retain(|cand| !archive.seen.contains(cand) && distinct.insert(cand.clone()));
-        drop(distinct);
+        // untouched; only the scored set shrinks.) Each survivor
+        // remembers whether it was drawn as a front neighbour: only
+        // those keep their columns for the next iteration.
+        let mut slots: HashMap<Vec<usize>, usize> = HashMap::with_capacity(drawn.len());
+        let mut pool: Vec<Vec<usize>> = Vec::with_capacity(drawn.len());
+        let mut neighbour: Vec<bool> = Vec::with_capacity(drawn.len());
+        for (d, cand) in drawn.into_iter().enumerate() {
+            let is_neighbour = d >= self.candidate_pool;
+            if archive.seen.contains(&cand) {
+                continue;
+            }
+            match slots.entry(cand) {
+                Entry::Occupied(slot) => neighbour[*slot.get()] |= is_neighbour,
+                Entry::Vacant(slot) => {
+                    pool.push(slot.key().clone());
+                    neighbour.push(is_neighbour);
+                    slot.insert(pool.len() - 1);
+                }
+            }
+        }
+        drop(slots);
         obs::observe("bo.acquisition.pool_size", pool.len() as f64);
 
-        // Resolve the pack into its per-chunk predictor. Sparse pack:
-        // the whole pool's kernel columns are resolved up front through
-        // the per-generation panel cache — recurring candidates (front
-        // neighbours, intra-pool duplicates) skip both the encode and the
-        // kernel panel, and the panel over the remaining misses runs once
-        // pool-wide (column-striped across workers) instead of once per
-        // chunk. Charged to the same score / gp_predict spans the
-        // per-chunk panel used to live in, so the budget-gate ratio sees
-        // real savings only.
-        let predictor = match &surrogates.pack {
-            SurrogatePack::Exact(gps) => Predictor::Exact(gps),
-            SurrogatePack::Sparse(gps) => {
-                let corrs = obs::time("bo.acquisition.score", || {
-                    obs::time("bo.acquisition.gp_predict", || {
-                        cached_chunk_correlations(
-                            &gps[0],
-                            space,
-                            &pool,
-                            surrogates.fit_generation,
-                            &mut acquisition.panel_cache,
-                            &mut acquisition.panel_cache_generation,
-                        )
+        // Take the pool's cached columns out of the cross-iteration cache
+        // (sparse misses are then resolved through one pool-wide panel)
+        // and hand each chunk its own slice of them. Charged to the
+        // score / gp_predict spans like the per-chunk GP work.
+        let pack = &surrogates.pack;
+        let key = (surrogates.fit_generation, surrogates.start);
+        type Job<'a> = (&'a [Vec<usize>], &'a [bool], Mutex<Vec<Option<Column>>>);
+        let jobs: Vec<Job> = obs::time("bo.acquisition.score", || {
+            obs::time("bo.acquisition.gp_predict", || {
+                let mut columns = acquisition.columns.take(key, &pool);
+                pack.resolve_sparse_misses(space, &pool, &mut columns);
+                let mut columns = columns.into_iter();
+                pool.chunks(ACQ_CHUNK)
+                    .zip(neighbour.chunks(ACQ_CHUNK))
+                    .map(|(chunk, keep)| {
+                        (chunk, keep, Mutex::new(columns.by_ref().take(chunk.len()).collect()))
                     })
-                });
-                Predictor::Sparse(gps, corrs)
-            }
-        };
+                    .collect()
+            })
+        });
 
         // Score the pool in parallel, a chunk of candidates at a time;
-        // each score is a pure function of the frozen surrogates and
-        // front. Within a chunk the kernel cross-matrix is computed once
-        // — the objective GPs share training inputs and lengthscale — and
-        // every GP answers the whole chunk through one blocked triangular
-        // solve, bit-identical to the scalar per-candidate path.
-        let chunks: Vec<(usize, &[Vec<usize>])> = pool.chunks(ACQ_CHUNK).enumerate().collect();
-        obs::add("bo.acquisition.batches", chunks.len() as u64);
-        let scores: Vec<Vec<Option<f64>>> = obs::time("bo.acquisition.score", || {
-            par::parallel_map_with(workers, &chunks, |_, &(ci, chunk)| {
+        // each score is a pure function of the frozen surrogates, the
+        // front and the candidate's column. Every chunk predicts all
+        // objectives from its columns (refreshing hits, solving misses)
+        // and returns its front neighbours' columns for the cache.
+        obs::add("bo.acquisition.batches", jobs.len() as u64);
+        let scored = obs::time("bo.acquisition.score", || {
+            par::parallel_map_with(workers, &jobs, |_, (chunk, keep, columns)| {
                 obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
-                let preds: Vec<Vec<(f64, f64)>> =
-                    obs::time("bo.acquisition.gp_predict", || match &predictor {
-                        Predictor::Exact(gps) => {
-                            let xs: Vec<Vec<f64>> =
-                                chunk.iter().map(|cand| space.encode(cand)).collect();
-                            let corr = gps[0].cross_correlations(&xs);
-                            gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
-                        }
-                        Predictor::Sparse(gps, corrs) => {
-                            obs::add("bo.gp.sparse.predict", 1);
-                            gps.iter()
-                                .map(|gp| gp.predict_batch_from_correlations(&corrs[ci]))
-                                .collect()
-                        }
-                    });
+                let mut columns =
+                    std::mem::take(&mut *columns.lock().unwrap_or_else(PoisonError::into_inner));
+                let preds: Vec<Vec<(f64, f64)>> = obs::time("bo.acquisition.gp_predict", || {
+                    pack.predict_chunk(space, chunk, keep, &mut columns)
+                });
                 // Buffers reused across the whole chunk: steady-state
                 // scoring allocates nothing per candidate.
                 let mut scratch = scorer.scratch();
@@ -712,23 +864,39 @@ impl SmsEgoOptimizer {
                                 let (m, v) = p[k];
                                 *slot = m - self.beta * v.sqrt();
                             }
-                            // SMS-EGO scoring: epsilon-dominated candidates
-                            // get a negative penalty proportional to how deep
-                            // they are dominated; otherwise score by
+                            // SMS-EGO scoring: epsilon-dominated
+                            // candidates get a negative penalty
+                            // proportional to how deep they are
+                            // dominated; otherwise score by
                             // hypervolume improvement (the exclusive
-                            // contribution of the LCB vector to the front).
+                            // contribution of the LCB vector to the
+                            // front).
                             Some(scorer.score_with(&mut scratch, &lcb, 1e-3))
                         })
                         .collect()
                 });
                 obs::add("bo.hv.incremental", scores.iter().filter(|s| s.is_some()).count() as u64);
-                scores
+                (scores, columns)
+            })
+        });
+
+        // Reassemble in pool order; the front neighbours' columns go back
+        // into the cache for the next iteration.
+        let mut scores: Vec<Option<f64>> = Vec::with_capacity(pool.len());
+        obs::time("bo.acquisition.score", || {
+            obs::time("bo.acquisition.gp_predict", || {
+                let mut columns = Vec::with_capacity(pool.len());
+                for (chunk_scores, chunk_columns) in scored {
+                    scores.extend(chunk_scores);
+                    columns.extend(chunk_columns);
+                }
+                acquisition.columns.put_back(&pool, columns);
             })
         });
 
         // First-max-wins over the pool, in pool order.
         let mut best: Option<(f64, usize)> = None;
-        for (i, score) in scores.into_iter().flatten().enumerate() {
+        for (i, score) in scores.into_iter().enumerate() {
             let Some(score) = score else { continue };
             match &best {
                 Some((s, _)) if *s >= score => {}
@@ -737,75 +905,6 @@ impl SmsEgoOptimizer {
         }
         best.map(|(_, i)| pool.swap_remove(i))
     }
-}
-
-/// A surrogate pack ready to score candidate chunks: the exact kind
-/// builds each chunk's kernel cross-matrix on the fly, the sparse kind
-/// carries one pre-resolved inducing-correlation matrix per chunk.
-enum Predictor<'a> {
-    Exact(&'a [GaussianProcess]),
-    Sparse(&'a [SparseGaussianProcess], Vec<Matrix>),
-}
-
-/// Resolves the pool's inducing-correlation columns through the
-/// per-generation panel cache and assembles one `m × chunk` matrix per
-/// [`ACQ_CHUNK`] chunk, each bit-identical to
-/// `gp.cross_correlations(&encoded_chunk)`.
-///
-/// A cached column is exact, not approximate: its bits depend only on
-/// the inducing set, lengthscale, and exp mode (all frozen for a fit
-/// generation) and the candidate itself, and kernel-panel entries are
-/// independent of how the panel is partitioned. Only the pool's unseen
-/// candidates are encoded and pushed through the kernel panel — one
-/// pool-wide call, column-striped across workers — so recurring front
-/// neighbours and intra-pool duplicates cost a column copy instead of
-/// `m` kernel evaluations.
-fn cached_chunk_correlations(
-    gp: &SparseGaussianProcess,
-    space: &DesignSpace,
-    pool: &[Vec<usize>],
-    fit_generation: u64,
-    cache: &mut HashMap<Vec<usize>, Vec<f64>>,
-    cache_generation: &mut u64,
-) -> Vec<Matrix> {
-    if *cache_generation != fit_generation || cache.len() > PANEL_CACHE_CAP {
-        cache.clear();
-        *cache_generation = fit_generation;
-    }
-    let m = gp.inducing_count();
-    // First pass: queue each distinct uncached candidate once. The
-    // placeholder insert is what dedups repeats within the same pool.
-    let mut misses: Vec<Vec<usize>> = Vec::new();
-    for cand in pool {
-        if !cache.contains_key(cand) {
-            cache.insert(cand.clone(), Vec::new());
-            misses.push(cand.clone());
-        }
-    }
-    obs::add("bo.gp.panel.cache_miss", misses.len() as u64);
-    obs::add("bo.gp.panel.cache_hit", (pool.len() - misses.len()) as u64);
-    if !misses.is_empty() {
-        let miss_xs: Vec<Vec<f64>> = misses.iter().map(|cand| space.encode(cand)).collect();
-        let panel = gp.cross_correlations(&miss_xs);
-        for (j, key) in misses.iter().enumerate() {
-            if let Some(slot) = cache.get_mut(key) {
-                slot.extend((0..m).map(|i| panel[(i, j)]));
-            }
-        }
-    }
-    pool.chunks(ACQ_CHUNK)
-        .map(|chunk| {
-            let mut corr = Matrix::zeros(m, chunk.len());
-            for (j, cand) in chunk.iter().enumerate() {
-                if let Some(col) = cache.get(cand) {
-                    for (i, &v) in col.iter().enumerate() {
-                        corr[(i, j)] = v;
-                    }
-                }
-            }
-            corr
-        })
-        .collect()
 }
 
 fn normalize(v: f64, min: f64, max: f64) -> f64 {

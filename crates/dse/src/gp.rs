@@ -6,7 +6,7 @@
 
 use crate::error::GpError;
 use crate::fastexp::{exp_slice, KernelExpMode};
-use crate::linalg::{dot, sq_dist, Matrix};
+use crate::linalg::{sq_dist, Matrix};
 use crate::par;
 use autopilot_obs as obs;
 use std::cell::RefCell;
@@ -135,9 +135,8 @@ struct PanelScratch {
 std::thread_local! {
     static PANEL_SCRATCH: RefCell<PanelScratch> =
         const { RefCell::new(PanelScratch { transpose: Vec::new(), stripe: Vec::new() }) };
-    /// Reusable kernel/solve vectors for the scalar predict and extend
-    /// paths (`cstar` and `L⁻¹·cstar`); steady-state scalar queries
-    /// allocate nothing per call.
+    /// Reusable kernel/solve vectors for the extend paths (`c` and
+    /// `L⁻¹·c`); steady-state extends allocate nothing for them.
     static VECTOR_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -584,21 +583,14 @@ impl GaussianProcess {
         self.exp_mode
     }
 
-    /// Posterior mean and variance at `point`.
+    /// Posterior mean and variance at `point`: a batch of one through
+    /// [`GaussianProcess::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `point` has the wrong dimension.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        assert_eq!(point.len(), self.x[0].len(), "dimension mismatch");
-        let scale = kernel_scale(self.lengthscale_sq);
-        with_kernel_scratch(|cstar, v| {
-            kernel_vector_into(&self.x, point, scale, self.exp_mode, cstar);
-            let mean = self.mean_y + dot(cstar, &self.alpha);
-            self.chol.solve_lower_into(cstar, v);
-            let var = (self.signal_var * (1.0 - v.iter().map(|x| x * x).sum::<f64>())).max(0.0);
-            (mean, var)
-        })
+        self.predict_batch(&[point.to_vec()])[0]
     }
 
     /// Lower confidence bound `mean - beta * std` at `point`.
@@ -609,8 +601,8 @@ impl GaussianProcess {
 
     /// Kernel cross-correlation matrix between the training inputs and a
     /// batch of query points: entry `(i, j)` is
-    /// `exp(-0.5·‖x_i − p_j‖²/ℓ²)`, i.e. bit-identical to `cstar[i]` as
-    /// computed inside [`GaussianProcess::predict`] for query `j`.
+    /// `exp(-0.5·‖x_i − p_j‖²/ℓ²)`, bit-identical to the scalar
+    /// `(sq_dist(x_i, p_j) · scale).exp()` (see [`correlation_panel`]).
     ///
     /// The matrix depends only on the training inputs and the
     /// lengthscale, so GPs that share both (the SMS-EGO per-objective
@@ -636,14 +628,15 @@ impl GaussianProcess {
     /// GP, or by another GP with identical training inputs and
     /// lengthscale.
     ///
-    /// Output `j` is bit-identical to `predict(p_j)`: means accumulate
-    /// `corr[i][j]·alpha[i]` in ascending `i` (the same operation order
-    /// as the scalar `dot`), variances come from the blocked multi-column
-    /// triangular solve whose columns are bit-identical to per-column
+    /// Output `j` is bit-identical to a per-column evaluation: means
+    /// accumulate `corr[i][j]·alpha[i]` in ascending `i` from `0.0`,
+    /// variances come from the blocked multi-column triangular solve
+    /// whose columns are bit-identical to per-column
     /// [`Matrix::solve_lower`], with the sum of squares likewise
-    /// accumulated in ascending `i`. The speedup is purely structural:
-    /// the Cholesky factor and `alpha` stream through the cache once per
-    /// column block instead of once per candidate.
+    /// accumulated in ascending `i` (the same arithmetic
+    /// [`ExactColumn`] reproduces incrementally). The speedup is purely
+    /// structural: the Cholesky factor and `alpha` stream through the
+    /// cache once per column block instead of once per candidate.
     ///
     /// # Panics
     ///
@@ -653,8 +646,8 @@ impl GaussianProcess {
         assert_eq!(corr.rows(), n, "correlation matrix has wrong row count");
         let m = corr.cols();
         // Means: every column's dot product with alpha, accumulated in
-        // ascending row order so each partial sum matches the scalar
-        // `dot(cstar, alpha)` bit-for-bit.
+        // ascending row order so each partial sum matches a per-column
+        // ascending dot bit-for-bit.
         let mut means = vec![0.0f64; m];
         for i in 0..n {
             let a = self.alpha[i];
@@ -677,14 +670,129 @@ impl GaussianProcess {
             .collect()
     }
 
-    /// Batched posterior mean and variance for a pool of query points —
-    /// output `j` is bit-identical to `predict(&points[j])`.
+    /// Batched posterior mean and variance for a pool of query points;
+    /// each output depends only on its own point, so it is
+    /// bit-identical to `predict(&points[j])`.
     ///
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
         self.predict_batch_from_correlations(&self.cross_correlations(points))
+    }
+}
+
+/// One query point's cached posterior state against an exact surrogate
+/// pack — [`GaussianProcess`]es sharing training inputs and lengthscale,
+/// one per objective: the point's kernel correlations `c` against the
+/// training rows and, per member, the forward-substitution solution
+/// `v = L⁻¹c` with its running `Σv²`.
+///
+/// The state stays valid while the pack only grows by
+/// [`GaussianProcess::extend`] or changes targets by
+/// [`GaussianProcess::retarget`]. [`Matrix::extend_lower`] never rewrites
+/// a factor's leading block, row `i` of a forward substitution depends
+/// only on rows `≤ i` of `L` and `c` (subtracting in ascending `k`), and
+/// a retarget leaves `L` untouched. So [`ExactColumn::refresh`] solves
+/// only the rows added since the column was last current — `O(Δn·n)`
+/// per member instead of `O(n²)` — and [`ExactColumn::predict`] is
+/// bit-identical to [`GaussianProcess::predict_batch`]. A downdate or a
+/// refit rewrites the factor, so columns from before one are stale.
+#[derive(Debug, Clone)]
+pub struct ExactColumn {
+    corr: Vec<f64>,
+    solves: Vec<Vec<f64>>,
+    sumsq: Vec<f64>,
+}
+
+impl ExactColumn {
+    /// Solves fresh columns for a batch of query points: one kernel panel
+    /// shared by the pack, then one blocked triangular solve per member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack` is empty or a point has the wrong dimension.
+    pub fn solve_batch(pack: &[GaussianProcess], points: &[Vec<f64>]) -> Vec<ExactColumn> {
+        let corr = pack[0].cross_correlations(points);
+        let n = corr.rows();
+        let mut columns: Vec<ExactColumn> = (0..corr.cols())
+            .map(|j| ExactColumn {
+                corr: (0..n).map(|i| corr[(i, j)]).collect(),
+                solves: Vec::with_capacity(pack.len()),
+                sumsq: Vec::with_capacity(pack.len()),
+            })
+            .collect();
+        for gp in pack {
+            let v = gp.chol.solve_lower_columns(&corr);
+            for (j, column) in columns.iter_mut().enumerate() {
+                let solve: Vec<f64> = (0..n).map(|i| v[(i, j)]).collect();
+                column.sumsq.push(solve.iter().fold(0.0, |s, w| s + w * w));
+                column.solves.push(solve);
+            }
+        }
+        columns
+    }
+
+    /// Solves one query point's column on its own: its correlations and
+    /// a per-member forward substitution ([`Matrix::solve_lower`]'s loop)
+    /// over every training row — the per-point counterpart of
+    /// [`ExactColumn::solve_batch`], with identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack` is empty or `point` has the wrong dimension.
+    pub fn solve(pack: &[GaussianProcess], point: &[f64]) -> ExactColumn {
+        let mut column = ExactColumn {
+            corr: Vec::new(),
+            solves: vec![Vec::new(); pack.len()],
+            sumsq: vec![0.0; pack.len()],
+        };
+        column.refresh(pack, point);
+        column
+    }
+
+    /// Brings the column current with `pack` after extends and retargets:
+    /// correlates `point` (the query this column was solved for) with the
+    /// training rows added since, and continues every member's forward
+    /// substitution and `Σv²` over just those rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column has more rows than the pack (it was solved
+    /// against a different factor) or `point` has the wrong dimension.
+    pub fn refresh(&mut self, pack: &[GaussianProcess], point: &[f64]) {
+        let gp = &pack[0];
+        let (old, n) = (self.corr.len(), gp.x.len());
+        assert!(old <= n, "column solved against a larger factor");
+        assert_eq!(point.len(), gp.x[0].len(), "dimension mismatch");
+        if old == n {
+            return;
+        }
+        let scale = kernel_scale(gp.lengthscale_sq);
+        self.corr.extend(gp.x[old..].iter().map(|xi| sq_dist(xi, point) * scale));
+        exp_slice(&mut self.corr[old..], gp.exp_mode);
+        for ((member, v), s) in pack.iter().zip(&mut self.solves).zip(&mut self.sumsq) {
+            member.chol.solve_lower_from(old, &self.corr, v);
+            *s = v[old..].iter().fold(*s, |s, w| s + w * w);
+        }
+    }
+
+    /// Posterior `(mean, variance)` per pack member, bit-identical to
+    /// `pack[o].predict_batch` for this column's point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column is not current with the pack (see
+    /// [`ExactColumn::refresh`]).
+    pub fn predict<'a>(
+        &'a self,
+        pack: &'a [GaussianProcess],
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        pack.iter().zip(&self.sumsq).map(|(gp, &s)| {
+            assert_eq!(self.corr.len(), gp.alpha.len(), "column is not current with its pack");
+            let acc = self.corr.iter().zip(&gp.alpha).fold(0.0, |acc, (c, a)| acc + c * a);
+            (gp.mean_y + acc, (gp.signal_var * (1.0 - s)).max(0.0))
+        })
     }
 }
 
@@ -743,8 +851,8 @@ pub struct SparseGaussianProcess {
     /// `D = C_mm⁻¹ − A⁻¹` (plus [`INDUCING_RIDGE`]·I), so the posterior
     /// variance is `σ²(1 − ‖L_Dᵀc‖²)` — one dependency-free triangular
     /// product per query instead of two triangular solves. `None` when
-    /// `D` is too close to singular to factor; predictions then fall
-    /// back to the solve-based form.
+    /// `D` is too close to singular to factor; batched predictions then
+    /// fall back to the solve-based form.
     var_form_l: Option<Matrix>,
     mean_y: f64,
     signal_var: f64,
@@ -883,47 +991,14 @@ impl SparseGaussianProcess {
         self.exp_mode
     }
 
-    /// Posterior mean and variance at `point`.
+    /// Posterior mean and variance at `point`: a batch of one through
+    /// [`SparseGaussianProcess::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `point` has the wrong dimension.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        assert_eq!(point.len(), self.inducing[0].len(), "dimension mismatch");
-        let scale = kernel_scale(self.lengthscale_sq);
-        with_kernel_scratch(|k, q| {
-            kernel_vector_into(&self.inducing, point, scale, self.exp_mode, k);
-            let mean = self.mean_y + dot(k, &self.w);
-            let var = match &self.var_form_l {
-                Some(ld) => {
-                    // Same accumulation order as the batched path: for each
-                    // output row i, sum L_D[k][i]·c[k] over ascending k ≥ i,
-                    // then square-sum over ascending i — bit-identical to
-                    // `variances_from_correlations` column j.
-                    let m = k.len();
-                    let mut quad = 0.0;
-                    for i in 0..m {
-                        let mut t = 0.0;
-                        for (kk, ck) in k.iter().enumerate().skip(i) {
-                            t += ld[(kk, i)] * ck;
-                        }
-                        quad += t * t;
-                    }
-                    (self.signal_var * (1.0 - quad)).max(0.0)
-                }
-                None => {
-                    // Rare fallback when the variance form failed to
-                    // factor; one of the two solves still allocates.
-                    self.l_mm.solve_lower_into(k, q);
-                    let s = self.l_a.solve_lower(k);
-                    (self.signal_var
-                        * (1.0 - q.iter().map(|v| v * v).sum::<f64>()
-                            + s.iter().map(|v| v * v).sum::<f64>()))
-                    .max(0.0)
-                }
-            };
-            (mean, var)
-        })
+        self.predict_batch(&[point.to_vec()])[0]
     }
 
     /// Lower confidence bound `mean - beta * std` at `point`.
@@ -950,7 +1025,7 @@ impl SparseGaussianProcess {
     }
 
     /// Batched posterior means from a precomputed inducing-correlation
-    /// matrix; output `j` is bit-identical to `predict(p_j).0`.
+    /// matrix: column `j`'s ascending dot with the weights `w`.
     ///
     /// # Panics
     ///
@@ -973,10 +1048,10 @@ impl SparseGaussianProcess {
     }
 
     /// Batched posterior variances from a precomputed
-    /// inducing-correlation matrix; output `j` is bit-identical to
-    /// `predict(p_j).1`. The result is target-independent, so one call
-    /// serves every objective GP in a pack sharing inducing inputs and
-    /// lengthscale.
+    /// inducing-correlation matrix: `σ²(1 − ‖L_Dᵀc_j‖²)` through the
+    /// variance form, or the two-solve form when it failed to factor.
+    /// The quadratic form depends on each member's own `L_A` and `σ²`,
+    /// so a pack calls this once per objective on the shared matrix.
     ///
     /// # Panics
     ///
@@ -1025,8 +1100,9 @@ impl SparseGaussianProcess {
             .collect()
     }
 
-    /// Batched posterior mean and variance for a pool of query points —
-    /// output `j` is bit-identical to `predict(&points[j])`.
+    /// Batched posterior mean and variance for a pool of query points;
+    /// each output depends only on its own point, so it is
+    /// bit-identical to `predict(&points[j])`.
     ///
     /// # Panics
     ///
@@ -1290,24 +1366,55 @@ mod tests {
         }
     }
 
+    /// Ascending dot product from `0.0` — the accumulation order every
+    /// batched mean promises.
+    fn ascending_dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+    }
+
+    /// Squares summed in ascending order from `0.0`.
+    fn ascending_sumsq(v: &[f64]) -> f64 {
+        v.iter().fold(0.0, |acc, w| acc + w * w)
+    }
+
+    /// Per-point kernel vector, entry by entry through `f64::exp`.
+    fn kernel_column(rows: &[Vec<f64>], point: &[f64], lengthscale_sq: f64) -> Vec<f64> {
+        rows.iter().map(|r| (sq_dist(r, point) * kernel_scale(lengthscale_sq)).exp()).collect()
+    }
+
+    /// Exact-GP posterior for one point from the GP's own state: a
+    /// per-column `Matrix::solve_lower` and ascending dots.
+    fn exact_reference(gp: &GaussianProcess, point: &[f64]) -> (f64, f64) {
+        let c = kernel_column(&gp.x, point, gp.lengthscale_sq);
+        let v = gp.chol.solve_lower(&c);
+        (
+            gp.mean_y + ascending_dot(&c, &gp.alpha),
+            (gp.signal_var * (1.0 - ascending_sumsq(&v))).max(0.0),
+        )
+    }
+
     #[test]
     fn predict_batch_matches_scalar_predict_bitwise() {
         let x: Vec<Vec<f64>> =
             (0..9).map(|i| vec![i as f64 / 8.0, (i * i % 5) as f64 / 4.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (3.0 * p[0]).sin() + p[1] * p[1]).collect();
-        let gp = GaussianProcess::fit(&x, &y).unwrap();
+        let mut gp = GaussianProcess::fit(&x[..6], &y[..6]).unwrap();
+        for i in 6..9 {
+            assert!(gp.extend(&x[i], y[i]));
+        }
         // Pool larger than the solve's column block, including exact
         // training points (variance clamp at 0) and far-away queries.
-        let pool: Vec<Vec<f64>> = (0..40)
+        let pool: Vec<Vec<f64>> = (0..70)
             .map(|j| vec![(j as f64 * 0.37) % 1.3, (j as f64 * 0.51) % 1.1 - 0.2])
             .chain(x.iter().cloned())
             .collect();
         let batch = gp.predict_batch(&pool);
         assert_eq!(batch.len(), pool.len());
         for (p, (bm, bv)) in pool.iter().zip(&batch) {
-            let (m, v) = gp.predict(p);
+            let (m, v) = exact_reference(&gp, p);
             assert_eq!(bm.to_bits(), m.to_bits(), "mean at {p:?}");
             assert_eq!(bv.to_bits(), v.to_bits(), "variance at {p:?}");
+            assert_eq!(gp.predict(p), (*bm, *bv), "batch of one at {p:?}");
         }
     }
 
@@ -1440,22 +1547,53 @@ mod tests {
         }
     }
 
+    /// Sparse posterior for one point from the GP's own state: an
+    /// ascending dot for the mean, and for the variance either the
+    /// variance form `‖L_Dᵀc‖²` (each entry an ascending sum over
+    /// `k ≥ i`) or, without one, per-column solves against `L_mm` and
+    /// `L_A`.
+    fn sparse_reference(gp: &SparseGaussianProcess, point: &[f64]) -> (f64, f64) {
+        let c = kernel_column(&gp.inducing, point, gp.lengthscale_sq);
+        let mean = ascending_dot(&c, &gp.w) + gp.mean_y;
+        let var = match &gp.var_form_l {
+            Some(ld) => {
+                let t: Vec<f64> = (0..c.len())
+                    .map(|i| (i..c.len()).fold(0.0, |acc, k| acc + ld[(k, i)] * c[k]))
+                    .collect();
+                gp.signal_var * (1.0 - ascending_sumsq(&t))
+            }
+            None => {
+                let q = ascending_sumsq(&gp.l_mm.solve_lower(&c));
+                let s = ascending_sumsq(&gp.l_a.solve_lower(&c));
+                gp.signal_var * (1.0 - q + s)
+            }
+        };
+        (mean, var.max(0.0))
+    }
+
     #[test]
     fn sparse_batch_matches_scalar_bitwise() {
         let x: Vec<Vec<f64>> =
             (0..20).map(|i| vec![i as f64 / 19.0, (i * 3 % 7) as f64 / 6.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| p[0] - p[1] * p[1]).collect();
-        let gp = SparseGaussianProcess::fit(&x, &y, 6).unwrap();
-        let pool: Vec<Vec<f64>> = (0..37)
+        let mut gp = SparseGaussianProcess::fit(&x, &y, 6).unwrap();
+        let pool: Vec<Vec<f64>> = (0..70)
             .map(|j| vec![(j as f64 * 0.41) % 1.2, (j as f64 * 0.23) % 1.0])
             .chain(x.iter().cloned())
             .collect();
-        let batch = gp.predict_batch(&pool);
-        assert_eq!(batch.len(), pool.len());
-        for (p, (bm, bv)) in pool.iter().zip(&batch) {
-            let (m, v) = gp.predict(p);
-            assert_eq!(bm.to_bits(), m.to_bits(), "mean at {p:?}");
-            assert_eq!(bv.to_bits(), v.to_bits(), "variance at {p:?}");
+        assert!(gp.var_form_l.is_some());
+        for form in ["variance form", "two-solve form"] {
+            let batch = gp.predict_batch(&pool);
+            assert_eq!(batch.len(), pool.len());
+            for (p, (bm, bv)) in pool.iter().zip(&batch) {
+                let (m, v) = sparse_reference(&gp, p);
+                assert_eq!(bm.to_bits(), m.to_bits(), "{form}: mean at {p:?}");
+                assert_eq!(bv.to_bits(), v.to_bits(), "{form}: variance at {p:?}");
+                assert_eq!(gp.predict(p), (*bm, *bv), "{form}: batch of one at {p:?}");
+            }
+            // The second pass covers the fallback taken when the
+            // variance form fails to factor.
+            gp.var_form_l = None;
         }
     }
 

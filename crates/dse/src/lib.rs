@@ -78,7 +78,7 @@ pub use exhaustive::ExhaustiveSearch;
 pub use fastexp::{exp_slice, fast_exp, ulp_distance, KernelExpMode, GP_FASTEXP_ENV};
 pub use ga::Nsga2Optimizer;
 pub use gp::{
-    correlation_panel, correlation_panel_with, GaussianProcess, SparseGaussianProcess,
+    correlation_panel, correlation_panel_with, ExactColumn, GaussianProcess, SparseGaussianProcess,
     SurrogateMode, GP_SPARSE_ENV,
 };
 pub use random::RandomSearch;

@@ -92,17 +92,37 @@ impl Matrix {
     ///
     /// Panics if dimensions disagree.
     pub fn solve_lower_into(&self, b: &[f64], x: &mut Vec<f64>) {
+        x.clear();
+        self.solve_lower_from(0, b, x);
+    }
+
+    /// Continues a forward substitution `L x = b` from row `start`: `x`
+    /// holds the first `start` rows of a solve against the leading
+    /// `start × start` block of `L` (and `b`), and on return holds all
+    /// `n` rows. Row `i` reads only rows `≤ i` of `L`, `b` and `x`, and
+    /// subtracts in ascending `k`, so when that leading block is
+    /// unchanged (as [`Matrix::extend_lower`] guarantees) the result is
+    /// bit-identical to a full [`Matrix::solve_lower`] — this loop *is*
+    /// the implementation of both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions disagree or `x` holds fewer than `start`
+    /// rows.
+    pub fn solve_lower_from(&self, start: usize, b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(self.rows, b.len());
+        assert!(x.len() >= start, "fewer than `start` rows already solved");
         let n = self.rows;
-        x.clear();
-        x.resize(n, 0.0);
-        for i in 0..n {
+        x.truncate(start);
+        x.reserve(n - start);
+        for i in start..n {
+            let row = self.row(i);
             let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * x[k];
+            for (l, xk) in row[..i].iter().zip(x.iter()) {
+                sum -= l * xk;
             }
-            x[i] = sum / self[(i, i)];
+            x.push(sum / row[i]);
         }
     }
 
@@ -673,6 +693,23 @@ mod tests {
             for c in 0..4 {
                 assert!((l[(r, c)] - full[(r, c)]).abs() < 1e-10, "({r},{c})");
             }
+        }
+    }
+
+    #[test]
+    fn resumed_solve_after_extend_matches_full_solve_bitwise() {
+        // Solve against the 3×3 factor, grow it by one row, then resume
+        // from row 3: identical bits to solving the 4×4 system afresh.
+        let mut l = spd3().cholesky().unwrap();
+        let b = [0.3, -1.1, 0.7, 2.5];
+        let mut x = l.solve_lower(&b[..3]);
+        let w = l.solve_lower(&[0.2, 0.1, -0.3]);
+        l.extend_lower(&w, 1.7);
+        l.solve_lower_from(3, &b, &mut x);
+        let full = l.solve_lower(&b);
+        assert_eq!(x.len(), 4);
+        for (got, want) in x.iter().zip(&full) {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

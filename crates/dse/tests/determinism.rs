@@ -191,3 +191,69 @@ fn optimizers_bit_identical_across_thread_counts() {
         }
     }
 }
+
+/// Longer SMS-EGO runs that exercise every surrogate-maintenance path
+/// the acquisition side caches against: rank-1 extends and retargets
+/// across several milestone refits, the exact-to-sparse switch (sparse
+/// past 48 points, 16 inducing), and a sliding exact window whose
+/// downdates move the training start every iteration (plus the sparse
+/// run again with [`KernelExpMode::Fast`] kernels). The fingerprints
+/// were generated before the cross-iteration column cache existed, so
+/// they pin that the cache reproduces uncached scoring bit for bit.
+/// Regenerate like [`GOLDENS`]: set a fingerprint to `0` and rerun with
+/// `-- --nocapture`.
+const CACHE_GOLDENS: [(&str, u64, u64); 3] = [
+    ("sparse-switch", 0xa8e2_6b9b_1e0e_951a, 0x401f_3bce_2218_522d),
+    ("sparse-switch-fast-exp", 0xe6ea_cdbe_9caf_8078, 0x401f_3d15_edfa_af3a),
+    ("sliding-window", 0x562d_92da_39c7_3f9f, 0x401f_34f3_9a9d_66ba),
+];
+
+fn cache_golden_runs(threads: usize) -> [OptimizationResult; 3] {
+    let space = space();
+    [
+        SmsEgoOptimizer::new(21)
+            .with_surrogate_mode(dse_opt::SurrogateMode::Sparse { threshold: 48, inducing: 16 })
+            .with_threads(threads)
+            .run(&space, &Bowl, 96)
+            .unwrap(),
+        SmsEgoOptimizer::new(23)
+            .with_surrogate_mode(dse_opt::SurrogateMode::Sparse { threshold: 48, inducing: 16 })
+            .with_exp_mode(KernelExpMode::Fast)
+            .with_threads(threads)
+            .run(&space, &Bowl, 96)
+            .unwrap(),
+        SmsEgoOptimizer::new(22)
+            .with_surrogate_mode(dse_opt::SurrogateMode::Exact)
+            .with_max_gp_points(24)
+            .with_threads(threads)
+            .run(&space, &Bowl, 64)
+            .unwrap(),
+    ]
+}
+
+#[test]
+fn column_cache_goldens_hold_at_every_thread_count() {
+    for threads in [1usize, 2, 8] {
+        let results = cache_golden_runs(threads);
+        for (r, (label, fp, hv_bits)) in results.iter().zip(CACHE_GOLDENS) {
+            if fp == 0 {
+                eprintln!(
+                    "golden: (\"{label}\", 0x{:016x}, 0x{:016x}),",
+                    fingerprint(r),
+                    r.final_hypervolume().to_bits()
+                );
+                continue;
+            }
+            assert_eq!(
+                fingerprint(r),
+                fp,
+                "{label} evaluation stream diverged from golden at {threads} threads"
+            );
+            assert_eq!(
+                r.final_hypervolume().to_bits(),
+                hv_bits,
+                "{label} final hypervolume diverged from golden at {threads} threads"
+            );
+        }
+    }
+}

@@ -1,15 +1,19 @@
 //! Property-based tests for the DSE machinery, driven by seeded
 //! `autopilot_rng` case generation (deterministic, no external harness).
 
+// Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
+#![allow(clippy::expect_used)]
+
 use autopilot_rng::Rng;
+use dse_opt::linalg::{sq_dist, Matrix};
 use dse_opt::pareto::{
     crowding_distance, dominates, hypervolume, inverted_generational_distance, non_dominated_sort,
     pareto_indices, IncrementalFront,
 };
 use dse_opt::{
-    AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExhaustiveSearch,
-    GaussianProcess, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
-    RandomSearch, SparseGaussianProcess,
+    AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactColumn,
+    ExhaustiveSearch, GaussianProcess, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
+    OptimizationResult, RandomSearch, SparseGaussianProcess,
 };
 
 const CASES: u64 = 64;
@@ -169,9 +173,102 @@ fn optimizers_respect_budget_and_space() {
     }
 }
 
-/// Batched GP prediction is bit-for-bit identical to per-point
-/// prediction — means and variances — across random fits, including
-/// incrementally extended GPs and pools containing training points.
+/// Ascending dot product from `0.0`.
+fn ascending_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+}
+
+/// Squares summed in ascending order from `0.0`.
+fn ascending_sumsq(v: &[f64]) -> f64 {
+    v.iter().fold(0.0, |acc, w| acc + w * w)
+}
+
+/// Sample mean and the floored variance-about-the-mean of `y`, in the
+/// GP's documented order.
+fn moments(y: &[f64]) -> (f64, f64) {
+    let n = y.len() as f64;
+    let mean = y.iter().sum::<f64>() / n;
+    let centred: Vec<f64> = y.iter().map(|v| v - mean).collect();
+    (mean, (centred.iter().map(|v| v * v).sum::<f64>() / n).max(1e-12))
+}
+
+/// The [`KernelExpMode::Exact`] squared-exponential kernel.
+fn kernel(a: &[f64], b: &[f64], lengthscale_sq: f64) -> f64 {
+    (sq_dist(a, b) * (-0.5 / lengthscale_sq)).exp()
+}
+
+/// Kernel vector of `point` against `rows`.
+fn kernel_column(rows: &[Vec<f64>], point: &[f64], lengthscale_sq: f64) -> Vec<f64> {
+    rows.iter().map(|r| kernel(r, point, lengthscale_sq)).collect()
+}
+
+/// A test-side exact GP built from the public linear algebra alone: the
+/// correlation-form fit, bordered-Cholesky extends, and per-point
+/// prediction through one `Matrix::solve_lower` and ascending dots. It
+/// shares no prediction code with [`GaussianProcess`].
+struct ReferenceGp {
+    x: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    lengthscale_sq: f64,
+    jitter: f64,
+    chol: Matrix,
+    alpha: Vec<f64>,
+    mean_y: f64,
+    signal_var: f64,
+}
+
+impl ReferenceGp {
+    fn fit(x: &[Vec<f64>], y: &[f64], lengthscale_sq: f64) -> ReferenceGp {
+        let jitter = 1e-4 + 1e-10 / moments(y).1;
+        let n = x.len();
+        let c = Matrix::from_fn(n, n, |i, j| {
+            kernel(&x[i], &x[j], lengthscale_sq) + if i == j { jitter } else { 0.0 }
+        });
+        let chol = c.cholesky().expect("reference factor exists");
+        let mut gp = ReferenceGp {
+            x: x.to_vec(),
+            y: y.to_vec(),
+            lengthscale_sq,
+            jitter,
+            chol,
+            alpha: Vec::new(),
+            mean_y: 0.0,
+            signal_var: 0.0,
+        };
+        gp.refresh();
+        gp
+    }
+
+    fn extend(&mut self, x_new: &[f64], y_new: f64) {
+        let c = kernel_column(&self.x, x_new, self.lengthscale_sq);
+        let w = self.chol.solve_lower(&c);
+        let d2 = 1.0 + self.jitter - w.iter().map(|v| v * v).sum::<f64>();
+        self.chol.extend_lower(&w, d2.sqrt());
+        self.x.push(x_new.to_vec());
+        self.y.push(y_new);
+        self.refresh();
+    }
+
+    fn refresh(&mut self) {
+        (self.mean_y, self.signal_var) = moments(&self.y);
+        let centred: Vec<f64> = self.y.iter().map(|v| v - self.mean_y).collect();
+        self.alpha = self.chol.solve_lower_transpose(&self.chol.solve_lower(&centred));
+    }
+
+    fn predict(&self, point: &[f64]) -> (f64, f64) {
+        let c = kernel_column(&self.x, point, self.lengthscale_sq);
+        let v = self.chol.solve_lower(&c);
+        (
+            self.mean_y + ascending_dot(&c, &self.alpha),
+            (self.signal_var * (1.0 - ascending_sumsq(&v))).max(0.0),
+        )
+    }
+}
+
+/// Batched GP prediction is bit-for-bit identical to an independent
+/// per-point reference — means and variances — across random fits,
+/// including incrementally extended GPs and pools containing training
+/// points.
 #[test]
 fn predict_batch_bit_identical_to_scalar() {
     for case in 0..CASES {
@@ -186,8 +283,10 @@ fn predict_batch_bit_identical_to_scalar() {
         // be covered too.
         let split = rng.range_usize(2, n + 1).min(n);
         let mut gp = GaussianProcess::fit(&xs[..split], &ys[..split]).expect("fit succeeds");
+        let mut reference = ReferenceGp::fit(&xs[..split], &ys[..split], gp.lengthscale_sq());
         for i in split..n {
             assert!(gp.extend(&xs[i], ys[i]), "case {case}: extend rejected point {i}");
+            reference.extend(&xs[i], ys[i]);
         }
         // Pool: random queries plus exact training points (variance ~ 0
         // there, exercising the clamp path identically in both code paths).
@@ -199,7 +298,7 @@ fn predict_batch_bit_identical_to_scalar() {
         let batch = gp.predict_batch(&pool);
         assert_eq!(batch.len(), pool.len(), "case {case}");
         for (j, (p, b)) in pool.iter().zip(&batch).enumerate() {
-            let (sm, sv) = gp.predict(p);
+            let (sm, sv) = reference.predict(p);
             assert_eq!(sm.to_bits(), b.0.to_bits(), "case {case}: mean differs at pool[{j}]");
             assert_eq!(sv.to_bits(), b.1.to_bits(), "case {case}: variance differs at pool[{j}]");
         }
@@ -398,9 +497,94 @@ fn sparse_gp_with_full_inducing_matches_exact() {
     }
 }
 
+/// A test-side sparse (DTC) GP from the public linear algebra alone:
+/// greedy farthest-point inducing selection, the `A = C_mm + λ⁻¹C_nmᵀC_nm`
+/// fit, and per-point prediction through the variance form `‖L_Dᵀc‖²`
+/// (each entry an ascending sum over `k ≥ i`) or, when `D` does not
+/// factor, per-column solves against `L_mm` and `L_A`.
+struct ReferenceSparseGp {
+    inducing: Vec<Vec<f64>>,
+    lengthscale_sq: f64,
+    l_mm: Matrix,
+    l_a: Matrix,
+    l_d: Option<Matrix>,
+    w: Vec<f64>,
+    mean_y: f64,
+    signal_var: f64,
+}
+
+impl ReferenceSparseGp {
+    fn fit(x: &[Vec<f64>], y: &[f64], lengthscale_sq: f64, m: usize) -> ReferenceSparseGp {
+        const RIDGE: f64 = 1e-8;
+        let (mean_y, signal_var) = moments(y);
+        let noise = 1e-4 + 1e-10 / signal_var;
+        let mut chosen = vec![0usize];
+        let mut min_d: Vec<f64> = x.iter().map(|p| sq_dist(p, &x[0])).collect();
+        while chosen.len() < m.clamp(2, x.len()) {
+            let (best, best_d) =
+                min_d
+                    .iter()
+                    .enumerate()
+                    .fold((0, -1.0), |b, (i, &d)| if d > b.1 { (i, d) } else { b });
+            if best_d <= 0.0 {
+                break;
+            }
+            chosen.push(best);
+            for (d, p) in min_d.iter_mut().zip(x) {
+                *d = d.min(sq_dist(p, &x[best]));
+            }
+        }
+        let inducing: Vec<Vec<f64>> = chosen.iter().map(|&i| x[i].clone()).collect();
+        let m = inducing.len();
+        let cnm = Matrix::from_fn(x.len(), m, |i, j| kernel(&x[i], &inducing[j], lengthscale_sq));
+        let cmm = Matrix::from_fn(m, m, |i, j| {
+            kernel(&inducing[i], &inducing[j], lengthscale_sq) + if i == j { RIDGE } else { 0.0 }
+        });
+        let l_mm = cmm.cholesky().expect("C_mm factors");
+        let b = cnm.gram();
+        let l_a = Matrix::from_fn(m, m, |i, j| cmm[(i, j)] + b[(i, j)] / noise)
+            .cholesky()
+            .expect("A factors");
+        let gx = l_mm.invert_lower().gram();
+        let gy = l_a.invert_lower().gram();
+        let l_d = Matrix::from_fn(m, m, |i, j| {
+            gx[(i, j)] - gy[(i, j)] + if i == j { RIDGE } else { 0.0 }
+        })
+        .cholesky();
+        let centred: Vec<f64> = y.iter().map(|v| v - mean_y).collect();
+        let t = cnm.transpose_mul_vec(&centred);
+        let w = l_a
+            .solve_lower_transpose(&l_a.solve_lower(&t))
+            .into_iter()
+            .map(|v| v / noise)
+            .collect();
+        ReferenceSparseGp { inducing, lengthscale_sq, l_mm, l_a, l_d, w, mean_y, signal_var }
+    }
+
+    fn predict(&self, point: &[f64]) -> (f64, f64) {
+        let c = kernel_column(&self.inducing, point, self.lengthscale_sq);
+        let mean = ascending_dot(&c, &self.w) + self.mean_y;
+        let var = match &self.l_d {
+            Some(ld) => {
+                let t: Vec<f64> = (0..c.len())
+                    .map(|i| (i..c.len()).fold(0.0, |acc, k| acc + ld[(k, i)] * c[k]))
+                    .collect();
+                self.signal_var * (1.0 - ascending_sumsq(&t))
+            }
+            None => {
+                let q = ascending_sumsq(&self.l_mm.solve_lower(&c));
+                let s = ascending_sumsq(&self.l_a.solve_lower(&c));
+                self.signal_var * (1.0 - q + s)
+            }
+        };
+        (mean, var.max(0.0))
+    }
+}
+
 /// A genuinely low-rank sparse posterior (`m < n`) stays well-formed on
 /// random archives: finite means, variances in `[0, signal cap]`, and
-/// the batched path bit-identical to scalar prediction.
+/// the batched path bit-identical to an independent per-point
+/// reference.
 #[test]
 fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
     for case in 0..CASES {
@@ -412,13 +596,15 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
         let y: Vec<f64> = x.iter().map(|p| smooth_target(p)).collect();
         let sparse = SparseGaussianProcess::fit(&x, &y, m).expect("sparse GP fits");
         assert!(sparse.inducing_count() <= m, "case {case}");
+        let reference = ReferenceSparseGp::fit(&x, &y, sparse.lengthscale_sq(), m);
+        assert_eq!(reference.inducing.len(), sparse.inducing_count(), "case {case}");
         let pool: Vec<Vec<f64>> =
             (0..16).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
         let batch = sparse.predict_batch(&pool);
         let spread = y.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v))
             - y.iter().fold(f64::INFINITY, |a, &v| a.min(v));
         for (q, &(bm, bv)) in pool.iter().zip(&batch) {
-            let (sm, sv) = sparse.predict(q);
+            let (sm, sv) = reference.predict(q);
             assert_eq!(sm.to_bits(), bm.to_bits(), "case {case}: batched mean differs");
             assert_eq!(sv.to_bits(), bv.to_bits(), "case {case}: batched var differs");
             assert!(sm.is_finite(), "case {case}");
@@ -467,6 +653,82 @@ fn exact_gp_truncate_then_extend_roundtrip_is_bitwise() {
         for (q, want) in pool.iter().zip(&before) {
             let (m, v) = gp.predict(q);
             assert_eq!((m.to_bits(), v.to_bits()), *want, "case {case}: round trip drifted");
+        }
+    }
+}
+
+/// The acquisition loop's cached exact columns stay bit-identical to a
+/// fresh batched prediction through any sequence of extends and
+/// retargets: after every step each refreshed column (and each column
+/// first solved mid-sequence, batched or per point) predicts exactly
+/// what `predict_batch` does, in both kernel exponential modes.
+#[test]
+fn exact_columns_track_predict_batch_through_extends_and_retargets() {
+    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
+        for case in 0..CASES / 2 {
+            let mut rng = Rng::seed_stream(0xd5e_000d, case);
+            let d = rng.range_usize(2, 5);
+            let n_obj = rng.range_usize(1, 4);
+            let n0 = rng.range_usize(3, 12);
+            let draw = |rng: &mut Rng| -> Vec<f64> { (0..d).map(|_| rng.next_f64()).collect() };
+            let mut xs: Vec<Vec<f64>> = (0..n0).map(|_| draw(&mut rng)).collect();
+            let target = |rng: &mut Rng, xs: &[Vec<f64>]| -> Vec<f64> {
+                let shift = rng.range_f64(-1.0, 1.0);
+                xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect()
+            };
+            let ls = rng.range_f64(0.05, 0.8);
+            let mut ys: Vec<Vec<f64>> = (0..n_obj).map(|_| target(&mut rng, &xs)).collect();
+            let mut pack: Vec<GaussianProcess> = ys
+                .iter()
+                .map(|y| GaussianProcess::fit_with_lengthscale(&xs, y, ls, mode).expect("fits"))
+                .collect();
+            let mut pool: Vec<Vec<f64>> =
+                (0..rng.range_usize(1, 70)).map(|_| draw(&mut rng)).collect();
+            pool.push(xs[0].clone());
+            let mut columns = ExactColumn::solve_batch(&pack, &pool);
+            for step in 0..rng.range_usize(1, 10) {
+                if rng.next_f64() < 0.6 {
+                    let x = draw(&mut rng);
+                    let mut trial = pack.clone();
+                    let accepted =
+                        trial.iter_mut().zip(&ys).all(|(gp, y)| gp.extend(&x, y[0] + x[1]));
+                    if !accepted {
+                        continue;
+                    }
+                    pack = trial;
+                    for y in &mut ys {
+                        y.push(y[0] + x[1]);
+                    }
+                    xs.push(x);
+                } else {
+                    let obj = rng.range_usize(0, n_obj);
+                    ys[obj] = target(&mut rng, &xs);
+                    assert!(pack[obj].retarget(&ys[obj]), "case {case}: retarget");
+                }
+                if rng.next_f64() < 0.3 {
+                    let fresh = draw(&mut rng);
+                    if rng.next_f64() < 0.5 {
+                        columns
+                            .extend(ExactColumn::solve_batch(&pack, std::slice::from_ref(&fresh)));
+                    } else {
+                        columns.push(ExactColumn::solve(&pack, &fresh));
+                    }
+                    pool.push(fresh);
+                }
+                let want: Vec<Vec<(f64, f64)>> =
+                    pack.iter().map(|gp| gp.predict_batch(&pool)).collect();
+                for (j, (column, p)) in columns.iter_mut().zip(&pool).enumerate() {
+                    column.refresh(&pack, p);
+                    for (o, (m, v)) in column.predict(&pack).enumerate() {
+                        let (wm, wv) = want[o][j];
+                        assert_eq!(
+                            (m.to_bits(), v.to_bits()),
+                            (wm.to_bits(), wv.to_bits()),
+                            "{mode:?} case {case} step {step}: objective {o}, pool[{j}]"
+                        );
+                    }
+                }
+            }
         }
     }
 }

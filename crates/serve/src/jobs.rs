@@ -35,6 +35,7 @@ use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use dse_opt::{KernelExpMode, RunControl};
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use systolic_sim::LayerMemo;
@@ -495,6 +496,12 @@ impl JobManager {
     }
 
     /// Executes `job` to a terminal state (worker-thread body).
+    ///
+    /// A panic inside the pipeline is caught here: the job ends
+    /// `failed` with a "job panicked: …" error, `serve.jobs.panicked`
+    /// counts it, and the calling worker stays alive for the next job.
+    /// The shared caches recover from lock poisoning, so a job that
+    /// panicked mid-update leaves them usable.
     pub fn execute(&self, job: &Job) {
         {
             let mut st = job.status();
@@ -504,7 +511,17 @@ impl JobManager {
             st.state = JobState::Running;
         }
         obs::add("serve.jobs.started", 1);
-        let outcome = run_pipeline(&self.caches, job);
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_pipeline(&self.caches, job)))
+                .unwrap_or_else(|payload| {
+                    obs::add("serve.jobs.panicked", 1);
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned());
+                    Err(format!("job panicked: {message}"))
+                });
         let mut st = job.status();
         match outcome {
             Ok(summary_json) => {
@@ -717,6 +734,65 @@ mod tests {
             pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
         let via_cli = RunSummary::from_result(&result).to_json().unwrap();
         assert_eq!(via_server, via_cli, "server pipeline must be bit-identical to the CLI path");
+    }
+
+    /// An optimizer that panics mid-run, standing in for any bug inside
+    /// a job's pipeline.
+    struct Panics;
+
+    impl dse_opt::MultiObjectiveOptimizer for Panics {
+        fn name(&self) -> &str {
+            "test-panics"
+        }
+
+        fn run_controlled(
+            &mut self,
+            _space: &dse_opt::DesignSpace,
+            _evaluator: &dyn dse_opt::Evaluator,
+            _budget: usize,
+            _control: &RunControl,
+        ) -> Result<dse_opt::OptimizationResult, dse_opt::DseError> {
+            panic!("injected optimizer fault")
+        }
+    }
+
+    #[test]
+    fn panicking_job_fails_and_worker_keeps_serving() {
+        obs::force_metrics(true);
+        autopilot::register_optimizer("test-panics", |_: &autopilot::OptimizerContext| {
+            Box::new(Panics)
+        });
+        let panicked_before = obs::snapshot().counter("serve.jobs.panicked");
+        let mgr = Arc::new(JobManager::new(4, defaults()));
+        let bad = mgr
+            .submit(
+                r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
+                    "optimizer": "test-panics", "seed": 3}"#,
+            )
+            .unwrap();
+        let good = mgr.submit(VALID).unwrap();
+        // One worker serves both jobs in FIFO order, like a server pool
+        // thread, and reports each finished job: the panicking job must
+        // not take it down.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || {
+                while let Some(job) = mgr.next_job() {
+                    mgr.execute(&job);
+                    let _ = done_tx.send(job.id);
+                }
+            })
+        };
+        let timeout = std::time::Duration::from_secs(120);
+        assert_eq!(done_rx.recv_timeout(timeout), Ok(bad.id));
+        assert_eq!(done_rx.recv_timeout(timeout), Ok(good.id), "the worker died with the panic");
+        mgr.shutdown();
+        worker.join().expect("the worker survives a panicking job");
+        assert_eq!(bad.state(), JobState::Failed);
+        assert_eq!(bad.error().as_deref(), Some("job panicked: injected optimizer fault"));
+        assert_eq!(good.state(), JobState::Completed, "error: {:?}", good.error());
+        assert!(obs::snapshot().counter("serve.jobs.panicked") > panicked_before);
     }
 
     #[test]

@@ -183,6 +183,23 @@ fn gp_window_plumbs_through_and_records_downdates() {
 }
 
 #[test]
+fn sms_ego_run_records_column_cache_hits() {
+    let _guard = guard();
+    obs::force_metrics(true);
+
+    // Front neighbours recur from one candidate pool to the next, so a
+    // default SMS-EGO run must find some of their surrogate columns in
+    // the cross-iteration cache (and miss on every random draw).
+    let ev = evaluator();
+    let before = obs::snapshot();
+    Phase2::new(OptimizerChoice::SmsEgo, 32, 5).run(&ev).expect("phase 2 runs");
+    let after = obs::snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert!(delta("bo.acquisition.column_cache.hit") > 0, "no column-cache hits");
+    assert!(delta("bo.acquisition.column_cache.miss") > 0, "no column-cache misses");
+}
+
+#[test]
 fn telemetry_snapshot_round_trips_through_json() {
     let _guard = guard();
     obs::force_metrics(true);
