@@ -5,8 +5,7 @@
 use autopilot_bench::tinybench::{BenchmarkId, Criterion};
 use autopilot_bench::{bench_group, bench_main};
 use autopilot_rng::Rng;
-use dse_opt::linalg::sq_dist;
-use dse_opt::pareto::{hypervolume, hypervolume_contribution, ContributionScorer};
+use dse_opt::pareto::{hypervolume, ContributionScorer};
 use dse_opt::{
     DesignSpace, EvalError, EvaluationRecord, Evaluator, GaussianProcess, MultiObjectiveOptimizer,
     Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseGaussianProcess,
@@ -52,9 +51,8 @@ fn bench_gp(c: &mut Criterion) {
 
 fn bench_batch_predict(c: &mut Criterion) {
     // The Phase-2 acquisition hot path: scoring a whole candidate pool
-    // against one fitted GP. The batched path amortizes the kernel
-    // cross-matrix and runs blocked multi-RHS triangular solves; the
-    // scalar path is what the optimizer used before batching.
+    // against one fitted GP, with one kernel cross-matrix and blocked
+    // multi-RHS triangular solves.
     let mut group = c.benchmark_group("gp_pool_scoring");
     let mut rng = Rng::seed_from_u64(4);
     let x: Vec<Vec<f64>> = (0..128).map(|_| (0..7).map(|_| rng.next_f64()).collect()).collect();
@@ -63,12 +61,6 @@ fn bench_batch_predict(c: &mut Criterion) {
     for pool_size in [64usize, 256] {
         let pool: Vec<Vec<f64>> =
             (0..pool_size).map(|_| (0..7).map(|_| rng.next_f64()).collect()).collect();
-        group.bench_with_input(BenchmarkId::new("scalar_predict", pool_size), &pool, |b, pool| {
-            b.iter(|| {
-                let out: Vec<(f64, f64)> = pool.iter().map(|p| gp.predict(p)).collect();
-                black_box(out)
-            })
-        });
         group.bench_with_input(BenchmarkId::new("predict_batch", pool_size), &pool, |b, pool| {
             b.iter(|| black_box(gp.predict_batch(black_box(pool))))
         });
@@ -78,8 +70,7 @@ fn bench_batch_predict(c: &mut Criterion) {
 
 fn bench_kernel_assembly(c: &mut Criterion) {
     // Fused, cache-blocked kernel cross-matrix assembly
-    // (`cross_correlations`, shared by the exact and sparse GP paths)
-    // against the textbook per-entry loop it replaced.
+    // (`cross_correlations`, shared by the exact and sparse GP paths).
     let mut group = c.benchmark_group("gp_kernel_assembly");
     let mut rng = Rng::seed_from_u64(6);
     for n in [128usize, 512] {
@@ -88,16 +79,6 @@ fn bench_kernel_assembly(c: &mut Criterion) {
         let gp = GaussianProcess::fit(&x, &y).expect("GP fits the synthetic sample");
         let pool: Vec<Vec<f64>> =
             (0..256).map(|_| (0..7).map(|_| rng.next_f64()).collect()).collect();
-        let ls = gp.lengthscale_sq();
-        group.bench_with_input(BenchmarkId::new("naive", n), &pool, |b, pool| {
-            b.iter(|| {
-                let out: Vec<Vec<f64>> = x
-                    .iter()
-                    .map(|xi| pool.iter().map(|p| (-0.5 * sq_dist(xi, p) / ls).exp()).collect())
-                    .collect();
-                black_box(out)
-            })
-        });
         group.bench_with_input(BenchmarkId::new("blocked", n), &pool, |b, pool| {
             b.iter(|| black_box(gp.cross_correlations(black_box(pool))))
         });
@@ -107,9 +88,7 @@ fn bench_kernel_assembly(c: &mut Criterion) {
 
 fn bench_hv_incremental(c: &mut Criterion) {
     // SMS-EGO candidate scoring: the per-iteration ContributionScorer
-    // (obj-0 penalty prefix + incremental staircase union) against the
-    // naive full-front epsilon scan plus hypervolume_contribution
-    // rescan it replaced.
+    // (obj-0 penalty prefix + incremental staircase union).
     let mut group = c.benchmark_group("hv_incremental");
     let mut rng = Rng::seed_from_u64(7);
     let reference = vec![1.2, 1.2, 1.2];
@@ -118,27 +97,6 @@ fn bench_hv_incremental(c: &mut Criterion) {
             (0..n).map(|_| (0..3).map(|_| rng.next_f64()).collect()).collect();
         let pool: Vec<Vec<f64>> =
             (0..64).map(|_| (0..3).map(|_| rng.next_f64()).collect()).collect();
-        group.bench_with_input(BenchmarkId::new("full_rescan", n), &pool, |b, pool| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for cand in pool {
-                    let mut penalty = 0.0;
-                    for f in &front {
-                        if f.iter().zip(cand).all(|(fv, cv)| *fv <= cv + 1e-3) {
-                            let depth: f64 =
-                                f.iter().zip(cand).map(|(fv, cv)| (cv - fv).max(0.0)).sum();
-                            penalty += depth + 1e-3;
-                        }
-                    }
-                    acc += if penalty > 0.0 {
-                        -penalty
-                    } else {
-                        hypervolume_contribution(&front, cand, &reference)
-                    };
-                }
-                black_box(acc)
-            })
-        });
         group.bench_with_input(BenchmarkId::new("scorer", n), &pool, |b, pool| {
             b.iter(|| {
                 let scorer = ContributionScorer::new(&front, &reference);

@@ -1,6 +1,6 @@
 //! Timing probe for the Phase-2 evaluation engine (not part of the
 //! experiment set; used to budget the reproduction binaries and to track
-//! the cache/parallelism speedups), rebuilt on the `autopilot-obs`
+//! the cache and acquisition counters), built on the `autopilot-obs`
 //! telemetry substrate.
 //!
 //! Every measurement is the minimum of three timed repetitions after a
@@ -18,19 +18,12 @@
 //!   difference is the full cost of the instrumentation, reported as
 //!   `obs_overhead_pct`,
 //! - `phase2_parallel_s` — default worker count, metrics on,
-//! - `reeval_history_s` — one uncached, unmemoized `evaluate_design`
-//!   pass over the history (the redundant work the memoized candidate
-//!   path removed),
-//! - `gp_every_iteration_s` / `gp_milestones_s` — the surrogate-refit
-//!   schedules of the pre-incremental engine and the current engine,
-//!   replayed over the same history,
 //! - `acquisition_scalar_s` / `acquisition_batched_s` /
 //!   `acquisition_batch_speedup` — per-point solves
 //!   (`ExactColumn::solve`, one forward substitution per objective) vs
-//!   one shared kernel cross-matrix with blocked triangular solves, over
-//!   the run history as the candidate pool,
-//! - `uncached_baseline_s` — a faithful reconstruction of the
-//!   pre-optimization sequential implementation,
+//!   the shipping batched route (`ExactColumn::solve_batch`: one shared
+//!   kernel cross-matrix with blocked triangular solves), over the run
+//!   history as the candidate pool,
 //!
 //! plus counters read back from the obs registry for exactly one
 //! instrumented sequential run (the snapshot is taken before the
@@ -228,54 +221,22 @@ fn main() {
         (second.cache_stats.hits, first.cache_stats.misses)
     };
 
-    // The pre-cache Phase 2 re-ran the simulator over the whole history
-    // a second time while assembling candidates; measure that pass with
-    // the layer memo disabled, the way the pre-optimization code paid it.
-    let unmemoized = evaluator.clone().with_layer_memo(false);
-    let reeval_history_s = min_time(OVERHEAD_REPS, || {
-        for e in &seq_out.result.evaluations {
-            let _ = std::hint::black_box(unmemoized.evaluate_design(&e.point));
-        }
-    });
-
-    // The pre-incremental engine refit every GP from scratch each
-    // iteration (O(n^3) per objective); the current engine extends the
-    // Cholesky factor and only refits at milestone growths. Replay both
-    // schedules over the actual run history to cost the difference.
     let space = autopilot::JointSpace::design_space();
     let xs: Vec<Vec<f64>> =
         seq_out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
     let ys: Vec<Vec<f64>> = (0..3)
         .map(|k| seq_out.result.evaluations.iter().map(|e| e.objectives[k]).collect())
         .collect();
-    let fit_all_at = |n: usize| {
-        for y in &ys {
-            let _ = std::hint::black_box(dse_opt::GaussianProcess::fit(&xs[..n], &y[..n]));
-        }
-    };
-    let init = 16.min(xs.len());
-    let gp_every_iteration_s = min_time(OVERHEAD_REPS, || {
-        for n in init..=xs.len() {
-            fit_all_at(n);
-        }
-    });
-    let gp_milestones_s = min_time(OVERHEAD_REPS, || {
-        let mut n = init;
-        while n <= xs.len() {
-            fit_all_at(n);
-            n += (n / 4).max(4);
-        }
-    });
-    let gp_savings_s = (gp_every_iteration_s - gp_milestones_s).max(0.0);
-
     // Batched vs per-point acquisition prediction: the surrogate pack the
     // optimizer actually uses — one GP per objective sharing inputs and
     // lengthscale — queried over the run history as the candidate pool.
-    // The per-point side solves each candidate on its own
-    // (`ExactColumn::solve`: one forward substitution per objective, the
-    // `Matrix::solve_lower` loop, and an ascending dot for the mean), so
-    // it shares neither the kernel panel nor the blocked solve with the
-    // batched side it checks and is timed against.
+    // The batched side is the route SMS-EGO scores its misses through
+    // (`ExactColumn::solve_batch` + `predict`). The per-point side solves
+    // each candidate on its own (`ExactColumn::solve`: one forward
+    // substitution per objective, the `Matrix::solve_lower` loop, and an
+    // ascending dot for the mean), so it shares neither the kernel panel
+    // nor the blocked solve with the batched side it checks and is timed
+    // against.
     let gp0 = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("objective 0 GP fits");
     let ls = gp0.lengthscale_sq();
     let gps: Vec<dse_opt::GaussianProcess> = ys
@@ -292,12 +253,12 @@ fn main() {
         .collect();
     let pool = &xs;
     // Bit-identity spot check before timing anything.
-    let batch: Vec<Vec<(f64, f64)>> = gps.iter().map(|gp| gp.predict_batch(pool)).collect();
-    for (j, p) in pool.iter().enumerate() {
+    for (p, batched) in pool.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, pool)) {
         let per_point = dse_opt::ExactColumn::solve(&gps, p);
-        for (o, pred) in per_point.predict(&gps).enumerate() {
-            assert_eq!(pred, batch[o][j], "batched prediction diverged from per-point");
-        }
+        assert!(
+            per_point.predict(&gps).eq(batched.predict(&gps)),
+            "batched prediction diverged from per-point"
+        );
     }
     let acquisition_scalar_s = min_time(OVERHEAD_REPS, || {
         for p in pool {
@@ -308,14 +269,13 @@ fn main() {
         }
     });
     let acquisition_batched_s = min_time(OVERHEAD_REPS, || {
-        let corr = gps[0].cross_correlations(pool);
-        for gp in &gps {
-            let _ = std::hint::black_box(gp.predict_batch_from_correlations(&corr));
+        for column in dse_opt::ExactColumn::solve_batch(&gps, pool) {
+            for pred in column.predict(&gps) {
+                let _ = std::hint::black_box(pred);
+            }
         }
     });
     let acquisition_batch_speedup = acquisition_scalar_s / acquisition_batched_s.max(1e-12);
-
-    let uncached_baseline_s = phase2_sequential_s + reeval_history_s + gp_savings_s;
 
     let total = (cache_hits + cache_misses).max(1);
     let report = Value::Obj(vec![
@@ -328,15 +288,9 @@ fn main() {
         ("phase2_sequential_obs_on_s".into(), num(phase2_sequential_s)),
         ("obs_overhead_pct".into(), num(obs_overhead_pct)),
         ("obs_overhead_pct_raw".into(), num(obs_overhead_pct_raw)),
-        ("reeval_history_s".into(), num(reeval_history_s)),
-        ("gp_every_iteration_s".into(), num(gp_every_iteration_s)),
-        ("gp_milestones_s".into(), num(gp_milestones_s)),
         ("acquisition_scalar_s".into(), num(acquisition_scalar_s)),
         ("acquisition_batched_s".into(), num(acquisition_batched_s)),
         ("acquisition_batch_speedup".into(), num(acquisition_batch_speedup)),
-        ("uncached_baseline_s".into(), num(uncached_baseline_s)),
-        ("speedup_single_thread".into(), num(uncached_baseline_s / phase2_sequential_s)),
-        ("speedup_parallel".into(), num(uncached_baseline_s / phase2_parallel_s)),
         (
             "cache_note".into(),
             Value::Str(
@@ -509,9 +463,10 @@ fn scale_probe(budget: usize) {
         .collect();
     let pool: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
     let exact_batch_s = min_time(3, || {
-        let corr = exact[0].cross_correlations(&pool);
-        for gp in &exact {
-            let _ = std::hint::black_box(gp.predict_batch_from_correlations(&corr));
+        for column in dse_opt::ExactColumn::solve_batch(&exact, &pool) {
+            for pred in column.predict(&exact) {
+                let _ = std::hint::black_box(pred);
+            }
         }
     });
     let sparse_batch_s = min_time(3, || {

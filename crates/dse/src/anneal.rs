@@ -17,21 +17,20 @@ use crate::space::DesignSpace;
 #[derive(Debug, Clone)]
 pub struct AnnealingOptimizer {
     seed: u64,
-    initial_temperature: f64,
-    cooling: f64,
-    reweight_every: usize,
 }
+
+/// Initial Metropolis temperature (on the `[0, 1]`-normalized
+/// Chebyshev scale).
+const INITIAL_TEMPERATURE: f64 = 1.0;
+/// Geometric cooling factor applied after every proposal.
+const COOLING: f64 = 0.97;
+/// Proposals between resampled scalarization weight vectors.
+const REWEIGHT_EVERY: usize = 10;
 
 impl AnnealingOptimizer {
     /// Creates an optimizer with conventional defaults.
     pub fn new(seed: u64) -> AnnealingOptimizer {
-        AnnealingOptimizer { seed, initial_temperature: 1.0, cooling: 0.97, reweight_every: 10 }
-    }
-
-    /// Overrides the initial temperature.
-    pub fn with_temperature(mut self, t: f64) -> AnnealingOptimizer {
-        self.initial_temperature = t.max(1e-6);
-        self
+        AnnealingOptimizer { seed }
     }
 }
 
@@ -77,7 +76,7 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
 
         let mut current = space.random_point(&mut rng);
         let mut current_objs = eval(&current, &mut cache, &mut history)?;
-        let mut temperature = self.initial_temperature;
+        let mut temperature = INITIAL_TEMPERATURE;
         let mut weights = random_weights(n_obj, &mut rng);
         // Running objective ranges for normalization.
         let mut mins = current_objs.clone();
@@ -88,7 +87,7 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
             control.check()?;
             control.checkpoint(history.len(), 0);
             step += 1;
-            if step.is_multiple_of(self.reweight_every) {
+            if step.is_multiple_of(REWEIGHT_EVERY) {
                 weights = random_weights(n_obj, &mut rng);
                 // Occasional restart from a random point keeps the
                 // archive exploring distant regions of the front.
@@ -127,7 +126,7 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
                 current = proposal;
                 current_objs = proposal_objs;
             }
-            temperature *= self.cooling;
+            temperature *= COOLING;
         }
 
         history.truncate(budget);

@@ -53,7 +53,6 @@ pub struct SmsEgoOptimizer {
     seed: u64,
     init_samples: usize,
     candidate_pool: usize,
-    beta: f64,
     max_gp_points: usize,
     surrogate: SurrogateMode,
     exp_mode: KernelExpMode,
@@ -68,7 +67,6 @@ impl SmsEgoOptimizer {
             seed,
             init_samples: 16,
             candidate_pool: 256,
-            beta: 1.0,
             max_gp_points: 256,
             surrogate: SurrogateMode::default_sparse(),
             exp_mode: KernelExpMode::Exact,
@@ -117,12 +115,6 @@ impl SmsEgoOptimizer {
     /// Overrides the per-iteration candidate pool size.
     pub fn with_candidate_pool(mut self, n: usize) -> SmsEgoOptimizer {
         self.candidate_pool = n.max(8);
-        self
-    }
-
-    /// Overrides the LCB exploration factor.
-    pub fn with_beta(mut self, beta: f64) -> SmsEgoOptimizer {
-        self.beta = beta.max(0.0);
         self
     }
 
@@ -175,6 +167,9 @@ impl Archive {
 /// cross-matrix (shared across the objective GPs) and one blocked
 /// triangular solve per chunk, with chunks fanned out across workers.
 const ACQ_CHUNK: usize = 64;
+
+/// LCB exploration factor: candidates are scored at `mean - BETA·std`.
+const BETA: f64 = 1.0;
 
 /// Acquisition bookkeeping reused across BO iterations instead of being
 /// rebuilt from the full history every time a candidate pool is scored.
@@ -862,7 +857,7 @@ impl SmsEgoOptimizer {
                             }
                             for (slot, p) in lcb.iter_mut().zip(&preds) {
                                 let (m, v) = p[k];
-                                *slot = m - self.beta * v.sqrt();
+                                *slot = m - BETA * v.sqrt();
                             }
                             // SMS-EGO scoring: epsilon-dominated
                             // candidates get a negative penalty

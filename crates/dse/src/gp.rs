@@ -529,28 +529,6 @@ impl GaussianProcess {
         true
     }
 
-    /// Truncates the GP back to its first `n` training points.
-    ///
-    /// Because [`Matrix::extend_lower`] never rewrites the leading block
-    /// of the factor, truncation is the *bitwise-exact* inverse of a
-    /// sequence of [`GaussianProcess::extend`] calls: truncating an
-    /// extended GP back to its pre-extension size and re-extending with
-    /// the same points reproduces the factor — and therefore every
-    /// prediction — bit for bit.
-    ///
-    /// Returns `false` — leaving the GP unchanged — when `n < 2` or `n`
-    /// exceeds the training size.
-    pub fn truncate(&mut self, n: usize) -> bool {
-        if n < 2 || n > self.x.len() {
-            return false;
-        }
-        self.chol.truncate_lower(n);
-        self.x.truncate(n);
-        self.y.truncate(n);
-        self.refresh_targets();
-        true
-    }
-
     /// Recomputes the target-dependent state (mean, signal variance,
     /// `alpha`) against the current factorization — O(n²).
     fn refresh_targets(&mut self) {
@@ -593,12 +571,6 @@ impl GaussianProcess {
         self.predict_batch(&[point.to_vec()])[0]
     }
 
-    /// Lower confidence bound `mean - beta * std` at `point`.
-    pub fn lcb(&self, point: &[f64], beta: f64) -> f64 {
-        let (m, v) = self.predict(point);
-        m - beta * v.sqrt()
-    }
-
     /// Kernel cross-correlation matrix between the training inputs and a
     /// batch of query points: entry `(i, j)` is
     /// `exp(-0.5·‖x_i − p_j‖²/ℓ²)`, bit-identical to the scalar
@@ -607,9 +579,9 @@ impl GaussianProcess {
     /// The matrix depends only on the training inputs and the
     /// lengthscale, so GPs that share both (the SMS-EGO per-objective
     /// surrogate pack trains every objective on the same encoded points
-    /// at one shared lengthscale) can compute it once and reuse it via
-    /// [`GaussianProcess::predict_batch_from_correlations`] — one
-    /// `exp`-matrix for all objectives instead of one per objective.
+    /// at one shared lengthscale) can compute it once for the whole pack,
+    /// as [`ExactColumn::solve_batch`] does — one `exp`-matrix for all
+    /// objectives instead of one per objective.
     ///
     /// # Panics
     ///
@@ -622,63 +594,23 @@ impl GaussianProcess {
         correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
     }
 
-    /// Batched posterior `(mean, variance)` from a precomputed
-    /// cross-correlation matrix (`n` training rows × `m` query columns),
-    /// as produced by [`GaussianProcess::cross_correlations`] — by this
-    /// GP, or by another GP with identical training inputs and
-    /// lengthscale.
-    ///
-    /// Output `j` is bit-identical to a per-column evaluation: means
-    /// accumulate `corr[i][j]·alpha[i]` in ascending `i` from `0.0`,
-    /// variances come from the blocked multi-column triangular solve
-    /// whose columns are bit-identical to per-column
-    /// [`Matrix::solve_lower`], with the sum of squares likewise
-    /// accumulated in ascending `i` (the same arithmetic
-    /// [`ExactColumn`] reproduces incrementally). The speedup is purely
-    /// structural: the Cholesky factor and `alpha` stream through the
-    /// cache once per column block instead of once per candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corr.rows()` differs from the training-set size.
-    pub fn predict_batch_from_correlations(&self, corr: &Matrix) -> Vec<(f64, f64)> {
-        let n = self.x.len();
-        assert_eq!(corr.rows(), n, "correlation matrix has wrong row count");
-        let m = corr.cols();
-        // Means: every column's dot product with alpha, accumulated in
-        // ascending row order so each partial sum matches a per-column
-        // ascending dot bit-for-bit.
-        let mut means = vec![0.0f64; m];
-        for i in 0..n {
-            let a = self.alpha[i];
-            for (mean, &c) in means.iter_mut().zip(corr.row(i)) {
-                *mean += c * a;
-            }
-        }
-        // Variances: v = L⁻¹·corr column-wise, then per-column Σv².
-        let v = self.chol.solve_lower_columns(corr);
-        let mut sumsq = vec![0.0f64; m];
-        for i in 0..n {
-            for (s, &w) in sumsq.iter_mut().zip(v.row(i)) {
-                *s += w * w;
-            }
-        }
-        means
-            .into_iter()
-            .zip(sumsq)
-            .map(|(acc, s)| (self.mean_y + acc, (self.signal_var * (1.0 - s)).max(0.0)))
-            .collect()
-    }
-
-    /// Batched posterior mean and variance for a pool of query points;
-    /// each output depends only on its own point, so it is
-    /// bit-identical to `predict(&points[j])`.
+    /// Batched posterior mean and variance for a pool of query points,
+    /// through the acquisition loop's own route: a one-member
+    /// [`ExactColumn::solve_batch`] (one kernel panel, one blocked
+    /// triangular solve whose columns are bit-identical to per-column
+    /// [`Matrix::solve_lower`]) and [`ExactColumn::predict`]. Each output
+    /// depends only on its own point, so it is bit-identical to
+    /// `predict(&points[j])`.
     ///
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        self.predict_batch_from_correlations(&self.cross_correlations(points))
+        let pack = std::slice::from_ref(self);
+        ExactColumn::solve_batch(pack, points)
+            .iter()
+            .flat_map(|column| column.predict(pack))
+            .collect()
     }
 }
 
@@ -696,8 +628,13 @@ impl GaussianProcess {
 /// a retarget leaves `L` untouched. So [`ExactColumn::refresh`] solves
 /// only the rows added since the column was last current — `O(Δn·n)`
 /// per member instead of `O(n²)` — and [`ExactColumn::predict`] is
-/// bit-identical to [`GaussianProcess::predict_batch`]. A downdate or a
-/// refit rewrites the factor, so columns from before one are stale.
+/// bit-identical to a freshly solved column's. A downdate or a refit
+/// rewrites the factor, so columns from before one are stale.
+///
+/// This is the one exact prediction route: [`GaussianProcess::predict_batch`]
+/// and [`GaussianProcess::predict`] are one-member packs through it. The
+/// posterior mean is `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both
+/// accumulated in ascending `i` from `0.0`.
 #[derive(Debug, Clone)]
 pub struct ExactColumn {
     corr: Vec<f64>,
@@ -707,7 +644,9 @@ pub struct ExactColumn {
 
 impl ExactColumn {
     /// Solves fresh columns for a batch of query points: one kernel panel
-    /// shared by the pack, then one blocked triangular solve per member.
+    /// shared by the pack, then one blocked triangular solve per member
+    /// ([`Matrix::solve_lower_columns`]). The Cholesky factor streams
+    /// through the cache once per column block instead of once per point.
     ///
     /// # Panics
     ///
@@ -777,8 +716,8 @@ impl ExactColumn {
         }
     }
 
-    /// Posterior `(mean, variance)` per pack member, bit-identical to
-    /// `pack[o].predict_batch` for this column's point.
+    /// Posterior `(mean, variance)` per pack member: equal, bit for bit,
+    /// to `pack[o].predict(point)` for this column's point.
     ///
     /// # Panics
     ///
@@ -999,12 +938,6 @@ impl SparseGaussianProcess {
     /// Panics if `point` has the wrong dimension.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
         self.predict_batch(&[point.to_vec()])[0]
-    }
-
-    /// Lower confidence bound `mean - beta * std` at `point`.
-    pub fn lcb(&self, point: &[f64], beta: f64) -> f64 {
-        let (m, v) = self.predict(point);
-        m - beta * v.sqrt()
     }
 
     /// Kernel correlation matrix between the *inducing* inputs and a
@@ -1305,15 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn lcb_below_mean() {
-        let x = grid1d(6);
-        let y: Vec<f64> = x.iter().map(|p| p[0]).collect();
-        let gp = GaussianProcess::fit(&x, &y).unwrap();
-        let (m, _) = gp.predict(&[0.55]);
-        assert!(gp.lcb(&[0.55], 2.0) <= m);
-    }
-
-    #[test]
     fn constant_targets_are_handled() {
         let x = grid1d(5);
         let y = vec![3.0; 5];
@@ -1435,12 +1359,13 @@ mod tests {
         )
         .unwrap();
         let pool: Vec<Vec<f64>> = (0..11).map(|j| vec![j as f64 * 0.09 - 0.05]).collect();
-        let corr = a.cross_correlations(&pool);
-        let via_shared = b.predict_batch_from_correlations(&corr);
-        for (p, got) in pool.iter().zip(&via_shared) {
-            let direct = b.predict(p);
-            assert_eq!(got.0.to_bits(), direct.0.to_bits());
-            assert_eq!(got.1.to_bits(), direct.1.to_bits());
+        let pack = [a, b];
+        for (p, column) in pool.iter().zip(ExactColumn::solve_batch(&pack, &pool)) {
+            for (gp, got) in pack.iter().zip(column.predict(&pack)) {
+                let (m, v) = exact_reference(gp, p);
+                assert_eq!(got.0.to_bits(), m.to_bits());
+                assert_eq!(got.1.to_bits(), v.to_bits());
+            }
         }
     }
 
@@ -1733,32 +1658,5 @@ mod tests {
         assert_eq!(gp.len(), 2);
         assert!(!gp.drop_oldest(), "must not shrink below 2 points");
         assert_eq!(gp.len(), 2);
-    }
-
-    #[test]
-    fn truncate_then_reextend_is_bitwise_identical() {
-        // truncate() removes trailing observations without touching the
-        // retained factor rows, so replaying the same extends must land on
-        // bit-identical state — the downdate-then-extend round trip.
-        let x = grid1d(11);
-        let y: Vec<f64> = x.iter().map(|p| p[0] * p[0] - 0.3 * p[0]).collect();
-        let mut gp = GaussianProcess::fit(&x[..7], &y[..7]).unwrap();
-        for i in 7..11 {
-            assert!(gp.extend(&x[i], y[i]));
-        }
-        let probe: Vec<Vec<f64>> = (0..9).map(|j| vec![j as f64 * 0.12 + 0.01]).collect();
-        let reference = gp.predict_batch(&probe);
-        assert!(gp.truncate(7));
-        assert_eq!(gp.len(), 7);
-        for i in 7..11 {
-            assert!(gp.extend(&x[i], y[i]));
-        }
-        let replay = gp.predict_batch(&probe);
-        for ((rm, rv), (pm, pv)) in reference.iter().zip(&replay) {
-            assert_eq!(rm.to_bits(), pm.to_bits(), "round-trip mean drifted");
-            assert_eq!(rv.to_bits(), pv.to_bits(), "round-trip variance drifted");
-        }
-        assert!(!gp.truncate(1), "truncate below 2 must refuse");
-        assert!(!gp.truncate(99), "truncate beyond len must refuse");
     }
 }

@@ -254,52 +254,17 @@ impl Matrix {
         inv
     }
 
-    /// Product `Lᵀ·B` for lower-triangular `self` and a multi-column
-    /// `B` (`n×m`). Unlike a triangular *solve*, every output row is an
-    /// independent accumulation over the rows of `B` below it, so the
-    /// loop has no sequential dependency and streams both operands
-    /// row-major. Columns are processed in cache-sized blocks like
-    /// [`Matrix::solve_lower_columns`].
+    /// Per-column sum of squares of `Lᵀ·B` for lower-triangular `self`
+    /// and a multi-column `B` (`n×m`) — the batched sparse-GP variance
+    /// quadratic form.
     ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not square or `b.rows() != self.rows()`.
-    pub fn transpose_mul_columns(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.rows, self.cols, "transpose_mul_columns requires a square matrix");
-        assert_eq!(self.rows, b.rows, "operand has wrong row count");
-        let n = self.rows;
-        let m = b.cols;
-        let mut t = Matrix::zeros(n, m);
-        const BLOCK: usize = 32;
-        let mut c0 = 0;
-        while c0 < m {
-            let c1 = (c0 + BLOCK).min(m);
-            for i in 0..n {
-                let row_i = &mut t.data[i * m..i * m + m];
-                for k in i..n {
-                    let lki = self.data[k * self.cols + i];
-                    let row_k = &b.data[k * m..k * m + m];
-                    for j in c0..c1 {
-                        row_i[j] += lki * row_k[j];
-                    }
-                }
-            }
-            c0 = c1;
-        }
-        t
-    }
-
-    /// Per-column sum of squares of `Lᵀ·B`, fused: each row of the
-    /// product is accumulated in a reused block-width buffer and squared
-    /// into the output immediately, never materializing the `n×m`
-    /// intermediate that [`Matrix::transpose_mul_columns`] returns.
-    ///
-    /// Output `j` is **bit-identical** to summing `t[(i, j)]²` over
-    /// ascending `i` for `t = self.transpose_mul_columns(b)`: per
-    /// element the accumulation order (`L[k][i]·B[k][j]` for ascending
-    /// `k ≥ i`, then squares over ascending `i`) is unchanged — this is
-    /// the batched GP variance quadratic form without the intermediate's
-    /// memory traffic.
+    /// Output `j` is `Σᵢ tᵢⱼ²` with `tᵢⱼ = Σₖ L[k][i]·B[k][j]`. Each `tᵢⱼ`
+    /// is accumulated from `0.0` over ascending `k ≥ i`, and its square is
+    /// added to the column's sum, itself from `0.0`, in ascending `i`.
+    /// Product rows live only in a reused block-width buffer (`RBLK` rows
+    /// × `BLOCK` columns at a time), so the `n×m` product is never
+    /// materialized; the blocking changes no element's accumulation
+    /// order.
     ///
     /// # Panics
     ///
@@ -493,27 +458,6 @@ impl Matrix {
         true
     }
 
-    /// Truncates a lower-triangular factor to its leading `n×n` block —
-    /// the exact inverse of [`Matrix::extend_lower`]: the retained
-    /// entries are bit-identical to what they were before any
-    /// extension, because bordering never rewrites the leading block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `n > self.rows()`.
-    pub fn truncate_lower(&mut self, n: usize) {
-        assert_eq!(self.rows, self.cols, "truncate_lower requires a square matrix");
-        assert!(n <= self.rows, "cannot truncate {} rows to {n}", self.rows);
-        let old = self.rows;
-        let mut data = Vec::with_capacity(n * n);
-        for r in 0..n {
-            data.extend_from_slice(&self.data[r * old..r * old + n]);
-        }
-        self.rows = n;
-        self.cols = n;
-        self.data = data;
-    }
-
     /// Gram matrix `AᵀA` of this `n×m` matrix (an `m×m` symmetric
     /// result), accumulated row-by-row so the `n`-long dimension streams
     /// through the cache once — the `CₙₘᵀCₙₘ` product of the sparse-GP
@@ -619,18 +563,24 @@ mod tests {
     }
 
     #[test]
-    fn transpose_mul_columns_matches_naive() {
-        let l = spd3().cholesky().expect("SPD");
-        let b = Matrix::from_fn(3, 5, |r, c| (r as f64 + 1.0) * 0.3 - c as f64 * 0.7);
-        let t = l.transpose_mul_columns(&b);
-        for i in 0..3 {
-            for j in 0..5 {
-                let mut s = 0.0;
-                for k in 0..3 {
-                    s += l[(k, i)] * b[(k, j)];
+    fn transpose_mul_sumsq_columns_matches_ascending_reference_bitwise() {
+        // n = 11 leaves a partial 4-row block; m = 70 spans two 64-column
+        // blocks, the second partial.
+        let (n, m) = (11, 70);
+        let l = spd(n, 2.0).cholesky().expect("SPD");
+        let b = Matrix::from_fn(n, m, |r, c| ((r * 7 + c * 5) % 19) as f64 * 0.17 - 1.4);
+        let got = l.transpose_mul_sumsq_columns(&b);
+        assert_eq!(got.len(), m);
+        for (j, g) in got.iter().enumerate() {
+            let mut want = 0.0;
+            for i in 0..n {
+                let mut t = 0.0;
+                for k in i..n {
+                    t += l[(k, i)] * b[(k, j)];
                 }
-                assert!((t[(i, j)] - s).abs() < 1e-12);
+                want += t * t;
             }
+            assert_eq!(g.to_bits(), want.to_bits(), "column {j}");
         }
     }
 
@@ -789,19 +739,6 @@ mod tests {
                 assert!((l[(r, c)] - direct[(r, c)]).abs() < 1e-10, "({r},{c})");
             }
         }
-    }
-
-    #[test]
-    fn truncate_lower_inverts_extend_lower_bitwise() {
-        let a = spd(5, 2.5);
-        let l4 = Matrix::from_fn(4, 4, |r, c| a[(r, c)]).cholesky().expect("SPD block");
-        let mut grown = l4.clone();
-        let border: Vec<f64> = (0..4).map(|r| a[(r, 4)]).collect();
-        let w = grown.solve_lower(&border);
-        let d2 = a[(4, 4)] - w.iter().map(|x| x * x).sum::<f64>();
-        grown.extend_lower(&w, d2.sqrt());
-        grown.truncate_lower(4);
-        assert_eq!(grown, l4, "truncation must restore the pre-extension factor exactly");
     }
 
     #[test]

@@ -619,44 +619,6 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
     }
 }
 
-/// Truncating an extended exact GP back to its fit size and replaying
-/// the same extensions reproduces the factorization **bitwise**: the
-/// truncate-then-extend round trip is the identity on predictions.
-#[test]
-fn exact_gp_truncate_then_extend_roundtrip_is_bitwise() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_stream(0xd5e_000c, case);
-        let d = rng.range_usize(2, 5);
-        let base = rng.range_usize(8, 20);
-        let extra = rng.range_usize(2, 8);
-        let x: Vec<Vec<f64>> =
-            (0..base + extra).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
-        let y: Vec<f64> = x.iter().map(|p| smooth_target(p)).collect();
-        let mut gp = GaussianProcess::fit(&x[..base], &y[..base]).expect("exact GP fits");
-        for i in base..base + extra {
-            assert!(gp.extend(&x[i], y[i]), "case {case}: extend {i}");
-        }
-        let pool: Vec<Vec<f64>> =
-            (0..8).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
-        let before: Vec<(u64, u64)> = pool
-            .iter()
-            .map(|q| {
-                let (m, v) = gp.predict(q);
-                (m.to_bits(), v.to_bits())
-            })
-            .collect();
-        assert!(gp.truncate(base), "case {case}: truncate");
-        assert_eq!(gp.len(), base, "case {case}");
-        for i in base..base + extra {
-            assert!(gp.extend(&x[i], y[i]), "case {case}: re-extend {i}");
-        }
-        for (q, want) in pool.iter().zip(&before) {
-            let (m, v) = gp.predict(q);
-            assert_eq!((m.to_bits(), v.to_bits()), *want, "case {case}: round trip drifted");
-        }
-    }
-}
-
 /// The acquisition loop's cached exact columns stay bit-identical to a
 /// fresh batched prediction through any sequence of extends and
 /// retargets: after every step each refreshed column (and each column

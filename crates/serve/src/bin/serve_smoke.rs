@@ -11,10 +11,16 @@
 //! * keep-alive, malformed-request, deeply-nested-body, cancellation,
 //!   and shutdown paths all answer with the documented status codes,
 //!   and sequential keep-alive exchanges do not stall on Nagle +
-//!   delayed ACK.
+//!   delayed ACK;
+//! * a job whose optimizer panics ends `failed` without taking down its
+//!   worker or the server (the injected panic's message is printed to
+//!   stderr);
+//! * a connection past [`MAX_CONNECTIONS`] is refused with `503`, and
+//!   the server answers again once the held connections close.
 //!
 //! Writes `results/telemetry_serve_smoke.json` for the perf budget
-//! gate (`counter:systolic.memo.cross_run_hits` floor).
+//! gate (`counter:systolic.memo.cross_run_hits` floor) and checks that
+//! it records the panicked job.
 
 // Smoke binaries assert their way through the contract; unwraps are the
 // failure mode, exactly as in #[test] code.
@@ -27,7 +33,9 @@ use autopilot::{
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use autopilot_serve::http::MAX_BODY_BYTES;
+use autopilot_serve::server::MAX_CONNECTIONS;
 use autopilot_serve::{JobManager, Server};
+use dse_opt::RunControl;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -37,10 +45,36 @@ use uav_dynamics::UavSpec;
 const JOB: &str = r#"{"uav_class": "nano", "scenario": "low",
                       "budget": 12, "optimizer": "random-search", "seed": 3}"#;
 
+/// A job whose optimizer panics (registered as `smoke-panics`).
+const PANICKING_JOB: &str = r#"{"uav_class": "nano", "scenario": "low",
+                               "budget": 12, "optimizer": "smoke-panics", "seed": 3}"#;
+
+/// An optimizer that panics as soon as it runs, standing in for any bug
+/// inside a job's pipeline.
+struct Panics;
+
+impl dse_opt::MultiObjectiveOptimizer for Panics {
+    fn name(&self) -> &str {
+        "smoke-panics"
+    }
+
+    fn run_controlled(
+        &mut self,
+        _space: &dse_opt::DesignSpace,
+        _evaluator: &dyn dse_opt::Evaluator,
+        _budget: usize,
+        _control: &RunControl,
+    ) -> Result<dse_opt::OptimizationResult, dse_opt::DseError> {
+        panic!("injected optimizer fault")
+    }
+}
+
 /// One parsed HTTP reply.
 struct Reply {
     status: u16,
     body: String,
+    /// The reply carried `Connection: close`.
+    closes: bool,
 }
 
 /// Sends one request on an open connection and reads the reply
@@ -53,7 +87,11 @@ fn rpc(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> Reply {
     stream.write_all(head.as_bytes()).expect("request written");
     stream.write_all(body.as_bytes()).expect("body written");
     stream.flush().expect("request flushed");
+    read_reply(stream)
+}
 
+/// Reads one reply whose body is delimited by `Content-Length`.
+fn read_reply(stream: &mut TcpStream) -> Reply {
     let mut raw = Vec::new();
     let mut byte = [0u8; 1];
     while !raw.ends_with(b"\r\n\r\n") {
@@ -74,7 +112,8 @@ fn rpc(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> Reply {
         .expect("content-length in reply");
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body).expect("reply body readable");
-    Reply { status, body: String::from_utf8_lossy(&body).into_owned() }
+    let closes = head_text.to_ascii_lowercase().contains("\r\nconnection: close\r\n");
+    Reply { status, body: String::from_utf8_lossy(&body).into_owned(), closes }
 }
 
 /// One-shot request on a fresh connection.
@@ -105,6 +144,9 @@ fn await_terminal(addr: SocketAddr, id: u64) -> Value {
 fn main() {
     obs::force_metrics(true);
     obs::reset();
+    autopilot::register_optimizer("smoke-panics", |_: &autopilot::OptimizerContext| {
+        Box::new(Panics)
+    });
 
     // Boot the server on an ephemeral port with the same per-job
     // defaults the bit-identity comparison below uses.
@@ -222,6 +264,57 @@ fn main() {
         other => panic!("unexpected terminal state {other}"),
     }
 
+    // Panic isolation: the panicking job fails with the panic's message,
+    // and the server and its workers keep serving the next job.
+    let reply = one_shot(addr, "POST", "/jobs", PANICKING_JOB);
+    assert_eq!(reply.status, 202, "submit panicking job: {}", reply.body);
+    let bad = Value::parse(&reply.body).unwrap().get("id").and_then(Value::as_u64).unwrap();
+    let status = await_terminal(addr, bad);
+    assert_eq!(status.get("state").and_then(Value::as_str), Some("failed"), "{}", status.to_json());
+    let error = status.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(error.starts_with("job panicked"), "panicked job error: {error:?}");
+    assert_eq!(one_shot(addr, "GET", "/healthz", "").status, 200, "server survives a panic");
+    let reply = one_shot(addr, "POST", "/jobs", JOB);
+    assert_eq!(reply.status, 202, "submit after panic: {}", reply.body);
+    let after = Value::parse(&reply.body).unwrap().get("id").and_then(Value::as_u64).unwrap();
+    let status = await_terminal(addr, after);
+    assert_eq!(
+        status.get("state").and_then(Value::as_str),
+        Some("completed"),
+        "job after a panic: {}",
+        status.to_json()
+    );
+
+    // Connection cap: hold the cap's worth of live keep-alive
+    // connections, then the next one is refused with a 503 that the
+    // server sends unprompted; once the held ones close, it answers again.
+    {
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).expect("server reachable");
+                stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout set");
+                assert_eq!(rpc(&mut stream, "GET", "/healthz", "").status, 200, "held #{i}");
+                stream
+            })
+            .collect();
+        let mut extra = TcpStream::connect(addr).expect("server reachable");
+        extra.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout set");
+        let refused = read_reply(&mut extra);
+        assert_eq!(refused.status, 503, "connection past the cap: {}", refused.body);
+        assert!(refused.closes, "a refusal must close the connection");
+        drop(held);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let status = one_shot(addr, "GET", "/healthz", "").status;
+            if status == 200 {
+                break;
+            }
+            assert_eq!(status, 503, "healthz after closing the held connections");
+            assert!(Instant::now() < deadline, "connection slots never freed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     // /metrics must round-trip through the zero-dep JSON layer and
     // carry the service + cross-run counters.
     let reply = one_shot(addr, "GET", "/metrics", "");
@@ -230,6 +323,7 @@ fn main() {
     assert_eq!(snap.to_json(), reply.body, "metrics JSON round-trip mismatch");
     assert!(snap.counter("serve.jobs.completed") >= 2, "completed counter missing");
     assert!(snap.counter("serve.http.2xx") > 0, "request counters missing");
+    assert!(snap.counter("serve.http.refused") >= 1, "refused-connection counter missing");
     assert!(
         snap.counter("systolic.memo.cross_run_hits") >= 1,
         "cross-run memo counter missing from /metrics"
@@ -247,6 +341,9 @@ fn main() {
 
     // Persist the snapshot for the perf budget gate.
     let path = autopilot_bench::write_telemetry("serve_smoke").expect("telemetry written");
+    let written = std::fs::read_to_string(&path).expect("telemetry readable");
+    let written = obs::Snapshot::from_json(&written).expect("telemetry parses");
+    assert!(written.counter("serve.jobs.panicked") >= 1, "telemetry misses the panicked job");
     println!(
         "serve smoke OK: {} (jobs {:?}, memo cross-run hits {})",
         path.display(),

@@ -2,7 +2,8 @@
 //! shutdown.
 //!
 //! One thread per connection (keep-alive honored, bounded by a
-//! per-connection read/write timeout), a fixed pool of job workers
+//! per-connection read/write timeout, at most [`MAX_CONNECTIONS`] at
+//! once; the next is refused with `503`), a fixed pool of job workers
 //! pulling from the [`JobManager`]'s FIFO queue, and a non-blocking
 //! accept loop that polls the shutdown flag — set by `POST /shutdown`,
 //! by [`Server::shutdown_handle`], or (in the `serve` binary) by
@@ -13,8 +14,8 @@ use crate::jobs::{AdmitError, JobManager, JobState};
 use crate::signal;
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,6 +25,10 @@ use std::time::{Duration, Instant};
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Most connection threads alive at once. A connection accepted past
+/// the cap gets a `503` with `Connection: close` from the accept loop
+/// and counts `serve.http.refused`.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// The co-design HTTP server.
 #[derive(Debug)]
@@ -120,6 +125,12 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    // Reap finished connections so the cap counts live ones.
+                    connections.retain(|h| !h.is_finished());
+                    if connections.len() >= MAX_CONNECTIONS {
+                        refuse_connection(stream);
+                        continue;
+                    }
                     let manager = Arc::clone(&self.manager);
                     let shutdown = Arc::clone(&self.shutdown);
                     match std::thread::Builder::new()
@@ -129,8 +140,6 @@ impl Server {
                         Ok(handle) => connections.push(handle),
                         Err(e) => obs::obs_warn!("serve: could not spawn connection: {e}"),
                     }
-                    // Opportunistically reap finished connections.
-                    connections.retain(|h| !h.is_finished());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -154,6 +163,26 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Refuses a connection past [`MAX_CONNECTIONS`] without blocking the
+/// accept loop: the socket stays non-blocking, request bytes that have
+/// already arrived are drained (closing over unread data would reset the
+/// connection before the client reads the reply), and a `503` with
+/// `Connection: close` goes out whether or not a request was read.
+fn refuse_connection(mut stream: TcpStream) {
+    obs::add("serve.http.refused", 1);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+    let _ = error_response(503, "too many connections").write_to(&mut stream, false);
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Serves one connection: keep-alive request loop with socket timeouts.

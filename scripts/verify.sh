@@ -65,11 +65,6 @@ echo "==> phase-2 perf probe (fast timing probe, traced)"
 # budget gate at the end.
 AUTOPILOT_BENCH_FAST=1 AUTOPILOT_TRACE=1 \
     cargo run -q --release -p autopilot-bench --bin timing_probe >/dev/null
-bench_json=results/BENCH_phase2.json
-grep -q '"acquisition_batch_speedup"' "$bench_json" || {
-    echo "verify: FAIL — acquisition_batch_speedup missing from $bench_json" >&2
-    exit 1
-}
 
 echo "==> flamegraph gate (trace_report over the probe trace)"
 # The phase-2 hot path must still decompose into GP prediction and
@@ -87,11 +82,6 @@ echo "==> phase-2 scale probe (budget-2000 sparse-surrogate probe)"
 # span ratios measure the untraced pipeline.
 AUTOPILOT_BENCH_FAST=1 AUTOPILOT_BENCH_BUDGET=2000 \
     cargo run -q --release -p autopilot-bench --bin timing_probe >/dev/null
-scale_json=results/BENCH_phase2_scale.json
-grep -q '"gp_sparse_speedup"' "$scale_json" || {
-    echo "verify: FAIL — gp_sparse_speedup missing from $scale_json" >&2
-    exit 1
-}
 
 echo "==> service smoke (serve_smoke: HTTP server + cross-run shared caches)"
 # Boots the co-design server on an ephemeral port, runs two concurrent
@@ -108,10 +98,6 @@ echo "==> SWaP frontier sweep (per-weight-class frontiers + rejection telemetry)
 # floors the per-class frontier sizes and the phase3.swap.rejected
 # counter against them.
 AUTOPILOT_OBS=1 cargo run -q --release -p autopilot-bench --bin frontiers >/dev/null
-grep -q '"frontier_sub250"' results/BENCH_frontiers.json || {
-    echo "verify: FAIL — frontier_sub250 missing from results/BENCH_frontiers.json" >&2
-    exit 1
-}
 
 echo "==> perf budget gate (results/BASELINE_budgets.json)"
 # Every checked-in budget is evaluated against the freshly generated
