@@ -144,12 +144,10 @@ fn main() {
         assert_eq!(off_out.result, on_out.result, "metrics gating must not change results");
         if counted {
             let after = evaluator.layer_memo_stats();
-            memo_window = systolic_sim::MemoStats {
+            memo_window = autopilot::CacheStats {
                 hits: after.hits - memo_before.hits,
                 misses: after.misses - memo_before.misses,
-                entries: after.entries,
-                cross_run_hits: after.cross_run_hits - memo_before.cross_run_hits,
-                evictions: after.evictions - memo_before.evictions,
+                ..after
             };
         }
         last_on = Some(on_out);
@@ -169,7 +167,7 @@ fn main() {
     let cache_misses = seq_snap.counter("phase2.candidate_cache.misses");
     let stats = &seq_out.cache_stats;
     assert_eq!(
-        (cache_hits as usize, cache_misses as usize),
+        (cache_hits, cache_misses),
         (stats.hits, stats.misses),
         "obs cache counters must match the per-run cache stats exactly"
     );

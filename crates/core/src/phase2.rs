@@ -2,13 +2,12 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity, SuccessSurrogate};
 use autopilot_obs as obs;
-use autopilot_shard::ShardedMap;
+use autopilot_shard::{CacheStats, Lookup, LookupCounters, ShardedMap};
 use dse_opt::{EvalError, Evaluator, OptimizationResult, RunControl};
 use policy_nn::{PolicyHyperparams, PolicyModel};
 use soc_power::SocPowerModel;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use systolic_sim::{ArrayConfig, LayerMemo, MemoStats, Simulator};
+use systolic_sim::{ArrayConfig, LayerMemo, Simulator};
 
 use crate::config::JobConfig;
 use crate::error::AutopilotError;
@@ -158,7 +157,7 @@ impl DssocEvaluator {
     }
 
     /// Hit/miss/entry counters of the layer-simulation memo.
-    pub fn layer_memo_stats(&self) -> MemoStats {
+    pub fn layer_memo_stats(&self) -> CacheStats {
         self.layer_memo.stats()
     }
 
@@ -307,30 +306,6 @@ pub struct DesignCandidate {
     pub efficiency_fps_per_w: f64,
 }
 
-/// Hit/miss/entry counters of a memoizing cache ([`CandidateCache`],
-/// [`crate::PipelineCache`]), captured at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: usize,
-    /// Lookups that ran the full evaluation.
-    pub misses: usize,
-    /// Distinct entries currently stored.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Number of shards in a [`CandidateCache`]; matches the layer memo so
 /// the two caches scale contention the same way.
 const CACHE_SHARDS: usize = 8;
@@ -343,19 +318,17 @@ const CACHE_SHARDS: usize = 8;
 /// ever be fed by evaluators of the same scenario — [`Phase2::run`]
 /// creates a private cache, the pipeline-level cache keys by scenario,
 /// and the co-design server keeps one process-lifetime cache per
-/// scenario key. Storage is an [`ShardedMap`]: per-shard locks (with
-/// poisoned-lock recovery) so concurrent jobs contend only on shard
-/// collisions, owner-tagged entries so a hit served from another job's
-/// work is counted as a *cross-run* hit, and optional clock eviction
-/// when constructed with [`CandidateCache::bounded`]. No lock is held
-/// across simulator runs, so parallel optimizer workers evaluate
-/// distinct points concurrently; failed evaluations are never cached.
+/// scenario key. Storage and counting are a [`ShardedMap`]: per-shard
+/// locks (with poisoned-lock recovery) so concurrent jobs contend only
+/// on shard collisions, entries tagged with the evaluator's owner so a
+/// hit served from another job's work is a *cross-run* hit, and
+/// optional clock eviction when constructed with
+/// [`CandidateCache::bounded`]. No lock is held across simulator runs,
+/// so parallel optimizer workers evaluate distinct points concurrently;
+/// failed evaluations are never cached.
 #[derive(Debug)]
 pub struct CandidateCache {
     map: ShardedMap<Vec<usize>, DesignCandidate>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    cross_run_hits: AtomicUsize,
 }
 
 impl Default for CandidateCache {
@@ -380,16 +353,16 @@ impl CandidateCache {
     fn with_capacity(capacity: usize) -> CandidateCache {
         CandidateCache {
             map: ShardedMap::new(CACHE_SHARDS, capacity).with_obs_prefix("phase2.candidate_cache"),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            cross_run_hits: AtomicUsize::new(0),
         }
     }
 
-    /// Returns the candidate for `point`, running the full evaluation
-    /// (systolic simulation + power models + success lookup) only on the
-    /// first request. Failures are returned, not cached, so a transient
-    /// failure is retried on the next request.
+    /// Returns the candidate for `point` and how the lookup was
+    /// answered, running the full evaluation (systolic simulation +
+    /// power models + success lookup) only on the first request. New
+    /// entries carry `evaluator`'s owner tag, so a hit on an entry
+    /// another owner inserted is a [`Lookup::CrossRunHit`]. Failures
+    /// are returned, not cached, so a transient failure is retried on
+    /// the next request.
     ///
     /// # Errors
     ///
@@ -399,40 +372,10 @@ impl CandidateCache {
         &self,
         evaluator: &DssocEvaluator,
         point: &[usize],
-    ) -> Result<DesignCandidate, AutopilotError> {
-        self.evaluate_as(evaluator.owner(), evaluator, point)
-    }
-
-    /// Like [`CandidateCache::evaluate`], tagging any inserted entry
-    /// with `owner` (a job id) and counting a hit on an entry a
-    /// *different* owner inserted as a cross-run hit — the multi-tenant
-    /// server's measure of one job reusing another's evaluations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AutopilotError`] from
-    /// [`DssocEvaluator::evaluate_design`].
-    pub fn evaluate_as(
-        &self,
-        owner: u64,
-        evaluator: &DssocEvaluator,
-        point: &[usize],
-    ) -> Result<DesignCandidate, AutopilotError> {
-        let key = point.to_vec();
-        if let Some((c, entry_owner)) = self.map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::add("phase2.candidate_cache.hits", 1);
-            if entry_owner != owner {
-                self.cross_run_hits.fetch_add(1, Ordering::Relaxed);
-                obs::add("phase2.candidate_cache.cross_run_hits", 1);
-            }
-            return Ok(c);
-        }
-        let c = evaluator.evaluate_design(point)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::add("phase2.candidate_cache.misses", 1);
-        self.map.insert(key, c.clone(), owner);
-        Ok(c)
+    ) -> Result<(DesignCandidate, Lookup), AutopilotError> {
+        self.map.get_or_try_insert_with(point.to_vec(), evaluator.owner(), || {
+            evaluator.evaluate_design(point)
+        })
     }
 
     /// The cached candidate for `point`, if any (does not count toward
@@ -441,45 +384,30 @@ impl CandidateCache {
         self.map.peek(&point.to_vec())
     }
 
-    /// Snapshots hit/miss/entry counters.
+    /// Snapshots hit/miss/entry counters, summed over every run that
+    /// used this cache.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.len(),
-        }
-    }
-
-    /// Hits served from entries another owner inserted (see
-    /// [`CandidateCache::evaluate_as`]).
-    pub fn cross_run_hits(&self) -> usize {
-        self.cross_run_hits.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard hit/miss/eviction statistics of the backing map. The
-    /// shard-level hit/miss counts track [`CandidateCache::stats`]
-    /// exactly (every counted lookup goes through one shard).
-    pub fn shard_stats(&self) -> Vec<autopilot_shard::ShardStats> {
-        self.map.shard_stats()
-    }
-
-    /// Number of distinct points cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.stats()
     }
 }
 
 /// Adapter exposing a [`CandidateCache`]-backed [`DssocEvaluator`] to the
 /// optimizers: objective vectors are derived from cached candidates, so
-/// the simulator runs at most once per design point.
+/// the simulator runs at most once per design point. It counts its own
+/// run's lookups, so a run's statistics stay exact while other runs
+/// share the cache.
 struct CachingEvaluator<'a> {
     inner: &'a DssocEvaluator,
     cache: &'a CandidateCache,
+    counters: LookupCounters,
+}
+
+impl CachingEvaluator<'_> {
+    fn candidate(&self, point: &[usize]) -> Result<DesignCandidate, AutopilotError> {
+        let (c, lookup) = self.cache.evaluate(self.inner, point)?;
+        self.counters.record(lookup);
+        Ok(c)
+    }
 }
 
 impl Evaluator for CachingEvaluator<'_> {
@@ -488,7 +416,7 @@ impl Evaluator for CachingEvaluator<'_> {
     }
 
     fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-        let c = self.cache.evaluate(self.inner, point).map_err(to_eval_error)?;
+        let c = self.candidate(point).map_err(to_eval_error)?;
         Ok(self.inner.objectives(&c))
     }
 
@@ -595,8 +523,8 @@ impl Phase2 {
         control: &RunControl,
     ) -> Result<Phase2Output, AutopilotError> {
         let _span = obs::span("phase2.run");
-        let stats_before = cache.stats();
-        let cached = CachingEvaluator { inner: evaluator, cache };
+        let cached =
+            CachingEvaluator { inner: evaluator, cache, counters: LookupCounters::default() };
         let mut opt = registry::build_optimizer(&self.optimizer, &self.context(evaluator))?;
         let result =
             opt.run_controlled(&JointSpace::design_space(), &cached, self.budget, control)?;
@@ -607,16 +535,16 @@ impl Phase2 {
         for e in &result.evaluations {
             let c = match cache.get(&e.point) {
                 Some(c) => c,
-                None => cache.evaluate(evaluator, &e.point)?,
+                None => cached.candidate(&e.point)?,
             };
             candidates.push(c);
         }
         let pareto = result.pareto_indices();
-        let stats_after = cache.stats();
+        let totals = cache.stats();
         let cache_stats = CacheStats {
-            hits: stats_after.hits - stats_before.hits,
-            misses: stats_after.misses - stats_before.misses,
-            entries: stats_after.entries,
+            evictions: totals.evictions,
+            entries: totals.entries,
+            ..cached.counters.snapshot()
         };
         obs::gauge_set("phase2.final_hypervolume", result.final_hypervolume());
         Ok(Phase2Output { result, candidates, pareto_indices: pareto, cache_stats })
@@ -644,8 +572,9 @@ pub struct Phase2Output {
     pub candidates: Vec<DesignCandidate>,
     /// Indices into `candidates` forming the Pareto frontier.
     pub pareto_indices: Vec<usize>,
-    /// Candidate-cache hits/misses attributable to this run (entries are
-    /// the cache total, which may span runs when a cache is shared).
+    /// Candidate-cache lookups this run made, counted by the run itself
+    /// so they stay exact on a cache other runs share (`evictions` and
+    /// `entries` are the cache's totals).
     pub cache_stats: CacheStats,
 }
 
@@ -746,10 +675,10 @@ mod tests {
         let cache = CandidateCache::new();
         let phase2 = Phase2::new(OptimizerChoice::Random, 10, 4);
         let first = phase2.run_with_cache(&ev, &cache).unwrap();
-        assert_eq!(first.cache_stats.misses, first.result.evaluation_count());
+        assert_eq!(first.cache_stats.misses, first.result.evaluation_count() as u64);
         let second = phase2.run_with_cache(&ev, &cache).unwrap();
         assert_eq!(second.cache_stats.misses, 0, "second run must re-simulate nothing");
-        assert_eq!(second.cache_stats.hits, second.result.evaluation_count());
+        assert_eq!(second.cache_stats.hits, second.result.evaluation_count() as u64);
         assert_eq!(first.candidates, second.candidates);
         assert_eq!(first.result, second.result);
     }
@@ -781,19 +710,18 @@ mod tests {
         assert!(st.hits > 0, "repeated layer shapes must hit the memo");
         assert!(st.misses > 0);
         assert!(st.entries as u64 <= st.misses);
-        assert_eq!(memo_off.layer_memo_stats(), MemoStats::default());
+        assert_eq!(memo_off.layer_memo_stats(), CacheStats::default());
     }
 
     #[test]
     fn candidate_cache_counts_hits() {
         let ev = evaluator();
         let cache = CandidateCache::new();
-        assert!(cache.is_empty());
         let point = vec![5, 2, 3, 3, 3, 3, 3];
-        let a = cache.evaluate(&ev, &point).unwrap();
-        let b = cache.evaluate(&ev, &point).unwrap();
+        let (a, first) = cache.evaluate(&ev, &point).unwrap();
+        let (b, second) = cache.evaluate(&ev, &point).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
+        assert_eq!((first, second), (Lookup::Miss, Lookup::Hit));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(cache.get(&point), Some(a));
@@ -802,18 +730,17 @@ mod tests {
 
     #[test]
     fn candidate_cache_counts_cross_run_hits_by_owner() {
-        let ev = evaluator();
+        let memo = Arc::new(LayerMemo::new());
+        let job1 = evaluator().with_shared_layer_memo(Arc::clone(&memo), 1);
+        let job2 = evaluator().with_shared_layer_memo(memo, 2);
         let cache = CandidateCache::new();
         let point = vec![5, 2, 3, 3, 3, 3, 3];
-        cache.evaluate_as(1, &ev, &point).unwrap(); // owner 1 inserts
-        cache.evaluate_as(1, &ev, &point).unwrap(); // same-owner hit
-        cache.evaluate_as(2, &ev, &point).unwrap(); // cross-run hit
+        let lookup = |ev: &DssocEvaluator| cache.evaluate(ev, &point).unwrap().1;
+        assert_eq!(lookup(&job1), Lookup::Miss, "owner 1 inserts");
+        assert_eq!(lookup(&job1), Lookup::Hit, "same-owner hit");
+        assert_eq!(lookup(&job2), Lookup::CrossRunHit, "owner-2 hit on an owner-1 entry");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-        assert_eq!(cache.cross_run_hits(), 1);
-        // Shard counters must agree with the aggregate counters.
-        let shard_total: u64 = cache.shard_stats().iter().map(|s| s.hits + s.misses).sum();
-        assert_eq!(shard_total, 3);
+        assert_eq!((stats.hits, stats.misses, stats.cross_run_hits), (2, 1, 1));
     }
 
     #[test]
@@ -828,9 +755,9 @@ mod tests {
                 }
             }
         }
-        assert!(cache.len() <= 8, "bound violated: {} entries", cache.len());
-        let evictions: u64 = cache.shard_stats().iter().map(|s| s.evictions).sum();
-        assert!(evictions > 0, "streaming past capacity must evict");
+        let stats = cache.stats();
+        assert!(stats.entries <= 8, "bound violated: {} entries", stats.entries);
+        assert!(stats.evictions > 0, "streaming past capacity must evict");
     }
 
     #[test]
@@ -910,22 +837,16 @@ mod tests {
             out.result.evaluations.iter().map(|e| &e.point).collect();
         points.sort();
         points.dedup();
-        assert_eq!(cache.len(), points.len());
+        assert_eq!(cache.stats().entries, points.len());
         // Every stored entry, and every hit served from it, equals a
         // fresh evaluation of its point.
         for point in points {
             let fresh = ev.evaluate_design(point).unwrap();
             assert_eq!(cache.get(point).as_ref(), Some(&fresh), "stale entry for {point:?}");
-            assert_eq!(cache.evaluate(&ev, point).unwrap(), fresh);
+            assert_eq!(cache.evaluate(&ev, point).unwrap().0, fresh);
         }
-        assert_eq!(cache.stats().misses, cache.len(), "revisits must all be hits");
-    }
-
-    #[test]
-    fn cache_stats_hit_rate() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let stats = CacheStats { hits: 1, misses: 1, entries: 1 };
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, stats.entries as u64, "revisits must all be hits");
     }
 
     #[test]
@@ -933,6 +854,57 @@ mod tests {
         let ev = evaluator();
         let cache = CandidateCache::new();
         assert!(cache.evaluate(&ev, &[99, 99, 99, 99, 99, 99, 99]).is_err());
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    /// Random search between two waits at a barrier both runs of
+    /// `overlapping_runs_count_only_their_own_lookups` share, so each
+    /// run's lookups fall inside the other run's span.
+    struct Overlapping(registry::BoxedOptimizer);
+
+    static OVERLAP: std::sync::Barrier = std::sync::Barrier::new(2);
+
+    impl dse_opt::MultiObjectiveOptimizer for Overlapping {
+        fn name(&self) -> &str {
+            "test-overlapping"
+        }
+
+        fn run_controlled(
+            &mut self,
+            space: &dse_opt::DesignSpace,
+            evaluator: &dyn Evaluator,
+            budget: usize,
+            control: &RunControl,
+        ) -> Result<OptimizationResult, dse_opt::DseError> {
+            OVERLAP.wait();
+            let result = self.0.run_controlled(space, evaluator, budget, control);
+            OVERLAP.wait();
+            result
+        }
+    }
+
+    #[test]
+    fn overlapping_runs_count_only_their_own_lookups() {
+        registry::register_optimizer("test-overlapping", |ctx: &OptimizerContext| {
+            Box::new(Overlapping(registry::build_optimizer("random-search", ctx).unwrap()))
+        });
+        let ev = evaluator();
+        let cache = CandidateCache::new();
+        let phase2 = Phase2::new("test-overlapping", 8, 1);
+        let runs: Vec<Phase2Output> = std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..2).map(|_| scope.spawn(|| phase2.run_with_cache(&ev, &cache))).collect();
+            handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+        });
+        for out in &runs {
+            let st = out.cache_stats;
+            assert_eq!(
+                st.hits + st.misses,
+                out.result.evaluation_count() as u64,
+                "a run must count its own lookups, not the concurrent run's"
+            );
+        }
+        assert_eq!(cache.stats().hits + cache.stats().misses, 16);
+        assert_eq!(runs[0].candidates, runs[1].candidates);
     }
 }

@@ -2,15 +2,14 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot_obs as obs;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use autopilot_shard::{CacheStats, ShardedMap};
+use std::sync::Arc;
 use uav_dynamics::UavSpec;
 
 use crate::config::JobConfig;
 use crate::error::AutopilotError;
 use crate::phase1::{Phase1, SuccessModel};
-use crate::phase2::{CacheStats, DssocEvaluator, OptimizerChoice, Phase2, Phase2Output};
+use crate::phase2::{DssocEvaluator, OptimizerChoice, Phase2, Phase2Output};
 use crate::phase3::{Phase3, Phase3Selection};
 use crate::spec::TaskSpec;
 use uav_dynamics::Airframe;
@@ -63,6 +62,12 @@ impl AutopilotConfig {
     }
 }
 
+/// Most Phase-1 databases a [`PipelineCache`] holds. The co-design
+/// server keys them by request seed, which is untrusted input, so the
+/// map clock-evicts past this many scenario keys (one shard: the bound
+/// is exact). A Fig. 5 sweep needs 3.
+const PHASE1_KEYS: usize = 16;
+
 /// Cross-run memoization of the UAV-independent pipeline stages.
 ///
 /// Phases 1 and 2 depend only on the deployment scenario and the
@@ -71,19 +76,27 @@ impl AutopilotConfig {
 /// densities but only 3 distinct Phase-2 problems) re-runs the DSE once
 /// per scenario instead of once per (UAV, scenario) pair. The cache is
 /// `Sync`; scenario runs may fan out across threads against one shared
-/// instance.
-#[derive(Debug, Default)]
+/// instance. Both maps count their traffic under
+/// `pipeline.phase{1,2}_cache.*`.
+#[derive(Debug)]
 pub struct PipelineCache {
-    phase1: Mutex<HashMap<String, AirLearningDatabase>>,
-    phase2: Mutex<HashMap<String, Phase2Output>>,
-    phase2_hits: AtomicUsize,
-    phase2_misses: AtomicUsize,
+    phase1: ShardedMap<String, AirLearningDatabase>,
+    phase2: ShardedMap<String, Phase2Output>,
+}
+
+impl Default for PipelineCache {
+    fn default() -> PipelineCache {
+        PipelineCache::new()
+    }
 }
 
 impl PipelineCache {
     /// Creates an empty cache.
     pub fn new() -> PipelineCache {
-        PipelineCache::default()
+        PipelineCache {
+            phase1: ShardedMap::new(1, PHASE1_KEYS).with_obs_prefix("pipeline.phase1_cache"),
+            phase2: ShardedMap::new(1, 0).with_obs_prefix("pipeline.phase2_cache"),
+        }
     }
 
     fn phase1_key(config: &AutopilotConfig, density: ObstacleDensity) -> String {
@@ -106,16 +119,12 @@ impl PipelineCache {
         density: ObstacleDensity,
     ) -> AirLearningDatabase {
         let key = PipelineCache::phase1_key(config, density);
-        if let Some(db) = self.phase1.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            obs::add("pipeline.phase1_cache.hits", 1);
-            return db.clone();
-        }
-        // Populate outside the lock so independent scenarios proceed in
-        // parallel; a racing duplicate is discarded by or_insert.
-        obs::add("pipeline.phase1_cache.misses", 1);
-        let mut db = AirLearningDatabase::new();
-        Phase1::new(config.success_model, config.seed).populate(density, &mut db);
-        self.phase1.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_insert(db).clone()
+        let populate = || {
+            let mut db = AirLearningDatabase::new();
+            Phase1::new(config.success_model, config.seed).populate(density, &mut db);
+            db
+        };
+        self.phase1.get_or_insert_with(key, 0, populate).0
     }
 
     /// The Phase-2 output for a scenario, running the DSE on first
@@ -132,34 +141,24 @@ impl PipelineCache {
         threads: Option<usize>,
     ) -> Result<Phase2Output, AutopilotError> {
         let key = PipelineCache::phase2_key(config, evaluator.density());
-        if let Some(out) = self.phase2.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            self.phase2_hits.fetch_add(1, Ordering::Relaxed);
-            obs::add("pipeline.phase2_cache.hits", 1);
-            return Ok(out.clone());
-        }
-        let mut phase2 = Phase2::new(config.optimizer, config.phase2_budget, config.seed);
-        if let Some(t) = threads {
-            phase2 = phase2.with_threads(t);
-        }
-        let out = phase2.run(evaluator)?;
-        self.phase2_misses.fetch_add(1, Ordering::Relaxed);
-        obs::add("pipeline.phase2_cache.misses", 1);
-        Ok(self
-            .phase2
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(out)
-            .clone())
+        let run = || {
+            let mut phase2 = Phase2::new(config.optimizer, config.phase2_budget, config.seed);
+            if let Some(t) = threads {
+                phase2 = phase2.with_threads(t);
+            }
+            phase2.run(evaluator)
+        };
+        Ok(self.phase2.get_or_try_insert_with(key, 0, run)?.0)
+    }
+
+    /// Hit/miss/entry counters for the Phase-1 database cache.
+    pub fn phase1_stats(&self) -> CacheStats {
+        self.phase1.stats()
     }
 
     /// Hit/miss/entry counters for the Phase-2 cache.
     pub fn phase2_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.phase2_hits.load(Ordering::Relaxed),
-            misses: self.phase2_misses.load(Ordering::Relaxed),
-            entries: self.phase2.lock().unwrap_or_else(PoisonError::into_inner).len(),
-        }
+        self.phase2.stats()
     }
 }
 

@@ -16,11 +16,15 @@
 //!   worker or the server (the injected panic's message is printed to
 //!   stderr);
 //! * a connection past [`MAX_CONNECTIONS`] is refused with `503`, and
-//!   the server answers again once the held connections close.
+//!   the server answers again once the held connections close;
+//! * a client trickling a request head one byte per second is cut off
+//!   at the [`SOCKET_TIMEOUT`] request deadline, while `/healthz` on
+//!   another connection answers promptly.
 //!
 //! Writes `results/telemetry_serve_smoke.json` for the perf budget
-//! gate (`counter:systolic.memo.cross_run_hits` floor) and checks that
-//! it records the panicked job.
+//! gate (`counter:systolic.memo.cross_run_hits` and
+//! `counter:phase2.candidate_cache.cross_run_hits` floors) and checks
+//! that it records the panicked job.
 
 // Smoke binaries assert their way through the contract; unwraps are the
 // failure mode, exactly as in #[test] code.
@@ -33,10 +37,10 @@ use autopilot::{
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use autopilot_serve::http::MAX_BODY_BYTES;
-use autopilot_serve::server::MAX_CONNECTIONS;
+use autopilot_serve::server::{MAX_CONNECTIONS, SOCKET_TIMEOUT};
 use autopilot_serve::{JobManager, Server};
 use dse_opt::RunControl;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -199,7 +203,7 @@ fn main() {
     let memo_stats = manager.caches().layer_memo().stats();
     assert!(memo_stats.cross_run_hits > 0, "no cross-run layer-memo hits: {memo_stats:?}");
     let cache = manager.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
-    assert!(cache.cross_run_hits() > 0, "no cross-run candidate hits");
+    assert!(cache.stats().cross_run_hits > 0, "no cross-run candidate hits");
 
     // Keep-alive: requests on one connection. Twenty sequential
     // exchanges on a client socket with default options must not each
@@ -313,6 +317,39 @@ fn main() {
             assert!(Instant::now() < deadline, "connection slots never freed");
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    // Slow client: a partial head, then one byte per second. The whole
+    // request must arrive within one SOCKET_TIMEOUT, so the server closes
+    // the connection at that deadline; meanwhile it keeps answering
+    // other connections promptly.
+    {
+        let limit = SOCKET_TIMEOUT + Duration::from_secs(2);
+        let mut slow = TcpStream::connect(addr).expect("server reachable");
+        let started = Instant::now();
+        slow.set_read_timeout(Some(limit)).expect("read timeout set");
+        slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ").expect("partial head written");
+        let mut trickle = slow.try_clone().expect("socket clones");
+        std::thread::scope(|scope| {
+            // Stops at the limit or once the closed socket refuses bytes.
+            scope.spawn(move || {
+                while started.elapsed() < limit && trickle.write_all(b"a").is_ok() {
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            });
+            std::thread::sleep(Duration::from_millis(1500));
+            let asked = Instant::now();
+            assert_eq!(one_shot(addr, "GET", "/healthz", "").status, 200, "healthz beside it");
+            let waited = asked.elapsed();
+            assert!(waited < Duration::from_secs(1), "healthz beside it took {waited:?}");
+            let mut byte = [0u8; 1];
+            let closed = match slow.read(&mut byte) {
+                Ok(n) => n == 0,
+                Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            };
+            let elapsed = started.elapsed();
+            assert!(closed && elapsed <= limit, "slow client still connected after {elapsed:?}");
+        });
     }
 
     // /metrics must round-trip through the zero-dep JSON layer and

@@ -20,19 +20,24 @@
 //! size) for `GET /jobs/:id`.
 //!
 //! Jobs of the same scenario share the process-lifetime caches in
-//! [`SharedCaches`]: one sharded [`LayerMemo`] (scenario-independent)
-//! and one sharded [`CandidateCache`] per `(scenario, success model,
-//! seed)` key, with entries owner-tagged by job id so cross-run reuse
+//! [`SharedCaches`]: one sharded [`LayerMemo`] (scenario-independent),
+//! the Phase-1 databases of a [`PipelineCache`], and one sharded
+//! [`CandidateCache`] per `(scenario, success model, seed)` key. Memo
+//! and candidate entries are owner-tagged by job id so cross-run reuse
 //! is observable (`systolic.memo.cross_run_hits`,
-//! `phase2.candidate_cache.cross_run_hits`).
+//! `phase2.candidate_cache.cross_run_hits`). Every one of these caches
+//! is an `autopilot_shard::ShardedMap` get-or-compute underneath. The
+//! seed is untrusted input, so the two seed-keyed maps hold at most
+//! `SCENARIO_KEYS` (16) keys each and clock-evict past that.
 
-use air_sim::{AirLearningDatabase, ObstacleDensity};
+use air_sim::ObstacleDensity;
 use autopilot::{
-    AutopilotResult, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase3, RunSummary,
-    SuccessModel, SwapMode, TaskSpec,
+    AutopilotConfig, AutopilotResult, CandidateCache, DssocEvaluator, JobConfig, Phase3,
+    PipelineCache, RunSummary, SuccessModel, SwapMode, TaskSpec,
 };
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
+use autopilot_shard::ShardedMap;
 use dse_opt::{KernelExpMode, RunControl};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -48,6 +53,11 @@ pub const MAX_BUDGET: usize = 10_000;
 /// Approximate capacity of the process-lifetime candidate cache per
 /// scenario key (entries; clock eviction beyond this).
 const CANDIDATE_CACHE_CAPACITY: usize = 65_536;
+
+/// Most candidate caches [`SharedCaches`] holds, one per `(scenario,
+/// success model, seed)` key; the Phase-1 map of its [`PipelineCache`]
+/// has the same bound. One shard, so the bound is exact.
+const SCENARIO_KEYS: usize = 16;
 
 /// A validated job request.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,16 +306,18 @@ impl Job {
 ///
 /// * `layer_memo` — the sharded per-(config, layer) simulation memo;
 ///   scenario-independent, so one instance serves every tenant.
+/// * `pipeline` — Phase-1 scenario databases, through the same
+///   [`PipelineCache::phase1_database`] the CLI uses (its Phase-2 map
+///   stays empty here: jobs run Phase 2 against `candidates`).
 /// * `candidates` — one sharded, bounded [`CandidateCache`] per
 ///   `(scenario, success model, seed)` key: candidates are functions of
 ///   the evaluator identity, so the key pins everything that identity
-///   depends on.
-/// * `phase1` — scenario databases, keyed the same way.
+///   depends on. At most `SCENARIO_KEYS` keys are held.
 #[derive(Debug)]
 pub struct SharedCaches {
     layer_memo: Arc<LayerMemo>,
-    phase1: Mutex<HashMap<String, AirLearningDatabase>>,
-    candidates: Mutex<HashMap<String, Arc<CandidateCache>>>,
+    pipeline: PipelineCache,
+    candidates: ShardedMap<String, Arc<CandidateCache>>,
 }
 
 impl Default for SharedCaches {
@@ -320,36 +332,14 @@ impl SharedCaches {
     pub fn new() -> SharedCaches {
         SharedCaches {
             layer_memo: Arc::new(LayerMemo::with_enabled(true)),
-            phase1: Mutex::new(HashMap::new()),
-            candidates: Mutex::new(HashMap::new()),
+            pipeline: PipelineCache::new(),
+            candidates: ShardedMap::new(1, SCENARIO_KEYS),
         }
-    }
-
-    fn scenario_key(scenario: ObstacleDensity, model: SuccessModel, seed: u64) -> String {
-        format!("{}|{model:?}|{seed}", scenario.id())
     }
 
     /// The process-lifetime layer memo.
     pub fn layer_memo(&self) -> Arc<LayerMemo> {
         Arc::clone(&self.layer_memo)
-    }
-
-    /// The Phase-1 database for a scenario key, populated on first use.
-    pub fn phase1_database(
-        &self,
-        scenario: ObstacleDensity,
-        model: SuccessModel,
-        seed: u64,
-    ) -> AirLearningDatabase {
-        let key = SharedCaches::scenario_key(scenario, model, seed);
-        if let Some(db) = self.phase1.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            obs::add("serve.phase1_cache.hits", 1);
-            return db.clone();
-        }
-        obs::add("serve.phase1_cache.misses", 1);
-        let mut db = AirLearningDatabase::new();
-        Phase1::new(model, seed).populate(scenario, &mut db);
-        self.phase1.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_insert(db).clone()
     }
 
     /// The shared candidate cache for a scenario key.
@@ -359,14 +349,9 @@ impl SharedCaches {
         model: SuccessModel,
         seed: u64,
     ) -> Arc<CandidateCache> {
-        let key = SharedCaches::scenario_key(scenario, model, seed);
-        Arc::clone(
-            self.candidates
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_insert_with(|| Arc::new(CandidateCache::bounded(CANDIDATE_CACHE_CAPACITY))),
-        )
+        let key = format!("{}|{model:?}|{seed}", scenario.id());
+        let create = || Arc::new(CandidateCache::bounded(CANDIDATE_CACHE_CAPACITY));
+        self.candidates.get_or_insert_with(key, 0, create).0
     }
 }
 
@@ -554,7 +539,8 @@ impl JobManager {
 fn run_pipeline(caches: &SharedCaches, job: &Job) -> Result<String, String> {
     let spec = &job.spec;
     let model = SuccessModel::Surrogate;
-    let db = caches.phase1_database(spec.scenario, model, spec.seed);
+    let config = AutopilotConfig { success_model: model, ..AutopilotConfig::fast(spec.seed) };
+    let db = caches.pipeline.phase1_database(&config, spec.scenario);
     let uav = uav_spec(&spec.uav).ok_or_else(|| format!("unknown uav class {:?}", spec.uav))?;
 
     let mut evaluator = if spec.config.layer_memo {
@@ -853,13 +839,16 @@ mod tests {
         for job in &submitted {
             assert_eq!(job.result_json().unwrap(), first, "identical specs, identical results");
         }
-        // Counter conservation under contention: per-shard hits+misses
-        // must sum exactly to the aggregate lookups the cache counted.
+        // Counter conservation under contention: the shared cache counted
+        // every job's lookups exactly once.
         let cache = mgr.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
-        let per_shard: u64 = cache.shard_stats().iter().map(|s| s.hits + s.misses).sum();
+        let lookups: usize = submitted
+            .iter()
+            .map(|j| RunSummary::from_json(&j.result_json().unwrap()).unwrap().evaluations)
+            .sum();
         let agg = cache.stats();
-        assert_eq!(per_shard, (agg.hits + agg.misses) as u64, "shard counters must conserve");
-        assert!(cache.cross_run_hits() > 0, "later jobs must reuse earlier jobs' entries");
+        assert_eq!(agg.hits + agg.misses, lookups as u64, "cache counters must conserve");
+        assert!(agg.cross_run_hits > 0, "later jobs must reuse earlier jobs' entries");
     }
 
     #[test]
@@ -874,10 +863,41 @@ mod tests {
         assert_eq!(first.result_json(), second.result_json());
         let cache = mgr.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
         assert!(
-            cache.cross_run_hits() > 0,
+            cache.stats().cross_run_hits > 0,
             "identical rerun must be served from the first job's entries"
         );
         let memo = mgr.caches().layer_memo();
         assert!(memo.stats().cross_run_hits > 0, "layer memo must see cross-run hits too");
+    }
+
+    #[test]
+    fn untrusted_seeds_hold_a_bounded_number_of_scenario_keys() {
+        let mgr = JobManager::new(4, defaults());
+        let run = |seed: usize| {
+            let body = VALID.replace("\"seed\": 3", &format!("\"seed\": {seed}"));
+            let job = mgr.submit(&body).unwrap();
+            mgr.execute(&mgr.next_job().unwrap());
+            assert_eq!(job.state(), JobState::Completed, "seed {seed}: {:?}", job.error());
+            job.result_json().unwrap()
+        };
+        for seed in 0..SCENARIO_KEYS + 4 {
+            run(seed);
+        }
+        let caches = mgr.caches();
+        let phase1 = caches.pipeline.phase1_stats();
+        let candidates = caches.candidates.stats();
+        assert_eq!(phase1.entries, SCENARIO_KEYS, "phase-1 databases past the cap");
+        assert_eq!(candidates.entries, SCENARIO_KEYS, "candidate caches past the cap");
+        assert!(phase1.evictions > 0 && candidates.evictions > 0, "nothing was evicted");
+        // Seed 0 was evicted long ago: re-requesting it recomputes the
+        // same result the CLI path produces.
+        let config = AutopilotConfig::fast(0)
+            .with_budget(12)
+            .with_optimizer(autopilot::OptimizerChoice::Random);
+        let result = autopilot::AutoPilot::new(config)
+            .with_job_config(defaults())
+            .run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low))
+            .unwrap();
+        assert_eq!(run(0), RunSummary::from_result(&result).to_json().unwrap());
     }
 }

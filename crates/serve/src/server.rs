@@ -1,9 +1,10 @@
 //! The HTTP server: accept loop, routing, worker pool, and graceful
 //! shutdown.
 //!
-//! One thread per connection (keep-alive honored, bounded by a
-//! per-connection read/write timeout, at most [`MAX_CONNECTIONS`] at
-//! once; the next is refused with `503`), a fixed pool of job workers
+//! One thread per connection (keep-alive honored; each request, from
+//! the wait for its first byte to its last body byte, must arrive
+//! within one [`SOCKET_TIMEOUT`]; at most [`MAX_CONNECTIONS`] at once,
+//! the next is refused with `503`), a fixed pool of job workers
 //! pulling from the [`JobManager`]'s FIFO queue, and a non-blocking
 //! accept loop that polls the shutdown flag — set by `POST /shutdown`,
 //! by [`Server::shutdown_handle`], or (in the `serve` binary) by
@@ -20,9 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-connection socket read/write timeout; also bounds how long an
-/// idle keep-alive connection stays open.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+/// Deadline for reading one whole request, head and body, counted
+/// from the end of the previous reply (so it also bounds how long an
+/// idle keep-alive connection stays open); also the write timeout. A
+/// client trickling bytes cannot hold a connection thread past it.
+pub const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Most connection threads alive at once. A connection accepted past
@@ -185,25 +188,45 @@ fn refuse_connection(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
 }
 
-/// Serves one connection: keep-alive request loop with socket timeouts.
-/// One read buffer lives as long as the connection, so bytes of a
-/// pipelined next request survive between requests; replies go straight
-/// to the socket, which has Nagle's algorithm off.
+/// A socket whose reads all share one deadline: each read's timeout is
+/// shrunk to the time left, and a read past the deadline fails with
+/// `TimedOut` without touching the socket.
+struct DeadlineStream {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Serves one connection: keep-alive request loop, each request read
+/// against a fresh [`SOCKET_TIMEOUT`] deadline. One read buffer lives as
+/// long as the connection, so bytes of a pipelined next request survive
+/// between requests; replies go straight to the socket, which has
+/// Nagle's algorithm off.
 fn handle_connection(stream: TcpStream, manager: &JobManager, shutdown: &AtomicBool) {
     if stream.set_nonblocking(false).is_err()
         || stream.set_nodelay(true).is_err()
-        || stream.set_read_timeout(Some(SOCKET_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(SOCKET_TIMEOUT)).is_err()
     {
         return;
     }
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineStream { stream, deadline: Instant::now() });
     loop {
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
+        reader.get_mut().deadline = Instant::now() + SOCKET_TIMEOUT;
         let request = http::read_request(&mut reader);
-        let stream = reader.get_mut();
+        let stream = &mut reader.get_mut().stream;
         let request = match request {
             Ok(req) => req,
             Err(HttpError::ConnectionClosed) => break,

@@ -62,7 +62,7 @@ pub use config::{ArrayConfig, ArrayConfigBuilder};
 pub use dataflow::{Dataflow, FoldPlan};
 pub use error::ConfigError;
 pub use layer::{GemmShape, Layer};
-pub use memo::{LayerMemo, MemoStats};
+pub use memo::LayerMemo;
 pub use memory::{BufferKind, ScratchpadPlan};
 pub use report::{LayerStats, NetworkStats};
 pub use sim::Simulator;

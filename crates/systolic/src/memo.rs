@@ -10,20 +10,17 @@
 //! [`LayerMemo`] caches each pair once and serves every repeat from the
 //! map, one level below the per-design-point candidate cache.
 //!
-//! The backing store is an [`autopilot_shard::ShardedMap`]: N-way
-//! sharded by key hash with per-shard locks, so a memo promoted to
-//! process lifetime (the DSE server shares one across every job) scales
-//! with concurrent tenants, and — when constructed through
-//! [`LayerMemo::bounded`] — clock-evicts cold entries instead of
-//! growing without bound. Entries are tagged with the inserting job's
+//! The memo only builds keys: storage, the get-or-compute race and the
+//! counting all live in [`autopilot_shard::ShardedMap`], N-way sharded
+//! by key hash with per-shard locks, so a memo promoted to process
+//! lifetime (the DSE server shares one across every job) scales with
+//! concurrent tenants. Entries are tagged with the inserting job's
 //! owner id; a hit served from *another* owner's entry counts as a
 //! **cross-run hit** (`systolic.memo.cross_run_hits`), the number that
 //! proves tenants are serving each other's simulated layers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use autopilot_obs as obs;
-use autopilot_shard::ShardedMap;
+use autopilot_shard::{CacheStats, ShardedMap};
 
 use crate::config::ArrayConfig;
 use crate::dataflow::Dataflow;
@@ -65,37 +62,6 @@ impl MemoKey {
     }
 }
 
-/// Hit/miss/entry counters of a [`LayerMemo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Layer simulations served from the memo.
-    pub hits: u64,
-    /// Layer simulations that actually ran the cycle model.
-    pub misses: u64,
-    /// Distinct (config, layer) pairs cached.
-    pub entries: usize,
-    /// Hits served from an entry inserted by a *different* owner (job):
-    /// the cross-tenant sharing a process-lifetime memo exists for.
-    /// Always zero for single-run memos (every caller is owner 0).
-    pub cross_run_hits: u64,
-    /// Entries displaced by clock eviction (only possible for memos
-    /// built with [`LayerMemo::bounded`]).
-    pub evictions: u64,
-}
-
-impl MemoStats {
-    /// Fraction of lookups served from the memo (`0.0` before any
-    /// lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Thread-safe memo of layer simulations, keyed by the timing-relevant
 /// configuration knobs and the layer shape.
 ///
@@ -116,9 +82,6 @@ impl MemoStats {
 #[derive(Debug)]
 pub struct LayerMemo {
     map: ShardedMap<MemoKey, LayerStats>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    cross_run_hits: AtomicU64,
     disabled: bool,
 }
 
@@ -151,24 +114,7 @@ impl LayerMemo {
     pub fn with_enabled(enabled: bool) -> LayerMemo {
         LayerMemo {
             map: ShardedMap::new(MEMO_SHARDS, 0).with_obs_prefix("systolic.memo"),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cross_run_hits: AtomicU64::new(0),
             disabled: !enabled,
-        }
-    }
-
-    /// Creates an enabled memo bounded to roughly `capacity` entries
-    /// spread across [`MEMO_SHARDS`] shards, with clock (second-chance)
-    /// eviction once a shard fills — the process-lifetime configuration
-    /// the DSE server shares across all jobs.
-    pub fn bounded(capacity: usize) -> LayerMemo {
-        LayerMemo {
-            map: ShardedMap::new(MEMO_SHARDS, capacity).with_obs_prefix("systolic.memo"),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cross_run_hits: AtomicU64::new(0),
-            disabled: false,
         }
     }
 
@@ -193,23 +139,8 @@ impl LayerMemo {
             return sim.simulate_layer(layer);
         }
         let key = MemoKey::new(sim.config(), layer);
-        if let Some((stats, entry_owner)) = self.map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::add("systolic.memo.hits", 1);
-            if entry_owner != owner {
-                self.cross_run_hits.fetch_add(1, Ordering::Relaxed);
-                obs::add("systolic.memo.cross_run_hits", 1);
-            }
-            return stats;
-        }
-        // Simulate outside the lock so workers fill distinct entries
-        // concurrently; a racing duplicate insert is harmless (both
-        // computed the same deterministic stats).
-        let stats = obs::time("systolic.layer_sim", || sim.simulate_layer(layer));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::add("systolic.memo.misses", 1);
-        self.map.insert(key, stats.clone(), owner);
-        stats
+        let simulate = || obs::time("systolic.layer_sim", || sim.simulate_layer(layer));
+        self.map.get_or_insert_with(key, owner, simulate).0
     }
 
     /// Simulates every layer of `network` in order through the memo. The
@@ -235,29 +166,8 @@ impl LayerMemo {
     }
 
     /// Snapshots hit/miss/entry counters.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.len(),
-            cross_run_hits: self.cross_run_hits.load(Ordering::Relaxed),
-            evictions: self.map.stats().evictions,
-        }
-    }
-
-    /// Number of distinct (config, layer) pairs cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops every cached entry (counters are kept).
-    pub fn clear(&self) {
-        self.map.clear();
+    pub fn stats(&self) -> CacheStats {
+        self.map.stats()
     }
 }
 
@@ -307,7 +217,7 @@ mod tests {
         let a = memo.simulate_layer(&sim(16, 16), &layer);
         let b = memo.simulate_layer(&sim(64, 64), &layer);
         assert_ne!(a.compute_cycles, b.compute_cycles);
-        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.stats().entries, 2);
         let df = Simulator::new(
             ArrayConfig::builder()
                 .rows(16)
@@ -317,7 +227,7 @@ mod tests {
                 .unwrap(),
         );
         let c = memo.simulate_layer(&df, &layer);
-        assert_eq!(memo.len(), 3);
+        assert_eq!(memo.stats().entries, 3);
         assert_eq!(c, df.simulate_layer(&layer));
     }
 
@@ -329,7 +239,7 @@ mod tests {
         let net = [Layer::dense(1024, 25)];
         let slow_stats = memo.simulate_network(&Simulator::new(base), &net);
         let fast_stats = memo.simulate_network(&Simulator::new(fast), &net);
-        assert_eq!(memo.len(), 1, "clock must not be part of the memo key");
+        assert_eq!(memo.stats().entries, 1, "clock must not be part of the memo key");
         assert_eq!(memo.stats().hits, 1);
         assert_eq!(slow_stats.total_cycles(), fast_stats.total_cycles());
         assert!(fast_stats.fps() > slow_stats.fps());
@@ -344,8 +254,7 @@ mod tests {
         let a = memo.simulate_layer(&s, &layer);
         let b = memo.simulate_layer(&s, &layer);
         assert_eq!(a, b);
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats(), MemoStats::default());
+        assert_eq!(memo.stats(), CacheStats::default());
     }
 
     #[test]
@@ -365,28 +274,5 @@ mod tests {
         solo.simulate_layer(&s, &layer);
         solo.simulate_layer(&s, &layer);
         assert_eq!(solo.stats().cross_run_hits, 0);
-    }
-
-    #[test]
-    fn bounded_memo_evicts_cold_entries() {
-        let memo = LayerMemo::bounded(8);
-        let s = sim(8, 8);
-        for k in 0..40 {
-            memo.simulate_layer(&s, &Layer::dense(64 + k, 25));
-        }
-        assert!(memo.len() <= 8, "bound violated: {} entries", memo.len());
-        let st = memo.stats();
-        assert!(st.evictions > 0, "no evictions recorded");
-        assert_eq!(st.misses, 40, "every distinct layer simulates once");
-    }
-
-    #[test]
-    fn clear_drops_entries() {
-        let memo = LayerMemo::with_enabled(true);
-        memo.simulate_layer(&sim(8, 8), &Layer::dense(256, 25));
-        assert_eq!(memo.len(), 1);
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats().misses, 1, "counters survive clear");
     }
 }

@@ -50,7 +50,7 @@ fn repeated_scenario_run_records_candidate_cache_hits() {
         - before.counter("phase2.candidate_cache.misses");
     assert!(hits > 0, "repeat run produced no candidate-cache hits");
     assert!(misses > 0, "first run produced no candidate-cache misses");
-    assert_eq!(hits as usize, second.cache_stats.hits, "obs delta must match cache stats");
+    assert_eq!(hits, second.cache_stats.hits, "obs delta must match cache stats");
     assert!(
         after.span_total_s("phase2.run") > before.span_total_s("phase2.run"),
         "phase2.run span recorded no time"
@@ -91,7 +91,7 @@ fn obs_cache_counters_match_per_run_stats_exactly() {
     let before = obs::snapshot();
     let out = phase2.run(&ev).expect("phase 2 runs");
     let after = obs::snapshot();
-    let delta = |name: &str| (after.counter(name) - before.counter(name)) as usize;
+    let delta = |name: &str| after.counter(name) - before.counter(name);
     assert_eq!(
         delta("phase2.candidate_cache.misses"),
         out.cache_stats.misses,
@@ -102,7 +102,7 @@ fn obs_cache_counters_match_per_run_stats_exactly() {
         out.cache_stats.hits,
         "each cache hit must increment the obs counter exactly once"
     );
-    assert_eq!(out.cache_stats.misses, out.result.evaluation_count());
+    assert_eq!(out.cache_stats.misses, out.result.evaluation_count() as u64);
 }
 
 #[test]
