@@ -25,6 +25,10 @@
 //!   kernel cross-matrix with blocked triangular solves), over the run
 //!   history as the candidate pool,
 //!
+//! - `acquisition_pruned_fraction` — the share of the exact
+//!   acquisition's bounded candidates (cache misses and pending
+//!   columns) that were pruned without a triangular solve,
+//!
 //! plus counters read back from the obs registry for exactly one
 //! instrumented sequential run (the snapshot is taken before the
 //! parallel runs, so per-run cache counters match `cache_stats` instead
@@ -178,6 +182,14 @@ fn main() {
     let hv_incremental_scores = seq_snap.counter("bo.hv.incremental");
     let column_cache_hits = seq_snap.counter("bo.acquisition.column_cache.hit");
     let column_cache_misses = seq_snap.counter("bo.acquisition.column_cache.miss");
+    let acquisition_bounded = seq_snap.counter("bo.acquisition.bounded");
+    let acquisition_solved = seq_snap.counter("bo.acquisition.solved");
+    let acquisition_pruned = seq_snap.counter("bo.acquisition.pruned");
+    assert_eq!(
+        acquisition_bounded,
+        acquisition_solved + acquisition_pruned,
+        "every bounded acquisition candidate is either solved or pruned"
+    );
     let systolic_layers = seq_snap.counter("systolic.layers");
     let span_phase2_run_s = seq_snap.span_total_s("phase2.run");
     let span_acquisition_s = seq_snap.span_total_s("bo.acquisition");
@@ -228,8 +240,10 @@ fn main() {
     // Batched vs per-point acquisition prediction: the surrogate pack the
     // optimizer actually uses — one GP per objective sharing inputs and
     // lengthscale — queried over the run history as the candidate pool.
-    // The batched side is the route SMS-EGO scores its misses through
-    // (`ExactColumn::solve_batch` + `predict`). The per-point side solves
+    // The batched side is the route SMS-EGO solves its unpruned
+    // candidates through (a kernel panel, then
+    // `ExactColumn::solve_correlations` + `predict`, here together as
+    // `ExactColumn::solve_batch`). The per-point side solves
     // each candidate on its own (`ExactColumn::solve`: one forward
     // substitution per objective, the `Matrix::solve_lower` loop, and an
     // ascending dot for the mean), so it shares neither the kernel panel
@@ -316,6 +330,13 @@ fn main() {
         (
             "acquisition_column_cache_hit_rate".into(),
             num(column_cache_hits as f64 / (column_cache_hits + column_cache_misses).max(1) as f64),
+        ),
+        ("acquisition_bounded".into(), num(acquisition_bounded as f64)),
+        ("acquisition_solved".into(), num(acquisition_solved as f64)),
+        ("acquisition_pruned".into(), num(acquisition_pruned as f64)),
+        (
+            "acquisition_pruned_fraction".into(),
+            num(acquisition_pruned as f64 / acquisition_bounded.max(1) as f64),
         ),
         (
             "systolic_memo_note".into(),

@@ -38,10 +38,12 @@ use crate::space::DesignSpace;
 /// neighbours that recur from one pool to the next keep their surrogate
 /// columns in a cross-iteration cache (an exact-pack hit solves only the
 /// rows added since, bit-identical to a fresh solve — see
-/// [`ExactColumn`]), and both the initial sampling and the acquisition
-/// scoring fan out over worker threads with results gathered in index
-/// order — so a run is bit-identical for a fixed seed regardless of
-/// thread count.
+/// [`ExactColumn`]), exact-pack candidates are bounded from their
+/// kernel correlations first and solved only while they can still win
+/// (see [`ExactAcquisition`]), and both the initial sampling and the
+/// acquisition scoring fan out over worker threads with results
+/// gathered in index order — so a run is bit-identical for a fixed seed
+/// regardless of thread count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
 /// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
@@ -171,6 +173,10 @@ const ACQ_CHUNK: usize = 64;
 /// LCB exploration factor: candidates are scored at `mean - BETA·std`.
 const BETA: f64 = 1.0;
 
+/// SMS-EGO's epsilon-dominance margin: a candidate's LCB within `EPS`
+/// of a front point in every objective is penalized.
+const EPS: f64 = 1e-3;
+
 /// Acquisition bookkeeping reused across BO iterations instead of being
 /// rebuilt from the full history every time a candidate pool is scored.
 ///
@@ -240,9 +246,8 @@ impl AcquisitionState {
 
 /// One candidate's surrogate state, as held by the [`ColumnCache`].
 enum Column {
-    /// Kernel correlations and per-objective forward solves against the
-    /// exact pack's training rows.
-    Exact(ExactColumn),
+    /// A candidate of the exact pack, solved or only correlated.
+    Exact(ExactSlot),
     /// Kernel correlations against the sparse pack's inducing set.
     Sparse(Vec<f64>),
 }
@@ -251,11 +256,13 @@ enum Column {
 /// keyed by ordinal candidate, valid for one `(fit generation, window
 /// start)`.
 ///
-/// Within one key the exact pack only extends and retargets, so an exact
-/// column is brought current by [`ExactColumn::refresh`] (bit-identical
-/// to a fresh solve), and the sparse pack's inducing set, lengthscale
-/// and exp mode are frozen, so a sparse column is reused as is. A full
-/// refit or a downdate changes the key and clears the cache.
+/// Within one key the exact pack only extends and retargets, so a
+/// solved exact column is brought current by [`ExactColumn::refresh`]
+/// (bit-identical to a fresh solve) and a pending one by
+/// [`GaussianProcess::extend_correlations`], and the sparse pack's
+/// inducing set, lengthscale and exp mode are frozen, so a sparse column
+/// is reused as is. A full refit or a downdate changes the key and
+/// clears the cache.
 ///
 /// Only front neighbours are kept: each iteration takes the pool's
 /// entries out, drops everything else, and puts back the columns of the
@@ -345,98 +352,55 @@ impl SurrogatePack {
             SurrogatePack::Sparse(_) => false,
         }
     }
+}
 
-    /// Fills the sparse pool's missing columns from one pool-wide kernel
-    /// panel against the inducing set (column-striped across workers),
-    /// so only candidates new to the cache are encoded and correlated.
-    /// The exact kind solves its misses per chunk instead.
-    fn resolve_sparse_misses(
-        &self,
-        space: &DesignSpace,
-        pool: &[Vec<usize>],
-        columns: &mut [Option<Column>],
-    ) {
-        let SurrogatePack::Sparse(gps) = self else { return };
-        let misses: Vec<usize> =
-            (0..pool.len()).filter(|&j| !matches!(columns[j], Some(Column::Sparse(_)))).collect();
-        if misses.is_empty() {
-            return;
-        }
-        let miss_xs: Vec<Vec<f64>> = misses.iter().map(|&j| space.encode(&pool[j])).collect();
-        let panel = gps[0].cross_correlations(&miss_xs);
-        for (k, &j) in misses.iter().enumerate() {
-            columns[j] = Some(Column::Sparse((0..panel.rows()).map(|i| panel[(i, k)]).collect()));
+/// Fills the sparse pool's missing columns from one pool-wide kernel
+/// panel against the inducing set (column-striped across workers),
+/// so only candidates new to the cache are encoded and correlated.
+fn resolve_sparse_misses(
+    gps: &[SparseGaussianProcess],
+    space: &DesignSpace,
+    pool: &[Vec<usize>],
+    columns: &mut [Option<Column>],
+) {
+    let misses: Vec<usize> =
+        (0..pool.len()).filter(|&j| !matches!(columns[j], Some(Column::Sparse(_)))).collect();
+    if misses.is_empty() {
+        return;
+    }
+    let miss_xs: Vec<Vec<f64>> = misses.iter().map(|&j| space.encode(&pool[j])).collect();
+    let panel = gps[0].cross_correlations(&miss_xs);
+    for (k, &j) in misses.iter().enumerate() {
+        columns[j] = Some(Column::Sparse((0..panel.rows()).map(|i| panel[(i, k)]).collect()));
+    }
+}
+
+/// Per-objective sparse `(mean, variance)` for a chunk of candidates
+/// from their inducing correlations (all resolved by
+/// [`resolve_sparse_misses`]), assembled into one
+/// `m × chunk` matrix that every objective predicts from —
+/// bit-identical to each member's `predict_batch`. On return a slot
+/// keeps its column only if `keep` marks it (a front neighbour).
+fn sparse_predict_chunk(
+    gps: &[SparseGaussianProcess],
+    keep: &[bool],
+    columns: &mut [Option<Column>],
+) -> Vec<Vec<(f64, f64)>> {
+    obs::add("bo.gp.sparse.predict", 1);
+    let mut corr = Matrix::zeros(gps[0].inducing_count(), columns.len());
+    for (j, column) in columns.iter().enumerate() {
+        if let Some(Column::Sparse(col)) = column {
+            for (i, &v) in col.iter().enumerate() {
+                corr[(i, j)] = v;
+            }
         }
     }
-
-    /// Per-objective `(mean, variance)` for a chunk of candidates, given
-    /// the chunk's cached columns (`None` for a miss). On return a slot
-    /// holds the candidate's current column if `keep` marks it (a front
-    /// neighbour) and `None` otherwise.
-    ///
-    /// Exact pack: hits are refreshed over the rows added since they
-    /// were solved, and all misses are solved into columns together, one
-    /// kernel panel and one blocked triangular solve per objective; every
-    /// candidate then predicts from its column, and the random draws'
-    /// columns are dropped afterwards. Sparse pack: the columns (all resolved
-    /// by [`SurrogatePack::resolve_sparse_misses`]) are assembled into
-    /// one `m × chunk` matrix that every objective predicts from. Either
-    /// way each prediction is bit-identical to the member's
-    /// `predict_batch`.
-    fn predict_chunk(
-        &self,
-        space: &DesignSpace,
-        chunk: &[Vec<usize>],
-        keep: &[bool],
-        columns: &mut [Option<Column>],
-    ) -> Vec<Vec<(f64, f64)>> {
-        let preds = match self {
-            SurrogatePack::Exact(gps) => {
-                let mut miss_xs = Vec::new();
-                for (cand, column) in chunk.iter().zip(columns.iter_mut()) {
-                    match column {
-                        Some(Column::Exact(col)) => col.refresh(gps, &space.encode(cand)),
-                        _ => miss_xs.push(space.encode(cand)),
-                    }
-                }
-                let mut solved = if miss_xs.is_empty() {
-                    Vec::new().into_iter()
-                } else {
-                    ExactColumn::solve_batch(gps, &miss_xs).into_iter()
-                };
-                let mut preds = vec![Vec::with_capacity(chunk.len()); gps.len()];
-                for column in columns.iter_mut() {
-                    if !matches!(column, Some(Column::Exact(_))) {
-                        *column = solved.next().map(Column::Exact);
-                    }
-                    if let Some(Column::Exact(col)) = column {
-                        for (p, pred) in preds.iter_mut().zip(col.predict(gps)) {
-                            p.push(pred);
-                        }
-                    }
-                }
-                preds
-            }
-            SurrogatePack::Sparse(gps) => {
-                obs::add("bo.gp.sparse.predict", 1);
-                let mut corr = Matrix::zeros(gps[0].inducing_count(), chunk.len());
-                for (j, column) in columns.iter().enumerate() {
-                    if let Some(Column::Sparse(col)) = column {
-                        for (i, &v) in col.iter().enumerate() {
-                            corr[(i, j)] = v;
-                        }
-                    }
-                }
-                gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
-            }
-        };
-        for (column, &keep) in columns.iter_mut().zip(keep) {
-            if !keep {
-                *column = None;
-            }
+    for (column, &keep) in columns.iter_mut().zip(keep) {
+        if !keep {
+            *column = None;
         }
-        preds
     }
+    gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
 }
 
 /// Per-objective GP surrogates kept current incrementally.
@@ -780,8 +744,8 @@ impl SmsEgoOptimizer {
             drawn.extend(space.neighbors(&archive.history[i].point));
         }
         // Drop already-evaluated candidates and intra-pool duplicates
-        // before any GP work: a seen candidate's score is structurally
-        // `None`, and an identical candidate scores identically, so
+        // before any GP work: a seen candidate is never picked, and an
+        // identical candidate scores identically, so
         // under first-max-wins neither can change the selection — the
         // pool just stops paying kernel and triangular work for
         // candidates that cannot win. (The RNG draws above are
@@ -808,97 +772,396 @@ impl SmsEgoOptimizer {
         drop(slots);
         obs::observe("bo.acquisition.pool_size", pool.len() as f64);
 
-        // Take the pool's cached columns out of the cross-iteration cache
-        // (sparse misses are then resolved through one pool-wide panel)
-        // and hand each chunk its own slice of them. Charged to the
-        // score / gp_predict spans like the per-chunk GP work.
-        let pack = &surrogates.pack;
+        // Take the pool's cached columns out of the cross-iteration cache,
+        // score the pool, and put the front neighbours' columns back for
+        // the next iteration. Cache traffic and the encoded points'
+        // allocation are charged to the score / gp_predict spans like the
+        // GP work itself.
         let key = (surrogates.fit_generation, surrogates.start);
-        type Job<'a> = (&'a [Vec<usize>], &'a [bool], Mutex<Vec<Option<Column>>>);
-        let jobs: Vec<Job> = obs::time("bo.acquisition.score", || {
-            obs::time("bo.acquisition.gp_predict", || {
-                let mut columns = acquisition.columns.take(key, &pool);
-                pack.resolve_sparse_misses(space, &pool, &mut columns);
-                let mut columns = columns.into_iter();
-                pool.chunks(ACQ_CHUNK)
-                    .zip(neighbour.chunks(ACQ_CHUNK))
-                    .map(|(chunk, keep)| {
-                        (chunk, keep, Mutex::new(columns.by_ref().take(chunk.len()).collect()))
+        let columns = obs::time("bo.acquisition.score", || {
+            obs::time("bo.acquisition.gp_predict", || acquisition.columns.take(key, &pool))
+        });
+        let (best, columns) = match &surrogates.pack {
+            SurrogatePack::Exact(gps) => obs::time("bo.acquisition.score", || {
+                let (points, mut slots) = obs::time("bo.acquisition.gp_predict", || {
+                    let points: Vec<Vec<f64>> = pool.iter().map(|c| space.encode(c)).collect();
+                    let slots: Vec<Option<ExactSlot>> = columns
+                        .into_iter()
+                        .map(|c| match c {
+                            Some(Column::Exact(slot)) => Some(slot),
+                            _ => None,
+                        })
+                        .collect();
+                    (points, slots)
+                });
+                let acquisition = ExactAcquisition::new(gps, &scorer);
+                let best = acquisition.select(&points, &mut slots, &neighbour, workers);
+                obs::time("bo.acquisition.gp_predict", || drop(points));
+                (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
+            }),
+            SurrogatePack::Sparse(gps) => {
+                select_sparse(gps, &scorer, space, &pool, &neighbour, columns, workers)
+            }
+        };
+        obs::time("bo.acquisition.score", || {
+            obs::time("bo.acquisition.gp_predict", || acquisition.columns.put_back(&pool, columns))
+        });
+        best.map(|i| pool.swap_remove(i))
+    }
+}
+
+/// Scores a sparse-pack pool in parallel, a chunk of candidates at a
+/// time: every chunk predicts all objectives from its inducing
+/// correlations and scores each candidate's LCB. Each score is a pure
+/// function of the frozen surrogates, the front and the candidate's
+/// column. Returns the first maximum in pool order and the columns to
+/// keep (front neighbours').
+///
+/// The sparse pack is left unbounded: its variance is `σ²(1 − cᵀDc)`
+/// with `D = C_mm⁻¹ − A⁻¹`, which has no fixed diagonal, so the only
+/// solve-free lower bound on `cᵀDc` for every `c` is `0`. The variance
+/// bound collapses to `σ²`, which prunes nothing.
+fn select_sparse(
+    gps: &[SparseGaussianProcess],
+    scorer: &ContributionScorer,
+    space: &DesignSpace,
+    pool: &[Vec<usize>],
+    neighbour: &[bool],
+    mut columns: Vec<Option<Column>>,
+    workers: usize,
+) -> (Option<usize>, Vec<Option<Column>>) {
+    type Job<'a> = (&'a [bool], Mutex<Vec<Option<Column>>>);
+    let jobs: Vec<Job> = obs::time("bo.acquisition.score", || {
+        obs::time("bo.acquisition.gp_predict", || {
+            resolve_sparse_misses(gps, space, pool, &mut columns);
+            let mut columns = columns.into_iter();
+            neighbour
+                .chunks(ACQ_CHUNK)
+                .map(|keep| (keep, Mutex::new(columns.by_ref().take(keep.len()).collect())))
+                .collect()
+        })
+    });
+    obs::add("bo.acquisition.batches", jobs.len() as u64);
+    let scored = obs::time("bo.acquisition.score", || {
+        par::parallel_map_with(workers, &jobs, |_, (keep, columns)| {
+            obs::observe("bo.acquisition.batch_size", keep.len() as f64);
+            let mut columns =
+                std::mem::take(&mut *columns.lock().unwrap_or_else(PoisonError::into_inner));
+            let preds: Vec<Vec<(f64, f64)>> = obs::time("bo.acquisition.gp_predict", || {
+                sparse_predict_chunk(gps, keep, &mut columns)
+            });
+            // Buffers reused across the whole chunk: steady-state
+            // scoring allocates nothing per candidate.
+            let mut scratch = scorer.scratch();
+            let mut lcb = vec![0.0; preds.len()];
+            let scores: Vec<Option<f64>> = obs::time("bo.acquisition.hv_score", || {
+                (0..keep.len())
+                    .map(|k| {
+                        for (slot, p) in lcb.iter_mut().zip(&preds) {
+                            let (mean, var) = p[k];
+                            *slot = mean - BETA * var.sqrt();
+                        }
+                        Some(scorer.score_with(&mut scratch, &lcb, EPS))
                     })
                     .collect()
-            })
-        });
+            });
+            obs::add("bo.hv.incremental", scores.len() as u64);
+            (scores, columns)
+        })
+    });
+    let mut scores: Vec<Option<f64>> = Vec::with_capacity(pool.len());
+    let mut kept = Vec::with_capacity(pool.len());
+    for (chunk_scores, chunk_columns) in scored {
+        scores.extend(chunk_scores);
+        kept.extend(chunk_columns);
+    }
+    (first_max(&scores), kept)
+}
 
-        // Score the pool in parallel, a chunk of candidates at a time;
-        // each score is a pure function of the frozen surrogates, the
-        // front and the candidate's column. Every chunk predicts all
-        // objectives from its columns (refreshing hits, solving misses)
-        // and returns its front neighbours' columns for the cache.
-        obs::add("bo.acquisition.batches", jobs.len() as u64);
-        let scored = obs::time("bo.acquisition.score", || {
-            par::parallel_map_with(workers, &jobs, |_, (chunk, keep, columns)| {
-                obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
-                let mut columns =
-                    std::mem::take(&mut *columns.lock().unwrap_or_else(PoisonError::into_inner));
-                let preds: Vec<Vec<(f64, f64)>> = obs::time("bo.acquisition.gp_predict", || {
-                    pack.predict_chunk(space, chunk, keep, &mut columns)
-                });
-                // Buffers reused across the whole chunk: steady-state
-                // scoring allocates nothing per candidate.
-                let mut scratch = scorer.scratch();
-                let mut lcb = vec![0.0; preds.len()];
-                let scores: Vec<Option<f64>> = obs::time("bo.acquisition.hv_score", || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, cand)| {
-                            if archive.seen.contains(cand) {
-                                return None;
-                            }
-                            for (slot, p) in lcb.iter_mut().zip(&preds) {
-                                let (m, v) = p[k];
-                                *slot = m - BETA * v.sqrt();
-                            }
-                            // SMS-EGO scoring: epsilon-dominated
-                            // candidates get a negative penalty
-                            // proportional to how deep they are
-                            // dominated; otherwise score by
-                            // hypervolume improvement (the exclusive
-                            // contribution of the LCB vector to the
-                            // front).
-                            Some(scorer.score_with(&mut scratch, &lcb, 1e-3))
+/// Index of the first maximum score in pool order, skipping candidates
+/// that were never scored exactly.
+fn first_max(scores: &[Option<f64>]) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, &score) in scores.iter().enumerate() {
+        let Some(score) = score else { continue };
+        match &best {
+            Some((s, _)) if *s >= score => {}
+            _ => best = Some((score, i)),
+        }
+    }
+    best.map(|(_, i)| i)
+}
+
+/// Candidates solved per round of [`ExactAcquisition::select`]: one
+/// `n × 8` blocked triangular solve per objective, after which the
+/// running best rises before the next round is chosen.
+const SOLVE_ROUND: usize = 8;
+
+/// Relative slack under the running best score `τ`: a candidate whose
+/// bound is below `τ − PRUNE_MARGIN·max(1, |τ|)` is pruned. It is far
+/// above the scorer's roundoff, so a pruned candidate's exact score is
+/// strictly below `τ`.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// One exact-pack candidate's state between acquisition calls, as
+/// [`ExactAcquisition::select`] takes and leaves it.
+#[derive(Debug, Clone)]
+pub enum ExactSlot {
+    /// Solved: the candidate's correlations and per-member forward
+    /// solves, refreshed over the rows added since
+    /// ([`ExactColumn::refresh`]) and scored exactly.
+    Solved(ExactColumn),
+    /// Correlations only: the candidate was bounded and pruned before
+    /// its solve. Extended over the rows added since and bounded again.
+    Pending(Vec<f64>),
+}
+
+/// The exact-pack SMS-EGO acquisition over one candidate pool: every
+/// candidate's score is bounded from its kernel correlations first, and
+/// the `O(n²)` triangular solves run only for candidates that can still
+/// win. The pick is the one full scoring would make.
+///
+/// A candidate's exact score is the [`ContributionScorer`] score of its
+/// LCB `mean − BETA·√variance` per objective. Its bound is the score of
+/// the *optimistic* LCB: the same means (computed without a solve) with
+/// the variance upper bound `σ²(1 − maxᵢ cᵢ²/(1 + jitter))`, which
+/// Cauchy–Schwarz gives from the unit-plus-jitter diagonal of the
+/// training correlation matrix. A larger variance lowers the
+/// LCB, and the score never rises when an LCB coordinate rises (the
+/// epsilon-dominance penalty only grows, the exclusive hypervolume only
+/// shrinks, and a penalized score is negative while an unpenalized one
+/// is not), so the bound is at least the exact score.
+///
+/// [`ExactAcquisition::select`] scores cached solved columns exactly,
+/// which sets the running best `τ`, then bounds every other candidate,
+/// sorts them by bound (highest first, ties by pool index) and solves
+/// them in rounds of [`SOLVE_ROUND`], raising `τ` after each, until the
+/// next bound falls below `τ` by more than [`PRUNE_MARGIN`]. A pruned
+/// candidate's exact score is then strictly below the final maximum, so
+/// first-max-wins over the exactly scored candidates picks the same
+/// point as over the whole pool. The rounds run in one fixed order, so
+/// which candidates are solved does not depend on the worker count.
+#[derive(Debug)]
+pub struct ExactAcquisition<'a> {
+    pack: &'a [GaussianProcess],
+    scorer: &'a ContributionScorer,
+}
+
+/// A candidate after the first pass of [`ExactAcquisition::select`].
+enum FirstPass {
+    /// A cached solved column, scored exactly.
+    Exact(f64),
+    /// An unsolved candidate's bound, with the correlations its solve
+    /// needs.
+    Bounded(f64, Vec<f64>),
+}
+
+impl<'a> ExactAcquisition<'a> {
+    /// An acquisition over an exact surrogate pack (one GP per objective,
+    /// sharing inputs and lengthscale) against the scorer's frozen front.
+    pub fn new(
+        pack: &'a [GaussianProcess],
+        scorer: &'a ContributionScorer,
+    ) -> ExactAcquisition<'a> {
+        ExactAcquisition { pack, scorer }
+    }
+
+    /// The score bound of the query whose training correlations are
+    /// `corr` (as [`GaussianProcess::cross_correlations`] gives them):
+    /// at least its exact score, up to the scorer's roundoff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` does not have one entry per training point.
+    pub fn bound(&self, corr: &[f64]) -> f64 {
+        let mut lcb = vec![0.0; self.pack.len()];
+        self.optimistic_lcb(corr, &mut lcb);
+        self.scorer.score(&lcb, EPS)
+    }
+
+    fn optimistic_lcb(&self, corr: &[f64], lcb: &mut [f64]) {
+        let max_corr_sq = corr.iter().fold(0.0f64, |m, c| m.max(c * c));
+        for (slot, gp) in lcb.iter_mut().zip(self.pack) {
+            let (mean, var) = gp.optimistic_moments(corr, max_corr_sq);
+            *slot = mean - BETA * var.sqrt();
+        }
+    }
+
+    fn exact_lcb(&self, column: &ExactColumn, lcb: &mut [f64]) {
+        for (slot, (mean, var)) in lcb.iter_mut().zip(column.predict(self.pack)) {
+            *slot = mean - BETA * var.sqrt();
+        }
+    }
+
+    /// Picks the pool's SMS-EGO winner — the first candidate in pool
+    /// order with the highest exact score — solving only candidates
+    /// that can still win (see [`ExactAcquisition`]).
+    ///
+    /// `points` are the encoded candidates. `slots[j]` holds candidate
+    /// `j`'s cached state from an earlier call, taken against this pack
+    /// before some extends and retargets only — a downdate or refit makes
+    /// it stale (`None` when there is none). On return it holds the state
+    /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
+    /// The first pass (cache refreshes, correlations, bounds, cached
+    /// scores) runs in chunks across `workers`; the rounds run in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length, a point has the
+    /// wrong dimension, or a slot was taken against a larger pack.
+    pub fn select(
+        &self,
+        points: &[Vec<f64>],
+        slots: &mut [Option<ExactSlot>],
+        keep: &[bool],
+        workers: usize,
+    ) -> Option<usize> {
+        assert_eq!(points.len(), slots.len(), "one slot per candidate");
+        assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
+        let chunks: Vec<(usize, Mutex<&mut [Option<ExactSlot>]>)> = slots
+            .chunks_mut(ACQ_CHUNK)
+            .enumerate()
+            .map(|(c, chunk)| (c * ACQ_CHUNK, Mutex::new(chunk)))
+            .collect();
+        obs::add("bo.acquisition.batches", chunks.len() as u64);
+        let first = par::parallel_map_with(workers, &chunks, |_, (base, chunk)| {
+            let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
+            let end = base + chunk.len();
+            self.first_pass(&points[*base..end], &mut chunk)
+        });
+        drop(chunks);
+
+        let mut scores: Vec<Option<f64>> = vec![None; points.len()];
+        let mut corrs: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
+        let mut bounds: Vec<(usize, f64)> = Vec::new();
+        for (j, pass) in first.into_iter().flatten().enumerate() {
+            match pass {
+                FirstPass::Exact(score) => scores[j] = Some(score),
+                FirstPass::Bounded(bound, corr) => {
+                    bounds.push((j, bound));
+                    corrs[j] = corr;
+                }
+            }
+        }
+        let hits = points.len() - bounds.len();
+        let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
+        bounds.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+
+        let n = self.pack[0].len();
+        let mut scratch = self.scorer.scratch();
+        let mut solved = 0;
+        while solved < bounds.len() {
+            let cut = best.map(|t| t - PRUNE_MARGIN * t.abs().max(1.0));
+            let round: Vec<usize> = bounds[solved..]
+                .iter()
+                .take(SOLVE_ROUND)
+                .take_while(|(_, bound)| cut.is_none_or(|cut| *bound >= cut))
+                .map(|&(j, _)| j)
+                .collect();
+            if round.is_empty() {
+                break;
+            }
+            solved += round.len();
+            let solved_round: Vec<(ExactColumn, Vec<f64>)> =
+                obs::time("bo.acquisition.gp_predict", || {
+                    let panel = Matrix::from_fn(n, round.len(), |i, k| corrs[round[k]][i]);
+                    ExactColumn::solve_correlations(self.pack, &panel)
+                        .into_iter()
+                        .map(|column| {
+                            let mut lcb = vec![0.0; self.pack.len()];
+                            self.exact_lcb(&column, &mut lcb);
+                            (column, lcb)
                         })
                         .collect()
                 });
-                obs::add("bo.hv.incremental", scores.iter().filter(|s| s.is_some()).count() as u64);
-                (scores, columns)
-            })
-        });
-
-        // Reassemble in pool order; the front neighbours' columns go back
-        // into the cache for the next iteration.
-        let mut scores: Vec<Option<f64>> = Vec::with_capacity(pool.len());
-        obs::time("bo.acquisition.score", || {
-            obs::time("bo.acquisition.gp_predict", || {
-                let mut columns = Vec::with_capacity(pool.len());
-                for (chunk_scores, chunk_columns) in scored {
-                    scores.extend(chunk_scores);
-                    columns.extend(chunk_columns);
+            obs::time("bo.acquisition.hv_score", || {
+                for (&j, (column, lcb)) in round.iter().zip(solved_round) {
+                    let score = self.scorer.score_with(&mut scratch, &lcb, EPS);
+                    best = Some(best.map_or(score, |b| b.max(score)));
+                    scores[j] = Some(score);
+                    if keep[j] {
+                        slots[j] = Some(ExactSlot::Solved(column));
+                    }
                 }
-                acquisition.columns.put_back(&pool, columns);
-            })
-        });
-
-        // First-max-wins over the pool, in pool order.
-        let mut best: Option<(f64, usize)> = None;
-        for (i, score) in scores.into_iter().enumerate() {
-            let Some(score) = score else { continue };
-            match &best {
-                Some((s, _)) if *s >= score => {}
-                _ => best = Some((score, i)),
-            }
+            });
         }
-        best.map(|(_, i)| pool.swap_remove(i))
+        obs::time("bo.acquisition.gp_predict", || {
+            for &(j, _) in &bounds[solved..] {
+                if keep[j] {
+                    slots[j] = Some(ExactSlot::Pending(std::mem::take(&mut corrs[j])));
+                }
+            }
+            for (slot, &keep) in slots.iter_mut().zip(keep) {
+                if !keep {
+                    *slot = None;
+                }
+            }
+            drop(corrs);
+        });
+        obs::add("bo.acquisition.bounded", bounds.len() as u64);
+        obs::add("bo.acquisition.solved", solved as u64);
+        obs::add("bo.acquisition.pruned", (bounds.len() - solved) as u64);
+        obs::add("bo.hv.incremental", (hits + solved) as u64);
+        first_max(&scores)
+    }
+
+    /// The first pass over one chunk: refreshes and exactly scores the
+    /// cached solved columns; correlates every other candidate (misses
+    /// through one kernel panel, pending columns over the rows added
+    /// since) and scores its optimistic LCB. Leaves only solved columns
+    /// in `slots`.
+    fn first_pass(&self, points: &[Vec<f64>], slots: &mut [Option<ExactSlot>]) -> Vec<FirstPass> {
+        obs::observe("bo.acquisition.batch_size", points.len() as f64);
+        let n_obj = self.pack.len();
+        let mut lcbs = vec![0.0; points.len() * n_obj];
+        let corrs: Vec<Option<Vec<f64>>> = obs::time("bo.acquisition.gp_predict", || {
+            let misses: Vec<Vec<f64>> = points
+                .iter()
+                .zip(slots.iter())
+                .filter(|(_, slot)| slot.is_none())
+                .map(|(p, _)| p.clone())
+                .collect();
+            let panel = self.pack[0].cross_correlations(&misses);
+            let mut next_miss = 0;
+            points
+                .iter()
+                .zip(slots.iter_mut())
+                .zip(lcbs.chunks_mut(n_obj))
+                .map(|((point, slot), lcb)| {
+                    if let Some(ExactSlot::Solved(column)) = slot {
+                        column.refresh(self.pack, point);
+                        self.exact_lcb(column, lcb);
+                        return None;
+                    }
+                    let corr = match slot.take() {
+                        Some(ExactSlot::Pending(mut corr)) => {
+                            self.pack[0].extend_correlations(point, &mut corr);
+                            corr
+                        }
+                        _ => {
+                            next_miss += 1;
+                            (0..panel.rows()).map(|i| panel[(i, next_miss - 1)]).collect()
+                        }
+                    };
+                    self.optimistic_lcb(&corr, lcb);
+                    Some(corr)
+                })
+                .collect()
+        });
+        let mut scratch = self.scorer.scratch();
+        obs::time("bo.acquisition.hv_score", || {
+            corrs
+                .into_iter()
+                .zip(lcbs.chunks(n_obj))
+                .map(|(corr, lcb)| {
+                    let score = self.scorer.score_with(&mut scratch, lcb, EPS);
+                    match corr {
+                        None => FirstPass::Exact(score),
+                        Some(corr) => FirstPass::Bounded(score, corr),
+                    }
+                })
+                .collect()
+        })
     }
 }
 

@@ -612,6 +612,50 @@ impl GaussianProcess {
             .flat_map(|column| column.predict(pack))
             .collect()
     }
+
+    /// Posterior mean and an upper bound on the posterior variance from a
+    /// query's training correlations `corr` alone, with no triangular
+    /// solve. `max_corr_sq` is `maxᵢ corrᵢ²`, which a pack shares across
+    /// its members.
+    ///
+    /// The mean is bit-identical to [`ExactColumn::predict`]'s. The
+    /// variance is `σ²(1 − cᵀC_j⁻¹c)`, and Cauchy–Schwarz in the
+    /// `C_j`-inner product gives `cᵀC_j⁻¹c ≥ cᵢ²/(C_j)ᵢᵢ` for every `i`.
+    /// Every diagonal entry of `C_j` is `1 + jitter` (fit, extend and
+    /// downdate all keep it), so `σ²(1 − max cᵢ²/(1 + jitter))` is at
+    /// least the true variance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` does not have one entry per training point.
+    pub(crate) fn optimistic_moments(&self, corr: &[f64], max_corr_sq: f64) -> (f64, f64) {
+        let bound = self.signal_var * (1.0 - max_corr_sq / (1.0 + self.jitter));
+        (self.posterior_mean(corr), bound.max(0.0))
+    }
+
+    /// `ȳ + Σ cᵢαᵢ`, accumulated in ascending `i` from `0.0`.
+    fn posterior_mean(&self, corr: &[f64]) -> f64 {
+        assert_eq!(corr.len(), self.alpha.len(), "column is not current with its pack");
+        self.mean_y + corr.iter().zip(&self.alpha).fold(0.0, |acc, (c, a)| acc + c * a)
+    }
+
+    /// Appends `point`'s correlations with the training rows past
+    /// `corr.len()`, so a correlation vector taken before some extends
+    /// becomes current — each entry bit-identical to
+    /// [`GaussianProcess::cross_correlations`]'.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` has more entries than there are training rows or
+    /// `point` has the wrong dimension.
+    pub(crate) fn extend_correlations(&self, point: &[f64], corr: &mut Vec<f64>) {
+        let (old, n) = (corr.len(), self.x.len());
+        assert!(old <= n, "correlations taken against a larger training set");
+        assert_eq!(point.len(), self.x[0].len(), "dimension mismatch");
+        let scale = kernel_scale(self.lengthscale_sq);
+        corr.extend(self.x[old..].iter().map(|xi| sq_dist(xi, point) * scale));
+        exp_slice(&mut corr[old..], self.exp_mode);
+    }
 }
 
 /// One query point's cached posterior state against an exact surrogate
@@ -652,7 +696,18 @@ impl ExactColumn {
     ///
     /// Panics if `pack` is empty or a point has the wrong dimension.
     pub fn solve_batch(pack: &[GaussianProcess], points: &[Vec<f64>]) -> Vec<ExactColumn> {
-        let corr = pack[0].cross_correlations(points);
+        ExactColumn::solve_correlations(pack, &pack[0].cross_correlations(points))
+    }
+
+    /// [`ExactColumn::solve_batch`] from an already computed `n × k`
+    /// correlation panel (one column per query): one blocked triangular
+    /// solve per member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack` is empty or `corr` does not have one row per
+    /// training point.
+    pub(crate) fn solve_correlations(pack: &[GaussianProcess], corr: &Matrix) -> Vec<ExactColumn> {
         let n = corr.rows();
         let mut columns: Vec<ExactColumn> = (0..corr.cols())
             .map(|j| ExactColumn {
@@ -662,7 +717,7 @@ impl ExactColumn {
             })
             .collect();
         for gp in pack {
-            let v = gp.chol.solve_lower_columns(&corr);
+            let v = gp.chol.solve_lower_columns(corr);
             for (j, column) in columns.iter_mut().enumerate() {
                 let solve: Vec<f64> = (0..n).map(|i| v[(i, j)]).collect();
                 column.sumsq.push(solve.iter().fold(0.0, |s, w| s + w * w));
@@ -700,16 +755,11 @@ impl ExactColumn {
     /// Panics if the column has more rows than the pack (it was solved
     /// against a different factor) or `point` has the wrong dimension.
     pub fn refresh(&mut self, pack: &[GaussianProcess], point: &[f64]) {
-        let gp = &pack[0];
-        let (old, n) = (self.corr.len(), gp.x.len());
-        assert!(old <= n, "column solved against a larger factor");
-        assert_eq!(point.len(), gp.x[0].len(), "dimension mismatch");
-        if old == n {
+        let old = self.corr.len();
+        pack[0].extend_correlations(point, &mut self.corr);
+        if old == self.corr.len() {
             return;
         }
-        let scale = kernel_scale(gp.lengthscale_sq);
-        self.corr.extend(gp.x[old..].iter().map(|xi| sq_dist(xi, point) * scale));
-        exp_slice(&mut self.corr[old..], gp.exp_mode);
         for ((member, v), s) in pack.iter().zip(&mut self.solves).zip(&mut self.sumsq) {
             member.chol.solve_lower_from(old, &self.corr, v);
             *s = v[old..].iter().fold(*s, |s, w| s + w * w);
@@ -727,11 +777,9 @@ impl ExactColumn {
         &'a self,
         pack: &'a [GaussianProcess],
     ) -> impl Iterator<Item = (f64, f64)> + 'a {
-        pack.iter().zip(&self.sumsq).map(|(gp, &s)| {
-            assert_eq!(self.corr.len(), gp.alpha.len(), "column is not current with its pack");
-            let acc = self.corr.iter().zip(&gp.alpha).fold(0.0, |acc, (c, a)| acc + c * a);
-            (gp.mean_y + acc, (gp.signal_var * (1.0 - s)).max(0.0))
-        })
+        pack.iter()
+            .zip(&self.sumsq)
+            .map(|(gp, &s)| (gp.posterior_mean(&self.corr), (gp.signal_var * (1.0 - s)).max(0.0)))
     }
 }
 
@@ -782,6 +830,9 @@ pub struct SparseGaussianProcess {
     y: Vec<f64>,
     /// Cholesky factor of `C_mm + INDUCING_RIDGE·I`.
     l_mm: Matrix,
+    /// `C_mm⁻¹ = L_mm⁻ᵀL_mm⁻¹`, frozen with `L_mm` between fits, so an
+    /// extend rebuilds [`variance_form`] without re-inverting it.
+    cmm_inv: Matrix,
     /// Cholesky factor of `A = C_mm + ridge·I + λ⁻¹·C_nmᵀC_nm`.
     l_a: Matrix,
     /// Posterior mean weights `λ⁻¹·A⁻¹·C_nmᵀ(y − ȳ)`.
@@ -869,13 +920,15 @@ impl SparseGaussianProcess {
         let b = cnm.gram();
         let a = Matrix::from_fn(m, m, |i, j| cmm[(i, j)] + b[(i, j)] / noise);
         let l_a = a.cholesky().ok_or(GpError::NotPositiveDefinite)?;
-        let var_form_l = variance_form(&l_mm, &l_a);
+        let cmm_inv = l_mm.invert_lower().gram();
+        let var_form_l = variance_form(&cmm_inv, &l_a);
 
         let mut gp = SparseGaussianProcess {
             inducing,
             cnm,
             y: y.to_vec(),
             l_mm,
+            cmm_inv,
             l_a,
             w: Vec::new(),
             var_form_l,
@@ -1079,7 +1132,7 @@ impl SparseGaussianProcess {
             return false;
         }
         self.y.push(y_new);
-        self.var_form_l = variance_form(&self.l_mm, &self.l_a);
+        self.var_form_l = variance_form(&self.cmm_inv, &self.l_a);
         self.refresh_targets();
         true
     }
@@ -1106,13 +1159,14 @@ impl SparseGaussianProcess {
 /// `D` PSD, so the factorization exists up to roundoff; `None` signals
 /// the caller to fall back to the solve-based variance. O(m³) — paid
 /// once per fit/extend, amortized over every subsequent batched query.
-fn variance_form(l_mm: &Matrix, l_a: &Matrix) -> Option<Matrix> {
-    let m = l_mm.rows();
-    // C_mm⁻¹ = XᵀX and A⁻¹ = YᵀY for X = L_mm⁻¹, Y = L_A⁻¹.
-    let gx = l_mm.invert_lower().gram();
+/// `cmm_inv` is `C_mm⁻¹`, computed once per fit (`L_mm` only changes
+/// there).
+fn variance_form(cmm_inv: &Matrix, l_a: &Matrix) -> Option<Matrix> {
+    let m = cmm_inv.rows();
+    // A⁻¹ = YᵀY for Y = L_A⁻¹.
     let gy = l_a.invert_lower().gram();
     let d = Matrix::from_fn(m, m, |i, j| {
-        gx[(i, j)] - gy[(i, j)] + if i == j { INDUCING_RIDGE } else { 0.0 }
+        cmm_inv[(i, j)] - gy[(i, j)] + if i == j { INDUCING_RIDGE } else { 0.0 }
     });
     d.cholesky()
 }

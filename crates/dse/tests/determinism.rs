@@ -5,10 +5,20 @@
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use autopilot_obs as obs;
 use dse_opt::{
     DesignSpace, EvalError, Evaluator, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
     OptimizationResult, RandomSearch, SmsEgoOptimizer,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes this file's tests: the acquisition-counter test reads
+/// process-global obs counters, which a concurrent run would bump.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A three-objective bowl with competing minima — enough structure that
 /// the optimizers actually take different trajectories if anything about
@@ -88,6 +98,7 @@ const GOLDENS: [(&str, u64, u64); 3] = [
 
 #[test]
 fn phase2_goldens_hold_at_every_thread_count() {
+    let _serial = serial();
     for threads in [1usize, 2, 8] {
         let results = run_all(threads);
         for (r, (algorithm, fp, hv_bits)) in results.iter().zip(GOLDENS) {
@@ -128,6 +139,7 @@ const FAST_GOLDEN: (u64, u64) = (0x9234_da32_9078_1113, 0x401f_24ba_93dc_2ddc);
 
 #[test]
 fn fast_exp_golden_holds_at_every_thread_count() {
+    let _serial = serial();
     let (fp, hv_bits) = FAST_GOLDEN;
     for threads in [1usize, 2, 8] {
         let r = SmsEgoOptimizer::new(13)
@@ -160,6 +172,7 @@ fn fast_exp_golden_holds_at_every_thread_count() {
 
 #[test]
 fn fast_exp_front_stays_close_to_exact() {
+    let _serial = serial();
     // The ≤4-ULP kernel perturbation may steer SMS-EGO toward different
     // candidates, but the *quality* of the resulting front must not
     // move: the final hypervolumes of the Exact and Fast runs have to
@@ -183,6 +196,7 @@ fn fast_exp_front_stays_close_to_exact() {
 
 #[test]
 fn optimizers_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let base = run_all(1);
     for threads in [2, 3, 8] {
         let got = run_all(threads);
@@ -233,6 +247,7 @@ fn cache_golden_runs(threads: usize) -> [OptimizationResult; 3] {
 
 #[test]
 fn column_cache_goldens_hold_at_every_thread_count() {
+    let _serial = serial();
     for threads in [1usize, 2, 8] {
         let results = cache_golden_runs(threads);
         for (r, (label, fp, hv_bits)) in results.iter().zip(CACHE_GOLDENS) {
@@ -255,5 +270,38 @@ fn column_cache_goldens_hold_at_every_thread_count() {
                 "{label} final hypervolume diverged from golden at {threads} threads"
             );
         }
+    }
+}
+
+/// The bounded exact acquisition's counters: candidates bounded, solved
+/// and pruned, and exact scores.
+const ACQUISITION_COUNTERS: [&str; 4] = [
+    "bo.acquisition.bounded",
+    "bo.acquisition.solved",
+    "bo.acquisition.pruned",
+    "bo.hv.incremental",
+];
+
+/// Which candidates the exact acquisition bounds, solves and prunes does
+/// not depend on the worker count: the counters of the golden SMS-EGO
+/// run and of the sliding-window cache-golden run are identical at 1, 2
+/// and 8 threads, and the bound prunes something.
+#[test]
+fn acquisition_counters_hold_at_every_thread_count() {
+    let _serial = serial();
+    obs::force_metrics(true);
+    let counts = |threads: usize| {
+        let before = obs::snapshot();
+        SmsEgoOptimizer::new(13).with_threads(threads).run(&space(), &Bowl, 28).unwrap();
+        cache_golden_runs(threads);
+        let after = obs::snapshot();
+        ACQUISITION_COUNTERS.map(|name| after.counter(name) - before.counter(name))
+    };
+    let base = counts(1);
+    let [bounded, solved, pruned, _] = base;
+    assert_eq!(bounded, solved + pruned, "every bounded candidate is solved or pruned");
+    assert!(pruned > 0, "the bound prunes nothing: {base:?}");
+    for threads in [2, 8] {
+        assert_eq!(counts(threads), base, "acquisition counters diverged at {threads} threads");
     }
 }

@@ -8,12 +8,13 @@ use autopilot_rng::Rng;
 use dse_opt::linalg::{sq_dist, Matrix};
 use dse_opt::pareto::{
     crowding_distance, dominates, hypervolume, inverted_generational_distance, non_dominated_sort,
-    pareto_indices, IncrementalFront,
+    pareto_indices, ContributionScorer, IncrementalFront,
 };
 use dse_opt::{
-    AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactColumn,
-    ExhaustiveSearch, GaussianProcess, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
-    OptimizationResult, RandomSearch, SparseGaussianProcess,
+    AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
+    ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, KernelExpMode,
+    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch,
+    SparseGaussianProcess,
 };
 
 const CASES: u64 = 64;
@@ -693,4 +694,186 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
             }
         }
     }
+}
+
+/// A random exact surrogate pack over `[0, 1)^d` with targets normalized
+/// to `[0, 1]` per objective (as the optimizer trains them), and its
+/// training inputs.
+fn random_pack(
+    rng: &mut Rng,
+    d: usize,
+    n_obj: usize,
+    n: usize,
+) -> (Vec<GaussianProcess>, Vec<Vec<f64>>) {
+    let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
+    let ls = rng.range_f64(0.02, 0.8);
+    let pack = (0..n_obj)
+        .map(|_| {
+            let shift = rng.range_f64(-1.0, 1.0);
+            let raw: Vec<f64> = xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect();
+            let (lo, hi) = raw
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let y: Vec<f64> = raw.iter().map(|v| (v - lo) / (hi - lo).max(1e-12)).collect();
+            GaussianProcess::fit_with_lengthscale(&xs, &y, ls, KernelExpMode::Exact).expect("fits")
+        })
+        .collect();
+    (pack, xs)
+}
+
+/// A candidate pool whose scores crowd together: random draws, training
+/// points nudged by up to `1e-2` (where the variance bound is nearly
+/// tight), and a tight cluster around one random centre.
+fn crowded_pool(rng: &mut Rng, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let d = xs[0].len();
+    let nudge = |rng: &mut Rng, p: &[f64], r: f64| -> Vec<f64> {
+        p.iter().map(|v| v + rng.range_f64(-r, r)).collect()
+    };
+    let mut pool: Vec<Vec<f64>> =
+        (0..rng.range_usize(1, 50)).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
+    for _ in 0..rng.range_usize(0, 50) {
+        let base = &xs[rng.range_usize(0, xs.len())];
+        pool.push(nudge(rng, base, 1e-2));
+    }
+    let centre: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
+    for _ in 0..rng.range_usize(0, 30) {
+        pool.push(nudge(rng, &centre, 1e-3));
+    }
+    pool
+}
+
+/// A random normalized Pareto front on a coarse grid, so coordinate ties
+/// are common; empty in about one case in eight.
+fn random_front(rng: &mut Rng, n_obj: usize) -> Vec<Vec<f64>> {
+    if rng.next_f64() < 0.125 {
+        return Vec::new();
+    }
+    let grid = |rng: &mut Rng| rng.range_usize(0, 12) as f64 / 10.0;
+    let points: Vec<Vec<f64>> =
+        (0..rng.range_usize(1, 24)).map(|_| (0..n_obj).map(|_| grid(rng)).collect()).collect();
+    pareto_indices(&points).into_iter().map(|i| points[i].clone()).collect()
+}
+
+/// The SMS-EGO score of `point` through a fresh per-point solve: the
+/// test-side full-scoring reference for [`ExactAcquisition`].
+fn reference_score(pack: &[GaussianProcess], scorer: &ContributionScorer, point: &[f64]) -> f64 {
+    let lcb: Vec<f64> =
+        ExactColumn::solve(pack, point).predict(pack).map(|(m, v)| m - v.sqrt()).collect();
+    scorer.score(&lcb, 1e-3)
+}
+
+/// First maximum in pool order, as full scoring picks it.
+fn reference_pick(
+    pack: &[GaussianProcess],
+    scorer: &ContributionScorer,
+    pool: &[Vec<f64>],
+) -> usize {
+    let mut best: Option<(f64, usize)> = None;
+    for (j, p) in pool.iter().enumerate() {
+        let score = reference_score(pack, scorer, p);
+        if best.is_none_or(|(s, _)| score > s) {
+            best = Some((score, j));
+        }
+    }
+    best.expect("non-empty pool").1
+}
+
+/// The acquisition's score bound — exact means, variance upper bounds,
+/// no solve — is never below the exact score, for random packs, fronts
+/// (with coordinate ties, and empty) and candidates (including training
+/// points, where the variance bound is tightest).
+#[test]
+fn acquisition_bound_is_at_least_the_exact_score() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_stream(0xd5e_0010, case);
+        let (d, n_obj) = (rng.range_usize(2, 5), rng.range_usize(1, 4));
+        let n = rng.range_usize(3, 20);
+        let (pack, xs) = random_pack(&mut rng, d, n_obj, n);
+        let front = random_front(&mut rng, n_obj);
+        let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
+        let acquisition = ExactAcquisition::new(&pack, &scorer);
+        let mut pool = crowded_pool(&mut rng, &xs);
+        pool.extend(xs.iter().cloned());
+        let corr = pack[0].cross_correlations(&pool);
+        for (j, p) in pool.iter().enumerate() {
+            let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
+            let (bound, exact) = (acquisition.bound(&column), reference_score(&pack, &scorer, p));
+            let slack = 1e-12 * exact.abs().max(1.0);
+            assert!(
+                bound >= exact - slack,
+                "case {case}, pool[{j}]: bound {bound} < exact {exact}"
+            );
+        }
+    }
+}
+
+/// The pruned selection picks exactly what full scoring picks, over 256
+/// seeds of crowded pools, with a cold column cache and then warm
+/// (solved and pending slots carried across pack extends and a new
+/// front), at 1 and 3 workers. Kept slots are exactly the
+/// `keep`-flagged ones. Often more than eight candidates' bounds reach
+/// the best exact score, so stopping after one round would be caught.
+#[test]
+fn pruned_selection_matches_full_scoring() {
+    let mut past_first_round = 0;
+    for case in 0..256 {
+        let mut rng = Rng::seed_stream(0xd5e_0011, case);
+        let (d, n_obj) = (rng.range_usize(2, 5), rng.range_usize(1, 4));
+        let draw = |rng: &mut Rng| -> Vec<f64> { (0..d).map(|_| rng.next_f64()).collect() };
+        let n = rng.range_usize(3, 24);
+        let (mut pack, xs) = random_pack(&mut rng, d, n_obj, n);
+        let mut pool = crowded_pool(&mut rng, &xs);
+        let mut slots: Vec<Option<ExactSlot>> = vec![None; pool.len()];
+        for round in ["cold", "warm", "warmer"] {
+            let front = random_front(&mut rng, n_obj);
+            let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
+            let keep: Vec<bool> = pool.iter().map(|_| rng.next_f64() < 0.6).collect();
+            let want = reference_pick(&pack, &scorer, &pool);
+            let acquisition = ExactAcquisition::new(&pack, &scorer);
+            if round == "cold" {
+                let corr = pack[0].cross_correlations(&pool);
+                let bound = |j: usize| {
+                    acquisition.bound(&(0..corr.rows()).map(|i| corr[(i, j)]).collect::<Vec<_>>())
+                };
+                let best = reference_score(&pack, &scorer, &pool[want]);
+                let unprunable = (0..pool.len()).filter(|&j| bound(j) >= best).count();
+                past_first_round += usize::from(unprunable > 8);
+            }
+            let mut picks = Vec::new();
+            let mut kept = Vec::new();
+            for workers in [1, 3] {
+                let mut trial = slots.clone();
+                picks.push(acquisition.select(&pool, &mut trial, &keep, workers));
+                kept.push(trial);
+            }
+            assert_eq!(picks, [Some(want), Some(want)], "case {case} ({round})");
+            slots = kept.pop().expect("two runs");
+            for (j, (slot, &k)) in slots.iter().zip(&keep).enumerate() {
+                assert_eq!(slot.is_some(), k, "case {case} ({round}): slot {j}");
+            }
+            // Next iteration: the pack grows, some candidates recur with
+            // their slots, new ones arrive cold.
+            for _ in 0..rng.range_usize(0, 4) {
+                let x = draw(&mut rng);
+                let mut trial = pack.clone();
+                let y = rng.next_f64();
+                if trial.iter_mut().all(|gp| gp.extend(&x, y)) {
+                    pack = trial;
+                }
+            }
+            let (mut next_pool, mut next_slots) = (Vec::new(), Vec::new());
+            for (p, slot) in pool.into_iter().zip(slots) {
+                if rng.next_f64() < 0.7 {
+                    next_pool.push(p);
+                    next_slots.push(slot);
+                }
+            }
+            for _ in 0..rng.range_usize(1, 40) {
+                next_pool.push(draw(&mut rng));
+                next_slots.push(None);
+            }
+            (pool, slots) = (next_pool, next_slots);
+        }
+    }
+    assert!(past_first_round >= 10, "only {past_first_round} cold pools needed a second round");
 }

@@ -39,7 +39,7 @@ use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use autopilot_shard::ShardedMap;
 use dse_opt::{KernelExpMode, RunControl};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -53,6 +53,11 @@ pub const MAX_BUDGET: usize = 10_000;
 /// Approximate capacity of the process-lifetime candidate cache per
 /// scenario key (entries; clock eviction beyond this).
 const CANDIDATE_CACHE_CAPACITY: usize = 65_536;
+
+/// Most terminal (completed, failed or cancelled) jobs the registry
+/// keeps; past this the oldest terminal job is evicted, and its id then
+/// answers `404`. Queued and running jobs are never evicted.
+pub const MAX_TERMINAL_JOBS: usize = 1024;
 
 /// Most candidate caches [`SharedCaches`] holds, one per `(scenario,
 /// success model, seed)` key; the Phase-1 map of its [`PipelineCache`]
@@ -192,6 +197,11 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// True for the states a job never leaves.
+    pub fn is_terminal(&self) -> bool {
+        matches!(self, JobState::Completed | JobState::Failed | JobState::Cancelled)
+    }
+
     /// Stable lower-case identifier.
     pub fn id(&self) -> &'static str {
         match self {
@@ -358,7 +368,9 @@ impl SharedCaches {
 /// The server's job registry, admission queue, and worker pool.
 #[derive(Debug)]
 pub struct JobManager {
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    /// Every live job and at most [`MAX_TERMINAL_JOBS`] terminal ones,
+    /// by id (ids ascend in submission order).
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -385,7 +397,7 @@ impl JobManager {
     /// configuration baseline.
     pub fn new(max_queue: usize, defaults: JobConfig) -> JobManager {
         JobManager {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -425,7 +437,10 @@ impl JobManager {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let job = Arc::new(Job::new(id, spec));
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&job));
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+        jobs.insert(id, Arc::clone(&job));
+        evict_terminal(&mut jobs);
+        drop(jobs);
         queue.push_back(Arc::clone(&job));
         drop(queue);
         self.queue_cv.notify_one();
@@ -438,12 +453,18 @@ impl JobManager {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner).get(&id).cloned()
     }
 
-    /// All jobs, ascending by id.
+    /// All registered jobs, ascending by id.
     pub fn list(&self) -> Vec<Arc<Job>> {
-        let mut jobs: Vec<Arc<Job>> =
-            self.jobs.lock().unwrap_or_else(PoisonError::into_inner).values().cloned().collect();
-        jobs.sort_by_key(|j| j.id);
-        jobs
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner).values().cloned().collect()
+    }
+
+    /// Cancels job `id` (see [`Job::cancel`]), then evicts past
+    /// [`MAX_TERMINAL_JOBS`]. `None` when no such job is registered.
+    pub fn cancel(&self, id: u64) -> Option<(Arc<Job>, bool)> {
+        let job = self.get(id)?;
+        let accepted = job.cancel();
+        evict_terminal(&mut self.jobs.lock().unwrap_or_else(PoisonError::into_inner));
+        Some((job, accepted))
     }
 
     /// Begins shutdown: stops admission, cancels every non-terminal
@@ -525,7 +546,26 @@ impl JobManager {
                 }
             }
         }
+        drop(st);
+        evict_terminal(&mut self.jobs.lock().unwrap_or_else(PoisonError::into_inner));
     }
+}
+
+/// Evicts the oldest (lowest-id) terminal jobs until at most
+/// [`MAX_TERMINAL_JOBS`] remain. Runs after every submission, completion
+/// and manager-side cancellation; it scans only once the registry holds
+/// more than the cap.
+fn evict_terminal(jobs: &mut BTreeMap<u64, Arc<Job>>) {
+    if jobs.len() <= MAX_TERMINAL_JOBS {
+        return;
+    }
+    let terminal: Vec<u64> =
+        jobs.iter().filter(|(_, job)| job.state().is_terminal()).map(|(&id, _)| id).collect();
+    let excess = terminal.len().saturating_sub(MAX_TERMINAL_JOBS);
+    for id in &terminal[..excess] {
+        jobs.remove(id);
+    }
+    obs::add("serve.jobs.evicted", excess as u64);
 }
 
 /// Runs the three-phase pipeline for `job` against the shared caches.

@@ -410,19 +410,16 @@ fn job_result(manager: &JobManager, id: &str) -> Response {
 }
 
 fn cancel(manager: &JobManager, id: &str) -> Response {
-    match parse_id(id).and_then(|id| manager.get(id)) {
-        Some(job) => {
-            let accepted = job.cancel();
-            Response::json(
-                if accepted { 200 } else { 409 },
-                Value::Obj(vec![
-                    ("id".into(), Value::Num(job.id as f64)),
-                    ("state".into(), Value::Str(job.state().id().into())),
-                    ("cancelling".into(), Value::Bool(accepted)),
-                ])
-                .to_json(),
-            )
-        }
+    match parse_id(id).and_then(|id| manager.cancel(id)) {
+        Some((job, accepted)) => Response::json(
+            if accepted { 200 } else { 409 },
+            Value::Obj(vec![
+                ("id".into(), Value::Num(job.id as f64)),
+                ("state".into(), Value::Str(job.state().id().into())),
+                ("cancelling".into(), Value::Bool(accepted)),
+            ])
+            .to_json(),
+        ),
         None => error_response(404, "no such job"),
     }
 }
@@ -430,6 +427,7 @@ fn cancel(manager: &JobManager, id: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::MAX_TERMINAL_JOBS;
     use autopilot::JobConfig;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
@@ -504,6 +502,27 @@ mod tests {
         assert_eq!(resp.status, 410);
         let (_, resp) = route(&mgr, &stop, &request("DELETE", "/jobs/2", ""));
         assert_eq!(resp.status, 409, "re-cancelling a terminal job conflicts");
+    }
+
+    #[test]
+    fn registry_evicts_the_oldest_terminal_jobs_past_the_cap() {
+        let mgr = JobManager::new(2 * MAX_TERMINAL_JOBS, JobConfig::from_env().with_threads(1));
+        let stop = AtomicBool::new(false);
+        // Job 1 stays queued; jobs 2.. are cancelled while queued.
+        mgr.submit(VALID).unwrap();
+        for _ in 0..MAX_TERMINAL_JOBS + 5 {
+            let id = mgr.submit(VALID).unwrap().id;
+            let (_, resp) = route(&mgr, &stop, &request("DELETE", &format!("/jobs/{id}"), ""));
+            assert_eq!(resp.status, 200);
+        }
+        assert_eq!(mgr.list().len(), MAX_TERMINAL_JOBS + 1);
+        let status = |id: u64| route(&mgr, &stop, &request("GET", &format!("/jobs/{id}"), "")).1;
+        assert_eq!(status(1).status, 200, "a queued job is never evicted");
+        for id in 2..=6 {
+            assert_eq!(status(id).status, 404, "job {id} is among the five oldest terminal");
+        }
+        assert_eq!(status(7).status, 200);
+        assert_eq!(status(MAX_TERMINAL_JOBS as u64 + 6).status, 200);
     }
 
     #[test]
