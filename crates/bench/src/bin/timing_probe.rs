@@ -25,9 +25,12 @@
 //!   kernel cross-matrix with blocked triangular solves), over the run
 //!   history as the candidate pool,
 //!
-//! - `acquisition_pruned_fraction` — the share of the exact
-//!   acquisition's bounded candidates (cache misses and pending
-//!   columns) that were pruned without a triangular solve,
+//! - `acquisition_pruned_fraction` / `acquisition_solved_fraction` —
+//!   the shares of the exact acquisition's bounded candidates (cache
+//!   misses and pending columns) pruned without a triangular solve and
+//!   solved, with `acquisition_box_pruned` / `acquisition_subset_pruned`
+//!   counting the candidates pruned at the ladder's box and subset tiers
+//!   (the rest of the pruned ones fell at the optimistic-score tier),
 //!
 //! plus counters read back from the obs registry for exactly one
 //! instrumented sequential run (the snapshot is taken before the
@@ -43,9 +46,11 @@
 //! Set `AUTOPILOT_BENCH_BUDGET=<n>` to switch to the *scale probe*: one
 //! instrumented sequential Phase-2 run at the given budget (large enough
 //! to engage the sparse surrogate), emitting `BENCH_phase2_scale.json`
-//! with the acquisition-to-run span ratio, the sparse-vs-exact inference
-//! speedup (`gp_sparse_speedup`), and the incremental-surrogate
-//! counters. The verify-script scale guard runs this at budget 2000.
+//! with the acquisition-to-run span ratio, the exact-pack acquisition's
+//! time per iteration (`exact_acquisition_ms_per_iteration`), the
+//! sparse-vs-exact inference speedup (`gp_sparse_speedup`), and the
+//! incremental-surrogate counters. The verify-script scale guard runs
+//! this at budget 2000.
 //!
 //! Cache-counter naming: the within-run `CandidateCache` hit counters are
 //! suffixed `_within_run` because continuous candidate keys are raw f64
@@ -185,6 +190,12 @@ fn main() {
     let acquisition_bounded = seq_snap.counter("bo.acquisition.bounded");
     let acquisition_solved = seq_snap.counter("bo.acquisition.solved");
     let acquisition_pruned = seq_snap.counter("bo.acquisition.pruned");
+    let acquisition_box_pruned = seq_snap.counter("bo.acquisition.box_pruned");
+    let acquisition_subset_pruned = seq_snap.counter("bo.acquisition.subset_pruned");
+    assert!(
+        acquisition_box_pruned + acquisition_subset_pruned <= acquisition_pruned,
+        "the per-tier pruned counts are a split of the pruned ones"
+    );
     assert_eq!(
         acquisition_bounded,
         acquisition_solved + acquisition_pruned,
@@ -334,9 +345,15 @@ fn main() {
         ("acquisition_bounded".into(), num(acquisition_bounded as f64)),
         ("acquisition_solved".into(), num(acquisition_solved as f64)),
         ("acquisition_pruned".into(), num(acquisition_pruned as f64)),
+        ("acquisition_box_pruned".into(), num(acquisition_box_pruned as f64)),
+        ("acquisition_subset_pruned".into(), num(acquisition_subset_pruned as f64)),
         (
             "acquisition_pruned_fraction".into(),
             num(acquisition_pruned as f64 / acquisition_bounded.max(1) as f64),
+        ),
+        (
+            "acquisition_solved_fraction".into(),
+            num(acquisition_solved as f64 / acquisition_bounded.max(1) as f64),
         ),
         (
             "systolic_memo_note".into(),
@@ -403,8 +420,8 @@ fn main() {
 /// Past the default [`dse_opt::SurrogateMode`] threshold (256 points)
 /// the optimizer engages the low-rank sparse surrogates automatically,
 /// so a budget-2000 run here exercises the scalable-inference path
-/// end-to-end; the verify-script guard asserts the acquisition-scoring
-/// span stays under half the total run span.
+/// end-to-end; the budget gate caps the exact-pack acquisition's time
+/// per iteration.
 fn scale_probe(budget: usize) {
     // Exact-GP window band (ROADMAP, PR 6 handoff): with the default
     // window cap (256) equal to the sparse threshold (256) the exact
@@ -441,6 +458,16 @@ fn scale_probe(budget: usize) {
     let span_gp_predict_s = snap.span_total_s("bo.acquisition.gp_predict");
     let span_hv_score_s = snap.span_total_s("bo.acquisition.hv_score");
     let score_ratio = span_score_s / span_phase2_run_s.max(1e-12);
+    // The exact-pack acquisitions: one `bo.acquisition.exact` span per
+    // SMS-EGO iteration scored on the exact pack.
+    let exact_iterations: u64 = snap
+        .spans
+        .iter()
+        .filter(|s| s.path.ends_with("/bo.acquisition.exact"))
+        .map(|s| s.count)
+        .sum();
+    let exact_ms_per_iteration =
+        1e3 * snap.span_total_s("bo.acquisition.exact") / exact_iterations.max(1) as f64;
 
     // Sparse-vs-exact batched inference over this run's archive, same
     // query pool for both packs. The exact pack's training size is
@@ -563,6 +590,8 @@ fn scale_probe(budget: usize) {
         ("span_bo_acquisition_gp_predict_s".into(), num(span_gp_predict_s)),
         ("span_bo_acquisition_hv_score_s".into(), num(span_hv_score_s)),
         ("acquisition_score_ratio".into(), num(score_ratio)),
+        ("exact_acquisition_iterations".into(), num(exact_iterations as f64)),
+        ("exact_acquisition_ms_per_iteration".into(), num(exact_ms_per_iteration)),
         ("gp_sparse_speedup".into(), num(gp_sparse_speedup)),
         ("gp_sparse_speedup_exact_n".into(), num(n_exact as f64)),
         ("gp_sparse_speedup_pool".into(), num(pool.len() as f64)),
@@ -595,6 +624,7 @@ fn scale_probe(budget: usize) {
     println!(
         "scale probe: budget {budget} in {wall_s:.2}s | score span {span_score_s:.3}s / run span \
          {span_phase2_run_s:.3}s (ratio {score_ratio:.3}) | gp {span_gp_predict_s:.3}s / hv \
-         {span_hv_score_s:.3}s | sparse speedup {gp_sparse_speedup:.1}x (exact n={n_exact})"
+         {span_hv_score_s:.3}s | exact acquisition {exact_ms_per_iteration:.3} ms x \
+         {exact_iterations} | sparse speedup {gp_sparse_speedup:.1}x (exact n={n_exact})"
     );
 }

@@ -2,8 +2,9 @@
 
 use autopilot_obs as obs;
 use autopilot_rng::Rng;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Mutex, PoisonError};
 
 use crate::control::RunControl;
@@ -15,7 +16,7 @@ use crate::gp::{
 };
 use crate::linalg::Matrix;
 use crate::par;
-use crate::pareto::{ContributionScorer, IncrementalFront};
+use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
 use crate::result::{EvaluationRecord, OptimizationResult};
 use crate::space::DesignSpace;
 
@@ -352,55 +353,6 @@ impl SurrogatePack {
             SurrogatePack::Sparse(_) => false,
         }
     }
-}
-
-/// Fills the sparse pool's missing columns from one pool-wide kernel
-/// panel against the inducing set (column-striped across workers),
-/// so only candidates new to the cache are encoded and correlated.
-fn resolve_sparse_misses(
-    gps: &[SparseGaussianProcess],
-    space: &DesignSpace,
-    pool: &[Vec<usize>],
-    columns: &mut [Option<Column>],
-) {
-    let misses: Vec<usize> =
-        (0..pool.len()).filter(|&j| !matches!(columns[j], Some(Column::Sparse(_)))).collect();
-    if misses.is_empty() {
-        return;
-    }
-    let miss_xs: Vec<Vec<f64>> = misses.iter().map(|&j| space.encode(&pool[j])).collect();
-    let panel = gps[0].cross_correlations(&miss_xs);
-    for (k, &j) in misses.iter().enumerate() {
-        columns[j] = Some(Column::Sparse((0..panel.rows()).map(|i| panel[(i, k)]).collect()));
-    }
-}
-
-/// Per-objective sparse `(mean, variance)` for a chunk of candidates
-/// from their inducing correlations (all resolved by
-/// [`resolve_sparse_misses`]), assembled into one
-/// `m × chunk` matrix that every objective predicts from —
-/// bit-identical to each member's `predict_batch`. On return a slot
-/// keeps its column only if `keep` marks it (a front neighbour).
-fn sparse_predict_chunk(
-    gps: &[SparseGaussianProcess],
-    keep: &[bool],
-    columns: &mut [Option<Column>],
-) -> Vec<Vec<(f64, f64)>> {
-    obs::add("bo.gp.sparse.predict", 1);
-    let mut corr = Matrix::zeros(gps[0].inducing_count(), columns.len());
-    for (j, column) in columns.iter().enumerate() {
-        if let Some(Column::Sparse(col)) = column {
-            for (i, &v) in col.iter().enumerate() {
-                corr[(i, j)] = v;
-            }
-        }
-    }
-    for (column, &keep) in columns.iter_mut().zip(keep) {
-        if !keep {
-            *column = None;
-        }
-    }
-    gps.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
 }
 
 /// Per-objective GP surrogates kept current incrementally.
@@ -781,28 +733,41 @@ impl SmsEgoOptimizer {
         let columns = obs::time("bo.acquisition.score", || {
             obs::time("bo.acquisition.gp_predict", || acquisition.columns.take(key, &pool))
         });
-        let (best, columns) = match &surrogates.pack {
-            SurrogatePack::Exact(gps) => obs::time("bo.acquisition.score", || {
-                let (points, mut slots) = obs::time("bo.acquisition.gp_predict", || {
-                    let points: Vec<Vec<f64>> = pool.iter().map(|c| space.encode(c)).collect();
-                    let slots: Vec<Option<ExactSlot>> = columns
+        let (best, columns) = obs::time("bo.acquisition.score", || {
+            let points: Vec<Vec<f64>> = obs::time("bo.acquisition.gp_predict", || {
+                pool.iter().map(|c| space.encode(c)).collect()
+            });
+            let picked = match &surrogates.pack {
+                SurrogatePack::Exact(gps) => {
+                    let mut slots: Vec<Option<ExactSlot>> = columns
                         .into_iter()
                         .map(|c| match c {
                             Some(Column::Exact(slot)) => Some(slot),
                             _ => None,
                         })
                         .collect();
-                    (points, slots)
-                });
-                let acquisition = ExactAcquisition::new(gps, &scorer);
-                let best = acquisition.select(&points, &mut slots, &neighbour, workers);
-                obs::time("bo.acquisition.gp_predict", || drop(points));
-                (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
-            }),
-            SurrogatePack::Sparse(gps) => {
-                select_sparse(gps, &scorer, space, &pool, &neighbour, columns, workers)
-            }
-        };
+                    let acquisition = ExactAcquisition::new(gps, &scorer);
+                    let best = obs::time("bo.acquisition.exact", || {
+                        acquisition.select(&points, &mut slots, &neighbour, workers)
+                    });
+                    (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
+                }
+                SurrogatePack::Sparse(gps) => {
+                    let mut slots: Vec<Option<Vec<f64>>> = columns
+                        .into_iter()
+                        .map(|c| match c {
+                            Some(Column::Sparse(column)) => Some(column),
+                            _ => None,
+                        })
+                        .collect();
+                    let acquisition = SparseAcquisition::new(gps, &scorer);
+                    let best = acquisition.select(&points, &mut slots, &neighbour, workers);
+                    (best, slots.into_iter().map(|slot| slot.map(Column::Sparse)).collect())
+                }
+            };
+            obs::time("bo.acquisition.gp_predict", || drop(points));
+            picked
+        });
         obs::time("bo.acquisition.score", || {
             obs::time("bo.acquisition.gp_predict", || acquisition.columns.put_back(&pool, columns))
         });
@@ -810,73 +775,166 @@ impl SmsEgoOptimizer {
     }
 }
 
-/// Scores a sparse-pack pool in parallel, a chunk of candidates at a
-/// time: every chunk predicts all objectives from its inducing
-/// correlations and scores each candidate's LCB. Each score is a pure
-/// function of the frozen surrogates, the front and the candidate's
-/// column. Returns the first maximum in pool order and the columns to
-/// keep (front neighbours').
+/// The sparse-pack SMS-EGO acquisition over one candidate pool: each
+/// chunk of candidates predicts all objectives from its inducing
+/// correlations, and a candidate's hypervolume contribution is computed
+/// only while its box bound can still reach the chunk's best score. The
+/// pick is the one full scoring would make.
 ///
-/// The sparse pack is left unbounded: its variance is `σ²(1 − cᵀDc)`
+/// Sparse predictions are cheap (`O(m)` per candidate against `m`
+/// inducing points), so the exact LCB is known up front and the only
+/// work worth pruning is the contribution. Within a chunk, the
+/// penalized candidates' scores (`-penalty`) are exact from the
+/// penalty scan alone; the others are taken in descending
+/// [`ContributionScorer::box_bound`] order (ties by pool index) and
+/// scored until a box falls below the chunk best by more than
+/// [`PRUNE_MARGIN`]. A skipped candidate's score is then strictly below
+/// its chunk's best, so first-max-wins over the scored candidates picks
+/// the same point as over the whole pool. Each chunk's result depends
+/// only on its own candidates, so it does not depend on the worker
+/// count.
+///
+/// No variance bound is used: the sparse variance is `σ²(1 − cᵀDc)`
 /// with `D = C_mm⁻¹ − A⁻¹`, which has no fixed diagonal, so the only
-/// solve-free lower bound on `cᵀDc` for every `c` is `0`. The variance
-/// bound collapses to `σ²`, which prunes nothing.
-fn select_sparse(
-    gps: &[SparseGaussianProcess],
-    scorer: &ContributionScorer,
-    space: &DesignSpace,
-    pool: &[Vec<usize>],
-    neighbour: &[bool],
-    mut columns: Vec<Option<Column>>,
-    workers: usize,
-) -> (Option<usize>, Vec<Option<Column>>) {
-    type Job<'a> = (&'a [bool], Mutex<Vec<Option<Column>>>);
-    let jobs: Vec<Job> = obs::time("bo.acquisition.score", || {
-        obs::time("bo.acquisition.gp_predict", || {
-            resolve_sparse_misses(gps, space, pool, &mut columns);
-            let mut columns = columns.into_iter();
-            neighbour
-                .chunks(ACQ_CHUNK)
-                .map(|keep| (keep, Mutex::new(columns.by_ref().take(keep.len()).collect())))
-                .collect()
-        })
-    });
-    obs::add("bo.acquisition.batches", jobs.len() as u64);
-    let scored = obs::time("bo.acquisition.score", || {
-        par::parallel_map_with(workers, &jobs, |_, (keep, columns)| {
-            obs::observe("bo.acquisition.batch_size", keep.len() as f64);
-            let mut columns =
-                std::mem::take(&mut *columns.lock().unwrap_or_else(PoisonError::into_inner));
-            let preds: Vec<Vec<(f64, f64)>> = obs::time("bo.acquisition.gp_predict", || {
-                sparse_predict_chunk(gps, keep, &mut columns)
-            });
-            // Buffers reused across the whole chunk: steady-state
-            // scoring allocates nothing per candidate.
-            let mut scratch = scorer.scratch();
-            let mut lcb = vec![0.0; preds.len()];
-            let scores: Vec<Option<f64>> = obs::time("bo.acquisition.hv_score", || {
-                (0..keep.len())
-                    .map(|k| {
-                        for (slot, p) in lcb.iter_mut().zip(&preds) {
-                            let (mean, var) = p[k];
-                            *slot = mean - BETA * var.sqrt();
-                        }
-                        Some(scorer.score_with(&mut scratch, &lcb, EPS))
-                    })
-                    .collect()
-            });
-            obs::add("bo.hv.incremental", scores.len() as u64);
-            (scores, columns)
-        })
-    });
-    let mut scores: Vec<Option<f64>> = Vec::with_capacity(pool.len());
-    let mut kept = Vec::with_capacity(pool.len());
-    for (chunk_scores, chunk_columns) in scored {
-        scores.extend(chunk_scores);
-        kept.extend(chunk_columns);
-    }
-    (first_max(&scores), kept)
+/// solve-free lower bound on `cᵀDc` for every `c` is `0`, and the
+/// prediction is cheaper than any bound that would need more.
+#[derive(Debug)]
+pub struct SparseAcquisition<'a> {
+    pack: &'a [SparseGaussianProcess],
+    scorer: &'a ContributionScorer,
 }
+
+impl<'a> SparseAcquisition<'a> {
+    /// An acquisition over a sparse surrogate pack (one GP per
+    /// objective, sharing inputs, lengthscale and inducing set) against
+    /// the scorer's frozen front.
+    pub fn new(
+        pack: &'a [SparseGaussianProcess],
+        scorer: &'a ContributionScorer,
+    ) -> SparseAcquisition<'a> {
+        SparseAcquisition { pack, scorer }
+    }
+
+    /// Picks the pool's SMS-EGO winner — the first candidate in pool
+    /// order with the highest score — scoring contributions only where
+    /// they can still win (see [`SparseAcquisition`]).
+    ///
+    /// `points` are the encoded candidates. `columns[j]` holds candidate
+    /// `j`'s correlations against the inducing set from an earlier call
+    /// against this pack's inducing set and lengthscale (`None` when
+    /// there is none); misses are filled from one kernel panel. On
+    /// return it holds the column when `keep[j]` and `None` otherwise.
+    /// Chunks of candidates run across `workers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length, a point has the
+    /// wrong dimension, or a column has the wrong length.
+    pub fn select(
+        &self,
+        points: &[Vec<f64>],
+        columns: &mut [Option<Vec<f64>>],
+        keep: &[bool],
+        workers: usize,
+    ) -> Option<usize> {
+        assert_eq!(points.len(), columns.len(), "one column per candidate");
+        assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
+        obs::time("bo.acquisition.gp_predict", || {
+            let misses: Vec<usize> = (0..points.len()).filter(|&j| columns[j].is_none()).collect();
+            if misses.is_empty() {
+                return;
+            }
+            let miss_points: Vec<Vec<f64>> = misses.iter().map(|&j| points[j].clone()).collect();
+            let panel = self.pack[0].cross_correlations(&miss_points);
+            for (k, &j) in misses.iter().enumerate() {
+                columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
+            }
+        });
+        let chunks: Vec<Chunk<Vec<f64>>> = columns
+            .chunks_mut(ACQ_CHUNK)
+            .enumerate()
+            .map(|(c, chunk)| (c * ACQ_CHUNK, Mutex::new(chunk)))
+            .collect();
+        obs::add("bo.acquisition.batches", chunks.len() as u64);
+        let scored = par::parallel_map_with(workers, &chunks, |_, (base, chunk)| {
+            let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
+            obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
+            let keep = &keep[*base..base + chunk.len()];
+            let preds =
+                obs::time("bo.acquisition.gp_predict", || self.predict_chunk(&mut chunk, keep));
+            obs::time("bo.acquisition.hv_score", || self.score_chunk(&preds))
+        });
+        first_max(&scored.concat())
+    }
+
+    /// Per-objective `(mean, variance)` for a chunk from its inducing
+    /// correlations, assembled into one `m × chunk` matrix that every
+    /// objective predicts from — bit-identical to each member's
+    /// `predict_batch`. Keeps a column only if `keep` marks it.
+    fn predict_chunk(
+        &self,
+        columns: &mut [Option<Vec<f64>>],
+        keep: &[bool],
+    ) -> Vec<Vec<(f64, f64)>> {
+        obs::add("bo.gp.sparse.predict", 1);
+        let mut corr = Matrix::zeros(self.pack[0].inducing_count(), columns.len());
+        for (j, column) in columns.iter().enumerate() {
+            for (i, &v) in column.iter().flatten().enumerate() {
+                corr[(i, j)] = v;
+            }
+        }
+        for (column, &keep) in columns.iter_mut().zip(keep) {
+            if !keep {
+                *column = None;
+            }
+        }
+        self.pack.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
+    }
+
+    /// The chunk's scores: exact for the penalized candidates and for
+    /// those whose contribution was computed, `None` for the candidates
+    /// the box cut skipped.
+    fn score_chunk(&self, preds: &[Vec<(f64, f64)>]) -> Vec<Option<f64>> {
+        let n_obj = preds.len();
+        let lcb = |k: usize| -> [f64; 3] {
+            let mut lcb = [0.0; 3];
+            for (slot, p) in lcb.iter_mut().zip(preds) {
+                let (mean, var) = p[k];
+                *slot = mean - BETA * var.sqrt();
+            }
+            lcb
+        };
+        // Buffers reused across the whole chunk: steady-state scoring
+        // allocates nothing per candidate.
+        let mut scratch = self.scorer.scratch();
+        let mut scores: Vec<Option<f64>> = vec![None; preds[0].len()];
+        let mut boxes: Vec<(f64, usize)> = Vec::with_capacity(scores.len());
+        for (k, score) in scores.iter_mut().enumerate() {
+            let bound = self.scorer.score_bound_with(&mut scratch, &lcb(k)[..n_obj], EPS);
+            if bound < 0.0 {
+                *score = Some(bound);
+            } else {
+                boxes.push((bound, k));
+            }
+        }
+        let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
+        boxes.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (bound, k) in boxes {
+            if prune_cut(best).is_some_and(|cut| bound < cut) {
+                break;
+            }
+            let score = self.scorer.contribution_with(&mut scratch, &lcb(k)[..n_obj]);
+            best = Some(best.map_or(score, |b| b.max(score)));
+            scores[k] = Some(score);
+        }
+        obs::add("bo.hv.incremental", scores.iter().flatten().count() as u64);
+        scores
+    }
+}
+
+/// A chunk of an acquisition's per-candidate slots with the pool index
+/// of its first candidate, handed to one worker.
+type Chunk<'a, T> = (usize, Mutex<&'a mut [Option<T>]>);
 
 /// Index of the first maximum score in pool order, skipping candidates
 /// that were never scored exactly.
@@ -903,6 +961,12 @@ const SOLVE_ROUND: usize = 8;
 /// strictly below `τ`.
 const PRUNE_MARGIN: f64 = 1e-9;
 
+/// The cut under the running best score (`None` before any score): a
+/// bound below it cannot reach the best.
+fn prune_cut(best: Option<f64>) -> Option<f64> {
+    best.map(|t| t - PRUNE_MARGIN * t.abs().max(1.0))
+}
+
 /// One exact-pack candidate's state between acquisition calls, as
 /// [`ExactAcquisition::select`] takes and leaves it.
 #[derive(Debug, Clone)]
@@ -917,43 +981,122 @@ pub enum ExactSlot {
 }
 
 /// The exact-pack SMS-EGO acquisition over one candidate pool: every
-/// candidate's score is bounded from its kernel correlations first, and
-/// the `O(n²)` triangular solves run only for candidates that can still
-/// win. The pick is the one full scoring would make.
+/// candidate climbs a ladder of score bounds, each tighter and costlier
+/// than the one before, and the `O(n²)` triangular solves run only for
+/// candidates that can still win. The pick is the one full scoring
+/// would make.
 ///
 /// A candidate's exact score is the [`ContributionScorer`] score of its
-/// LCB `mean − BETA·√variance` per objective. Its bound is the score of
-/// the *optimistic* LCB: the same means (computed without a solve) with
-/// the variance upper bound `σ²(1 − maxᵢ cᵢ²/(1 + jitter))`, which
-/// Cauchy–Schwarz gives from the unit-plus-jitter diagonal of the
-/// training correlation matrix. A larger variance lowers the
-/// LCB, and the score never rises when an LCB coordinate rises (the
-/// epsilon-dominance penalty only grows, the exclusive hypervolume only
-/// shrinks, and a penalized score is negative while an unpenalized one
-/// is not), so the bound is at least the exact score.
+/// LCB `mean − BETA·√variance` per objective. Every bound keeps the
+/// exact means (computed without a solve) and replaces the variance by
+/// an upper bound, giving an *optimistic* LCB, no higher than the exact
+/// one in any coordinate. The score never rises when an LCB coordinate
+/// rises (the epsilon-dominance penalty only grows, the exclusive
+/// hypervolume only shrinks, and a penalized score is negative while an
+/// unpenalized one is not), so a score of an optimistic LCB bounds the
+/// exact score. The tiers:
+///
+/// 1. **Box**: the optimistic LCB (Cauchy–Schwarz variance bound
+///    `σ²(1 − maxᵢ cᵢ²/(1 + jitter))`) scored by
+///    [`ContributionScorer::score_bound_with`] — its exact penalty, or
+///    the box volume around its exclusive region. One `O(|front|)` scan.
+/// 2. **Score**: the full score of the same LCB.
+/// 3. **Subset**: the full score of the LCB with the variances of
+///    [`GaussianProcess::subset_variance_bounds`] (an 8-row Schur bound).
+/// 4. **Solve**: the exact score, solved in rounds of [`SOLVE_ROUND`].
 ///
 /// [`ExactAcquisition::select`] scores cached solved columns exactly,
-/// which sets the running best `τ`, then bounds every other candidate,
-/// sorts them by bound (highest first, ties by pool index) and solves
-/// them in rounds of [`SOLVE_ROUND`], raising `τ` after each, until the
-/// next bound falls below `τ` by more than [`PRUNE_MARGIN`]. A pruned
-/// candidate's exact score is then strictly below the final maximum, so
-/// first-max-wins over the exactly scored candidates picks the same
-/// point as over the whole pool. The rounds run in one fixed order, so
-/// which candidates are solved does not depend on the worker count.
+/// which sets the running best `τ`, then refines best-first: the
+/// candidate with the highest current bound (ties by pool index) moves
+/// up one tier, and one at the top tier joins the next solve round,
+/// until the highest bound is below `τ` by more than [`PRUNE_MARGIN`].
+/// Up to [`SOLVE_ROUND`] heap tops in a row that await the subset tier
+/// move up together, so their `p × p` solves share one prediction
+/// span.
+/// A pruned candidate's exact score is then strictly below the final
+/// maximum, so first-max-wins over the exactly scored candidates picks
+/// the same point as over the whole pool. The ladder runs in one fixed
+/// order, so which candidates are refined and solved does not depend on
+/// the worker count.
 #[derive(Debug)]
 pub struct ExactAcquisition<'a> {
     pack: &'a [GaussianProcess],
     scorer: &'a ContributionScorer,
 }
 
+/// The rungs of [`ExactAcquisition`]'s bound ladder below the solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Box,
+    Score,
+    Subset,
+}
+
+/// A bounded candidate on the ladder, ordered for a max-heap: highest
+/// bound first, ties by lower `k`. `k` numbers the bounded candidates
+/// in pool order, so ties go to the lower pool index.
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    bound: f64,
+    tier: Tier,
+    k: usize,
+}
+
+impl Ord for Rung {
+    fn cmp(&self, other: &Rung) -> std::cmp::Ordering {
+        self.bound.total_cmp(&other.bound).then(other.k.cmp(&self.k))
+    }
+}
+
+impl PartialOrd for Rung {
+    fn partial_cmp(&self, other: &Rung) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Rung {
+    fn eq(&self, other: &Rung) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Rung {}
+
+impl Rung {
+    /// True when the rung's next step is the subset tier: a score-tier
+    /// rung, or a penalized box-tier one (a penalized LCB's box-tier
+    /// bound is already its score; an unpenalized one's score is its
+    /// contribution).
+    fn awaits_subset(&self) -> bool {
+        self.tier == Tier::Score || (self.tier == Tier::Box && self.bound < 0.0)
+    }
+}
+
+/// An unsolved candidate on the ladder: its pool index `j`, its training
+/// correlations (taken when it is solved or left pending), and per
+/// objective (the scorer takes at most three) its exact posterior mean
+/// and optimistic LCB.
+struct Unsolved {
+    j: usize,
+    corr: Vec<f64>,
+    means: [f64; 3],
+    lcb: [f64; 3],
+}
+
+/// A candidate's LCB after the first pass's prediction stage.
+enum Lcb {
+    /// A cached solved column's exact LCB.
+    Exact(Vec<f64>),
+    /// An unsolved candidate's optimistic LCB.
+    Optimistic(Unsolved),
+}
+
 /// A candidate after the first pass of [`ExactAcquisition::select`].
 enum FirstPass {
-    /// A cached solved column, scored exactly.
-    Exact(f64),
-    /// An unsolved candidate's bound, with the correlations its solve
-    /// needs.
-    Bounded(f64, Vec<f64>),
+    /// A cached solved column at a pool index, scored exactly.
+    Exact(usize, f64),
+    /// An unsolved candidate with its box-tier bound.
+    Bounded(f64, Unsolved),
 }
 
 impl<'a> ExactAcquisition<'a> {
@@ -966,31 +1109,68 @@ impl<'a> ExactAcquisition<'a> {
         ExactAcquisition { pack, scorer }
     }
 
-    /// The score bound of the query whose training correlations are
-    /// `corr` (as [`GaussianProcess::cross_correlations`] gives them):
-    /// at least its exact score, up to the scorer's roundoff.
+    /// The box, score and subset tiers' bounds for the query whose
+    /// training correlations are `corr` (as
+    /// [`GaussianProcess::cross_correlations`] gives them): each at
+    /// least its exact score, up to the scorer's roundoff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` does not have one entry per training point.
+    pub fn bounds(&self, corr: &[f64]) -> [f64; 3] {
+        let candidate = self.unsolved(0, corr.to_vec());
+        let lcb = &candidate.lcb[..self.pack.len()];
+        let mut scratch = self.scorer.scratch();
+        [
+            self.scorer.score_bound_with(&mut scratch, lcb, EPS),
+            self.scorer.score_with(&mut scratch, lcb, EPS),
+            self.subset_score(
+                &candidate,
+                &GaussianProcess::subset_variance_bounds(self.pack, &candidate.corr),
+                &mut scratch,
+            ),
+        ]
+    }
+
+    /// The score tier's bound of [`ExactAcquisition::bounds`].
     ///
     /// # Panics
     ///
     /// Panics if `corr` does not have one entry per training point.
     pub fn bound(&self, corr: &[f64]) -> f64 {
-        let mut lcb = vec![0.0; self.pack.len()];
-        self.optimistic_lcb(corr, &mut lcb);
-        self.scorer.score(&lcb, EPS)
+        self.bounds(corr)[1]
     }
 
-    fn optimistic_lcb(&self, corr: &[f64], lcb: &mut [f64]) {
+    /// The candidate's exact means and optimistic LCB from its
+    /// correlations alone.
+    fn unsolved(&self, j: usize, corr: Vec<f64>) -> Unsolved {
         let max_corr_sq = corr.iter().fold(0.0f64, |m, c| m.max(c * c));
-        for (slot, gp) in lcb.iter_mut().zip(self.pack) {
-            let (mean, var) = gp.optimistic_moments(corr, max_corr_sq);
-            *slot = mean - BETA * var.sqrt();
+        let (mut means, mut lcb) = ([0.0; 3], [0.0; 3]);
+        for (o, gp) in self.pack.iter().enumerate() {
+            let (mean, var) = gp.optimistic_moments(&corr, max_corr_sq);
+            means[o] = mean;
+            lcb[o] = mean - BETA * var.sqrt();
         }
+        Unsolved { j, corr, means, lcb }
     }
 
-    fn exact_lcb(&self, column: &ExactColumn, lcb: &mut [f64]) {
-        for (slot, (mean, var)) in lcb.iter_mut().zip(column.predict(self.pack)) {
+    /// The subset tier: the score of the LCB with the subset variance
+    /// bounds `variances`.
+    fn subset_score(
+        &self,
+        candidate: &Unsolved,
+        variances: &[f64],
+        scratch: &mut ScorerScratch,
+    ) -> f64 {
+        let mut lcb = [0.0; 3];
+        for ((slot, mean), var) in lcb.iter_mut().zip(&candidate.means).zip(variances) {
             *slot = mean - BETA * var.sqrt();
         }
+        self.scorer.score_with(scratch, &lcb[..self.pack.len()], EPS)
+    }
+
+    fn exact_lcb(&self, column: &ExactColumn) -> Vec<f64> {
+        column.predict(self.pack).map(|(mean, var)| mean - BETA * var.sqrt()).collect()
     }
 
     /// Picks the pool's SMS-EGO winner — the first candidate in pool
@@ -1002,8 +1182,10 @@ impl<'a> ExactAcquisition<'a> {
     /// before some extends and retargets only — a downdate or refit makes
     /// it stale (`None` when there is none). On return it holds the state
     /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
-    /// The first pass (cache refreshes, correlations, bounds, cached
-    /// scores) runs in chunks across `workers`; the rounds run in order.
+    /// The first pass (cache refreshes, correlations, box bounds, cached
+    /// scores) runs in chunks across `workers`; the ladder runs in order.
+    /// When no cached column sets the running best, the first solve round
+    /// is the single most promising candidate.
     ///
     /// # Panics
     ///
@@ -1018,7 +1200,7 @@ impl<'a> ExactAcquisition<'a> {
     ) -> Option<usize> {
         assert_eq!(points.len(), slots.len(), "one slot per candidate");
         assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
-        let chunks: Vec<(usize, Mutex<&mut [Option<ExactSlot>]>)> = slots
+        let chunks: Vec<Chunk<ExactSlot>> = slots
             .chunks_mut(ACQ_CHUNK)
             .enumerate()
             .map(|(c, chunk)| (c * ACQ_CHUNK, Mutex::new(chunk)))
@@ -1027,56 +1209,98 @@ impl<'a> ExactAcquisition<'a> {
         let first = par::parallel_map_with(workers, &chunks, |_, (base, chunk)| {
             let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
             let end = base + chunk.len();
-            self.first_pass(&points[*base..end], &mut chunk)
+            self.first_pass(*base, &points[*base..end], &mut chunk)
         });
         drop(chunks);
 
         let mut scores: Vec<Option<f64>> = vec![None; points.len()];
-        let mut corrs: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
-        let mut bounds: Vec<(usize, f64)> = Vec::new();
-        for (j, pass) in first.into_iter().flatten().enumerate() {
+        let mut unsolved: Vec<Unsolved> = Vec::new();
+        let mut ladder: BinaryHeap<Rung> = BinaryHeap::new();
+        for pass in first.into_iter().flatten() {
             match pass {
-                FirstPass::Exact(score) => scores[j] = Some(score),
-                FirstPass::Bounded(bound, corr) => {
-                    bounds.push((j, bound));
-                    corrs[j] = corr;
+                FirstPass::Exact(j, score) => scores[j] = Some(score),
+                FirstPass::Bounded(bound, candidate) => {
+                    ladder.push(Rung { bound, tier: Tier::Box, k: unsolved.len() });
+                    unsolved.push(candidate);
                 }
             }
         }
-        let hits = points.len() - bounds.len();
         let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
-        bounds.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
         let n = self.pack[0].len();
         let mut scratch = self.scorer.scratch();
+        let mut round: Vec<usize> = Vec::with_capacity(SOLVE_ROUND);
         let mut solved = 0;
-        while solved < bounds.len() {
-            let cut = best.map(|t| t - PRUNE_MARGIN * t.abs().max(1.0));
-            let round: Vec<usize> = bounds[solved..]
-                .iter()
-                .take(SOLVE_ROUND)
-                .take_while(|(_, bound)| cut.is_none_or(|cut| *bound >= cut))
-                .map(|&(j, _)| j)
-                .collect();
+        let mut refining: Option<obs::Span> = None;
+        loop {
+            let cut = prune_cut(best);
+            let capacity = if best.is_some() { SOLVE_ROUND } else { 1 };
+            let reaches = |r: &Rung| cut.is_none_or(|cut| r.bound >= cut);
+            let top = match ladder.peek_mut() {
+                Some(top) if round.len() < capacity && reaches(&top) => Some(PeekMut::pop(top)),
+                _ => None,
+            };
+            if let Some(rung) = top {
+                refining.get_or_insert_with(|| obs::span("bo.acquisition.hv_score"));
+                if rung.tier == Tier::Subset {
+                    round.push(rung.k);
+                } else if rung.awaits_subset() {
+                    // This rung and the heap tops right behind it that
+                    // also await the subset tier are promoted together,
+                    // under one prediction span.
+                    let mut batch = vec![rung];
+                    while batch.len() < SOLVE_ROUND {
+                        match ladder.peek_mut() {
+                            Some(top) if top.awaits_subset() && reaches(&top) => {
+                                batch.push(PeekMut::pop(top));
+                            }
+                            _ => break,
+                        }
+                    }
+                    let variances: Vec<Vec<f64>> = obs::time("bo.acquisition.gp_predict", || {
+                        batch
+                            .iter()
+                            .map(|r| {
+                                GaussianProcess::subset_variance_bounds(
+                                    self.pack,
+                                    &unsolved[r.k].corr,
+                                )
+                            })
+                            .collect()
+                    });
+                    for (r, variances) in batch.into_iter().zip(variances) {
+                        let bound = self.subset_score(&unsolved[r.k], &variances, &mut scratch);
+                        ladder.push(Rung { bound, tier: Tier::Subset, ..r });
+                    }
+                } else {
+                    let lcb = &unsolved[rung.k].lcb[..self.pack.len()];
+                    let bound = self.scorer.contribution_with(&mut scratch, lcb);
+                    ladder.push(Rung { bound, tier: Tier::Score, ..rung });
+                }
+                continue;
+            }
             if round.is_empty() {
                 break;
             }
+            refining = None;
             solved += round.len();
             let solved_round: Vec<(ExactColumn, Vec<f64>)> =
                 obs::time("bo.acquisition.gp_predict", || {
-                    let panel = Matrix::from_fn(n, round.len(), |i, k| corrs[round[k]][i]);
+                    let corrs: Vec<Vec<f64>> =
+                        round.iter().map(|&k| std::mem::take(&mut unsolved[k].corr)).collect();
+                    let panel = Matrix::from_fn(n, round.len(), |i, c| corrs[c][i]);
                     ExactColumn::solve_correlations(self.pack, &panel)
                         .into_iter()
                         .map(|column| {
-                            let mut lcb = vec![0.0; self.pack.len()];
-                            self.exact_lcb(&column, &mut lcb);
+                            let lcb = self.exact_lcb(&column);
                             (column, lcb)
                         })
                         .collect()
                 });
             obs::time("bo.acquisition.hv_score", || {
-                for (&j, (column, lcb)) in round.iter().zip(solved_round) {
+                for (&k, (column, lcb)) in round.iter().zip(solved_round) {
                     let score = self.scorer.score_with(&mut scratch, &lcb, EPS);
+                    let j = unsolved[k].j;
                     best = Some(best.map_or(score, |b| b.max(score)));
                     scores[j] = Some(score);
                     if keep[j] {
@@ -1084,11 +1308,22 @@ impl<'a> ExactAcquisition<'a> {
                     }
                 }
             });
+            round.clear();
         }
+        drop(refining);
+        let tier_count = |tier: Tier| ladder.iter().filter(|r| r.tier == tier).count() as u64;
+        obs::add("bo.acquisition.bounded", unsolved.len() as u64);
+        obs::add("bo.acquisition.solved", solved as u64);
+        obs::add("bo.acquisition.pruned", ladder.len() as u64);
+        obs::add("bo.acquisition.box_pruned", tier_count(Tier::Box));
+        obs::add("bo.acquisition.subset_pruned", tier_count(Tier::Subset));
+        obs::add("bo.hv.incremental", (points.len() - unsolved.len() + solved) as u64);
         obs::time("bo.acquisition.gp_predict", || {
-            for &(j, _) in &bounds[solved..] {
-                if keep[j] {
-                    slots[j] = Some(ExactSlot::Pending(std::mem::take(&mut corrs[j])));
+            for rung in ladder {
+                let candidate = &mut unsolved[rung.k];
+                if keep[candidate.j] {
+                    let corr = std::mem::take(&mut candidate.corr);
+                    slots[candidate.j] = Some(ExactSlot::Pending(corr));
                 }
             }
             for (slot, &keep) in slots.iter_mut().zip(keep) {
@@ -1096,25 +1331,24 @@ impl<'a> ExactAcquisition<'a> {
                     *slot = None;
                 }
             }
-            drop(corrs);
+            drop(unsolved);
         });
-        obs::add("bo.acquisition.bounded", bounds.len() as u64);
-        obs::add("bo.acquisition.solved", solved as u64);
-        obs::add("bo.acquisition.pruned", (bounds.len() - solved) as u64);
-        obs::add("bo.hv.incremental", (hits + solved) as u64);
         first_max(&scores)
     }
 
-    /// The first pass over one chunk: refreshes and exactly scores the
-    /// cached solved columns; correlates every other candidate (misses
-    /// through one kernel panel, pending columns over the rows added
-    /// since) and scores its optimistic LCB. Leaves only solved columns
-    /// in `slots`.
-    fn first_pass(&self, points: &[Vec<f64>], slots: &mut [Option<ExactSlot>]) -> Vec<FirstPass> {
+    /// The first pass over the chunk of candidates from pool index
+    /// `base`: refreshes and exactly scores the cached solved columns;
+    /// correlates every other candidate (misses through one kernel panel,
+    /// pending columns over the rows added since) and bounds it at the box
+    /// tier. Leaves only solved columns in `slots`.
+    fn first_pass(
+        &self,
+        base: usize,
+        points: &[Vec<f64>],
+        slots: &mut [Option<ExactSlot>],
+    ) -> Vec<FirstPass> {
         obs::observe("bo.acquisition.batch_size", points.len() as f64);
-        let n_obj = self.pack.len();
-        let mut lcbs = vec![0.0; points.len() * n_obj];
-        let corrs: Vec<Option<Vec<f64>>> = obs::time("bo.acquisition.gp_predict", || {
+        let lcbs: Vec<Lcb> = obs::time("bo.acquisition.gp_predict", || {
             let misses: Vec<Vec<f64>> = points
                 .iter()
                 .zip(slots.iter())
@@ -1126,12 +1360,11 @@ impl<'a> ExactAcquisition<'a> {
             points
                 .iter()
                 .zip(slots.iter_mut())
-                .zip(lcbs.chunks_mut(n_obj))
-                .map(|((point, slot), lcb)| {
+                .enumerate()
+                .map(|(i, (point, slot))| {
                     if let Some(ExactSlot::Solved(column)) = slot {
                         column.refresh(self.pack, point);
-                        self.exact_lcb(column, lcb);
-                        return None;
+                        return Lcb::Exact(self.exact_lcb(column));
                     }
                     let corr = match slot.take() {
                         Some(ExactSlot::Pending(mut corr)) => {
@@ -1143,22 +1376,26 @@ impl<'a> ExactAcquisition<'a> {
                             (0..panel.rows()).map(|i| panel[(i, next_miss - 1)]).collect()
                         }
                     };
-                    self.optimistic_lcb(&corr, lcb);
-                    Some(corr)
+                    Lcb::Optimistic(self.unsolved(base + i, corr))
                 })
                 .collect()
         });
         let mut scratch = self.scorer.scratch();
         obs::time("bo.acquisition.hv_score", || {
-            corrs
-                .into_iter()
-                .zip(lcbs.chunks(n_obj))
-                .map(|(corr, lcb)| {
-                    let score = self.scorer.score_with(&mut scratch, lcb, EPS);
-                    match corr {
-                        None => FirstPass::Exact(score),
-                        Some(corr) => FirstPass::Bounded(score, corr),
+            lcbs.into_iter()
+                .enumerate()
+                .map(|(i, lcb)| match lcb {
+                    Lcb::Exact(lcb) => {
+                        FirstPass::Exact(base + i, self.scorer.score_with(&mut scratch, &lcb, EPS))
                     }
+                    Lcb::Optimistic(candidate) => FirstPass::Bounded(
+                        self.scorer.score_bound_with(
+                            &mut scratch,
+                            &candidate.lcb[..self.pack.len()],
+                            EPS,
+                        ),
+                        candidate,
+                    ),
                 })
                 .collect()
         })

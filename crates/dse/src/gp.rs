@@ -629,8 +629,86 @@ impl GaussianProcess {
     ///
     /// Panics if `corr` does not have one entry per training point.
     pub(crate) fn optimistic_moments(&self, corr: &[f64], max_corr_sq: f64) -> (f64, f64) {
-        let bound = self.signal_var * (1.0 - max_corr_sq / (1.0 + self.jitter));
-        (self.posterior_mean(corr), bound.max(0.0))
+        (self.posterior_mean(corr), self.cauchy_schwarz_variance(max_corr_sq))
+    }
+
+    /// [`GaussianProcess::optimistic_moments`]' variance bound.
+    fn cauchy_schwarz_variance(&self, max_corr_sq: f64) -> f64 {
+        (self.signal_var * (1.0 - max_corr_sq / (1.0 + self.jitter))).max(0.0)
+    }
+
+    /// Upper bounds on every pack member's posterior variance at the
+    /// query whose training correlations are `corr`, from the
+    /// [`SUBSET_ROWS`] training rows `S` most correlated with it and no
+    /// `n`-row solve: `σ²(1 − c_Sᵀ(C_SS + jitter·I)⁻¹c_S)`, capped by
+    /// [`GaussianProcess::optimistic_moments`]' bound. The pack's members
+    /// share training inputs and lengthscale, so they share `S` and the
+    /// kernel block `C_SS`; only the jitter differs, and the largest one
+    /// serves them all.
+    ///
+    /// `(C_SS + jitter·I)` is the `S × S` principal block of the jittered
+    /// training matrix `C_j`, and for any SPD `C_j` the Schur complement
+    /// gives `cᵀC_j⁻¹c ≥ c_Sᵀ((C_j)_SS)⁻¹c_S`, so the subset variance is
+    /// at least the exact one. Its eigenvalues are at least the jitter,
+    /// so the `p × p` solve is well conditioned; [`SUBSET_SLACK`] keeps
+    /// the bound above the computed exact variance despite the roundoff
+    /// of both solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack` is empty or `corr` does not have one entry per
+    /// training point.
+    pub fn subset_variance_bounds(pack: &[GaussianProcess], corr: &[f64]) -> Vec<f64> {
+        const P: usize = SUBSET_ROWS;
+        let first = &pack[0];
+        assert_eq!(corr.len(), first.x.len(), "column is not current with its pack");
+        let mut rows = [0usize; P];
+        let p = most_correlated(corr, &mut rows);
+        // The strictly lower triangle of C_SS, row by row.
+        let mut kernel = [0.0f64; P * (P - 1) / 2];
+        let scale = kernel_scale(first.lengthscale_sq);
+        let mut at = 0;
+        for a in 0..p {
+            for b in 0..a {
+                kernel[at] = sq_dist(&first.x[rows[b]], &first.x[rows[a]]) * scale;
+                at += 1;
+            }
+        }
+        exp_slice(&mut kernel[..at], first.exp_mode);
+        // One factorization serves the pack at its largest jitter: a
+        // larger diagonal only shrinks the quadratic form, so `q` is a
+        // lower bound for every member's own `c_Sᵀ((C_j)_SS)⁻¹c_S`.
+        let jitter = pack.iter().fold(0.0f64, |m, gp| m.max(gp.jitter));
+        // Row-by-row Cholesky of C_SS + jitter·I fused with the forward
+        // solve w = L⁻¹c_S, accumulating q = Σw².
+        let (mut l, mut w, mut q) = ([[0.0f64; P]; P], [0.0f64; P], 0.0);
+        let mut at = 0;
+        let mut factored = true;
+        for a in 0..p {
+            for b in 0..a {
+                let dot = (0..b).fold(0.0, |s, k| s + l[a][k] * l[b][k]);
+                l[a][b] = (kernel[at] - dot) / l[b][b];
+                at += 1;
+            }
+            let pivot = 1.0 + jitter - (0..a).fold(0.0, |s, k| s + l[a][k] * l[a][k]);
+            if pivot.is_nan() || pivot <= 0.0 {
+                factored = false;
+                break;
+            }
+            l[a][a] = pivot.sqrt();
+            w[a] = (corr[rows[a]] - (0..a).fold(0.0, |s, k| s + l[a][k] * w[k])) / l[a][a];
+            q += w[a] * w[a];
+        }
+        let max_corr_sq = corr[rows[0]] * corr[rows[0]];
+        pack.iter()
+            .map(|gp| {
+                let cauchy_schwarz = gp.cauchy_schwarz_variance(max_corr_sq);
+                if !factored {
+                    return cauchy_schwarz;
+                }
+                (gp.signal_var * (1.0 - q + SUBSET_SLACK)).min(cauchy_schwarz).max(0.0)
+            })
+            .collect()
     }
 
     /// `ȳ + Σ cᵢαᵢ`, accumulated in ascending `i` from `0.0`.
@@ -781,6 +859,39 @@ impl ExactColumn {
             .zip(&self.sumsq)
             .map(|(gp, &s)| (gp.posterior_mean(&self.corr), (gp.signal_var * (1.0 - s)).max(0.0)))
     }
+}
+
+/// Training rows in the subset of
+/// [`GaussianProcess::subset_variance_bounds`]: enough to capture the
+/// few rows that dominate a query's variance, few enough that the
+/// `p × p` factorization costs far less than one `n`-row solve.
+const SUBSET_ROWS: usize = 8;
+
+/// Slack on the variance fraction `1 − c_Sᵀ(C_SS + jitter·I)⁻¹c_S` of
+/// [`GaussianProcess::subset_variance_bounds`]. Both that quadratic form
+/// and the exact path's `Σv²` have condition numbers bounded by
+/// `(n + jitter)/jitter` with `jitter ≥ 1e-4`, so their roundoff is of
+/// order `κ·ε`, about `3e-10` at `n = 256`, well below the slack. The
+/// slack loosens the bound's standard deviation by a relative
+/// `1e-8/(2(1 − q))`, negligible unless the query nearly coincides with
+/// training rows.
+const SUBSET_SLACK: f64 = 1e-8;
+
+/// Fills `rows` with the indices of the largest entries of `corr`,
+/// largest first, ties by lower index, and returns how many it filled
+/// (`min(rows.len(), corr.len())`).
+fn most_correlated(corr: &[f64], rows: &mut [usize]) -> usize {
+    let mut len = 0;
+    for (i, &c) in corr.iter().enumerate() {
+        if len == rows.len() && c <= corr[rows[len - 1]] {
+            continue;
+        }
+        let at = rows[..len].partition_point(|&t| corr[t] >= c);
+        len = (len + 1).min(rows.len());
+        rows.copy_within(at..len - 1, at + 1);
+        rows[at] = i;
+    }
+    len
 }
 
 /// Ridge added to the inducing correlation matrix `C_mm` before

@@ -166,67 +166,83 @@ impl Matrix {
     pub fn solve_lower_columns(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, self.cols, "solve_lower_columns requires a square matrix");
         assert_eq!(self.rows, b.rows, "right-hand side has wrong row count");
-        let n = self.rows;
         let m = b.cols;
-        let mut x = Matrix::zeros(n, m);
+        let mut x = Matrix::zeros(self.rows, m);
         // Block width tuned so a block of X (n rows × BLOCK columns of
         // f64) stays resident while the factor streams past it.
         const BLOCK: usize = 64;
+        // Narrow panels (the acquisition's solve rounds hold one to eight
+        // columns) go in blocks of at most four columns whose width is a
+        // constant, so the per-column inner loops unroll instead of
+        // running a loop of one to eight.
+        const NARROW: usize = 8;
+        let block = if m <= NARROW { 4 } else { BLOCK };
+        for c0 in (0..m).step_by(block) {
+            match block.min(m - c0) {
+                1 => self.solve_lower_block::<1>(b, &mut x, c0, 1),
+                2 => self.solve_lower_block::<2>(b, &mut x, c0, 2),
+                3 => self.solve_lower_block::<3>(b, &mut x, c0, 3),
+                4 => self.solve_lower_block::<4>(b, &mut x, c0, 4),
+                w => self.solve_lower_block::<BLOCK>(b, &mut x, c0, w),
+            }
+        }
+        x
+    }
+
+    /// [`Matrix::solve_lower_columns`] over the `w ≤ W` columns of `b`
+    /// from `c0`, into the same columns of `x`.
+    #[inline(always)]
+    fn solve_lower_block<const W: usize>(&self, b: &Matrix, x: &mut Matrix, c0: usize, w: usize) {
         // Output rows resolved per sweep over the already-solved rows.
         // Forward substitution re-reads every solved row per output row,
         // so resolving RBLK outputs per sweep divides that traffic by
         // RBLK; the accumulators live in stack buffers the whole time.
         const RBLK: usize = 4;
-        let mut c0 = 0;
-        while c0 < m {
-            let c1 = (c0 + BLOCK).min(m);
-            let w = c1 - c0;
-            let mut i0 = 0;
-            while i0 < n {
-                let r = RBLK.min(n - i0);
-                let mut acc = [[0.0f64; BLOCK]; RBLK];
-                for (ri, a) in acc.iter_mut().enumerate().take(r) {
-                    let row = (i0 + ri) * m;
-                    a[..w].copy_from_slice(&b.data[row + c0..row + c1]);
-                }
-                // Uniform sweep: contributions of the rows solved before
-                // this row block, one pass over X for all r outputs.
-                // Each output's subtractions still run in ascending k.
-                for k in 0..i0 {
-                    let row_k = &x.data[k * m + c0..k * m + c1];
-                    for (ri, a) in acc.iter_mut().enumerate().take(r) {
-                        let lik = self.data[(i0 + ri) * self.cols + k];
-                        for (av, &xv) in a[..w].iter_mut().zip(row_k) {
-                            *av -= lik * xv;
-                        }
-                    }
-                }
-                // Triangular tail among the block's own rows: row ri
-                // subtracts the block rows solved just before it (still
-                // ascending k), then divides by its diagonal.
-                for ri in 0..r {
-                    let (solved, tail) = acc.split_at_mut(ri);
-                    let a = &mut tail[0];
-                    for (kj, row_k) in solved.iter().enumerate() {
-                        let lik = self.data[(i0 + ri) * self.cols + (i0 + kj)];
-                        for (av, &xv) in a[..w].iter_mut().zip(&row_k[..w]) {
-                            *av -= lik * xv;
-                        }
-                    }
-                    let lii = self.data[(i0 + ri) * self.cols + (i0 + ri)];
-                    for av in &mut a[..w] {
-                        *av /= lii;
-                    }
-                }
-                for (ri, a) in acc.iter().enumerate().take(r) {
-                    let row = (i0 + ri) * m;
-                    x.data[row + c0..row + c1].copy_from_slice(&a[..w]);
-                }
-                i0 += r;
+        let (n, m) = (self.rows, b.cols);
+        let c1 = c0 + w;
+        let mut i0 = 0;
+        while i0 < n {
+            let r = RBLK.min(n - i0);
+            let mut acc = [[0.0f64; W]; RBLK];
+            for (ri, a) in acc.iter_mut().enumerate().take(r) {
+                let row = (i0 + ri) * m;
+                a[..w].copy_from_slice(&b.data[row + c0..row + c1]);
             }
-            c0 = c1;
+            // Uniform sweep: contributions of the rows solved before
+            // this row block, one pass over X for all r outputs.
+            // Each output's subtractions still run in ascending k.
+            for k in 0..i0 {
+                let row_k = &x.data[k * m + c0..k * m + c1];
+                for (ri, a) in acc.iter_mut().enumerate().take(r) {
+                    let lik = self.data[(i0 + ri) * self.cols + k];
+                    for (av, &xv) in a[..w].iter_mut().zip(row_k) {
+                        *av -= lik * xv;
+                    }
+                }
+            }
+            // Triangular tail among the block's own rows: row ri
+            // subtracts the block rows solved just before it (still
+            // ascending k), then divides by its diagonal.
+            for ri in 0..r {
+                let (solved, tail) = acc.split_at_mut(ri);
+                let a = &mut tail[0];
+                for (kj, row_k) in solved.iter().enumerate() {
+                    let lik = self.data[(i0 + ri) * self.cols + (i0 + kj)];
+                    for (av, &xv) in a[..w].iter_mut().zip(&row_k[..w]) {
+                        *av -= lik * xv;
+                    }
+                }
+                let lii = self.data[(i0 + ri) * self.cols + (i0 + ri)];
+                for av in &mut a[..w] {
+                    *av /= lii;
+                }
+            }
+            for (ri, a) in acc.iter().enumerate().take(r) {
+                let row = (i0 + ri) * m;
+                x.data[row + c0..row + c1].copy_from_slice(&a[..w]);
+            }
+            i0 += r;
         }
-        x
     }
 
     /// Explicit inverse of a lower-triangular matrix by forward
@@ -667,8 +683,7 @@ mod tests {
     fn solve_lower_columns_matches_per_column_solve_bitwise() {
         let a = spd3();
         let l = a.cholesky().unwrap();
-        // More columns than the internal block width is exercised by the
-        // 40-column case below via a bigger factor.
+        // Wider panels are exercised below via a bigger factor.
         let b = Matrix::from_fn(3, 5, |r, c| (r as f64 + 1.0) * 0.3 - c as f64 * 0.7);
         let x = l.solve_lower_columns(&b);
         for c in 0..5 {
@@ -688,13 +703,17 @@ mod tests {
             s
         });
         let l = big.cholesky().unwrap();
-        let b = Matrix::from_fn(12, 40, |r, c| ((r * 5 + c * 3) % 17) as f64 * 0.21 - 1.0);
-        let x = l.solve_lower_columns(&b);
-        for c in 0..40 {
-            let col: Vec<f64> = (0..12).map(|r| b[(r, c)]).collect();
-            let expect = l.solve_lower(&col);
-            for r in 0..12 {
-                assert_eq!(x[(r, c)].to_bits(), expect[r].to_bits(), "({r},{c})");
+        // Every narrow width (blocks of at most four), and widths around
+        // the 64-column block.
+        for width in [1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 63, 64, 65, 130] {
+            let b = Matrix::from_fn(12, width, |r, c| ((r * 5 + c * 3) % 17) as f64 * 0.21 - 1.0);
+            let x = l.solve_lower_columns(&b);
+            for c in 0..width {
+                let col: Vec<f64> = (0..12).map(|r| b[(r, c)]).collect();
+                let expect = l.solve_lower(&col);
+                for r in 0..12 {
+                    assert_eq!(x[(r, c)].to_bits(), expect[r].to_bits(), "width {width} ({r},{c})");
+                }
             }
         }
     }

@@ -485,6 +485,57 @@ impl ContributionScorer {
         (box_vol - union).max(0.0)
     }
 
+    /// An upper bound on [`ContributionScorer::contribution`] from one
+    /// `O(|front|)` scan with no sort: the volume `∏ᵢ max(uᵢ − cᵢ, 0)` of
+    /// the box `[c, u]`, where `uᵢ = min(refᵢ, min{fᵢ : f ∈ front,
+    /// fⱼ ≤ cⱼ ∀ j ≠ i})`.
+    ///
+    /// Every point `x` of the candidate's exclusive region lies in that
+    /// box: if `xᵢ ≥ fᵢ` for a front point `f` with `fⱼ ≤ cⱼ ≤ xⱼ` for
+    /// every `j ≠ i`, then `f` dominates `x`. A front point that weakly
+    /// dominates the candidate, or a candidate outside the reference,
+    /// gives `0`, as the contribution does. Where no front point clips
+    /// the box, the bound is the contribution's box volume bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidate` has the wrong dimension.
+    pub fn box_bound(&self, candidate: &[f64]) -> f64 {
+        let d = self.d;
+        assert_eq!(candidate.len(), d, "objective dimension mismatch");
+        let mut upper = [0.0f64; 3];
+        upper[..d].copy_from_slice(&self.reference);
+        for f in &self.front {
+            // The coordinates where `f` is worse than the candidate: none
+            // means `f` dominates it; exactly one, `i`, caps `uᵢ`.
+            let mut above = (0..d).filter(|&j| f[j] > candidate[j]);
+            match (above.next(), above.next()) {
+                (None, _) => return 0.0,
+                (Some(i), None) => upper[i] = upper[i].min(f[i]),
+                _ => {}
+            }
+        }
+        candidate.iter().zip(&upper).map(|(c, u)| (u - c).max(0.0)).product()
+    }
+
+    /// A bound on [`ContributionScorer::score_with`] from one scan of the
+    /// front: the score itself, `-penalty`, when the candidate is
+    /// penalized, and otherwise its [`ContributionScorer::box_bound`].
+    /// It is negative exactly when the candidate is penalized.
+    pub fn score_bound_with(
+        &self,
+        scratch: &mut ScorerScratch,
+        candidate: &[f64],
+        eps: f64,
+    ) -> f64 {
+        let penalty = self.epsilon_penalty_with(scratch, candidate, eps);
+        if penalty > 0.0 {
+            -penalty
+        } else {
+            self.box_bound(candidate)
+        }
+    }
+
     /// The full SMS-EGO acquisition score: `-penalty` when any front
     /// point epsilon-dominates the candidate, otherwise the hypervolume
     /// contribution. Matches the historical inline scoring exactly.

@@ -275,17 +275,19 @@ fn column_cache_goldens_hold_at_every_thread_count() {
 
 /// The bounded exact acquisition's counters: candidates bounded, solved
 /// and pruned, and exact scores.
-const ACQUISITION_COUNTERS: [&str; 4] = [
+const ACQUISITION_COUNTERS: [&str; 6] = [
     "bo.acquisition.bounded",
     "bo.acquisition.solved",
     "bo.acquisition.pruned",
+    "bo.acquisition.box_pruned",
+    "bo.acquisition.subset_pruned",
     "bo.hv.incremental",
 ];
 
-/// Which candidates the exact acquisition bounds, solves and prunes does
-/// not depend on the worker count: the counters of the golden SMS-EGO
-/// run and of the sliding-window cache-golden run are identical at 1, 2
-/// and 8 threads, and the bound prunes something.
+/// Which candidates the exact acquisition bounds, solves and prunes, and
+/// at which tier, does not depend on the worker count: the counters of
+/// the golden SMS-EGO run and of the sliding-window cache-golden run are
+/// identical at 1, 2 and 8 threads, and the ladder prunes something.
 #[test]
 fn acquisition_counters_hold_at_every_thread_count() {
     let _serial = serial();
@@ -298,7 +300,7 @@ fn acquisition_counters_hold_at_every_thread_count() {
         ACQUISITION_COUNTERS.map(|name| after.counter(name) - before.counter(name))
     };
     let base = counts(1);
-    let [bounded, solved, pruned, _] = base;
+    let [bounded, solved, pruned, ..] = base;
     assert_eq!(bounded, solved + pruned, "every bounded candidate is solved or pruned");
     assert!(pruned > 0, "the bound prunes nothing: {base:?}");
     for threads in [2, 8] {

@@ -4,6 +4,7 @@
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::expect_used)]
 
+use autopilot_obs as obs;
 use autopilot_rng::Rng;
 use dse_opt::linalg::{sq_dist, Matrix};
 use dse_opt::pareto::{
@@ -13,11 +14,15 @@ use dse_opt::pareto::{
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
     ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, KernelExpMode,
-    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch,
+    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch, SparseAcquisition,
     SparseGaussianProcess,
 };
+use std::sync::{Mutex, PoisonError};
 
 const CASES: u64 = 64;
+
+/// Serializes the tests that read process-global obs counters.
+static OBS: Mutex<()> = Mutex::new(());
 
 /// 1 to `max_n - 1` points in `[0, 10)^d`.
 fn random_points(rng: &mut Rng, max_n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -778,10 +783,11 @@ fn reference_pick(
     best.expect("non-empty pool").1
 }
 
-/// The acquisition's score bound — exact means, variance upper bounds,
-/// no solve — is never below the exact score, for random packs, fronts
-/// (with coordinate ties, and empty) and candidates (including training
-/// points, where the variance bound is tightest).
+/// Every tier of the acquisition's bound ladder — box, optimistic score
+/// and subset, each with exact means and no `n`-row solve — is never
+/// below the exact score, and each is at most the one before, for random
+/// packs, fronts (with coordinate ties, and empty) and candidates
+/// (including training points, where the variance bounds are tightest).
 #[test]
 fn acquisition_bound_is_at_least_the_exact_score() {
     for case in 0..4 * CASES {
@@ -797,12 +803,123 @@ fn acquisition_bound_is_at_least_the_exact_score() {
         let corr = pack[0].cross_correlations(&pool);
         for (j, p) in pool.iter().enumerate() {
             let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
-            let (bound, exact) = (acquisition.bound(&column), reference_score(&pack, &scorer, p));
+            let exact = reference_score(&pack, &scorer, p);
             let slack = 1e-12 * exact.abs().max(1.0);
+            let bounds = acquisition.bounds(&column);
+            assert_eq!(acquisition.bound(&column).to_bits(), bounds[1].to_bits());
+            for (tier, &bound) in bounds.iter().enumerate() {
+                assert!(
+                    bound >= exact - slack,
+                    "case {case}, pool[{j}]: tier {tier} bound {bound} < exact {exact}"
+                );
+            }
             assert!(
-                bound >= exact - slack,
-                "case {case}, pool[{j}]: bound {bound} < exact {exact}"
+                bounds[0] >= bounds[1] - slack && bounds[1] >= bounds[2] - slack,
+                "case {case}, pool[{j}]: tiers {bounds:?} do not tighten"
             );
+        }
+    }
+}
+
+/// `uᵢ` of the box bound straight from its definition:
+/// `min(refᵢ, min{fᵢ : fⱼ ≤ cⱼ ∀ j ≠ i})`, and `0` when a front point
+/// weakly dominates the candidate.
+fn reference_box_bound(front: &[Vec<f64>], candidate: &[f64], reference: &[f64]) -> f64 {
+    if front.iter().any(|f| f.iter().zip(candidate).all(|(a, c)| a <= c)) {
+        return 0.0;
+    }
+    (0..candidate.len())
+        .map(|i| {
+            let u = front
+                .iter()
+                .filter(|f| (0..candidate.len()).all(|j| j == i || f[j] <= candidate[j]))
+                .fold(reference[i], |u, f| u.min(f[i]));
+            (u - candidate[i]).max(0.0)
+        })
+        .product()
+}
+
+/// The box bound matches its definition bit for bit, is at least the
+/// exclusive contribution and at most the candidate's box volume, is
+/// `0` outside the reference, and is the contribution itself in one
+/// objective — for grid fronts with coordinate ties, empty fronts, and
+/// candidates on the grid, between it, and outside the reference.
+#[test]
+fn box_bound_encloses_the_exclusive_region() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_stream(0xd5e_0012, case);
+        let n_obj = rng.range_usize(1, 4);
+        let reference = vec![1.2; n_obj];
+        let front = random_front(&mut rng, n_obj);
+        let scorer = ContributionScorer::new(&front, &reference);
+        for k in 0..64 {
+            let candidate: Vec<f64> = (0..n_obj)
+                .map(|_| match k % 3 {
+                    0 => rng.range_usize(0, 14) as f64 / 10.0,
+                    _ => rng.range_f64(-0.1, 1.4),
+                })
+                .collect();
+            let bound = scorer.box_bound(&candidate);
+            let want = reference_box_bound(&front, &candidate, &reference);
+            assert_eq!(bound.to_bits(), want.to_bits(), "case {case}: {candidate:?}");
+            let contribution = scorer.contribution(&candidate);
+            let volume: f64 =
+                candidate.iter().zip(&reference).map(|(c, r)| (r - c).max(0.0)).product();
+            assert!(bound >= contribution - 1e-12, "case {case}: {bound} < {contribution}");
+            assert!(bound <= volume, "case {case}: {bound} > box volume {volume}");
+            if candidate.iter().zip(&reference).any(|(c, r)| c >= r) {
+                assert_eq!(bound, 0.0, "case {case}: outside the reference");
+            }
+            if n_obj == 1 {
+                assert!((bound - contribution).abs() <= 1e-12, "case {case}: 1-D is exact");
+            }
+        }
+    }
+}
+
+/// The subset variance bound is at least every member's exact variance
+/// (`p < n`, `p ≥ n`, and training sets with near-duplicate rows), and
+/// equals it up to its slack when the subset is every row (targets lie
+/// in `[0, 1]`, so `σ² ≤ 1/4`). Where the Cauchy–Schwarz cap is the
+/// bound and tight (an isolated training point), it can undercut the
+/// solved variance by roundoff, about `1e-16·σ²`.
+#[test]
+fn subset_variance_bound_is_at_least_the_exact_variance() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_stream(0xd5e_0013, case);
+        let (d, n_obj) = (rng.range_usize(2, 5), rng.range_usize(1, 4));
+        let n = rng.range_usize(3, 40);
+        let (mut pack, mut xs) = random_pack(&mut rng, d, n_obj, n);
+        if case % 2 == 1 {
+            // Near-duplicate rows: nudged copies of training points.
+            for _ in 0..rng.range_usize(1, 6) {
+                let base = xs[rng.range_usize(0, xs.len())].clone();
+                let x: Vec<f64> = base.iter().map(|v| v + rng.range_f64(-1e-4, 1e-4)).collect();
+                let y = rng.next_f64();
+                if pack.iter_mut().all(|gp| gp.extend(&x, y)) {
+                    xs.push(x);
+                }
+            }
+        }
+        let mut pool = crowded_pool(&mut rng, &xs);
+        pool.extend(xs.iter().cloned());
+        let corr = pack[0].cross_correlations(&pool);
+        for (j, p) in pool.iter().enumerate() {
+            let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
+            let bounds = GaussianProcess::subset_variance_bounds(&pack, &column);
+            let exact = ExactColumn::solve(&pack, p);
+            for (o, (bound, (_, var))) in bounds.into_iter().zip(exact.predict(&pack)).enumerate() {
+                assert!(
+                    bound >= var - 1e-14,
+                    "case {case}, pool[{j}], member {o}: {bound} < {var}"
+                );
+                if xs.len() <= 8 {
+                    assert!(
+                        bound - var <= 1e-8,
+                        "case {case}, pool[{j}], member {o}: every row, {bound} vs {var}"
+                    );
+                }
+            }
         }
     }
 }
@@ -815,6 +932,11 @@ fn acquisition_bound_is_at_least_the_exact_score() {
 /// the best exact score, so stopping after one round would be caught.
 #[test]
 fn pruned_selection_matches_full_scoring() {
+    // Only the tests holding `OBS` run the acquisitions, so these
+    // counters move only here.
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    obs::force_metrics(true);
+    let before = obs::snapshot();
     let mut past_first_round = 0;
     for case in 0..256 {
         let mut rng = Rng::seed_stream(0xd5e_0011, case);
@@ -876,4 +998,78 @@ fn pruned_selection_matches_full_scoring() {
         }
     }
     assert!(past_first_round >= 10, "only {past_first_round} cold pools needed a second round");
+    let after = obs::snapshot();
+    let count = |name: &str| after.counter(name) - before.counter(name);
+    let (boxed, subset) =
+        (count("bo.acquisition.box_pruned"), count("bo.acquisition.subset_pruned"));
+    let scored = count("bo.acquisition.pruned") - boxed - subset;
+    assert!(
+        boxed > 0 && scored > 0 && subset > 0,
+        "a tier prunes nothing: {boxed}/{scored}/{subset}"
+    );
+}
+
+/// The sparse-pack selection picks exactly what per-candidate full
+/// scoring picks, over random sparse packs, crowded pools and fronts
+/// (with ties, and empty), with cold and then warm columns, at 1 and 3
+/// workers; kept columns are exactly the `keep`-flagged ones; and the
+/// box cut skips some candidates' scores.
+#[test]
+fn sparse_selection_matches_full_scoring() {
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    obs::force_metrics(true);
+    let before = obs::snapshot().counter("bo.hv.incremental");
+    let mut candidates = 0;
+    for case in 0..CASES {
+        let mut rng = Rng::seed_stream(0xd5e_0014, case);
+        let (d, n_obj) = (rng.range_usize(2, 5), rng.range_usize(1, 4));
+        let n = rng.range_usize(12, 48);
+        let m = rng.range_usize(4, 12);
+        let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
+        let ls = rng.range_f64(0.02, 0.8);
+        let pack: Vec<SparseGaussianProcess> = (0..n_obj)
+            .map(|_| {
+                let shift = rng.range_f64(-1.0, 1.0);
+                let y: Vec<f64> = xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect();
+                SparseGaussianProcess::fit_with_lengthscale(&xs, &y, ls, m, KernelExpMode::Exact)
+                    .expect("sparse GP fits")
+            })
+            .collect();
+        let pool = crowded_pool(&mut rng, &xs);
+        let mut columns: Vec<Option<Vec<f64>>> = vec![None; pool.len()];
+        for round in ["cold", "warm"] {
+            let front = random_front(&mut rng, n_obj);
+            let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
+            let mut want: Option<(f64, usize)> = None;
+            for (j, p) in pool.iter().enumerate() {
+                let lcb: Vec<f64> = pack
+                    .iter()
+                    .map(|gp| {
+                        let (mean, var) = gp.predict(p);
+                        mean - var.sqrt()
+                    })
+                    .collect();
+                let score = scorer.score(&lcb, 1e-3);
+                if want.is_none_or(|(s, _)| score > s) {
+                    want = Some((score, j));
+                }
+            }
+            let keep: Vec<bool> = pool.iter().map(|_| rng.next_f64() < 0.6).collect();
+            let acquisition = SparseAcquisition::new(&pack, &scorer);
+            let mut kept = Vec::new();
+            for workers in [1, 3] {
+                let mut trial = columns.clone();
+                let pick = acquisition.select(&pool, &mut trial, &keep, workers);
+                candidates += pool.len() as u64;
+                assert_eq!(pick, want.map(|(_, j)| j), "case {case} ({round}, {workers} workers)");
+                for (j, (column, &k)) in trial.iter().zip(&keep).enumerate() {
+                    assert_eq!(column.is_some(), k, "case {case} ({round}): column {j}");
+                }
+                kept.push(trial);
+            }
+            columns = kept.pop().expect("two runs");
+        }
+    }
+    let scored = obs::snapshot().counter("bo.hv.incremental") - before;
+    assert!(scored < candidates, "the box cut skipped nothing: {scored} of {candidates} scored");
 }

@@ -431,6 +431,9 @@ impl JobManager {
         }
         let spec = JobSpec::parse(body, self.defaults).map_err(AdmitError::Invalid)?;
         let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        // Jobs cancelled while queued are terminal and hold no place in
+        // admission; workers would only skip them.
+        queue.retain(|job| job.state() == JobState::Queued);
         if queue.len() >= self.max_queue {
             obs::add("serve.jobs.rejected_queue_full", 1);
             return Err(AdmitError::QueueFull);
@@ -827,6 +830,19 @@ mod tests {
         mgr.submit(VALID).unwrap();
         mgr.submit(VALID).unwrap();
         assert!(matches!(mgr.submit(VALID), Err(AdmitError::QueueFull)));
+    }
+
+    #[test]
+    fn jobs_cancelled_while_queued_free_their_admission_slots() {
+        let mgr = JobManager::new(2, defaults());
+        for _ in 0..2 {
+            let job = mgr.submit(VALID).unwrap();
+            assert!(mgr.cancel(job.id).is_some_and(|(_, accepted)| accepted));
+        }
+        let admitted = mgr.submit(VALID).expect("cancelled jobs must not fill the queue");
+        assert_eq!(admitted.state(), JobState::Queued);
+        mgr.shutdown();
+        assert!(mgr.next_job().is_none(), "shutdown cancels the admitted job too");
     }
 
     #[test]
