@@ -10,11 +10,14 @@
 //!
 //! ```text
 //! { "name":   "human-readable label",
-//!   "source": "BENCH_phase2_scale.json",      // under results/
-//!   "metric": "span_bo_acquisition_score_s",  // field of that file
-//!   "denominator": "span_phase2_run_s",       // optional: gate a ratio
-//!   "max": 0.5 }                              // and/or "min"
+//!   "source": "BENCH_phase2_scale.json",             // under results/
+//!   "metric": "exact_acquisition_ms_per_iteration",  // field of that file
+//!   "max": 3.0 }                                     // and/or "min"
 //! ```
+//!
+//! A rule with any other key, a non-string `name`/`source`/`metric`, a
+//! non-numeric bound or no bound at all fails the load: a typo such as
+//! `"mx"` must not quietly leave a bound ungated.
 //!
 //! Sources are the flat `BENCH_*.json` objects written by the probes; a
 //! `telemetry_*.json` source is read through the snapshot schema, with
@@ -70,6 +73,52 @@ fn snapshot_of(doc: &Value, source: &str) -> Result<obs::Snapshot, String> {
         .map_err(|e| format!("{source} is not a telemetry snapshot: {e}"))
 }
 
+/// One budget rule, validated at load.
+#[derive(Debug)]
+struct Rule<'a> {
+    name: &'a str,
+    source: &'a str,
+    metric: &'a str,
+    min: Option<f64>,
+    max: Option<f64>,
+}
+
+impl<'a> Rule<'a> {
+    const KEYS: [&'static str; 5] = ["name", "source", "metric", "min", "max"];
+
+    fn parse(rule: &'a Value) -> Result<Rule<'a>, String> {
+        let fields = rule.as_obj().ok_or("a rule must be a JSON object")?;
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !Self::KEYS.contains(&k.as_str())) {
+            return Err(format!("unknown key \"{key}\" (allowed: {})", Self::KEYS.join(", ")));
+        }
+        let text = |key: &str| {
+            rule.get(key).and_then(Value::as_str).ok_or(format!("needs a string \"{key}\""))
+        };
+        let bound = |key: &str| match rule.get(key) {
+            None => Ok(None),
+            Some(v) => v.as_f64().map(Some).ok_or(format!("\"{key}\" must be a number")),
+        };
+        let (min, max) = (bound("min")?, bound("max")?);
+        if min.is_none() && max.is_none() {
+            return Err("sets neither min nor max".into());
+        }
+        Ok(Rule { name: text("name")?, source: text("source")?, metric: text("metric")?, min, max })
+    }
+
+    fn admits(&self, v: f64) -> bool {
+        self.min.is_none_or(|lo| v >= lo) && self.max.is_none_or(|hi| v <= hi)
+    }
+
+    fn bound(&self) -> String {
+        match (self.min, self.max) {
+            (Some(lo), Some(hi)) => format!("[{lo}, {hi}]"),
+            (Some(lo), None) => format!(">= {lo}"),
+            (None, Some(hi)) => format!("<= {hi}"),
+            (None, None) => unreachable!("Rule::parse rejects a rule without bounds"),
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let path =
         std::env::args().nth(1).unwrap_or_else(|| "results/BASELINE_budgets.json".to_owned());
@@ -94,63 +143,33 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every rule is validated before any is evaluated.
+    let rules = match rules
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Rule::parse(r).map_err(|e| format!("rule #{i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("budget_gate: {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let mut cache: BTreeMap<String, Option<Value>> = BTreeMap::new();
     let mut table = autopilot_bench::TextTable::new(vec!["budget", "value", "bound", "status"]);
     let mut breaches = 0usize;
-    for (i, rule) in rules.iter().enumerate() {
-        let field = |key: &str| rule.get(key).and_then(Value::as_str);
-        let (name, source, metric) = match (field("name"), field("source"), field("metric")) {
-            (Some(n), Some(s), Some(m)) => (n, s, m),
-            _ => {
-                eprintln!("budget_gate: rule #{i} needs string name/source/metric");
-                return ExitCode::FAILURE;
-            }
+    for rule in &rules {
+        let (value, ok) = match lookup(&mut cache, rule.source, rule.metric) {
+            Ok(v) => (format!("{v:.4}"), rule.admits(v)),
+            Err(e) => (format!("error: {e}"), false),
         };
-        let min = rule.get("min").and_then(Value::as_f64);
-        let max = rule.get("max").and_then(Value::as_f64);
-        if min.is_none() && max.is_none() {
-            eprintln!("budget_gate: rule '{name}' sets neither min nor max");
-            return ExitCode::FAILURE;
+        if !ok {
+            breaches += 1;
         }
-
-        let value = lookup(&mut cache, source, metric).and_then(|num| {
-            match rule.get("denominator").and_then(Value::as_str) {
-                None => Ok(num),
-                Some(den) => {
-                    let d = lookup(&mut cache, source, den)?;
-                    if d == 0.0 {
-                        Err(format!("denominator {den} is zero in {source}"))
-                    } else {
-                        Ok(num / d)
-                    }
-                }
-            }
-        });
-        let bound = match (min, max) {
-            (Some(lo), Some(hi)) => format!("[{lo}, {hi}]"),
-            (Some(lo), None) => format!(">= {lo}"),
-            (None, Some(hi)) => format!("<= {hi}"),
-            (None, None) => unreachable!(),
-        };
-        match value {
-            Ok(v) => {
-                let ok = min.is_none_or(|lo| v >= lo) && max.is_none_or(|hi| v <= hi);
-                if !ok {
-                    breaches += 1;
-                }
-                table.row(vec![
-                    name.to_owned(),
-                    format!("{v:.4}"),
-                    bound,
-                    if ok { "PASS".to_owned() } else { "FAIL".to_owned() },
-                ]);
-            }
-            Err(e) => {
-                breaches += 1;
-                table.row(vec![name.to_owned(), format!("error: {e}"), bound, "FAIL".to_owned()]);
-            }
-        }
+        let status = if ok { "PASS" } else { "FAIL" };
+        table.row(vec![rule.name.to_owned(), value, rule.bound(), status.to_owned()]);
     }
 
     println!("perf budgets ({path}):\n{}", table.render());
@@ -160,5 +179,51 @@ fn main() -> ExitCode {
     } else {
         eprintln!("budget gate FAILED: {breaches} of {} budgets breached", rules.len());
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Result<(String, Option<f64>, Option<f64>), String> {
+        let doc = Value::parse(text).expect("test rule is JSON");
+        Rule::parse(&doc).map(|r| (r.metric.to_owned(), r.min, r.max))
+    }
+
+    #[test]
+    fn well_formed_rule_loads() {
+        let rule =
+            r#"{"name": "n", "source": "BENCH_phase2.json", "metric": "m", "min": 1, "max": 2}"#;
+        assert_eq!(parse(rule), Ok(("m".to_owned(), Some(1.0), Some(2.0))));
+        let doc = Value::parse(rule).expect("JSON");
+        let rule = Rule::parse(&doc).expect("loads");
+        assert!(rule.admits(1.5) && !rule.admits(0.5) && !rule.admits(2.5));
+        assert_eq!(rule.bound(), "[1, 2]");
+    }
+
+    #[test]
+    fn typo_key_is_a_load_error() {
+        let err = parse(r#"{"name": "n", "source": "s", "metric": "m", "min": 1, "mx": 2}"#)
+            .expect_err("a misspelled bound must not load");
+        assert!(err.contains("\"mx\""), "{err}");
+        let err =
+            parse(r#"{"name": "n", "source": "s", "metric": "m", "denominator": "d", "min": 1}"#)
+                .expect_err("denominator is no longer a rule key");
+        assert!(err.contains("\"denominator\""), "{err}");
+    }
+
+    #[test]
+    fn string_bound_is_a_load_error() {
+        let err = parse(r#"{"name": "n", "source": "s", "metric": "m", "min": "1.0"}"#)
+            .expect_err("a string bound must not load");
+        assert!(err.contains("\"min\" must be a number"), "{err}");
+    }
+
+    #[test]
+    fn missing_bound_or_field_is_a_load_error() {
+        assert!(parse(r#"{"name": "n", "source": "s", "metric": "m"}"#).is_err());
+        assert!(parse(r#"{"name": "n", "source": "s", "min": 1}"#).is_err());
+        assert!(parse(r#"["not", "an", "object"]"#).is_err());
     }
 }

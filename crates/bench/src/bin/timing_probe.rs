@@ -1,56 +1,48 @@
-//! Timing probe for the Phase-2 evaluation engine (not part of the
-//! experiment set; used to budget the reproduction binaries and to track
-//! the cache and acquisition counters), built on the `autopilot-obs`
-//! telemetry substrate.
+//! Counting probe for the Phase-2 evaluation engine, built on the
+//! `autopilot-obs` telemetry substrate. It answers "does the engine
+//! still do the work it should": it counts that work and asserts its
+//! invariants, and `budget_gate` checks the counts against
+//! `results/BASELINE_budgets.json`. How fast the engine runs is the
+//! question of the repo benchmark (`perfbench`, see `BENCHMARK.json`).
 //!
-//! Every measurement is the minimum of three timed repetitions after a
-//! discarded warmup pass, so single-run scheduler noise cannot leak into
-//! the derived ratios (`obs_overhead_pct` is additionally floored at
-//! zero: the instrumentation cannot have negative cost).
+//! One invocation, no knobs, runs two legs:
 //!
-//! Emits `BENCH_phase2.json` (under `results/`, the tracked canonical
-//! location) with wall-clock numbers for the paper-configuration
-//! dense-scenario DSE:
+//! 1. The *paper leg*: the paper-configuration dense-scenario search
+//!    (`AutopilotConfig::paper(7)`, budget 200), emitting
+//!    `results/BENCH_phase2.json`, `results/telemetry_timing_probe.json`
+//!    and `results/trace_timing_probe.json` (the flamegraph gate's input).
+//!    In order it makes
+//!    - the *counted run*: sequential, metrics on, traced, on a fresh
+//!      evaluator, so the layer memo is cold and every counter, span and
+//!      memo field in the file, the telemetry snapshot and the trace
+//!      cover exactly this one search;
+//!    - one metrics-off sequential run, which must repeat the counted
+//!      run's result bit for bit (sequential runs are deterministic and
+//!      metrics gating changes no result);
+//!    - one run at the default worker count, bit-identical to both;
+//!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
+//!    - the per-point-vs-batched acquisition microbenchmark
+//!      (`acquisition_scalar_s` / `acquisition_batched_s` /
+//!      `acquisition_batch_speedup`): per-point solves
+//!      (`ExactColumn::solve`, one forward substitution per objective) vs
+//!      the shipping batched route (`ExactColumn::solve_batch`: one shared
+//!      kernel cross-matrix with blocked triangular solves), over the run
+//!      history as the candidate pool, each the minimum of three timed
+//!      repetitions after a discarded warm-up.
 //!
-//! - `phase2_sequential_obs_off_s` / `phase2_sequential_obs_on_s` — the
-//!   same single-worker run with metrics gated off (the default, every
-//!   probe a single untaken branch) and forced on, alternated; their
-//!   difference is the full cost of the instrumentation, reported as
-//!   `obs_overhead_pct`,
-//! - `phase2_parallel_s` — default worker count, metrics on,
-//! - `acquisition_scalar_s` / `acquisition_batched_s` /
-//!   `acquisition_batch_speedup` — per-point solves
-//!   (`ExactColumn::solve`, one forward substitution per objective) vs
-//!   the shipping batched route (`ExactColumn::solve_batch`: one shared
-//!   kernel cross-matrix with blocked triangular solves), over the run
-//!   history as the candidate pool,
+//!    `acquisition_pruned_fraction` / `acquisition_solved_fraction` are
+//!    the shares of the exact acquisition's bounded candidates (cache
+//!    misses and pending columns) pruned without a triangular solve and
+//!    solved, with `acquisition_box_pruned` / `acquisition_subset_pruned`
+//!    counting the candidates pruned at the ladder's box and subset tiers
+//!    (the rest of the pruned ones fell at the optimistic-score tier).
 //!
-//! - `acquisition_pruned_fraction` / `acquisition_solved_fraction` —
-//!   the shares of the exact acquisition's bounded candidates (cache
-//!   misses and pending columns) pruned without a triangular solve and
-//!   solved, with `acquisition_box_pruned` / `acquisition_subset_pruned`
-//!   counting the candidates pruned at the ladder's box and subset tiers
-//!   (the rest of the pruned ones fell at the optimistic-score tier),
-//!
-//! plus counters read back from the obs registry for exactly one
-//! instrumented sequential run (the snapshot is taken before the
-//! parallel runs, so per-run cache counters match `cache_stats` instead
-//! of double-counting across runs), and the layer-memo hit rate from
-//! the systolic simulation memo. A full telemetry snapshot lands in
-//! `results/telemetry_timing_probe.json`.
-//!
-//! Set `AUTOPILOT_BENCH_FAST=1` to run at a reduced budget and skip the
-//! end-to-end pipeline run — the mode the `scripts/verify.sh`
-//! perf-regression guard uses.
-//!
-//! Set `AUTOPILOT_BENCH_BUDGET=<n>` to switch to the *scale probe*: one
-//! instrumented sequential Phase-2 run at the given budget (large enough
-//! to engage the sparse surrogate), emitting `BENCH_phase2_scale.json`
-//! with the acquisition-to-run span ratio, the exact-pack acquisition's
-//! time per iteration (`exact_acquisition_ms_per_iteration`), the
-//! sparse-vs-exact inference speedup (`gp_sparse_speedup`), and the
-//! incremental-surrogate counters. The verify-script scale guard runs
-//! this at budget 2000.
+//! 2. The *scale leg*: one instrumented, untraced sequential search at
+//!    budget 2000 (large enough to engage the sparse surrogate), emitting
+//!    `results/BENCH_phase2_scale.json` with the exact-pack acquisition's
+//!    time per iteration, the sparse-vs-exact inference speedup, the
+//!    striped-vs-single-stripe kernel panel ratio, and the
+//!    incremental-surrogate counters.
 //!
 //! Cache-counter naming: the within-run `CandidateCache` hit counters are
 //! suffixed `_within_run` because continuous candidate keys are raw f64
@@ -61,13 +53,10 @@
 //! a repeated run against a shared cache must be pure hits.
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
-use autopilot::{
-    AutoPilot, AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase2, TaskSpec,
-};
+use autopilot::{AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase2};
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use std::time::Instant;
-use uav_dynamics::UavSpec;
 
 fn num(v: f64) -> Value {
     Value::Num(v)
@@ -87,91 +76,54 @@ fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    // Scale mode: a budget override switches to the single-run scale
-    // probe (the full overhead/replay battery would multiply a
-    // multi-thousand-point run seven-fold for no extra information).
-    if let Some(budget) =
-        std::env::var("AUTOPILOT_BENCH_BUDGET").ok().and_then(|v| v.parse::<usize>().ok())
-    {
-        scale_probe(budget);
-        return;
-    }
-    let fast = matches!(std::env::var("AUTOPILOT_BENCH_FAST"), Ok(v) if v != "0");
+    paper_leg();
+    scale_leg();
+}
+
+/// The paper-configuration search: counters, invariants and the
+/// acquisition microbenchmark, written to `BENCH_phase2.json`.
+fn paper_leg() {
     let config = AutopilotConfig::paper(7);
     let density = ObstacleDensity::Dense;
-    let budget = if fast { 60 } else { config.phase2_budget };
+    let budget = config.phase2_budget;
 
-    // Phase-1 database once; the probe isolates Phase-2 cost.
+    // Phase-1 database once; the probe isolates Phase-2 work.
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
 
     // The probe runs through the same explicit JobConfig path the
     // server uses: startup-captured environment defaults, with the
-    // sequential legs pinning threads=1 per job rather than via env.
+    // sequential runs pinning threads=1 per job rather than via env.
     let job = JobConfig::from_env();
-    let evaluator = DssocEvaluator::new(db.clone(), density).with_layer_memo(job.layer_memo);
+    let evaluator = DssocEvaluator::new(db, density).with_layer_memo(job.layer_memo);
 
     let workers = job.effective_threads();
     let phase2 = Phase2::new(config.optimizer, budget, config.seed).with_job_config(job);
     let phase2_seq =
         Phase2::new(config.optimizer, budget, config.seed).with_job_config(job.with_threads(1));
 
-    // Obs overhead: identical sequential runs with metrics gated off and
-    // forced on, alternated (after a warmup pass) and reduced with min —
-    // the noise-robust estimator for a multi-second benchmark on a
-    // shared core. Every recording site is behind the same gate, so the
-    // difference is the whole cost of the instrumentation.
-    const OVERHEAD_REPS: usize = 3;
-    obs::force_metrics(false);
-    let warm_out = phase2_seq.clone().run(&evaluator).expect("phase 2 runs");
-    let mut phase2_obs_off_s = f64::INFINITY;
-    let mut phase2_sequential_s = f64::INFINITY;
-    let mut last_on = None;
-    let mut memo_window = evaluator.layer_memo_stats();
-    for rep in 0..OVERHEAD_REPS {
-        obs::force_metrics(false);
-        let t = Instant::now();
-        let off_out = phase2_seq.clone().run(&evaluator).expect("phase 2 runs");
-        phase2_obs_off_s = phase2_obs_off_s.min(t.elapsed().as_secs_f64());
-        assert_eq!(warm_out.result, off_out.result, "sequential runs must be deterministic");
-
-        obs::force_metrics(true);
-        let counted = rep == OVERHEAD_REPS - 1;
-        let memo_before = if counted {
-            // The counters read back below should reflect exactly one
-            // instrumented sequential run. The layer-memo counters are
-            // cumulative per evaluator, so the same window is carved out
-            // of them by differencing around this run.
-            obs::reset();
-            evaluator.layer_memo_stats()
-        } else {
-            memo_window
-        };
-        let t = Instant::now();
-        let on_out = phase2_seq.clone().run(&evaluator).expect("phase 2 runs");
-        phase2_sequential_s = phase2_sequential_s.min(t.elapsed().as_secs_f64());
-        assert_eq!(off_out.result, on_out.result, "metrics gating must not change results");
-        if counted {
-            let after = evaluator.layer_memo_stats();
-            memo_window = autopilot::CacheStats {
-                hits: after.hits - memo_before.hits,
-                misses: after.misses - memo_before.misses,
-                ..after
-            };
-        }
-        last_on = Some(on_out);
-    }
-    let seq_out = last_on.expect("overhead loop ran");
-    // Min-of-reps makes a negative difference noise by construction; the
-    // raw signed value is reported alongside so negative-noise runs are
-    // visible instead of silently clamped to zero.
-    let obs_overhead_pct_raw = (phase2_sequential_s - phase2_obs_off_s) / phase2_obs_off_s * 100.0;
-    let obs_overhead_pct = obs_overhead_pct_raw.max(0.0);
-
-    // Snapshot *before* the parallel runs: these counters and spans
-    // cover exactly one sequential run, so the obs cache counters must
-    // equal the per-run `cache_stats` (each lookup counted once).
+    // The counted run goes first, on the fresh evaluator: its layer memo
+    // is cold, so the cumulative memo stats read right after it cover
+    // exactly the same run as the obs counters reset before it. The
+    // trace covers the same one search (`trace_report`'s JSON parse time
+    // grows with the file, so the other runs stay untraced).
+    obs::force_metrics(true);
+    obs::reset();
+    obs::trace::force_enabled(true);
+    let seq_out = phase2_seq.run(&evaluator).expect("phase 2 runs");
     let seq_snap = obs::snapshot();
+    let memo = evaluator.layer_memo_stats();
+    autopilot_bench::write_trace("timing_probe");
+    autopilot_bench::write_telemetry("timing_probe");
+    obs::trace::force_enabled(false);
+    obs::force_metrics(false);
+
+    let off_out = phase2_seq.run(&evaluator).expect("phase 2 runs");
+    assert_eq!(
+        seq_out.result, off_out.result,
+        "sequential runs must be deterministic, and metrics gating must not change results"
+    );
+
     let cache_hits = seq_snap.counter("phase2.candidate_cache.hits");
     let cache_misses = seq_snap.counter("phase2.candidate_cache.misses");
     let stats = &seq_out.cache_stats;
@@ -202,31 +154,19 @@ fn main() {
         "every bounded acquisition candidate is either solved or pruned"
     );
     let systolic_layers = seq_snap.counter("systolic.layers");
-    let span_phase2_run_s = seq_snap.span_total_s("phase2.run");
-    let span_acquisition_s = seq_snap.span_total_s("bo.acquisition");
-    let span_acquisition_score_s = seq_snap.span_total_s("bo.acquisition.score");
-    let span_front_sync_s = seq_snap.span_total_s("bo.acquisition.front_sync");
-    let span_surrogate_s = seq_snap.span_total_s("bo.surrogate_update");
-    // Cumulative memo counters cover every run this evaluator served
-    // (warmup + overhead reps); `memo_window` carved out the counted run,
-    // the same window the obs counters were reset around. A layer only
-    // reaches the cycle model on a memo miss, so within the shared window
-    // the two must agree exactly.
-    let memo_total = evaluator.layer_memo_stats();
+    // A layer only reaches the cycle model on a memo miss.
     if evaluator.layer_memo_enabled() {
         assert_eq!(
-            systolic_layers, memo_window.misses,
-            "layers actually simulated must equal memo misses over the same run window"
+            systolic_layers, memo.misses,
+            "layers actually simulated must equal memo misses over the same run"
         );
     }
 
-    let phase2_parallel_s = min_time(OVERHEAD_REPS, || {
-        let par_out = phase2.run(&evaluator).expect("phase 2 runs");
-        assert_eq!(
-            par_out.result, seq_out.result,
-            "optimizer output must be bit-identical across thread counts"
-        );
-    });
+    let par_out = phase2.run(&evaluator).expect("phase 2 runs");
+    assert_eq!(
+        par_out.result, seq_out.result,
+        "optimizer output must be bit-identical across thread counts"
+    );
 
     // Cross-run cache traffic: within one run every continuous candidate
     // key is unique, so the within-run hit counters are structurally zero
@@ -283,7 +223,7 @@ fn main() {
             "batched prediction diverged from per-point"
         );
     }
-    let acquisition_scalar_s = min_time(OVERHEAD_REPS, || {
+    let acquisition_scalar_s = min_time(3, || {
         for p in pool {
             let column = dse_opt::ExactColumn::solve(&gps, p);
             for pred in column.predict(&gps) {
@@ -291,7 +231,7 @@ fn main() {
             }
         }
     });
-    let acquisition_batched_s = min_time(OVERHEAD_REPS, || {
+    let acquisition_batched_s = min_time(3, || {
         for column in dse_opt::ExactColumn::solve_batch(&gps, pool) {
             for pred in column.predict(&gps) {
                 let _ = std::hint::black_box(pred);
@@ -305,12 +245,6 @@ fn main() {
         ("budget".into(), num(budget as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
         ("workers".into(), num(workers as f64)),
-        ("phase2_parallel_s".into(), num(phase2_parallel_s)),
-        ("phase2_sequential_s".into(), num(phase2_sequential_s)),
-        ("phase2_sequential_obs_off_s".into(), num(phase2_obs_off_s)),
-        ("phase2_sequential_obs_on_s".into(), num(phase2_sequential_s)),
-        ("obs_overhead_pct".into(), num(obs_overhead_pct)),
-        ("obs_overhead_pct_raw".into(), num(obs_overhead_pct_raw)),
         ("acquisition_scalar_s".into(), num(acquisition_scalar_s)),
         ("acquisition_batched_s".into(), num(acquisition_batched_s)),
         ("acquisition_batch_speedup".into(), num(acquisition_batch_speedup)),
@@ -355,74 +289,32 @@ fn main() {
             "acquisition_solved_fraction".into(),
             num(acquisition_solved as f64 / acquisition_bounded.max(1) as f64),
         ),
-        (
-            "systolic_memo_note".into(),
-            Value::Str(
-                "run-window fields cover the one counted instrumented run (warm memo: repeats of \
-                 the same deterministic run are pure hits, so layers_simulated == memo_misses == \
-                 0 is the memo working); _total fields are cumulative across every probe run on \
-                 this evaluator"
-                    .into(),
-            ),
-        ),
         ("systolic_layers_simulated".into(), num(systolic_layers as f64)),
-        ("systolic_memo_hits".into(), num(memo_window.hits as f64)),
-        ("systolic_memo_misses".into(), num(memo_window.misses as f64)),
-        ("systolic_memo_hit_rate".into(), num(memo_window.hit_rate())),
-        ("systolic_memo_hits_total".into(), num(memo_total.hits as f64)),
-        ("systolic_memo_misses_total".into(), num(memo_total.misses as f64)),
-        ("systolic_memo_hit_rate_total".into(), num(memo_total.hit_rate())),
-        ("systolic_memo_entries".into(), num(memo_total.entries as f64)),
-        ("span_phase2_run_s".into(), num(span_phase2_run_s)),
-        ("span_bo_acquisition_s".into(), num(span_acquisition_s)),
-        ("span_bo_acquisition_score_s".into(), num(span_acquisition_score_s)),
-        ("span_bo_front_sync_s".into(), num(span_front_sync_s)),
-        ("span_bo_surrogate_update_s".into(), num(span_surrogate_s)),
+        ("systolic_memo_hits".into(), num(memo.hits as f64)),
+        ("systolic_memo_misses".into(), num(memo.misses as f64)),
+        ("systolic_memo_hit_rate".into(), num(memo.hit_rate())),
+        ("systolic_memo_entries".into(), num(memo.entries as f64)),
+        ("span_phase2_run_s".into(), num(seq_snap.span_total_s("phase2.run"))),
+        ("span_bo_acquisition_s".into(), num(seq_snap.span_total_s("bo.acquisition"))),
+        ("span_bo_acquisition_score_s".into(), num(seq_snap.span_total_s("bo.acquisition.score"))),
+        ("span_bo_front_sync_s".into(), num(seq_snap.span_total_s("bo.acquisition.front_sync"))),
+        ("span_bo_surrogate_update_s".into(), num(seq_snap.span_total_s("bo.surrogate_update"))),
         ("kernel_exp_mode".into(), Value::Str(job.exp_mode.unwrap_or_default().id().into())),
         ("bit_identical_across_threads".into(), Value::Bool(true)),
     ]);
-    let json = report.to_json_pretty();
-    autopilot_bench::emit("BENCH_phase2.json", &json);
-
-    // End-to-end sanity run (full pipeline, nano UAV) — skipped in fast
-    // mode, where the probe exists only to gate perf regressions.
-    if !fast {
-        let t0 = Instant::now();
-        let pilot = AutoPilot::new(config).with_job_config(job);
-        let result =
-            pilot.run(&UavSpec::nano(), &TaskSpec::navigation(density)).expect("pipeline runs");
-        let sel = result.selection.expect("selection");
-        println!(
-            "paper-config run: {:?} | {} evals | selected {} {}x{} @ {:.0} MHz -> {:.1} FPS, {:.2} W tdp, {:.1} g, {:.1} missions (knee {:?})",
-            t0.elapsed(),
-            result.phase2.candidates.len(),
-            sel.candidate.policy.id(),
-            sel.candidate.config.rows(),
-            sel.candidate.config.cols(),
-            sel.candidate.config.clock_mhz(),
-            sel.candidate.fps,
-            sel.candidate.tdp_w,
-            sel.candidate.payload_g,
-            sel.missions.missions,
-            sel.knee_fps.map(|k| k.round()),
-        );
-    }
-    autopilot_bench::write_telemetry("timing_probe");
-    autopilot_bench::write_trace("timing_probe");
+    autopilot_bench::emit("BENCH_phase2.json", &report.to_json_pretty());
 }
 
-/// Scale probe (`AUTOPILOT_BENCH_BUDGET=<n>`): one instrumented
-/// sequential Phase-2 run at an arbitrary budget, plus a sparse-vs-exact
-/// inference benchmark over the resulting archive. Emits
-/// `BENCH_phase2_scale.json` under `results/`; never touches the tracked
-/// full-probe numbers.
+/// The scale leg: one instrumented sequential Phase-2 run at budget
+/// 2000, plus a sparse-vs-exact inference benchmark over the resulting
+/// archive, written to `BENCH_phase2_scale.json`.
 ///
-/// Past the default [`dse_opt::SurrogateMode`] threshold (256 points)
-/// the optimizer engages the low-rank sparse surrogates automatically,
-/// so a budget-2000 run here exercises the scalable-inference path
-/// end-to-end; the budget gate caps the exact-pack acquisition's time
-/// per iteration.
-fn scale_probe(budget: usize) {
+/// Past the sparse threshold the optimizer engages the low-rank sparse
+/// surrogates automatically, so this run exercises the
+/// scalable-inference path end-to-end; the budget gate caps the
+/// exact-pack acquisition's time per iteration.
+fn scale_leg() {
+    const BUDGET: usize = 2000;
     // Exact-GP window band (ROADMAP, PR 6 handoff): with the default
     // window cap (256) equal to the sparse threshold (256) the exact
     // window never slides — the sparse pack takes over at exactly the
@@ -445,7 +337,7 @@ fn scale_probe(budget: usize) {
         },
     );
     let evaluator = DssocEvaluator::new(db, density).with_layer_memo(job.layer_memo);
-    let phase2 = Phase2::new(config.optimizer, budget, config.seed).with_job_config(job);
+    let phase2 = Phase2::new(config.optimizer, BUDGET, config.seed).with_job_config(job);
 
     obs::force_metrics(true);
     obs::reset();
@@ -455,8 +347,6 @@ fn scale_probe(budget: usize) {
     let snap = obs::snapshot();
     let span_phase2_run_s = snap.span_total_s("phase2.run");
     let span_score_s = snap.span_total_s("bo.acquisition.score");
-    let span_gp_predict_s = snap.span_total_s("bo.acquisition.gp_predict");
-    let span_hv_score_s = snap.span_total_s("bo.acquisition.hv_score");
     let score_ratio = span_score_s / span_phase2_run_s.max(1e-12);
     // The exact-pack acquisitions: one `bo.acquisition.exact` span per
     // SMS-EGO iteration scored on the exact pack.
@@ -535,28 +425,17 @@ fn scale_probe(budget: usize) {
     let panel_rows: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
     let panel_scale = -0.5 / ls;
     let panel_workers = dse_opt::par::worker_count().max(2);
+    let panel = |workers: usize| {
+        dse_opt::correlation_panel_with(workers, &panel_rows, &pool, panel_scale, exp_mode)
+    };
     let panel_1_s = min_time(3, || {
-        let _ = std::hint::black_box(dse_opt::correlation_panel_with(
-            1,
-            &panel_rows,
-            &pool,
-            panel_scale,
-            exp_mode,
-        ));
+        let _ = std::hint::black_box(panel(1));
     });
     let panel_n_s = min_time(3, || {
-        let _ = std::hint::black_box(dse_opt::correlation_panel_with(
-            panel_workers,
-            &panel_rows,
-            &pool,
-            panel_scale,
-            exp_mode,
-        ));
+        let _ = std::hint::black_box(panel(panel_workers));
     });
     let gp_panel_parallel_speedup = panel_1_s / panel_n_s.max(1e-12);
-    let single = dse_opt::correlation_panel_with(1, &panel_rows, &pool, panel_scale, exp_mode);
-    let striped =
-        dse_opt::correlation_panel_with(panel_workers, &panel_rows, &pool, panel_scale, exp_mode);
+    let (single, striped) = (panel(1), panel(panel_workers));
     assert!(
         (0..single.rows()).all(|i| single
             .row(i)
@@ -566,20 +445,17 @@ fn scale_probe(budget: usize) {
         "striped panel assembly must be bit-identical to single-stripe assembly"
     );
 
-    // The band is only exercised once the archive outgrows the window;
-    // any budget comfortably past it must have slid the exact window and
-    // fired downdates (the counter this probe exists to keep alive).
+    // The budget is far past the exact-GP window, so the window must
+    // have slid and fired downdates (the counter this leg keeps alive).
     let gp_downdates = snap.counter("bo.gp.downdate");
-    if budget > GP_WINDOW + 16 {
-        assert!(
-            gp_downdates > 0,
-            "budget {budget} exceeds the exact-GP window ({GP_WINDOW}); the window must have \
-             slid and recorded downdates"
-        );
-    }
+    assert!(
+        gp_downdates > 0,
+        "budget {BUDGET} exceeds the exact-GP window ({GP_WINDOW}); the window must have slid \
+         and recorded downdates"
+    );
 
     let report = Value::Obj(vec![
-        ("budget".into(), num(budget as f64)),
+        ("budget".into(), num(BUDGET as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
         ("gp_window".into(), num(GP_WINDOW as f64)),
         ("gp_sparse_threshold".into(), num(GP_SPARSE_THRESHOLD as f64)),
@@ -587,8 +463,14 @@ fn scale_probe(budget: usize) {
         ("wall_s".into(), num(wall_s)),
         ("span_phase2_run_s".into(), num(span_phase2_run_s)),
         ("span_bo_acquisition_score_s".into(), num(span_score_s)),
-        ("span_bo_acquisition_gp_predict_s".into(), num(span_gp_predict_s)),
-        ("span_bo_acquisition_hv_score_s".into(), num(span_hv_score_s)),
+        (
+            "span_bo_acquisition_gp_predict_s".into(),
+            num(snap.span_total_s("bo.acquisition.gp_predict")),
+        ),
+        (
+            "span_bo_acquisition_hv_score_s".into(),
+            num(snap.span_total_s("bo.acquisition.hv_score")),
+        ),
         ("acquisition_score_ratio".into(), num(score_ratio)),
         ("exact_acquisition_iterations".into(), num(exact_iterations as f64)),
         ("exact_acquisition_ms_per_iteration".into(), num(exact_ms_per_iteration)),
@@ -620,11 +502,4 @@ fn scale_probe(budget: usize) {
         ),
     ]);
     autopilot_bench::emit("BENCH_phase2_scale.json", &report.to_json_pretty());
-    autopilot_bench::write_trace("timing_probe_scale");
-    println!(
-        "scale probe: budget {budget} in {wall_s:.2}s | score span {span_score_s:.3}s / run span \
-         {span_phase2_run_s:.3}s (ratio {score_ratio:.3}) | gp {span_gp_predict_s:.3}s / hv \
-         {span_hv_score_s:.3}s | exact acquisition {exact_ms_per_iteration:.3} ms x \
-         {exact_iterations} | sparse speedup {gp_sparse_speedup:.1}x (exact n={n_exact})"
-    );
 }

@@ -1,8 +1,9 @@
 //! # autopilot-bench
 //!
 //! Shared infrastructure for the paper-reproduction binaries (one per
-//! table/figure of the MICRO 2022 AutoPilot paper) and the in-repo
-//! [`tinybench`] micro-benchmark harness.
+//! table/figure of the MICRO 2022 AutoPilot paper), the Phase-2
+//! counting probe (`timing_probe`) and the perf budget gate
+//! (`budget_gate`).
 //!
 //! Each `src/bin/figN.rs` / `src/bin/tableN.rs` binary regenerates the
 //! rows or series of the corresponding exhibit and prints them as an
@@ -193,4 +194,3 @@ mod tests {
 }
 
 pub mod experiments;
-pub mod tinybench;
