@@ -23,12 +23,13 @@
 //!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
 //!    - the per-point-vs-batched acquisition microbenchmark
 //!      (`acquisition_scalar_s` / `acquisition_batched_s` /
-//!      `acquisition_batch_speedup`): per-point solves
-//!      (`ExactColumn::solve`, one forward substitution per objective) vs
-//!      the shipping batched route (`ExactColumn::solve_batch`: one shared
-//!      kernel cross-matrix with blocked triangular solves), over the run
-//!      history as the candidate pool, each the minimum of three timed
-//!      repetitions after a discarded warm-up.
+//!      `acquisition_batch_speedup`, reported, not gated): per-point
+//!      solves (`ExactColumn::solve`, one forward substitution per
+//!      candidate) vs the shipping batched route
+//!      (`ExactColumn::solve_batch`: one kernel cross-matrix with one
+//!      blocked triangular solve), over the run history as the candidate
+//!      pool, each the minimum of three timed repetitions after a
+//!      discarded warm-up.
 //!
 //!    `acquisition_pruned_fraction` / `acquisition_solved_fraction` are
 //!    the shares of the exact acquisition's bounded candidates (cache
@@ -36,13 +37,22 @@
 //!    solved, with `acquisition_box_pruned` / `acquisition_subset_pruned`
 //!    counting the candidates pruned at the ladder's box and subset tiers
 //!    (the rest of the pruned ones fell at the optimistic-score tier).
+//!    `acquisition_forward_solves_per_solved` is the counted run's
+//!    columns through the blocked triangular solve
+//!    (`Matrix::solve_lower_columns`, counter `bo.gp.forward_solves`) per
+//!    solved candidate. The paper leg's surrogates are all exact, so each
+//!    is an `n`-row forward solve against the exact pack's factor: the
+//!    ratio is 1 while the pack shares one factor across its objectives,
+//!    and 3 when every objective solves against a factor of its own.
 //!
 //! 2. The *scale leg*: one instrumented, untraced sequential search at
 //!    budget 2000 (large enough to engage the sparse surrogate), emitting
 //!    `results/BENCH_phase2_scale.json` with the exact-pack acquisition's
 //!    time per iteration, the sparse-vs-exact inference speedup, the
-//!    striped-vs-single-stripe kernel panel ratio, and the
-//!    incremental-surrogate counters.
+//!    striped kernel panel counters, the stripes an archive-sized panel
+//!    splits into across forced workers (and, reported, not gated, the
+//!    striped-vs-single-stripe panel ratio), and the incremental-surrogate
+//!    counters.
 //!
 //! Cache-counter naming: the within-run `CandidateCache` hit counters are
 //! suffixed `_within_run` because continuous candidate keys are raw f64
@@ -144,6 +154,7 @@ fn paper_leg() {
     let acquisition_pruned = seq_snap.counter("bo.acquisition.pruned");
     let acquisition_box_pruned = seq_snap.counter("bo.acquisition.box_pruned");
     let acquisition_subset_pruned = seq_snap.counter("bo.acquisition.subset_pruned");
+    let acquisition_forward_solves = seq_snap.counter("bo.gp.forward_solves");
     assert!(
         acquisition_box_pruned + acquisition_subset_pruned <= acquisition_pruned,
         "the per-tier pruned counts are a split of the pruned ones"
@@ -189,31 +200,20 @@ fn paper_leg() {
         .map(|k| seq_out.result.evaluations.iter().map(|e| e.objectives[k]).collect())
         .collect();
     // Batched vs per-point acquisition prediction: the surrogate pack the
-    // optimizer actually uses — one GP per objective sharing inputs and
-    // lengthscale — queried over the run history as the candidate pool.
+    // optimizer actually uses — one posterior per objective over one
+    // shared factor — queried over the run history as the candidate pool.
     // The batched side is the route SMS-EGO solves its unpruned
     // candidates through (a kernel panel, then
     // `ExactColumn::solve_correlations` + `predict`, here together as
     // `ExactColumn::solve_batch`). The per-point side solves
     // each candidate on its own (`ExactColumn::solve`: one forward
-    // substitution per objective, the `Matrix::solve_lower` loop, and an
-    // ascending dot for the mean), so it shares neither the kernel panel
+    // substitution, the `Matrix::solve_lower` loop, and an ascending dot
+    // per objective for the means), so it shares neither the kernel panel
     // nor the blocked solve with the batched side it checks and is timed
     // against.
-    let gp0 = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("objective 0 GP fits");
-    let ls = gp0.lengthscale_sq();
-    let gps: Vec<dse_opt::GaussianProcess> = ys
-        .iter()
-        .map(|y| {
-            dse_opt::GaussianProcess::fit_with_lengthscale(
-                &xs,
-                y,
-                ls,
-                dse_opt::KernelExpMode::Exact,
-            )
-            .expect("GP fits")
-        })
-        .collect();
+    let ls = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("GP fits").lengthscale_sq();
+    let gps = dse_opt::GaussianProcess::fit_pack(&xs, &ys, ls, dse_opt::KernelExpMode::Exact)
+        .expect("surrogate pack fits");
     let pool = &xs;
     // Bit-identity spot check before timing anything.
     for (p, batched) in pool.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, pool)) {
@@ -281,6 +281,11 @@ fn paper_leg() {
         ("acquisition_pruned".into(), num(acquisition_pruned as f64)),
         ("acquisition_box_pruned".into(), num(acquisition_box_pruned as f64)),
         ("acquisition_subset_pruned".into(), num(acquisition_subset_pruned as f64)),
+        ("acquisition_forward_solves".into(), num(acquisition_forward_solves as f64)),
+        (
+            "acquisition_forward_solves_per_solved".into(),
+            num(acquisition_forward_solves as f64 / acquisition_solved.max(1) as f64),
+        ),
         (
             "acquisition_pruned_fraction".into(),
             num(acquisition_pruned as f64 / acquisition_bounded.max(1) as f64),
@@ -369,34 +374,20 @@ fn scale_leg() {
     let ys: Vec<Vec<f64>> =
         (0..3).map(|k| out.result.evaluations.iter().map(|e| e.objectives[k]).collect()).collect();
     let n_exact = xs.len().min(768);
-    let exact0 =
-        dse_opt::GaussianProcess::fit(&xs[..n_exact], &ys[0][..n_exact]).expect("exact GP fits");
-    let ls = exact0.lengthscale_sq();
-    let exact: Vec<dse_opt::GaussianProcess> = ys
-        .iter()
-        .map(|y| {
-            dse_opt::GaussianProcess::fit_with_lengthscale(
-                &xs[..n_exact],
-                &y[..n_exact],
-                ls,
-                dse_opt::KernelExpMode::Exact,
-            )
-            .expect("exact GP fits")
-        })
-        .collect();
-    let sparse: Vec<dse_opt::SparseGaussianProcess> = ys
-        .iter()
-        .map(|y| {
-            dse_opt::SparseGaussianProcess::fit_with_lengthscale(
-                &xs,
-                y,
-                ls,
-                64,
-                dse_opt::KernelExpMode::Exact,
-            )
-            .expect("sparse GP fits")
-        })
-        .collect();
+    let ls = dse_opt::GaussianProcess::fit(&xs[..n_exact], &ys[0][..n_exact])
+        .expect("exact GP fits")
+        .lengthscale_sq();
+    let exact_ys: Vec<Vec<f64>> = ys.iter().map(|y| y[..n_exact].to_vec()).collect();
+    let exact = dse_opt::GaussianProcess::fit_pack(
+        &xs[..n_exact],
+        &exact_ys,
+        ls,
+        dse_opt::KernelExpMode::Exact,
+    )
+    .expect("exact pack fits");
+    let sparse =
+        dse_opt::SparseGaussianProcess::fit_pack(&xs, &ys, ls, 64, dse_opt::KernelExpMode::Exact)
+            .expect("sparse pack fits");
     let pool: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
     let exact_batch_s = min_time(3, || {
         for column in dse_opt::ExactColumn::solve_batch(&exact, &pool) {
@@ -406,21 +397,22 @@ fn scale_leg() {
         }
     });
     let sparse_batch_s = min_time(3, || {
-        let corr = sparse[0].cross_correlations(&pool);
-        for gp in &sparse {
-            let _ = std::hint::black_box(gp.predict_batch_from_correlations(&corr));
-        }
+        let corr = sparse.cross_correlations(&pool);
+        let _ = std::hint::black_box(sparse.predict_batch_from_correlations(&corr));
     });
     let gp_sparse_speedup = exact_batch_s / sparse_batch_s.max(1e-12);
 
     // Panel-parallel probe: the same archive-sized kernel panel
-    // assembled single-stripe and column-striped across forced workers.
-    // The outputs must be bitwise identical (each entry's arithmetic
-    // never sees the stripe boundaries); the speedup is a structural
-    // floor, honest about the host — on a single-core box two forced
-    // workers time-slice one CPU, so ~1.0 is the expected reading there,
-    // and the budget-gate floor below 1.0 only catches the engine
-    // pessimizing parallel assembly outright.
+    // assembled single-stripe and column-striped across forced workers
+    // (at least two, on any host). The outputs must be bitwise identical
+    // (each entry's arithmetic never sees the stripe boundaries). The
+    // speedup is reported, not gated: it is a min-of-3 ratio of
+    // millisecond timings and moves with the scheduler (two forced
+    // workers time-slice one CPU on a single-core box). The gate reads
+    // `gp_panel_probe_stripes` instead, the stripes the forced-worker
+    // assembly split the panel into. The search's own count of striped
+    // panels, `gp_panel_parallel`, is reported only: the search stripes
+    // at `par::worker_count`, which is 1 on a single-core host.
     let exp_mode = job.exp_mode.unwrap_or_default();
     let panel_rows: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
     let panel_scale = -0.5 / ls;
@@ -435,7 +427,10 @@ fn scale_leg() {
         let _ = std::hint::black_box(panel(panel_workers));
     });
     let gp_panel_parallel_speedup = panel_1_s / panel_n_s.max(1e-12);
-    let (single, striped) = (panel(1), panel(panel_workers));
+    let single = panel(1);
+    obs::reset();
+    let striped = panel(panel_workers);
+    let gp_panel_probe_stripes = obs::snapshot().counter("bo.gp.panel.stripes");
     assert!(
         (0..single.rows()).all(|i| single
             .row(i)
@@ -488,6 +483,7 @@ fn scale_leg() {
         ("kernel_exp_mode".into(), Value::Str(exp_mode.id().into())),
         ("gp_panel_parallel_speedup".into(), num(gp_panel_parallel_speedup)),
         ("gp_panel_parallel_workers".into(), num(panel_workers as f64)),
+        ("gp_panel_probe_stripes".into(), num(gp_panel_probe_stripes as f64)),
         ("gp_panel_calls".into(), num(snap.counter("bo.gp.panel.calls") as f64)),
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),
         ("gp_panel_inline".into(), num(snap.counter("bo.gp.panel.inline") as f64)),

@@ -23,13 +23,14 @@ use crate::space::DesignSpace;
 /// S-Metric-Selection Efficient Global Optimization (Ponweiser et al.,
 /// PPSN 2008), the acquisition strategy AutoPilot uses in Phase 2.
 ///
-/// One Gaussian process is fitted per objective; candidates are scored by
+/// One Gaussian-process posterior is fitted per objective, all sharing one
+/// factorization of the shared training inputs; candidates are scored by
 /// the *hypervolume improvement* of their lower-confidence-bound vector
 /// against the current archive front, with an additive penalty for
 /// candidates whose LCB is already (epsilon-)dominated.
 ///
 /// The inner loop is engineered to stay cheap at paper-scale budgets:
-/// the per-objective GPs grow by rank-1 Cholesky extension (O(n²) per
+/// the surrogate pack grows by rank-1 Cholesky extension (O(n²) per
 /// new observation) between milestone full refits of the lengthscale,
 /// range moves of the normalization *retarget* the existing
 /// factorization instead of refitting, window slides *downdate* it one
@@ -167,8 +168,8 @@ impl Archive {
 }
 
 /// Number of candidates scored per batched GP prediction: one kernel
-/// cross-matrix (shared across the objective GPs) and one blocked
-/// triangular solve per chunk, with chunks fanned out across workers.
+/// cross-matrix and one prediction pass for every objective per chunk,
+/// with chunks fanned out across workers.
 const ACQ_CHUNK: usize = 64;
 
 /// LCB exploration factor: candidates are scored at `mean - BETA·std`.
@@ -304,13 +305,16 @@ impl ColumnCache {
     }
 }
 
-/// The per-objective surrogate ensemble, exact or sparse. All members
-/// always share training inputs, lengthscale, and (for the sparse kind)
-/// inducing set, which is what lets one kernel cross-matrix serve the
-/// whole pack during acquisition scoring.
+/// The per-objective surrogate pack, exact or sparse: one GP with one
+/// posterior per objective, so every objective shares the training
+/// inputs, the lengthscale, the factorization and (for the sparse kind)
+/// the inducing set. Each step below factors, extends or downdates once
+/// for the whole pack, and one kernel cross-matrix and one solve serve
+/// every objective during acquisition scoring. A failed step leaves the
+/// pack unchanged.
 enum SurrogatePack {
-    Exact(Vec<GaussianProcess>),
-    Sparse(Vec<SparseGaussianProcess>),
+    Exact(GaussianProcess),
+    Sparse(SparseGaussianProcess),
 }
 
 impl SurrogatePack {
@@ -320,36 +324,33 @@ impl SurrogatePack {
 
     fn n_obj(&self) -> usize {
         match self {
-            SurrogatePack::Exact(gps) => gps.len(),
-            SurrogatePack::Sparse(gps) => gps.len(),
+            SurrogatePack::Exact(gp) => gp.objective_count(),
+            SurrogatePack::Sparse(gp) => gp.objective_count(),
         }
     }
 
-    /// Appends one observation to every member. A partial failure leaves
-    /// the pack inconsistent; the caller must fall back to a full refit
-    /// in that case.
-    fn extend_all(&mut self, x: &[f64], ys: &[f64]) -> bool {
+    /// Appends one observation, one target per objective.
+    fn extend(&mut self, x: &[f64], ys: &[f64]) -> bool {
         match self {
-            SurrogatePack::Exact(gps) => gps.iter_mut().zip(ys).all(|(gp, &y)| gp.extend(x, y)),
-            SurrogatePack::Sparse(gps) => gps.iter_mut().zip(ys).all(|(gp, &y)| gp.extend(x, y)),
+            SurrogatePack::Exact(gp) => gp.extend(x, ys),
+            SurrogatePack::Sparse(gp) => gp.extend(x, ys),
         }
     }
 
-    /// Replaces every member's training targets in place (same
-    /// inconsistency caveat as [`SurrogatePack::extend_all`]).
-    fn retarget_all(&mut self, ys: &[Vec<f64>]) -> bool {
+    /// Replaces every objective's training targets in place.
+    fn retarget(&mut self, ys: &[Vec<f64>]) -> bool {
         match self {
-            SurrogatePack::Exact(gps) => gps.iter_mut().zip(ys).all(|(gp, y)| gp.retarget(y)),
-            SurrogatePack::Sparse(gps) => gps.iter_mut().zip(ys).all(|(gp, y)| gp.retarget(y)),
+            SurrogatePack::Exact(gp) => gp.retarget(ys),
+            SurrogatePack::Sparse(gp) => gp.retarget(ys),
         }
     }
 
-    /// Downdates every member past its oldest training point. Only the
-    /// exact kind supports this (the sparse kind trains on the full
-    /// archive and never slides).
-    fn drop_oldest_all(&mut self) -> bool {
+    /// Downdates the pack past its oldest training point. Only the exact
+    /// kind supports this (the sparse kind trains on the full archive and
+    /// never slides).
+    fn drop_oldest(&mut self) -> bool {
         match self {
-            SurrogatePack::Exact(gps) => gps.iter_mut().all(GaussianProcess::drop_oldest),
+            SurrogatePack::Exact(gp) => gp.drop_oldest(),
             SurrogatePack::Sparse(_) => false,
         }
     }
@@ -439,7 +440,7 @@ impl Surrogates {
             return false;
         }
         while self.start < start {
-            if !self.pack.drop_oldest_all() {
+            if !self.pack.drop_oldest() {
                 return false;
             }
             self.start += 1;
@@ -451,8 +452,8 @@ impl Surrogates {
     /// Renormalizes the training targets of the records already inside
     /// the pack against the archive's moved ranges, reusing the
     /// factorization. Pairs with the acquisition side's
-    /// `bo.front.rebuild`: a range move now costs two triangular solves
-    /// per objective instead of a full refit.
+    /// `bo.front.rebuild`: a range move costs two triangular solves per
+    /// objective instead of a full refit.
     fn retarget(&mut self, archive: &Archive) -> bool {
         let window = &archive.history[self.start..self.trained];
         let n_obj = archive.mins.len();
@@ -464,7 +465,7 @@ impl Surrogates {
                     .collect()
             })
             .collect();
-        if !self.pack.retarget_all(&ys) {
+        if !self.pack.retarget(&ys) {
             return false;
         }
         self.norm_mins = archive.mins.clone();
@@ -484,7 +485,7 @@ impl Surrogates {
                 .enumerate()
                 .map(|(obj, &v)| normalize(v, self.norm_mins[obj], self.norm_maxs[obj]))
                 .collect();
-            if !self.pack.extend_all(&x, &ys) {
+            if !self.pack.extend(&x, &ys) {
                 return false;
             }
             obs::add(counter, 1);
@@ -505,47 +506,26 @@ impl Surrogates {
         let train = &archive.history[start..];
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
         let lengthscale_sq = median_sq_dist(&xs);
-        let n_obj = archive.mins.len();
-        let targets = |obj: usize| -> Vec<f64> {
-            train
-                .iter()
-                .map(|e| normalize(e.objectives[obj], archive.mins[obj], archive.maxs[obj]))
-                .collect()
-        };
+        let ys: Vec<Vec<f64>> = (0..archive.mins.len())
+            .map(|obj| {
+                train
+                    .iter()
+                    .map(|e| normalize(e.objectives[obj], archive.mins[obj], archive.maxs[obj]))
+                    .collect()
+            })
+            .collect();
         // A degenerate fit (duplicate geometry, singular kernel) is
         // non-fatal here: the caller falls back to random sampling for
         // this iteration rather than aborting the run.
         let pack = if let Some(m) = sparse_inducing {
-            let mut gps = Vec::with_capacity(n_obj);
-            for obj in 0..n_obj {
-                gps.push(
-                    SparseGaussianProcess::fit_with_lengthscale(
-                        &xs,
-                        &targets(obj),
-                        lengthscale_sq,
-                        m,
-                        exp_mode,
-                    )
-                    .ok()?,
-                );
-            }
+            let gp = SparseGaussianProcess::fit_pack(&xs, &ys, lengthscale_sq, m, exp_mode).ok()?;
             obs::add("bo.gp.sparse.fit", 1);
-            obs::gauge_set("bo.gp.sparse.inducing", gps[0].inducing_count() as f64);
-            SurrogatePack::Sparse(gps)
+            obs::gauge_set("bo.gp.sparse.inducing", gp.inducing_count() as f64);
+            SurrogatePack::Sparse(gp)
         } else {
-            let mut gps = Vec::with_capacity(n_obj);
-            for obj in 0..n_obj {
-                gps.push(
-                    GaussianProcess::fit_with_lengthscale(
-                        &xs,
-                        &targets(obj),
-                        lengthscale_sq,
-                        exp_mode,
-                    )
-                    .ok()?,
-                );
-            }
-            SurrogatePack::Exact(gps)
+            SurrogatePack::Exact(
+                GaussianProcess::fit_pack(&xs, &ys, lengthscale_sq, exp_mode).ok()?,
+            )
         };
         Some(Surrogates {
             pack,
@@ -738,7 +718,7 @@ impl SmsEgoOptimizer {
                 pool.iter().map(|c| space.encode(c)).collect()
             });
             let picked = match &surrogates.pack {
-                SurrogatePack::Exact(gps) => {
+                SurrogatePack::Exact(gp) => {
                     let mut slots: Vec<Option<ExactSlot>> = columns
                         .into_iter()
                         .map(|c| match c {
@@ -746,13 +726,13 @@ impl SmsEgoOptimizer {
                             _ => None,
                         })
                         .collect();
-                    let acquisition = ExactAcquisition::new(gps, &scorer);
+                    let acquisition = ExactAcquisition::new(gp, &scorer);
                     let best = obs::time("bo.acquisition.exact", || {
                         acquisition.select(&points, &mut slots, &neighbour, workers)
                     });
                     (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
                 }
-                SurrogatePack::Sparse(gps) => {
+                SurrogatePack::Sparse(gp) => {
                     let mut slots: Vec<Option<Vec<f64>>> = columns
                         .into_iter()
                         .map(|c| match c {
@@ -760,7 +740,7 @@ impl SmsEgoOptimizer {
                             _ => None,
                         })
                         .collect();
-                    let acquisition = SparseAcquisition::new(gps, &scorer);
+                    let acquisition = SparseAcquisition::new(gp, &scorer);
                     let best = acquisition.select(&points, &mut slots, &neighbour, workers);
                     (best, slots.into_iter().map(|slot| slot.map(Column::Sparse)).collect())
                 }
@@ -800,16 +780,16 @@ impl SmsEgoOptimizer {
 /// prediction is cheaper than any bound that would need more.
 #[derive(Debug)]
 pub struct SparseAcquisition<'a> {
-    pack: &'a [SparseGaussianProcess],
+    pack: &'a SparseGaussianProcess,
     scorer: &'a ContributionScorer,
 }
 
 impl<'a> SparseAcquisition<'a> {
-    /// An acquisition over a sparse surrogate pack (one GP per
-    /// objective, sharing inputs, lengthscale and inducing set) against
+    /// An acquisition over a sparse surrogate pack (one posterior per
+    /// objective on shared inputs, lengthscale and inducing set) against
     /// the scorer's frozen front.
     pub fn new(
-        pack: &'a [SparseGaussianProcess],
+        pack: &'a SparseGaussianProcess,
         scorer: &'a ContributionScorer,
     ) -> SparseAcquisition<'a> {
         SparseAcquisition { pack, scorer }
@@ -845,7 +825,7 @@ impl<'a> SparseAcquisition<'a> {
                 return;
             }
             let miss_points: Vec<Vec<f64>> = misses.iter().map(|&j| points[j].clone()).collect();
-            let panel = self.pack[0].cross_correlations(&miss_points);
+            let panel = self.pack.cross_correlations(&miss_points);
             for (k, &j) in misses.iter().enumerate() {
                 columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
             }
@@ -867,9 +847,9 @@ impl<'a> SparseAcquisition<'a> {
         first_max(&scored.concat())
     }
 
-    /// Per-objective `(mean, variance)` for a chunk from its inducing
-    /// correlations, assembled into one `m × chunk` matrix that every
-    /// objective predicts from — bit-identical to each member's
+    /// Per candidate, the `(mean, variance)` of every objective from its
+    /// inducing correlations, assembled into one `m × chunk` matrix that
+    /// the pack predicts from in one pass — bit-identical to the pack's
     /// `predict_batch`. Keeps a column only if `keep` marks it.
     fn predict_chunk(
         &self,
@@ -877,7 +857,7 @@ impl<'a> SparseAcquisition<'a> {
         keep: &[bool],
     ) -> Vec<Vec<(f64, f64)>> {
         obs::add("bo.gp.sparse.predict", 1);
-        let mut corr = Matrix::zeros(self.pack[0].inducing_count(), columns.len());
+        let mut corr = Matrix::zeros(self.pack.inducing_count(), columns.len());
         for (j, column) in columns.iter().enumerate() {
             for (i, &v) in column.iter().flatten().enumerate() {
                 corr[(i, j)] = v;
@@ -888,18 +868,17 @@ impl<'a> SparseAcquisition<'a> {
                 *column = None;
             }
         }
-        self.pack.iter().map(|gp| gp.predict_batch_from_correlations(&corr)).collect()
+        self.pack.predict_batch_from_correlations(&corr)
     }
 
     /// The chunk's scores: exact for the penalized candidates and for
     /// those whose contribution was computed, `None` for the candidates
     /// the box cut skipped.
     fn score_chunk(&self, preds: &[Vec<(f64, f64)>]) -> Vec<Option<f64>> {
-        let n_obj = preds.len();
+        let n_obj = self.pack.objective_count();
         let lcb = |k: usize| -> [f64; 3] {
             let mut lcb = [0.0; 3];
-            for (slot, p) in lcb.iter_mut().zip(preds) {
-                let (mean, var) = p[k];
+            for (slot, &(mean, var)) in lcb.iter_mut().zip(&preds[k]) {
                 *slot = mean - BETA * var.sqrt();
             }
             lcb
@@ -907,7 +886,7 @@ impl<'a> SparseAcquisition<'a> {
         // Buffers reused across the whole chunk: steady-state scoring
         // allocates nothing per candidate.
         let mut scratch = self.scorer.scratch();
-        let mut scores: Vec<Option<f64>> = vec![None; preds[0].len()];
+        let mut scores: Vec<Option<f64>> = vec![None; preds.len()];
         let mut boxes: Vec<(f64, usize)> = Vec::with_capacity(scores.len());
         for (k, score) in scores.iter_mut().enumerate() {
             let bound = self.scorer.score_bound_with(&mut scratch, &lcb(k)[..n_obj], EPS);
@@ -951,7 +930,7 @@ fn first_max(scores: &[Option<f64>]) -> Option<usize> {
 }
 
 /// Candidates solved per round of [`ExactAcquisition::select`]: one
-/// `n × 8` blocked triangular solve per objective, after which the
+/// `n × 8` blocked triangular solve for the whole pack, after which the
 /// running best rises before the next round is chosen.
 const SOLVE_ROUND: usize = 8;
 
@@ -971,8 +950,8 @@ fn prune_cut(best: Option<f64>) -> Option<f64> {
 /// [`ExactAcquisition::select`] takes and leaves it.
 #[derive(Debug, Clone)]
 pub enum ExactSlot {
-    /// Solved: the candidate's correlations and per-member forward
-    /// solves, refreshed over the rows added since
+    /// Solved: the candidate's correlations and forward solve,
+    /// refreshed over the rows added since
     /// ([`ExactColumn::refresh`]) and scored exactly.
     Solved(ExactColumn),
     /// Correlations only: the candidate was bounded and pruned before
@@ -997,7 +976,7 @@ pub enum ExactSlot {
 /// exact score. The tiers:
 ///
 /// 1. **Box**: the optimistic LCB (Cauchy–Schwarz variance bound
-///    `σ²(1 − maxᵢ cᵢ²/(1 + jitter))`) scored by
+///    `σ²(1 − maxᵢ cᵢ²/(1 + RELATIVE_NOISE))`) scored by
 ///    [`ContributionScorer::score_bound_with`] — its exact penalty, or
 ///    the box volume around its exclusive region. One `O(|front|)` scan.
 /// 2. **Score**: the full score of the same LCB.
@@ -1020,7 +999,7 @@ pub enum ExactSlot {
 /// the worker count.
 #[derive(Debug)]
 pub struct ExactAcquisition<'a> {
-    pack: &'a [GaussianProcess],
+    pack: &'a GaussianProcess,
     scorer: &'a ContributionScorer,
 }
 
@@ -1100,12 +1079,10 @@ enum FirstPass {
 }
 
 impl<'a> ExactAcquisition<'a> {
-    /// An acquisition over an exact surrogate pack (one GP per objective,
-    /// sharing inputs and lengthscale) against the scorer's frozen front.
-    pub fn new(
-        pack: &'a [GaussianProcess],
-        scorer: &'a ContributionScorer,
-    ) -> ExactAcquisition<'a> {
+    /// An acquisition over an exact surrogate pack (one posterior per
+    /// objective on shared inputs, lengthscale and factor) against the
+    /// scorer's frozen front.
+    pub fn new(pack: &'a GaussianProcess, scorer: &'a ContributionScorer) -> ExactAcquisition<'a> {
         ExactAcquisition { pack, scorer }
     }
 
@@ -1119,14 +1096,14 @@ impl<'a> ExactAcquisition<'a> {
     /// Panics if `corr` does not have one entry per training point.
     pub fn bounds(&self, corr: &[f64]) -> [f64; 3] {
         let candidate = self.unsolved(0, corr.to_vec());
-        let lcb = &candidate.lcb[..self.pack.len()];
+        let lcb = &candidate.lcb[..self.n_obj()];
         let mut scratch = self.scorer.scratch();
         [
             self.scorer.score_bound_with(&mut scratch, lcb, EPS),
             self.scorer.score_with(&mut scratch, lcb, EPS),
             self.subset_score(
                 &candidate,
-                &GaussianProcess::subset_variance_bounds(self.pack, &candidate.corr),
+                &self.pack.subset_variance_bounds(&candidate.corr),
                 &mut scratch,
             ),
         ]
@@ -1141,13 +1118,16 @@ impl<'a> ExactAcquisition<'a> {
         self.bounds(corr)[1]
     }
 
+    /// The number of objectives the pack predicts.
+    fn n_obj(&self) -> usize {
+        self.pack.objective_count()
+    }
+
     /// The candidate's exact means and optimistic LCB from its
     /// correlations alone.
     fn unsolved(&self, j: usize, corr: Vec<f64>) -> Unsolved {
-        let max_corr_sq = corr.iter().fold(0.0f64, |m, c| m.max(c * c));
         let (mut means, mut lcb) = ([0.0; 3], [0.0; 3]);
-        for (o, gp) in self.pack.iter().enumerate() {
-            let (mean, var) = gp.optimistic_moments(&corr, max_corr_sq);
+        for (o, (mean, var)) in self.pack.optimistic_moments(&corr).enumerate() {
             means[o] = mean;
             lcb[o] = mean - BETA * var.sqrt();
         }
@@ -1166,7 +1146,7 @@ impl<'a> ExactAcquisition<'a> {
         for ((slot, mean), var) in lcb.iter_mut().zip(&candidate.means).zip(variances) {
             *slot = mean - BETA * var.sqrt();
         }
-        self.scorer.score_with(scratch, &lcb[..self.pack.len()], EPS)
+        self.scorer.score_with(scratch, &lcb[..self.n_obj()], EPS)
     }
 
     fn exact_lcb(&self, column: &ExactColumn) -> Vec<f64> {
@@ -1227,7 +1207,7 @@ impl<'a> ExactAcquisition<'a> {
         }
         let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
 
-        let n = self.pack[0].len();
+        let n = self.pack.len();
         let mut scratch = self.scorer.scratch();
         let mut round: Vec<usize> = Vec::with_capacity(SOLVE_ROUND);
         let mut solved = 0;
@@ -1260,12 +1240,7 @@ impl<'a> ExactAcquisition<'a> {
                     let variances: Vec<Vec<f64>> = obs::time("bo.acquisition.gp_predict", || {
                         batch
                             .iter()
-                            .map(|r| {
-                                GaussianProcess::subset_variance_bounds(
-                                    self.pack,
-                                    &unsolved[r.k].corr,
-                                )
-                            })
+                            .map(|r| self.pack.subset_variance_bounds(&unsolved[r.k].corr))
                             .collect()
                     });
                     for (r, variances) in batch.into_iter().zip(variances) {
@@ -1273,7 +1248,7 @@ impl<'a> ExactAcquisition<'a> {
                         ladder.push(Rung { bound, tier: Tier::Subset, ..r });
                     }
                 } else {
-                    let lcb = &unsolved[rung.k].lcb[..self.pack.len()];
+                    let lcb = &unsolved[rung.k].lcb[..self.n_obj()];
                     let bound = self.scorer.contribution_with(&mut scratch, lcb);
                     ladder.push(Rung { bound, tier: Tier::Score, ..rung });
                 }
@@ -1355,7 +1330,7 @@ impl<'a> ExactAcquisition<'a> {
                 .filter(|(_, slot)| slot.is_none())
                 .map(|(p, _)| p.clone())
                 .collect();
-            let panel = self.pack[0].cross_correlations(&misses);
+            let panel = self.pack.cross_correlations(&misses);
             let mut next_miss = 0;
             points
                 .iter()
@@ -1368,7 +1343,7 @@ impl<'a> ExactAcquisition<'a> {
                     }
                     let corr = match slot.take() {
                         Some(ExactSlot::Pending(mut corr)) => {
-                            self.pack[0].extend_correlations(point, &mut corr);
+                            self.pack.extend_correlations(point, &mut corr);
                             corr
                         }
                         _ => {
@@ -1391,7 +1366,7 @@ impl<'a> ExactAcquisition<'a> {
                     Lcb::Optimistic(candidate) => FirstPass::Bounded(
                         self.scorer.score_bound_with(
                             &mut scratch,
-                            &candidate.lcb[..self.pack.len()],
+                            &candidate.lcb[..self.n_obj()],
                             EPS,
                         ),
                         candidate,

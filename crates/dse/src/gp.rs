@@ -2,7 +2,9 @@
 //! an exact GP supporting incremental O(n²) updates and downdates, a
 //! low-rank Nyström/DTC sparse GP for large archives
 //! ([`SparseGaussianProcess`]), and the [`SurrogateMode`] switch that
-//! selects between them (`AUTOPILOT_GP_SPARSE`).
+//! selects between them (`AUTOPILOT_GP_SPARSE`). Both GPs carry one
+//! posterior per objective over one shared factorization: a surrogate
+//! pack.
 
 use crate::error::GpError;
 use crate::fastexp::{exp_slice, KernelExpMode};
@@ -347,43 +349,127 @@ fn validate_training(x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
     Ok(())
 }
 
-/// A fitted Gaussian process over normalized inputs in `[0, 1]^d`.
+/// Relative noise of every surrogate: the exact GP's diagonal jitter and
+/// the sparse GP's observation noise λ, both relative to the signal
+/// variance (the correlation form divides `K` by `σ²`). It depends on no
+/// objective, so the members of a surrogate pack — one objective each,
+/// on shared inputs and lengthscale — share one factorization.
+const RELATIVE_NOISE: f64 = 1e-4;
+
+/// One objective's training targets and the posterior state they fix
+/// against a pack's shared factorization: the mean `ȳ`, the signal
+/// variance `σ²` and the weights (`α = C_j⁻¹(y − ȳ)` for the exact GP,
+/// `w = λ⁻¹·A⁻¹·C_nmᵀ(y − ȳ)` for the sparse one).
+#[derive(Debug, Clone)]
+struct Targets {
+    y: Vec<f64>,
+    mean_y: f64,
+    signal_var: f64,
+    weights: Vec<f64>,
+}
+
+impl Targets {
+    /// Targets whose moments and weights the owning GP's target refresh
+    /// has yet to compute.
+    fn new(y: Vec<f64>) -> Targets {
+        Targets { y, mean_y: 0.0, signal_var: 0.0, weights: Vec::new() }
+    }
+
+    /// Recomputes `ȳ` and `σ²` (floored at `1e-12`) and returns the
+    /// centred targets `y − ȳ`.
+    fn centre(&mut self) -> Vec<f64> {
+        let n = self.y.len();
+        self.mean_y = self.y.iter().sum::<f64>() / n as f64;
+        let centred: Vec<f64> = self.y.iter().map(|v| v - self.mean_y).collect();
+        self.signal_var = (centred.iter().map(|v| v * v).sum::<f64>() / n as f64).max(1e-12);
+        centred
+    }
+
+    /// `ȳ + Σ cᵢ·weightᵢ`, accumulated in ascending `i` from `0.0`.
+    fn mean(&self, corr: &[f64]) -> f64 {
+        assert_eq!(corr.len(), self.weights.len(), "column is not current with its pack");
+        self.mean_y + corr.iter().zip(&self.weights).fold(0.0, |acc, (c, w)| acc + c * w)
+    }
+
+    /// `σ²·fraction`, clamped at zero: the posterior variance from the
+    /// share of the prior variance the query keeps, which the whole pack
+    /// shares.
+    fn variance(&self, fraction: f64) -> f64 {
+        (self.signal_var * fraction).max(0.0)
+    }
+}
+
+/// Validates a pack's training data: at least one objective, every
+/// target vector checked against the inputs.
+fn validate_pack(x: &[Vec<f64>], ys: &[Vec<f64>]) -> Result<(), GpError> {
+    if ys.is_empty() {
+        return Err(GpError::DimensionMismatch { detail: "no objectives".into() });
+    }
+    ys.iter().try_for_each(|y| validate_training(x, y))
+}
+
+/// True when `values` holds exactly `len` values, all finite.
+fn all_finite(values: &[f64], len: usize) -> bool {
+    values.len() == len && values.iter().all(|v| v.is_finite())
+}
+
+/// Replaces each objective's targets by its vector in `ys` — or, unless
+/// `ys` holds one finite vector of `n` targets per objective, changes
+/// nothing and returns `false`. Every vector is checked before any
+/// objective changes.
+fn replace_targets(objectives: &mut [Targets], ys: &[Vec<f64>], n: usize) -> bool {
+    if ys.len() != objectives.len() || ys.iter().any(|y| !all_finite(y, n)) {
+        return false;
+    }
+    for (targets, y) in objectives.iter_mut().zip(ys) {
+        targets.y.clone_from(y);
+    }
+    true
+}
+
+/// A fitted exact Gaussian process over normalized inputs in `[0, 1]^d`,
+/// with one posterior per objective: a surrogate *pack*.
 ///
 /// The paper uses GP surrogates with the squared-exponential (SE) kernel
 /// for each objective; this implementation follows the standard
 /// Rasmussen & Williams recipe (Cholesky of the kernel matrix, `alpha =
 /// K^-1 y`). Hyperparameters are set by simple, robust heuristics: signal
-/// variance from the sample variance, a shared isotropic lengthscale from
-/// the median pairwise distance, and a small noise floor for numerical
-/// stability.
+/// variance from each objective's sample variance, a shared isotropic
+/// lengthscale from the median pairwise distance, and a fixed relative
+/// noise floor for numerical stability.
+///
+/// # One factor per pack
+///
+/// The kernel matrix is held in *correlation form*: `K = σ²·C_j` where
+/// `C_j = C + RELATIVE_NOISE·I` has unit diagonal plus the relative
+/// jitter. `C_j` depends only on the inputs and the lengthscale — not on
+/// any objective's targets or signal variance — so every objective
+/// trained on the same inputs shares its one Cholesky factor `L`. Each
+/// objective keeps only `ȳ`, `σ²` and `α`; the posterior means are
+/// `ȳ + cᵀα` per objective and the variances `σ²(1 − ‖L⁻¹c‖²)` share
+/// one solve. A pack with one objective is a single-objective GP.
 ///
 /// # Incremental updates
 ///
-/// The kernel matrix is held in *correlation form*: `K = σ²·C_j` where
-/// `C_j` has unit diagonal plus a relative jitter. The Cholesky factor of
-/// `C_j` depends only on the inputs and the lengthscale — not on the
-/// targets or signal variance — so when a new observation arrives with
-/// the lengthscale held fixed, [`GaussianProcess::extend`] borders the
-/// factor with one triangular solve (O(n²)) instead of refactorizing
-/// (O(n³)). Callers refresh the lengthscale periodically with a full
-/// [`GaussianProcess::fit`]; between refits the frozen lengthscale is a
-/// valid (slightly stale) hyperparameter choice, not an approximation of
-/// the math: predictions from an extended GP are identical to a
-/// fresh fit at the same lengthscale up to floating-point roundoff.
+/// When a new observation arrives with the lengthscale held fixed,
+/// [`GaussianProcess::extend`] borders the factor with one triangular
+/// solve (O(n²)) instead of refactorizing (O(n³)). Callers refresh the
+/// lengthscale periodically with a full fit; between refits the frozen
+/// lengthscale is a valid (slightly stale) hyperparameter choice, not an
+/// approximation of the math: predictions from an extended GP are
+/// identical to a fresh fit at the same lengthscale up to floating-point
+/// roundoff.
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
     x: Vec<Vec<f64>>,
-    y: Vec<f64>,
-    /// Cholesky factor of the jittered correlation matrix `C_j`.
+    /// Cholesky factor of the jittered correlation matrix `C_j`, shared
+    /// by every objective.
     chol: Matrix,
-    /// `C_j⁻¹ (y - mean_y)` — note the σ² cancellation in the posterior
-    /// mean: `k*ᵀK⁻¹(y-ȳ) = c*ᵀC_j⁻¹(y-ȳ)`.
-    alpha: Vec<f64>,
-    mean_y: f64,
-    signal_var: f64,
+    /// Per objective: targets, `ȳ`, `σ²` and `α = C_j⁻¹(y − ȳ)` — note
+    /// the σ² cancellation in the posterior mean:
+    /// `k*ᵀK⁻¹(y-ȳ) = c*ᵀC_j⁻¹(y-ȳ)`.
+    objectives: Vec<Targets>,
     lengthscale_sq: f64,
-    /// Relative diagonal jitter, frozen at factorization time.
-    jitter: f64,
     /// Kernel exponential mode, frozen at fit time so every correlation
     /// this GP ever computes — fit panel, extend vector, predict vector,
     /// batched cross-correlations — uses one consistent exponential.
@@ -391,7 +477,7 @@ pub struct GaussianProcess {
 }
 
 impl GaussianProcess {
-    /// Fits a GP to `(x, y)` observations.
+    /// Fits a single-objective GP to `(x, y)` observations.
     ///
     /// Inputs should be normalized to roughly the unit cube; outputs are
     /// centred internally.
@@ -401,6 +487,7 @@ impl GaussianProcess {
     /// * [`GpError::TooFewPoints`] with fewer than two observations,
     /// * [`GpError::DimensionMismatch`] when `x` and `y` lengths differ or
     ///   input dimensions are inconsistent,
+    /// * [`GpError::NonFiniteInput`] on a non-finite input or target,
     /// * [`GpError::NotPositiveDefinite`] when the kernel matrix cannot be
     ///   factorized (singular or non-finite).
     pub fn fit(x: &[Vec<f64>], y: &[f64]) -> Result<GaussianProcess, GpError> {
@@ -408,10 +495,9 @@ impl GaussianProcess {
         GaussianProcess::fit_with_lengthscale(x, y, median_sq_dist(x), KernelExpMode::Exact)
     }
 
-    /// Fits a GP at an explicitly chosen squared lengthscale and kernel
-    /// exponential mode, skipping the pairwise-distance heuristic. The
-    /// mode is frozen into the GP so every later query uses the same
-    /// exponential as the fit-time factorization.
+    /// Fits a single-objective GP at an explicitly chosen squared
+    /// lengthscale and kernel exponential mode: a one-objective
+    /// [`GaussianProcess::fit_pack`].
     ///
     /// # Errors
     ///
@@ -422,56 +508,67 @@ impl GaussianProcess {
         lengthscale_sq: f64,
         exp_mode: KernelExpMode,
     ) -> Result<GaussianProcess, GpError> {
-        validate_training(x, y)?;
+        GaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq, exp_mode)
+    }
+
+    /// Fits a surrogate pack: one posterior per target vector in `ys`,
+    /// all on inputs `x` at one squared lengthscale and kernel
+    /// exponential mode, sharing one Cholesky factorization. The mode is
+    /// frozen into the GP so every later query uses the same exponential
+    /// as the fit-time factorization.
+    ///
+    /// # Errors
+    ///
+    /// Same taxonomy as [`GaussianProcess::fit`], checked for every
+    /// target vector; [`GpError::DimensionMismatch`] when `ys` is empty.
+    pub fn fit_pack(
+        x: &[Vec<f64>],
+        ys: &[Vec<f64>],
+        lengthscale_sq: f64,
+        exp_mode: KernelExpMode,
+    ) -> Result<GaussianProcess, GpError> {
+        validate_pack(x, ys)?;
         let n = x.len();
         let lengthscale_sq = lengthscale_sq.max(1e-6);
-
-        let mean_y = y.iter().sum::<f64>() / n as f64;
-        let centred: Vec<f64> = y.iter().map(|v| v - mean_y).collect();
-        let var_y = centred.iter().map(|v| v * v).sum::<f64>() / n as f64;
-        let signal_var = var_y.max(1e-12);
-
-        // Relative jitter equivalent to the classic absolute noise term
-        // `signal_var * 1e-4 + 1e-10` after dividing K by signal_var.
-        let jitter = 1e-4 + 1e-10 / signal_var;
         let mut c = correlation_panel(x, x, kernel_scale(lengthscale_sq), exp_mode);
         for i in 0..n {
-            c[(i, i)] += jitter;
+            c[(i, i)] += RELATIVE_NOISE;
         }
         let chol = c.cholesky().ok_or(GpError::NotPositiveDefinite)?;
         let mut gp = GaussianProcess {
             x: x.to_vec(),
-            y: y.to_vec(),
             chol,
-            alpha: Vec::new(),
-            mean_y,
-            signal_var,
+            objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
-            jitter,
             exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
     }
 
-    /// Appends one observation in O(n²) by bordering the existing
-    /// Cholesky factor, keeping the current lengthscale frozen.
+    /// Appends one observation — `x_new` with one target per objective —
+    /// in O(n²) by bordering the shared Cholesky factor, keeping the
+    /// current lengthscale frozen.
     ///
-    /// Returns `false` — leaving the GP unchanged — when the extension is
+    /// Returns `false` — leaving the GP unchanged — when `ys` does not
+    /// hold one finite target per objective or the extension is
     /// numerically unsafe (the bordered matrix loses positive
     /// definiteness, e.g. for a near-duplicate input); the caller should
-    /// fall back to a full [`GaussianProcess::fit`].
+    /// fall back to a full fit.
     ///
     /// # Panics
     ///
     /// Panics if `x_new` has the wrong dimension.
-    pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> bool {
+    pub fn extend(&mut self, x_new: &[f64], ys: &[f64]) -> bool {
         assert_eq!(x_new.len(), self.x[0].len(), "dimension mismatch");
+        if !all_finite(ys, self.objectives.len()) {
+            return false;
+        }
         let scale = kernel_scale(self.lengthscale_sq);
         let ok = with_kernel_scratch(|c, w| {
             kernel_vector_into(&self.x, x_new, scale, self.exp_mode, c);
             self.chol.solve_lower_into(c, w);
-            let d2 = 1.0 + self.jitter - w.iter().map(|v| v * v).sum::<f64>();
+            let d2 = 1.0 + RELATIVE_NOISE - w.iter().map(|v| v * v).sum::<f64>();
             // Guard well above zero: a tiny pivot makes the factor
             // ill-conditioned even when it technically exists.
             if !d2.is_finite() || d2 <= 1e-10 {
@@ -484,37 +581,38 @@ impl GaussianProcess {
             return false;
         }
         self.x.push(x_new.to_vec());
-        self.y.push(y_new);
+        for (targets, &y) in self.objectives.iter_mut().zip(ys) {
+            targets.y.push(y);
+        }
         self.refresh_targets();
         true
     }
 
-    /// Replaces every training target in place, reusing the existing
-    /// Cholesky factorization — O(n²) instead of the O(n³) refit.
+    /// Replaces every objective's training targets in place, reusing the
+    /// Cholesky factorization — O(n²) per objective instead of the O(n³)
+    /// refit.
     ///
     /// The factor depends only on the inputs and the lengthscale, so a
     /// wholesale target change (the BO loop renormalizes all targets
     /// when the archive's objective ranges move) only needs the
-    /// target-dependent state recomputed. The relative jitter stays
-    /// frozen at its factorization-time value, exactly as it does across
-    /// [`GaussianProcess::extend`] calls.
+    /// target-dependent state recomputed, and the result is bit-identical
+    /// to a fresh fit on the new targets.
     ///
-    /// Returns `false` — leaving the GP unchanged — when `y` has the
-    /// wrong length or contains non-finite values.
-    pub fn retarget(&mut self, y: &[f64]) -> bool {
-        if y.len() != self.y.len() || y.iter().any(|v| !v.is_finite()) {
+    /// Returns `false` — leaving the GP unchanged — when `ys` does not
+    /// hold one target vector per objective of the training size, or
+    /// holds a non-finite value.
+    pub fn retarget(&mut self, ys: &[Vec<f64>]) -> bool {
+        if !replace_targets(&mut self.objectives, ys, self.x.len()) {
             return false;
         }
-        self.y.clear();
-        self.y.extend_from_slice(y);
         self.refresh_targets();
         true
     }
 
     /// Removes the *oldest* training point in O(n²) by downdating the
-    /// Cholesky factor (see [`Matrix::delete_lower_first`]), keeping the
-    /// current lengthscale frozen. This is how the BO loop slides its
-    /// training window forward without refactorizing.
+    /// shared Cholesky factor (see [`Matrix::delete_lower_first`]),
+    /// keeping the current lengthscale frozen. This is how the BO loop
+    /// slides its training window forward without refactorizing.
     ///
     /// Returns `false` — leaving the GP unchanged — when fewer than
     /// three points remain (a GP needs two) or the downdate degenerates
@@ -524,20 +622,21 @@ impl GaussianProcess {
             return false;
         }
         self.x.remove(0);
-        self.y.remove(0);
+        for targets in &mut self.objectives {
+            targets.y.remove(0);
+        }
         self.refresh_targets();
         true
     }
 
-    /// Recomputes the target-dependent state (mean, signal variance,
-    /// `alpha`) against the current factorization — O(n²).
+    /// Recomputes every objective's target-dependent state (mean, signal
+    /// variance, `α`) against the shared factorization — O(n²) each.
     fn refresh_targets(&mut self) {
-        let n = self.y.len();
-        self.mean_y = self.y.iter().sum::<f64>() / n as f64;
-        let centred: Vec<f64> = self.y.iter().map(|v| v - self.mean_y).collect();
-        self.signal_var = (centred.iter().map(|v| v * v).sum::<f64>() / n as f64).max(1e-12);
-        let tmp = self.chol.solve_lower(&centred);
-        self.alpha = self.chol.solve_lower_transpose(&tmp);
+        for targets in &mut self.objectives {
+            let centred = targets.centre();
+            let tmp = self.chol.solve_lower(&centred);
+            targets.weights = self.chol.solve_lower_transpose(&tmp);
+        }
     }
 
     /// Number of training points.
@@ -551,6 +650,11 @@ impl GaussianProcess {
         self.x.is_empty()
     }
 
+    /// Number of objectives (posteriors) the pack carries.
+    pub fn objective_count(&self) -> usize {
+        self.objectives.len()
+    }
+
     /// The squared lengthscale currently in effect (frozen between fits).
     pub fn lengthscale_sq(&self) -> f64 {
         self.lengthscale_sq
@@ -561,27 +665,21 @@ impl GaussianProcess {
         self.exp_mode
     }
 
-    /// Posterior mean and variance at `point`: a batch of one through
-    /// [`GaussianProcess::predict_batch`].
+    /// Posterior mean and variance at `point`, one pair per objective: a
+    /// batch of one through [`GaussianProcess::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `point` has the wrong dimension.
-    pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        self.predict_batch(&[point.to_vec()])[0]
+    pub fn predict(&self, point: &[f64]) -> Vec<(f64, f64)> {
+        self.predict_batch(&[point.to_vec()]).swap_remove(0)
     }
 
     /// Kernel cross-correlation matrix between the training inputs and a
     /// batch of query points: entry `(i, j)` is
     /// `exp(-0.5·‖x_i − p_j‖²/ℓ²)`, bit-identical to the scalar
     /// `(sq_dist(x_i, p_j) · scale).exp()` (see [`correlation_panel`]).
-    ///
-    /// The matrix depends only on the training inputs and the
-    /// lengthscale, so GPs that share both (the SMS-EGO per-objective
-    /// surrogate pack trains every objective on the same encoded points
-    /// at one shared lengthscale) can compute it once for the whole pack,
-    /// as [`ExactColumn::solve_batch`] does — one `exp`-matrix for all
-    /// objectives instead of one per objective.
+    /// Every objective of the pack predicts from it.
     ///
     /// # Panics
     ///
@@ -595,92 +693,79 @@ impl GaussianProcess {
     }
 
     /// Batched posterior mean and variance for a pool of query points,
-    /// through the acquisition loop's own route: a one-member
-    /// [`ExactColumn::solve_batch`] (one kernel panel, one blocked
-    /// triangular solve whose columns are bit-identical to per-column
-    /// [`Matrix::solve_lower`]) and [`ExactColumn::predict`]. Each output
-    /// depends only on its own point, so it is bit-identical to
-    /// `predict(&points[j])`.
+    /// one pair per objective for each point, through the acquisition
+    /// loop's own route: [`ExactColumn::solve_batch`] (one kernel panel,
+    /// one blocked triangular solve whose columns are bit-identical to
+    /// per-column [`Matrix::solve_lower`]) and [`ExactColumn::predict`].
+    /// Each output depends only on its own point, so it is bit-identical
+    /// to `predict(&points[j])`.
     ///
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let pack = std::slice::from_ref(self);
-        ExactColumn::solve_batch(pack, points)
-            .iter()
-            .flat_map(|column| column.predict(pack))
-            .collect()
+    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<Vec<(f64, f64)>> {
+        ExactColumn::solve_batch(self, points).iter().map(|c| c.predict(self).collect()).collect()
     }
 
-    /// Posterior mean and an upper bound on the posterior variance from a
-    /// query's training correlations `corr` alone, with no triangular
-    /// solve. `max_corr_sq` is `maxᵢ corrᵢ²`, which a pack shares across
-    /// its members.
+    /// Per objective, the posterior mean and an upper bound on the
+    /// posterior variance from a query's training correlations `corr`
+    /// alone, with no triangular solve.
     ///
-    /// The mean is bit-identical to [`ExactColumn::predict`]'s. The
+    /// The means are bit-identical to [`ExactColumn::predict`]'s. The
     /// variance is `σ²(1 − cᵀC_j⁻¹c)`, and Cauchy–Schwarz in the
     /// `C_j`-inner product gives `cᵀC_j⁻¹c ≥ cᵢ²/(C_j)ᵢᵢ` for every `i`.
-    /// Every diagonal entry of `C_j` is `1 + jitter` (fit, extend and
-    /// downdate all keep it), so `σ²(1 − max cᵢ²/(1 + jitter))` is at
-    /// least the true variance.
+    /// Every diagonal entry of `C_j` is `1 + RELATIVE_NOISE` (fit, extend
+    /// and downdate all keep it), so `σ²(1 − max cᵢ²/(1 + RELATIVE_NOISE))`
+    /// is at least the true variance.
     ///
     /// # Panics
     ///
     /// Panics if `corr` does not have one entry per training point.
-    pub(crate) fn optimistic_moments(&self, corr: &[f64], max_corr_sq: f64) -> (f64, f64) {
-        (self.posterior_mean(corr), self.cauchy_schwarz_variance(max_corr_sq))
+    pub(crate) fn optimistic_moments<'a>(
+        &'a self,
+        corr: &'a [f64],
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        let fraction = cauchy_schwarz_fraction(corr.iter().fold(0.0f64, |m, c| m.max(c * c)));
+        self.objectives.iter().map(move |t| (t.mean(corr), t.variance(fraction)))
     }
 
-    /// [`GaussianProcess::optimistic_moments`]' variance bound.
-    fn cauchy_schwarz_variance(&self, max_corr_sq: f64) -> f64 {
-        (self.signal_var * (1.0 - max_corr_sq / (1.0 + self.jitter))).max(0.0)
-    }
-
-    /// Upper bounds on every pack member's posterior variance at the
-    /// query whose training correlations are `corr`, from the
-    /// [`SUBSET_ROWS`] training rows `S` most correlated with it and no
-    /// `n`-row solve: `σ²(1 − c_Sᵀ(C_SS + jitter·I)⁻¹c_S)`, capped by
-    /// [`GaussianProcess::optimistic_moments`]' bound. The pack's members
-    /// share training inputs and lengthscale, so they share `S` and the
-    /// kernel block `C_SS`; only the jitter differs, and the largest one
-    /// serves them all.
+    /// Upper bounds on every objective's posterior variance at the query
+    /// whose training correlations are `corr`, from the [`SUBSET_ROWS`]
+    /// training rows `S` most correlated with it and no `n`-row solve:
+    /// `σ²(1 − c_Sᵀ(C_SS + RELATIVE_NOISE·I)⁻¹c_S)`, capped by
+    /// [`GaussianProcess::optimistic_moments`]' bound. The quadratic form
+    /// depends only on the inputs, so one `p × p` factorization serves
+    /// the whole pack.
     ///
-    /// `(C_SS + jitter·I)` is the `S × S` principal block of the jittered
-    /// training matrix `C_j`, and for any SPD `C_j` the Schur complement
-    /// gives `cᵀC_j⁻¹c ≥ c_Sᵀ((C_j)_SS)⁻¹c_S`, so the subset variance is
-    /// at least the exact one. Its eigenvalues are at least the jitter,
-    /// so the `p × p` solve is well conditioned; [`SUBSET_SLACK`] keeps
-    /// the bound above the computed exact variance despite the roundoff
-    /// of both solves.
+    /// `(C_SS + RELATIVE_NOISE·I)` is the `S × S` principal block of the
+    /// jittered training matrix `C_j`, and for any SPD `C_j` the Schur
+    /// complement gives `cᵀC_j⁻¹c ≥ c_Sᵀ((C_j)_SS)⁻¹c_S`, so the subset
+    /// variance is at least the exact one. Its eigenvalues are at least
+    /// the jitter, so the `p × p` solve is well conditioned;
+    /// [`SUBSET_SLACK`] keeps the bound above the computed exact variance
+    /// despite the roundoff of both solves.
     ///
     /// # Panics
     ///
-    /// Panics if `pack` is empty or `corr` does not have one entry per
-    /// training point.
-    pub fn subset_variance_bounds(pack: &[GaussianProcess], corr: &[f64]) -> Vec<f64> {
+    /// Panics if `corr` does not have one entry per training point.
+    pub fn subset_variance_bounds(&self, corr: &[f64]) -> Vec<f64> {
         const P: usize = SUBSET_ROWS;
-        let first = &pack[0];
-        assert_eq!(corr.len(), first.x.len(), "column is not current with its pack");
+        assert_eq!(corr.len(), self.x.len(), "column is not current with its pack");
         let mut rows = [0usize; P];
         let p = most_correlated(corr, &mut rows);
         // The strictly lower triangle of C_SS, row by row.
         let mut kernel = [0.0f64; P * (P - 1) / 2];
-        let scale = kernel_scale(first.lengthscale_sq);
+        let scale = kernel_scale(self.lengthscale_sq);
         let mut at = 0;
         for a in 0..p {
             for b in 0..a {
-                kernel[at] = sq_dist(&first.x[rows[b]], &first.x[rows[a]]) * scale;
+                kernel[at] = sq_dist(&self.x[rows[b]], &self.x[rows[a]]) * scale;
                 at += 1;
             }
         }
-        exp_slice(&mut kernel[..at], first.exp_mode);
-        // One factorization serves the pack at its largest jitter: a
-        // larger diagonal only shrinks the quadratic form, so `q` is a
-        // lower bound for every member's own `c_Sᵀ((C_j)_SS)⁻¹c_S`.
-        let jitter = pack.iter().fold(0.0f64, |m, gp| m.max(gp.jitter));
-        // Row-by-row Cholesky of C_SS + jitter·I fused with the forward
-        // solve w = L⁻¹c_S, accumulating q = Σw².
+        exp_slice(&mut kernel[..at], self.exp_mode);
+        // Row-by-row Cholesky of C_SS + RELATIVE_NOISE·I fused with the
+        // forward solve w = L⁻¹c_S, accumulating q = Σw².
         let (mut l, mut w, mut q) = ([[0.0f64; P]; P], [0.0f64; P], 0.0);
         let mut at = 0;
         let mut factored = true;
@@ -690,7 +775,7 @@ impl GaussianProcess {
                 l[a][b] = (kernel[at] - dot) / l[b][b];
                 at += 1;
             }
-            let pivot = 1.0 + jitter - (0..a).fold(0.0, |s, k| s + l[a][k] * l[a][k]);
+            let pivot = 1.0 + RELATIVE_NOISE - (0..a).fold(0.0, |s, k| s + l[a][k] * l[a][k]);
             if pivot.is_nan() || pivot <= 0.0 {
                 factored = false;
                 break;
@@ -699,22 +784,17 @@ impl GaussianProcess {
             w[a] = (corr[rows[a]] - (0..a).fold(0.0, |s, k| s + l[a][k] * w[k])) / l[a][a];
             q += w[a] * w[a];
         }
-        let max_corr_sq = corr[rows[0]] * corr[rows[0]];
-        pack.iter()
-            .map(|gp| {
-                let cauchy_schwarz = gp.cauchy_schwarz_variance(max_corr_sq);
+        let cauchy_schwarz = cauchy_schwarz_fraction(corr[rows[0]] * corr[rows[0]]);
+        self.objectives
+            .iter()
+            .map(|t| {
+                let bound = t.variance(cauchy_schwarz);
                 if !factored {
-                    return cauchy_schwarz;
+                    return bound;
                 }
-                (gp.signal_var * (1.0 - q + SUBSET_SLACK)).min(cauchy_schwarz).max(0.0)
+                (t.signal_var * (1.0 - q + SUBSET_SLACK)).min(bound).max(0.0)
             })
             .collect()
-    }
-
-    /// `ȳ + Σ cᵢαᵢ`, accumulated in ascending `i` from `0.0`.
-    fn posterior_mean(&self, corr: &[f64]) -> f64 {
-        assert_eq!(corr.len(), self.alpha.len(), "column is not current with its pack");
-        self.mean_y + corr.iter().zip(&self.alpha).fold(0.0, |acc, (c, a)| acc + c * a)
     }
 
     /// Appends `point`'s correlations with the training rows past
@@ -736,11 +816,17 @@ impl GaussianProcess {
     }
 }
 
+/// The variance fraction `1 − max cᵢ²/(1 + RELATIVE_NOISE)` of
+/// [`GaussianProcess::optimistic_moments`]' Cauchy–Schwarz bound.
+fn cauchy_schwarz_fraction(max_corr_sq: f64) -> f64 {
+    1.0 - max_corr_sq / (1.0 + RELATIVE_NOISE)
+}
+
 /// One query point's cached posterior state against an exact surrogate
-/// pack — [`GaussianProcess`]es sharing training inputs and lengthscale,
-/// one per objective: the point's kernel correlations `c` against the
-/// training rows and, per member, the forward-substitution solution
-/// `v = L⁻¹c` with its running `Σv²`.
+/// pack: the point's kernel correlations `c` against the training rows
+/// and the forward-substitution solution `v = L⁻¹c` of the pack's shared
+/// factor with its running `Σv²`, which every objective's variance
+/// shares.
 ///
 /// The state stays valid while the pack only grows by
 /// [`GaussianProcess::extend`] or changes targets by
@@ -749,103 +835,91 @@ impl GaussianProcess {
 /// only on rows `≤ i` of `L` and `c` (subtracting in ascending `k`), and
 /// a retarget leaves `L` untouched. So [`ExactColumn::refresh`] solves
 /// only the rows added since the column was last current — `O(Δn·n)`
-/// per member instead of `O(n²)` — and [`ExactColumn::predict`] is
-/// bit-identical to a freshly solved column's. A downdate or a refit
-/// rewrites the factor, so columns from before one are stale.
+/// instead of `O(n²)` — and [`ExactColumn::predict`] is bit-identical to
+/// a freshly solved column's. A downdate or a refit rewrites the factor,
+/// so columns from before one are stale.
 ///
 /// This is the one exact prediction route: [`GaussianProcess::predict_batch`]
-/// and [`GaussianProcess::predict`] are one-member packs through it. The
-/// posterior mean is `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both
-/// accumulated in ascending `i` from `0.0`.
+/// and [`GaussianProcess::predict`] go through it. The posterior means
+/// are `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both accumulated in
+/// ascending `i` from `0.0`.
 #[derive(Debug, Clone)]
 pub struct ExactColumn {
     corr: Vec<f64>,
-    solves: Vec<Vec<f64>>,
-    sumsq: Vec<f64>,
+    solve: Vec<f64>,
+    sumsq: f64,
 }
 
 impl ExactColumn {
     /// Solves fresh columns for a batch of query points: one kernel panel
-    /// shared by the pack, then one blocked triangular solve per member
-    /// ([`Matrix::solve_lower_columns`]). The Cholesky factor streams
-    /// through the cache once per column block instead of once per point.
+    /// and one blocked triangular solve ([`Matrix::solve_lower_columns`])
+    /// for the whole pack. The Cholesky factor streams through the cache
+    /// once per column block instead of once per point.
     ///
     /// # Panics
     ///
-    /// Panics if `pack` is empty or a point has the wrong dimension.
-    pub fn solve_batch(pack: &[GaussianProcess], points: &[Vec<f64>]) -> Vec<ExactColumn> {
-        ExactColumn::solve_correlations(pack, &pack[0].cross_correlations(points))
+    /// Panics if a point has the wrong dimension.
+    pub fn solve_batch(pack: &GaussianProcess, points: &[Vec<f64>]) -> Vec<ExactColumn> {
+        ExactColumn::solve_correlations(pack, &pack.cross_correlations(points))
     }
 
     /// [`ExactColumn::solve_batch`] from an already computed `n × k`
     /// correlation panel (one column per query): one blocked triangular
-    /// solve per member.
+    /// solve against the pack's one factor, `k` forward solves in all.
     ///
     /// # Panics
     ///
-    /// Panics if `pack` is empty or `corr` does not have one row per
-    /// training point.
-    pub(crate) fn solve_correlations(pack: &[GaussianProcess], corr: &Matrix) -> Vec<ExactColumn> {
+    /// Panics if `corr` does not have one row per training point.
+    pub(crate) fn solve_correlations(pack: &GaussianProcess, corr: &Matrix) -> Vec<ExactColumn> {
         let n = corr.rows();
-        let mut columns: Vec<ExactColumn> = (0..corr.cols())
-            .map(|j| ExactColumn {
-                corr: (0..n).map(|i| corr[(i, j)]).collect(),
-                solves: Vec::with_capacity(pack.len()),
-                sumsq: Vec::with_capacity(pack.len()),
-            })
-            .collect();
-        for gp in pack {
-            let v = gp.chol.solve_lower_columns(corr);
-            for (j, column) in columns.iter_mut().enumerate() {
+        let v = pack.chol.solve_lower_columns(corr);
+        (0..corr.cols())
+            .map(|j| {
                 let solve: Vec<f64> = (0..n).map(|i| v[(i, j)]).collect();
-                column.sumsq.push(solve.iter().fold(0.0, |s, w| s + w * w));
-                column.solves.push(solve);
-            }
-        }
-        columns
+                ExactColumn {
+                    corr: (0..n).map(|i| corr[(i, j)]).collect(),
+                    sumsq: solve.iter().fold(0.0, |s, w| s + w * w),
+                    solve,
+                }
+            })
+            .collect()
     }
 
     /// Solves one query point's column on its own: its correlations and
-    /// a per-member forward substitution ([`Matrix::solve_lower`]'s loop)
-    /// over every training row — the per-point counterpart of
+    /// one forward substitution ([`Matrix::solve_lower`]'s loop) over
+    /// every training row — the per-point counterpart of
     /// [`ExactColumn::solve_batch`], with identical results.
     ///
     /// # Panics
     ///
-    /// Panics if `pack` is empty or `point` has the wrong dimension.
-    pub fn solve(pack: &[GaussianProcess], point: &[f64]) -> ExactColumn {
-        let mut column = ExactColumn {
-            corr: Vec::new(),
-            solves: vec![Vec::new(); pack.len()],
-            sumsq: vec![0.0; pack.len()],
-        };
+    /// Panics if `point` has the wrong dimension.
+    pub fn solve(pack: &GaussianProcess, point: &[f64]) -> ExactColumn {
+        let mut column = ExactColumn { corr: Vec::new(), solve: Vec::new(), sumsq: 0.0 };
         column.refresh(pack, point);
         column
     }
 
     /// Brings the column current with `pack` after extends and retargets:
     /// correlates `point` (the query this column was solved for) with the
-    /// training rows added since, and continues every member's forward
-    /// substitution and `Σv²` over just those rows.
+    /// training rows added since, and continues the forward substitution
+    /// and `Σv²` over just those rows.
     ///
     /// # Panics
     ///
     /// Panics if the column has more rows than the pack (it was solved
     /// against a different factor) or `point` has the wrong dimension.
-    pub fn refresh(&mut self, pack: &[GaussianProcess], point: &[f64]) {
+    pub fn refresh(&mut self, pack: &GaussianProcess, point: &[f64]) {
         let old = self.corr.len();
-        pack[0].extend_correlations(point, &mut self.corr);
+        pack.extend_correlations(point, &mut self.corr);
         if old == self.corr.len() {
             return;
         }
-        for ((member, v), s) in pack.iter().zip(&mut self.solves).zip(&mut self.sumsq) {
-            member.chol.solve_lower_from(old, &self.corr, v);
-            *s = v[old..].iter().fold(*s, |s, w| s + w * w);
-        }
+        pack.chol.solve_lower_from(old, &self.corr, &mut self.solve);
+        self.sumsq = self.solve[old..].iter().fold(self.sumsq, |s, w| s + w * w);
     }
 
-    /// Posterior `(mean, variance)` per pack member: equal, bit for bit,
-    /// to `pack[o].predict(point)` for this column's point.
+    /// Posterior `(mean, variance)` per objective of the pack: equal, bit
+    /// for bit, to `pack.predict(point)` for this column's point.
     ///
     /// # Panics
     ///
@@ -853,11 +927,10 @@ impl ExactColumn {
     /// [`ExactColumn::refresh`]).
     pub fn predict<'a>(
         &'a self,
-        pack: &'a [GaussianProcess],
+        pack: &'a GaussianProcess,
     ) -> impl Iterator<Item = (f64, f64)> + 'a {
-        pack.iter()
-            .zip(&self.sumsq)
-            .map(|(gp, &s)| (gp.posterior_mean(&self.corr), (gp.signal_var * (1.0 - s)).max(0.0)))
+        let fraction = 1.0 - self.sumsq;
+        pack.objectives.iter().map(move |t| (t.mean(&self.corr), t.variance(fraction)))
     }
 }
 
@@ -867,10 +940,11 @@ impl ExactColumn {
 /// `p × p` factorization costs far less than one `n`-row solve.
 const SUBSET_ROWS: usize = 8;
 
-/// Slack on the variance fraction `1 − c_Sᵀ(C_SS + jitter·I)⁻¹c_S` of
+/// Slack on the variance fraction
+/// `1 − c_Sᵀ(C_SS + RELATIVE_NOISE·I)⁻¹c_S` of
 /// [`GaussianProcess::subset_variance_bounds`]. Both that quadratic form
 /// and the exact path's `Σv²` have condition numbers bounded by
-/// `(n + jitter)/jitter` with `jitter ≥ 1e-4`, so their roundoff is of
+/// `(n + RELATIVE_NOISE)/RELATIVE_NOISE`, so their roundoff is of
 /// order `κ·ε`, about `3e-10` at `n = 256`, well below the slack. The
 /// slack loosens the bound's standard deviation by a relative
 /// `1e-8/(2(1 − q))`, negligible unless the query nearly coincides with
@@ -901,12 +975,13 @@ const INDUCING_RIDGE: f64 = 1e-8;
 
 /// A low-rank sparse Gaussian process (Nyström / inducing-point, the DTC
 /// approximation of Quiñonero-Candela & Rasmussen 2005) over normalized
-/// inputs, held in the same correlation form as [`GaussianProcess`].
+/// inputs, held in the same correlation form as [`GaussianProcess`] and,
+/// like it, carrying one posterior per objective.
 ///
 /// With `m` inducing points `Z` chosen deterministically from the `n`
 /// training inputs (greedy farthest-point, see
-/// [`SparseGaussianProcess::fit_with_lengthscale`]), the training
-/// correlations `C_nm` enter only through the `m×m` system
+/// [`SparseGaussianProcess::fit_pack`]), the training correlations
+/// `C_nm` enter only through the `m×m` system
 /// `A = C_mm + λ⁻¹·C_nmᵀC_nm` (λ is the relative noise, playing the
 /// exact GP's jitter role). Predictions then cost O(m) dot products and
 /// two O(m²) triangular solves per query:
@@ -916,29 +991,25 @@ const INDUCING_RIDGE: f64 = 1e-8;
 ///
 /// where `k_x` is the query's correlation vector against `Z`. Fitting is
 /// O(n·m²), appending one observation is O(m²) (a rank-1 Cholesky
-/// update of `L_A` plus an O(n·m) weight refresh), and a wholesale
-/// target change ([`SparseGaussianProcess::retarget`]) is O(n·m). With
-/// `Z` equal to the full training set the approximation is exact: DTC
-/// then reproduces the exact GP's noisy posterior identically (up to the
-/// tiny `C_mm` ridge), which is the accuracy contract the property tests
-/// pin down.
+/// update of `L_A`) plus an O(n·m) weight refresh per objective, and a
+/// wholesale target change ([`SparseGaussianProcess::retarget`]) is
+/// O(n·m) per objective. With `Z` equal to the full training set the
+/// approximation is exact: DTC then reproduces the exact GP's noisy
+/// posterior identically (up to the tiny `C_mm` ridge), which is the
+/// accuracy contract the property tests pin down.
 ///
-/// The variance depends on the target through the relative noise λ
-/// (scaled by each objective's signal variance) and through `L_A`, so a
-/// per-objective surrogate pack cannot share one variance computation
-/// across objectives. What the pack *does* share is the candidate
-/// correlation panel against `Z`: the panel depends only on the
-/// inducing set, the lengthscale, and the exponential mode — all frozen
-/// between full refits — so the acquisition loop builds it once per
-/// candidate pool and feeds every objective's
-/// [`SparseGaussianProcess::predict_batch_from_correlations`] from it.
+/// λ is the fixed `RELATIVE_NOISE`, so `A`, its factor `L_A` and the
+/// variance form `L_D` depend only on the inputs, the inducing set and
+/// the lengthscale: the pack's objectives share them, along with `C_nm`
+/// and the candidate correlation panel against `Z`, and keep only their
+/// own `ȳ`, `σ²` and `w`. One quadratic form per query serves every
+/// objective's variance.
 #[derive(Debug, Clone)]
 pub struct SparseGaussianProcess {
     /// Inducing inputs `Z` (clones of selected training points).
     inducing: Vec<Vec<f64>>,
     /// Training-to-inducing correlations `C_nm` (kept for retargeting).
     cnm: Matrix,
-    y: Vec<f64>,
     /// Cholesky factor of `C_mm + INDUCING_RIDGE·I`.
     l_mm: Matrix,
     /// `C_mm⁻¹ = L_mm⁻ᵀL_mm⁻¹`, frozen with `L_mm` between fits, so an
@@ -946,8 +1017,6 @@ pub struct SparseGaussianProcess {
     cmm_inv: Matrix,
     /// Cholesky factor of `A = C_mm + ridge·I + λ⁻¹·C_nmᵀC_nm`.
     l_a: Matrix,
-    /// Posterior mean weights `λ⁻¹·A⁻¹·C_nmᵀ(y − ȳ)`.
-    w: Vec<f64>,
     /// Cholesky factor `L_D` of the PSD variance form
     /// `D = C_mm⁻¹ − A⁻¹` (plus [`INDUCING_RIDGE`]·I), so the posterior
     /// variance is `σ²(1 − ‖L_Dᵀc‖²)` — one dependency-free triangular
@@ -955,20 +1024,19 @@ pub struct SparseGaussianProcess {
     /// `D` is too close to singular to factor; batched predictions then
     /// fall back to the solve-based form.
     var_form_l: Option<Matrix>,
-    mean_y: f64,
-    signal_var: f64,
+    /// Per objective: targets, `ȳ`, `σ²` and the posterior mean weights
+    /// `w = λ⁻¹·A⁻¹·C_nmᵀ(y − ȳ)`.
+    objectives: Vec<Targets>,
     lengthscale_sq: f64,
-    /// Relative observation noise λ, frozen at factorization time.
-    noise: f64,
     /// Kernel exponential mode, frozen at fit time (see
     /// [`GaussianProcess`]'s field of the same name).
     exp_mode: KernelExpMode,
 }
 
 impl SparseGaussianProcess {
-    /// Fits a sparse GP with at most `inducing` inducing points, using
-    /// the same median-pairwise-distance lengthscale heuristic as
-    /// [`GaussianProcess::fit`].
+    /// Fits a single-objective sparse GP with at most `inducing` inducing
+    /// points, using the same median-pairwise-distance lengthscale
+    /// heuristic as [`GaussianProcess::fit`].
     ///
     /// # Errors
     ///
@@ -988,17 +1056,9 @@ impl SparseGaussianProcess {
         )
     }
 
-    /// Fits a sparse GP at an explicitly chosen squared lengthscale and
-    /// kernel exponential mode (frozen into the GP for every later
-    /// query).
-    ///
-    /// Inducing points are selected deterministically from the training
-    /// inputs by greedy farthest-point traversal: start from index 0,
-    /// repeatedly take the point with the largest squared distance to
-    /// the chosen set (first maximum wins on ties), and stop early when
-    /// every remaining point duplicates a chosen one. The selection
-    /// depends only on the training inputs, so refits over the same
-    /// archive are reproducible bit-for-bit.
+    /// Fits a single-objective sparse GP at an explicitly chosen squared
+    /// lengthscale and kernel exponential mode: a one-objective
+    /// [`SparseGaussianProcess::fit_pack`].
     ///
     /// # Errors
     ///
@@ -1010,15 +1070,36 @@ impl SparseGaussianProcess {
         inducing: usize,
         exp_mode: KernelExpMode,
     ) -> Result<SparseGaussianProcess, GpError> {
-        validate_training(x, y)?;
+        SparseGaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq, inducing, exp_mode)
+    }
+
+    /// Fits a sparse surrogate pack: one posterior per target vector in
+    /// `ys`, all on inputs `x` at one squared lengthscale, inducing set
+    /// and kernel exponential mode (frozen into the GP for every later
+    /// query), sharing every factorization.
+    ///
+    /// Inducing points are selected deterministically from the training
+    /// inputs by greedy farthest-point traversal: start from index 0,
+    /// repeatedly take the point with the largest squared distance to
+    /// the chosen set (first maximum wins on ties), and stop early when
+    /// every remaining point duplicates a chosen one. The selection
+    /// depends only on the training inputs, so refits over the same
+    /// archive are reproducible bit-for-bit.
+    ///
+    /// # Errors
+    ///
+    /// Same taxonomy as [`GaussianProcess::fit_pack`].
+    pub fn fit_pack(
+        x: &[Vec<f64>],
+        ys: &[Vec<f64>],
+        lengthscale_sq: f64,
+        inducing: usize,
+        exp_mode: KernelExpMode,
+    ) -> Result<SparseGaussianProcess, GpError> {
+        validate_pack(x, ys)?;
         let n = x.len();
         let lengthscale_sq = lengthscale_sq.max(1e-6);
         let scale = kernel_scale(lengthscale_sq);
-
-        let mean_y = y.iter().sum::<f64>() / n as f64;
-        let centred: Vec<f64> = y.iter().map(|v| v - mean_y).collect();
-        let signal_var = (centred.iter().map(|v| v * v).sum::<f64>() / n as f64).max(1e-12);
-        let noise = 1e-4 + 1e-10 / signal_var;
 
         let inducing = select_inducing(x, inducing.clamp(2, n));
         let m = inducing.len();
@@ -1029,7 +1110,7 @@ impl SparseGaussianProcess {
         }
         let l_mm = cmm.cholesky().ok_or(GpError::NotPositiveDefinite)?;
         let b = cnm.gram();
-        let a = Matrix::from_fn(m, m, |i, j| cmm[(i, j)] + b[(i, j)] / noise);
+        let a = Matrix::from_fn(m, m, |i, j| cmm[(i, j)] + b[(i, j)] / RELATIVE_NOISE);
         let l_a = a.cholesky().ok_or(GpError::NotPositiveDefinite)?;
         let cmm_inv = l_mm.invert_lower().gram();
         let var_form_l = variance_form(&cmm_inv, &l_a);
@@ -1037,46 +1118,45 @@ impl SparseGaussianProcess {
         let mut gp = SparseGaussianProcess {
             inducing,
             cnm,
-            y: y.to_vec(),
             l_mm,
             cmm_inv,
             l_a,
-            w: Vec::new(),
             var_form_l,
-            mean_y,
-            signal_var,
+            objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
-            noise,
             exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
     }
 
-    /// Recomputes the target-dependent state (mean, signal variance, and
-    /// the posterior weights `w`) against the current factorizations —
-    /// O(n·m + m²). The noise stays frozen, mirroring the exact GP's
-    /// frozen jitter.
+    /// Recomputes every objective's target-dependent state (mean, signal
+    /// variance, and the posterior weights `w`) against the shared
+    /// factorizations — O(n·m + m²) each.
     fn refresh_targets(&mut self) {
-        let n = self.y.len();
-        self.mean_y = self.y.iter().sum::<f64>() / n as f64;
-        let centred: Vec<f64> = self.y.iter().map(|v| v - self.mean_y).collect();
-        self.signal_var = (centred.iter().map(|v| v * v).sum::<f64>() / n as f64).max(1e-12);
-        let t = self.cnm.transpose_mul_vec(&centred);
-        let u = self.l_a.solve_lower(&t);
-        let v = self.l_a.solve_lower_transpose(&u);
-        self.w = v.into_iter().map(|wi| wi / self.noise).collect();
+        for targets in &mut self.objectives {
+            let centred = targets.centre();
+            let t = self.cnm.transpose_mul_vec(&centred);
+            let u = self.l_a.solve_lower(&t);
+            let v = self.l_a.solve_lower_transpose(&u);
+            targets.weights = v.into_iter().map(|wi| wi / RELATIVE_NOISE).collect();
+        }
     }
 
     /// Number of training points.
     pub fn len(&self) -> usize {
-        self.y.len()
+        self.cnm.rows()
     }
 
     /// True when the GP has no training points (never constructed this
     /// way, but part of the `len`/`is_empty` contract).
     pub fn is_empty(&self) -> bool {
-        self.y.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of objectives (posteriors) the pack carries.
+    pub fn objective_count(&self) -> usize {
+        self.objectives.len()
     }
 
     /// Number of inducing points actually in use.
@@ -1094,21 +1174,19 @@ impl SparseGaussianProcess {
         self.exp_mode
     }
 
-    /// Posterior mean and variance at `point`: a batch of one through
-    /// [`SparseGaussianProcess::predict_batch`].
+    /// Posterior mean and variance at `point`, one pair per objective: a
+    /// batch of one through [`SparseGaussianProcess::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `point` has the wrong dimension.
-    pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        self.predict_batch(&[point.to_vec()])[0]
+    pub fn predict(&self, point: &[f64]) -> Vec<(f64, f64)> {
+        self.predict_batch(&[point.to_vec()]).swap_remove(0)
     }
 
     /// Kernel correlation matrix between the *inducing* inputs and a
     /// batch of query points (`m` inducing rows × query columns) — the
     /// sparse analogue of [`GaussianProcess::cross_correlations`].
-    /// Shareable across a surrogate pack with identical inducing sets
-    /// and lengthscale.
     ///
     /// # Panics
     ///
@@ -1121,114 +1199,105 @@ impl SparseGaussianProcess {
         correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
     }
 
-    /// Batched posterior means from a precomputed inducing-correlation
-    /// matrix: column `j`'s ascending dot with the weights `w`.
+    /// Batched posterior `(mean, variance)` per query column of a
+    /// precomputed inducing-correlation matrix, one pair per objective.
+    /// Each objective's means are column `j`'s ascending dot with its
+    /// weights `w`. The variances share one quadratic form per column:
+    /// `σ²(1 − ‖L_Dᵀc_j‖²)` through the variance form, or
+    /// `σ²(1 − ‖L_mm⁻¹c_j‖² + ‖L_A⁻¹c_j‖²)` when it failed to factor.
     ///
     /// # Panics
     ///
     /// Panics if `corr.rows()` differs from the inducing count.
-    pub fn means_from_correlations(&self, corr: &Matrix) -> Vec<f64> {
+    pub fn predict_batch_from_correlations(&self, corr: &Matrix) -> Vec<Vec<(f64, f64)>> {
         let m = self.inducing.len();
         assert_eq!(corr.rows(), m, "correlation matrix has wrong row count");
         let cols = corr.cols();
-        let mut means = vec![0.0f64; cols];
-        for i in 0..m {
-            let wi = self.w[i];
-            for (mean, &c) in means.iter_mut().zip(corr.row(i)) {
-                *mean += c * wi;
-            }
-        }
-        for mean in &mut means {
-            *mean += self.mean_y;
-        }
-        means
-    }
-
-    /// Batched posterior variances from a precomputed
-    /// inducing-correlation matrix: `σ²(1 − ‖L_Dᵀc_j‖²)` through the
-    /// variance form, or the two-solve form when it failed to factor.
-    /// The quadratic form depends on each member's own `L_A` and `σ²`,
-    /// so a pack calls this once per objective on the shared matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corr.rows()` differs from the inducing count.
-    pub fn variances_from_correlations(&self, corr: &Matrix) -> Vec<f64> {
-        let m = self.inducing.len();
-        assert_eq!(corr.rows(), m, "correlation matrix has wrong row count");
-        let cols = corr.cols();
-        if let Some(ld) = &self.var_form_l {
+        let means: Vec<Vec<f64>> = self
+            .objectives
+            .iter()
+            .map(|t| {
+                let mut means = vec![0.0f64; cols];
+                for (i, &wi) in t.weights.iter().enumerate() {
+                    for (mean, &c) in means.iter_mut().zip(corr.row(i)) {
+                        *mean += c * wi;
+                    }
+                }
+                means.into_iter().map(|mean| mean + t.mean_y).collect()
+            })
+            .collect();
+        let fractions: Vec<f64> = match &self.var_form_l {
             // One fused triangular product against the precomputed PSD
             // form instead of two triangular solves — half the flops, no
             // sequential dependency between rows, and no intermediate
             // `m×cols` matrix (the quadratic form is squared into the
             // output as each product row is produced).
-            let quad = ld.transpose_mul_sumsq_columns(corr);
-            return quad.into_iter().map(|qv| (self.signal_var * (1.0 - qv)).max(0.0)).collect();
-        }
-        let q = self.l_mm.solve_lower_columns(corr);
-        let s = self.l_a.solve_lower_columns(corr);
-        let mut qss = vec![0.0f64; cols];
-        let mut sss = vec![0.0f64; cols];
-        for i in 0..m {
-            for (acc, &v) in qss.iter_mut().zip(q.row(i)) {
-                *acc += v * v;
+            Some(ld) => {
+                ld.transpose_mul_sumsq_columns(corr).into_iter().map(|qv| 1.0 - qv).collect()
             }
-            for (acc, &v) in sss.iter_mut().zip(s.row(i)) {
-                *acc += v * v;
+            None => {
+                let q = self.l_mm.solve_lower_columns(corr);
+                let s = self.l_a.solve_lower_columns(corr);
+                let mut qss = vec![0.0f64; cols];
+                let mut sss = vec![0.0f64; cols];
+                for i in 0..m {
+                    for (acc, &v) in qss.iter_mut().zip(q.row(i)) {
+                        *acc += v * v;
+                    }
+                    for (acc, &v) in sss.iter_mut().zip(s.row(i)) {
+                        *acc += v * v;
+                    }
+                }
+                qss.into_iter().zip(sss).map(|(qv, sv)| 1.0 - qv + sv).collect()
             }
-        }
-        qss.into_iter()
-            .zip(sss)
-            .map(|(qv, sv)| (self.signal_var * (1.0 - qv + sv)).max(0.0))
-            .collect()
-    }
-
-    /// Batched posterior `(mean, variance)` from a precomputed
-    /// inducing-correlation matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corr.rows()` differs from the inducing count.
-    pub fn predict_batch_from_correlations(&self, corr: &Matrix) -> Vec<(f64, f64)> {
-        self.means_from_correlations(corr)
+        };
+        fractions
             .into_iter()
-            .zip(self.variances_from_correlations(corr))
+            .enumerate()
+            .map(|(j, fraction)| {
+                self.objectives
+                    .iter()
+                    .zip(&means)
+                    .map(|(t, means)| (means[j], t.variance(fraction)))
+                    .collect()
+            })
             .collect()
     }
 
-    /// Batched posterior mean and variance for a pool of query points;
-    /// each output depends only on its own point, so it is
-    /// bit-identical to `predict(&points[j])`.
+    /// Batched posterior mean and variance for a pool of query points,
+    /// one pair per objective for each point; each output depends only
+    /// on its own point, so it is bit-identical to `predict(&points[j])`.
     ///
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<Vec<(f64, f64)>> {
         self.predict_batch_from_correlations(&self.cross_correlations(points))
     }
 
-    /// Appends one observation in O(m²) + O(n·m): the new point's
-    /// inducing correlations `c` enter `A` as the rank-1 term
-    /// `λ⁻¹·c·cᵀ` (an *additive* Cholesky update of `L_A`, so positive
-    /// definiteness is preserved unconditionally), and the posterior
-    /// weights are refreshed against the stored `C_nm`. The inducing
-    /// set, lengthscale, and noise stay frozen until the next milestone
+    /// Appends one observation — `x_new` with one target per objective —
+    /// in O(m³) once plus O(n·m) per objective: the new point's inducing
+    /// correlations `c` enter `A` as the rank-1 term `λ⁻¹·c·cᵀ` (an
+    /// *additive* Cholesky update of `L_A`, so positive definiteness is
+    /// preserved unconditionally), the variance form is rebuilt, and each
+    /// objective's weights are refreshed against the stored `C_nm`. The
+    /// inducing set and lengthscale stay frozen until the next milestone
     /// refit.
     ///
-    /// Returns `false` — leaving the GP unchanged — on non-finite input
-    /// or a numerically degenerate update.
+    /// Returns `false` — leaving the GP unchanged — unless `ys` holds one
+    /// finite target per objective and `x_new` is finite, or on a
+    /// numerically degenerate update.
     ///
     /// # Panics
     ///
     /// Panics if `x_new` has the wrong dimension.
-    pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> bool {
+    pub fn extend(&mut self, x_new: &[f64], ys: &[f64]) -> bool {
         assert_eq!(x_new.len(), self.inducing[0].len(), "dimension mismatch");
-        if !y_new.is_finite() || x_new.iter().any(|v| !v.is_finite()) {
+        if !all_finite(ys, self.objectives.len()) || x_new.iter().any(|v| !v.is_finite()) {
             return false;
         }
         let scale = kernel_scale(self.lengthscale_sq);
-        let inv_sqrt_noise = 1.0 / self.noise.sqrt();
+        let inv_sqrt_noise = 1.0 / RELATIVE_NOISE.sqrt();
         let ok = with_kernel_scratch(|c, v| {
             kernel_vector_into(&self.inducing, x_new, scale, self.exp_mode, c);
             v.clear();
@@ -1242,24 +1311,25 @@ impl SparseGaussianProcess {
         if !ok {
             return false;
         }
-        self.y.push(y_new);
+        for (targets, &y) in self.objectives.iter_mut().zip(ys) {
+            targets.y.push(y);
+        }
         self.var_form_l = variance_form(&self.cmm_inv, &self.l_a);
         self.refresh_targets();
         true
     }
 
-    /// Replaces every training target in place, reusing both
-    /// factorizations — O(n·m) instead of the O(n·m²) refit. The sparse
-    /// analogue of [`GaussianProcess::retarget`].
+    /// Replaces every objective's training targets in place, reusing the
+    /// factorizations — O(n·m) per objective instead of the O(n·m²)
+    /// refit. The sparse analogue of [`GaussianProcess::retarget`].
     ///
-    /// Returns `false` — leaving the GP unchanged — when `y` has the
-    /// wrong length or contains non-finite values.
-    pub fn retarget(&mut self, y: &[f64]) -> bool {
-        if y.len() != self.y.len() || y.iter().any(|v| !v.is_finite()) {
+    /// Returns `false` — leaving the GP unchanged — when `ys` does not
+    /// hold one target vector per objective of the training size, or
+    /// holds a non-finite value.
+    pub fn retarget(&mut self, ys: &[Vec<f64>]) -> bool {
+        if !replace_targets(&mut self.objectives, ys, self.cnm.rows()) {
             return false;
         }
-        self.y.clear();
-        self.y.extend_from_slice(y);
         self.refresh_targets();
         true
     }
@@ -1346,7 +1416,7 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|p| (4.0 * p[0]).sin()).collect();
         let gp = GaussianProcess::fit(&x, &y).unwrap();
         for (xi, yi) in x.iter().zip(&y) {
-            let (m, v) = gp.predict(xi);
+            let (m, v) = gp.predict(xi)[0];
             assert!((m - yi).abs() < 1e-2, "mean {m} vs {yi}");
             assert!(v < 1e-2, "variance {v} at training point");
         }
@@ -1357,8 +1427,8 @@ mod tests {
         let x = vec![vec![0.0], vec![0.1], vec![0.2]];
         let y = vec![0.0, 0.1, 0.2];
         let gp = GaussianProcess::fit(&x, &y).unwrap();
-        let (_, v_near) = gp.predict(&[0.1]);
-        let (_, v_far) = gp.predict(&[5.0]);
+        let (_, v_near) = gp.predict(&[0.1])[0];
+        let (_, v_far) = gp.predict(&[5.0])[0];
         assert!(v_far > v_near);
     }
 
@@ -1367,7 +1437,7 @@ mod tests {
         let x = grid1d(16);
         let y: Vec<f64> = x.iter().map(|p| p[0] * p[0]).collect();
         let gp = GaussianProcess::fit(&x, &y).unwrap();
-        let (m, _) = gp.predict(&[0.5]);
+        let (m, _) = gp.predict(&[0.5])[0];
         assert!((m - 0.25).abs() < 0.05, "mean {m}");
     }
 
@@ -1407,7 +1477,7 @@ mod tests {
         let x = grid1d(5);
         let y = vec![3.0; 5];
         let gp = GaussianProcess::fit(&x, &y).unwrap();
-        let (m, _) = gp.predict(&[0.5]);
+        let (m, _) = gp.predict(&[0.5])[0];
         assert!((m - 3.0).abs() < 1e-6);
     }
 
@@ -1428,12 +1498,12 @@ mod tests {
         let mut inc = GaussianProcess::fit(&x[..6], &y[..6]).unwrap();
         let ls = inc.lengthscale_sq();
         for i in 6..10 {
-            assert!(inc.extend(&x[i], y[i]), "extension failed at {i}");
+            assert!(inc.extend(&x[i], &[y[i]]), "extension failed at {i}");
         }
         let full = GaussianProcess::fit_with_lengthscale(&x, &y, ls, KernelExpMode::Exact).unwrap();
         for q in [0.05, 0.33, 0.61, 0.97] {
-            let (mi, vi) = inc.predict(&[q]);
-            let (mf, vf) = full.predict(&[q]);
+            let (mi, vi) = inc.predict(&[q])[0];
+            let (mf, vf) = full.predict(&[q])[0];
             assert!((mi - mf).abs() < 1e-8, "mean {mi} vs {mf} at {q}");
             assert!((vi - vf).abs() < 1e-8, "var {vi} vs {vf} at {q}");
         }
@@ -1445,11 +1515,11 @@ mod tests {
         let x = vec![vec![0.0], vec![0.5], vec![1.0]];
         let y = vec![0.0, 1.0, 0.0];
         let mut gp = GaussianProcess::fit(&x, &y).unwrap();
-        let before = gp.predict(&[0.25]);
+        let before = gp.predict(&[0.25])[0];
         // A near-exact duplicate may be rejected; the GP must be unchanged
         // in that case.
-        if !gp.extend(&[0.5 + 1e-15], 1.0) {
-            let after = gp.predict(&[0.25]);
+        if !gp.extend(&[0.5 + 1e-15], &[1.0]) {
+            let after = gp.predict(&[0.25])[0];
             assert_eq!(before, after);
             assert_eq!(gp.len(), 3);
         }
@@ -1471,15 +1541,20 @@ mod tests {
         rows.iter().map(|r| (sq_dist(r, point) * kernel_scale(lengthscale_sq)).exp()).collect()
     }
 
-    /// Exact-GP posterior for one point from the GP's own state: a
-    /// per-column `Matrix::solve_lower` and ascending dots.
-    fn exact_reference(gp: &GaussianProcess, point: &[f64]) -> (f64, f64) {
+    /// Exact-GP posterior of every objective for one point from the GP's
+    /// own state: a per-column `Matrix::solve_lower` and ascending dots.
+    fn exact_reference(gp: &GaussianProcess, point: &[f64]) -> Vec<(f64, f64)> {
         let c = kernel_column(&gp.x, point, gp.lengthscale_sq);
         let v = gp.chol.solve_lower(&c);
-        (
-            gp.mean_y + ascending_dot(&c, &gp.alpha),
-            (gp.signal_var * (1.0 - ascending_sumsq(&v))).max(0.0),
-        )
+        gp.objectives
+            .iter()
+            .map(|t| {
+                (
+                    t.mean_y + ascending_dot(&c, &t.weights),
+                    (t.signal_var * (1.0 - ascending_sumsq(&v))).max(0.0),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -1489,7 +1564,7 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|p| (3.0 * p[0]).sin() + p[1] * p[1]).collect();
         let mut gp = GaussianProcess::fit(&x[..6], &y[..6]).unwrap();
         for i in 6..9 {
-            assert!(gp.extend(&x[i], y[i]));
+            assert!(gp.extend(&x[i], &[y[i]]));
         }
         // Pool larger than the solve's column block, including exact
         // training points (variance clamp at 0) and far-away queries.
@@ -1499,35 +1574,35 @@ mod tests {
             .collect();
         let batch = gp.predict_batch(&pool);
         assert_eq!(batch.len(), pool.len());
-        for (p, (bm, bv)) in pool.iter().zip(&batch) {
-            let (m, v) = exact_reference(&gp, p);
+        for (p, preds) in pool.iter().zip(&batch) {
+            let (bm, bv) = preds[0];
+            let (m, v) = exact_reference(&gp, p)[0];
             assert_eq!(bm.to_bits(), m.to_bits(), "mean at {p:?}");
             assert_eq!(bv.to_bits(), v.to_bits(), "variance at {p:?}");
-            assert_eq!(gp.predict(p), (*bm, *bv), "batch of one at {p:?}");
+            assert_eq!(&gp.predict(p), preds, "batch of one at {p:?}");
         }
     }
 
     #[test]
-    fn shared_correlations_valid_across_gps_with_same_inputs() {
-        // Two GPs on the same inputs and lengthscale but different
-        // targets — the surrogate-pack invariant. One cross-correlation
-        // matrix must serve both, bit-identically to their own.
+    fn pack_predicts_what_each_objective_alone_predicts() {
+        // Two objectives on the same inputs and lengthscale — the
+        // surrogate-pack invariant. One factor, cross-correlation matrix
+        // and solve serve both, bit-identically to a GP fitted to each
+        // objective alone.
         let x = grid1d(7);
         let y1: Vec<f64> = x.iter().map(|p| p[0] * p[0]).collect();
         let y2: Vec<f64> = x.iter().map(|p| (5.0 * p[0]).cos()).collect();
-        let a = GaussianProcess::fit(&x, &y1).unwrap();
-        let b = GaussianProcess::fit_with_lengthscale(
-            &x,
-            &y2,
-            a.lengthscale_sq(),
-            KernelExpMode::Exact,
-        )
-        .unwrap();
+        let ls = median_sq_dist(&x);
+        let pack =
+            GaussianProcess::fit_pack(&x, &[y1.clone(), y2.clone()], ls, KernelExpMode::Exact)
+                .unwrap();
+        let alone = [y1, y2].map(|y| {
+            GaussianProcess::fit_with_lengthscale(&x, &y, ls, KernelExpMode::Exact).unwrap()
+        });
         let pool: Vec<Vec<f64>> = (0..11).map(|j| vec![j as f64 * 0.09 - 0.05]).collect();
-        let pack = [a, b];
         for (p, column) in pool.iter().zip(ExactColumn::solve_batch(&pack, &pool)) {
-            for (gp, got) in pack.iter().zip(column.predict(&pack)) {
-                let (m, v) = exact_reference(gp, p);
+            for (gp, got) in alone.iter().zip(column.predict(&pack)) {
+                let (m, v) = exact_reference(gp, p)[0];
                 assert_eq!(got.0.to_bits(), m.to_bits());
                 assert_eq!(got.1.to_bits(), v.to_bits());
             }
@@ -1607,8 +1682,8 @@ mod tests {
         .unwrap();
         assert_eq!(sparse.inducing_count(), x.len());
         for q in [[0.1, 0.9], [0.45, 0.2], [0.77, 0.61], [1.3, -0.2]] {
-            let (me, ve) = exact.predict(&q);
-            let (ms, vs) = sparse.predict(&q);
+            let (me, ve) = exact.predict(&q)[0];
+            let (ms, vs) = sparse.predict(&q)[0];
             assert!((me - ms).abs() < 1e-5, "mean {me} vs {ms} at {q:?}");
             assert!((ve - vs).abs() < 1e-5, "var {ve} vs {vs} at {q:?}");
         }
@@ -1631,8 +1706,8 @@ mod tests {
         .unwrap();
         assert_eq!(sparse.inducing_count(), 8);
         for q in [0.05, 0.31, 0.62, 0.94] {
-            let (me, _) = exact.predict(&[q]);
-            let (ms, _) = sparse.predict(&[q]);
+            let (me, _) = exact.predict(&[q])[0];
+            let (ms, _) = sparse.predict(&[q])[0];
             assert!((me - ms).abs() < 1e-2, "mean {me} vs {ms} at {q}");
         }
     }
@@ -1644,18 +1719,19 @@ mod tests {
     /// `L_A`.
     fn sparse_reference(gp: &SparseGaussianProcess, point: &[f64]) -> (f64, f64) {
         let c = kernel_column(&gp.inducing, point, gp.lengthscale_sq);
-        let mean = ascending_dot(&c, &gp.w) + gp.mean_y;
+        let t = &gp.objectives[0];
+        let mean = ascending_dot(&c, &t.weights) + t.mean_y;
         let var = match &gp.var_form_l {
             Some(ld) => {
-                let t: Vec<f64> = (0..c.len())
+                let u: Vec<f64> = (0..c.len())
                     .map(|i| (i..c.len()).fold(0.0, |acc, k| acc + ld[(k, i)] * c[k]))
                     .collect();
-                gp.signal_var * (1.0 - ascending_sumsq(&t))
+                t.signal_var * (1.0 - ascending_sumsq(&u))
             }
             None => {
                 let q = ascending_sumsq(&gp.l_mm.solve_lower(&c));
                 let s = ascending_sumsq(&gp.l_a.solve_lower(&c));
-                gp.signal_var * (1.0 - q + s)
+                t.signal_var * (1.0 - q + s)
             }
         };
         (mean, var.max(0.0))
@@ -1675,11 +1751,12 @@ mod tests {
         for form in ["variance form", "two-solve form"] {
             let batch = gp.predict_batch(&pool);
             assert_eq!(batch.len(), pool.len());
-            for (p, (bm, bv)) in pool.iter().zip(&batch) {
+            for (p, preds) in pool.iter().zip(&batch) {
+                let (bm, bv) = preds[0];
                 let (m, v) = sparse_reference(&gp, p);
                 assert_eq!(bm.to_bits(), m.to_bits(), "{form}: mean at {p:?}");
                 assert_eq!(bv.to_bits(), v.to_bits(), "{form}: variance at {p:?}");
-                assert_eq!(gp.predict(p), (*bm, *bv), "{form}: batch of one at {p:?}");
+                assert_eq!(&gp.predict(p), preds, "{form}: batch of one at {p:?}");
             }
             // The second pass covers the fallback taken when the
             // variance form fails to factor.
@@ -1694,7 +1771,7 @@ mod tests {
         let mut inc = SparseGaussianProcess::fit(&x[..12], &y[..12], 5).unwrap();
         let ls = inc.lengthscale_sq();
         for i in 12..16 {
-            assert!(inc.extend(&x[i], y[i]), "sparse extension failed at {i}");
+            assert!(inc.extend(&x[i], &[y[i]]), "sparse extension failed at {i}");
         }
         assert_eq!(inc.len(), 16);
         // A refit over all 16 points selects its own inducing set, so
@@ -1704,8 +1781,8 @@ mod tests {
             SparseGaussianProcess::fit_with_lengthscale(&x, &y, ls, 5, KernelExpMode::Exact)
                 .unwrap();
         for q in [0.08, 0.37, 0.66, 0.91] {
-            let (mi, _) = inc.predict(&[q]);
-            let (mr, _) = refit.predict(&[q]);
+            let (mi, _) = inc.predict(&[q])[0];
+            let (mr, _) = refit.predict(&[q])[0];
             assert!((mi - mr).abs() < 5e-2, "mean {mi} vs refit {mr} at {q}");
         }
     }
@@ -1716,8 +1793,9 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|p| p[0]).collect();
         let mut gp = SparseGaussianProcess::fit(&x, &y, 4).unwrap();
         let before = gp.predict(&[0.4]);
-        assert!(!gp.extend(&[f64::NAN], 0.0));
-        assert!(!gp.extend(&[0.3], f64::INFINITY));
+        assert!(!gp.extend(&[f64::NAN], &[0.0]));
+        assert!(!gp.extend(&[0.3], &[f64::INFINITY]));
+        assert!(!gp.extend(&[0.3], &[0.1, 0.2]), "one target per objective");
         assert_eq!(gp.predict(&[0.4]), before);
         assert_eq!(gp.len(), 8);
     }
@@ -1725,14 +1803,14 @@ mod tests {
     #[test]
     fn sparse_retarget_matches_fresh_weights() {
         // Retargeting replaces y and refreshes the weights against the
-        // frozen factorization; a fresh fit at the same lengthscale and
-        // inducing set differs only in its noise term, so predictions
-        // agree to well under the noise scale.
+        // frozen factorizations, which depend on no target, so it
+        // predicts exactly what a fresh fit at the same lengthscale and
+        // inducing set predicts.
         let x = grid1d(12);
         let y1: Vec<f64> = x.iter().map(|p| p[0]).collect();
         let y2: Vec<f64> = x.iter().map(|p| (6.0 * p[0]).sin()).collect();
         let mut gp = SparseGaussianProcess::fit(&x, &y1, x.len()).unwrap();
-        assert!(gp.retarget(&y2));
+        assert!(gp.retarget(std::slice::from_ref(&y2)));
         let fresh = SparseGaussianProcess::fit_with_lengthscale(
             &x,
             &y2,
@@ -1742,14 +1820,13 @@ mod tests {
         )
         .unwrap();
         for q in [0.11, 0.48, 0.83] {
-            let (mr, _) = gp.predict(&[q]);
-            let (mf, _) = fresh.predict(&[q]);
-            assert!((mr - mf).abs() < 1e-3, "mean {mr} vs {mf} at {q}");
+            assert_eq!(gp.predict(&[q]), fresh.predict(&[q]), "at {q}");
         }
         // Bad inputs leave the GP untouched.
         let before = gp.predict(&[0.4]);
-        assert!(!gp.retarget(&y2[..5]));
-        assert!(!gp.retarget(&[f64::NAN; 12]));
+        assert!(!gp.retarget(&[y2[..5].to_vec()]));
+        assert!(!gp.retarget(&[vec![f64::NAN; 12]]));
+        assert!(!gp.retarget(&[y2.clone(), y2]), "one target vector per objective");
         assert_eq!(gp.predict(&[0.4]), before);
     }
 
@@ -1763,7 +1840,7 @@ mod tests {
         // Only 4 distinct locations exist, so farthest-point selection
         // stops early instead of ridging duplicate inducing rows.
         assert_eq!(gp.inducing_count(), 4);
-        let (m, _) = gp.predict(&[x[1][0]]);
+        let (m, _) = gp.predict(&[x[1][0]])[0];
         assert!((m - 1.0).abs() < 0.2, "mean {m} at duplicated point");
     }
 
@@ -1773,9 +1850,9 @@ mod tests {
         let y1: Vec<f64> = x.iter().map(|p| p[0]).collect();
         let y2: Vec<f64> = x.iter().map(|p| (4.0 * p[0]).cos()).collect();
         let mut gp = GaussianProcess::fit(&x, &y1).unwrap();
-        assert!(gp.retarget(&y2));
-        // Same factorization, new targets: close to a fresh fit (which
-        // differs only through the target-dependent jitter).
+        assert!(gp.retarget(std::slice::from_ref(&y2)));
+        // Same factorization, new targets: the factor depends on no
+        // target, so the result is exactly a fresh fit's.
         let fresh = GaussianProcess::fit_with_lengthscale(
             &x,
             &y2,
@@ -1784,13 +1861,14 @@ mod tests {
         )
         .unwrap();
         for q in [0.15, 0.52, 0.88] {
-            let (mr, _) = gp.predict(&[q]);
-            let (mf, _) = fresh.predict(&[q]);
-            assert!((mr - mf).abs() < 1e-3, "mean {mr} vs {mf} at {q}");
+            let (mr, vr) = gp.predict(&[q])[0];
+            let (mf, vf) = fresh.predict(&[q])[0];
+            assert_eq!((mr.to_bits(), vr.to_bits()), (mf.to_bits(), vf.to_bits()), "at {q}");
         }
         let before = gp.predict(&[0.3]);
-        assert!(!gp.retarget(&y2[..4]));
-        assert!(!gp.retarget(&[f64::NAN; 9]));
+        assert!(!gp.retarget(&[y2[..4].to_vec()]));
+        assert!(!gp.retarget(&[vec![f64::NAN; 9]]));
+        assert!(!gp.retarget(&[y2.clone(), y2]), "one target vector per objective");
         assert_eq!(gp.predict(&[0.3]), before);
     }
 
@@ -1807,8 +1885,8 @@ mod tests {
             GaussianProcess::fit_with_lengthscale(&x[2..], &y[2..], ls, KernelExpMode::Exact)
                 .unwrap();
         for q in [0.3, 0.55, 0.81] {
-            let (md, vd) = gp.predict(&[q]);
-            let (mf, vf) = fresh.predict(&[q]);
+            let (md, vd) = gp.predict(&[q])[0];
+            let (mf, vf) = fresh.predict(&[q])[0];
             assert!((md - mf).abs() < 1e-6, "mean {md} vs {mf} at {q}");
             assert!((vd - vf).abs() < 1e-6, "var {vd} vs {vf} at {q}");
         }

@@ -5,6 +5,8 @@
 //! number of DSE evaluations, typically a few hundred), so a
 //! straightforward `O(n^3)` implementation is appropriate.
 
+use autopilot_obs as obs;
+
 /// A dense, row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -158,7 +160,8 @@ impl Matrix {
     /// loop nesting differs. Columns are processed in cache-sized blocks
     /// so the triangular factor streams through the cache once per block
     /// instead of once per column, which is where the batched GP
-    /// predictor gets its throughput.
+    /// predictor gets its throughput. Every column counts as one forward
+    /// solve in the `bo.gp.forward_solves` counter.
     ///
     /// # Panics
     ///
@@ -167,6 +170,7 @@ impl Matrix {
         assert_eq!(self.rows, self.cols, "solve_lower_columns requires a square matrix");
         assert_eq!(self.rows, b.rows, "right-hand side has wrong row count");
         let m = b.cols;
+        obs::add("bo.gp.forward_solves", m as u64);
         let mut x = Matrix::zeros(self.rows, m);
         // Block width tuned so a block of X (n rows × BLOCK columns of
         // f64) stays resident while the factor streams past it.

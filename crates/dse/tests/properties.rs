@@ -225,7 +225,8 @@ struct ReferenceGp {
 
 impl ReferenceGp {
     fn fit(x: &[Vec<f64>], y: &[f64], lengthscale_sq: f64) -> ReferenceGp {
-        let jitter = 1e-4 + 1e-10 / moments(y).1;
+        // The relative jitter every GP pins, whatever the targets.
+        let jitter = 1e-4;
         let n = x.len();
         let c = Matrix::from_fn(n, n, |i, j| {
             kernel(&x[i], &x[j], lengthscale_sq) + if i == j { jitter } else { 0.0 }
@@ -291,7 +292,7 @@ fn predict_batch_bit_identical_to_scalar() {
         let mut gp = GaussianProcess::fit(&xs[..split], &ys[..split]).expect("fit succeeds");
         let mut reference = ReferenceGp::fit(&xs[..split], &ys[..split], gp.lengthscale_sq());
         for i in split..n {
-            assert!(gp.extend(&xs[i], ys[i]), "case {case}: extend rejected point {i}");
+            assert!(gp.extend(&xs[i], &[ys[i]]), "case {case}: extend rejected point {i}");
             reference.extend(&xs[i], ys[i]);
         }
         // Pool: random queries plus exact training points (variance ~ 0
@@ -304,6 +305,7 @@ fn predict_batch_bit_identical_to_scalar() {
         let batch = gp.predict_batch(&pool);
         assert_eq!(batch.len(), pool.len(), "case {case}");
         for (j, (p, b)) in pool.iter().zip(&batch).enumerate() {
+            let b = b[0];
             let (sm, sv) = reference.predict(p);
             assert_eq!(sm.to_bits(), b.0.to_bits(), "case {case}: mean differs at pool[{j}]");
             assert_eq!(sv.to_bits(), b.1.to_bits(), "case {case}: variance differs at pool[{j}]");
@@ -495,8 +497,8 @@ fn sparse_gp_with_full_inducing_matches_exact() {
         assert_eq!(sparse.inducing_count(), n, "case {case}");
         for _ in 0..8 {
             let q: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
-            let (em, ev) = exact.predict(&q);
-            let (sm, sv) = sparse.predict(&q);
+            let (em, ev) = exact.predict(&q)[0];
+            let (sm, sv) = sparse.predict(&q)[0];
             assert!((em - sm).abs() < 1e-5, "case {case}: mean {em} vs {sm}");
             assert!((ev - sv).abs() < 1e-5, "case {case}: var {ev} vs {sv}");
         }
@@ -523,7 +525,8 @@ impl ReferenceSparseGp {
     fn fit(x: &[Vec<f64>], y: &[f64], lengthscale_sq: f64, m: usize) -> ReferenceSparseGp {
         const RIDGE: f64 = 1e-8;
         let (mean_y, signal_var) = moments(y);
-        let noise = 1e-4 + 1e-10 / signal_var;
+        // The relative noise every GP pins, whatever the targets.
+        let noise = 1e-4;
         let mut chosen = vec![0usize];
         let mut min_d: Vec<f64> = x.iter().map(|p| sq_dist(p, &x[0])).collect();
         while chosen.len() < m.clamp(2, x.len()) {
@@ -609,7 +612,8 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
         let batch = sparse.predict_batch(&pool);
         let spread = y.iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v))
             - y.iter().fold(f64::INFINITY, |a, &v| a.min(v));
-        for (q, &(bm, bv)) in pool.iter().zip(&batch) {
+        for (q, preds) in pool.iter().zip(&batch) {
+            let (bm, bv) = preds[0];
             let (sm, sv) = reference.predict(q);
             assert_eq!(sm.to_bits(), bm.to_bits(), "case {case}: batched mean differs");
             assert_eq!(sv.to_bits(), bv.to_bits(), "case {case}: batched var differs");
@@ -626,10 +630,17 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
 }
 
 /// The acquisition loop's cached exact columns stay bit-identical to a
-/// fresh batched prediction through any sequence of extends and
-/// retargets: after every step each refreshed column (and each column
+/// fresh batched prediction through any sequence of extends, retargets
+/// and downdates: after every step each refreshed column (and each column
 /// first solved mid-sequence, batched or per point) predicts exactly
 /// what `predict_batch` does, in both kernel exponential modes.
+///
+/// Beside the shared-factor pack runs one separately fitted
+/// single-objective GP per objective, and after every step the pack
+/// predicts bit for bit what its members do; a sparse pack and its
+/// members then run the same way through extends and retargets. The
+/// relative noise depends on no target, so every member's factor equals
+/// the pack's, and sharing it changes no result.
 #[test]
 fn exact_columns_track_predict_batch_through_extends_and_retargets() {
     for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
@@ -646,7 +657,8 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
             };
             let ls = rng.range_f64(0.05, 0.8);
             let mut ys: Vec<Vec<f64>> = (0..n_obj).map(|_| target(&mut rng, &xs)).collect();
-            let mut pack: Vec<GaussianProcess> = ys
+            let mut pack = GaussianProcess::fit_pack(&xs, &ys, ls, mode).expect("fits");
+            let mut members: Vec<GaussianProcess> = ys
                 .iter()
                 .map(|y| GaussianProcess::fit_with_lengthscale(&xs, y, ls, mode).expect("fits"))
                 .collect();
@@ -654,24 +666,49 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
                 (0..rng.range_usize(1, 70)).map(|_| draw(&mut rng)).collect();
             pool.push(xs[0].clone());
             let mut columns = ExactColumn::solve_batch(&pack, &pool);
+            let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+            assert_pack_matches_members(
+                &pack.predict_batch(&pool),
+                &alone,
+                &format!("{mode:?} case {case} exact fit"),
+            );
             for step in 0..rng.range_usize(1, 10) {
-                if rng.next_f64() < 0.6 {
+                let context = format!("{mode:?} case {case} step {step}");
+                let kind = rng.next_f64();
+                if kind < 0.5 {
                     let x = draw(&mut rng);
-                    let mut trial = pack.clone();
-                    let accepted =
-                        trial.iter_mut().zip(&ys).all(|(gp, y)| gp.extend(&x, y[0] + x[1]));
+                    let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
+                    let accepted = pack.extend(&x, &new);
+                    for (gp, &y) in members.iter_mut().zip(&new) {
+                        assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
+                    }
                     if !accepted {
                         continue;
                     }
-                    pack = trial;
-                    for y in &mut ys {
-                        y.push(y[0] + x[1]);
+                    for (y, v) in ys.iter_mut().zip(new) {
+                        y.push(v);
                     }
                     xs.push(x);
-                } else {
+                } else if kind < 0.8 {
                     let obj = rng.range_usize(0, n_obj);
                     ys[obj] = target(&mut rng, &xs);
-                    assert!(pack[obj].retarget(&ys[obj]), "case {case}: retarget");
+                    assert!(pack.retarget(&ys), "{context}: retarget");
+                    let y = std::slice::from_ref(&ys[obj]);
+                    assert!(members[obj].retarget(y), "{context}: member retarget");
+                } else {
+                    // A downdate rewrites the factor, so every column is
+                    // solved afresh against it.
+                    let dropped = pack.drop_oldest();
+                    for gp in &mut members {
+                        assert_eq!(gp.drop_oldest(), dropped, "{context}: member downdate");
+                    }
+                    if dropped {
+                        xs.remove(0);
+                        for y in &mut ys {
+                            y.remove(0);
+                        }
+                        columns = ExactColumn::solve_batch(&pack, &pool);
+                    }
                 }
                 if rng.next_f64() < 0.3 {
                     let fresh = draw(&mut rng);
@@ -683,20 +720,83 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
                     }
                     pool.push(fresh);
                 }
-                let want: Vec<Vec<(f64, f64)>> =
-                    pack.iter().map(|gp| gp.predict_batch(&pool)).collect();
+                let want = pack.predict_batch(&pool);
                 for (j, (column, p)) in columns.iter_mut().zip(&pool).enumerate() {
                     column.refresh(&pack, p);
                     for (o, (m, v)) in column.predict(&pack).enumerate() {
-                        let (wm, wv) = want[o][j];
+                        let (wm, wv) = want[j][o];
                         assert_eq!(
                             (m.to_bits(), v.to_bits()),
                             (wm.to_bits(), wv.to_bits()),
-                            "{mode:?} case {case} step {step}: objective {o}, pool[{j}]"
+                            "{context}: objective {o}, pool[{j}]"
                         );
                     }
                 }
+                let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+                assert_pack_matches_members(&want, &alone, &context);
             }
+
+            let m = rng.range_usize(3, 12);
+            let mut sparse =
+                SparseGaussianProcess::fit_pack(&xs, &ys, ls, m, mode).expect("sparse pack fits");
+            let mut members: Vec<SparseGaussianProcess> = ys
+                .iter()
+                .map(|y| {
+                    SparseGaussianProcess::fit_with_lengthscale(&xs, y, ls, m, mode).expect("fits")
+                })
+                .collect();
+            let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+            assert_pack_matches_members(
+                &sparse.predict_batch(&pool),
+                &alone,
+                &format!("{mode:?} case {case} sparse fit"),
+            );
+            for step in 0..rng.range_usize(1, 10) {
+                let context = format!("{mode:?} case {case} sparse step {step}");
+                if rng.next_f64() < 0.6 {
+                    let x = draw(&mut rng);
+                    let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
+                    let accepted = sparse.extend(&x, &new);
+                    for (gp, &y) in members.iter_mut().zip(&new) {
+                        assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
+                    }
+                    if accepted {
+                        for (y, v) in ys.iter_mut().zip(new) {
+                            y.push(v);
+                        }
+                        xs.push(x);
+                    }
+                } else {
+                    let obj = rng.range_usize(0, n_obj);
+                    ys[obj] = target(&mut rng, &xs);
+                    assert!(sparse.retarget(&ys), "{context}: retarget");
+                    let y = std::slice::from_ref(&ys[obj]);
+                    assert!(members[obj].retarget(y), "{context}: member retarget");
+                }
+                let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+                assert_pack_matches_members(&sparse.predict_batch(&pool), &alone, &context);
+            }
+        }
+    }
+}
+
+/// A pack's batched predictions against those of one separately fitted
+/// single-objective GP per objective (`members[o][j]` is member `o`'s
+/// prediction at `pool[j]`), bit for bit.
+fn assert_pack_matches_members(
+    pack: &[Vec<(f64, f64)>],
+    members: &[Vec<Vec<(f64, f64)>>],
+    context: &str,
+) {
+    for (j, point) in pack.iter().enumerate() {
+        assert_eq!(point.len(), members.len(), "{context}: objectives at pool[{j}]");
+        for (o, (m, v)) in point.iter().enumerate() {
+            let (wm, wv) = members[o][j][0];
+            assert_eq!(
+                (m.to_bits(), v.to_bits()),
+                (wm.to_bits(), wv.to_bits()),
+                "{context}: pack vs member {o}, pool[{j}]"
+            );
         }
     }
 }
@@ -709,20 +809,20 @@ fn random_pack(
     d: usize,
     n_obj: usize,
     n: usize,
-) -> (Vec<GaussianProcess>, Vec<Vec<f64>>) {
+) -> (GaussianProcess, Vec<Vec<f64>>) {
     let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
     let ls = rng.range_f64(0.02, 0.8);
-    let pack = (0..n_obj)
+    let ys: Vec<Vec<f64>> = (0..n_obj)
         .map(|_| {
             let shift = rng.range_f64(-1.0, 1.0);
             let raw: Vec<f64> = xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect();
             let (lo, hi) = raw
                 .iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            let y: Vec<f64> = raw.iter().map(|v| (v - lo) / (hi - lo).max(1e-12)).collect();
-            GaussianProcess::fit_with_lengthscale(&xs, &y, ls, KernelExpMode::Exact).expect("fits")
+            raw.iter().map(|v| (v - lo) / (hi - lo).max(1e-12)).collect()
         })
         .collect();
+    let pack = GaussianProcess::fit_pack(&xs, &ys, ls, KernelExpMode::Exact).expect("fits");
     (pack, xs)
 }
 
@@ -761,18 +861,14 @@ fn random_front(rng: &mut Rng, n_obj: usize) -> Vec<Vec<f64>> {
 
 /// The SMS-EGO score of `point` through a fresh per-point solve: the
 /// test-side full-scoring reference for [`ExactAcquisition`].
-fn reference_score(pack: &[GaussianProcess], scorer: &ContributionScorer, point: &[f64]) -> f64 {
+fn reference_score(pack: &GaussianProcess, scorer: &ContributionScorer, point: &[f64]) -> f64 {
     let lcb: Vec<f64> =
         ExactColumn::solve(pack, point).predict(pack).map(|(m, v)| m - v.sqrt()).collect();
     scorer.score(&lcb, 1e-3)
 }
 
 /// First maximum in pool order, as full scoring picks it.
-fn reference_pick(
-    pack: &[GaussianProcess],
-    scorer: &ContributionScorer,
-    pool: &[Vec<f64>],
-) -> usize {
+fn reference_pick(pack: &GaussianProcess, scorer: &ContributionScorer, pool: &[Vec<f64>]) -> usize {
     let mut best: Option<(f64, usize)> = None;
     for (j, p) in pool.iter().enumerate() {
         let score = reference_score(pack, scorer, p);
@@ -800,7 +896,7 @@ fn acquisition_bound_is_at_least_the_exact_score() {
         let acquisition = ExactAcquisition::new(&pack, &scorer);
         let mut pool = crowded_pool(&mut rng, &xs);
         pool.extend(xs.iter().cloned());
-        let corr = pack[0].cross_correlations(&pool);
+        let corr = pack.cross_correlations(&pool);
         for (j, p) in pool.iter().enumerate() {
             let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
             let exact = reference_score(&pack, &scorer, p);
@@ -896,17 +992,17 @@ fn subset_variance_bound_is_at_least_the_exact_variance() {
                 let base = xs[rng.range_usize(0, xs.len())].clone();
                 let x: Vec<f64> = base.iter().map(|v| v + rng.range_f64(-1e-4, 1e-4)).collect();
                 let y = rng.next_f64();
-                if pack.iter_mut().all(|gp| gp.extend(&x, y)) {
+                if pack.extend(&x, &vec![y; n_obj]) {
                     xs.push(x);
                 }
             }
         }
         let mut pool = crowded_pool(&mut rng, &xs);
         pool.extend(xs.iter().cloned());
-        let corr = pack[0].cross_correlations(&pool);
+        let corr = pack.cross_correlations(&pool);
         for (j, p) in pool.iter().enumerate() {
             let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
-            let bounds = GaussianProcess::subset_variance_bounds(&pack, &column);
+            let bounds = pack.subset_variance_bounds(&column);
             let exact = ExactColumn::solve(&pack, p);
             for (o, (bound, (_, var))) in bounds.into_iter().zip(exact.predict(&pack)).enumerate() {
                 assert!(
@@ -953,7 +1049,7 @@ fn pruned_selection_matches_full_scoring() {
             let want = reference_pick(&pack, &scorer, &pool);
             let acquisition = ExactAcquisition::new(&pack, &scorer);
             if round == "cold" {
-                let corr = pack[0].cross_correlations(&pool);
+                let corr = pack.cross_correlations(&pool);
                 let bound = |j: usize| {
                     acquisition.bound(&(0..corr.rows()).map(|i| corr[(i, j)]).collect::<Vec<_>>())
                 };
@@ -977,11 +1073,8 @@ fn pruned_selection_matches_full_scoring() {
             // their slots, new ones arrive cold.
             for _ in 0..rng.range_usize(0, 4) {
                 let x = draw(&mut rng);
-                let mut trial = pack.clone();
                 let y = rng.next_f64();
-                if trial.iter_mut().all(|gp| gp.extend(&x, y)) {
-                    pack = trial;
-                }
+                pack.extend(&x, &vec![y; n_obj]);
             }
             let (mut next_pool, mut next_slots) = (Vec::new(), Vec::new());
             for (p, slot) in pool.into_iter().zip(slots) {
@@ -1027,14 +1120,14 @@ fn sparse_selection_matches_full_scoring() {
         let m = rng.range_usize(4, 12);
         let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
         let ls = rng.range_f64(0.02, 0.8);
-        let pack: Vec<SparseGaussianProcess> = (0..n_obj)
+        let ys: Vec<Vec<f64>> = (0..n_obj)
             .map(|_| {
                 let shift = rng.range_f64(-1.0, 1.0);
-                let y: Vec<f64> = xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect();
-                SparseGaussianProcess::fit_with_lengthscale(&xs, &y, ls, m, KernelExpMode::Exact)
-                    .expect("sparse GP fits")
+                xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect()
             })
             .collect();
+        let pack = SparseGaussianProcess::fit_pack(&xs, &ys, ls, m, KernelExpMode::Exact)
+            .expect("sparse GP fits");
         let pool = crowded_pool(&mut rng, &xs);
         let mut columns: Vec<Option<Vec<f64>>> = vec![None; pool.len()];
         for round in ["cold", "warm"] {
@@ -1042,13 +1135,8 @@ fn sparse_selection_matches_full_scoring() {
             let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
             let mut want: Option<(f64, usize)> = None;
             for (j, p) in pool.iter().enumerate() {
-                let lcb: Vec<f64> = pack
-                    .iter()
-                    .map(|gp| {
-                        let (mean, var) = gp.predict(p);
-                        mean - var.sqrt()
-                    })
-                    .collect();
+                let lcb: Vec<f64> =
+                    pack.predict(p).into_iter().map(|(mean, var)| mean - var.sqrt()).collect();
                 let score = scorer.score(&lcb, 1e-3);
                 if want.is_none_or(|(s, _)| score > s) {
                     want = Some((score, j));

@@ -126,11 +126,11 @@ impl Value {
     /// offset on malformed input, including arrays and objects nested
     /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -222,7 +222,7 @@ impl std::error::Error for ParseError {}
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -234,7 +234,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -273,7 +273,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -290,27 +290,32 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        match text.parse::<f64>() {
+        match self.text[start..self.pos].parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
             _ => Err(self.err("malformed number")),
         }
     }
 
+    /// A string literal, in time linear in its length: each run of bytes
+    /// up to the next `"` or `\` is copied as one slice. Both are ASCII
+    /// and never occur inside a multi-byte UTF-8 sequence, so every run
+    /// starts and ends on a character boundary of the (already valid)
+    /// input.
     fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&c) = rest.first() else {
-                return Err(self.err("unterminated string"));
-            };
-            match c {
-                b'"' => {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -325,9 +330,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -339,13 +343,6 @@ impl Parser<'_> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -434,6 +431,35 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = Value::Str("a\"b\\c\nd\te\u{1}λ".into());
         assert_eq!(Value::parse(&v.to_json()).unwrap(), v);
+    }
+
+    #[test]
+    fn every_escape_and_multibyte_text_round_trips() {
+        let text = r#""q\"b\\s\/n\nr\rt\tb\bf\fu\u00e9\u4e2d λ中😀""#;
+        let v = Value::parse(text).unwrap();
+        assert_eq!(v, Value::Str("q\"b\\s/n\nr\rt\tb\u{8}f\u{c}ué中 λ中😀".into()));
+        assert_eq!(Value::parse(&v.to_json()).unwrap(), v);
+        for bad in [r#""\u12""#, r#""\u12é""#, r#""\x""#, "\"ab\\"] {
+            assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A request body may carry 1 MiB. Copying the string run by run
+        // parses it in about 4 ms in a debug test build (2-vCPU VM);
+        // re-validating the rest of the document for every byte took
+        // 344 s. The wall-clock bound sits far from both: some 5000x the
+        // linear time, so a loaded runner does not trip it, and still
+        // 17x under the quadratic time.
+        let body: String = "aé中😀\\n".repeat((1 << 20) / 12);
+        let doc = Value::Str(body).to_json();
+        assert!(doc.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Value::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.to_json(), doc);
+        assert!(elapsed.as_secs_f64() < 20.0, "1 MiB string took {elapsed:?}");
     }
 
     #[test]
