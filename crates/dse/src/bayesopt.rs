@@ -36,7 +36,8 @@ use crate::space::DesignSpace;
 /// factorization instead of refitting, window slides *downdate* it one
 /// oldest point at a time, objective ranges are running min/max rather
 /// than per-iteration rescans, candidate scores reuse a per-iteration
-/// [`ContributionScorer`] (no full-front rescan per candidate), front
+/// [`ContributionScorer`] (one branch-free loop per candidate over a box
+/// partition of the region the front does not dominate), front
 /// neighbours that recur from one pool to the next keep their surrogate
 /// columns in a cross-iteration cache (an exact-pack hit solves only the
 /// rows added since, bit-identical to a fresh solve — see
@@ -661,9 +662,12 @@ impl SmsEgoOptimizer {
         obs::gauge_set("bo.front.size", front.len() as f64);
         let reference = vec![1.2; surrogates.pack.n_obj()];
         // One scorer per iteration: the front is frozen during scoring,
-        // so its obj-0 index and incremental-staircase machinery are
-        // shared read-only across every chunk below.
-        let scorer = ContributionScorer::new(front, &reference);
+        // so its obj-0 index and its partition of the non-dominated
+        // region are shared read-only across every chunk below.
+        let scorer =
+            obs::time("bo.acquisition.hv_score", || ContributionScorer::new(front, &reference));
+        obs::add("bo.hv.boxes", scorer.box_count() as u64);
+        obs::add("bo.hv.front_points", scorer.len() as u64);
 
         // Candidate pool: random points plus ordinal neighbours of the
         // Pareto-set designs (local refinement). Drawn sequentially so the
@@ -757,22 +761,14 @@ impl SmsEgoOptimizer {
 
 /// The sparse-pack SMS-EGO acquisition over one candidate pool: each
 /// chunk of candidates predicts all objectives from its inducing
-/// correlations, and a candidate's hypervolume contribution is computed
-/// only while its box bound can still reach the chunk's best score. The
-/// pick is the one full scoring would make.
+/// correlations and scores every candidate exactly. The pick is the
+/// first maximum in pool order, as full scoring makes it.
 ///
 /// Sparse predictions are cheap (`O(m)` per candidate against `m`
-/// inducing points), so the exact LCB is known up front and the only
-/// work worth pruning is the contribution. Within a chunk, the
-/// penalized candidates' scores (`-penalty`) are exact from the
-/// penalty scan alone; the others are taken in descending
-/// [`ContributionScorer::box_bound`] order (ties by pool index) and
-/// scored until a box falls below the chunk best by more than
-/// [`PRUNE_MARGIN`]. A skipped candidate's score is then strictly below
-/// its chunk's best, so first-max-wins over the scored candidates picks
-/// the same point as over the whole pool. Each chunk's result depends
-/// only on its own candidates, so it does not depend on the worker
-/// count.
+/// inducing points), and a score is one `O(|front|)` loop over the
+/// scorer's partition (see [`ContributionScorer`]), so nothing is worth
+/// pruning. Each chunk's result depends only on its own candidates, so
+/// it does not depend on the worker count.
 ///
 /// No variance bound is used: the sparse variance is `σ²(1 − cᵀDc)`
 /// with `D = C_mm⁻¹ − A⁻¹`, which has no fixed diagonal, so the only
@@ -796,8 +792,7 @@ impl<'a> SparseAcquisition<'a> {
     }
 
     /// Picks the pool's SMS-EGO winner — the first candidate in pool
-    /// order with the highest score — scoring contributions only where
-    /// they can still win (see [`SparseAcquisition`]).
+    /// order with the highest score (see [`SparseAcquisition`]).
     ///
     /// `points` are the encoded candidates. `columns[j]` holds candidate
     /// `j`'s correlations against the inducing set from an earlier call
@@ -844,7 +839,7 @@ impl<'a> SparseAcquisition<'a> {
                 obs::time("bo.acquisition.gp_predict", || self.predict_chunk(&mut chunk, keep));
             obs::time("bo.acquisition.hv_score", || self.score_chunk(&preds))
         });
-        first_max(&scored.concat())
+        first_max(scored.concat().into_iter().map(Some))
     }
 
     /// Per candidate, the `(mean, variance)` of every objective from its
@@ -871,42 +866,23 @@ impl<'a> SparseAcquisition<'a> {
         self.pack.predict_batch_from_correlations(&corr)
     }
 
-    /// The chunk's scores: exact for the penalized candidates and for
-    /// those whose contribution was computed, `None` for the candidates
-    /// the box cut skipped.
-    fn score_chunk(&self, preds: &[Vec<(f64, f64)>]) -> Vec<Option<f64>> {
+    /// The chunk's scores, one per candidate.
+    fn score_chunk(&self, preds: &[Vec<(f64, f64)>]) -> Vec<f64> {
         let n_obj = self.pack.objective_count();
-        let lcb = |k: usize| -> [f64; 3] {
-            let mut lcb = [0.0; 3];
-            for (slot, &(mean, var)) in lcb.iter_mut().zip(&preds[k]) {
-                *slot = mean - BETA * var.sqrt();
-            }
-            lcb
-        };
-        // Buffers reused across the whole chunk: steady-state scoring
+        // One buffer reused across the whole chunk: steady-state scoring
         // allocates nothing per candidate.
         let mut scratch = self.scorer.scratch();
-        let mut scores: Vec<Option<f64>> = vec![None; preds.len()];
-        let mut boxes: Vec<(f64, usize)> = Vec::with_capacity(scores.len());
-        for (k, score) in scores.iter_mut().enumerate() {
-            let bound = self.scorer.score_bound_with(&mut scratch, &lcb(k)[..n_obj], EPS);
-            if bound < 0.0 {
-                *score = Some(bound);
-            } else {
-                boxes.push((bound, k));
-            }
-        }
-        let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
-        boxes.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (bound, k) in boxes {
-            if prune_cut(best).is_some_and(|cut| bound < cut) {
-                break;
-            }
-            let score = self.scorer.contribution_with(&mut scratch, &lcb(k)[..n_obj]);
-            best = Some(best.map_or(score, |b| b.max(score)));
-            scores[k] = Some(score);
-        }
-        obs::add("bo.hv.incremental", scores.iter().flatten().count() as u64);
+        let scores: Vec<f64> = preds
+            .iter()
+            .map(|pred| {
+                let mut lcb = [0.0; 3];
+                for (slot, &(mean, var)) in lcb.iter_mut().zip(pred) {
+                    *slot = mean - BETA * var.sqrt();
+                }
+                self.scorer.score_with(&mut scratch, &lcb[..n_obj], EPS)
+            })
+            .collect();
+        obs::add("bo.hv.incremental", scores.len() as u64);
         scores
     }
 }
@@ -917,9 +893,9 @@ type Chunk<'a, T> = (usize, Mutex<&'a mut [Option<T>]>);
 
 /// Index of the first maximum score in pool order, skipping candidates
 /// that were never scored exactly.
-fn first_max(scores: &[Option<f64>]) -> Option<usize> {
+fn first_max(scores: impl IntoIterator<Item = Option<f64>>) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
-    for (i, &score) in scores.iter().enumerate() {
+    for (i, score) in scores.into_iter().enumerate() {
         let Some(score) = score else { continue };
         match &best {
             Some((s, _)) if *s >= score => {}
@@ -975,23 +951,20 @@ pub enum ExactSlot {
 /// unpenalized one is not), so a score of an optimistic LCB bounds the
 /// exact score. The tiers:
 ///
-/// 1. **Box**: the optimistic LCB (Cauchy–Schwarz variance bound
-///    `σ²(1 − maxᵢ cᵢ²/(1 + RELATIVE_NOISE))`) scored by
-///    [`ContributionScorer::score_bound_with`] — its exact penalty, or
-///    the box volume around its exclusive region. One `O(|front|)` scan.
-/// 2. **Score**: the full score of the same LCB.
-/// 3. **Subset**: the full score of the LCB with the variances of
+/// 1. **Score**: the full score of the optimistic LCB with the
+///    Cauchy–Schwarz variance bound `σ²(1 − maxᵢ cᵢ²/(1 + RELATIVE_NOISE))`,
+///    one `O(|front|)` loop over the scorer's partition.
+/// 2. **Subset**: the full score of the LCB with the variances of
 ///    [`GaussianProcess::subset_variance_bounds`] (an 8-row Schur bound).
-/// 4. **Solve**: the exact score, solved in rounds of [`SOLVE_ROUND`].
+/// 3. **Solve**: the exact score, solved in rounds of [`SOLVE_ROUND`].
 ///
 /// [`ExactAcquisition::select`] scores cached solved columns exactly,
 /// which sets the running best `τ`, then refines best-first: the
 /// candidate with the highest current bound (ties by pool index) moves
 /// up one tier, and one at the top tier joins the next solve round,
 /// until the highest bound is below `τ` by more than [`PRUNE_MARGIN`].
-/// Up to [`SOLVE_ROUND`] heap tops in a row that await the subset tier
-/// move up together, so their `p × p` solves share one prediction
-/// span.
+/// Up to [`SOLVE_ROUND`] heap tops in a row at the score tier move up
+/// together, so their `p × p` solves share one prediction span.
 /// A pruned candidate's exact score is then strictly below the final
 /// maximum, so first-max-wins over the exactly scored candidates picks
 /// the same point as over the whole pool. The ladder runs in one fixed
@@ -1006,7 +979,6 @@ pub struct ExactAcquisition<'a> {
 /// The rungs of [`ExactAcquisition`]'s bound ladder below the solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
-    Box,
     Score,
     Subset,
 }
@@ -1041,16 +1013,6 @@ impl PartialEq for Rung {
 
 impl Eq for Rung {}
 
-impl Rung {
-    /// True when the rung's next step is the subset tier: a score-tier
-    /// rung, or a penalized box-tier one (a penalized LCB's box-tier
-    /// bound is already its score; an unpenalized one's score is its
-    /// contribution).
-    fn awaits_subset(&self) -> bool {
-        self.tier == Tier::Score || (self.tier == Tier::Box && self.bound < 0.0)
-    }
-}
-
 /// An unsolved candidate on the ladder: its pool index `j`, its training
 /// correlations (taken when it is solved or left pending), and per
 /// objective (the scorer takes at most three) its exact posterior mean
@@ -1074,7 +1036,7 @@ enum Lcb {
 enum FirstPass {
     /// A cached solved column at a pool index, scored exactly.
     Exact(usize, f64),
-    /// An unsolved candidate with its box-tier bound.
+    /// An unsolved candidate with its score-tier bound.
     Bounded(f64, Unsolved),
 }
 
@@ -1086,20 +1048,19 @@ impl<'a> ExactAcquisition<'a> {
         ExactAcquisition { pack, scorer }
     }
 
-    /// The box, score and subset tiers' bounds for the query whose
-    /// training correlations are `corr` (as
+    /// The score and subset tiers' bounds for the query whose training
+    /// correlations are `corr` (as
     /// [`GaussianProcess::cross_correlations`] gives them): each at
     /// least its exact score, up to the scorer's roundoff.
     ///
     /// # Panics
     ///
     /// Panics if `corr` does not have one entry per training point.
-    pub fn bounds(&self, corr: &[f64]) -> [f64; 3] {
+    pub fn bounds(&self, corr: &[f64]) -> [f64; 2] {
         let candidate = self.unsolved(0, corr.to_vec());
         let lcb = &candidate.lcb[..self.n_obj()];
         let mut scratch = self.scorer.scratch();
         [
-            self.scorer.score_bound_with(&mut scratch, lcb, EPS),
             self.scorer.score_with(&mut scratch, lcb, EPS),
             self.subset_score(
                 &candidate,
@@ -1115,7 +1076,7 @@ impl<'a> ExactAcquisition<'a> {
     ///
     /// Panics if `corr` does not have one entry per training point.
     pub fn bound(&self, corr: &[f64]) -> f64 {
-        self.bounds(corr)[1]
+        self.bounds(corr)[0]
     }
 
     /// The number of objectives the pack predicts.
@@ -1162,8 +1123,9 @@ impl<'a> ExactAcquisition<'a> {
     /// before some extends and retargets only — a downdate or refit makes
     /// it stale (`None` when there is none). On return it holds the state
     /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
-    /// The first pass (cache refreshes, correlations, box bounds, cached
-    /// scores) runs in chunks across `workers`; the ladder runs in order.
+    /// The first pass (cache refreshes, correlations, score-tier bounds,
+    /// cached scores) runs in chunks across `workers`; the ladder runs in
+    /// order.
     /// When no cached column sets the running best, the first solve round
     /// is the single most promising candidate.
     ///
@@ -1200,7 +1162,7 @@ impl<'a> ExactAcquisition<'a> {
             match pass {
                 FirstPass::Exact(j, score) => scores[j] = Some(score),
                 FirstPass::Bounded(bound, candidate) => {
-                    ladder.push(Rung { bound, tier: Tier::Box, k: unsolved.len() });
+                    ladder.push(Rung { bound, tier: Tier::Score, k: unsolved.len() });
                     unsolved.push(candidate);
                 }
             }
@@ -1210,7 +1172,7 @@ impl<'a> ExactAcquisition<'a> {
         let n = self.pack.len();
         let mut scratch = self.scorer.scratch();
         let mut round: Vec<usize> = Vec::with_capacity(SOLVE_ROUND);
-        let mut solved = 0;
+        let (mut solved, mut promoted) = (0, 0);
         let mut refining: Option<obs::Span> = None;
         loop {
             let cut = prune_cut(best);
@@ -1224,14 +1186,14 @@ impl<'a> ExactAcquisition<'a> {
                 refining.get_or_insert_with(|| obs::span("bo.acquisition.hv_score"));
                 if rung.tier == Tier::Subset {
                     round.push(rung.k);
-                } else if rung.awaits_subset() {
+                } else {
                     // This rung and the heap tops right behind it that
-                    // also await the subset tier are promoted together,
+                    // are also at the score tier are promoted together,
                     // under one prediction span.
                     let mut batch = vec![rung];
                     while batch.len() < SOLVE_ROUND {
                         match ladder.peek_mut() {
-                            Some(top) if top.awaits_subset() && reaches(&top) => {
+                            Some(top) if top.tier == Tier::Score && reaches(&top) => {
                                 batch.push(PeekMut::pop(top));
                             }
                             _ => break,
@@ -1243,14 +1205,11 @@ impl<'a> ExactAcquisition<'a> {
                             .map(|r| self.pack.subset_variance_bounds(&unsolved[r.k].corr))
                             .collect()
                     });
+                    promoted += batch.len();
                     for (r, variances) in batch.into_iter().zip(variances) {
                         let bound = self.subset_score(&unsolved[r.k], &variances, &mut scratch);
                         ladder.push(Rung { bound, tier: Tier::Subset, ..r });
                     }
-                } else {
-                    let lcb = &unsolved[rung.k].lcb[..self.n_obj()];
-                    let bound = self.scorer.contribution_with(&mut scratch, lcb);
-                    ladder.push(Rung { bound, tier: Tier::Score, ..rung });
                 }
                 continue;
             }
@@ -1290,9 +1249,9 @@ impl<'a> ExactAcquisition<'a> {
         obs::add("bo.acquisition.bounded", unsolved.len() as u64);
         obs::add("bo.acquisition.solved", solved as u64);
         obs::add("bo.acquisition.pruned", ladder.len() as u64);
-        obs::add("bo.acquisition.box_pruned", tier_count(Tier::Box));
+        obs::add("bo.acquisition.score_pruned", tier_count(Tier::Score));
         obs::add("bo.acquisition.subset_pruned", tier_count(Tier::Subset));
-        obs::add("bo.hv.incremental", (points.len() - unsolved.len() + solved) as u64);
+        obs::add("bo.hv.incremental", (points.len() + promoted + solved) as u64);
         obs::time("bo.acquisition.gp_predict", || {
             for rung in ladder {
                 let candidate = &mut unsolved[rung.k];
@@ -1308,14 +1267,14 @@ impl<'a> ExactAcquisition<'a> {
             }
             drop(unsolved);
         });
-        first_max(&scores)
+        first_max(scores)
     }
 
     /// The first pass over the chunk of candidates from pool index
     /// `base`: refreshes and exactly scores the cached solved columns;
     /// correlates every other candidate (misses through one kernel panel,
-    /// pending columns over the rows added since) and bounds it at the box
-    /// tier. Leaves only solved columns in `slots`.
+    /// pending columns over the rows added since) and bounds it at the
+    /// score tier. Leaves only solved columns in `slots`.
     fn first_pass(
         &self,
         base: usize,
@@ -1364,11 +1323,7 @@ impl<'a> ExactAcquisition<'a> {
                         FirstPass::Exact(base + i, self.scorer.score_with(&mut scratch, &lcb, EPS))
                     }
                     Lcb::Optimistic(candidate) => FirstPass::Bounded(
-                        self.scorer.score_bound_with(
-                            &mut scratch,
-                            &candidate.lcb[..self.n_obj()],
-                            EPS,
-                        ),
+                        self.scorer.score_with(&mut scratch, &candidate.lcb[..self.n_obj()], EPS),
                         candidate,
                     ),
                 })

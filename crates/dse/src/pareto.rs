@@ -305,11 +305,9 @@ fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     hv
 }
 
-/// A reusable scorer for SMS-EGO acquisition: precomputes front indexes
-/// once so that scoring a large candidate pool against a frozen front
-/// stops rescanning the whole front per candidate.
-///
-/// Two accelerations over the naive per-candidate loop:
+/// A reusable scorer for SMS-EGO acquisition: indexes a frozen front
+/// once so that scoring a large candidate pool against it costs one
+/// short loop per candidate.
 ///
 /// * [`ContributionScorer::epsilon_penalty`] pre-sorts the front by its
 ///   first objective, so the epsilon-dominance scan only visits the
@@ -317,13 +315,17 @@ fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 ///   check) instead of the whole front. Qualifying points are then
 ///   accumulated in front order, making the result **bit-identical** to
 ///   the naive in-order scan.
-/// * [`ContributionScorer::contribution`] replaces the generic
-///   `hypervolume(clipped)` recomputation inside
-///   [`hypervolume_contribution`] — which re-runs Pareto filtering per
-///   z-slab, O(k³) worst-case in three objectives — with a single
-///   z-sweep that maintains the clipped union's 2-D staircase *and its
-///   area* incrementally, O(k log k) typical / O(k²) worst-case. Within
-///   ~1e-9 of the rescan (floating-point reassociation only).
+/// * [`ContributionScorer::contribution`] scores against a partition of
+///   the *non-dominated region* — the part of `(−∞, reference)` that no
+///   front point weakly dominates — into disjoint boxes
+///   `[a, b) × (−∞, y) × [z₀, z₁)`, built once by one z-sweep over the
+///   front (Lacour, Klamroth & Fonseca 2017). A candidate's exclusive
+///   contribution is the volume of `[c, reference)` inside that region:
+///   the sum over the boxes of each box's overlap with `[c, reference)`,
+///   one branch-free `O(|front|)` loop with no clip, sort or staircase
+///   per candidate. Every term is non-negative and monotone in `c`, so
+///   the contribution never rises when a candidate coordinate rises, in
+///   floating point too.
 ///
 /// Build one per acquisition iteration and share it read-only across
 /// scoring chunks; give each chunk its own [`ScorerScratch`] so the hot
@@ -332,24 +334,52 @@ fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 pub struct ContributionScorer {
     reference: Vec<f64>,
     /// Front points padded to three objectives and stored contiguously,
-    /// so the per-candidate clip scan streams one flat allocation.
+    /// so the penalty scan streams one flat allocation.
     front: Vec<[f64; 3]>,
     d: usize,
     /// Front indices sorted ascending by first objective.
     by_obj0: Vec<usize>,
+    /// The partition of the non-dominated region.
+    boxes: Boxes,
 }
 
-/// Reusable working buffers for [`ContributionScorer`]. One per scoring
-/// thread/chunk; every buffer is cleared (not shrunk) between candidates
-/// so steady-state scoring performs no heap allocation.
+/// Reusable working buffer for [`ContributionScorer`]'s penalty scan.
+/// One per scoring thread/chunk; it is cleared (not shrunk) between
+/// candidates so steady-state scoring performs no heap allocation.
 #[derive(Debug, Default, Clone)]
 pub struct ScorerScratch {
-    /// Candidate-clipped front points, padded to three objectives.
-    clipped: Vec<[f64; 3]>,
     /// Indices of epsilon-dominating front points, restored to front order.
     hits: Vec<usize>,
-    /// The 3-D sweep's active 2-D staircase.
-    stairs: Vec<(f64, f64)>,
+}
+
+/// Disjoint boxes `[x_lo, x_hi) × (−∞, y_hi) × [z_lo, z_hi)` as flat
+/// arrays, one box per index, in objectives padded to three: a padded
+/// front coordinate is `−∞`, a padded reference coordinate `1` and a
+/// padded candidate coordinate `0`, so a padded axis contributes a
+/// factor of exactly `1` or `0`.
+#[derive(Debug, Clone, Default)]
+struct Boxes {
+    x_lo: Vec<f64>,
+    x_hi: Vec<f64>,
+    y_hi: Vec<f64>,
+    z_lo: Vec<f64>,
+    z_hi: Vec<f64>,
+}
+
+impl Boxes {
+    /// Closes the segment of `stair` (`[x, x_hi) × (−∞, y)`, open since
+    /// the stair's z-level) at `z_hi`; a segment closed at the level it
+    /// opened has no volume and is dropped.
+    fn close(&mut self, stair: [f64; 3], x_hi: f64, z_hi: f64) {
+        let [x, y, z] = stair;
+        if z_hi > z {
+            self.x_lo.push(x);
+            self.x_hi.push(x_hi);
+            self.y_hi.push(y);
+            self.z_lo.push(z);
+            self.z_hi.push(z_hi);
+        }
+    }
 }
 
 impl ContributionScorer {
@@ -372,7 +402,8 @@ impl ContributionScorer {
         }
         let mut by_obj0: Vec<usize> = (0..flat.len()).collect();
         by_obj0.sort_by(|&a, &b| flat[a][0].total_cmp(&flat[b][0]));
-        ContributionScorer { reference: reference.to_vec(), front: flat, d, by_obj0 }
+        let boxes = partition(&flat, reference);
+        ContributionScorer { reference: reference.to_vec(), front: flat, d, by_obj0, boxes }
     }
 
     /// Number of front points the scorer was built over.
@@ -385,14 +416,16 @@ impl ContributionScorer {
         self.front.is_empty()
     }
 
+    /// Number of boxes partitioning the non-dominated region: at most
+    /// `2·len() + 1`.
+    pub fn box_count(&self) -> usize {
+        self.boxes.x_lo.len()
+    }
+
     /// Creates a scratch sized for this scorer's front. One per scoring
     /// thread/chunk.
     pub fn scratch(&self) -> ScorerScratch {
-        ScorerScratch {
-            clipped: Vec::with_capacity(self.front.len()),
-            hits: Vec::with_capacity(self.front.len()),
-            stairs: Vec::with_capacity(self.front.len() + 1),
-        }
+        ScorerScratch { hits: Vec::with_capacity(self.front.len()) }
     }
 
     /// Total SMS-EGO epsilon-dominance penalty of `candidate`: for every
@@ -438,107 +471,38 @@ impl ContributionScorer {
 
     /// Exclusive hypervolume contribution of `candidate` against the
     /// frozen front — semantically [`hypervolume_contribution`], within
-    /// ~1e-9 (the incremental union sweep reassociates additions).
+    /// roundoff (the two sum different terms): the volume of
+    /// `[candidate, reference)` inside the non-dominated region's boxes.
+    /// A candidate some front point weakly dominates, or one outside the
+    /// reference, gets exactly `0`.
     ///
     /// # Panics
     ///
     /// Panics if `candidate` has the wrong dimension.
     pub fn contribution(&self, candidate: &[f64]) -> f64 {
-        self.contribution_with(&mut self.scratch(), candidate)
-    }
-
-    /// [`ContributionScorer::contribution`] against caller-owned buffers
-    /// — the allocation-free form for hot scoring loops.
-    pub fn contribution_with(&self, scratch: &mut ScorerScratch, candidate: &[f64]) -> f64 {
         let d = self.d;
         assert_eq!(candidate.len(), d, "objective dimension mismatch");
         if !candidate.iter().zip(&self.reference).all(|(x, r)| x < r) {
             return 0.0;
         }
-        scratch.clipped.clear();
-        for f in &self.front {
-            if f.iter().zip(candidate).all(|(a, b)| a <= b) {
-                return 0.0;
-            }
-            let mut g = [0.0f64; 3];
-            let mut inside = true;
-            for j in 0..d {
-                g[j] = f[j].max(candidate[j]);
-                inside &= g[j] < self.reference[j];
-            }
-            if inside {
-                scratch.clipped.push(g);
-            }
+        let mut c = [0.0f64; 3];
+        c[..d].copy_from_slice(candidate);
+        let Boxes { x_lo, x_hi, y_hi, z_lo, z_hi } = &self.boxes;
+        let n = x_lo.len();
+        let (x_hi, y_hi, z_lo, z_hi) = (&x_hi[..n], &y_hi[..n], &z_lo[..n], &z_hi[..n]);
+        let mut volume = 0.0;
+        for i in 0..n {
+            let dx = (x_hi[i] - x_lo[i].max(c[0])).max(0.0);
+            let dy = (y_hi[i] - c[1]).max(0.0);
+            let dz = (z_hi[i] - z_lo[i].max(c[2])).max(0.0);
+            volume += dx * dy * dz;
         }
-        let box_vol: f64 = candidate.iter().zip(&self.reference).map(|(c, r)| r - c).product();
-        if scratch.clipped.is_empty() {
-            return box_vol;
-        }
-        let union = match d {
-            1 => {
-                self.reference[0]
-                    - scratch.clipped.iter().map(|g| g[0]).fold(f64::INFINITY, f64::min)
-            }
-            2 => union_area_2d(&mut scratch.clipped, &self.reference),
-            _ => union_volume_3d(&mut scratch.clipped, &mut scratch.stairs, &self.reference),
-        };
-        (box_vol - union).max(0.0)
-    }
-
-    /// An upper bound on [`ContributionScorer::contribution`] from one
-    /// `O(|front|)` scan with no sort: the volume `∏ᵢ max(uᵢ − cᵢ, 0)` of
-    /// the box `[c, u]`, where `uᵢ = min(refᵢ, min{fᵢ : f ∈ front,
-    /// fⱼ ≤ cⱼ ∀ j ≠ i})`.
-    ///
-    /// Every point `x` of the candidate's exclusive region lies in that
-    /// box: if `xᵢ ≥ fᵢ` for a front point `f` with `fⱼ ≤ cⱼ ≤ xⱼ` for
-    /// every `j ≠ i`, then `f` dominates `x`. A front point that weakly
-    /// dominates the candidate, or a candidate outside the reference,
-    /// gives `0`, as the contribution does. Where no front point clips
-    /// the box, the bound is the contribution's box volume bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidate` has the wrong dimension.
-    pub fn box_bound(&self, candidate: &[f64]) -> f64 {
-        let d = self.d;
-        assert_eq!(candidate.len(), d, "objective dimension mismatch");
-        let mut upper = [0.0f64; 3];
-        upper[..d].copy_from_slice(&self.reference);
-        for f in &self.front {
-            // The coordinates where `f` is worse than the candidate: none
-            // means `f` dominates it; exactly one, `i`, caps `uᵢ`.
-            let mut above = (0..d).filter(|&j| f[j] > candidate[j]);
-            match (above.next(), above.next()) {
-                (None, _) => return 0.0,
-                (Some(i), None) => upper[i] = upper[i].min(f[i]),
-                _ => {}
-            }
-        }
-        candidate.iter().zip(&upper).map(|(c, u)| (u - c).max(0.0)).product()
-    }
-
-    /// A bound on [`ContributionScorer::score_with`] from one scan of the
-    /// front: the score itself, `-penalty`, when the candidate is
-    /// penalized, and otherwise its [`ContributionScorer::box_bound`].
-    /// It is negative exactly when the candidate is penalized.
-    pub fn score_bound_with(
-        &self,
-        scratch: &mut ScorerScratch,
-        candidate: &[f64],
-        eps: f64,
-    ) -> f64 {
-        let penalty = self.epsilon_penalty_with(scratch, candidate, eps);
-        if penalty > 0.0 {
-            -penalty
-        } else {
-            self.box_bound(candidate)
-        }
+        volume
     }
 
     /// The full SMS-EGO acquisition score: `-penalty` when any front
     /// point epsilon-dominates the candidate, otherwise the hypervolume
-    /// contribution. Matches the historical inline scoring exactly.
+    /// contribution.
     pub fn score(&self, candidate: &[f64], eps: f64) -> f64 {
         self.score_with(&mut self.scratch(), candidate, eps)
     }
@@ -550,86 +514,83 @@ impl ContributionScorer {
         if penalty > 0.0 {
             -penalty
         } else {
-            self.contribution_with(scratch, candidate)
+            self.contribution(candidate)
         }
     }
 }
 
-/// Union area of the boxes `[gᵢ, reference]` in 2-D: the hv2d sweep
-/// without the (unnecessary for a union) Pareto pre-filter.
-fn union_area_2d(clipped: &mut [[f64; 3]], reference: &[f64]) -> f64 {
-    clipped.sort_unstable_by(|a, b| a[0].total_cmp(&b[0]));
-    let mut area = 0.0;
-    let mut prev_y = reference[1];
-    for g in clipped {
-        if g[1] < prev_y {
-            area += (reference[0] - g[0]) * (prev_y - g[1]);
-            prev_y = g[1];
-        }
+/// Partitions the part of `(−∞, reference)` that no point of `front`
+/// (padded to three objectives) weakly dominates into at most
+/// `2·|front| + 1` disjoint boxes.
+///
+/// Sweep the front points inside the reference by ascending z, keeping
+/// the 2-D staircase of the points swept so far. Between two z-levels
+/// the non-dominated region is the staircase's complement, the union of
+/// one segment per stair `[xᵢ, xᵢ₊₁) × (−∞, yᵢ)` (with `x_{last+1}` =
+/// `ref₀`), plus a sentinel stair `(−∞, ref₁)` for `x` below every stair.
+/// Each segment is one box open from the z-level where it last changed.
+/// An insertion closes the segments it changes at its own z-level — its
+/// predecessor's, whose right end moves, and those of the stairs it
+/// evicts — and opens its predecessor's and its own; the sweep closes
+/// the rest at `ref₂`. Each insertion thus adds at most two boxes to the
+/// sentinel's one.
+fn partition(front: &[[f64; 3]], reference: &[f64]) -> Boxes {
+    let d = reference.len();
+    let mut upper = [1.0f64; 3];
+    upper[..d].copy_from_slice(reference);
+    let mut inside: Vec<[f64; 3]> = front
+        .iter()
+        .filter(|f| f[..d].iter().zip(reference).all(|(x, r)| x < r))
+        .map(|f| {
+            let mut p = [f64::NEG_INFINITY; 3];
+            p[..d].copy_from_slice(&f[..d]);
+            p
+        })
+        .collect();
+    inside.sort_by(|a, b| a[2].total_cmp(&b[2]));
+    let mut boxes = Boxes::default();
+    let mut stairs: Vec<[f64; 3]> = Vec::with_capacity(inside.len() + 1);
+    stairs.push([f64::NEG_INFINITY, upper[1], f64::NEG_INFINITY]);
+    for p in inside {
+        insert_stair(&mut stairs, &mut boxes, p, upper[0]);
     }
-    area
+    for (j, &stair) in stairs.iter().enumerate() {
+        let right = stairs.get(j + 1).map_or(upper[0], |s| s[0]);
+        boxes.close(stair, right, upper[2]);
+    }
+    boxes
 }
 
-/// Union volume of the boxes `[gᵢ, reference]` in 3-D: sweep ascending
-/// z, maintaining the active points' 2-D union as a staircase whose area
-/// is updated incrementally on insertion, and accumulate `area · Δz` per
-/// slab. O(k log k) typical; each staircase point is inserted and
-/// evicted at most once.
-fn union_volume_3d(
-    clipped: &mut [[f64; 3]],
-    stairs: &mut Vec<(f64, f64)>,
-    reference: &[f64],
-) -> f64 {
-    clipped.sort_unstable_by(|a, b| a[2].total_cmp(&b[2]));
-    stairs.clear();
-    let mut area = 0.0;
-    let mut volume = 0.0;
-    for i in 0..clipped.len() {
-        insert_stair(stairs, &mut area, clipped[i][0], clipped[i][1], reference);
-        let z_lo = clipped[i][2];
-        let z_hi = if i + 1 < clipped.len() { clipped[i + 1][2] } else { reference[2] };
-        if z_hi > z_lo {
-            volume += area * (z_hi - z_lo);
-        }
-    }
-    volume
-}
-
-/// Inserts `(x, y)` into a staircase of mutually non-dominated points
-/// (x strictly ascending, y strictly descending), keeping `area` — the
-/// union area of the boxes `[(xᵢ, yᵢ), reference]` — consistent via the
-/// slab identity `area = Σ (x_{i+1} − xᵢ)(ref₁ − yᵢ)` (with `x_{last+1}`
-/// = `ref₀`). Covered points are no-ops; points dominated by the new one
+/// Inserts `p = (x, y, z)` into a staircase of `(x, y, z_open)` stairs
+/// (x strictly ascending, y strictly descending, led by the sentinel)
+/// at its z-level, closing into `boxes` every segment it changes.
+/// Covered points are no-ops; stairs the new one dominates in `(x, y)`
 /// are evicted as one contiguous block.
-fn insert_stair(stairs: &mut Vec<(f64, f64)>, area: &mut f64, x: f64, y: f64, reference: &[f64]) {
-    let lo = stairs.partition_point(|p| p.0 < x);
+fn insert_stair(stairs: &mut Vec<[f64; 3]>, boxes: &mut Boxes, p: [f64; 3], x_ref: f64) {
+    let [x, y, z] = p;
+    // The sentinel (x = −∞) always precedes the new point.
+    let lo = 1 + stairs[1..].partition_point(|s| s[0] < x);
     // Covered: a predecessor at strictly smaller x with y no larger, or
     // an existing stair at exactly this x with y no larger.
-    if lo > 0 && stairs[lo - 1].1 <= y {
-        return;
-    }
-    if lo < stairs.len() && stairs[lo].0 == x && stairs[lo].1 <= y {
+    if stairs[lo - 1][1] <= y || stairs.get(lo).is_some_and(|s| s[0] == x && s[1] <= y) {
         return;
     }
     // Evict the contiguous block the new point dominates (y descending
-    // makes `p.1 >= y` a prefix property from `lo`).
-    let mut hi = lo;
-    while hi < stairs.len() && stairs[hi].1 >= y {
-        hi += 1;
+    // makes `s.y >= y` a prefix property from `lo`).
+    let hi = lo + stairs[lo..].iter().take_while(|s| s[1] >= y).count();
+    let right = |j: usize| stairs.get(j + 1).map_or(x_ref, |s| s[0]);
+    let pred_right = right(lo - 1);
+    for (j, &stair) in stairs.iter().enumerate().take(hi).skip(lo) {
+        boxes.close(stair, right(j), z);
     }
-    for j in lo..hi {
-        let right = if j + 1 < stairs.len() { stairs[j + 1].0 } else { reference[0] };
-        *area -= (right - stairs[j].0) * (reference[1] - stairs[j].1);
+    // The predecessor's segment now ends at x instead of at the first
+    // (possibly evicted) stair to its right; it is unchanged when that
+    // stair sat at exactly x.
+    if pred_right > x {
+        boxes.close(stairs[lo - 1], pred_right, z);
+        stairs[lo - 1][2] = z;
     }
-    if lo > 0 {
-        // The predecessor's slab now ends at the new point instead of at
-        // the first (possibly evicted) stair to its right.
-        let old_right = if lo < stairs.len() { stairs[lo].0 } else { reference[0] };
-        *area -= (old_right - x) * (reference[1] - stairs[lo - 1].1);
-    }
-    let right = if hi < stairs.len() { stairs[hi].0 } else { reference[0] };
-    *area += (right - x) * (reference[1] - y);
-    stairs.splice(lo..hi, [(x, y)]);
+    stairs.splice(lo..hi, [p]);
 }
 
 #[cfg(test)]
@@ -838,10 +799,10 @@ mod tests {
 
     #[test]
     fn scorer_contribution_matches_rescan() {
-        // Raw (un-filtered) LCG point sets stress dominated front members,
-        // duplicate coordinates, and clipped-box collapse; the incremental
-        // staircase must agree with the rescan path to fp-reassociation
-        // tolerance in every dimension it supports.
+        // Raw (un-filtered) LCG point sets stress dominated front members
+        // and points past the reference; the partition's box sums must
+        // agree with the clip-and-subtract definition to roundoff in
+        // every dimension it supports.
         for d in 1..=3usize {
             let reference = vec![10.0; d];
             for seed in 0..8u64 {
@@ -930,7 +891,8 @@ mod tests {
     #[test]
     fn staircase_handles_exact_coordinate_ties() {
         // Same-x and same-y insertions exercise the covered / evicted tie
-        // branches of the staircase; validate against the rescan.
+        // branches of the partition's staircase; validate against the
+        // clip-and-subtract definition.
         let reference = vec![10.0, 10.0, 10.0];
         let front = vec![
             vec![2.0, 6.0, 1.0],

@@ -279,7 +279,7 @@ const ACQUISITION_COUNTERS: [&str; 6] = [
     "bo.acquisition.bounded",
     "bo.acquisition.solved",
     "bo.acquisition.pruned",
-    "bo.acquisition.box_pruned",
+    "bo.acquisition.score_pruned",
     "bo.acquisition.subset_pruned",
     "bo.hv.incremental",
 ];

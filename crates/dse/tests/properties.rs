@@ -8,8 +8,9 @@ use autopilot_obs as obs;
 use autopilot_rng::Rng;
 use dse_opt::linalg::{sq_dist, Matrix};
 use dse_opt::pareto::{
-    crowding_distance, dominates, hypervolume, inverted_generational_distance, non_dominated_sort,
-    pareto_indices, ContributionScorer, IncrementalFront,
+    crowding_distance, dominates, hypervolume, hypervolume_contribution,
+    inverted_generational_distance, non_dominated_sort, pareto_indices, ContributionScorer,
+    IncrementalFront,
 };
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
@@ -879,9 +880,9 @@ fn reference_pick(pack: &GaussianProcess, scorer: &ContributionScorer, pool: &[V
     best.expect("non-empty pool").1
 }
 
-/// Every tier of the acquisition's bound ladder — box, optimistic score
-/// and subset, each with exact means and no `n`-row solve — is never
-/// below the exact score, and each is at most the one before, for random
+/// Both tiers of the acquisition's bound ladder — optimistic score and
+/// subset, each with exact means and no `n`-row solve — are never below
+/// the exact score, and the subset tier is at most the score tier, for random
 /// packs, fronts (with coordinate ties, and empty) and candidates
 /// (including training points, where the variance bounds are tightest).
 #[test]
@@ -902,7 +903,7 @@ fn acquisition_bound_is_at_least_the_exact_score() {
             let exact = reference_score(&pack, &scorer, p);
             let slack = 1e-12 * exact.abs().max(1.0);
             let bounds = acquisition.bounds(&column);
-            assert_eq!(acquisition.bound(&column).to_bits(), bounds[1].to_bits());
+            assert_eq!(acquisition.bound(&column).to_bits(), bounds[0].to_bits());
             for (tier, &bound) in bounds.iter().enumerate() {
                 assert!(
                     bound >= exact - slack,
@@ -910,64 +911,74 @@ fn acquisition_bound_is_at_least_the_exact_score() {
                 );
             }
             assert!(
-                bounds[0] >= bounds[1] - slack && bounds[1] >= bounds[2] - slack,
+                bounds[0] >= bounds[1] - slack,
                 "case {case}, pool[{j}]: tiers {bounds:?} do not tighten"
             );
         }
     }
 }
 
-/// `uᵢ` of the box bound straight from its definition:
-/// `min(refᵢ, min{fᵢ : fⱼ ≤ cⱼ ∀ j ≠ i})`, and `0` when a front point
-/// weakly dominates the candidate.
-fn reference_box_bound(front: &[Vec<f64>], candidate: &[f64], reference: &[f64]) -> f64 {
-    if front.iter().any(|f| f.iter().zip(candidate).all(|(a, c)| a <= c)) {
-        return 0.0;
-    }
-    (0..candidate.len())
-        .map(|i| {
-            let u = front
-                .iter()
-                .filter(|f| (0..candidate.len()).all(|j| j == i || f[j] <= candidate[j]))
-                .fold(reference[i], |u, f| u.min(f[i]));
-            (u - candidate[i]).max(0.0)
-        })
-        .product()
-}
-
-/// The box bound matches its definition bit for bit, is at least the
-/// exclusive contribution and at most the candidate's box volume, is
-/// `0` outside the reference, and is the contribution itself in one
-/// objective — for grid fronts with coordinate ties, empty fronts, and
-/// candidates on the grid, between it, and outside the reference.
+/// The scorer's contribution, summed over its partition of the
+/// non-dominated region, matches `hypervolume_contribution` (the
+/// clip-and-sweep definition) within 1e-12 of the candidate's box volume,
+/// the scale both compute at, in one, two and three objectives. Fronts
+/// are Pareto-filtered or raw (dominated members included), on a coarse
+/// grid (coordinate ties) or continuous, with members on and past the
+/// reference. Candidates lie on the grid, between it, below the front's
+/// ideal point, on front members and outside the reference. A weakly
+/// dominated or outside-reference candidate scores exactly `0`, and
+/// every partition has at most `2·|front| + 1` boxes.
 #[test]
-fn box_bound_encloses_the_exclusive_region() {
+fn partition_contribution_matches_the_clipped_sweep() {
     for case in 0..4 * CASES {
         let mut rng = Rng::seed_stream(0xd5e_0012, case);
-        let n_obj = rng.range_usize(1, 4);
+        let n_obj = 1 + (case % 3) as usize;
         let reference = vec![1.2; n_obj];
-        let front = random_front(&mut rng, n_obj);
+        let grid = case % 2 == 0;
+        let coord = |rng: &mut Rng| {
+            if grid {
+                rng.range_usize(0, 14) as f64 / 10.0
+            } else {
+                rng.range_f64(0.0, 1.4)
+            }
+        };
+        let raw: Vec<Vec<f64>> = (0..rng.range_usize(0, 32))
+            .map(|_| (0..n_obj).map(|_| coord(&mut rng)).collect())
+            .collect();
+        let front: Vec<Vec<f64>> = if case % 4 < 2 {
+            pareto_indices(&raw).into_iter().map(|i| raw[i].clone()).collect()
+        } else {
+            raw
+        };
         let scorer = ContributionScorer::new(&front, &reference);
-        for k in 0..64 {
-            let candidate: Vec<f64> = (0..n_obj)
-                .map(|_| match k % 3 {
-                    0 => rng.range_usize(0, 14) as f64 / 10.0,
-                    _ => rng.range_f64(-0.1, 1.4),
-                })
-                .collect();
-            let bound = scorer.box_bound(&candidate);
-            let want = reference_box_bound(&front, &candidate, &reference);
-            assert_eq!(bound.to_bits(), want.to_bits(), "case {case}: {candidate:?}");
-            let contribution = scorer.contribution(&candidate);
+        assert!(
+            scorer.box_count() <= 2 * front.len() + 1,
+            "case {case}: {} boxes for {} front points",
+            scorer.box_count(),
+            front.len()
+        );
+        let ideal: Vec<f64> =
+            (0..n_obj).map(|i| front.iter().map(|f| f[i]).fold(1.0, f64::min)).collect();
+        for k in 0..48 {
+            let candidate: Vec<f64> = match (k % 4, front.is_empty()) {
+                (0, _) => (0..n_obj).map(|_| coord(&mut rng)).collect(),
+                (1, _) => (0..n_obj).map(|_| rng.range_f64(-0.2, 1.4)).collect(),
+                (2, _) => ideal.iter().map(|v| v - rng.range_f64(0.0, 0.3)).collect(),
+                (_, true) => vec![0.5; n_obj],
+                (_, false) => front[rng.range_usize(0, front.len())].clone(),
+            };
+            let want = hypervolume_contribution(&front, &candidate, &reference);
+            let got = scorer.contribution(&candidate);
             let volume: f64 =
                 candidate.iter().zip(&reference).map(|(c, r)| (r - c).max(0.0)).product();
-            assert!(bound >= contribution - 1e-12, "case {case}: {bound} < {contribution}");
-            assert!(bound <= volume, "case {case}: {bound} > box volume {volume}");
-            if candidate.iter().zip(&reference).any(|(c, r)| c >= r) {
-                assert_eq!(bound, 0.0, "case {case}: outside the reference");
-            }
-            if n_obj == 1 {
-                assert!((bound - contribution).abs() <= 1e-12, "case {case}: 1-D is exact");
+            assert!(
+                (got - want).abs() <= 1e-12 * volume,
+                "case {case}: {got} vs {want} for {candidate:?}"
+            );
+            let dominated = front.iter().any(|f| f.iter().zip(&candidate).all(|(a, c)| a <= c));
+            let outside = candidate.iter().zip(&reference).any(|(c, r)| c >= r);
+            if dominated || outside {
+                assert_eq!(got.to_bits(), 0.0f64.to_bits(), "case {case}: {candidate:?}");
             }
         }
     }
@@ -1025,7 +1036,8 @@ fn subset_variance_bound_is_at_least_the_exact_variance() {
 /// (solved and pending slots carried across pack extends and a new
 /// front), at 1 and 3 workers. Kept slots are exactly the
 /// `keep`-flagged ones. Often more than eight candidates' bounds reach
-/// the best exact score, so stopping after one round would be caught.
+/// the best exact score, so stopping after one round would be caught,
+/// and both the score and the subset tier prune candidates.
 #[test]
 fn pruned_selection_matches_full_scoring() {
     // Only the tests holding `OBS` run the acquisitions, so these
@@ -1093,20 +1105,17 @@ fn pruned_selection_matches_full_scoring() {
     assert!(past_first_round >= 10, "only {past_first_round} cold pools needed a second round");
     let after = obs::snapshot();
     let count = |name: &str| after.counter(name) - before.counter(name);
-    let (boxed, subset) =
-        (count("bo.acquisition.box_pruned"), count("bo.acquisition.subset_pruned"));
-    let scored = count("bo.acquisition.pruned") - boxed - subset;
-    assert!(
-        boxed > 0 && scored > 0 && subset > 0,
-        "a tier prunes nothing: {boxed}/{scored}/{subset}"
-    );
+    let (scored, subset) =
+        (count("bo.acquisition.score_pruned"), count("bo.acquisition.subset_pruned"));
+    assert_eq!(scored + subset, count("bo.acquisition.pruned"), "the tiers split the pruned");
+    assert!(scored > 0 && subset > 0, "a tier prunes nothing: {scored}/{subset}");
 }
 
 /// The sparse-pack selection picks exactly what per-candidate full
 /// scoring picks, over random sparse packs, crowded pools and fronts
 /// (with ties, and empty), with cold and then warm columns, at 1 and 3
-/// workers; kept columns are exactly the `keep`-flagged ones; and the
-/// box cut skips some candidates' scores.
+/// workers; kept columns are exactly the `keep`-flagged ones; and every
+/// candidate is scored.
 #[test]
 fn sparse_selection_matches_full_scoring() {
     let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1159,5 +1168,5 @@ fn sparse_selection_matches_full_scoring() {
         }
     }
     let scored = obs::snapshot().counter("bo.hv.incremental") - before;
-    assert!(scored < candidates, "the box cut skipped nothing: {scored} of {candidates} scored");
+    assert_eq!(scored, candidates, "every candidate is scored");
 }
