@@ -21,15 +21,11 @@
 //!      metrics gating changes no result);
 //!    - one run at the default worker count, bit-identical to both;
 //!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
-//!    - the per-point-vs-batched acquisition microbenchmark
-//!      (`acquisition_scalar_s` / `acquisition_batched_s` /
-//!      `acquisition_batch_speedup`, reported, not gated): per-point
-//!      solves (`ExactColumn::solve`, one forward substitution per
-//!      candidate) vs the shipping batched route
-//!      (`ExactColumn::solve_batch`: one kernel cross-matrix with one
-//!      blocked triangular solve), over the run history as the candidate
-//!      pool, each the minimum of three timed repetitions after a
-//!      discarded warm-up.
+//!    - a bit-identity check of per-point solves (`ExactColumn::solve`,
+//!      one forward substitution per candidate) against the shipping
+//!      batched route (`ExactColumn::solve_batch`: one kernel
+//!      cross-matrix with one blocked triangular solve), over the run
+//!      history as the candidate pool.
 //!
 //!    `acquisition_pruned_fraction` / `acquisition_solved_fraction` are
 //!    the shares of the exact acquisition's bounded candidates (cache
@@ -54,12 +50,8 @@
 //!    `results/BENCH_phase2_scale.json` with the exact-pack acquisition's
 //!    time per iteration, the kernel rows a sparse prediction correlates
 //!    each candidate against (`gp_sparse_rows_per_candidate`: the
-//!    inducing count, not the archive size) next to the ungated
-//!    sparse-vs-exact inference speedup, the striped kernel panel
-//!    counters, the stripes an archive-sized panel splits into across
-//!    forced workers (and, reported, not gated, the
-//!    striped-vs-single-stripe panel ratio), and the incremental-surrogate
-//!    counters.
+//!    inducing count, not the archive size), the kernel panel counters,
+//!    and the incremental-surrogate counters.
 //!
 //! Cache-counter naming: the within-run `CandidateCache` hit counters are
 //! suffixed `_within_run` because continuous candidate keys are raw f64
@@ -79,26 +71,13 @@ fn num(v: f64) -> Value {
     Value::Num(v)
 }
 
-/// Minimum of `reps` timed repetitions of `f`, after one discarded
-/// warmup invocation.
-fn min_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
     paper_leg();
     scale_leg();
 }
 
-/// The paper-configuration search: counters, invariants and the
-/// acquisition microbenchmark, written to `BENCH_phase2.json`.
+/// The paper-configuration search: counters and invariants, written to
+/// `BENCH_phase2.json`.
 fn paper_leg() {
     let config = AutopilotConfig::paper(7);
     let density = ObstacleDensity::Dense;
@@ -222,49 +201,27 @@ fn paper_leg() {
     // The batched side is the route SMS-EGO solves its unpruned
     // candidates through (a kernel panel, then
     // `ExactColumn::solve_correlations` + `predict`, here together as
-    // `ExactColumn::solve_batch`). The per-point side solves
-    // each candidate on its own (`ExactColumn::solve`: one forward
+    // `ExactColumn::solve_batch`). The per-point side solves each
+    // candidate on its own (`ExactColumn::solve`: one forward
     // substitution, the `Matrix::solve_lower` loop, and an ascending dot
     // per objective for the means), so it shares neither the kernel panel
-    // nor the blocked solve with the batched side it checks and is timed
-    // against.
+    // nor the blocked solve with the batched side it checks.
     let ls = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("GP fits").lengthscale_sq();
     let gps = dse_opt::GaussianProcess::fit_pack(&xs, &ys, ls, dse_opt::KernelExpMode::Exact)
         .expect("surrogate pack fits");
-    let pool = &xs;
-    // Bit-identity spot check before timing anything.
-    for (p, batched) in pool.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, pool)) {
+    for (p, batched) in xs.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, &xs)) {
         let per_point = dse_opt::ExactColumn::solve(&gps, p);
         assert!(
             per_point.predict(&gps).eq(batched.predict(&gps)),
             "batched prediction diverged from per-point"
         );
     }
-    let acquisition_scalar_s = min_time(3, || {
-        for p in pool {
-            let column = dse_opt::ExactColumn::solve(&gps, p);
-            for pred in column.predict(&gps) {
-                let _ = std::hint::black_box(pred);
-            }
-        }
-    });
-    let acquisition_batched_s = min_time(3, || {
-        for column in dse_opt::ExactColumn::solve_batch(&gps, pool) {
-            for pred in column.predict(&gps) {
-                let _ = std::hint::black_box(pred);
-            }
-        }
-    });
-    let acquisition_batch_speedup = acquisition_scalar_s / acquisition_batched_s.max(1e-12);
 
     let total = (cache_hits + cache_misses).max(1);
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
         ("workers".into(), num(workers as f64)),
-        ("acquisition_scalar_s".into(), num(acquisition_scalar_s)),
-        ("acquisition_batched_s".into(), num(acquisition_batched_s)),
-        ("acquisition_batch_speedup".into(), num(acquisition_batch_speedup)),
         (
             "cache_note".into(),
             Value::Str(
@@ -335,8 +292,9 @@ fn paper_leg() {
 }
 
 /// The scale leg: one instrumented sequential Phase-2 run at budget
-/// 2000, plus a sparse-vs-exact inference benchmark over the resulting
-/// archive, written to `BENCH_phase2_scale.json`.
+/// 2000, plus a count of the kernel rows one sparse prediction over the
+/// resulting archive correlates each candidate against, written to
+/// `BENCH_phase2_scale.json`.
 ///
 /// Past the sparse threshold the optimizer engages the low-rank sparse
 /// surrogates automatically, so this run exercises the
@@ -388,94 +346,18 @@ fn scale_leg() {
     let exact_ms_per_iteration =
         1e3 * snap.span_total_s("bo.acquisition.exact") / exact_iterations.max(1) as f64;
 
-    // Sparse-vs-exact batched inference over this run's archive, same
-    // query pool for both packs. The exact pack's training size is
-    // capped: its O(n³) fit and O(n·pool) prediction are precisely what
-    // stops scaling, and the cap keeps the baseline measurable instead
-    // of dominating the probe.
+    // The kernel rows one sparse prediction correlates each pool
+    // candidate against: the inducing count, however large the archive.
     let space = autopilot::JointSpace::design_space();
     let xs: Vec<Vec<f64>> = out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
-    let ys: Vec<Vec<f64>> =
-        (0..3).map(|k| out.result.evaluations.iter().map(|e| e.objectives[k]).collect()).collect();
-    let n_exact = xs.len().min(768);
-    let ls = dse_opt::GaussianProcess::fit(&xs[..n_exact], &ys[0][..n_exact])
-        .expect("exact GP fits")
-        .lengthscale_sq();
-    let exact_ys: Vec<Vec<f64>> = ys.iter().map(|y| y[..n_exact].to_vec()).collect();
-    let exact = dse_opt::GaussianProcess::fit_pack(
-        &xs[..n_exact],
-        &exact_ys,
-        ls,
-        dse_opt::KernelExpMode::Exact,
-    )
-    .expect("exact pack fits");
-    let sparse = dse_opt::SparseGaussianProcess::fit_pack(
-        &xs,
-        &ys,
-        ls,
-        GP_SPARSE_INDUCING,
-        dse_opt::KernelExpMode::Exact,
-    )
-    .expect("sparse pack fits");
-    let pool: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
-    let exact_batch_s = min_time(3, || {
-        for column in dse_opt::ExactColumn::solve_batch(&exact, &pool) {
-            for pred in column.predict(&exact) {
-                let _ = std::hint::black_box(pred);
-            }
-        }
-    });
-    let sparse_batch_s = min_time(3, || {
-        let corr = sparse.cross_correlations(&pool);
-        let _ = std::hint::black_box(sparse.predict_batch_from_correlations(&corr));
-    });
-    // Reported, not gated: a min-of-3 ratio of millisecond timings that
-    // moves with the scheduler. The gate counts the work instead: the
-    // kernel rows one sparse prediction correlates each pool candidate
-    // against, the inducing count however large the archive.
-    let gp_sparse_speedup = exact_batch_s / sparse_batch_s.max(1e-12);
+    let ys: Vec<f64> = out.result.evaluations.iter().map(|e| e.objectives[0]).collect();
+    let sparse =
+        dse_opt::SparseGaussianProcess::fit(&xs, &ys, GP_SPARSE_INDUCING).expect("sparse GP fits");
+    let pool = &xs[..xs.len().min(512)];
     obs::reset();
-    let _ = std::hint::black_box(sparse.cross_correlations(&pool));
+    let _ = std::hint::black_box(sparse.cross_correlations(pool));
     let gp_sparse_rows_per_candidate =
         obs::snapshot().counter("bo.gp.panel.entries") as f64 / pool.len().max(1) as f64;
-
-    // Panel-parallel probe: the same archive-sized kernel panel
-    // assembled single-stripe and column-striped across forced workers
-    // (at least two, on any host). The outputs must be bitwise identical
-    // (each entry's arithmetic never sees the stripe boundaries). The
-    // speedup is reported, not gated: it is a min-of-3 ratio of
-    // millisecond timings and moves with the scheduler (two forced
-    // workers time-slice one CPU on a single-core box). The gate reads
-    // `gp_panel_probe_stripes` instead, the stripes the forced-worker
-    // assembly split the panel into. The search's own count of striped
-    // panels, `gp_panel_parallel`, is reported only: the search stripes
-    // at `par::worker_count`, which is 1 on a single-core host.
-    let exp_mode = job.exp_mode.unwrap_or_default();
-    let panel_rows: Vec<Vec<f64>> = xs.iter().take(512).cloned().collect();
-    let panel_scale = -0.5 / ls;
-    let panel_workers = dse_opt::par::worker_count().max(2);
-    let panel = |workers: usize| {
-        dse_opt::correlation_panel_with(workers, &panel_rows, &pool, panel_scale, exp_mode)
-    };
-    let panel_1_s = min_time(3, || {
-        let _ = std::hint::black_box(panel(1));
-    });
-    let panel_n_s = min_time(3, || {
-        let _ = std::hint::black_box(panel(panel_workers));
-    });
-    let gp_panel_parallel_speedup = panel_1_s / panel_n_s.max(1e-12);
-    let single = panel(1);
-    obs::reset();
-    let striped = panel(panel_workers);
-    let gp_panel_probe_stripes = obs::snapshot().counter("bo.gp.panel.stripes");
-    assert!(
-        (0..single.rows()).all(|i| single
-            .row(i)
-            .iter()
-            .zip(striped.row(i))
-            .all(|(a, b)| a.to_bits() == b.to_bits())),
-        "striped panel assembly must be bit-identical to single-stripe assembly"
-    );
 
     // The budget is far past the exact-GP window, so the window must
     // have slid and fired downdates (the counter this leg keeps alive).
@@ -506,10 +388,7 @@ fn scale_leg() {
         ("acquisition_score_ratio".into(), num(score_ratio)),
         ("exact_acquisition_iterations".into(), num(exact_iterations as f64)),
         ("exact_acquisition_ms_per_iteration".into(), num(exact_ms_per_iteration)),
-        ("gp_sparse_speedup".into(), num(gp_sparse_speedup)),
         ("gp_sparse_rows_per_candidate".into(), num(gp_sparse_rows_per_candidate)),
-        ("gp_sparse_speedup_exact_n".into(), num(n_exact as f64)),
-        ("gp_sparse_speedup_pool".into(), num(pool.len() as f64)),
         ("gp_sparse_fits".into(), num(snap.counter("bo.gp.sparse.fit") as f64)),
         ("gp_sparse_extends".into(), num(snap.counter("bo.gp.sparse.extend") as f64)),
         ("gp_sparse_predicts".into(), num(snap.counter("bo.gp.sparse.predict") as f64)),
@@ -518,14 +397,9 @@ fn scale_leg() {
         ("gp_retargets".into(), num(snap.counter("bo.gp.retarget") as f64)),
         ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(snap.counter("bo.hv.incremental") as f64)),
-        ("kernel_exp_mode".into(), Value::Str(exp_mode.id().into())),
-        ("gp_panel_parallel_speedup".into(), num(gp_panel_parallel_speedup)),
-        ("gp_panel_parallel_workers".into(), num(panel_workers as f64)),
-        ("gp_panel_probe_stripes".into(), num(gp_panel_probe_stripes as f64)),
+        ("kernel_exp_mode".into(), Value::Str(job.exp_mode.unwrap_or_default().id().into())),
         ("gp_panel_calls".into(), num(snap.counter("bo.gp.panel.calls") as f64)),
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),
-        ("gp_panel_inline".into(), num(snap.counter("bo.gp.panel.inline") as f64)),
-        ("gp_panel_parallel".into(), num(snap.counter("bo.gp.panel.parallel") as f64)),
         (
             "acquisition_column_cache_hits".into(),
             num(snap.counter("bo.acquisition.column_cache.hit") as f64),

@@ -9,7 +9,6 @@
 use crate::error::GpError;
 use crate::fastexp::{exp_slice, KernelExpMode};
 use crate::linalg::{sq_dist, Matrix};
-use crate::par;
 use autopilot_obs as obs;
 use std::cell::RefCell;
 
@@ -115,28 +114,16 @@ fn kernel_scale(lengthscale_sq: f64) -> f64 {
     -0.5 / lengthscale_sq
 }
 
-/// Tile width: a d×TILE transposed query block plus an n-row output
-/// stripe of TILE f64s stays L1/L2-resident for the small d used here.
+/// Tile width: a d×TILE transposed query block plus the TILE-wide
+/// segment of each output row stays L1/L2-resident for the small d used
+/// here.
 const PANEL_TILE: usize = 128;
-/// Minimum panel entries worth handing to each parallel stripe worker;
-/// below this, spawning a scoped thread costs more than it saves.
-const PANEL_PAR_ENTRIES_PER_WORKER: usize = 8192;
-/// Narrowest column stripe worth dispatching to its own worker.
-const PANEL_MIN_STRIPE: usize = 16;
-
-/// Reusable per-thread panel buffers: the dimension-major transposed
-/// query tile and the output stripe being assembled. On the inline path
-/// these persist across calls, so steady-state chunk scoring allocates
-/// nothing for panel scratch; parallel-stripe workers are per-call
-/// scoped threads, so theirs are taken by value into the reassembly.
-struct PanelScratch {
-    transpose: Vec<f64>,
-    stripe: Vec<f64>,
-}
 
 std::thread_local! {
-    static PANEL_SCRATCH: RefCell<PanelScratch> =
-        const { RefCell::new(PanelScratch { transpose: Vec::new(), stripe: Vec::new() }) };
+    /// Reusable per-thread dimension-major transposed query tile; it
+    /// persists across calls, so steady-state chunk scoring allocates
+    /// nothing for panel scratch.
+    static PANEL_TRANSPOSE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Reusable kernel/solve vectors for the extend paths (`c` and
     /// `L⁻¹·c`); steady-state extends allocate nothing for them.
     static VECTOR_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
@@ -175,38 +162,15 @@ fn kernel_vector_into(
 /// bit-identical to the scalar
 /// `(sq_dist(&rows[i], &cols[j]) * scale).exp()`.
 ///
-/// Large panels fan their column stripes out across
-/// [`par::worker_count`] workers; see [`correlation_panel_with`] for the
-/// determinism contract.
+/// Every entry's arithmetic — ascending-dimension accumulation in the
+/// same order as [`sq_dist`], one multiply by `scale`, one exponential —
+/// depends only on its `(row, col)` pair; tile boundaries never enter it.
+/// The panel is built tile by tile straight into the row-major output:
+/// each tile of query points is transposed into dimension-major scratch
+/// rows, so the inner loop over the tile reads both operands contiguously
+/// and autovectorizes, and the exponential pass runs over each finished
+/// row segment while it is still cache-resident.
 pub fn correlation_panel(
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    scale: f64,
-    mode: KernelExpMode,
-) -> Matrix {
-    correlation_panel_with(par::worker_count(), rows, cols, scale, mode)
-}
-
-/// [`correlation_panel`] with an explicit worker budget.
-///
-/// The panel is split into contiguous disjoint column stripes, each
-/// assembled into a private buffer by one worker and scattered back in
-/// stripe order. Every entry's arithmetic — ascending-dimension
-/// accumulation in the same order as [`sq_dist`], one multiply by
-/// `scale`, one exponential — depends only on its `(row, col)` pair;
-/// tile and stripe boundaries never enter it. The output is therefore
-/// **bit-identical at any worker count**, including the inline path
-/// taken for small panels, for `workers <= 1`, and from inside a
-/// [`par`] worker (where nested fan-out would oversubscribe the
-/// machine).
-///
-/// Layout per stripe: the query points are transposed tile-by-tile into
-/// dimension-major scratch rows, so the inner loop over a tile of
-/// queries reads both operands contiguously and autovectorizes, and the
-/// exponential pass runs over each finished row segment while it is
-/// still cache-resident.
-pub fn correlation_panel_with(
-    workers: usize,
     rows: &[Vec<f64>],
     cols: &[Vec<f64>],
     scale: f64,
@@ -220,110 +184,37 @@ pub fn correlation_panel_with(
     }
     obs::add("bo.gp.panel.calls", 1);
     obs::add("bo.gp.panel.entries", (n * m) as u64);
-    let stripes = panel_stripe_count(workers, n, m);
-    if stripes <= 1 {
-        obs::add("bo.gp.panel.inline", 1);
-        PANEL_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            panel_stripe(rows, cols, 0, m, scale, mode, s);
-            scatter_stripe(&mut out, &s.stripe, 0, m);
-        });
-        return out;
-    }
-    obs::add("bo.gp.panel.parallel", 1);
-    obs::add("bo.gp.panel.stripes", stripes as u64);
-    obs::time("bo.gp.panel.assemble", || {
-        // Balanced contiguous stripes covering 0..m, widest first so the
-        // remainder lands on the leading stripes.
-        let base = m / stripes;
-        let extra = m % stripes;
-        let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(stripes);
-        let mut c0 = 0;
-        for sidx in 0..stripes {
-            let c1 = c0 + base + usize::from(sidx < extra);
-            bounds.push((c0, c1));
-            c0 = c1;
-        }
-        let filled = par::parallel_map_with(stripes, &bounds, |_, &(c0, c1)| {
-            PANEL_SCRATCH.with(|cell| {
-                let s = &mut *cell.borrow_mut();
-                panel_stripe(rows, cols, c0, c1, scale, mode, s);
-                std::mem::take(&mut s.stripe)
-            })
-        });
-        for (&(c0, c1), stripe) in bounds.iter().zip(&filled) {
-            scatter_stripe(&mut out, stripe, c0, c1);
+    let _span = obs::span("bo.gp.panel.assemble");
+    let d = rows[0].len();
+    PANEL_TRANSPOSE.with(|cell| {
+        let transpose = &mut *cell.borrow_mut();
+        for t0 in (0..m).step_by(PANEL_TILE) {
+            let t1 = (t0 + PANEL_TILE).min(m);
+            let w = t1 - t0;
+            transpose.clear();
+            transpose.resize(d * w, 0.0);
+            for (k, trow) in transpose.chunks_exact_mut(w).enumerate() {
+                for (slot, col) in trow.iter_mut().zip(&cols[t0..t1]) {
+                    *slot = col[k];
+                }
+            }
+            for (i, xi) in rows.iter().enumerate() {
+                let orow = &mut out.row_mut(i)[t0..t1];
+                for (k, &xik) in xi.iter().enumerate() {
+                    let qs = &transpose[k * w..k * w + w];
+                    for (acc, &q) in orow.iter_mut().zip(qs) {
+                        let t = xik - q;
+                        *acc += t * t;
+                    }
+                }
+                for v in orow.iter_mut() {
+                    *v *= scale;
+                }
+                exp_slice(orow, mode);
+            }
         }
     });
     out
-}
-
-/// How many column stripes a panel of `n×m` entries should fan out to:
-/// capped by the worker budget, by keeping at least
-/// [`PANEL_PAR_ENTRIES_PER_WORKER`] entries per worker, and by the
-/// narrowest useful stripe width. One stripe means the inline path —
-/// always the case from inside a [`par`] worker.
-fn panel_stripe_count(workers: usize, n: usize, m: usize) -> usize {
-    if workers <= 1 || par::in_worker() {
-        return 1;
-    }
-    let by_work = (n * m) / PANEL_PAR_ENTRIES_PER_WORKER;
-    let by_width = m / PANEL_MIN_STRIPE;
-    workers.min(by_work).min(by_width).max(1)
-}
-
-/// Assembles panel columns `[c0, c1)` for every row into
-/// `scratch.stripe` (row-major `n × (c1-c0)`), tile by tile.
-fn panel_stripe(
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
-    c0: usize,
-    c1: usize,
-    scale: f64,
-    mode: KernelExpMode,
-    scratch: &mut PanelScratch,
-) {
-    let d = rows[0].len();
-    let width = c1 - c0;
-    scratch.stripe.clear();
-    scratch.stripe.resize(rows.len() * width, 0.0);
-    let mut t0 = c0;
-    while t0 < c1 {
-        let t1 = (t0 + PANEL_TILE).min(c1);
-        let w = t1 - t0;
-        scratch.transpose.clear();
-        scratch.transpose.resize(d * w, 0.0);
-        for (k, trow) in scratch.transpose.chunks_exact_mut(w).enumerate() {
-            for (slot, col) in trow.iter_mut().zip(&cols[t0..t1]) {
-                *slot = col[k];
-            }
-        }
-        for (i, xi) in rows.iter().enumerate() {
-            let off = i * width + (t0 - c0);
-            let orow = &mut scratch.stripe[off..off + w];
-            for (k, &xik) in xi.iter().enumerate() {
-                let qs = &scratch.transpose[k * w..k * w + w];
-                for (acc, &q) in orow.iter_mut().zip(qs) {
-                    let t = xik - q;
-                    *acc += t * t;
-                }
-            }
-            for v in orow.iter_mut() {
-                *v *= scale;
-            }
-            exp_slice(orow, mode);
-        }
-        t0 = t1;
-    }
-}
-
-/// Copies a finished `n × (c1-c0)` stripe buffer into columns
-/// `[c0, c1)` of the output matrix.
-fn scatter_stripe(out: &mut Matrix, stripe: &[f64], c0: usize, c1: usize) {
-    let width = c1 - c0;
-    for i in 0..out.rows() {
-        out.row_mut(i)[c0..c1].copy_from_slice(&stripe[i * width..(i + 1) * width]);
-    }
 }
 
 /// Shared input validation for the exact and sparse fits.

@@ -78,8 +78,8 @@ pub use exhaustive::ExhaustiveSearch;
 pub use fastexp::{exp_slice, fast_exp, ulp_distance, KernelExpMode, GP_FASTEXP_ENV};
 pub use ga::Nsga2Optimizer;
 pub use gp::{
-    correlation_panel, correlation_panel_with, ExactColumn, GaussianProcess, SparseGaussianProcess,
-    SurrogateMode, GP_SPARSE_ENV,
+    correlation_panel, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
+    GP_SPARSE_ENV,
 };
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};

@@ -9,6 +9,10 @@
 //! expensive black-box evaluations and acquisition scoring without
 //! perturbing their deterministic trajectories.
 //!
+//! Fan-out is one level deep: the optimizers map over candidates and
+//! evaluations, and everything a worker calls — the GP kernel panels
+//! included — runs inline on that worker's thread.
+//!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! and can be overridden with the `AUTOPILOT_THREADS` environment
 //! variable (or per-optimizer via their `with_threads` builders).
@@ -65,23 +69,6 @@ fn hardware_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-std::thread_local! {
-    /// True on threads spawned by [`parallel_map_with`]. Workers are
-    /// per-call scoped threads, so the flag is set once at spawn and
-    /// dies with the thread.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// True when the calling thread is a [`parallel_map_with`] worker.
-///
-/// Nested fan-out from inside a worker would oversubscribe the machine
-/// (scoped threads have no shared pool to coordinate through), so
-/// internally-parallel kernels — the GP correlation-panel engine — check
-/// this and fall back to their inline path when already inside one.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(std::cell::Cell::get)
-}
-
 /// Maps `f` over `items` using the default worker count (see
 /// [`worker_count`]); results are returned in item order.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -128,7 +115,6 @@ where
             let f = &f;
             let worker_stats = &worker_stats;
             scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
                 let traced = flow.is_linked();
                 {
                     let _flow = obs::trace::adopt(flow);
@@ -246,19 +232,6 @@ mod tests {
     #[test]
     fn worker_count_is_positive() {
         assert!(worker_count() >= 1);
-    }
-
-    #[test]
-    fn in_worker_flag_tracks_thread_context() {
-        assert!(!in_worker(), "caller thread is not a worker");
-        let items = vec![(); 8];
-        let flags = parallel_map_with(4, &items, |_, ()| in_worker());
-        // Spawned workers must see the flag; the inline (1-worker) path
-        // runs on the caller and must not.
-        assert!(flags.iter().all(|&f| f));
-        let inline_flags = parallel_map_with(1, &items, |_, ()| in_worker());
-        assert!(inline_flags.iter().all(|&f| !f));
-        assert!(!in_worker(), "flag must not leak back to the caller");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Contract tests for the kernel-panel engine: degenerate shapes,
-//! agreement with the scalar kernel formula, and bitwise equality of
-//! the striped parallel path at every worker count.
+//! Contract tests for the kernel-panel engine: degenerate shapes and
+//! bitwise agreement with the scalar kernel formula, across tile
+//! boundaries.
 
 // Helpers shared across #[test] fns fall outside `allow-unwrap-in-tests`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use autopilot_rng::Rng;
 use dse_opt::linalg::sq_dist;
-use dse_opt::{correlation_panel, correlation_panel_with, KernelExpMode};
+use dse_opt::{correlation_panel, KernelExpMode};
 
 /// Seeded random point set, `n` points of dimension `d` in `[0, 1)^d`.
 fn points(rng: &mut Rng, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -69,65 +69,18 @@ fn single_point_panel_matches_scalar_kernel() {
 #[test]
 fn exact_panel_matches_scalar_formula_entrywise() {
     let mut rng = Rng::seed_from_u64(44);
-    // Wide enough that several PANEL_TILE tiles are exercised.
-    let rows = points(&mut rng, 9, 7);
-    let cols = points(&mut rng, 301, 7);
-    let scale = -0.5 / 0.7;
-    let p = correlation_panel_with(1, &rows, &cols, scale, KernelExpMode::Exact);
-    for (i, xi) in rows.iter().enumerate() {
-        for (j, cj) in cols.iter().enumerate() {
-            let want = (sq_dist(xi, cj) * scale).exp();
-            assert_eq!(p[(i, j)].to_bits(), want.to_bits(), "entry ({i}, {j})");
-        }
-    }
-}
-
-#[test]
-fn panel_bitwise_identical_at_every_worker_count() {
-    // Large enough that the striped parallel path actually engages
-    // (n·m = 65 536 entries clears the per-worker floor at 8 workers,
-    // and m = 1024 columns clears the minimum stripe width), on seeded
-    // random matrices. The panel contract: stripe boundaries never
-    // enter any entry's arithmetic, so every worker count — including
-    // the inline single-stripe path — produces the same bits.
-    let mut rng = Rng::seed_from_u64(45);
-    let rows = points(&mut rng, 64, 7);
-    let cols = points(&mut rng, 1024, 7);
-    let scale = -0.5 / 2.1;
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let single = correlation_panel_with(1, &rows, &cols, scale, mode);
-        for workers in [2usize, 8] {
-            let striped = correlation_panel_with(workers, &rows, &cols, scale, mode);
-            assert_eq!((striped.rows(), striped.cols()), (single.rows(), single.cols()));
-            for i in 0..single.rows() {
-                for j in 0..single.cols() {
-                    assert_eq!(
-                        striped[(i, j)].to_bits(),
-                        single[(i, j)].to_bits(),
-                        "mode {:?}: entry ({i}, {j}) diverged at {workers} workers",
-                        mode
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn ragged_stripe_widths_stay_bit_identical() {
-    // A column count that does not divide evenly across stripes, so the
-    // leading stripes carry the remainder — the scatter offsets must
-    // still reassemble the exact single-stripe panel.
-    let mut rng = Rng::seed_from_u64(46);
-    let rows = points(&mut rng, 96, 5);
-    let cols = points(&mut rng, 1021, 5);
-    let scale = -0.5 / 0.9;
-    let single = correlation_panel_with(1, &rows, &cols, scale, KernelExpMode::Exact);
-    for workers in [3usize, 5, 8] {
-        let striped = correlation_panel_with(workers, &rows, &cols, scale, KernelExpMode::Exact);
-        for i in 0..single.rows() {
-            for j in 0..single.cols() {
-                assert_eq!(striped[(i, j)].to_bits(), single[(i, j)].to_bits());
+    // Wide enough that several PANEL_TILE tiles are exercised; 1021
+    // columns leave a partial last tile.
+    for (n, m, d, lengthscale_sq) in [(9, 301, 7, 0.7), (96, 1021, 5, 0.9)] {
+        let rows = points(&mut rng, n, d);
+        let cols = points(&mut rng, m, d);
+        let scale = -0.5 / lengthscale_sq;
+        let p = correlation_panel(&rows, &cols, scale, KernelExpMode::Exact);
+        assert_eq!((p.rows(), p.cols()), (n, m));
+        for (i, xi) in rows.iter().enumerate() {
+            for (j, cj) in cols.iter().enumerate() {
+                let want = (sq_dist(xi, cj) * scale).exp();
+                assert_eq!(p[(i, j)].to_bits(), want.to_bits(), "{n}x{m}: entry ({i}, {j})");
             }
         }
     }

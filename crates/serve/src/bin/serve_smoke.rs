@@ -42,6 +42,7 @@ use autopilot_serve::{JobManager, Server};
 use dse_opt::RunControl;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uav_dynamics::UavSpec;
@@ -377,7 +378,9 @@ fn main() {
     assert!(manager.is_shutting_down(), "manager drained");
 
     // Persist the snapshot for the perf budget gate.
-    let path = autopilot_bench::write_telemetry("serve_smoke").expect("telemetry written");
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/telemetry_serve_smoke.json");
+    obs::snapshot().write_json(&path).expect("telemetry written");
     let written = std::fs::read_to_string(&path).expect("telemetry readable");
     let written = obs::Snapshot::from_json(&written).expect("telemetry parses");
     assert!(written.counter("serve.jobs.panicked") >= 1, "telemetry misses the panicked job");

@@ -10,6 +10,18 @@ echo "==> hermeticity gate: offline locked build (no registry, no network)"
 # third-party dependency fails fast, before lints or tests run.
 cargo build --workspace --offline --locked
 
+echo "==> dependency gate: no workspace crate links autopilot-bench"
+# autopilot-bench holds the paper exhibits and probes; a crate that
+# depends on it through normal dependencies drags all of them into its
+# own build, and into perfbench's. Dev-dependencies may still use it.
+# `cargo tree -i` prints the crate itself first, then its dependents.
+dependents=$(cargo tree --offline -e normal -i autopilot-bench --workspace --prefix none | tail -n +2)
+if [ -n "$dependents" ]; then
+    echo "autopilot-bench is a normal dependency of:"
+    echo "$dependents"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -200,6 +200,30 @@ fn sms_ego_run_records_column_cache_hits() {
 }
 
 #[test]
+fn every_kernel_panel_is_timed_under_the_assembly_span() {
+    let _guard = guard();
+    obs::force_metrics(true);
+
+    // Every panel the engine builds — fits, extends, candidate scoring —
+    // runs under one `bo.gp.panel.assemble` span, so the span count and
+    // the call counter move together, whatever span the panel nests in.
+    let panel_spans = |snap: &obs::Snapshot| -> u64 {
+        snap.spans
+            .iter()
+            .filter(|s| s.path.rsplit('/').next() == Some("bo.gp.panel.assemble"))
+            .map(|s| s.count)
+            .sum()
+    };
+    let ev = evaluator();
+    let before = obs::snapshot();
+    Phase2::new(OptimizerChoice::SmsEgo, 32, 5).run(&ev).expect("phase 2 runs");
+    let after = obs::snapshot();
+    let calls = after.counter("bo.gp.panel.calls") - before.counter("bo.gp.panel.calls");
+    assert!(calls > 0, "an SMS-EGO run must assemble kernel panels");
+    assert_eq!(panel_spans(&after) - panel_spans(&before), calls);
+}
+
+#[test]
 fn telemetry_snapshot_round_trips_through_json() {
     let _guard = guard();
     obs::force_metrics(true);
