@@ -18,7 +18,9 @@
 //!      cover exactly this one search;
 //!    - one metrics-off sequential run, which must repeat the counted
 //!      run's result bit for bit (sequential runs are deterministic and
-//!      metrics gating changes no result);
+//!      metrics gating changes no result), and whose heap allocations per
+//!      BO iteration the probe counts (`sms_ego_allocations_per_iteration`,
+//!      see [`CountingAlloc`]);
 //!    - one run at the default worker count, bit-identical to both;
 //!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
 //!    - a bit-identity check of per-point solves (`ExactColumn::solve`,
@@ -65,7 +67,60 @@ use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase2};
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The probe's global allocator: the system allocator, plus a count of
+/// the calls that hand out a block (`alloc`, `alloc_zeroed`, `realloc`).
+/// The count is a number the code controls, unlike a timing: a run with
+/// pinned inputs, one thread and metrics off makes the same allocations
+/// every time, however loaded the machine is.
+struct CountingAlloc;
+
+/// Blocks handed out by [`CountingAlloc`] since the process started.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract is the one this impl promises; the only
+// addition is a relaxed atomic increment, which neither allocates nor
+// unwinds. The counter publishes no other data, so `Relaxed` suffices.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was handed out by this allocator, hence by
+        // `System`, with `layout`; the caller meets the rest of
+        // `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was handed out by this allocator, hence by
+        // `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// [`CountingAlloc`]'s count so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 fn num(v: f64) -> Value {
     Value::Num(v)
@@ -114,7 +169,9 @@ fn paper_leg() {
     obs::trace::force_enabled(false);
     obs::force_metrics(false);
 
+    let allocations_before = allocations();
     let off_out = phase2_seq.run(&evaluator).expect("phase 2 runs");
+    let off_allocations = allocations() - allocations_before;
     assert_eq!(
         seq_out.result, off_out.result,
         "sequential runs must be deterministic, and metrics gating must not change results"
@@ -153,6 +210,8 @@ fn paper_leg() {
         .filter(|s| s.path.ends_with("/bo.acquisition"))
         .map(|s| s.count)
         .sum();
+    let bo_iterations: u64 =
+        seq_snap.spans.iter().filter(|s| s.path.ends_with("/bo.iteration")).map(|s| s.count).sum();
     let hv_boxes = seq_snap.counter("bo.hv.boxes");
     let hv_front_points = seq_snap.counter("bo.hv.front_points");
     assert_eq!(
@@ -274,6 +333,12 @@ fn paper_leg() {
         (
             "acquisition_solved_fraction".into(),
             num(acquisition_solved as f64 / acquisition_bounded.max(1) as f64),
+        ),
+        ("bo_iterations".into(), num(bo_iterations as f64)),
+        ("sms_ego_allocations".into(), num(off_allocations as f64)),
+        (
+            "sms_ego_allocations_per_iteration".into(),
+            num(off_allocations as f64 / bo_iterations.max(1) as f64),
         ),
         ("systolic_layers_simulated".into(), num(systolic_layers as f64)),
         ("systolic_memo_hits".into(), num(memo.hits as f64)),

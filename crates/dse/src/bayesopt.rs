@@ -1,10 +1,17 @@
 //! Multi-objective Bayesian optimization with the SMS-EGO acquisition.
+//!
+//! Design points are identified by their rank in the design space
+//! ([`DesignSpace::rank`]): the evaluated set, the per-iteration
+//! candidate pool and the cross-iteration column cache are all keyed by
+//! it, and the pool is drawn, deduplicated and encoded in flat buffers
+//! reused across iterations, so only the winning point of an iteration
+//! becomes a `Vec<usize>`.
 
 use autopilot_obs as obs;
 use autopilot_rng::Rng;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::{Mutex, PoisonError};
 
 use crate::control::RunControl;
@@ -18,7 +25,7 @@ use crate::linalg::Matrix;
 use crate::par;
 use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
 use crate::result::{EvaluationRecord, OptimizationResult};
-use crate::space::DesignSpace;
+use crate::space::{DesignSpace, RankMap, RankSet};
 
 /// S-Metric-Selection Efficient Global Optimization (Ponweiser et al.,
 /// PPSN 2008), the acquisition strategy AutoPilot uses in Phase 2.
@@ -35,7 +42,9 @@ use crate::space::DesignSpace;
 /// range moves of the normalization *retarget* the existing
 /// factorization instead of refitting, window slides *downdate* it one
 /// oldest point at a time, objective ranges are running min/max rather
-/// than per-iteration rescans, candidate scores reuse a per-iteration
+/// than per-iteration rescans, the candidate pool is built in flat
+/// buffers keyed by point rank (see `CandidatePool`), candidate scores
+/// reuse a per-iteration
 /// [`ContributionScorer`] (one branch-free loop per candidate over a box
 /// partition of the region the front does not dominate), front
 /// neighbours that recur from one pool to the next keep their surrogate
@@ -136,10 +145,11 @@ impl SmsEgoOptimizer {
 }
 
 /// Evaluation archive with running objective ranges (incremental min/max
-/// instead of a full history rescan every BO iteration).
+/// instead of a full history rescan every BO iteration). `seen` holds
+/// the ranks ([`DesignSpace::rank`]) of the points evaluated or planned.
 struct Archive {
     history: Vec<EvaluationRecord>,
-    seen: HashSet<Vec<usize>>,
+    seen: RankSet,
     mins: Vec<f64>,
     maxs: Vec<f64>,
 }
@@ -148,7 +158,7 @@ impl Archive {
     fn new(n_obj: usize, budget: usize) -> Archive {
         Archive {
             history: Vec::with_capacity(budget),
-            seen: HashSet::new(),
+            seen: RankSet::default(),
             mins: vec![f64::INFINITY; n_obj],
             maxs: vec![f64::NEG_INFINITY; n_obj],
         }
@@ -158,12 +168,12 @@ impl Archive {
         self.history.len()
     }
 
-    fn commit(&mut self, point: Vec<usize>, objectives: Vec<f64>) {
+    fn commit(&mut self, space: &DesignSpace, point: Vec<usize>, objectives: Vec<f64>) {
         for (i, &v) in objectives.iter().enumerate() {
             self.mins[i] = self.mins[i].min(v);
             self.maxs[i] = self.maxs[i].max(v);
         }
-        self.seen.insert(point.clone());
+        self.seen.insert(space.rank(&point));
         self.history.push(EvaluationRecord { iteration: self.history.len(), point, objectives });
     }
 }
@@ -195,7 +205,8 @@ const EPS: f64 = 1e-3;
 ///
 /// It also carries the [`ColumnCache`]: the surrogate columns of the
 /// previous pool's front neighbours, which mostly recur in the next
-/// pool.
+/// pool; and the [`CandidatePool`]'s buffers, which every iteration
+/// refills.
 struct AcquisitionState {
     raw_front: IncrementalFront,
     norm_front: IncrementalFront,
@@ -203,6 +214,7 @@ struct AcquisitionState {
     norm_maxs: Vec<f64>,
     synced: usize,
     columns: ColumnCache,
+    pool: CandidatePool,
 }
 
 impl AcquisitionState {
@@ -213,7 +225,8 @@ impl AcquisitionState {
             norm_mins: vec![f64::INFINITY; n_obj],
             norm_maxs: vec![f64::NEG_INFINITY; n_obj],
             synced: 0,
-            columns: ColumnCache { key: (0, 0), columns: HashMap::new() },
+            columns: ColumnCache { key: (0, 0), columns: RankMap::default() },
+            pool: CandidatePool::default(),
         }
     }
 
@@ -256,8 +269,8 @@ enum Column {
 }
 
 /// The cross-iteration column cache: per-candidate surrogate columns,
-/// keyed by ordinal candidate, valid for one `(fit generation, window
-/// start)`.
+/// keyed by candidate rank ([`DesignSpace::rank`]), valid for one
+/// `(fit generation, window start)`.
 ///
 /// Within one key the exact pack only extends and retargets, so a
 /// solved exact column is brought current by [`ExactColumn::refresh`]
@@ -274,35 +287,141 @@ enum Column {
 /// memory is bounded by the live neighbourhood rather than by a cap.
 struct ColumnCache {
     key: (u64, usize),
-    columns: HashMap<Vec<usize>, Column>,
+    columns: RankMap<Column>,
 }
 
 impl ColumnCache {
-    /// Takes the pool's cached columns out, in pool order (`None` for a
-    /// miss), and evicts every other entry. A cache filled under another
-    /// key is cleared first.
-    fn take(&mut self, key: (u64, usize), pool: &[Vec<usize>]) -> Vec<Option<Column>> {
+    /// Takes the columns of the pool's candidates (by rank) out, in pool
+    /// order (`None` for a miss), and evicts every other entry. A cache
+    /// filled under another key is cleared first.
+    fn take(&mut self, key: (u64, usize), ranks: &[u64]) -> Vec<Option<Column>> {
         if self.key != key {
             self.columns.clear();
             self.key = key;
         }
         let taken: Vec<Option<Column>> =
-            pool.iter().map(|cand| self.columns.remove(cand)).collect();
+            ranks.iter().map(|rank| self.columns.remove(rank)).collect();
         self.columns.clear();
         let hits = taken.iter().filter(|c| c.is_some()).count();
         obs::add("bo.acquisition.column_cache.hit", hits as u64);
-        obs::add("bo.acquisition.column_cache.miss", (pool.len() - hits) as u64);
+        obs::add("bo.acquisition.column_cache.miss", (ranks.len() - hits) as u64);
         taken
     }
 
     /// Puts back the columns scoring kept (the pool's front neighbours'),
     /// in pool order.
-    fn put_back(&mut self, pool: &[Vec<usize>], columns: Vec<Option<Column>>) {
-        for (cand, column) in pool.iter().zip(columns) {
+    fn put_back(&mut self, ranks: &[u64], columns: Vec<Option<Column>>) {
+        for (&rank, column) in ranks.iter().zip(columns) {
             if let Some(column) = column {
-                self.columns.insert(cand.clone(), column);
+                self.columns.insert(rank, column);
             }
         }
+    }
+}
+
+/// One iteration's SMS-EGO candidate pool in flat buffers: points
+/// `dims` entries each, identified by rank ([`DesignSpace::rank`]). The
+/// buffers live in the [`AcquisitionState`] and are refilled every
+/// iteration, so once they have grown to the largest pool, building and
+/// encoding a pool allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct CandidatePool {
+    dims: usize,
+    /// Every draw of the last build, `dims` entries each.
+    drawn: Vec<usize>,
+    /// Pool index by rank, for the deduplication.
+    slots: RankMap<usize>,
+    /// The candidates, `dims` entries each, in first-draw order.
+    points: Vec<usize>,
+    ranks: Vec<u64>,
+    /// Whether any draw of the candidate was a front neighbour.
+    neighbour: Vec<bool>,
+    /// The candidates' encodings ([`DesignSpace::encode_into`]), `dims`
+    /// entries each.
+    encoded: Vec<f64>,
+}
+
+impl CandidatePool {
+    /// Refills the pool: draws `random` uniform points, then the ordinal
+    /// neighbours of each point of `front` in turn, and keeps in draw
+    /// order the first draw of every point whose rank is not in `seen`.
+    /// A kept candidate is flagged as a neighbour when any of its draws
+    /// was one.
+    ///
+    /// Dropping seen candidates and repeats changes no pick: a seen
+    /// candidate is never picked, and a repeat scores like its first
+    /// draw, which first-max-wins prefers. The RNG draws themselves do
+    /// not depend on what is dropped.
+    pub(crate) fn build<'p>(
+        &mut self,
+        space: &DesignSpace,
+        seen: &RankSet,
+        random: usize,
+        front: impl IntoIterator<Item = &'p [usize]>,
+        rng: &mut Rng,
+    ) {
+        self.dims = space.dims();
+        self.drawn.clear();
+        for _ in 0..random {
+            space.random_point_into(rng, &mut self.drawn);
+        }
+        for point in front {
+            space.neighbors_into(point, &mut self.drawn);
+        }
+        self.slots.clear();
+        self.points.clear();
+        self.ranks.clear();
+        self.neighbour.clear();
+        for (k, cand) in self.drawn.chunks_exact(self.dims).enumerate() {
+            let is_neighbour = k >= random;
+            let rank = space.rank(cand);
+            if seen.contains(&rank) {
+                continue;
+            }
+            match self.slots.entry(rank) {
+                Entry::Occupied(slot) => self.neighbour[*slot.get()] |= is_neighbour,
+                Entry::Vacant(slot) => {
+                    slot.insert(self.ranks.len());
+                    self.points.extend_from_slice(cand);
+                    self.ranks.push(rank);
+                    self.neighbour.push(is_neighbour);
+                }
+            }
+        }
+    }
+
+    /// Number of candidates.
+    fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Candidate `i`'s point.
+    fn point(&self, i: usize) -> &[usize] {
+        &self.points[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// The candidates' ranks, in pool order.
+    fn ranks(&self) -> &[u64] {
+        &self.ranks
+    }
+
+    /// Per candidate, whether it was drawn as a front neighbour.
+    fn neighbour(&self) -> &[bool] {
+        &self.neighbour
+    }
+
+    /// Encodes every candidate into the pool's encoding buffer.
+    fn encode(&mut self, space: &DesignSpace) {
+        self.encoded.clear();
+        for point in self.points.chunks_exact(self.dims) {
+            space.encode_into(point, &mut self.encoded);
+        }
+    }
+
+    /// The encodings of the last [`CandidatePool::encode`], one slice per
+    /// candidate.
+    fn encoded(&self) -> Vec<&[f64]> {
+        self.encoded.chunks_exact(self.dims).collect()
     }
 }
 
@@ -571,29 +690,28 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
             if archive.len() + planned.len() >= budget {
                 break;
             }
-            if space.contains(p) && !archive.seen.contains(p) && !planned.contains(p) {
+            if space.contains(p) && !archive.seen.contains(&space.rank(p)) && !planned.contains(p) {
                 planned.push(p.clone());
             }
         }
         for p in &planned {
-            archive.seen.insert(p.clone());
+            archive.seen.insert(space.rank(p));
         }
         let init_target = self.init_samples.min(budget);
         let mut retries = 0;
         while archive.len() + planned.len() < init_target && retries < budget * 20 + 100 {
             let p = space.random_point(&mut rng);
-            if archive.seen.contains(&p) {
+            if !archive.seen.insert(space.rank(&p)) {
                 retries += 1;
                 continue;
             }
-            archive.seen.insert(p.clone());
             planned.push(p);
         }
         control.check()?;
         let objectives: Vec<Result<Vec<f64>, EvalError>> =
             par::parallel_map_with(workers, &planned, |_, p| evaluator.evaluate(p));
         for (p, o) in planned.into_iter().zip(objectives) {
-            archive.commit(p, o?);
+            archive.commit(space, p, o?);
         }
 
         // BO loop: one evaluation per iteration, surrogates and Pareto
@@ -633,7 +751,7 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
                 }
             };
             let objectives = evaluator.evaluate(&p)?;
-            archive.commit(p, objectives);
+            archive.commit(space, p, objectives);
         }
 
         Ok(OptimizationResult::from_history(
@@ -670,58 +788,39 @@ impl SmsEgoOptimizer {
         obs::add("bo.hv.front_points", scorer.len() as u64);
 
         // Candidate pool: random points plus ordinal neighbours of the
-        // Pareto-set designs (local refinement). Drawn sequentially so the
-        // RNG stream is independent of the parallel scoring below.
-        let mut drawn: Vec<Vec<usize>> = Vec::with_capacity(self.candidate_pool + 64);
-        for _ in 0..self.candidate_pool {
-            drawn.push(space.random_point(rng));
-        }
-        for &i in acquisition.raw_front.indices().iter().take(16) {
-            drawn.extend(space.neighbors(&archive.history[i].point));
-        }
-        // Drop already-evaluated candidates and intra-pool duplicates
-        // before any GP work: a seen candidate is never picked, and an
-        // identical candidate scores identically, so
-        // under first-max-wins neither can change the selection — the
-        // pool just stops paying kernel and triangular work for
-        // candidates that cannot win. (The RNG draws above are
-        // untouched; only the scored set shrinks.) Each survivor
-        // remembers whether it was drawn as a front neighbour: only
-        // those keep their columns for the next iteration.
-        let mut slots: HashMap<Vec<usize>, usize> = HashMap::with_capacity(drawn.len());
-        let mut pool: Vec<Vec<usize>> = Vec::with_capacity(drawn.len());
-        let mut neighbour: Vec<bool> = Vec::with_capacity(drawn.len());
-        for (d, cand) in drawn.into_iter().enumerate() {
-            let is_neighbour = d >= self.candidate_pool;
-            if archive.seen.contains(&cand) {
-                continue;
-            }
-            match slots.entry(cand) {
-                Entry::Occupied(slot) => neighbour[*slot.get()] |= is_neighbour,
-                Entry::Vacant(slot) => {
-                    pool.push(slot.key().clone());
-                    neighbour.push(is_neighbour);
-                    slot.insert(pool.len() - 1);
-                }
-            }
-        }
-        drop(slots);
+        // Pareto-set designs (local refinement), without the evaluated
+        // points and repeats (see `CandidatePool::build`). Drawn
+        // sequentially so the RNG stream is independent of the parallel
+        // scoring below. Each candidate remembers whether it was drawn as
+        // a front neighbour: only those keep their columns for the next
+        // iteration.
+        let pool = &mut acquisition.pool;
+        let front_points = acquisition.raw_front.indices().iter().take(16);
+        pool.build(
+            space,
+            &archive.seen,
+            self.candidate_pool,
+            front_points.map(|&i| archive.history[i].point.as_slice()),
+            rng,
+        );
         obs::observe("bo.acquisition.pool_size", pool.len() as f64);
 
         // Take the pool's cached columns out of the cross-iteration cache,
         // score the pool, and put the front neighbours' columns back for
-        // the next iteration. Cache traffic and the encoded points'
-        // allocation are charged to the score / gp_predict spans like the
-        // GP work itself.
+        // the next iteration. Cache traffic and the candidates' encoding
+        // are charged to the score / gp_predict spans like the GP work
+        // itself.
         let key = (surrogates.fit_generation, surrogates.start);
         let columns = obs::time("bo.acquisition.score", || {
-            obs::time("bo.acquisition.gp_predict", || acquisition.columns.take(key, &pool))
+            obs::time("bo.acquisition.gp_predict", || {
+                pool.encode(space);
+                acquisition.columns.take(key, pool.ranks())
+            })
         });
+        let pool = &*pool;
         let (best, columns) = obs::time("bo.acquisition.score", || {
-            let points: Vec<Vec<f64>> = obs::time("bo.acquisition.gp_predict", || {
-                pool.iter().map(|c| space.encode(c)).collect()
-            });
-            let picked = match &surrogates.pack {
+            let points = pool.encoded();
+            match &surrogates.pack {
                 SurrogatePack::Exact(gp) => {
                     let mut slots: Vec<Option<ExactSlot>> = columns
                         .into_iter()
@@ -732,7 +831,7 @@ impl SmsEgoOptimizer {
                         .collect();
                     let acquisition = ExactAcquisition::new(gp, &scorer);
                     let best = obs::time("bo.acquisition.exact", || {
-                        acquisition.select(&points, &mut slots, &neighbour, workers)
+                        acquisition.select(&points, &mut slots, pool.neighbour(), workers)
                     });
                     (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
                 }
@@ -745,17 +844,17 @@ impl SmsEgoOptimizer {
                         })
                         .collect();
                     let acquisition = SparseAcquisition::new(gp, &scorer);
-                    let best = acquisition.select(&points, &mut slots, &neighbour, workers);
+                    let best = acquisition.select(&points, &mut slots, pool.neighbour(), workers);
                     (best, slots.into_iter().map(|slot| slot.map(Column::Sparse)).collect())
                 }
-            };
-            obs::time("bo.acquisition.gp_predict", || drop(points));
-            picked
+            }
         });
         obs::time("bo.acquisition.score", || {
-            obs::time("bo.acquisition.gp_predict", || acquisition.columns.put_back(&pool, columns))
+            obs::time("bo.acquisition.gp_predict", || {
+                acquisition.columns.put_back(pool.ranks(), columns)
+            })
         });
-        best.map(|i| pool.swap_remove(i))
+        best.map(|i| pool.point(i).to_vec())
     }
 }
 
@@ -807,7 +906,7 @@ impl<'a> SparseAcquisition<'a> {
     /// wrong dimension, or a column has the wrong length.
     pub fn select(
         &self,
-        points: &[Vec<f64>],
+        points: &[impl AsRef<[f64]> + Sync],
         columns: &mut [Option<Vec<f64>>],
         keep: &[bool],
         workers: usize,
@@ -819,7 +918,7 @@ impl<'a> SparseAcquisition<'a> {
             if misses.is_empty() {
                 return;
             }
-            let miss_points: Vec<Vec<f64>> = misses.iter().map(|&j| points[j].clone()).collect();
+            let miss_points: Vec<&[f64]> = misses.iter().map(|&j| points[j].as_ref()).collect();
             let panel = self.pack.cross_correlations(&miss_points);
             for (k, &j) in misses.iter().enumerate() {
                 columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
@@ -1135,7 +1234,7 @@ impl<'a> ExactAcquisition<'a> {
     /// wrong dimension, or a slot was taken against a larger pack.
     pub fn select(
         &self,
-        points: &[Vec<f64>],
+        points: &[impl AsRef<[f64]> + Sync],
         slots: &mut [Option<ExactSlot>],
         keep: &[bool],
         workers: usize,
@@ -1278,16 +1377,16 @@ impl<'a> ExactAcquisition<'a> {
     fn first_pass(
         &self,
         base: usize,
-        points: &[Vec<f64>],
+        points: &[impl AsRef<[f64]>],
         slots: &mut [Option<ExactSlot>],
     ) -> Vec<FirstPass> {
         obs::observe("bo.acquisition.batch_size", points.len() as f64);
         let lcbs: Vec<Lcb> = obs::time("bo.acquisition.gp_predict", || {
-            let misses: Vec<Vec<f64>> = points
+            let misses: Vec<&[f64]> = points
                 .iter()
                 .zip(slots.iter())
                 .filter(|(_, slot)| slot.is_none())
-                .map(|(p, _)| p.clone())
+                .map(|(p, _)| p.as_ref())
                 .collect();
             let panel = self.pack.cross_correlations(&misses);
             let mut next_miss = 0;
@@ -1296,6 +1395,7 @@ impl<'a> ExactAcquisition<'a> {
                 .zip(slots.iter_mut())
                 .enumerate()
                 .map(|(i, (point, slot))| {
+                    let point = point.as_ref();
                     if let Some(ExactSlot::Solved(column)) = slot {
                         column.refresh(self.pack, point);
                         return Lcb::Exact(self.exact_lcb(column));
@@ -1342,13 +1442,13 @@ fn normalize(v: f64, min: f64, max: f64) -> f64 {
 
 fn fresh_random(
     space: &DesignSpace,
-    seen: &HashSet<Vec<usize>>,
+    seen: &RankSet,
     rng: &mut Rng,
     retries: usize,
 ) -> Option<Vec<usize>> {
     for _ in 0..retries {
         let p = space.random_point(rng);
-        if !seen.contains(&p) {
+        if !seen.contains(&space.rank(&p)) {
             return Some(p);
         }
     }
@@ -1360,6 +1460,88 @@ mod tests {
     use super::*;
     use crate::evaluator::test_problems::{Bowl3, Tradeoff};
     use crate::random::RandomSearch;
+    use std::collections::{HashMap, HashSet};
+
+    /// The pool as it was built with one `Vec<usize>` per draw and
+    /// `Vec`-keyed maps: the reference for [`CandidatePool::build`].
+    /// Returns the pool, its neighbour flags, and how many draws were
+    /// seen, repeated an earlier draw, and flipped an earlier draw's flag.
+    fn vec_keyed_pool(
+        space: &DesignSpace,
+        seen: &HashSet<Vec<usize>>,
+        random: usize,
+        front: &[Vec<usize>],
+        rng: &mut Rng,
+    ) -> (Vec<Vec<usize>>, Vec<bool>, [usize; 3]) {
+        let mut drawn: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..random {
+            drawn.push((0..space.dims()).map(|d| rng.below(space.cardinality(d))).collect());
+        }
+        for p in front {
+            drawn.extend(space.neighbors(p));
+        }
+        let mut slots: HashMap<Vec<usize>, usize> = HashMap::new();
+        let (mut pool, mut neighbour, mut events) = (Vec::new(), Vec::<bool>::new(), [0; 3]);
+        for (d, cand) in drawn.into_iter().enumerate() {
+            let is_neighbour = d >= random;
+            if seen.contains(&cand) {
+                events[0] += 1;
+                continue;
+            }
+            match slots.entry(cand) {
+                Entry::Occupied(slot) => {
+                    events[1] += 1;
+                    events[2] += usize::from(is_neighbour && !neighbour[*slot.get()]);
+                    neighbour[*slot.get()] |= is_neighbour;
+                }
+                Entry::Vacant(slot) => {
+                    pool.push(slot.key().clone());
+                    neighbour.push(is_neighbour);
+                    slot.insert(pool.len() - 1);
+                }
+            }
+        }
+        (pool, neighbour, events)
+    }
+
+    #[test]
+    fn candidate_pool_matches_the_vec_keyed_construction() {
+        // A Table-II-shaped space, where repeats come from clustered
+        // front points, and a 12-point space, where random draws repeat
+        // each other and the neighbours too. One pool is refilled
+        // throughout, as across BO iterations.
+        let mut pool = CandidatePool::default();
+        let mut events = [0; 3];
+        for (cards, random) in [(vec![9, 3, 8, 8, 8, 8, 8], 128), (vec![3, 2, 2], 24)] {
+            let space = DesignSpace::new(cards).unwrap();
+            for seed in 0..6 {
+                let mut rng = Rng::seed_from_u64(seed);
+                let base = space.random_point(&mut rng);
+                let mut front = vec![base.clone()];
+                front.extend(space.neighbors(&base).into_iter().step_by(2).take(7));
+                let mut seen_points = front.clone();
+                seen_points.extend((0..8).map(|_| space.random_point(&mut rng)));
+                let seen_vec: HashSet<Vec<usize>> = seen_points.iter().cloned().collect();
+                let seen: RankSet = seen_points.iter().map(|p| space.rank(p)).collect();
+
+                let (mut want_rng, mut got_rng) = (rng.clone(), rng);
+                let (want, want_neighbour, e) =
+                    vec_keyed_pool(&space, &seen_vec, random, &front, &mut want_rng);
+                pool.build(&space, &seen, random, front.iter().map(Vec::as_slice), &mut got_rng);
+                let got: Vec<Vec<usize>> =
+                    (0..pool.len()).map(|i| pool.point(i).to_vec()).collect();
+                assert_eq!(got, want, "seed {seed}");
+                assert_eq!(pool.neighbour(), want_neighbour, "seed {seed}");
+                let ranks: Vec<u64> = want.iter().map(|p| space.rank(p)).collect();
+                assert_eq!(pool.ranks(), ranks, "seed {seed}");
+                assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "same draws, seed {seed}");
+                for (total, e) in events.iter_mut().zip(e) {
+                    *total += e;
+                }
+            }
+        }
+        assert!(events.iter().all(|&e| e > 0), "seen draws, repeats and flag merges: {events:?}");
+    }
 
     #[test]
     fn respects_budget_without_duplicates() {

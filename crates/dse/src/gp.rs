@@ -170,9 +170,12 @@ fn kernel_vector_into(
 /// rows, so the inner loop over the tile reads both operands contiguously
 /// and autovectorizes, and the exponential pass runs over each finished
 /// row segment while it is still cache-resident.
+///
+/// Rows and columns are any point slices (`Vec<f64>`s, or `&[f64]`
+/// views into one flat buffer), so callers need not copy them.
 pub fn correlation_panel(
-    rows: &[Vec<f64>],
-    cols: &[Vec<f64>],
+    rows: &[impl AsRef<[f64]>],
+    cols: &[impl AsRef<[f64]>],
     scale: f64,
     mode: KernelExpMode,
 ) -> Matrix {
@@ -185,7 +188,7 @@ pub fn correlation_panel(
     obs::add("bo.gp.panel.calls", 1);
     obs::add("bo.gp.panel.entries", (n * m) as u64);
     let _span = obs::span("bo.gp.panel.assemble");
-    let d = rows[0].len();
+    let d = rows[0].as_ref().len();
     PANEL_TRANSPOSE.with(|cell| {
         let transpose = &mut *cell.borrow_mut();
         for t0 in (0..m).step_by(PANEL_TILE) {
@@ -195,12 +198,12 @@ pub fn correlation_panel(
             transpose.resize(d * w, 0.0);
             for (k, trow) in transpose.chunks_exact_mut(w).enumerate() {
                 for (slot, col) in trow.iter_mut().zip(&cols[t0..t1]) {
-                    *slot = col[k];
+                    *slot = col.as_ref()[k];
                 }
             }
             for (i, xi) in rows.iter().enumerate() {
                 let orow = &mut out.row_mut(i)[t0..t1];
-                for (k, &xik) in xi.iter().enumerate() {
+                for (k, &xik) in xi.as_ref().iter().enumerate() {
                     let qs = &transpose[k * w..k * w + w];
                     for (acc, &q) in orow.iter_mut().zip(qs) {
                         let t = xik - q;
@@ -575,10 +578,10 @@ impl GaussianProcess {
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
-    pub fn cross_correlations(&self, points: &[Vec<f64>]) -> Matrix {
+    pub fn cross_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
         let dim = self.x[0].len();
         for p in points {
-            assert_eq!(p.len(), dim, "dimension mismatch");
+            assert_eq!(p.as_ref().len(), dim, "dimension mismatch");
         }
         correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
     }
@@ -1003,7 +1006,7 @@ impl SparseGaussianProcess {
         let b = cnm.gram();
         let a = Matrix::from_fn(m, m, |i, j| cmm[(i, j)] + b[(i, j)] / RELATIVE_NOISE);
         let l_a = a.cholesky().ok_or(GpError::NotPositiveDefinite)?;
-        let cmm_inv = l_mm.invert_lower().gram();
+        let cmm_inv = l_mm.invert_lower().gram_of_lower();
         let var_form_l = variance_form(&cmm_inv, &l_a);
 
         let mut gp = SparseGaussianProcess {
@@ -1082,10 +1085,10 @@ impl SparseGaussianProcess {
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
-    pub fn cross_correlations(&self, points: &[Vec<f64>]) -> Matrix {
+    pub fn cross_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
         let dim = self.inducing[0].len();
         for p in points {
-            assert_eq!(p.len(), dim, "dimension mismatch");
+            assert_eq!(p.as_ref().len(), dim, "dimension mismatch");
         }
         correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
     }
@@ -1236,7 +1239,7 @@ impl SparseGaussianProcess {
 fn variance_form(cmm_inv: &Matrix, l_a: &Matrix) -> Option<Matrix> {
     let m = cmm_inv.rows();
     // A⁻¹ = YᵀY for Y = L_A⁻¹.
-    let gy = l_a.invert_lower().gram();
+    let gy = l_a.invert_lower().gram_of_lower();
     let d = Matrix::from_fn(m, m, |i, j| {
         cmm_inv[(i, j)] - gy[(i, j)] + if i == j { INDUCING_RIDGE } else { 0.0 }
     });

@@ -482,16 +482,48 @@ impl Matrix {
     /// result), accumulated row-by-row so the `n`-long dimension streams
     /// through the cache once — the `CₙₘᵀCₙₘ` product of the sparse-GP
     /// fit.
+    ///
+    /// Entry `(i, j)` is `Σᵣ a_ri·a_rj` accumulated from `0.0` in
+    /// ascending `r`. Only the lower half is accumulated; the upper half
+    /// is its mirror, which is exact because `a·b == b·a` in floating
+    /// point.
     pub fn gram(&self) -> Matrix {
+        self.gram_of_row_prefixes(|_| self.cols)
+    }
+
+    /// [`Matrix::gram`] of a square lower-triangular matrix (such as
+    /// [`Matrix::invert_lower`]'s output), skipping the exactly-zero
+    /// upper triangle: row `r` contributes only its first `r + 1`
+    /// entries. For finite entries the result is bit-identical to
+    /// `gram()`: every skipped term is a `±0.0` product, each sum starts
+    /// at `+0.0` (so it is never `-0.0`), and adding `±0.0` to such a sum
+    /// leaves it unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub fn gram_of_lower(&self) -> Matrix {
+        assert_eq!(self.rows, self.cols, "gram_of_lower requires a square matrix");
+        self.gram_of_row_prefixes(|r| r + 1)
+    }
+
+    /// The Gram matrix when row `r` has nonzero entries only among its
+    /// first `width(r)` columns.
+    fn gram_of_row_prefixes(&self, width: impl Fn(usize) -> usize) -> Matrix {
         let m = self.cols;
         let mut g = Matrix::zeros(m, m);
         for r in 0..self.rows {
-            let row = &self.data[r * m..(r + 1) * m];
+            let row = &self.data[r * m..r * m + width(r).min(m)];
             for (i, &ai) in row.iter().enumerate() {
-                let gi = &mut g.data[i * m..(i + 1) * m];
+                let gi = &mut g.data[i * m..i * m + i + 1];
                 for (gij, &aj) in gi.iter_mut().zip(row) {
                     *gij += ai * aj;
                 }
+            }
+        }
+        for i in 0..m {
+            for j in 0..i {
+                g.data[j * m + i] = g.data[i * m + j];
             }
         }
         g
@@ -785,6 +817,43 @@ mod tests {
                 s += a[(r, j)] * v[r];
             }
             assert!((gj - s).abs() < 1e-12, "{j}");
+        }
+    }
+
+    #[test]
+    fn gram_matches_the_full_triple_loop_bitwise() {
+        // The full row-by-row accumulation over every (i, j) pair, as
+        // `gram` computed it before it kept only the lower half.
+        fn full(a: &Matrix) -> Matrix {
+            let m = a.cols;
+            let mut g = Matrix::zeros(m, m);
+            for r in 0..a.rows {
+                let row = a.row(r);
+                for (i, &ai) in row.iter().enumerate() {
+                    for (j, &aj) in row.iter().enumerate() {
+                        g.data[i * m + j] += ai * aj;
+                    }
+                }
+            }
+            g
+        }
+        let bits = |g: &Matrix| g.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let dense = Matrix::from_fn(9, 5, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.37 - 1.9);
+        assert_eq!(bits(&dense.gram()), bits(&full(&dense)));
+        // Lower-triangular inputs with negative entries: an inverted
+        // Cholesky factor (as both sparse-GP call sites pass) and a
+        // hand-made one with negative zeros and negative diagonals.
+        let inverted = spd(13, 1.5).cholesky().expect("SPD").invert_lower();
+        assert!(inverted.data.iter().any(|&v| v < 0.0));
+        let signed = Matrix::from_fn(12, 12, |r, c| match (r.cmp(&c), (r * 5 + c) % 4) {
+            (std::cmp::Ordering::Less, _) => 0.0,
+            (_, 0) => -0.0,
+            _ => ((r * 13 + c * 7) % 17) as f64 * 0.29 - 2.3,
+        });
+        for l in [inverted, signed] {
+            let want = bits(&full(&l));
+            assert_eq!(bits(&l.gram()), want);
+            assert_eq!(bits(&l.gram_of_lower()), want);
         }
     }
 

@@ -19,7 +19,7 @@ fn empty_rows_give_zero_by_m_panel() {
     let mut rng = Rng::seed_from_u64(41);
     let cols = points(&mut rng, 5, 3);
     for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let p = correlation_panel(&[], &cols, -0.5, mode);
+        let p = correlation_panel(&[] as &[Vec<f64>], &cols, -0.5, mode);
         assert_eq!((p.rows(), p.cols()), (0, 5));
     }
 }
@@ -29,7 +29,7 @@ fn empty_cols_give_n_by_zero_panel() {
     let mut rng = Rng::seed_from_u64(42);
     let rows = points(&mut rng, 4, 3);
     for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        let p = correlation_panel(&rows, &[], -0.5, mode);
+        let p = correlation_panel(&rows, &[] as &[Vec<f64>], -0.5, mode);
         assert_eq!((p.rows(), p.cols()), (4, 0));
     }
 }
