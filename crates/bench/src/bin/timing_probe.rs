@@ -21,6 +21,11 @@
 //!      metrics gating changes no result), and whose heap allocations per
 //!      BO iteration the probe counts (`sms_ego_allocations_per_iteration`,
 //!      see [`CountingAlloc`]);
+//!    - one untraced metrics-on sequential run, which must repeat it too,
+//!      and whose allocations per BO iteration are counted the same way
+//!      (`sms_ego_allocations_per_iteration_metrics_on`): the counted run
+//!      has registered every metric name, so what this adds over the
+//!      metrics-off count is what recording itself allocates;
 //!    - one run at the default worker count, bit-identical to both;
 //!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
 //!    - a bit-identity check of per-point solves (`ExactColumn::solve`,
@@ -176,6 +181,12 @@ fn paper_leg() {
         seq_out.result, off_out.result,
         "sequential runs must be deterministic, and metrics gating must not change results"
     );
+    obs::force_metrics(true);
+    let allocations_before = allocations();
+    let on_out = phase2_seq.run(&evaluator).expect("phase 2 runs");
+    let on_allocations = allocations() - allocations_before;
+    obs::force_metrics(false);
+    assert_eq!(on_out.result, off_out.result, "metrics gating must not change results");
 
     let cache_hits = seq_snap.counter("phase2.candidate_cache.hits");
     let cache_misses = seq_snap.counter("phase2.candidate_cache.misses");
@@ -339,6 +350,10 @@ fn paper_leg() {
         (
             "sms_ego_allocations_per_iteration".into(),
             num(off_allocations as f64 / bo_iterations.max(1) as f64),
+        ),
+        (
+            "sms_ego_allocations_per_iteration_metrics_on".into(),
+            num(on_allocations as f64 / bo_iterations.max(1) as f64),
         ),
         ("systolic_layers_simulated".into(), num(systolic_layers as f64)),
         ("systolic_memo_hits".into(), num(memo.hits as f64)),

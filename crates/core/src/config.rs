@@ -11,19 +11,18 @@
 //! can carry different knobs without mutating the environment.
 
 use crate::swap::SwapMode;
-use autopilot_obs as obs;
 use dse_opt::{KernelExpMode, SurrogateMode};
 use systolic_sim::LayerMemo;
 
 /// Explicit per-job engine knobs: thread count, GP history window,
-/// surrogate mode, kernel exponential mode, layer-memo gating, trace
-/// gating and the SWaP constraint.
+/// surrogate mode, kernel exponential mode, layer-memo gating and the
+/// SWaP constraint.
 ///
 /// [`JobConfig::default`] is the engine's constant defaults;
 /// [`JobConfig::from_env`] layers the startup environment on top.
-/// Results are bit-identical across `threads`, `layer_memo` and `trace`
-/// values; the other knobs legitimately change the search or its
-/// objectives (see [`JobConfig::searches_differently`]).
+/// Results are bit-identical across `threads` and `layer_memo` values;
+/// the other knobs legitimately change the search or its objectives
+/// (see [`JobConfig::searches_differently`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobConfig {
     /// Optimizer worker-pool size. `None` = the engine-wide default
@@ -41,12 +40,6 @@ pub struct JobConfig {
     pub exp_mode: Option<KernelExpMode>,
     /// Whether layer simulations go through the layer memo.
     pub layer_memo: bool,
-    /// Whether this job asks for per-event tracing. Tracing is a
-    /// process-global facility (`AUTOPILOT_TRACE`); this flag records
-    /// the job's request so the server can refuse or gate trace
-    /// export per job, but it cannot turn tracing on for one job and
-    /// off for a concurrent one within the same process.
-    pub trace: bool,
     /// Whether compute weight is enforced as an airframe SWaP constraint
     /// ([`SwapMode::Constraint`]) or ignored (legacy scalar-payload
     /// mode, the default).
@@ -55,8 +48,8 @@ pub struct JobConfig {
 
 impl JobConfig {
     /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE`,
-    /// `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_LAYER_MEMO`, `AUTOPILOT_TRACE`
-    /// and `AUTOPILOT_SWAP` as captured on first read (later mutations
+    /// `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_LAYER_MEMO` and
+    /// `AUTOPILOT_SWAP` as captured on first read (later mutations
     /// of the live environment warn once and are ignored). This is the
     /// only library function that reads them; call it at the edge and
     /// pass the result down.
@@ -65,7 +58,6 @@ impl JobConfig {
             surrogate: Some(SurrogateMode::from_env()),
             exp_mode: Some(KernelExpMode::from_env()),
             layer_memo: LayerMemo::env_default_enabled(),
-            trace: obs::trace::enabled(),
             swap: SwapMode::from_env(),
             ..JobConfig::default()
         }
@@ -102,12 +94,6 @@ impl JobConfig {
         self
     }
 
-    /// Records whether this job wants per-event tracing.
-    pub fn with_trace(mut self, enabled: bool) -> JobConfig {
-        self.trace = enabled;
-        self
-    }
-
     /// Sets the SWaP-constraint mode.
     pub fn with_swap(mut self, mode: SwapMode) -> JobConfig {
         self.swap = mode;
@@ -124,13 +110,12 @@ impl JobConfig {
     /// holds, keyed by scenario alone. Every result-changing knob
     /// counts: the GP window, surrogate and kernel exponential modes
     /// steer the search, and the SWaP constraint makes objectives depend
-    /// on the UAV's airframe. Threads, memo and tracing never change
+    /// on the UAV's airframe. Threads and the memo never change
     /// results.
     pub fn searches_differently(&self) -> bool {
         // Destructured so that a new knob cannot be added without
         // deciding here whether it changes results.
-        let JobConfig { threads: _, gp_window, surrogate, exp_mode, layer_memo: _, trace: _, swap } =
-            *self;
+        let JobConfig { threads: _, gp_window, surrogate, exp_mode, layer_memo: _, swap } = *self;
         gp_window.is_some()
             || surrogate.is_some_and(|m| m != SurrogateMode::default_sparse())
             || exp_mode.is_some_and(|m| m != KernelExpMode::default())
@@ -140,8 +125,8 @@ impl JobConfig {
 
 impl Default for JobConfig {
     /// The engine's constant defaults: optimizer-default threads, GP
-    /// window, surrogate and exponential modes; layer memo on; tracing
-    /// and the SWaP constraint off. Reads no environment.
+    /// window, surrogate and exponential modes; layer memo on; the SWaP
+    /// constraint off. Reads no environment.
     fn default() -> JobConfig {
         JobConfig {
             threads: None,
@@ -149,7 +134,6 @@ impl Default for JobConfig {
             surrogate: None,
             exp_mode: None,
             layer_memo: true,
-            trace: false,
             swap: SwapMode::Off,
         }
     }
@@ -167,7 +151,6 @@ mod tests {
             .with_surrogate(SurrogateMode::Exact)
             .with_exp_mode(KernelExpMode::Fast)
             .with_layer_memo(false)
-            .with_trace(false)
             .with_swap(SwapMode::Constraint);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.effective_threads(), 3);
@@ -175,7 +158,6 @@ mod tests {
         assert_eq!(cfg.surrogate, Some(SurrogateMode::Exact));
         assert_eq!(cfg.exp_mode, Some(KernelExpMode::Fast));
         assert!(!cfg.layer_memo);
-        assert!(!cfg.trace);
         assert_eq!(cfg.swap, SwapMode::Constraint);
     }
 
@@ -189,13 +171,12 @@ mod tests {
     fn defaults_search_like_the_pipeline_cache() {
         assert!(!JobConfig::default().searches_differently());
         // Pinning a knob to its default value keeps the cached search;
-        // threads, memo and tracing never change results.
+        // threads and the memo never change results.
         let same = JobConfig::default()
             .with_threads(3)
             .with_surrogate(SurrogateMode::default_sparse())
             .with_exp_mode(KernelExpMode::Exact)
             .with_layer_memo(false)
-            .with_trace(true)
             .with_swap(SwapMode::Off);
         assert!(!same.searches_differently());
         for job in [

@@ -12,7 +12,6 @@ use autopilot_rng::Rng;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, PoisonError};
 
 use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
@@ -53,9 +52,9 @@ use crate::space::{DesignSpace, RankMap, RankSet};
 /// [`ExactColumn`]), exact-pack candidates are bounded from their
 /// kernel correlations first and solved only while they can still win
 /// (see [`ExactAcquisition`]), and both the initial sampling and the
-/// acquisition scoring fan out over worker threads with results
-/// gathered in index order — so a run is bit-identical for a fixed seed
-/// regardless of thread count.
+/// sparse-pack acquisition scoring fan out over worker threads with
+/// results gathered in index order — so a run is bit-identical for a
+/// fixed seed regardless of thread count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
 /// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
@@ -132,8 +131,8 @@ impl SmsEgoOptimizer {
         self
     }
 
-    /// Pins the worker count for parallel evaluation and acquisition
-    /// scoring (default: [`par::worker_count`]).
+    /// Pins the worker count for parallel evaluation and sparse-pack
+    /// acquisition scoring (default: [`par::worker_count`]).
     pub fn with_threads(mut self, n: usize) -> SmsEgoOptimizer {
         self.threads = Some(n.max(1));
         self
@@ -178,9 +177,9 @@ impl Archive {
     }
 }
 
-/// Number of candidates scored per batched GP prediction: one kernel
-/// cross-matrix and one prediction pass for every objective per chunk,
-/// with chunks fanned out across workers.
+/// Number of candidates per sparse-pack prediction chunk: one prediction
+/// pass for every objective per chunk, with chunks fanned out across
+/// workers.
 const ACQ_CHUNK: usize = 64;
 
 /// LCB exploration factor: candidates are scored at `mean - BETA·std`.
@@ -781,7 +780,7 @@ impl SmsEgoOptimizer {
         let reference = vec![1.2; surrogates.pack.n_obj()];
         // One scorer per iteration: the front is frozen during scoring,
         // so its obj-0 index and its partition of the non-dominated
-        // region are shared read-only across every chunk below.
+        // region are shared read-only by every candidate below.
         let scorer =
             obs::time("bo.acquisition.hv_score", || ContributionScorer::new(front, &reference));
         obs::add("bo.hv.boxes", scorer.box_count() as u64);
@@ -831,7 +830,7 @@ impl SmsEgoOptimizer {
                         .collect();
                     let acquisition = ExactAcquisition::new(gp, &scorer);
                     let best = obs::time("bo.acquisition.exact", || {
-                        acquisition.select(&points, &mut slots, pool.neighbour(), workers)
+                        acquisition.select(&points, &mut slots, pool.neighbour())
                     });
                     (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
                 }
@@ -924,19 +923,19 @@ impl<'a> SparseAcquisition<'a> {
                 columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
             }
         });
-        let chunks: Vec<Chunk<Vec<f64>>> = columns
-            .chunks_mut(ACQ_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| (c * ACQ_CHUNK, Mutex::new(chunk)))
-            .collect();
+        let chunks: Vec<&[Option<Vec<f64>>]> = columns.chunks(ACQ_CHUNK).collect();
         obs::add("bo.acquisition.batches", chunks.len() as u64);
-        let scored = par::parallel_map_with(workers, &chunks, |_, (base, chunk)| {
-            let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
+        let scored = par::parallel_map_with(workers, &chunks, |_, chunk| {
             obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
-            let keep = &keep[*base..base + chunk.len()];
-            let preds =
-                obs::time("bo.acquisition.gp_predict", || self.predict_chunk(&mut chunk, keep));
+            let preds = obs::time("bo.acquisition.gp_predict", || self.predict_chunk(chunk));
             obs::time("bo.acquisition.hv_score", || self.score_chunk(&preds))
+        });
+        obs::time("bo.acquisition.gp_predict", || {
+            for (column, &keep) in columns.iter_mut().zip(keep) {
+                if !keep {
+                    *column = None;
+                }
+            }
         });
         first_max(scored.concat().into_iter().map(Some))
     }
@@ -944,22 +943,13 @@ impl<'a> SparseAcquisition<'a> {
     /// Per candidate, the `(mean, variance)` of every objective from its
     /// inducing correlations, assembled into one `m × chunk` matrix that
     /// the pack predicts from in one pass — bit-identical to the pack's
-    /// `predict_batch`. Keeps a column only if `keep` marks it.
-    fn predict_chunk(
-        &self,
-        columns: &mut [Option<Vec<f64>>],
-        keep: &[bool],
-    ) -> Vec<Vec<(f64, f64)>> {
+    /// `predict_batch`.
+    fn predict_chunk(&self, columns: &[Option<Vec<f64>>]) -> Vec<Vec<(f64, f64)>> {
         obs::add("bo.gp.sparse.predict", 1);
         let mut corr = Matrix::zeros(self.pack.inducing_count(), columns.len());
         for (j, column) in columns.iter().enumerate() {
             for (i, &v) in column.iter().flatten().enumerate() {
                 corr[(i, j)] = v;
-            }
-        }
-        for (column, &keep) in columns.iter_mut().zip(keep) {
-            if !keep {
-                *column = None;
             }
         }
         self.pack.predict_batch_from_correlations(&corr)
@@ -985,10 +975,6 @@ impl<'a> SparseAcquisition<'a> {
         scores
     }
 }
-
-/// A chunk of an acquisition's per-candidate slots with the pool index
-/// of its first candidate, handed to one worker.
-type Chunk<'a, T> = (usize, Mutex<&'a mut [Option<T>]>);
 
 /// Index of the first maximum score in pool order, skipping candidates
 /// that were never scored exactly.
@@ -1066,9 +1052,7 @@ pub enum ExactSlot {
 /// together, so their `p × p` solves share one prediction span.
 /// A pruned candidate's exact score is then strictly below the final
 /// maximum, so first-max-wins over the exactly scored candidates picks
-/// the same point as over the whole pool. The ladder runs in one fixed
-/// order, so which candidates are refined and solved does not depend on
-/// the worker count.
+/// the same point as over the whole pool.
 #[derive(Debug)]
 pub struct ExactAcquisition<'a> {
     pack: &'a GaussianProcess,
@@ -1121,22 +1105,6 @@ struct Unsolved {
     corr: Vec<f64>,
     means: [f64; 3],
     lcb: [f64; 3],
-}
-
-/// A candidate's LCB after the first pass's prediction stage.
-enum Lcb {
-    /// A cached solved column's exact LCB.
-    Exact(Vec<f64>),
-    /// An unsolved candidate's optimistic LCB.
-    Optimistic(Unsolved),
-}
-
-/// A candidate after the first pass of [`ExactAcquisition::select`].
-enum FirstPass {
-    /// A cached solved column at a pool index, scored exactly.
-    Exact(usize, f64),
-    /// An unsolved candidate with its score-tier bound.
-    Bounded(f64, Unsolved),
 }
 
 impl<'a> ExactAcquisition<'a> {
@@ -1222,9 +1190,10 @@ impl<'a> ExactAcquisition<'a> {
     /// before some extends and retargets only — a downdate or refit makes
     /// it stale (`None` when there is none). On return it holds the state
     /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
-    /// The first pass (cache refreshes, correlations, score-tier bounds,
-    /// cached scores) runs in chunks across `workers`; the ladder runs in
-    /// order.
+    /// The first pass refreshes and scores the cached solved columns,
+    /// correlates every other candidate (all cache misses through one
+    /// kernel panel) and bounds it at the score tier; then the ladder
+    /// runs. Both run on the calling thread, in pool order.
     /// When no cached column sets the running best, the first solve round
     /// is the single most promising candidate.
     ///
@@ -1234,42 +1203,61 @@ impl<'a> ExactAcquisition<'a> {
     /// wrong dimension, or a slot was taken against a larger pack.
     pub fn select(
         &self,
-        points: &[impl AsRef<[f64]> + Sync],
+        points: &[impl AsRef<[f64]>],
         slots: &mut [Option<ExactSlot>],
         keep: &[bool],
-        workers: usize,
     ) -> Option<usize> {
         assert_eq!(points.len(), slots.len(), "one slot per candidate");
         assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
-        let chunks: Vec<Chunk<ExactSlot>> = slots
-            .chunks_mut(ACQ_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| (c * ACQ_CHUNK, Mutex::new(chunk)))
-            .collect();
-        obs::add("bo.acquisition.batches", chunks.len() as u64);
-        let first = par::parallel_map_with(workers, &chunks, |_, (base, chunk)| {
-            let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
-            let end = base + chunk.len();
-            self.first_pass(*base, &points[*base..end], &mut chunk)
-        });
-        drop(chunks);
-
-        let mut scores: Vec<Option<f64>> = vec![None; points.len()];
+        // The first pass's predictions: the cached solved columns' exact
+        // LCBs, and every other candidate unsolved, both in pool order.
+        let mut exact: Vec<(usize, Vec<f64>)> = Vec::new();
         let mut unsolved: Vec<Unsolved> = Vec::new();
-        let mut ladder: BinaryHeap<Rung> = BinaryHeap::new();
-        for pass in first.into_iter().flatten() {
-            match pass {
-                FirstPass::Exact(j, score) => scores[j] = Some(score),
-                FirstPass::Bounded(bound, candidate) => {
-                    ladder.push(Rung { bound, tier: Tier::Score, k: unsolved.len() });
-                    unsolved.push(candidate);
+        obs::time("bo.acquisition.gp_predict", || {
+            let misses: Vec<&[f64]> = points
+                .iter()
+                .zip(slots.iter())
+                .filter(|(_, slot)| slot.is_none())
+                .map(|(p, _)| p.as_ref())
+                .collect();
+            let panel = self.pack.query_correlations(&misses);
+            let mut next_miss = 0;
+            for (j, (point, slot)) in points.iter().zip(slots.iter_mut()).enumerate() {
+                let point = point.as_ref();
+                if let Some(ExactSlot::Solved(column)) = slot {
+                    column.refresh(self.pack, point);
+                    exact.push((j, self.exact_lcb(column)));
+                    continue;
                 }
+                let corr = match slot.take() {
+                    Some(ExactSlot::Pending(mut corr)) => {
+                        self.pack.extend_correlations(point, &mut corr);
+                        corr
+                    }
+                    _ => {
+                        next_miss += 1;
+                        panel.row(next_miss - 1).to_vec()
+                    }
+                };
+                unsolved.push(self.unsolved(j, corr));
             }
-        }
+        });
+        let mut scores: Vec<Option<f64>> = vec![None; points.len()];
+        let mut ladder: BinaryHeap<Rung> = BinaryHeap::with_capacity(unsolved.len());
+        let mut scratch = self.scorer.scratch();
+        obs::time("bo.acquisition.hv_score", || {
+            for (j, lcb) in exact {
+                scores[j] = Some(self.scorer.score_with(&mut scratch, &lcb, EPS));
+            }
+            for (k, candidate) in unsolved.iter().enumerate() {
+                let bound =
+                    self.scorer.score_with(&mut scratch, &candidate.lcb[..self.n_obj()], EPS);
+                ladder.push(Rung { bound, tier: Tier::Score, k });
+            }
+        });
         let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
 
         let n = self.pack.len();
-        let mut scratch = self.scorer.scratch();
         let mut round: Vec<usize> = Vec::with_capacity(SOLVE_ROUND);
         let (mut solved, mut promoted) = (0, 0);
         let mut refining: Option<obs::Span> = None;
@@ -1367,68 +1355,6 @@ impl<'a> ExactAcquisition<'a> {
             drop(unsolved);
         });
         first_max(scores)
-    }
-
-    /// The first pass over the chunk of candidates from pool index
-    /// `base`: refreshes and exactly scores the cached solved columns;
-    /// correlates every other candidate (misses through one kernel panel,
-    /// pending columns over the rows added since) and bounds it at the
-    /// score tier. Leaves only solved columns in `slots`.
-    fn first_pass(
-        &self,
-        base: usize,
-        points: &[impl AsRef<[f64]>],
-        slots: &mut [Option<ExactSlot>],
-    ) -> Vec<FirstPass> {
-        obs::observe("bo.acquisition.batch_size", points.len() as f64);
-        let lcbs: Vec<Lcb> = obs::time("bo.acquisition.gp_predict", || {
-            let misses: Vec<&[f64]> = points
-                .iter()
-                .zip(slots.iter())
-                .filter(|(_, slot)| slot.is_none())
-                .map(|(p, _)| p.as_ref())
-                .collect();
-            let panel = self.pack.cross_correlations(&misses);
-            let mut next_miss = 0;
-            points
-                .iter()
-                .zip(slots.iter_mut())
-                .enumerate()
-                .map(|(i, (point, slot))| {
-                    let point = point.as_ref();
-                    if let Some(ExactSlot::Solved(column)) = slot {
-                        column.refresh(self.pack, point);
-                        return Lcb::Exact(self.exact_lcb(column));
-                    }
-                    let corr = match slot.take() {
-                        Some(ExactSlot::Pending(mut corr)) => {
-                            self.pack.extend_correlations(point, &mut corr);
-                            corr
-                        }
-                        _ => {
-                            next_miss += 1;
-                            (0..panel.rows()).map(|i| panel[(i, next_miss - 1)]).collect()
-                        }
-                    };
-                    Lcb::Optimistic(self.unsolved(base + i, corr))
-                })
-                .collect()
-        });
-        let mut scratch = self.scorer.scratch();
-        obs::time("bo.acquisition.hv_score", || {
-            lcbs.into_iter()
-                .enumerate()
-                .map(|(i, lcb)| match lcb {
-                    Lcb::Exact(lcb) => {
-                        FirstPass::Exact(base + i, self.scorer.score_with(&mut scratch, &lcb, EPS))
-                    }
-                    Lcb::Optimistic(candidate) => FirstPass::Bounded(
-                        self.scorer.score_with(&mut scratch, &candidate.lcb[..self.n_obj()], EPS),
-                        candidate,
-                    ),
-                })
-                .collect()
-        })
     }
 }
 

@@ -579,11 +579,29 @@ impl GaussianProcess {
     ///
     /// Panics if any query point has the wrong dimension.
     pub fn cross_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
+        self.check_query_dims(points);
+        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
+    }
+
+    /// [`GaussianProcess::cross_correlations`] transposed: row `j` holds
+    /// query point `j`'s correlations with the training inputs, so each
+    /// query's correlations are contiguous. Entry for entry bit-identical
+    /// to it: a squared difference does not depend on its operands'
+    /// order, and the dimensions accumulate in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query point has the wrong dimension.
+    pub(crate) fn query_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
+        self.check_query_dims(points);
+        correlation_panel(points, &self.x, kernel_scale(self.lengthscale_sq), self.exp_mode)
+    }
+
+    fn check_query_dims(&self, points: &[impl AsRef<[f64]>]) {
         let dim = self.x[0].len();
         for p in points {
             assert_eq!(p.as_ref().len(), dim, "dimension mismatch");
         }
-        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
     }
 
     /// Batched posterior mean and variance for a pool of query points,
@@ -1499,6 +1517,34 @@ mod tests {
                 let (m, v) = exact_reference(gp, p)[0];
                 assert_eq!(got.0.to_bits(), m.to_bits());
                 assert_eq!(got.1.to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn query_correlations_transpose_cross_correlations_bitwise() {
+        // Wider and taller than one panel tile, with negative and
+        // repeated coordinates, in both exponential modes.
+        let x: Vec<Vec<f64>> = (0..150)
+            .map(|i| vec![(i as f64 * 0.29) % 1.1 - 0.3, (i * i % 13) as f64 / 6.0, 0.5])
+            .collect();
+        let y: Vec<f64> = x.iter().map(|p| p[0] - p[1]).collect();
+        let pool: Vec<Vec<f64>> = (0..140)
+            .map(|j| vec![(j as f64 * 0.43) % 1.7 - 0.5, (j % 7) as f64 / 3.0, -0.25])
+            .chain(x.iter().take(5).cloned())
+            .collect();
+        for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
+            let gp = GaussianProcess::fit_with_lengthscale(&x, &y, 0.3, mode).unwrap();
+            let (cross, query) = (gp.cross_correlations(&pool), gp.query_correlations(&pool));
+            assert_eq!((query.rows(), query.cols()), (pool.len(), x.len()));
+            for j in 0..pool.len() {
+                for i in 0..x.len() {
+                    assert_eq!(
+                        query[(j, i)].to_bits(),
+                        cross[(i, j)].to_bits(),
+                        "{mode:?} ({i}, {j})"
+                    );
+                }
             }
         }
     }

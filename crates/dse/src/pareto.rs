@@ -328,8 +328,8 @@ fn hv3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 ///   floating point too.
 ///
 /// Build one per acquisition iteration and share it read-only across
-/// scoring chunks; give each chunk its own [`ScorerScratch`] so the hot
-/// loop allocates nothing per candidate.
+/// scoring passes and workers; give each its own [`ScorerScratch`] so
+/// the hot loop allocates nothing per candidate.
 #[derive(Debug, Clone)]
 pub struct ContributionScorer {
     reference: Vec<f64>,

@@ -1034,7 +1034,7 @@ fn subset_variance_bound_is_at_least_the_exact_variance() {
 /// The pruned selection picks exactly what full scoring picks, over 256
 /// seeds of crowded pools, with a cold column cache and then warm
 /// (solved and pending slots carried across pack extends and a new
-/// front), at 1 and 3 workers. Kept slots are exactly the
+/// front). Kept slots are exactly the
 /// `keep`-flagged ones. Often more than eight candidates' bounds reach
 /// the best exact score, so stopping after one round would be caught,
 /// and both the score and the subset tier prune candidates.
@@ -1069,15 +1069,8 @@ fn pruned_selection_matches_full_scoring() {
                 let unprunable = (0..pool.len()).filter(|&j| bound(j) >= best).count();
                 past_first_round += usize::from(unprunable > 8);
             }
-            let mut picks = Vec::new();
-            let mut kept = Vec::new();
-            for workers in [1, 3] {
-                let mut trial = slots.clone();
-                picks.push(acquisition.select(&pool, &mut trial, &keep, workers));
-                kept.push(trial);
-            }
-            assert_eq!(picks, [Some(want), Some(want)], "case {case} ({round})");
-            slots = kept.pop().expect("two runs");
+            let pick = acquisition.select(&pool, &mut slots, &keep);
+            assert_eq!(pick, Some(want), "case {case} ({round})");
             for (j, (slot, &k)) in slots.iter().zip(&keep).enumerate() {
                 assert_eq!(slot.is_some(), k, "case {case} ({round}): slot {j}");
             }
@@ -1109,6 +1102,51 @@ fn pruned_selection_matches_full_scoring() {
         (count("bo.acquisition.score_pruned"), count("bo.acquisition.subset_pruned"));
     assert_eq!(scored + subset, count("bo.acquisition.pruned"), "the tiers split the pruned");
     assert!(scored > 0 && subset > 0, "a tier prunes nothing: {scored}/{subset}");
+}
+
+/// One exact selection over a cold pool of more than 64 candidates
+/// correlates every candidate through a single kernel panel, and picks
+/// what full scoring picks. Panels are counted through their assembly
+/// span under a parent span only this test opens, since other tests in
+/// this binary build panels concurrently and would move the global
+/// `bo.gp.panel.calls` counter; every panel opens exactly one such span.
+#[test]
+fn exact_selection_correlates_a_cold_pool_in_one_panel() {
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    obs::force_metrics(true);
+    let panels = || -> u64 {
+        obs::snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.path.starts_with("cold_pool_select/"))
+            .filter(|s| s.path.ends_with("/bo.gp.panel.assemble"))
+            .map(|s| s.count)
+            .sum()
+    };
+    for case in 0..8 {
+        let mut rng = Rng::seed_stream(0xd5e_0015, case);
+        let (d, n_obj) = (rng.range_usize(2, 5), rng.range_usize(1, 4));
+        let n = rng.range_usize(3, 24);
+        let (pack, _) = random_pack(&mut rng, d, n_obj, n);
+        let pool: Vec<Vec<f64>> = (0..rng.range_usize(65, 300))
+            .map(|_| (0..d).map(|_| rng.next_f64()).collect())
+            .collect();
+        let front = random_front(&mut rng, n_obj);
+        let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
+        let want = reference_pick(&pack, &scorer, &pool);
+        let keep: Vec<bool> = pool.iter().map(|_| rng.next_f64() < 0.6).collect();
+        let mut slots: Vec<Option<ExactSlot>> = vec![None; pool.len()];
+        let before = panels();
+        let pick = {
+            let _parent = obs::span("cold_pool_select");
+            ExactAcquisition::new(&pack, &scorer).select(&pool, &mut slots, &keep)
+        };
+        assert_eq!(panels() - before, 1, "case {case}: {} candidates", pool.len());
+        assert_eq!(pick, Some(want), "case {case}");
+        for (j, (slot, &k)) in slots.iter().zip(&keep).enumerate() {
+            assert_eq!(slot.is_some(), k, "case {case}: slot {j}");
+        }
+    }
 }
 
 /// The sparse-pack selection picks exactly what per-candidate full

@@ -145,7 +145,8 @@ impl SpanStat {
 /// Thread-safe metric registry.
 ///
 /// All lookups go through per-kind mutexed maps; the handles they return
-/// ([`Counter`], [`Gauge`], [`Histogram`]) update lock-free. A global
+/// ([`Counter`], [`Gauge`], [`Histogram`]) update lock-free. A lookup
+/// allocates only when it registers a new name. A global
 /// instance backs the crate-level convenience functions; tests can make
 /// private registries with [`Registry::new`].
 #[derive(Debug, Default)]
@@ -154,6 +155,17 @@ pub struct Registry {
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, Arc<SpanStat>>>,
+}
+
+/// A clone of the entry under `name`, inserting `make()` first if there
+/// is none. Only the insert copies `name`, so a lookup of a registered
+/// name allocates nothing.
+fn lookup<V: Clone>(map: &Mutex<BTreeMap<String, V>>, name: &str, make: impl FnOnce() -> V) -> V {
+    let mut map = map.lock().expect("registry lock poisoned");
+    if let Some(v) = map.get(name) {
+        return v.clone();
+    }
+    map.entry(name.to_owned()).or_insert_with(make).clone()
 }
 
 pub(crate) fn global() -> &'static Registry {
@@ -169,31 +181,23 @@ impl Registry {
 
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("registry lock poisoned");
-        Counter(Arc::clone(map.entry(name.to_owned()).or_default()))
+        Counter(lookup(&self.counters, name, Arc::default))
     }
 
     /// The gauge registered under `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("registry lock poisoned");
-        Gauge(Arc::clone(
-            map.entry(name.to_owned()).or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-        ))
+        Gauge(lookup(&self.gauges, name, || Arc::new(AtomicU64::new(0f64.to_bits()))))
     }
 
     /// The histogram registered under `name`, created with `bounds` on
     /// first use (an existing histogram keeps its original bounds).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut map = self.histograms.lock().expect("registry lock poisoned");
-        map.entry(name.to_owned()).or_insert_with(|| Histogram::new(bounds)).clone()
+        lookup(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// Folds `elapsed_ns` into the span statistics for `path`.
     pub fn span_record(&self, path: &str, elapsed_ns: u64) {
-        let stat = {
-            let mut map = self.spans.lock().expect("registry lock poisoned");
-            Arc::clone(map.entry(path.to_owned()).or_insert_with(|| Arc::new(SpanStat::new())))
-        };
+        let stat = lookup(&self.spans, path, || Arc::new(SpanStat::new()));
         stat.count.fetch_add(1, Ordering::Relaxed);
         stat.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
         stat.min_ns.fetch_min(elapsed_ns, Ordering::Relaxed);

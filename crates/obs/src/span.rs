@@ -8,6 +8,12 @@
 //! is what makes spans safe inside `dse_opt::par` worker closures: a
 //! worker's spans root at the worker, never at whatever the main thread
 //! happened to be timing.
+//!
+//! The thread's live path is one reusable `String`: a span appends
+//! `/name` when it opens and truncates it back when it closes, so once
+//! the deepest path has been seen (and its name registered) a span
+//! allocates nothing. Spans on one thread close in reverse order of
+//! opening, as RAII guards do.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -16,7 +22,7 @@ use std::time::Instant;
 use crate::metrics_enabled;
 
 thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static PATH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// A live span; records its wall time into the global registry when
@@ -25,6 +31,8 @@ thread_local! {
 #[derive(Debug)]
 pub struct Span {
     start: Option<Instant>,
+    /// The thread's path length before this span appended its name.
+    parent_len: usize,
     name: &'static str,
     traced: bool,
     _not_send: PhantomData<*const ()>,
@@ -36,10 +44,18 @@ pub struct Span {
 pub fn span(name: &'static str) -> Span {
     let traced = crate::trace::begin(name);
     if !metrics_enabled() {
-        return Span { start: None, name, traced, _not_send: PhantomData };
+        return Span { start: None, parent_len: 0, name, traced, _not_send: PhantomData };
     }
-    STACK.with(|stack| stack.borrow_mut().push(name));
-    Span { start: Some(Instant::now()), name, traced, _not_send: PhantomData }
+    let parent_len = PATH.with(|path| {
+        let mut path = path.borrow_mut();
+        let len = path.len();
+        if len > 0 {
+            path.push('/');
+        }
+        path.push_str(name);
+        len
+    });
+    Span { start: Some(Instant::now()), parent_len, name, traced, _not_send: PhantomData }
 }
 
 /// Times `f` under a span named `name`.
@@ -55,13 +71,11 @@ impl Drop for Span {
         }
         let Some(start) = self.start else { return };
         let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let path = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = stack.join("/");
-            stack.pop();
-            path
+        PATH.with(|path| {
+            let mut path = path.borrow_mut();
+            crate::global().span_record(&path, elapsed_ns);
+            path.truncate(self.parent_len);
         });
-        crate::global().span_record(&path, elapsed_ns);
     }
 }
 

@@ -7,8 +7,8 @@
 //! Worker-pool size comes from `AUTOPILOT_SERVE_WORKERS` (default 2);
 //! per-job engine defaults are captured from the environment once at
 //! startup (`AUTOPILOT_THREADS`, `AUTOPILOT_LAYER_MEMO`,
-//! `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_TRACE`) and can be overridden per
-//! request. SIGTERM/SIGINT drain the server gracefully.
+//! `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_SWAP`), and
+//! a request can override all but the surrogate mode. SIGTERM/SIGINT drain the server gracefully.
 
 use autopilot::JobConfig;
 use autopilot_serve::{JobManager, Server};

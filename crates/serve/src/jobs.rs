@@ -77,8 +77,9 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Deterministic seed (default 7, the repo-wide experiment seed).
     pub seed: u64,
-    /// Per-job engine knobs (threads, GP window, surrogate, memo,
-    /// trace), defaulting to the server's startup-captured environment.
+    /// Per-job engine knobs (threads, GP window, layer memo, SWaP mode,
+    /// kernel exponential mode), defaulting to the server's
+    /// startup-captured environment.
     pub config: JobConfig,
 }
 
