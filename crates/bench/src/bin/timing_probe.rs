@@ -12,10 +12,9 @@
 //!    `results/BENCH_phase2.json`, `results/telemetry_timing_probe.json`
 //!    and `results/trace_timing_probe.json` (the flamegraph gate's input).
 //!    In order it makes
-//!    - the *counted run*: sequential, metrics on, traced, on a fresh
-//!      evaluator, so the layer memo is cold and every counter, span and
-//!      memo field in the file, the telemetry snapshot and the trace
-//!      cover exactly this one search;
+//!    - the *counted run*: sequential, metrics on, traced, so every
+//!      counter and span in the file, the telemetry snapshot and the
+//!      trace cover exactly this one search;
 //!    - one metrics-off sequential run, which must repeat the counted
 //!      run's result bit for bit (sequential runs are deterministic and
 //!      metrics gating changes no result), and whose heap allocations per
@@ -44,6 +43,11 @@
 //!    partition's first box, per front point scored against (counter
 //!    `bo.hv.front_points`): at most 2 while every partition keeps to
 //!    its `2·|front| + 1` boxes.
+//!    `systolic_layers_per_network_layer` is the counted run's layers
+//!    through the cycle model (counter `systolic.layers`) per layer of
+//!    the networks it evaluated: exactly 1 while every evaluation
+//!    simulates each of its layers once, neither serving one from a
+//!    cache nor simulating it twice.
 //!    `acquisition_forward_solves_per_solved` is the counted run's
 //!    columns through the blocked triangular solve
 //!    (`Matrix::solve_lower_columns`, counter `bo.gp.forward_solves`) per
@@ -72,6 +76,7 @@ use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase2};
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
+use policy_nn::PolicyModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -151,24 +156,21 @@ fn paper_leg() {
     // server uses: startup-captured environment defaults, with the
     // sequential runs pinning threads=1 per job rather than via env.
     let job = JobConfig::from_env();
-    let evaluator = DssocEvaluator::new(db, density).with_layer_memo(job.layer_memo);
+    let evaluator = DssocEvaluator::new(db, density);
 
     let workers = job.effective_threads();
     let phase2 = Phase2::new(config.optimizer, budget, config.seed).with_job_config(job);
     let phase2_seq =
         Phase2::new(config.optimizer, budget, config.seed).with_job_config(job.with_threads(1));
 
-    // The counted run goes first, on the fresh evaluator: its layer memo
-    // is cold, so the cumulative memo stats read right after it cover
-    // exactly the same run as the obs counters reset before it. The
-    // trace covers the same one search (`trace_report`'s JSON parse time
-    // grows with the file, so the other runs stay untraced).
+    // The counted run goes first. The trace covers the same one search
+    // as the obs counters reset before it (`trace_report`'s JSON parse
+    // time grows with the file, so the other runs stay untraced).
     obs::force_metrics(true);
     obs::reset();
     obs::trace::force_enabled(true);
     let seq_out = phase2_seq.run(&evaluator).expect("phase 2 runs");
     let seq_snap = obs::snapshot();
-    let memo = evaluator.layer_memo_stats();
     autopilot_bench::write_trace("timing_probe");
     autopilot_bench::write_telemetry("timing_probe");
     obs::trace::force_enabled(false);
@@ -231,13 +233,8 @@ fn paper_leg() {
         "every bounded acquisition candidate is either solved or pruned"
     );
     let systolic_layers = seq_snap.counter("systolic.layers");
-    // A layer only reaches the cycle model on a memo miss.
-    if evaluator.layer_memo_enabled() {
-        assert_eq!(
-            systolic_layers, memo.misses,
-            "layers actually simulated must equal memo misses over the same run"
-        );
-    }
+    let network_layers: usize =
+        seq_out.candidates.iter().map(|c| PolicyModel::build(c.policy).layers().len()).sum();
 
     let par_out = phase2.run(&evaluator).expect("phase 2 runs");
     assert_eq!(
@@ -356,10 +353,11 @@ fn paper_leg() {
             num(on_allocations as f64 / bo_iterations.max(1) as f64),
         ),
         ("systolic_layers_simulated".into(), num(systolic_layers as f64)),
-        ("systolic_memo_hits".into(), num(memo.hits as f64)),
-        ("systolic_memo_misses".into(), num(memo.misses as f64)),
-        ("systolic_memo_hit_rate".into(), num(memo.hit_rate())),
-        ("systolic_memo_entries".into(), num(memo.entries as f64)),
+        ("network_layers_evaluated".into(), num(network_layers as f64)),
+        (
+            "systolic_layers_per_network_layer".into(),
+            num(systolic_layers as f64 / network_layers.max(1) as f64),
+        ),
         ("span_phase2_run_s".into(), num(seq_snap.span_total_s("phase2.run"))),
         ("span_bo_acquisition_s".into(), num(seq_snap.span_total_s("bo.acquisition"))),
         ("span_bo_acquisition_score_s".into(), num(seq_snap.span_total_s("bo.acquisition.score"))),
@@ -403,7 +401,7 @@ fn scale_leg() {
             inducing: GP_SPARSE_INDUCING,
         },
     );
-    let evaluator = DssocEvaluator::new(db, density).with_layer_memo(job.layer_memo);
+    let evaluator = DssocEvaluator::new(db, density);
     let phase2 = Phase2::new(config.optimizer, BUDGET, config.seed).with_job_config(job);
 
     obs::force_metrics(true);

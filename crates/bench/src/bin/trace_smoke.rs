@@ -92,7 +92,7 @@ fn main() {
     // --- overhead pass ---------------------------------------------------
     const REPS: usize = 3;
     obs::trace::force_enabled(false);
-    timed(&ev, 100, 1); // warm the layer memo and allocator once
+    timed(&ev, 100, 1); // warm the allocator and obs registry once
     let off = timed(&ev, 200, REPS);
     obs::trace::force_enabled(true);
     let on = timed(&ev, 200, REPS);

@@ -12,15 +12,13 @@
 
 use crate::swap::SwapMode;
 use dse_opt::{KernelExpMode, SurrogateMode};
-use systolic_sim::LayerMemo;
 
 /// Explicit per-job engine knobs: thread count, GP history window,
-/// surrogate mode, kernel exponential mode, layer-memo gating and the
-/// SWaP constraint.
+/// surrogate mode, kernel exponential mode and the SWaP constraint.
 ///
 /// [`JobConfig::default`] is the engine's constant defaults;
 /// [`JobConfig::from_env`] layers the startup environment on top.
-/// Results are bit-identical across `threads` and `layer_memo` values;
+/// Results are bit-identical across `threads` values;
 /// the other knobs legitimately change the search or its objectives
 /// (see [`JobConfig::searches_differently`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +36,10 @@ pub struct JobConfig {
     /// Kernel exponential mode for GP-based optimizers; `None` = the
     /// optimizer's built-in default ([`KernelExpMode::Exact`]).
     pub exp_mode: Option<KernelExpMode>,
-    /// Whether layer simulations go through the layer memo.
+    /// Always `false`, and nothing reads it: no search path memoizes
+    /// layer simulations. The field stays only so that the benchmark
+    /// package, which prints it, keeps compiling until it stops naming
+    /// it.
     pub layer_memo: bool,
     /// Whether compute weight is enforced as an airframe SWaP constraint
     /// ([`SwapMode::Constraint`]) or ignored (legacy scalar-payload
@@ -48,8 +49,7 @@ pub struct JobConfig {
 
 impl JobConfig {
     /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE`,
-    /// `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_LAYER_MEMO` and
-    /// `AUTOPILOT_SWAP` as captured on first read (later mutations
+    /// `AUTOPILOT_GP_FASTEXP` and `AUTOPILOT_SWAP` as captured on first read (later mutations
     /// of the live environment warn once and are ignored). This is the
     /// only library function that reads them; call it at the edge and
     /// pass the result down.
@@ -57,7 +57,6 @@ impl JobConfig {
         JobConfig {
             surrogate: Some(SurrogateMode::from_env()),
             exp_mode: Some(KernelExpMode::from_env()),
-            layer_memo: LayerMemo::env_default_enabled(),
             swap: SwapMode::from_env(),
             ..JobConfig::default()
         }
@@ -88,12 +87,6 @@ impl JobConfig {
         self
     }
 
-    /// Switches the layer memo on or off for this job.
-    pub fn with_layer_memo(mut self, enabled: bool) -> JobConfig {
-        self.layer_memo = enabled;
-        self
-    }
-
     /// Sets the SWaP-constraint mode.
     pub fn with_swap(mut self, mode: SwapMode) -> JobConfig {
         self.swap = mode;
@@ -110,8 +103,7 @@ impl JobConfig {
     /// holds, keyed by scenario alone. Every result-changing knob
     /// counts: the GP window, surrogate and kernel exponential modes
     /// steer the search, and the SWaP constraint makes objectives depend
-    /// on the UAV's airframe. Threads and the memo never change
-    /// results.
+    /// on the UAV's airframe. Threads never change results.
     pub fn searches_differently(&self) -> bool {
         // Destructured so that a new knob cannot be added without
         // deciding here whether it changes results.
@@ -125,15 +117,15 @@ impl JobConfig {
 
 impl Default for JobConfig {
     /// The engine's constant defaults: optimizer-default threads, GP
-    /// window, surrogate and exponential modes; layer memo on; the SWaP
-    /// constraint off. Reads no environment.
+    /// window, surrogate and exponential modes; the SWaP constraint off.
+    /// Reads no environment.
     fn default() -> JobConfig {
         JobConfig {
             threads: None,
             gp_window: None,
             surrogate: None,
             exp_mode: None,
-            layer_memo: true,
+            layer_memo: false,
             swap: SwapMode::Off,
         }
     }
@@ -150,14 +142,12 @@ mod tests {
             .with_gp_window(128)
             .with_surrogate(SurrogateMode::Exact)
             .with_exp_mode(KernelExpMode::Fast)
-            .with_layer_memo(false)
             .with_swap(SwapMode::Constraint);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.effective_threads(), 3);
         assert_eq!(cfg.gp_window, Some(128));
         assert_eq!(cfg.surrogate, Some(SurrogateMode::Exact));
         assert_eq!(cfg.exp_mode, Some(KernelExpMode::Fast));
-        assert!(!cfg.layer_memo);
         assert_eq!(cfg.swap, SwapMode::Constraint);
     }
 
@@ -171,12 +161,11 @@ mod tests {
     fn defaults_search_like_the_pipeline_cache() {
         assert!(!JobConfig::default().searches_differently());
         // Pinning a knob to its default value keeps the cached search;
-        // threads and the memo never change results.
+        // threads never change results.
         let same = JobConfig::default()
             .with_threads(3)
             .with_surrogate(SurrogateMode::default_sparse())
             .with_exp_mode(KernelExpMode::Exact)
-            .with_layer_memo(false)
             .with_swap(SwapMode::Off);
         assert!(!same.searches_differently());
         for job in [

@@ -7,7 +7,7 @@ use dse_opt::{EvalError, Evaluator, OptimizationResult, RunControl};
 use policy_nn::{PolicyHyperparams, PolicyModel};
 use soc_power::SocPowerModel;
 use std::sync::Arc;
-use systolic_sim::{ArrayConfig, LayerMemo, Simulator};
+use systolic_sim::{ArrayConfig, Simulator};
 
 use crate::config::JobConfig;
 use crate::error::AutopilotError;
@@ -74,16 +74,9 @@ pub struct DssocEvaluator {
     db: AirLearningDatabase,
     density: ObstacleDensity,
     power_model: SocPowerModel,
-    /// Per-(config, layer) simulation memo shared by clones of this
-    /// evaluator (and so by all parallel optimizer workers): candidate
-    /// NNs repeat conv/FC layer shapes, so most layer simulations after
-    /// the first few design points are cache hits. Keyed by the full
-    /// timing-relevant configuration, so it is scenario-independent and
-    /// safe to share.
-    layer_memo: Arc<LayerMemo>,
-    /// Owner tag (job id) stamped on memo entries this evaluator
-    /// inserts; hits on entries another owner inserted count as
-    /// cross-run hits. Zero for the single-run CLI path.
+    /// Owner tag (job id) stamped on candidate-cache entries this
+    /// evaluator inserts; hits on entries another owner inserted count
+    /// as cross-run hits. Zero for the single-run CLI path.
     owner: u64,
     /// Whether compute weight is enforced as an airframe feasibility
     /// constraint ([`SwapMode::Constraint`]) or ignored (legacy mode).
@@ -100,7 +93,6 @@ impl DssocEvaluator {
             db,
             density,
             power_model: SocPowerModel::new(),
-            layer_memo: Arc::new(LayerMemo::new()),
             owner: 0,
             swap: SwapMode::Off,
             airframe: None,
@@ -156,32 +148,11 @@ impl DssocEvaluator {
         self.owner
     }
 
-    /// Hit/miss/entry counters of the layer-simulation memo.
-    pub fn layer_memo_stats(&self) -> CacheStats {
-        self.layer_memo.stats()
-    }
-
-    /// True when layer simulations are served through the memo.
-    pub fn layer_memo_enabled(&self) -> bool {
-        self.layer_memo.enabled()
-    }
-
-    /// Returns a copy of this evaluator with a fresh layer-simulation
-    /// memo, switched on or off (on by default).
-    pub fn with_layer_memo(mut self, enabled: bool) -> DssocEvaluator {
-        self.layer_memo = Arc::new(LayerMemo::with_enabled(enabled));
-        self
-    }
-
-    /// Returns a copy of this evaluator backed by a **shared**
-    /// process-lifetime layer memo, stamping entries it inserts with
-    /// `owner` (a job id). This is how the multi-tenant server lets
-    /// concurrent jobs over the same scenario reuse each other's layer
-    /// simulations: the memo is keyed by the full timing-relevant
-    /// configuration (scenario-independent), so sharing across tenants
-    /// never changes results — only which job paid for the simulation.
-    pub fn with_shared_layer_memo(mut self, memo: Arc<LayerMemo>, owner: u64) -> DssocEvaluator {
-        self.layer_memo = memo;
+    /// Returns a copy of this evaluator that stamps the candidate-cache
+    /// entries it inserts with `owner` (a job id), so a hit another
+    /// job's evaluator gets on them counts as a cross-run hit. Owners
+    /// only attribute traffic; they never change results.
+    pub fn with_owner(mut self, owner: u64) -> DssocEvaluator {
         self.owner = owner;
         self
     }
@@ -230,8 +201,10 @@ impl DssocEvaluator {
         node: soc_power::TechNode,
     ) -> DesignCandidate {
         let model = PolicyModel::build(hyper);
-        let sim = Simulator::new(config.clone());
-        let stats = self.layer_memo.simulate_network_as(self.owner, &sim, model.layers());
+        let stats = {
+            let _span = obs::span("systolic.network");
+            Simulator::new(config.clone()).simulate_network(model.layers())
+        };
         let power_model = if node == self.power_model.node() {
             self.power_model
         } else {
@@ -306,8 +279,7 @@ pub struct DesignCandidate {
     pub efficiency_fps_per_w: f64,
 }
 
-/// Number of shards in a [`CandidateCache`]; matches the layer memo so
-/// the two caches scale contention the same way.
+/// Number of shards in a [`CandidateCache`].
 const CACHE_SHARDS: usize = 8;
 
 /// Thread-safe memoization of full design-point evaluations
@@ -433,8 +405,8 @@ impl Evaluator for CachingEvaluator<'_> {
 /// optimizer registered at runtime is equally selectable. Engine knobs
 /// come from one [`JobConfig`] (constant defaults unless
 /// [`Phase2::with_job_config`] sets one); the optimizer sees its worker
-/// count, GP window, surrogate and exponential modes, while memo and
-/// SWaP gating belong to the evaluator.
+/// count, GP window, surrogate and exponential modes, while SWaP gating
+/// belongs to the evaluator.
 #[derive(Debug, Clone)]
 pub struct Phase2 {
     optimizer: String,
@@ -696,24 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_memo_transparent_to_phase2() {
-        // Identical runs with the layer memo on and off: the memo must
-        // change nothing about the results, only skip re-simulation.
-        let memo_on = evaluator().with_layer_memo(true);
-        let memo_off = evaluator().with_layer_memo(false);
-        let a = Phase2::new(OptimizerChoice::Random, 10, 7).run(&memo_on).unwrap();
-        let b = Phase2::new(OptimizerChoice::Random, 10, 7).run(&memo_off).unwrap();
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.candidates, b.candidates);
-        assert_eq!(a.pareto_indices, b.pareto_indices);
-        let st = memo_on.layer_memo_stats();
-        assert!(st.hits > 0, "repeated layer shapes must hit the memo");
-        assert!(st.misses > 0);
-        assert!(st.entries as u64 <= st.misses);
-        assert_eq!(memo_off.layer_memo_stats(), CacheStats::default());
-    }
-
-    #[test]
     fn candidate_cache_counts_hits() {
         let ev = evaluator();
         let cache = CandidateCache::new();
@@ -730,9 +684,8 @@ mod tests {
 
     #[test]
     fn candidate_cache_counts_cross_run_hits_by_owner() {
-        let memo = Arc::new(LayerMemo::new());
-        let job1 = evaluator().with_shared_layer_memo(Arc::clone(&memo), 1);
-        let job2 = evaluator().with_shared_layer_memo(memo, 2);
+        let job1 = evaluator().with_owner(1);
+        let job2 = evaluator().with_owner(2);
         let cache = CandidateCache::new();
         let point = vec![5, 2, 3, 3, 3, 3, 3];
         let lookup = |ev: &DssocEvaluator| cache.evaluate(ev, &point).unwrap().1;

@@ -191,7 +191,7 @@ impl AutoPilot {
     }
 
     /// Runs with `job`'s engine knobs — worker count, GP window,
-    /// surrogate and exponential modes, layer-memo gating and SWaP mode —
+    /// surrogate and exponential modes and SWaP mode —
     /// replacing every knob set so far (the thread count included). A
     /// job that [searches differently](JobConfig::searches_differently)
     /// from the defaults bypasses the scenario-keyed pipeline cache.
@@ -244,10 +244,7 @@ impl AutoPilot {
         };
 
         // Phase 2: multi-objective DSE.
-        let evaluator = self.apply_swap(
-            DssocEvaluator::new(db.clone(), task.density).with_layer_memo(self.job.layer_memo),
-            uav,
-        );
+        let evaluator = self.apply_swap(DssocEvaluator::new(db.clone(), task.density), uav);
         let phase2 = match &self.cache {
             Some(cache) if !self.job.searches_differently() => {
                 cache.phase2_output(&self.config, &evaluator, self.job.threads)?

@@ -1,7 +1,7 @@
 //! Read-once environment configuration.
 //!
 //! Process-global env variables (`AUTOPILOT_THREADS`,
-//! `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_LAYER_MEMO`, …) are *startup
+//! `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_SWAP`, …) are *startup
 //! defaults*: a long-running multi-tenant server must not let one job's
 //! environment mutation race another job mid-run. [`env_once`] captures
 //! a variable's value at its first read and keeps returning that

@@ -20,13 +20,13 @@
 //! size) for `GET /jobs/:id`.
 //!
 //! Jobs of the same scenario share the process-lifetime caches in
-//! [`SharedCaches`]: one sharded [`LayerMemo`] (scenario-independent),
-//! the Phase-1 databases of a [`PipelineCache`], and one sharded
-//! [`CandidateCache`] per `(scenario, success model, seed)` key. Memo
-//! and candidate entries are owner-tagged by job id so cross-run reuse
-//! is observable (`systolic.memo.cross_run_hits`,
-//! `phase2.candidate_cache.cross_run_hits`). Every one of these caches
-//! is an `autopilot_shard::ShardedMap` get-or-compute underneath. The
+//! [`SharedCaches`]: the Phase-1 databases of a [`PipelineCache`], and
+//! one sharded [`CandidateCache`] per `(scenario, success model, seed)`
+//! key. Candidate entries are owner-tagged by job id so cross-run reuse
+//! is observable (`phase2.candidate_cache.cross_run_hits`). Layer
+//! simulations are not cached: the analytical cycle model costs less
+//! than a lookup. Every one of these caches is an
+//! `autopilot_shard::ShardedMap` get-or-compute underneath. The
 //! seed is untrusted input, so the two seed-keyed maps hold at most
 //! `SCENARIO_KEYS` (16) keys each and clock-evict past that.
 
@@ -43,7 +43,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use systolic_sim::LayerMemo;
 use uav_dynamics::{Airframe, UavSpec};
 
 /// Largest accepted Phase-2 budget per job (admission-time guard
@@ -77,8 +76,8 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Deterministic seed (default 7, the repo-wide experiment seed).
     pub seed: u64,
-    /// Per-job engine knobs (threads, GP window, layer memo, SWaP mode,
-    /// kernel exponential mode), defaulting to the server's
+    /// Per-job engine knobs (threads, GP window, SWaP mode, kernel
+    /// exponential mode), defaulting to the server's
     /// startup-captured environment.
     pub config: JobConfig,
 }
@@ -138,11 +137,6 @@ impl JobSpec {
         }
         if let Some(w) = root.get("gp_window").and_then(Value::as_u64) {
             config = config.with_gp_window(w as usize);
-        }
-        match root.get("layer_memo") {
-            None | Some(Value::Null) => {}
-            Some(Value::Bool(b)) => config = config.with_layer_memo(*b),
-            Some(_) => return Err("`layer_memo` must be a boolean".into()),
         }
         match root.get("swap") {
             None | Some(Value::Null) => {}
@@ -315,8 +309,6 @@ impl Job {
 
 /// Process-lifetime caches shared by every job the server runs.
 ///
-/// * `layer_memo` — the sharded per-(config, layer) simulation memo;
-///   scenario-independent, so one instance serves every tenant.
 /// * `pipeline` — Phase-1 scenario databases, through the same
 ///   [`PipelineCache::phase1_database`] the CLI uses (its Phase-2 map
 ///   stays empty here: jobs run Phase 2 against `candidates`).
@@ -326,7 +318,6 @@ impl Job {
 ///   depends on. At most `SCENARIO_KEYS` keys are held.
 #[derive(Debug)]
 pub struct SharedCaches {
-    layer_memo: Arc<LayerMemo>,
     pipeline: PipelineCache,
     candidates: ShardedMap<String, Arc<CandidateCache>>,
 }
@@ -338,19 +329,13 @@ impl Default for SharedCaches {
 }
 
 impl SharedCaches {
-    /// Creates the shared cache set (layer memo enabled and unbounded,
-    /// candidate caches bounded with clock eviction).
+    /// Creates the shared cache set (candidate caches bounded with clock
+    /// eviction).
     pub fn new() -> SharedCaches {
         SharedCaches {
-            layer_memo: Arc::new(LayerMemo::with_enabled(true)),
             pipeline: PipelineCache::new(),
             candidates: ShardedMap::new(1, SCENARIO_KEYS),
         }
-    }
-
-    /// The process-lifetime layer memo.
-    pub fn layer_memo(&self) -> Arc<LayerMemo> {
-        Arc::clone(&self.layer_memo)
     }
 
     /// The shared candidate cache for a scenario key.
@@ -587,12 +572,7 @@ fn run_pipeline(caches: &SharedCaches, job: &Job) -> Result<String, String> {
     let db = caches.pipeline.phase1_database(&config, spec.scenario);
     let uav = uav_spec(&spec.uav).ok_or_else(|| format!("unknown uav class {:?}", spec.uav))?;
 
-    let mut evaluator = if spec.config.layer_memo {
-        DssocEvaluator::new(db.clone(), spec.scenario)
-            .with_shared_layer_memo(caches.layer_memo(), job.id)
-    } else {
-        DssocEvaluator::new(db.clone(), spec.scenario).with_layer_memo(false)
-    };
+    let mut evaluator = DssocEvaluator::new(db.clone(), spec.scenario).with_owner(job.id);
     if spec.config.swap.is_on() {
         // Same airframe resolution as the CLI path: the job's platform
         // class picks the default catalog build.
@@ -923,8 +903,6 @@ mod tests {
             cache.stats().cross_run_hits > 0,
             "identical rerun must be served from the first job's entries"
         );
-        let memo = mgr.caches().layer_memo();
-        assert!(memo.stats().cross_run_hits > 0, "layer memo must see cross-run hits too");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! placement is deterministic across processes and runs), each guarded
 //! by its own `Mutex` with poisoned-lock recovery, so concurrent jobs
 //! contend only when they touch the same shard. Every cache above it
-//! (layer memo, candidate cache, pipeline cache, the server's
-//! per-scenario maps) only builds keys and computes values:
+//! (candidate cache, pipeline cache, the server's per-scenario maps)
+//! only builds keys and computes values:
 //! [`ShardedMap::get_or_try_insert_with`] does the lookup, runs the
 //! computation outside the lock on a miss, stores the value, and counts
 //! the outcome.
