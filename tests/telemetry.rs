@@ -13,7 +13,9 @@ use autopilot::{
 use autopilot_obs as obs;
 use dse_opt::Evaluator;
 use policy_nn::PolicyModel;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
+use systolic_sim::{ArrayConfig, Layer, LayerMemo, Simulator};
 use uav_dynamics::UavSpec;
 
 /// Serializes tests that toggle the global metrics gate.
@@ -123,6 +125,77 @@ fn phase2_simulates_every_evaluated_layer_exactly_once() {
         out.candidates.iter().map(|c| PolicyModel::build(c.policy).layers().len()).sum();
     assert_eq!(out.candidates.len(), 24);
     assert_eq!(layers, expected as u64, "every evaluation simulates every layer exactly once");
+}
+
+#[test]
+fn layer_memo_traffic_reaches_obs() {
+    let _guard = guard();
+    obs::force_metrics(true);
+
+    // The memo's misses reach the simulation counter and its hits do not;
+    // a disabled memo sends every layer to the simulator.
+    let sim = Simulator::new(ArrayConfig::builder().rows(16).cols(16).build().unwrap());
+    let net =
+        [Layer::conv2d(32, 32, 3, 16, 3, 2, 1), Layer::dense(1024, 25), Layer::dense(1024, 25)];
+    let layers = || obs::snapshot().counter("systolic.layers");
+    let plain = sim.simulate_network(&net);
+
+    let memo = LayerMemo::with_enabled(true);
+    let start = layers();
+    assert_eq!(memo.simulate_network(&sim, &net), plain);
+    assert_eq!(layers() - start, 2, "a cold memo simulates each distinct layer once");
+    let warm = layers();
+    assert_eq!(memo.simulate_network(&sim, &net), plain);
+    assert_eq!(layers() - warm, 0, "a warm memo simulates nothing");
+
+    let off = LayerMemo::with_enabled(false);
+    let start = layers();
+    assert_eq!(off.simulate_network(&sim, &net), plain);
+    assert_eq!(off.simulate_network(&sim, &net), plain);
+    assert_eq!(layers() - start, 2 * net.len() as u64, "a disabled memo simulates every layer");
+}
+
+#[test]
+fn phase2_layers_simulated_equal_memo_misses() {
+    let _guard = guard();
+    obs::force_metrics(true);
+
+    // Replaying a Phase-2 run's evaluated networks through a fresh memo,
+    // as the benchmark's memo replay does, simulates exactly one layer per
+    // distinct (configuration minus clock, layer) key: one per memo miss.
+    let ev = evaluator();
+    let out = Phase2::new(OptimizerChoice::Random, 24, 11).run(&ev).expect("phase 2 runs");
+    let memo = LayerMemo::with_enabled(true);
+    let mut keys = HashSet::new();
+    let before = obs::snapshot().counter("systolic.layers");
+    for c in &out.candidates {
+        let model = PolicyModel::build(c.policy);
+        let sim = Simulator::new(c.config.clone());
+        assert_eq!(
+            memo.simulate_network(&sim, model.layers()),
+            sim.simulate_network(model.layers())
+        );
+        let k = &c.config;
+        for layer in model.layers() {
+            keys.insert((
+                k.rows(),
+                k.cols(),
+                k.ifmap_sram_bytes(),
+                k.filter_sram_bytes(),
+                k.ofmap_sram_bytes(),
+                k.dataflow(),
+                k.dram_bandwidth_bytes_per_cycle().to_bits(),
+                k.word_bytes(),
+                *layer,
+            ));
+        }
+    }
+    let total: usize =
+        out.candidates.iter().map(|c| PolicyModel::build(c.policy).layers().len()).sum();
+    // Each candidate is also simulated once directly in the loop above.
+    let replayed = obs::snapshot().counter("systolic.layers") - before - total as u64;
+    assert_eq!(replayed, keys.len() as u64, "layers simulated must equal memo misses");
+    assert!(replayed < total as u64, "a 24-point DSE must produce memo hits");
 }
 
 #[test]
