@@ -34,7 +34,6 @@ fn main() {
         "nested pipeline.run/phase2.run span missing"
     );
     assert!(snap.counter("pipeline.phase2_cache.hits") > 0, "phase2 pipeline cache never hit");
-    assert!(snap.counter("phase2.candidate_cache.misses") > 0, "candidate cache never filled");
     assert!(snap.counter("systolic.layers") > 0, "systolic simulator not instrumented");
     let hist = snap.histogram("systolic.cycles_per_layer").expect("cycle histogram missing");
 

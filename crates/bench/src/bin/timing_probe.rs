@@ -26,7 +26,6 @@
 //!      has registered every metric name, so what this adds over the
 //!      metrics-off count is what recording itself allocates;
 //!    - one run at the default worker count, bit-identical to both;
-//!    - a pair of runs sharing one `CandidateCache`, the second pure hits;
 //!    - a bit-identity check of per-point solves (`ExactColumn::solve`,
 //!      one forward substitution per candidate) against the shipping
 //!      batched route (`ExactColumn::solve_batch`: one kernel
@@ -63,17 +62,9 @@
 //!    each candidate against (`gp_sparse_rows_per_candidate`: the
 //!    inducing count, not the archive size), the kernel panel counters,
 //!    and the incremental-surrogate counters.
-//!
-//! Cache-counter naming: the within-run `CandidateCache` hit counters are
-//! suffixed `_within_run` because continuous candidate keys are raw f64
-//! bit patterns — an optimizer that never revisits a design point cannot
-//! hit within a single run, and a bare `cache_hits: 0` used to read as
-//! "cache broken" instead of "cache keyed for cross-run reuse". The
-//! `cache_hits_cross_run` fields measure the cache doing its actual job:
-//! a repeated run against a shared cache must be pure hits.
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
-use autopilot::{AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, Phase1, Phase2};
+use autopilot::{AutopilotConfig, DssocEvaluator, JobConfig, Phase1, Phase2};
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
 use policy_nn::PolicyModel;
@@ -190,14 +181,6 @@ fn paper_leg() {
     obs::force_metrics(false);
     assert_eq!(on_out.result, off_out.result, "metrics gating must not change results");
 
-    let cache_hits = seq_snap.counter("phase2.candidate_cache.hits");
-    let cache_misses = seq_snap.counter("phase2.candidate_cache.misses");
-    let stats = &seq_out.cache_stats;
-    assert_eq!(
-        (cache_hits, cache_misses),
-        (stats.hits, stats.misses),
-        "obs cache counters must match the per-run cache stats exactly"
-    );
     let gp_full_refits = seq_snap.counter("dse.gp.full_refit");
     let gp_rank1_extends = seq_snap.counter("dse.gp.rank1_extend");
     let gp_retargets = seq_snap.counter("bo.gp.retarget");
@@ -242,20 +225,6 @@ fn paper_leg() {
         "optimizer output must be bit-identical across thread counts"
     );
 
-    // Cross-run cache traffic: within one run every continuous candidate
-    // key is unique, so the within-run hit counters are structurally zero
-    // at paper budgets; the cache earns its keep across repeated runs
-    // (Fig5-style scenario repetition), where the second pass must be
-    // pure hits.
-    let (cross_run_hits, cross_run_misses) = {
-        let shared = CandidateCache::new();
-        let first = phase2.run_with_cache(&evaluator, &shared).expect("phase 2 runs");
-        let second = phase2.run_with_cache(&evaluator, &shared).expect("phase 2 runs");
-        assert_eq!(first.result, second.result, "shared-cache rerun must be deterministic");
-        assert_eq!(second.cache_stats.misses, 0, "repeat run must be pure cache hits");
-        (second.cache_stats.hits, first.cache_stats.misses)
-    };
-
     let space = autopilot::JointSpace::design_space();
     let xs: Vec<Vec<f64>> =
         seq_out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
@@ -284,28 +253,10 @@ fn paper_leg() {
         );
     }
 
-    let total = (cache_hits + cache_misses).max(1);
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
         ("workers".into(), num(workers as f64)),
-        (
-            "cache_note".into(),
-            Value::Str(
-                "within-run hit counters are structurally 0: candidate keys are exact design \
-                 points and the optimizer never revisits one; cross-run fields show the cache \
-                 serving repeated scenario runs"
-                    .into(),
-            ),
-        ),
-        ("cache_hits_within_run".into(), num(stats.hits as f64)),
-        ("cache_misses_within_run".into(), num(stats.misses as f64)),
-        ("cache_hit_rate_within_run".into(), num(stats.hit_rate())),
-        ("cache_hits_cross_run".into(), num(cross_run_hits as f64)),
-        ("cache_misses_cross_run".into(), num(cross_run_misses as f64)),
-        ("obs_cache_hits_within_run".into(), num(cache_hits as f64)),
-        ("obs_cache_misses_within_run".into(), num(cache_misses as f64)),
-        ("obs_cache_hit_rate_within_run".into(), num(cache_hits as f64 / total as f64)),
         ("gp_full_refits".into(), num(gp_full_refits as f64)),
         ("gp_rank1_extends".into(), num(gp_rank1_extends as f64)),
         ("gp_retargets".into(), num(gp_retargets as f64)),

@@ -57,14 +57,12 @@ mod spec;
 mod swap;
 pub mod taxonomy;
 
-pub use autopilot_shard::{CacheStats, Lookup};
+pub use autopilot_shard::CacheStats;
 pub use baselines::{BaselineBoard, BaselineEvaluation};
 pub use config::JobConfig;
 pub use error::AutopilotError;
 pub use phase1::{Phase1, SuccessModel};
-pub use phase2::{
-    CandidateCache, DesignCandidate, DssocEvaluator, OptimizerChoice, Phase2, Phase2Output,
-};
+pub use phase2::{DesignCandidate, DssocEvaluator, OptimizerChoice, Phase2, Phase2Output};
 pub use phase3::{FineTuning, Phase3, Phase3Selection};
 pub use pipeline::{AutoPilot, AutopilotConfig, AutopilotResult, PipelineCache};
 pub use registry::{

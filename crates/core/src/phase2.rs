@@ -2,11 +2,11 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity, SuccessSurrogate};
 use autopilot_obs as obs;
-use autopilot_shard::{CacheStats, Lookup, LookupCounters, ShardedMap};
 use dse_opt::{EvalError, Evaluator, OptimizationResult, RunControl};
 use policy_nn::{PolicyHyperparams, PolicyModel};
 use soc_power::SocPowerModel;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use systolic_sim::{ArrayConfig, Simulator};
 
 use crate::config::JobConfig;
@@ -74,10 +74,6 @@ pub struct DssocEvaluator {
     db: AirLearningDatabase,
     density: ObstacleDensity,
     power_model: SocPowerModel,
-    /// Owner tag (job id) stamped on candidate-cache entries this
-    /// evaluator inserts; hits on entries another owner inserted count
-    /// as cross-run hits. Zero for the single-run CLI path.
-    owner: u64,
     /// Whether compute weight is enforced as an airframe feasibility
     /// constraint ([`SwapMode::Constraint`]) or ignored (legacy mode).
     swap: SwapMode,
@@ -93,7 +89,6 @@ impl DssocEvaluator {
             db,
             density,
             power_model: SocPowerModel::new(),
-            owner: 0,
             swap: SwapMode::Off,
             airframe: None,
         }
@@ -141,20 +136,6 @@ impl DssocEvaluator {
     /// The scenario this evaluator scores against.
     pub fn density(&self) -> ObstacleDensity {
         self.density
-    }
-
-    /// The owner tag stamped on cache entries this evaluator inserts.
-    pub fn owner(&self) -> u64 {
-        self.owner
-    }
-
-    /// Returns a copy of this evaluator that stamps the candidate-cache
-    /// entries it inserts with `owner` (a job id), so a hit another
-    /// job's evaluator gets on them counts as a cross-run hit. Owners
-    /// only attribute traffic; they never change results.
-    pub fn with_owner(mut self, owner: u64) -> DssocEvaluator {
-        self.owner = owner;
-        self
     }
 
     /// Success rate for a policy, preferring Phase-1 records.
@@ -279,117 +260,26 @@ pub struct DesignCandidate {
     pub efficiency_fps_per_w: f64,
 }
 
-/// Number of shards in a [`CandidateCache`].
-const CACHE_SHARDS: usize = 8;
-
-/// Thread-safe memoization of full design-point evaluations
-/// (point → [`DesignCandidate`]), sharded for multi-tenant sharing.
-///
-/// A candidate is a deterministic function of the point for a fixed
-/// evaluator (database, scenario, power model), so one cache must only
-/// ever be fed by evaluators of the same scenario — [`Phase2::run`]
-/// creates a private cache, the pipeline-level cache keys by scenario,
-/// and the co-design server keeps one process-lifetime cache per
-/// scenario key. Storage and counting are a [`ShardedMap`]: per-shard
-/// locks (with poisoned-lock recovery) so concurrent jobs contend only
-/// on shard collisions, entries tagged with the evaluator's owner so a
-/// hit served from another job's work is a *cross-run* hit, and
-/// optional clock eviction when constructed with
-/// [`CandidateCache::bounded`]. No lock is held across simulator runs,
-/// so parallel optimizer workers evaluate distinct points concurrently;
-/// failed evaluations are never cached.
-#[derive(Debug)]
-pub struct CandidateCache {
-    map: ShardedMap<Vec<usize>, DesignCandidate>,
-}
-
-impl Default for CandidateCache {
-    fn default() -> CandidateCache {
-        CandidateCache::new()
-    }
-}
-
-impl CandidateCache {
-    /// Creates an empty, unbounded cache (the per-run semantics).
-    pub fn new() -> CandidateCache {
-        CandidateCache::with_capacity(0)
-    }
-
-    /// Creates a cache bounded at roughly `capacity` entries (spread
-    /// across shards), evicting cold entries clock-style once full —
-    /// the process-lifetime configuration the server uses.
-    pub fn bounded(capacity: usize) -> CandidateCache {
-        CandidateCache::with_capacity(capacity.max(1))
-    }
-
-    fn with_capacity(capacity: usize) -> CandidateCache {
-        CandidateCache {
-            map: ShardedMap::new(CACHE_SHARDS, capacity).with_obs_prefix("phase2.candidate_cache"),
-        }
-    }
-
-    /// Returns the candidate for `point` and how the lookup was
-    /// answered, running the full evaluation (systolic simulation +
-    /// power models + success lookup) only on the first request. New
-    /// entries carry `evaluator`'s owner tag, so a hit on an entry
-    /// another owner inserted is a [`Lookup::CrossRunHit`]. Failures
-    /// are returned, not cached, so a transient failure is retried on
-    /// the next request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AutopilotError`] from
-    /// [`DssocEvaluator::evaluate_design`].
-    pub fn evaluate(
-        &self,
-        evaluator: &DssocEvaluator,
-        point: &[usize],
-    ) -> Result<(DesignCandidate, Lookup), AutopilotError> {
-        self.map.get_or_try_insert_with(point.to_vec(), evaluator.owner(), || {
-            evaluator.evaluate_design(point)
-        })
-    }
-
-    /// The cached candidate for `point`, if any (does not count toward
-    /// hit/miss statistics).
-    pub fn get(&self, point: &[usize]) -> Option<DesignCandidate> {
-        self.map.peek(&point.to_vec())
-    }
-
-    /// Snapshots hit/miss/entry counters, summed over every run that
-    /// used this cache.
-    pub fn stats(&self) -> CacheStats {
-        self.map.stats()
-    }
-}
-
-/// Adapter exposing a [`CandidateCache`]-backed [`DssocEvaluator`] to the
-/// optimizers: objective vectors are derived from cached candidates, so
-/// the simulator runs at most once per design point. It counts its own
-/// run's lookups, so a run's statistics stay exact while other runs
-/// share the cache.
-struct CachingEvaluator<'a> {
+/// Adapter exposing a [`DssocEvaluator`] to the optimizers that keeps
+/// each evaluated [`DesignCandidate`] by point, so
+/// [`Phase2Output::candidates`] is assembled from the run's own
+/// evaluations instead of re-simulating its history. The record lives
+/// for one run and is shared by that run's workers only.
+struct RecordingEvaluator<'a> {
     inner: &'a DssocEvaluator,
-    cache: &'a CandidateCache,
-    counters: LookupCounters,
+    record: Mutex<HashMap<Vec<usize>, DesignCandidate>>,
 }
 
-impl CachingEvaluator<'_> {
-    fn candidate(&self, point: &[usize]) -> Result<DesignCandidate, AutopilotError> {
-        let (c, lookup) = self.cache.evaluate(self.inner, point)?;
-        self.counters.record(lookup);
-        Ok(c)
-    }
-}
-
-impl Evaluator for CachingEvaluator<'_> {
+impl Evaluator for RecordingEvaluator<'_> {
     fn num_objectives(&self) -> usize {
         self.inner.num_objectives()
     }
 
     fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
-        let c = self.candidate(point).map_err(to_eval_error)?;
-        Ok(self.inner.objectives(&c))
+        let c = self.inner.evaluate_design(point).map_err(to_eval_error)?;
+        let objectives = self.inner.objectives(&c);
+        self.record.lock().unwrap_or_else(PoisonError::into_inner).insert(c.point.clone(), c);
+        Ok(objectives)
     }
 
     fn reference_point(&self) -> Vec<f64> {
@@ -447,21 +337,7 @@ impl Phase2 {
         self
     }
 
-    /// Runs the DSE with a private candidate cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`Phase2::run_with_cache`].
-    pub fn run(&self, evaluator: &DssocEvaluator) -> Result<Phase2Output, AutopilotError> {
-        self.run_with_cache(evaluator, &CandidateCache::new())
-    }
-
-    /// Runs the DSE against a shared candidate cache, so repeated runs on
-    /// the same scenario (e.g. the fig5/table5 sweep) skip the simulator
-    /// for already-evaluated points.
-    ///
-    /// The cache must only hold candidates produced by an evaluator of
-    /// the same scenario as `evaluator`.
+    /// Runs the DSE.
     ///
     /// # Errors
     ///
@@ -469,57 +345,46 @@ impl Phase2 {
     ///   not registered.
     /// * [`AutopilotError::Dse`] when the optimizer or an evaluation
     ///   fails mid-run.
-    pub fn run_with_cache(
-        &self,
-        evaluator: &DssocEvaluator,
-        cache: &CandidateCache,
-    ) -> Result<Phase2Output, AutopilotError> {
-        self.run_with_cache_controlled(evaluator, cache, &RunControl::none())
+    pub fn run(&self, evaluator: &DssocEvaluator) -> Result<Phase2Output, AutopilotError> {
+        self.run_controlled(evaluator, &RunControl::none())
     }
 
-    /// Like [`Phase2::run_with_cache`], threading a [`RunControl`] token
-    /// through the optimizer so the run can be cancelled cooperatively
+    /// Like [`Phase2::run`], threading a [`RunControl`] token through the
+    /// optimizer so the run can be cancelled cooperatively
     /// (`DELETE /jobs/:id` on the co-design server) and its progress
     /// polled mid-flight. A never-cancelled token yields bit-identical
-    /// results to [`Phase2::run_with_cache`].
+    /// results to [`Phase2::run`].
     ///
     /// # Errors
     ///
-    /// As [`Phase2::run_with_cache`], plus [`AutopilotError::Dse`]
-    /// wrapping [`dse_opt::DseError::Cancelled`] when `control` is
-    /// cancelled mid-run.
-    pub fn run_with_cache_controlled(
+    /// As [`Phase2::run`], plus [`AutopilotError::Dse`] wrapping
+    /// [`dse_opt::DseError::Cancelled`] when `control` is cancelled
+    /// mid-run.
+    pub fn run_controlled(
         &self,
         evaluator: &DssocEvaluator,
-        cache: &CandidateCache,
         control: &RunControl,
     ) -> Result<Phase2Output, AutopilotError> {
         let _span = obs::span("phase2.run");
-        let cached =
-            CachingEvaluator { inner: evaluator, cache, counters: LookupCounters::default() };
+        let recording = RecordingEvaluator { inner: evaluator, record: Mutex::new(HashMap::new()) };
         let mut opt = registry::build_optimizer(&self.optimizer, &self.context(evaluator))?;
         let result =
-            opt.run_controlled(&JointSpace::design_space(), &cached, self.budget, control)?;
-        // Every history point went through the cache, so assembling the
-        // candidate list is a lookup, not a re-simulation (this used to
-        // re-run the simulator once per history point).
-        let mut candidates: Vec<DesignCandidate> = Vec::with_capacity(result.evaluations.len());
-        for e in &result.evaluations {
-            let c = match cache.get(&e.point) {
-                Some(c) => c,
-                None => cached.candidate(&e.point)?,
-            };
-            candidates.push(c);
-        }
+            opt.run_controlled(&JointSpace::design_space(), &recording, self.budget, control)?;
+        // Every history point was evaluated through the recorder, so the
+        // candidate list takes its entries instead of re-simulating; only
+        // a point the history repeats is evaluated again.
+        let mut record = recording.record.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let candidates = result
+            .evaluations
+            .iter()
+            .map(|e| match record.remove(e.point.as_slice()) {
+                Some(c) => Ok(c),
+                None => evaluator.evaluate_design(&e.point),
+            })
+            .collect::<Result<Vec<DesignCandidate>, AutopilotError>>()?;
         let pareto = result.pareto_indices();
-        let totals = cache.stats();
-        let cache_stats = CacheStats {
-            evictions: totals.evictions,
-            entries: totals.entries,
-            ..cached.counters.snapshot()
-        };
         obs::gauge_set("phase2.final_hypervolume", result.final_hypervolume());
-        Ok(Phase2Output { result, candidates, pareto_indices: pareto, cache_stats })
+        Ok(Phase2Output { result, candidates, pareto_indices: pareto })
     }
 
     /// The optimizer context for a run against `evaluator`, with
@@ -544,10 +409,6 @@ pub struct Phase2Output {
     pub candidates: Vec<DesignCandidate>,
     /// Indices into `candidates` forming the Pareto frontier.
     pub pareto_indices: Vec<usize>,
-    /// Candidate-cache lookups this run made, counted by the run itself
-    /// so they stay exact on a cache other runs share (`evictions` and
-    /// `entries` are the cache's totals).
-    pub cache_stats: CacheStats,
 }
 
 impl Phase2Output {
@@ -642,85 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_makes_repeat_runs_pure_hits() {
-        let ev = evaluator();
-        let cache = CandidateCache::new();
-        let phase2 = Phase2::new(OptimizerChoice::Random, 10, 4);
-        let first = phase2.run_with_cache(&ev, &cache).unwrap();
-        assert_eq!(first.cache_stats.misses, first.result.evaluation_count() as u64);
-        let second = phase2.run_with_cache(&ev, &cache).unwrap();
-        assert_eq!(second.cache_stats.misses, 0, "second run must re-simulate nothing");
-        assert_eq!(second.cache_stats.hits, second.result.evaluation_count() as u64);
-        assert_eq!(first.candidates, second.candidates);
-        assert_eq!(first.result, second.result);
-    }
-
-    #[test]
-    fn cached_and_uncached_runs_agree() {
-        let ev = evaluator();
-        let uncached = Phase2::new(OptimizerChoice::Random, 10, 8).run(&ev).unwrap();
-        let cache = CandidateCache::new();
-        let cached =
-            Phase2::new(OptimizerChoice::Random, 10, 8).run_with_cache(&ev, &cache).unwrap();
-        assert_eq!(uncached.result, cached.result);
-        assert_eq!(uncached.candidates, cached.candidates);
-        assert_eq!(uncached.pareto_indices, cached.pareto_indices);
-    }
-
-    #[test]
-    fn candidate_cache_counts_hits() {
-        let ev = evaluator();
-        let cache = CandidateCache::new();
-        let point = vec![5, 2, 3, 3, 3, 3, 3];
-        let (a, first) = cache.evaluate(&ev, &point).unwrap();
-        let (b, second) = cache.evaluate(&ev, &point).unwrap();
-        assert_eq!(a, b);
-        assert_eq!((first, second), (Lookup::Miss, Lookup::Hit));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(cache.get(&point), Some(a));
-        assert_eq!(cache.get(&[0, 0, 0, 0, 0, 0, 0]), None);
-    }
-
-    #[test]
-    fn candidate_cache_counts_cross_run_hits_by_owner() {
-        let job1 = evaluator().with_owner(1);
-        let job2 = evaluator().with_owner(2);
-        let cache = CandidateCache::new();
-        let point = vec![5, 2, 3, 3, 3, 3, 3];
-        let lookup = |ev: &DssocEvaluator| cache.evaluate(ev, &point).unwrap().1;
-        assert_eq!(lookup(&job1), Lookup::Miss, "owner 1 inserts");
-        assert_eq!(lookup(&job1), Lookup::Hit, "same-owner hit");
-        assert_eq!(lookup(&job2), Lookup::CrossRunHit, "owner-2 hit on an owner-1 entry");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.cross_run_hits), (2, 1, 1));
-    }
-
-    #[test]
-    fn bounded_candidate_cache_evicts() {
-        let ev = evaluator();
-        let cache = CandidateCache::bounded(8);
-        for pe in 0..6usize {
-            for act in 0..4usize {
-                let point = vec![5, 2, pe, pe, act, 3, 3];
-                if ev.evaluate_design(&point).is_ok() {
-                    let _ = cache.evaluate(&ev, &point);
-                }
-            }
-        }
-        let stats = cache.stats();
-        assert!(stats.entries <= 8, "bound violated: {} entries", stats.entries);
-        assert!(stats.evictions > 0, "streaming past capacity must evict");
-    }
-
-    #[test]
     fn phase2_cancellation_is_a_typed_error() {
         let ev = evaluator();
         let control = RunControl::new();
         control.cancel();
-        let err = Phase2::new(OptimizerChoice::Random, 12, 3)
-            .run_with_cache_controlled(&ev, &CandidateCache::new(), &control)
-            .unwrap_err();
+        let err =
+            Phase2::new(OptimizerChoice::Random, 12, 3).run_controlled(&ev, &control).unwrap_err();
         assert!(err.to_string().contains("cancelled"), "unexpected error: {err}");
     }
 
@@ -729,9 +517,8 @@ mod tests {
         let ev = evaluator();
         let plain = Phase2::new(OptimizerChoice::Random, 10, 4).run(&ev).unwrap();
         let control = RunControl::new();
-        let controlled = Phase2::new(OptimizerChoice::Random, 10, 4)
-            .run_with_cache_controlled(&ev, &CandidateCache::new(), &control)
-            .unwrap();
+        let controlled =
+            Phase2::new(OptimizerChoice::Random, 10, 4).run_controlled(&ev, &control).unwrap();
         assert_eq!(plain.result, controlled.result);
         assert_eq!(plain.candidates, controlled.candidates);
         assert!(control.evaluations() > 0, "checkpoints must publish progress");
@@ -767,97 +554,66 @@ mod tests {
     }
 
     #[test]
-    fn candidate_cache_is_transparent_to_the_trajectory() {
+    fn per_run_record_is_transparent_to_the_trajectory() {
         // The same optimizer driven straight by the evaluator, with no
-        // cache in between, walks the trajectory Phase 2 walks through
-        // its candidate cache.
+        // record in between, walks the trajectory Phase 2 walks, and every
+        // candidate Phase 2 reports equals a fresh evaluation of its point.
         let ev = evaluator();
         for choice in [OptimizerChoice::SmsEgo, OptimizerChoice::Nsga2, OptimizerChoice::Random] {
             let phase2 = Phase2::new(choice, 24, 5);
-            let cached = phase2.run(&ev).unwrap();
+            let recorded = phase2.run(&ev).unwrap();
             let mut opt = registry::build_optimizer(choice.name(), &phase2.context(&ev)).unwrap();
             let direct = opt.run(&JointSpace::design_space(), &ev, 24).unwrap();
-            assert_eq!(cached.result, direct, "{choice:?}");
+            assert_eq!(recorded.result, direct, "{choice:?}");
+            for (c, e) in recorded.candidates.iter().zip(&direct.evaluations) {
+                assert_eq!(c, &ev.evaluate_design(&e.point).unwrap(), "{choice:?}");
+            }
         }
     }
 
-    #[test]
-    fn candidate_cache_entries_never_go_stale() {
-        let ev = evaluator();
-        let cache = CandidateCache::new();
-        let out = Phase2::new(OptimizerChoice::Nsga2, 24, 17).run_with_cache(&ev, &cache).unwrap();
-        let mut points: Vec<&Vec<usize>> =
-            out.result.evaluations.iter().map(|e| &e.point).collect();
-        points.sort();
-        points.dedup();
-        assert_eq!(cache.stats().entries, points.len());
-        // Every stored entry, and every hit served from it, equals a
-        // fresh evaluation of its point.
-        for point in points {
-            let fresh = ev.evaluate_design(point).unwrap();
-            assert_eq!(cache.get(point).as_ref(), Some(&fresh), "stale entry for {point:?}");
-            assert_eq!(cache.evaluate(&ev, point).unwrap().0, fresh);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, stats.entries as u64, "revisits must all be hits");
-    }
+    /// Evaluates one point through the evaluator, then reports a history
+    /// that lists it twice and adds a point it never evaluated.
+    struct Repeats;
 
-    #[test]
-    fn candidate_cache_does_not_cache_failures() {
-        let ev = evaluator();
-        let cache = CandidateCache::new();
-        assert!(cache.evaluate(&ev, &[99, 99, 99, 99, 99, 99, 99]).is_err());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    /// Random search between two waits at a barrier both runs of
-    /// `overlapping_runs_count_only_their_own_lookups` share, so each
-    /// run's lookups fall inside the other run's span.
-    struct Overlapping(registry::BoxedOptimizer);
-
-    static OVERLAP: std::sync::Barrier = std::sync::Barrier::new(2);
-
-    impl dse_opt::MultiObjectiveOptimizer for Overlapping {
+    impl dse_opt::MultiObjectiveOptimizer for Repeats {
         fn name(&self) -> &str {
-            "test-overlapping"
+            "test-repeats"
         }
 
         fn run_controlled(
             &mut self,
-            space: &dse_opt::DesignSpace,
+            _space: &dse_opt::DesignSpace,
             evaluator: &dyn Evaluator,
-            budget: usize,
-            control: &RunControl,
+            _budget: usize,
+            _control: &RunControl,
         ) -> Result<OptimizationResult, dse_opt::DseError> {
-            OVERLAP.wait();
-            let result = self.0.run_controlled(space, evaluator, budget, control);
-            OVERLAP.wait();
-            result
+            let seen = vec![5, 2, 3, 3, 3, 3, 3];
+            let unseen = vec![5, 2, 0, 0, 3, 3, 3];
+            let objectives = evaluator.evaluate(&seen).unwrap();
+            let history = [&seen, &seen, &unseen]
+                .iter()
+                .enumerate()
+                .map(|(iteration, &point)| dse_opt::EvaluationRecord {
+                    iteration,
+                    point: point.clone(),
+                    objectives: objectives.clone(),
+                })
+                .collect();
+            Ok(OptimizationResult::from_history(
+                "test-repeats",
+                history,
+                evaluator.reference_point(),
+            ))
         }
     }
 
     #[test]
-    fn overlapping_runs_count_only_their_own_lookups() {
-        registry::register_optimizer("test-overlapping", |ctx: &OptimizerContext| {
-            Box::new(Overlapping(registry::build_optimizer("random-search", ctx).unwrap()))
-        });
+    fn history_points_outside_the_record_are_evaluated_afresh() {
+        registry::register_optimizer("test-repeats", |_: &OptimizerContext| Box::new(Repeats));
         let ev = evaluator();
-        let cache = CandidateCache::new();
-        let phase2 = Phase2::new("test-overlapping", 8, 1);
-        let runs: Vec<Phase2Output> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..2).map(|_| scope.spawn(|| phase2.run_with_cache(&ev, &cache))).collect();
-            handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
-        });
-        for out in &runs {
-            let st = out.cache_stats;
-            assert_eq!(
-                st.hits + st.misses,
-                out.result.evaluation_count() as u64,
-                "a run must count its own lookups, not the concurrent run's"
-            );
-        }
-        assert_eq!(cache.stats().hits + cache.stats().misses, 16);
-        assert_eq!(runs[0].candidates, runs[1].candidates);
+        let out = Phase2::new("test-repeats", 8, 1).run(&ev).unwrap();
+        let fresh: Vec<DesignCandidate> =
+            out.result.evaluations.iter().map(|e| ev.evaluate_design(&e.point).unwrap()).collect();
+        assert_eq!(out.candidates, fresh);
     }
 }

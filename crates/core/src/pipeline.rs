@@ -124,7 +124,7 @@ impl PipelineCache {
             Phase1::new(config.success_model, config.seed).populate(density, &mut db);
             db
         };
-        self.phase1.get_or_insert_with(key, 0, populate).0
+        self.phase1.get_or_insert_with(key, populate).0
     }
 
     /// The Phase-2 output for a scenario, running the DSE on first
@@ -148,7 +148,7 @@ impl PipelineCache {
             }
             phase2.run(evaluator)
         };
-        Ok(self.phase2.get_or_try_insert_with(key, 0, run)?.0)
+        Ok(self.phase2.get_or_try_insert_with(key, run)?.0)
     }
 
     /// Hit/miss/entry counters for the Phase-1 database cache.

@@ -18,7 +18,7 @@ use crate::space::DesignSpace;
 /// The `Sync` supertrait lets optimizers fan evaluations out across
 /// worker threads (see [`crate::par`]); evaluators take `&self`, so a
 /// shared-state implementation must use interior synchronization (as
-/// the core crate's candidate-cache adapter does).
+/// the core crate's Phase-2 recording adapter does).
 pub trait Evaluator: Sync {
     /// Number of objectives returned by [`Evaluator::evaluate`].
     fn num_objectives(&self) -> usize;

@@ -19,25 +19,21 @@
 //! inner loop, which also publishes progress (evaluations done, front
 //! size) for `GET /jobs/:id`.
 //!
-//! Jobs of the same scenario share the process-lifetime caches in
-//! [`SharedCaches`]: the Phase-1 databases of a [`PipelineCache`], and
-//! one sharded [`CandidateCache`] per `(scenario, success model, seed)`
-//! key. Candidate entries are owner-tagged by job id so cross-run reuse
-//! is observable (`phase2.candidate_cache.cross_run_hits`). Layer
-//! simulations are not cached: the analytical cycle model costs less
-//! than a lookup. Every one of these caches is an
-//! `autopilot_shard::ShardedMap` get-or-compute underneath. The
-//! seed is untrusted input, so the two seed-keyed maps hold at most
-//! `SCENARIO_KEYS` (16) keys each and clock-evict past that.
+//! Jobs share one thing across runs: the Phase-1 scenario databases of
+//! a process-lifetime [`PipelineCache`], keyed by `(scenario, success
+//! model, seed)` (hits and misses count under `pipeline.phase1_cache.*`).
+//! The seed is untrusted input, so that map holds at most 16 keys and
+//! clock-evicts past that. Phase 2 shares nothing: each job's search
+//! evaluates its own design points, as `AutoPilot::run` does, and
+//! records its candidates for that run only.
 
 use air_sim::ObstacleDensity;
 use autopilot::{
-    AutopilotConfig, AutopilotResult, CandidateCache, DssocEvaluator, JobConfig, Phase3,
-    PipelineCache, RunSummary, SuccessModel, SwapMode, TaskSpec,
+    AutopilotConfig, AutopilotResult, DssocEvaluator, JobConfig, Phase3, PipelineCache, RunSummary,
+    SwapMode, TaskSpec,
 };
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
-use autopilot_shard::ShardedMap;
 use dse_opt::{KernelExpMode, RunControl};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -49,19 +45,10 @@ use uav_dynamics::{Airframe, UavSpec};
 /// against a single request monopolizing the pool).
 pub const MAX_BUDGET: usize = 10_000;
 
-/// Approximate capacity of the process-lifetime candidate cache per
-/// scenario key (entries; clock eviction beyond this).
-const CANDIDATE_CACHE_CAPACITY: usize = 65_536;
-
 /// Most terminal (completed, failed or cancelled) jobs the registry
 /// keeps; past this the oldest terminal job is evicted, and its id then
 /// answers `404`. Queued and running jobs are never evicted.
 pub const MAX_TERMINAL_JOBS: usize = 1024;
-
-/// Most candidate caches [`SharedCaches`] holds, one per `(scenario,
-/// success model, seed)` key; the Phase-1 map of its [`PipelineCache`]
-/// has the same bound. One shard, so the bound is exact.
-const SCENARIO_KEYS: usize = 16;
 
 /// A validated job request.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +209,7 @@ struct JobStatus {
 /// One admitted job.
 #[derive(Debug)]
 pub struct Job {
-    /// Server-assigned id (also the cache owner tag).
+    /// Server-assigned id.
     pub id: u64,
     /// The validated request.
     pub spec: JobSpec,
@@ -307,50 +294,6 @@ impl Job {
     }
 }
 
-/// Process-lifetime caches shared by every job the server runs.
-///
-/// * `pipeline` — Phase-1 scenario databases, through the same
-///   [`PipelineCache::phase1_database`] the CLI uses (its Phase-2 map
-///   stays empty here: jobs run Phase 2 against `candidates`).
-/// * `candidates` — one sharded, bounded [`CandidateCache`] per
-///   `(scenario, success model, seed)` key: candidates are functions of
-///   the evaluator identity, so the key pins everything that identity
-///   depends on. At most `SCENARIO_KEYS` keys are held.
-#[derive(Debug)]
-pub struct SharedCaches {
-    pipeline: PipelineCache,
-    candidates: ShardedMap<String, Arc<CandidateCache>>,
-}
-
-impl Default for SharedCaches {
-    fn default() -> SharedCaches {
-        SharedCaches::new()
-    }
-}
-
-impl SharedCaches {
-    /// Creates the shared cache set (candidate caches bounded with clock
-    /// eviction).
-    pub fn new() -> SharedCaches {
-        SharedCaches {
-            pipeline: PipelineCache::new(),
-            candidates: ShardedMap::new(1, SCENARIO_KEYS),
-        }
-    }
-
-    /// The shared candidate cache for a scenario key.
-    pub fn candidate_cache(
-        &self,
-        scenario: ObstacleDensity,
-        model: SuccessModel,
-        seed: u64,
-    ) -> Arc<CandidateCache> {
-        let key = format!("{}|{model:?}|{seed}", scenario.id());
-        let create = || Arc::new(CandidateCache::bounded(CANDIDATE_CACHE_CAPACITY));
-        self.candidates.get_or_insert_with(key, 0, create).0
-    }
-}
-
 /// The server's job registry, admission queue, and worker pool.
 #[derive(Debug)]
 pub struct JobManager {
@@ -362,7 +305,9 @@ pub struct JobManager {
     next_id: AtomicU64,
     max_queue: usize,
     shutdown: AtomicBool,
-    caches: SharedCaches,
+    /// Phase-1 databases shared by every job (its Phase-2 map stays
+    /// empty: jobs run Phase 2 themselves).
+    caches: PipelineCache,
     defaults: JobConfig,
 }
 
@@ -389,7 +334,7 @@ impl JobManager {
             next_id: AtomicU64::new(1),
             max_queue: max_queue.max(1),
             shutdown: AtomicBool::new(false),
-            caches: SharedCaches::new(),
+            caches: PipelineCache::new(),
             defaults,
         }
     }
@@ -399,8 +344,9 @@ impl JobManager {
         self.defaults
     }
 
-    /// The shared caches (exposed for smoke tests and metrics).
-    pub fn caches(&self) -> &SharedCaches {
+    /// The Phase-1 database cache every job shares (exposed for tests
+    /// and metrics).
+    pub fn caches(&self) -> &PipelineCache {
         &self.caches
     }
 
@@ -557,35 +503,30 @@ fn evict_terminal(jobs: &mut BTreeMap<u64, Arc<Job>>) {
     obs::add("serve.jobs.evicted", excess as u64);
 }
 
-/// Runs the three-phase pipeline for `job` against the shared caches.
+/// Runs the three-phase pipeline for `job`, reading its Phase-1
+/// database from the shared cache.
 ///
 /// This mirrors `AutoPilot::run` exactly — same phase order, same
 /// evaluator construction, same Phase-3 configuration — so a job's
 /// `RunSummary` is bit-identical to the CLI path at the same seed and
-/// [`JobConfig`]. The only differences are cache *placement* (shared,
-/// owner-tagged) and the cancellation token, neither of which affects
-/// results.
-fn run_pipeline(caches: &SharedCaches, job: &Job) -> Result<String, String> {
+/// [`JobConfig`]. The only differences are the shared Phase-1 cache and
+/// the cancellation token, neither of which affects results.
+fn run_pipeline(caches: &PipelineCache, job: &Job) -> Result<String, String> {
     let spec = &job.spec;
-    let model = SuccessModel::Surrogate;
-    let config = AutopilotConfig { success_model: model, ..AutopilotConfig::fast(spec.seed) };
-    let db = caches.pipeline.phase1_database(&config, spec.scenario);
+    let config = AutopilotConfig::fast(spec.seed);
+    let db = caches.phase1_database(&config, spec.scenario);
     let uav = uav_spec(&spec.uav).ok_or_else(|| format!("unknown uav class {:?}", spec.uav))?;
 
-    let mut evaluator = DssocEvaluator::new(db.clone(), spec.scenario).with_owner(job.id);
+    let mut evaluator = DssocEvaluator::new(db.clone(), spec.scenario);
     if spec.config.swap.is_on() {
         // Same airframe resolution as the CLI path: the job's platform
         // class picks the default catalog build.
         let airframe = uav.airframe.clone().unwrap_or_else(|| Airframe::default_for(uav.class));
         evaluator = evaluator.with_swap(spec.config.swap, airframe);
     }
-    // The shared cache is keyed by evaluator identity; owner tags come
-    // from the evaluator, so hits on other jobs' entries are counted as
-    // cross-run traffic.
-    let cache = caches.candidate_cache(spec.scenario, model, spec.seed);
     let phase2 = autopilot::Phase2::new(spec.optimizer.clone(), spec.budget, spec.seed)
         .with_job_config(spec.config)
-        .run_with_cache_controlled(&evaluator, &cache, &job.control)
+        .run_controlled(&evaluator, &job.control)
         .map_err(|e| e.to_string())?;
 
     let task = TaskSpec::navigation(spec.scenario);
@@ -604,6 +545,7 @@ fn run_pipeline(caches: &SharedCaches, job: &Job) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn defaults() -> JobConfig {
         JobConfig::from_env().with_threads(1)
@@ -731,19 +673,28 @@ mod tests {
 
     #[test]
     fn server_result_matches_cli_path() {
+        // Two back-to-back jobs with one spec, per optimizer: each must
+        // equal `AutoPilot::run`, whatever the first left behind.
+        use autopilot::OptimizerChoice;
         let mgr = JobManager::new(4, defaults());
-        let job = mgr.submit(VALID).unwrap();
-        mgr.execute(&job);
-        let via_server = job.result_json().unwrap();
-
-        let config = autopilot::AutopilotConfig::fast(3)
-            .with_budget(12)
-            .with_optimizer(autopilot::OptimizerChoice::Random);
-        let pilot = autopilot::AutoPilot::new(config).with_job_config(defaults());
-        let result =
-            pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
-        let via_cli = RunSummary::from_result(&result).to_json().unwrap();
-        assert_eq!(via_server, via_cli, "server pipeline must be bit-identical to the CLI path");
+        for choice in [OptimizerChoice::Random, OptimizerChoice::SmsEgo, OptimizerChoice::Nsga2] {
+            let config = AutopilotConfig::fast(3).with_budget(12).with_optimizer(choice);
+            let pilot = autopilot::AutoPilot::new(config).with_job_config(defaults());
+            let result =
+                pilot.run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low)).unwrap();
+            let via_cli = RunSummary::from_result(&result).to_json().unwrap();
+            let body = VALID.replace("random-search", choice.name());
+            for round in 0..2 {
+                let job = mgr.submit(&body).unwrap();
+                mgr.execute(&job);
+                assert_eq!(job.state(), JobState::Completed, "{choice:?}: {:?}", job.error());
+                assert_eq!(
+                    job.result_json().unwrap(),
+                    via_cli,
+                    "{choice:?} job {round}: server pipeline must be bit-identical to the CLI path"
+                );
+            }
+        }
     }
 
     /// An optimizer that panics mid-run, standing in for any bug inside
@@ -848,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_workers_share_caches_and_conserve_counters() {
+    fn concurrent_workers_give_identical_specs_identical_results() {
         let mgr = Arc::new(JobManager::new(8, defaults()));
         let mut submitted = Vec::new();
         for _ in 0..4 {
@@ -876,33 +827,6 @@ mod tests {
         for job in &submitted {
             assert_eq!(job.result_json().unwrap(), first, "identical specs, identical results");
         }
-        // Counter conservation under contention: the shared cache counted
-        // every job's lookups exactly once.
-        let cache = mgr.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
-        let lookups: usize = submitted
-            .iter()
-            .map(|j| RunSummary::from_json(&j.result_json().unwrap()).unwrap().evaluations)
-            .sum();
-        let agg = cache.stats();
-        assert_eq!(agg.hits + agg.misses, lookups as u64, "cache counters must conserve");
-        assert!(agg.cross_run_hits > 0, "later jobs must reuse earlier jobs' entries");
-    }
-
-    #[test]
-    fn second_job_sees_cross_run_cache_hits() {
-        let mgr = JobManager::new(4, defaults());
-        let first = mgr.submit(VALID).unwrap();
-        mgr.execute(&first);
-        let second = mgr.submit(VALID).unwrap();
-        mgr.execute(&second);
-        assert_eq!(first.state(), JobState::Completed);
-        assert_eq!(second.state(), JobState::Completed);
-        assert_eq!(first.result_json(), second.result_json());
-        let cache = mgr.caches().candidate_cache(ObstacleDensity::Low, SuccessModel::Surrogate, 3);
-        assert!(
-            cache.stats().cross_run_hits > 0,
-            "identical rerun must be served from the first job's entries"
-        );
     }
 
     #[test]
@@ -915,15 +839,13 @@ mod tests {
             assert_eq!(job.state(), JobState::Completed, "seed {seed}: {:?}", job.error());
             job.result_json().unwrap()
         };
-        for seed in 0..SCENARIO_KEYS + 4 {
+        // The Phase-1 map holds at most 16 scenario keys.
+        for seed in 0..20 {
             run(seed);
         }
-        let caches = mgr.caches();
-        let phase1 = caches.pipeline.phase1_stats();
-        let candidates = caches.candidates.stats();
-        assert_eq!(phase1.entries, SCENARIO_KEYS, "phase-1 databases past the cap");
-        assert_eq!(candidates.entries, SCENARIO_KEYS, "candidate caches past the cap");
-        assert!(phase1.evictions > 0 && candidates.evictions > 0, "nothing was evicted");
+        let phase1 = mgr.caches().phase1_stats();
+        assert_eq!(phase1.entries, 16, "phase-1 databases past the cap");
+        assert!(phase1.evictions > 0, "nothing was evicted");
         // Seed 0 was evicted long ago: re-requesting it recomputes the
         // same result the CLI path produces.
         let config = AutopilotConfig::fast(0)
@@ -934,5 +856,170 @@ mod tests {
             .run(&UavSpec::nano(), &TaskSpec::navigation(ObstacleDensity::Low))
             .unwrap();
         assert_eq!(run(0), RunSummary::from_result(&result).to_json().unwrap());
+    }
+
+    /// Seeds of the `test-gated` jobs whose optimizer has started, and
+    /// of those the test lets finish.
+    static GATED_STARTED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    static GATED_RELEASED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+    fn seeds(list: &Mutex<Vec<u64>>) -> Vec<u64> {
+        list.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Random search behind a gate: the run records its seed as started,
+    /// then holds its worker until the test releases that seed or
+    /// cancels the job, so the test decides which jobs are running.
+    struct Gated {
+        seed: u64,
+        inner: autopilot::BoxedOptimizer,
+    }
+
+    impl dse_opt::MultiObjectiveOptimizer for Gated {
+        fn name(&self) -> &str {
+            "test-gated"
+        }
+
+        fn run_controlled(
+            &mut self,
+            space: &dse_opt::DesignSpace,
+            evaluator: &dyn dse_opt::Evaluator,
+            budget: usize,
+            control: &RunControl,
+        ) -> Result<dse_opt::OptimizationResult, dse_opt::DseError> {
+            GATED_STARTED.lock().unwrap_or_else(PoisonError::into_inner).push(self.seed);
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !seeds(&GATED_RELEASED).contains(&self.seed) {
+                if control.is_cancelled() {
+                    return Err(dse_opt::DseError::Cancelled);
+                }
+                assert!(Instant::now() < deadline, "gated job {} never let go", self.seed);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.run_controlled(space, evaluator, budget, control)
+        }
+    }
+
+    /// Waits up to a minute for `done`, polling.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn cancel_and_shutdown_drive_every_job_to_a_terminal_state() {
+        autopilot::register_optimizer("test-gated", |ctx: &autopilot::OptimizerContext| {
+            let inner = autopilot::build_optimizer("random-search", ctx).unwrap();
+            Box::new(Gated { seed: ctx.seed, inner })
+        });
+        // A seeded plan per job (SplitMix64): let it finish, cancel it
+        // while queued, cancel it while running, or leave it to shutdown.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Plan {
+            Finish,
+            CancelQueued,
+            CancelRunning,
+            Shutdown,
+        }
+        const JOBS: u64 = 14;
+        const SEED_BASE: u64 = 9_000;
+        let mut x = 0x5eed_u64;
+        let plans: Vec<Plan> = (0..JOBS)
+            .map(|i| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                match (i, (z ^ (z >> 31)) % 3) {
+                    // The last jobs are still queued or running when
+                    // shutdown begins.
+                    (i, _) if i >= JOBS - 4 => Plan::Shutdown,
+                    // Workers take the first two at once, so neither can
+                    // be cancelled while queued.
+                    (0 | 1, 0) | (_, 1) => Plan::Finish,
+                    (0 | 1, _) | (_, 2) => Plan::CancelRunning,
+                    _ => Plan::CancelQueued,
+                }
+            })
+            .collect();
+        for plan in [Plan::Finish, Plan::CancelQueued, Plan::CancelRunning] {
+            assert!(plans.contains(&plan), "the seeded plan never exercises {plan:?}");
+        }
+
+        let mgr = Arc::new(JobManager::new(JOBS as usize, defaults()));
+        let jobs: Vec<Arc<Job>> = (0..JOBS)
+            .map(|i| {
+                let body = VALID
+                    .replace("random-search", "test-gated")
+                    .replace("\"seed\": 3", &format!("\"seed\": {}", SEED_BASE + i));
+                mgr.submit(&body).unwrap()
+            })
+            .collect();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let mgr = Arc::clone(&mgr);
+                std::thread::spawn(move || {
+                    while let Some(job) = mgr.next_job() {
+                        mgr.execute(&job);
+                    }
+                })
+            })
+            .collect();
+
+        // Both workers hold a gated job, so every later job is queued
+        // until one of them lets go.
+        let started = |i: usize| seeds(&GATED_STARTED).contains(&(SEED_BASE + i as u64));
+        wait_until("the first two jobs to start", || started(0) && started(1));
+        for (i, job) in jobs.iter().enumerate() {
+            if plans[i] == Plan::CancelQueued {
+                assert_eq!(job.state(), JobState::Queued, "job {i}");
+                assert!(mgr.cancel(job.id).is_some_and(|(_, accepted)| accepted), "job {i}");
+                assert_eq!(job.state(), JobState::Cancelled, "job {i}");
+            }
+        }
+        // Settle the jobs in submission order as workers reach them; stop
+        // at the first job left to shutdown.
+        for (i, job) in jobs.iter().enumerate() {
+            match plans[i] {
+                Plan::CancelQueued => continue,
+                Plan::Shutdown => break,
+                Plan::Finish | Plan::CancelRunning => {}
+            }
+            wait_until(&format!("job {i} to start"), || started(i));
+            assert_eq!(job.state(), JobState::Running, "job {i}");
+            if plans[i] == Plan::Finish {
+                GATED_RELEASED
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(SEED_BASE + i as u64);
+            } else {
+                assert!(mgr.cancel(job.id).is_some_and(|(_, accepted)| accepted), "job {i}");
+            }
+            wait_until(&format!("job {i} to settle"), || job.state().is_terminal());
+        }
+        mgr.shutdown();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            let panicked = workers.into_iter().map(|w| w.join()).filter(Result::is_err).count();
+            let _ = done_tx.send(panicked);
+        });
+        let panicked = done_rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(panicked, Ok(0), "workers must exit cleanly within 30 s of shutdown");
+        joiner.join().unwrap();
+
+        let ran = seeds(&GATED_STARTED);
+        for (i, job) in jobs.iter().enumerate() {
+            let expected = match plans[i] {
+                Plan::Finish => JobState::Completed,
+                Plan::CancelQueued | Plan::CancelRunning | Plan::Shutdown => JobState::Cancelled,
+            };
+            assert_eq!(job.state(), expected, "job {i} ({:?}): {:?}", plans[i], job.error());
+            if plans[i] == Plan::CancelQueued {
+                assert!(!ran.contains(&(SEED_BASE + i as u64)), "job {i} ran after its cancel");
+            }
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! front of the three-phase AutoPilot flow. Zero external
 //! dependencies: HTTP/1.1 on std [`std::net::TcpListener`], JSON via
 //! `autopilot_obs::json`, jobs on a bounded FIFO worker pool whose
-//! inner evaluation fan-out rides `dse_opt::par`, and process-lifetime
-//! sharded caches (`autopilot-shard`) so concurrent tenants serve each
-//! other's simulated layers.
+//! inner evaluation fan-out rides `dse_opt::par`, and one
+//! process-lifetime cache of Phase-1 scenario databases that every job
+//! reads.
 //!
 //! ## API surface
 //!
@@ -29,5 +29,5 @@ pub mod jobs;
 pub mod server;
 pub mod signal;
 
-pub use jobs::{AdmitError, Job, JobManager, JobSpec, JobState, SharedCaches};
+pub use jobs::{AdmitError, Job, JobManager, JobSpec, JobState};
 pub use server::Server;

@@ -5,8 +5,8 @@
 //! placement is deterministic across processes and runs), each guarded
 //! by its own `Mutex` with poisoned-lock recovery, so concurrent jobs
 //! contend only when they touch the same shard. Every cache above it
-//! (candidate cache, pipeline cache, the server's per-scenario maps)
-//! only builds keys and computes values:
+//! (the pipeline cache, the layer memo) only builds keys and computes
+//! values:
 //! [`ShardedMap::get_or_try_insert_with`] does the lookup, runs the
 //! computation outside the lock on a miss, stores the value, and counts
 //! the outcome.
@@ -16,11 +16,6 @@
 //! eviction hand sweeps the slot ring, clearing referenced bits until
 //! it finds a cold slot to reuse. Unbounded maps (`capacity == 0`)
 //! never evict.
-//!
-//! Entries are tagged with the **owner** (job id) that inserted them,
-//! so a hit served from another tenant's work is reported as a
-//! [`Lookup::CrossRunHit`] — the number the DSE-as-a-service refactor
-//! exists to make non-zero.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -63,10 +58,8 @@ impl Hasher for FnvHasher {
 /// How a get-or-compute lookup was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
-    /// Served from an entry the caller's own owner inserted.
+    /// Served from the cache.
     Hit,
-    /// Served from an entry a *different* owner inserted.
-    CrossRunHit,
     /// Not cached: the caller computed the value.
     Miss,
 }
@@ -74,65 +67,22 @@ pub enum Lookup {
 /// Hit/miss/eviction counters of a cache, captured at a point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (cross-run hits included).
+    /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that computed the value.
     pub misses: u64,
-    /// Hits served from an entry a different owner inserted.
-    pub cross_run_hits: u64,
     /// Entries displaced by clock eviction.
     pub evictions: u64,
     /// Live entries at snapshot time.
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`; zero
-    /// when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Atomic lookup counters: one set per shard, and one per Phase-2 run
-/// for the run's own share of a shared cache.
+/// One shard's atomic lookup counters.
 #[derive(Debug, Default)]
-pub struct LookupCounters {
+struct LookupCounters {
     hits: AtomicU64,
     misses: AtomicU64,
-    cross_run_hits: AtomicU64,
     evictions: AtomicU64,
-}
-
-impl LookupCounters {
-    /// Counts one lookup answered as `lookup`.
-    pub fn record(&self, lookup: Lookup) {
-        let counter = match lookup {
-            Lookup::Miss => &self.misses,
-            Lookup::Hit => &self.hits,
-            Lookup::CrossRunHit => {
-                self.cross_run_hits.fetch_add(1, Ordering::Relaxed);
-                &self.hits
-            }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The counts so far (`entries` is zero: counters hold no entries).
-    pub fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            cross_run_hits: self.cross_run_hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: 0,
-        }
-    }
 }
 
 /// One cache slot in a shard's clock ring.
@@ -140,7 +90,6 @@ impl LookupCounters {
 struct Slot<K, V> {
     key: K,
     value: V,
-    owner: u64,
     referenced: bool,
 }
 
@@ -155,22 +104,22 @@ struct ShardState<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardState<K, V> {
-    /// The value and owner tag stored under `key`, marking the slot
-    /// recently used for the clock sweep.
-    fn lookup(&mut self, key: &K) -> Option<(V, u64)> {
+    /// The value stored under `key`, marking the slot recently used for
+    /// the clock sweep.
+    fn lookup(&mut self, key: &K) -> Option<V> {
         let slot = &mut self.slots[*self.index.get(key)?];
         slot.referenced = true;
-        Some((slot.value.clone(), slot.owner))
+        Some(slot.value.clone())
     }
 
     /// Stores `value` unless `key` is already present, in which case
     /// the stored value wins. Returns the value now held and whether a
     /// cold entry was evicted to make room.
-    fn insert_if_absent(&mut self, key: K, value: V, owner: u64, capacity: usize) -> (V, bool) {
-        if let Some((held, _)) = self.lookup(&key) {
+    fn insert_if_absent(&mut self, key: K, value: V, capacity: usize) -> (V, bool) {
+        if let Some(held) = self.lookup(&key) {
             return (held, false);
         }
-        let slot = Slot { key: key.clone(), value: value.clone(), owner, referenced: true };
+        let slot = Slot { key: key.clone(), value: value.clone(), referenced: true };
         if capacity == 0 || self.slots.len() < capacity {
             self.index.insert(key, self.slots.len());
             self.slots.push(slot);
@@ -213,13 +162,12 @@ impl<K, V> Shard<K, V> {
 struct CounterNames {
     hits: String,
     misses: String,
-    cross_run_hits: String,
     evictions: String,
 }
 
 /// A concurrent get-or-compute map sharded N ways by key hash, with
-/// per-shard locks, bounded capacity, clock eviction, owner-tagged
-/// entries and per-shard lookup counters.
+/// per-shard locks, bounded capacity, clock eviction and per-shard
+/// lookup counters.
 ///
 /// Values are returned by clone; keep them cheap to clone (the repo's
 /// cached payloads are small stat structs) or wrap them in `Arc`.
@@ -257,13 +205,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     /// Also reports every lookup to obs: `{prefix}.hits`, `.misses` and
-    /// `.cross_run_hits` (a cross-run hit bumps `.hits` too), and
     /// `.evictions`.
     pub fn with_obs_prefix(mut self, prefix: &str) -> ShardedMap<K, V> {
         self.names = Some(CounterNames {
             hits: format!("{prefix}.hits"),
             misses: format!("{prefix}.misses"),
-            cross_run_hits: format!("{prefix}.cross_run_hits"),
             evictions: format!("{prefix}.evictions"),
         });
         self
@@ -280,26 +226,22 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     fn record(&self, shard: &Shard<K, V>, lookup: Lookup) {
-        shard.counters.record(lookup);
-        if let Some(names) = &self.names {
-            match lookup {
-                Lookup::Miss => obs::add(&names.misses, 1),
-                Lookup::Hit => obs::add(&names.hits, 1),
-                Lookup::CrossRunHit => {
-                    obs::add(&names.hits, 1);
-                    obs::add(&names.cross_run_hits, 1);
-                }
-            }
+        let (counter, name) = match lookup {
+            Lookup::Hit => (&shard.counters.hits, self.names.as_ref().map(|n| &n.hits)),
+            Lookup::Miss => (&shard.counters.misses, self.names.as_ref().map(|n| &n.misses)),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = name {
+            obs::add(name, 1);
         }
     }
 
     /// Returns the value cached under `key`, or runs `compute` —
     /// outside the shard lock, so workers fill distinct entries
-    /// concurrently — and caches its `Ok` value tagged with `owner`.
+    /// concurrently — and caches its `Ok` value.
     ///
-    /// The outcome says whether the value was a hit on the caller's own
-    /// entry, a cross-run hit on another owner's entry, or a miss, and
-    /// is counted once. When a racing writer stored `key` first, its
+    /// The outcome says whether the value was a hit or a miss, and is
+    /// counted once. When a racing writer stored `key` first, its
     /// entry is kept and returned (the miss is still counted: this
     /// caller computed). An `Err` is returned uncached and uncounted, so
     /// the next request retries.
@@ -310,20 +252,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     pub fn get_or_try_insert_with<E>(
         &self,
         key: K,
-        owner: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, Lookup), E> {
         let shard = self.shard(&key);
         let found = shard.lock().lookup(&key);
-        if let Some((value, entry_owner)) = found {
-            let lookup = if entry_owner == owner { Lookup::Hit } else { Lookup::CrossRunHit };
-            self.record(shard, lookup);
-            return Ok((value, lookup));
+        if let Some(value) = found {
+            self.record(shard, Lookup::Hit);
+            return Ok((value, Lookup::Hit));
         }
         let value = compute()?;
         self.record(shard, Lookup::Miss);
-        let (value, evicted) =
-            shard.lock().insert_if_absent(key, value, owner, self.per_shard_capacity);
+        let (value, evicted) = shard.lock().insert_if_absent(key, value, self.per_shard_capacity);
         if evicted {
             shard.counters.evictions.fetch_add(1, Ordering::Relaxed);
             if let Some(names) = &self.names {
@@ -335,34 +274,21 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
 
     /// [`ShardedMap::get_or_try_insert_with`] for a computation that
     /// cannot fail.
-    pub fn get_or_insert_with(
-        &self,
-        key: K,
-        owner: u64,
-        compute: impl FnOnce() -> V,
-    ) -> (V, Lookup) {
-        match self.get_or_try_insert_with(key, owner, || Ok::<V, Infallible>(compute())) {
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> (V, Lookup) {
+        match self.get_or_try_insert_with(key, || Ok::<V, Infallible>(compute())) {
             Ok(found) => found,
             Err(never) => match never {},
         }
-    }
-
-    /// Non-counting lookup: returns the value without touching the
-    /// counters (still refreshes the slot's referenced bit so
-    /// assembly-style reads don't get their entries evicted).
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().lookup(key).map(|(value, _)| value)
     }
 
     /// Counters summed across all shards, with the live entry count.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let per = shard.counters.snapshot();
-            total.hits += per.hits;
-            total.misses += per.misses;
-            total.cross_run_hits += per.cross_run_hits;
-            total.evictions += per.evictions;
+            let c = &shard.counters;
+            total.hits += c.hits.load(Ordering::Relaxed);
+            total.misses += c.misses.load(Ordering::Relaxed);
+            total.evictions += c.evictions.load(Ordering::Relaxed);
             total.entries += shard.lock().index.len();
         }
         total
@@ -374,32 +300,36 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Caches `value` under `key` for `owner` unless already present.
-    fn put(map: &ShardedMap<u64, u64>, key: u64, value: u64, owner: u64) -> Lookup {
-        map.get_or_insert_with(key, owner, || value).1
+    /// Caches `value` under `key` unless already present.
+    fn put(map: &ShardedMap<u64, u64>, key: u64, value: u64) -> Lookup {
+        map.get_or_insert_with(key, || value).1
+    }
+
+    /// Whether `key` holds an entry, without counting a lookup or
+    /// touching its referenced bit.
+    fn holds(map: &ShardedMap<u64, u64>, key: u64) -> bool {
+        map.shard(&key).lock().index.contains_key(&key)
     }
 
     #[test]
-    fn get_or_insert_reports_hits_by_owner() {
+    fn get_or_insert_reports_hits_and_misses() {
         let map: ShardedMap<u64, String> = ShardedMap::new(4, 0);
-        assert_eq!(map.get_or_insert_with(7, 42, || "seven".to_owned()).1, Lookup::Miss);
-        let (value, lookup) = map.get_or_insert_with(7, 42, || unreachable!("cached"));
-        assert_eq!((value.as_str(), lookup), ("seven", Lookup::Hit));
-        let (value, lookup) = map.get_or_insert_with(7, 43, || unreachable!("cached"));
-        assert_eq!((value.as_str(), lookup), ("seven", Lookup::CrossRunHit));
+        assert_eq!(map.get_or_insert_with(7, || "seven".to_owned()).1, Lookup::Miss);
+        for _ in 0..2 {
+            let (value, lookup) = map.get_or_insert_with(7, || unreachable!("cached"));
+            assert_eq!((value.as_str(), lookup), ("seven", Lookup::Hit));
+        }
         assert_eq!(map.stats().entries, 1);
         let st = map.stats();
-        assert_eq!((st.hits, st.misses, st.cross_run_hits, st.evictions), (2, 1, 1, 0));
-        assert!((st.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        assert_eq!((st.hits, st.misses, st.evictions), (2, 1, 0));
     }
 
     #[test]
     fn errors_are_neither_cached_nor_counted() {
         let map: ShardedMap<u64, u64> = ShardedMap::new(2, 0);
-        assert_eq!(map.get_or_try_insert_with(1, 0, || Err("transient")), Err("transient"));
+        assert_eq!(map.get_or_try_insert_with(1, || Err("transient")), Err("transient"));
         assert_eq!(map.stats(), CacheStats::default());
-        assert_eq!(map.get_or_try_insert_with(1, 0, || Ok::<_, ()>(10)), Ok((10, Lookup::Miss)));
+        assert_eq!(map.get_or_try_insert_with(1, || Ok::<_, ()>(10)), Ok((10, Lookup::Miss)));
     }
 
     #[test]
@@ -407,12 +337,12 @@ mod tests {
         let map: ShardedMap<u64, u64> = ShardedMap::new(1, 0);
         // The compute closure stands in for a racing writer: it stores
         // the key while this caller is still computing.
-        let (value, lookup) = map.get_or_insert_with(5, 1, || {
-            put(&map, 5, 50, 2);
+        let (value, lookup) = map.get_or_insert_with(5, || {
+            put(&map, 5, 50);
             51
         });
         assert_eq!((value, lookup), (50, Lookup::Miss), "the stored entry must win");
-        assert_eq!(map.get_or_insert_with(5, 2, || 0), (50, Lookup::Hit), "owner stays 2");
+        assert_eq!(map.get_or_insert_with(5, || 0), (50, Lookup::Hit));
         assert_eq!(map.stats().misses, 2, "both writers computed");
     }
 
@@ -421,7 +351,7 @@ mod tests {
         // Single shard so the bound is exact.
         let map: ShardedMap<u64, u64> = ShardedMap::new(1, 8);
         for k in 0..100 {
-            put(&map, k, k * 10, 0);
+            put(&map, k, k * 10);
         }
         let st = map.stats();
         assert_eq!((st.misses, st.evictions, st.entries), (100, 92, 8));
@@ -431,41 +361,31 @@ mod tests {
     fn clock_second_chance_protects_hot_entries() {
         let map: ShardedMap<u64, u64> = ShardedMap::new(1, 4);
         for k in 0..4 {
-            put(&map, k, k, 0);
+            put(&map, k, k);
         }
         // Priming insert: the first sweep clears every referenced bit
         // (clock degenerates to FIFO when everything is hot) and evicts
         // key 0, leaving keys 1..4 cold and the hand past slot 0.
-        put(&map, 10, 10, 0);
-        assert!(map.peek(&0).is_none());
+        put(&map, 10, 10);
+        assert!(!holds(&map, 0));
         // Touch key 2, then stream two inserts: the sweep must evict
         // the cold keys 1 and 3 and give the referenced key 2 a second
         // chance.
-        assert_eq!(put(&map, 2, 2, 0), Lookup::Hit);
-        put(&map, 11, 11, 0);
-        put(&map, 12, 12, 0);
-        assert!(map.peek(&2).is_some(), "referenced key 2 was evicted");
-        assert!(map.peek(&1).is_none(), "cold key 1 survived the sweep");
-        assert!(map.peek(&3).is_none(), "cold key 3 survived the sweep");
+        assert_eq!(put(&map, 2, 2), Lookup::Hit);
+        put(&map, 11, 11);
+        put(&map, 12, 12);
+        assert!(holds(&map, 2), "referenced key 2 was evicted");
+        assert!(!holds(&map, 1), "cold key 1 survived the sweep");
+        assert!(!holds(&map, 3), "cold key 3 survived the sweep");
     }
 
     #[test]
     fn unbounded_map_never_evicts() {
         let map: ShardedMap<u64, u64> = ShardedMap::new(8, 0);
         for k in 0..10_000 {
-            put(&map, k, k, 0);
+            put(&map, k, k);
         }
         assert_eq!((map.stats().entries, map.stats().evictions), (10_000, 0));
-    }
-
-    #[test]
-    fn peek_does_not_count() {
-        let map: ShardedMap<u64, u64> = ShardedMap::new(2, 0);
-        put(&map, 1, 10, 0);
-        assert_eq!(map.peek(&1), Some(10));
-        assert_eq!(map.peek(&2), None);
-        let st = map.stats();
-        assert_eq!((st.hits, st.misses), (0, 1));
     }
 
     #[test]
@@ -473,15 +393,13 @@ mod tests {
         obs::force_metrics(true);
         let map: ShardedMap<u64, u64> = ShardedMap::new(1, 1).with_obs_prefix("shard_test.map");
         let before = obs::snapshot();
-        put(&map, 1, 1, 7); // miss
-        put(&map, 1, 1, 7); // hit
-        put(&map, 1, 1, 8); // cross-run hit
-        put(&map, 2, 2, 7); // miss, evicts key 1
+        put(&map, 1, 1); // miss
+        put(&map, 1, 1); // hit
+        put(&map, 2, 2); // miss, evicts key 1
         let after = obs::snapshot();
         let delta = |name: &str| after.counter(name) - before.counter(name);
-        assert_eq!(delta("shard_test.map.hits"), 2);
+        assert_eq!(delta("shard_test.map.hits"), 1);
         assert_eq!(delta("shard_test.map.misses"), 2);
-        assert_eq!(delta("shard_test.map.cross_run_hits"), 1);
         assert_eq!(delta("shard_test.map.evictions"), 1);
     }
 
@@ -506,12 +424,12 @@ mod tests {
         let map: Arc<ShardedMap<u64, u64>> = Arc::new(ShardedMap::new(4, 64));
         let threads = 8u64;
         let per_thread = 2_000u64;
-        let tallies: Vec<[u64; 3]> = std::thread::scope(|scope| {
+        let tallies: Vec<[u64; 2]> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let map = Arc::clone(&map);
                     scope.spawn(move || {
-                        let mut tally = [0u64; 3]; // hits, cross-run hits, misses
+                        let mut tally = [0u64; 2]; // hits, misses
                                                    // Deterministic per-thread key stream (SplitMix64).
                         let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t + 1);
                         for _ in 0..per_thread {
@@ -520,13 +438,9 @@ mod tests {
                             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                             let key = (z ^ (z >> 31)) % 256;
-                            let (value, lookup) = map.get_or_insert_with(key, t, || key);
+                            let (value, lookup) = map.get_or_insert_with(key, || key);
                             assert_eq!(value, key);
-                            match lookup {
-                                Lookup::Hit => tally[0] += 1,
-                                Lookup::CrossRunHit => tally[1] += 1,
-                                Lookup::Miss => tally[2] += 1,
-                            }
+                            tally[usize::from(lookup == Lookup::Miss)] += 1;
                         }
                         tally
                     })
@@ -537,10 +451,9 @@ mod tests {
         let sum = |i: usize| tallies.iter().map(|t| t[i]).sum::<u64>();
         let st = map.stats();
         assert_eq!(st.hits + st.misses, threads * per_thread);
-        assert_eq!(st.hits, sum(0) + sum(1));
-        assert_eq!(st.cross_run_hits, sum(1));
-        assert_eq!(st.misses, sum(2));
-        assert!(st.cross_run_hits > 0, "eight owners over 256 keys must share entries");
+        assert_eq!(st.hits, sum(0));
+        assert_eq!(st.misses, sum(1));
+        assert!(st.hits > 0, "eight threads over 256 keys must share entries");
         assert!(st.entries <= 64, "capacity bound violated: {}", st.entries);
     }
 }

@@ -78,7 +78,7 @@ impl LayerMemo {
             return sim.simulate_layer(layer);
         }
         let key = MemoKey::new(sim.config(), layer);
-        self.map.get_or_insert_with(key, 0, || sim.simulate_layer(layer)).0
+        self.map.get_or_insert_with(key, || sim.simulate_layer(layer)).0
     }
 
     /// Simulates every layer of `network` in order through the memo. The

@@ -89,11 +89,11 @@ cargo run -q --release -p autopilot-bench --bin trace_report -- \
     --require bo.acquisition.gp_predict --require bo.acquisition.hv_score \
     --top 10
 
-echo "==> service smoke (serve_smoke: HTTP server + cross-run shared caches)"
+echo "==> service smoke (serve_smoke: HTTP server + shared Phase-1 cache)"
 # Boots the co-design server on an ephemeral port, runs two concurrent
-# same-scenario jobs over real TCP, checks the second is served from the
-# first's sharded caches, that results are bit-identical to the CLI
-# path, and that /metrics round-trips. Writes
+# same-scenario jobs over real TCP, checks that results are
+# bit-identical to the CLI path, that /metrics round-trips, and that a
+# later job read the shared Phase-1 database. Writes
 # results/telemetry_serve_smoke.json for the budget gate below.
 cargo run -q --release -p autopilot-serve --bin serve_smoke
 

@@ -7,8 +7,8 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{
-    AutoPilot, AutopilotConfig, CandidateCache, DssocEvaluator, JobConfig, OptimizerChoice, Phase1,
-    Phase2, PipelineCache, SuccessModel, TaskSpec,
+    AutoPilot, AutopilotConfig, DssocEvaluator, JobConfig, OptimizerChoice, Phase1, Phase2,
+    PipelineCache, SuccessModel, TaskSpec,
 };
 use autopilot_obs as obs;
 use dse_opt::Evaluator;
@@ -31,36 +31,6 @@ fn evaluator() -> DssocEvaluator {
 }
 
 #[test]
-fn repeated_scenario_run_records_candidate_cache_hits() {
-    let _guard = guard();
-    obs::force_metrics(true);
-    let before = obs::snapshot();
-
-    // Fig5-style repetition: the same scenario DSE twice against one
-    // shared candidate cache — the second run must be pure hits, and the
-    // obs counters must see that traffic.
-    let ev = evaluator();
-    let cache = CandidateCache::new();
-    let phase2 = Phase2::new(OptimizerChoice::Random, 12, 4);
-    let first = phase2.run_with_cache(&ev, &cache).expect("phase 2 runs");
-    let second = phase2.run_with_cache(&ev, &cache).expect("phase 2 runs");
-    assert_eq!(first.candidates, second.candidates);
-
-    let after = obs::snapshot();
-    let hits = after.counter("phase2.candidate_cache.hits")
-        - before.counter("phase2.candidate_cache.hits");
-    let misses = after.counter("phase2.candidate_cache.misses")
-        - before.counter("phase2.candidate_cache.misses");
-    assert!(hits > 0, "repeat run produced no candidate-cache hits");
-    assert!(misses > 0, "first run produced no candidate-cache misses");
-    assert_eq!(hits, second.cache_stats.hits, "obs delta must match cache stats");
-    assert!(
-        after.span_total_s("phase2.run") > before.span_total_s("phase2.run"),
-        "phase2.run span recorded no time"
-    );
-}
-
-#[test]
 fn pipeline_cache_hits_are_counted_across_uavs() {
     let _guard = guard();
     obs::force_metrics(true);
@@ -78,34 +48,6 @@ fn pipeline_cache_hits_are_counted_across_uavs() {
     assert_eq!(delta("pipeline.phase2_cache.misses"), 1, "phase 2 must run once");
     assert_eq!(delta("pipeline.phase2_cache.hits"), 1, "second UAV must hit the phase-2 cache");
     assert_eq!(delta("pipeline.phase1_cache.hits"), 1, "second UAV must hit the phase-1 cache");
-}
-
-#[test]
-fn obs_cache_counters_match_per_run_stats_exactly() {
-    let _guard = guard();
-    obs::force_metrics(true);
-
-    // Regression: the obs cache counters used to read double the per-run
-    // `cache_stats` in the timing probe because one snapshot spanned two
-    // runs. Within a single run, every lookup must be counted exactly
-    // once on exactly one of the hit/miss paths.
-    let ev = evaluator();
-    let phase2 = Phase2::new(OptimizerChoice::Random, 12, 9);
-    let before = obs::snapshot();
-    let out = phase2.run(&ev).expect("phase 2 runs");
-    let after = obs::snapshot();
-    let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(
-        delta("phase2.candidate_cache.misses"),
-        out.cache_stats.misses,
-        "each cache miss must increment the obs counter exactly once"
-    );
-    assert_eq!(
-        delta("phase2.candidate_cache.hits"),
-        out.cache_stats.hits,
-        "each cache hit must increment the obs counter exactly once"
-    );
-    assert_eq!(out.cache_stats.misses, out.result.evaluation_count() as u64);
 }
 
 #[test]
