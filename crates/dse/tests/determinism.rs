@@ -7,8 +7,8 @@
 
 use autopilot_obs as obs;
 use dse_opt::{
-    DesignSpace, EvalError, Evaluator, KernelExpMode, MultiObjectiveOptimizer, Nsga2Optimizer,
-    OptimizationResult, RandomSearch, SmsEgoOptimizer,
+    AnnealingOptimizer, DesignSpace, EvalError, Evaluator, KernelExpMode, MultiObjectiveOptimizer,
+    Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -48,7 +48,7 @@ fn space() -> DesignSpace {
     DesignSpace::new(vec![8, 8, 8]).expect("valid space")
 }
 
-fn run_all(threads: usize) -> [OptimizationResult; 3] {
+fn run_all(threads: usize) -> [OptimizationResult; 4] {
     let space = space();
     [
         SmsEgoOptimizer::new(13).with_threads(threads).run(&space, &Bowl, 28).unwrap(),
@@ -58,6 +58,10 @@ fn run_all(threads: usize) -> [OptimizationResult; 3] {
             .run(&space, &Bowl, 40)
             .unwrap(),
         RandomSearch::new(13).with_threads(threads).run(&space, &Bowl, 32).unwrap(),
+        // Annealing evaluates one point per step and has no thread
+        // builder; it is pinned here so a change to its memo, its
+        // restarts or its acceptance ranges fails a golden.
+        AnnealingOptimizer::new(13).run(&space, &Bowl, 40).unwrap(),
     ]
 }
 
@@ -90,10 +94,11 @@ fn fingerprint(result: &OptimizationResult) -> u64 {
 /// To regenerate after an intentional RNG or optimizer change, set any
 /// fingerprint to `0` and rerun with `-- --nocapture`: the test prints
 /// the replacement rows instead of asserting.
-const GOLDENS: [(&str, u64, u64); 3] = [
+const GOLDENS: [(&str, u64, u64); 4] = [
     ("sms-ego-bo", 0x9234_da32_9078_1113, 0x401f_24ba_93dc_2ddc),
     ("nsga-ii", 0x01ac_3198_a68a_222a, 0x401e_e2ea_2006_43fa),
     ("random-search", 0x6a7a_3d2f_7d74_b561, 0x401e_ac8f_9339_88eb),
+    ("simulated-annealing", 0x57d3_5e34_dc29_d72e, 0x401e_31e1_c028_ed00),
 ];
 
 #[test]
