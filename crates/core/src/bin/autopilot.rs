@@ -7,7 +7,8 @@
 
 use air_sim::ObstacleDensity;
 use autopilot::{
-    registry, AutoPilot, AutopilotConfig, JobConfig, OptimizerChoice, RunSummary, TaskSpec,
+    registry, AutoPilot, AutopilotConfig, JobConfig, JointSpace, OptimizerChoice, RunSummary,
+    TaskSpec,
 };
 use autopilot_obs::{obs_error, obs_info, obs_warn};
 use std::process::ExitCode;
@@ -52,7 +53,8 @@ USAGE:
 OPTIONS:
     --uav <mini|micro|nano>        target platform        [default: nano]
     --scenario <low|medium|dense>  deployment scenario    [default: dense]
-    --budget <N>                   phase-2 evaluations    [default: 200]
+    --budget <N>                   phase-2 evaluations, at most the
+                                   joint space's size     [default: 200]
     --optimizer <NAME>             phase-2 optimizer by registry name
                                    (bo|ga|sa|random aliases) [default: bo]
     --seed <N>                     deterministic seed     [default: 7]
@@ -112,7 +114,14 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
             "--budget" => {
                 args.budget =
-                    value("--budget")?.parse().map_err(|e| format!("bad --budget: {e}"))?
+                    value("--budget")?.parse().map_err(|e| format!("bad --budget: {e}"))?;
+                let points = JointSpace::size();
+                if args.budget as u128 > points {
+                    return Err(format!(
+                        "--budget {} exceeds the joint design space ({points} points)",
+                        args.budget
+                    ));
+                }
             }
             "--optimizer" => args.optimizer = parse_optimizer(&value("--optimizer")?)?,
             "--seed" => {

@@ -2,12 +2,12 @@
 //! scalarizations, an alternative Phase-2 optimizer.
 
 use autopilot_rng::Rng;
-use std::collections::HashMap;
 
+use crate::archive::Archive;
 use crate::control::RunControl;
 use crate::error::{DseError, EvalError};
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::result::{EvaluationRecord, OptimizationResult};
+use crate::result::OptimizationResult;
 use crate::space::DesignSpace;
 
 /// Simulated annealing over the discrete space: a random ordinal
@@ -49,43 +49,25 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
         let n_obj = evaluator.num_objectives();
-        let mut cache: HashMap<Vec<usize>, Vec<f64>> = HashMap::new();
-        let mut history: Vec<EvaluationRecord> = Vec::new();
-
-        let eval = |p: &Vec<usize>,
-                    cache: &mut HashMap<Vec<usize>, Vec<f64>>,
-                    history: &mut Vec<EvaluationRecord>|
-         -> Result<Vec<f64>, EvalError> {
-            if let Some(o) = cache.get(p) {
-                return Ok(o.clone());
-            }
-            let o = evaluator.evaluate(p)?;
-            cache.insert(p.clone(), o.clone());
-            history.push(EvaluationRecord {
-                iteration: history.len(),
-                point: p.clone(),
-                objectives: o.clone(),
-            });
-            Ok(o)
-        };
-
-        // Unique evaluations are bounded by the space; see the NSGA-II
-        // implementation for the same convergence guard.
-        let budget = (budget as u128).min(space.len()) as usize;
+        let mut archive = Archive::new(space, evaluator, budget, None);
+        let stale_limit = archive.budget().saturating_mul(20).saturating_add(500);
         let mut stale_steps = 0usize;
 
         let mut current = space.random_point(&mut rng);
-        let mut current_objs = eval(&current, &mut cache, &mut history)?;
+        let Some(mut current_objs) = objectives(&mut archive, &current)? else {
+            return Ok(archive.into_result(self.name()));
+        };
         let mut temperature = INITIAL_TEMPERATURE;
         let mut weights = random_weights(n_obj, &mut rng);
-        // Running objective ranges for normalization.
+        // Running objective ranges for normalization: the first point
+        // and every proposal, but not the restarts.
         let mut mins = current_objs.clone();
         let mut maxs = current_objs.clone();
 
         let mut step = 0usize;
-        while history.len() < budget {
+        while !archive.is_full() {
             control.check()?;
-            control.checkpoint(history.len(), 0);
+            control.checkpoint(archive.len(), 0);
             step += 1;
             if step.is_multiple_of(REWEIGHT_EVERY) {
                 weights = random_weights(n_obj, &mut rng);
@@ -93,8 +75,9 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
                 // archive exploring distant regions of the front.
                 if rng.chance(0.15) {
                     current = space.random_point(&mut rng);
-                    current_objs = eval(&current, &mut cache, &mut history)?;
-                    if history.len() >= budget {
+                    let Some(objs) = objectives(&mut archive, &current)? else { break };
+                    current_objs = objs;
+                    if archive.is_full() {
                         break;
                     }
                 }
@@ -104,11 +87,11 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
                 break;
             }
             let proposal = neighbors[rng.below(neighbors.len())].clone();
-            let was_cached = cache.contains_key(&proposal);
-            let proposal_objs = eval(&proposal, &mut cache, &mut history)?;
+            let was_cached = archive.objectives(&proposal).is_some();
+            let Some(proposal_objs) = objectives(&mut archive, &proposal)? else { break };
             if was_cached {
                 stale_steps += 1;
-                if stale_steps > budget * 20 + 500 {
+                if stale_steps > stale_limit {
                     break; // converged: the walk revisits known points only
                 }
             } else {
@@ -129,9 +112,15 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
             temperature *= COOLING;
         }
 
-        history.truncate(budget);
-        Ok(OptimizationResult::from_history(self.name(), history, evaluator.reference_point()))
+        Ok(archive.into_result(self.name()))
     }
+}
+
+/// `point`'s objectives, evaluated through the archive when new; `None`
+/// once the budget is spent.
+fn objectives(archive: &mut Archive<'_>, point: &[usize]) -> Result<Option<Vec<f64>>, EvalError> {
+    archive.evaluate([point])?;
+    Ok(archive.objectives(point).map(<[f64]>::to_vec))
 }
 
 fn random_weights(n: usize, rng: &mut Rng) -> Vec<f64> {

@@ -13,18 +13,18 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
+use crate::archive::Archive;
 use crate::control::RunControl;
-use crate::error::{DseError, EvalError};
+use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
 use crate::fastexp::KernelExpMode;
 use crate::gp::{
     median_sq_dist, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
 };
 use crate::linalg::Matrix;
-use crate::par;
 use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
 use crate::result::{EvaluationRecord, OptimizationResult};
-use crate::space::{DesignSpace, RankMap, RankSet};
+use crate::space::{DesignSpace, RankMap};
 
 /// S-Metric-Selection Efficient Global Optimization (Ponweiser et al.,
 /// PPSN 2008), the acquisition strategy AutoPilot uses in Phase 2.
@@ -51,10 +51,10 @@ use crate::space::{DesignSpace, RankMap, RankSet};
 /// rows added since, bit-identical to a fresh solve — see
 /// [`ExactColumn`]), exact-pack candidates are bounded from their
 /// kernel correlations first and solved only while they can still win
-/// (see [`ExactAcquisition`]), and both the initial sampling and the
-/// sparse-pack acquisition scoring fan out over worker threads with
-/// results gathered in index order — so a run is bit-identical for a
-/// fixed seed regardless of thread count.
+/// (see [`ExactAcquisition`]), and the initial sample is evaluated as
+/// one batch over worker threads with results committed in draw order —
+/// so a run is bit-identical for a fixed seed regardless of thread
+/// count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
 /// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
@@ -131,56 +131,13 @@ impl SmsEgoOptimizer {
         self
     }
 
-    /// Pins the worker count for parallel evaluation and sparse-pack
-    /// acquisition scoring (default: [`par::worker_count`]).
+    /// Pins the worker count for the initial sample's parallel
+    /// evaluation (default: [`crate::par::worker_count`]).
     pub fn with_threads(mut self, n: usize) -> SmsEgoOptimizer {
         self.threads = Some(n.max(1));
         self
     }
-
-    fn workers(&self) -> usize {
-        self.threads.unwrap_or_else(par::worker_count)
-    }
 }
-
-/// Evaluation archive with running objective ranges (incremental min/max
-/// instead of a full history rescan every BO iteration). `seen` holds
-/// the ranks ([`DesignSpace::rank`]) of the points evaluated or planned.
-struct Archive {
-    history: Vec<EvaluationRecord>,
-    seen: RankSet,
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-}
-
-impl Archive {
-    fn new(n_obj: usize, budget: usize) -> Archive {
-        Archive {
-            history: Vec::with_capacity(budget),
-            seen: RankSet::default(),
-            mins: vec![f64::INFINITY; n_obj],
-            maxs: vec![f64::NEG_INFINITY; n_obj],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    fn commit(&mut self, space: &DesignSpace, point: Vec<usize>, objectives: Vec<f64>) {
-        for (i, &v) in objectives.iter().enumerate() {
-            self.mins[i] = self.mins[i].min(v);
-            self.maxs[i] = self.maxs[i].max(v);
-        }
-        self.seen.insert(space.rank(&point));
-        self.history.push(EvaluationRecord { iteration: self.history.len(), point, objectives });
-    }
-}
-
-/// Number of candidates per sparse-pack prediction chunk: one prediction
-/// pass for every objective per chunk, with chunks fanned out across
-/// workers.
-const ACQ_CHUNK: usize = 64;
 
 /// LCB exploration factor: candidates are scored at `mean - BETA·std`.
 const BETA: f64 = 1.0;
@@ -211,6 +168,8 @@ struct AcquisitionState {
     norm_front: IncrementalFront,
     norm_mins: Vec<f64>,
     norm_maxs: Vec<f64>,
+    /// The hypervolume reference point in normalized objective space.
+    reference: Vec<f64>,
     synced: usize,
     columns: ColumnCache,
     pool: CandidatePool,
@@ -223,6 +182,7 @@ impl AcquisitionState {
             norm_front: IncrementalFront::new(),
             norm_mins: vec![f64::INFINITY; n_obj],
             norm_maxs: vec![f64::NEG_INFINITY; n_obj],
+            reference: vec![1.2; n_obj],
             synced: 0,
             columns: ColumnCache { key: (0, 0), columns: RankMap::default() },
             pool: CandidatePool::default(),
@@ -230,29 +190,29 @@ impl AcquisitionState {
     }
 
     /// Brings both fronts up to date with the archive.
-    fn sync(&mut self, archive: &Archive) {
+    fn sync(&mut self, archive: &Archive<'_>) {
         let normalized = |rec: &EvaluationRecord| -> Vec<f64> {
             rec.objectives
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| normalize(v, archive.mins[i], archive.maxs[i]))
+                .map(|(i, &v)| normalize(v, archive.mins()[i], archive.maxs()[i]))
                 .collect()
         };
-        for rec in &archive.history[self.synced..] {
+        for rec in &archive.history()[self.synced..] {
             self.raw_front.push(rec.iteration, rec.objectives.clone());
         }
-        if self.norm_mins == archive.mins && self.norm_maxs == archive.maxs {
-            for rec in &archive.history[self.synced..] {
+        if self.norm_mins == archive.mins() && self.norm_maxs == archive.maxs() {
+            for rec in &archive.history()[self.synced..] {
                 self.norm_front.push(rec.iteration, normalized(rec));
             }
             obs::add("bo.front.extend", (archive.len() - self.synced) as u64);
         } else {
             self.norm_front.clear();
-            for rec in &archive.history {
+            for rec in archive.history() {
                 self.norm_front.push(rec.iteration, normalized(rec));
             }
-            self.norm_mins = archive.mins.clone();
-            self.norm_maxs = archive.maxs.clone();
+            self.norm_mins = archive.mins().to_vec();
+            self.norm_maxs = archive.maxs().to_vec();
             obs::add("bo.front.rebuild", 1);
         }
         self.synced = archive.len();
@@ -343,7 +303,7 @@ pub(crate) struct CandidatePool {
 impl CandidatePool {
     /// Refills the pool: draws `random` uniform points, then the ordinal
     /// neighbours of each point of `front` in turn, and keeps in draw
-    /// order the first draw of every point whose rank is not in `seen`.
+    /// order the first draw of every point whose rank is not `seen`.
     /// A kept candidate is flagged as a neighbour when any of its draws
     /// was one.
     ///
@@ -354,7 +314,7 @@ impl CandidatePool {
     pub(crate) fn build<'p>(
         &mut self,
         space: &DesignSpace,
-        seen: &RankSet,
+        seen: impl Fn(u64) -> bool,
         random: usize,
         front: impl IntoIterator<Item = &'p [usize]>,
         rng: &mut Rng,
@@ -374,7 +334,7 @@ impl CandidatePool {
         for (k, cand) in self.drawn.chunks_exact(self.dims).enumerate() {
             let is_neighbour = k >= random;
             let rank = space.rank(cand);
-            if seen.contains(&rank) {
+            if seen(rank) {
                 continue;
             }
             match self.slots.entry(rank) {
@@ -439,13 +399,6 @@ enum SurrogatePack {
 impl SurrogatePack {
     fn is_sparse(&self) -> bool {
         matches!(self, SurrogatePack::Sparse(_))
-    }
-
-    fn n_obj(&self) -> usize {
-        match self {
-            SurrogatePack::Exact(gp) => gp.objective_count(),
-            SurrogatePack::Sparse(gp) => gp.objective_count(),
-        }
     }
 
     /// Appends one observation, one target per objective.
@@ -520,7 +473,7 @@ impl Surrogates {
     fn update(
         current: Option<Surrogates>,
         space: &DesignSpace,
-        archive: &Archive,
+        archive: &Archive<'_>,
         max_gp_points: usize,
         mode: SurrogateMode,
         exp_mode: KernelExpMode,
@@ -552,8 +505,8 @@ impl Surrogates {
 
     /// Brings an existing pack current without refitting: retarget on
     /// range moves, slide the window by downdates, extend new points.
-    fn reuse(&mut self, space: &DesignSpace, archive: &Archive, start: usize) -> bool {
-        if (self.norm_mins != archive.mins || self.norm_maxs != archive.maxs)
+    fn reuse(&mut self, space: &DesignSpace, archive: &Archive<'_>, start: usize) -> bool {
+        if (self.norm_mins != archive.mins() || self.norm_maxs != archive.maxs())
             && !self.retarget(archive)
         {
             return false;
@@ -573,30 +526,30 @@ impl Surrogates {
     /// factorization. Pairs with the acquisition side's
     /// `bo.front.rebuild`: a range move costs two triangular solves per
     /// objective instead of a full refit.
-    fn retarget(&mut self, archive: &Archive) -> bool {
-        let window = &archive.history[self.start..self.trained];
-        let n_obj = archive.mins.len();
+    fn retarget(&mut self, archive: &Archive<'_>) -> bool {
+        let window = &archive.history()[self.start..self.trained];
+        let n_obj = archive.mins().len();
         let ys: Vec<Vec<f64>> = (0..n_obj)
             .map(|obj| {
                 window
                     .iter()
-                    .map(|e| normalize(e.objectives[obj], archive.mins[obj], archive.maxs[obj]))
+                    .map(|e| normalize(e.objectives[obj], archive.mins()[obj], archive.maxs()[obj]))
                     .collect()
             })
             .collect();
         if !self.pack.retarget(&ys) {
             return false;
         }
-        self.norm_mins = archive.mins.clone();
-        self.norm_maxs = archive.maxs.clone();
+        self.norm_mins = archive.mins().to_vec();
+        self.norm_maxs = archive.maxs().to_vec();
         obs::add("bo.gp.retarget", 1);
         true
     }
 
-    fn try_extend(&mut self, space: &DesignSpace, archive: &Archive) -> bool {
+    fn try_extend(&mut self, space: &DesignSpace, archive: &Archive<'_>) -> bool {
         let counter =
             if self.pack.is_sparse() { "bo.gp.sparse.extend" } else { "dse.gp.rank1_extend" };
-        for rec in &archive.history[self.trained..] {
+        for rec in &archive.history()[self.trained..] {
             let x = space.encode(&rec.point);
             let ys: Vec<f64> = rec
                 .objectives
@@ -615,21 +568,21 @@ impl Surrogates {
 
     fn full_fit(
         space: &DesignSpace,
-        archive: &Archive,
+        archive: &Archive<'_>,
         start: usize,
         sparse_inducing: Option<usize>,
         exp_mode: KernelExpMode,
         fit_generation: u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
-        let train = &archive.history[start..];
+        let train = &archive.history()[start..];
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
         let lengthscale_sq = median_sq_dist(&xs);
-        let ys: Vec<Vec<f64>> = (0..archive.mins.len())
+        let ys: Vec<Vec<f64>> = (0..archive.mins().len())
             .map(|obj| {
                 train
                     .iter()
-                    .map(|e| normalize(e.objectives[obj], archive.mins[obj], archive.maxs[obj]))
+                    .map(|e| normalize(e.objectives[obj], archive.mins()[obj], archive.maxs()[obj]))
                     .collect()
             })
             .collect();
@@ -654,8 +607,8 @@ impl Surrogates {
             // max(n/4, 4) points amortizes the O(n³) refit to O(n²)
             // per iteration.
             next_refit: n + (n / 4).max(4),
-            norm_mins: archive.mins.clone(),
-            norm_maxs: archive.maxs.clone(),
+            norm_mins: archive.mins().to_vec(),
+            norm_maxs: archive.maxs().to_vec(),
             fit_generation,
         })
     }
@@ -677,48 +630,30 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
         let n_obj = evaluator.num_objectives();
-        let workers = self.workers();
-        let mut archive = Archive::new(n_obj, budget);
+        let mut archive = Archive::new(space, evaluator, budget, self.threads);
 
         // Domain-informed seed points, then the space-filling random
-        // sample. Both phases draw their points first (the sequence never
-        // depends on objective values) and evaluate each batch in
-        // parallel, committing in draw order.
-        let mut planned: Vec<Vec<usize>> = Vec::new();
+        // sample, evaluated as one batch: the points are drawn first (the
+        // sequence never depends on objective values).
+        let mut batch: Vec<Vec<usize>> = Vec::new();
         for p in &self.seed_points {
-            if archive.len() + planned.len() >= budget {
-                break;
-            }
-            if space.contains(p) && !archive.seen.contains(&space.rank(p)) && !planned.contains(p) {
-                planned.push(p.clone());
+            if space.contains(p) && !batch.contains(p) {
+                batch.push(p.clone());
             }
         }
-        for p in &planned {
-            archive.seen.insert(space.rank(p));
-        }
-        let init_target = self.init_samples.min(budget);
-        let mut retries = 0;
-        while archive.len() + planned.len() < init_target && retries < budget * 20 + 100 {
-            let p = space.random_point(&mut rng);
-            if !archive.seen.insert(space.rank(&p)) {
-                retries += 1;
-                continue;
-            }
-            planned.push(p);
-        }
+        batch.truncate(archive.budget());
+        let init_target = self.init_samples.min(archive.budget());
+        let mut retries = archive.budget().saturating_mul(20).saturating_add(100);
+        archive.draw_fresh(&mut rng, &mut batch, init_target, &mut retries);
         control.check()?;
-        let objectives: Vec<Result<Vec<f64>, EvalError>> =
-            par::parallel_map_with(workers, &planned, |_, p| evaluator.evaluate(p));
-        for (p, o) in planned.into_iter().zip(objectives) {
-            archive.commit(space, p, o?);
-        }
+        archive.evaluate(batch.drain(..))?;
 
         // BO loop: one evaluation per iteration, surrogates and Pareto
         // fronts kept current incrementally.
         let mut surrogates: Option<Surrogates> = None;
         let mut generations = 0;
         let mut acquisition = AcquisitionState::new(n_obj);
-        while archive.len() < budget {
+        while !archive.is_full() {
             control.check()?;
             control.checkpoint(archive.len(), acquisition.raw_front.indices().len());
             let _iter = obs::span("bo.iteration");
@@ -735,29 +670,25 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
             });
             let next = match &surrogates {
                 Some(s) => obs::time("bo.acquisition", || {
-                    self.select_candidate(space, &archive, s, &mut acquisition, workers, &mut rng)
+                    self.select_candidate(space, &archive, s, &mut acquisition, &mut rng)
                 }),
                 None => None,
             };
-            let p = match next {
-                Some(p) => p,
+            match next {
+                Some(i) => archive.evaluate([acquisition.pool.point(i)])?,
                 None => {
-                    // Fallback: fresh random point.
-                    match fresh_random(space, &archive.seen, &mut rng, 200) {
-                        Some(p) => p,
-                        None => break, // space exhausted
+                    // Fallback: a fresh random point.
+                    let mut retries = 200;
+                    archive.draw_fresh(&mut rng, &mut batch, 1, &mut retries);
+                    if batch.is_empty() {
+                        break; // space exhausted
                     }
+                    archive.evaluate(batch.drain(..))?;
                 }
-            };
-            let objectives = evaluator.evaluate(&p)?;
-            archive.commit(space, p, objectives);
+            }
         }
 
-        Ok(OptimizationResult::from_history(
-            self.name(),
-            archive.history,
-            evaluator.reference_point(),
-        ))
+        Ok(archive.into_result(self.name()))
     }
 }
 
@@ -765,24 +696,23 @@ impl SmsEgoOptimizer {
     fn select_candidate(
         &self,
         space: &DesignSpace,
-        archive: &Archive,
+        archive: &Archive<'_>,
         surrogates: &Surrogates,
         acquisition: &mut AcquisitionState,
-        workers: usize,
         rng: &mut Rng,
-    ) -> Option<Vec<usize>> {
+    ) -> Option<usize> {
         // Fronts maintained across iterations: only the points committed
         // since the last call are pushed (plus a renormalizing rebuild
         // when the archive ranges moved).
         obs::time("bo.acquisition.front_sync", || acquisition.sync(archive));
         let front = acquisition.norm_front.points();
         obs::gauge_set("bo.front.size", front.len() as f64);
-        let reference = vec![1.2; surrogates.pack.n_obj()];
         // One scorer per iteration: the front is frozen during scoring,
         // so its obj-0 index and its partition of the non-dominated
         // region are shared read-only by every candidate below.
+        let reference = &acquisition.reference;
         let scorer =
-            obs::time("bo.acquisition.hv_score", || ContributionScorer::new(front, &reference));
+            obs::time("bo.acquisition.hv_score", || ContributionScorer::new(front, reference));
         obs::add("bo.hv.boxes", scorer.box_count() as u64);
         obs::add("bo.hv.front_points", scorer.len() as u64);
 
@@ -797,9 +727,9 @@ impl SmsEgoOptimizer {
         let front_points = acquisition.raw_front.indices().iter().take(16);
         pool.build(
             space,
-            &archive.seen,
+            |rank| archive.contains(rank),
             self.candidate_pool,
-            front_points.map(|&i| archive.history[i].point.as_slice()),
+            front_points.map(|&i| archive.history()[i].point.as_slice()),
             rng,
         );
         obs::observe("bo.acquisition.pool_size", pool.len() as f64);
@@ -843,7 +773,7 @@ impl SmsEgoOptimizer {
                         })
                         .collect();
                     let acquisition = SparseAcquisition::new(gp, &scorer);
-                    let best = acquisition.select(&points, &mut slots, pool.neighbour(), workers);
+                    let best = acquisition.select(&points, &mut slots, pool.neighbour());
                     (best, slots.into_iter().map(|slot| slot.map(Column::Sparse)).collect())
                 }
             }
@@ -853,20 +783,19 @@ impl SmsEgoOptimizer {
                 acquisition.columns.put_back(pool.ranks(), columns)
             })
         });
-        best.map(|i| pool.point(i).to_vec())
+        best
     }
 }
 
-/// The sparse-pack SMS-EGO acquisition over one candidate pool: each
-/// chunk of candidates predicts all objectives from its inducing
-/// correlations and scores every candidate exactly. The pick is the
-/// first maximum in pool order, as full scoring makes it.
+/// The sparse-pack SMS-EGO acquisition over one candidate pool: the
+/// pool predicts all objectives from its inducing correlations in one
+/// pass and every candidate is scored exactly. The pick is the first
+/// maximum in pool order, as full scoring makes it.
 ///
 /// Sparse predictions are cheap (`O(m)` per candidate against `m`
 /// inducing points), and a score is one `O(|front|)` loop over the
 /// scorer's partition (see [`ContributionScorer`]), so nothing is worth
-/// pruning. Each chunk's result depends only on its own candidates, so
-/// it does not depend on the worker count.
+/// pruning.
 ///
 /// No variance bound is used: the sparse variance is `σ²(1 − cᵀDc)`
 /// with `D = C_mm⁻¹ − A⁻¹`, which has no fixed diagonal, so the only
@@ -897,7 +826,6 @@ impl<'a> SparseAcquisition<'a> {
     /// against this pack's inducing set and lengthscale (`None` when
     /// there is none); misses are filled from one kernel panel. On
     /// return it holds the column when `keep[j]` and `None` otherwise.
-    /// Chunks of candidates run across `workers`.
     ///
     /// # Panics
     ///
@@ -905,31 +833,24 @@ impl<'a> SparseAcquisition<'a> {
     /// wrong dimension, or a column has the wrong length.
     pub fn select(
         &self,
-        points: &[impl AsRef<[f64]> + Sync],
+        points: &[impl AsRef<[f64]>],
         columns: &mut [Option<Vec<f64>>],
         keep: &[bool],
-        workers: usize,
     ) -> Option<usize> {
         assert_eq!(points.len(), columns.len(), "one column per candidate");
         assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
-        obs::time("bo.acquisition.gp_predict", || {
+        let preds = obs::time("bo.acquisition.gp_predict", || {
             let misses: Vec<usize> = (0..points.len()).filter(|&j| columns[j].is_none()).collect();
-            if misses.is_empty() {
-                return;
+            if !misses.is_empty() {
+                let miss_points: Vec<&[f64]> = misses.iter().map(|&j| points[j].as_ref()).collect();
+                let panel = self.pack.cross_correlations(&miss_points);
+                for (k, &j) in misses.iter().enumerate() {
+                    columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
+                }
             }
-            let miss_points: Vec<&[f64]> = misses.iter().map(|&j| points[j].as_ref()).collect();
-            let panel = self.pack.cross_correlations(&miss_points);
-            for (k, &j) in misses.iter().enumerate() {
-                columns[j] = Some((0..panel.rows()).map(|i| panel[(i, k)]).collect());
-            }
+            self.predict(columns)
         });
-        let chunks: Vec<&[Option<Vec<f64>>]> = columns.chunks(ACQ_CHUNK).collect();
-        obs::add("bo.acquisition.batches", chunks.len() as u64);
-        let scored = par::parallel_map_with(workers, &chunks, |_, chunk| {
-            obs::observe("bo.acquisition.batch_size", chunk.len() as f64);
-            let preds = obs::time("bo.acquisition.gp_predict", || self.predict_chunk(chunk));
-            obs::time("bo.acquisition.hv_score", || self.score_chunk(&preds))
-        });
+        let scores = obs::time("bo.acquisition.hv_score", || self.score(&preds));
         obs::time("bo.acquisition.gp_predict", || {
             for (column, &keep) in columns.iter_mut().zip(keep) {
                 if !keep {
@@ -937,14 +858,14 @@ impl<'a> SparseAcquisition<'a> {
                 }
             }
         });
-        first_max(scored.concat().into_iter().map(Some))
+        first_max(scores.into_iter().map(Some))
     }
 
     /// Per candidate, the `(mean, variance)` of every objective from its
-    /// inducing correlations, assembled into one `m × chunk` matrix that
+    /// inducing correlations, assembled into one `m × pool` matrix that
     /// the pack predicts from in one pass — bit-identical to the pack's
     /// `predict_batch`.
-    fn predict_chunk(&self, columns: &[Option<Vec<f64>>]) -> Vec<Vec<(f64, f64)>> {
+    fn predict(&self, columns: &[Option<Vec<f64>>]) -> Vec<Vec<(f64, f64)>> {
         obs::add("bo.gp.sparse.predict", 1);
         let mut corr = Matrix::zeros(self.pack.inducing_count(), columns.len());
         for (j, column) in columns.iter().enumerate() {
@@ -955,10 +876,10 @@ impl<'a> SparseAcquisition<'a> {
         self.pack.predict_batch_from_correlations(&corr)
     }
 
-    /// The chunk's scores, one per candidate.
-    fn score_chunk(&self, preds: &[Vec<(f64, f64)>]) -> Vec<f64> {
+    /// The pool's scores, one per candidate.
+    fn score(&self, preds: &[Vec<(f64, f64)>]) -> Vec<f64> {
         let n_obj = self.pack.objective_count();
-        // One buffer reused across the whole chunk: steady-state scoring
+        // One buffer reused across the whole pool: steady-state scoring
         // allocates nothing per candidate.
         let mut scratch = self.scorer.scratch();
         let scores: Vec<f64> = preds
@@ -1042,6 +963,13 @@ pub enum ExactSlot {
 /// 2. **Subset**: the full score of the LCB with the variances of
 ///    [`GaussianProcess::subset_variance_bounds`] (an 8-row Schur bound).
 /// 3. **Solve**: the exact score, solved in rounds of [`SOLVE_ROUND`].
+///
+/// The subset rung pays at large training sets. Sending every subset
+/// promotion straight to a solve round left picks and results bit-equal
+/// in alternating 15 s perfbench pairs, but dse-scale (budget 384) was
+/// slower in 6 of 6 pairs (`op_iqm_s` +3 % to +30 %), while serve-mix
+/// (SMS-EGO budgets 24–120) was faster in 4 of 4 (−3 % to −15 %). A rung
+/// chosen by training-set size could take both gains.
 ///
 /// [`ExactAcquisition::select`] scores cached solved columns exactly,
 /// which sets the running best `τ`, then refines best-first: the
@@ -1366,21 +1294,6 @@ fn normalize(v: f64, min: f64, max: f64) -> f64 {
     }
 }
 
-fn fresh_random(
-    space: &DesignSpace,
-    seen: &RankSet,
-    rng: &mut Rng,
-    retries: usize,
-) -> Option<Vec<usize>> {
-    for _ in 0..retries {
-        let p = space.random_point(rng);
-        if !seen.contains(&space.rank(&p)) {
-            return Some(p);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1448,12 +1361,13 @@ mod tests {
                 let mut seen_points = front.clone();
                 seen_points.extend((0..8).map(|_| space.random_point(&mut rng)));
                 let seen_vec: HashSet<Vec<usize>> = seen_points.iter().cloned().collect();
-                let seen: RankSet = seen_points.iter().map(|p| space.rank(p)).collect();
+                let seen: HashSet<u64> = seen_points.iter().map(|p| space.rank(p)).collect();
 
                 let (mut want_rng, mut got_rng) = (rng.clone(), rng);
                 let (want, want_neighbour, e) =
                     vec_keyed_pool(&space, &seen_vec, random, &front, &mut want_rng);
-                pool.build(&space, &seen, random, front.iter().map(Vec::as_slice), &mut got_rng);
+                let seen = |rank| seen.contains(&rank);
+                pool.build(&space, seen, random, front.iter().map(Vec::as_slice), &mut got_rng);
                 let got: Vec<Vec<usize>> =
                     (0..pool.len()).map(|i| pool.point(i).to_vec()).collect();
                 assert_eq!(got, want, "seed {seed}");

@@ -3,14 +3,13 @@
 
 use autopilot_obs as obs;
 use autopilot_rng::Rng;
-use std::collections::{HashMap, HashSet};
 
+use crate::archive::Archive;
 use crate::control::RunControl;
-use crate::error::{DseError, EvalError};
+use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::par;
 use crate::pareto::{crowding_distance, non_dominated_sort};
-use crate::result::{EvaluationRecord, OptimizationResult};
+use crate::result::OptimizationResult;
 use crate::space::DesignSpace;
 
 /// Elitist non-dominated-sorting genetic algorithm over discrete index
@@ -19,10 +18,10 @@ use crate::space::DesignSpace;
 ///
 /// Objective evaluations are memoized: only *new* points consume budget,
 /// matching how expensive DSE evaluations are accounted in practice.
-/// Each generation's uncached points are evaluated as one parallel
-/// batch; the batch is planned from the RNG-drawn offspring before any
-/// evaluation runs, so results are bit-identical to a sequential run for
-/// a fixed seed, at any thread count.
+/// Each generation's offspring are drawn before any of them is evaluated
+/// and go to the run's archive as one parallel batch, so results are
+/// bit-identical to a sequential run for a fixed seed, at any thread
+/// count.
 #[derive(Debug, Clone)]
 pub struct Nsga2Optimizer {
     seed: u64,
@@ -50,14 +49,10 @@ impl Nsga2Optimizer {
         self
     }
 
-    /// Pins the evaluation worker count (default: [`par::worker_count`]).
+    /// Pins the evaluation worker count (default: [`crate::par::worker_count`]).
     pub fn with_threads(mut self, n: usize) -> Nsga2Optimizer {
         self.threads = Some(n.max(1));
         self
-    }
-
-    fn workers(&self) -> usize {
-        self.threads.unwrap_or_else(par::worker_count)
     }
 }
 
@@ -76,60 +71,28 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
         let _span = obs::span("nsga2.run");
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
-        let workers = self.workers();
-        let mut cache: HashMap<Vec<usize>, Vec<f64>> = HashMap::new();
-        let mut history: Vec<EvaluationRecord> = Vec::new();
-
-        // Evaluates the uncached points among `batch` (first occurrence
-        // order) as one parallel map, then commits them to the cache and
-        // history in that same order — exactly the trace a sequential
-        // memoized loop would produce.
-        let eval_batch = |batch: &[Vec<usize>],
-                          cache: &mut HashMap<Vec<usize>, Vec<f64>>,
-                          history: &mut Vec<EvaluationRecord>|
-         -> Result<(), EvalError> {
-            let mut fresh: Vec<Vec<usize>> = Vec::new();
-            let mut fresh_set: HashSet<&[usize]> = HashSet::new();
-            for p in batch {
-                if !cache.contains_key(p) && fresh_set.insert(p.as_slice()) {
-                    fresh.push(p.clone());
-                }
-            }
-            let objs: Vec<Result<Vec<f64>, EvalError>> =
-                par::parallel_map_with(workers, &fresh, |_, p| evaluator.evaluate(p));
-            for (p, o) in fresh.into_iter().zip(objs) {
-                let o = o?;
-                cache.insert(p.clone(), o.clone());
-                history.push(EvaluationRecord {
-                    iteration: history.len(),
-                    point: p,
-                    objectives: o,
-                });
-            }
-            Ok(())
-        };
-
-        // The space itself bounds how many *unique* evaluations exist;
-        // without this cap a converged population of cache hits would
-        // spin forever on small spaces.
-        let budget = (budget as u128).min(space.len()) as usize;
+        let mut archive = Archive::new(space, evaluator, budget, self.threads);
         let mut stale_generations = 0usize;
 
-        // Initial population.
-        let pop_draw: Vec<Vec<usize>> =
+        // Initial population. A budget below the population size is spent
+        // on its first members, and the search ends there.
+        let mut pop: Vec<Vec<usize>> =
             (0..self.population).map(|_| space.random_point(&mut rng)).collect();
-        eval_batch(&pop_draw, &mut cache, &mut history)?;
-        let mut pop = pop_draw;
-        let mut pop_objs: Vec<Vec<f64>> = pop.iter().map(|p| cache[p].clone()).collect();
+        archive.evaluate(pop.iter().map(Vec::as_slice))?;
+        let pop_objs: Option<Vec<Vec<f64>>> =
+            pop.iter().map(|p| archive.objectives(p).map(<[f64]>::to_vec)).collect();
+        let Some(mut pop_objs) = pop_objs else {
+            return Ok(archive.into_result(self.name()));
+        };
 
-        while history.len() < budget {
+        while !archive.is_full() {
             control.check()?;
             let _gen = obs::span("nsga2.generation");
             obs::add("dse.nsga2.generations", 1);
-            let history_before = history.len();
+            let archived_before = archive.len();
             // Ranks and crowding for parent selection.
             let fronts = non_dominated_sort(&pop_objs);
-            control.checkpoint(history.len(), fronts.first().map_or(0, Vec::len));
+            control.checkpoint(archive.len(), fronts.first().map_or(0, Vec::len));
             let mut rank = vec![0usize; pop.len()];
             let mut crowd = vec![0.0f64; pop.len()];
             for (r, front) in fronts.iter().enumerate() {
@@ -171,39 +134,13 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
                 offspring.push(child);
             }
 
-            // Plan which offspring fit the remaining budget — walking in
-            // order with a projected history length, so the cut-off falls
-            // on exactly the same offspring as a sequential evaluation
-            // loop — then evaluate the admitted prefix set in parallel.
-            let mut admitted: Vec<Vec<usize>> = Vec::new();
-            let mut admitted_set: HashSet<&[usize]> = HashSet::new();
-            let mut projected = history.len();
-            let mut in_budget = vec![true; offspring.len()];
-            for (k, p) in offspring.iter().enumerate() {
-                if cache.contains_key(p) || admitted_set.contains(p.as_slice()) {
-                    continue;
-                }
-                if projected >= budget {
-                    in_budget[k] = false;
-                    continue;
-                }
-                admitted.push(p.clone());
-                admitted_set.insert(p.as_slice());
-                projected += 1;
-            }
-            eval_batch(&admitted, &mut cache, &mut history)?;
+            // The archive evaluates the new offspring that fit the
+            // budget; the rest stand in as copies of the first parent so
+            // the arrays stay aligned.
+            archive.evaluate(offspring.iter().map(Vec::as_slice))?;
             let off_objs: Vec<Vec<f64>> = offspring
                 .iter()
-                .zip(&in_budget)
-                .map(|(p, &ok)| {
-                    if ok {
-                        cache[p].clone()
-                    } else {
-                        // Budget exhausted; fall back to parent duplication
-                        // so arrays stay aligned.
-                        pop_objs[0].clone()
-                    }
-                })
+                .map(|p| archive.objectives(p).map_or_else(|| pop_objs[0].clone(), <[f64]>::to_vec))
                 .collect();
 
             // Environmental selection over parents + offspring.
@@ -231,7 +168,7 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
 
             // Terminate on convergence: generations that discover no new
             // point cannot make progress toward the budget.
-            if history.len() == history_before {
+            if archive.len() == archived_before {
                 stale_generations += 1;
                 if stale_generations >= 30 {
                     break;
@@ -239,13 +176,12 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
             } else {
                 stale_generations = 0;
             }
-            if history.len() >= budget {
+            if archive.is_full() {
                 break;
             }
         }
 
-        history.truncate(budget);
-        Ok(OptimizationResult::from_history(self.name(), history, evaluator.reference_point()))
+        Ok(archive.into_result(self.name()))
     }
 }
 

@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 
 mod anneal;
+mod archive;
 mod bayesopt;
 mod control;
 mod error;

@@ -6,12 +6,14 @@
 //! the results are reassembled in index order. The output is therefore
 //! **bit-identical** to a sequential map regardless of worker count or
 //! OS scheduling, which is what lets the DSE optimizers fan out
-//! expensive black-box evaluations and acquisition scoring without
-//! perturbing their deterministic trajectories.
+//! expensive black-box evaluations without perturbing their
+//! deterministic trajectories.
 //!
-//! Fan-out is one level deep: the optimizers map over candidates and
-//! evaluations, and everything a worker calls — the GP kernel panels
-//! included — runs inline on that worker's thread.
+//! Within this crate only the samplers' shared evaluation archive fans
+//! out: every optimizer hands its batches of design points to the
+//! archive, which evaluates them through [`parallel_map_with`] and
+//! commits them in batch order. Fan-out is one level deep: everything a
+//! worker calls runs inline on that worker's thread.
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! and can be overridden with the `AUTOPILOT_THREADS` environment

@@ -2,21 +2,20 @@
 
 use autopilot_obs as obs;
 use autopilot_rng::Rng;
-use std::collections::HashSet;
 
+use crate::archive::Archive;
 use crate::control::RunControl;
-use crate::error::{DseError, EvalError};
+use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::par;
-use crate::result::{EvaluationRecord, OptimizationResult};
+use crate::result::OptimizationResult;
 use crate::space::DesignSpace;
 
 /// Uniform random search without replacement (up to a retry bound).
 ///
 /// The weakest sensible baseline for Phase-2 DSE comparisons. The point
-/// sequence is drawn up front (it depends only on the seed, never on
-/// objective values), so evaluations fan out across worker threads while
-/// the result stays bit-identical to a sequential run.
+/// sequence depends only on the seed, never on objective values, so each
+/// chunk of draws fans out across worker threads while the result stays
+/// bit-identical to a sequential run.
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     seed: u64,
@@ -29,14 +28,10 @@ impl RandomSearch {
         RandomSearch { seed, threads: None }
     }
 
-    /// Pins the evaluation worker count (default: [`par::worker_count`]).
+    /// Pins the evaluation worker count (default: [`crate::par::worker_count`]).
     pub fn with_threads(mut self, n: usize) -> RandomSearch {
         self.threads = Some(n.max(1));
         self
-    }
-
-    fn workers(&self) -> usize {
-        self.threads.unwrap_or_else(par::worker_count)
     }
 }
 
@@ -53,40 +48,26 @@ impl MultiObjectiveOptimizer for RandomSearch {
         control: &RunControl,
     ) -> Result<OptimizationResult, DseError> {
         let _span = obs::span("random_search.run");
-        control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut seen: HashSet<Vec<usize>> = HashSet::new();
-        let mut points: Vec<Vec<usize>> = Vec::with_capacity(budget);
-        let mut retries = 0usize;
-        while points.len() < budget && retries < budget * 20 {
-            let p = space.random_point(&mut rng);
-            if !seen.insert(p.clone()) {
-                retries += 1;
-                continue;
-            }
-            points.push(p);
-        }
+        let mut archive = Archive::new(space, evaluator, budget, self.threads);
         // The point sequence depends only on the seed, so evaluating it
         // in chunks with a cancellation check between chunks changes
-        // nothing about the result — it only bounds how much work a
+        // nothing about the result; it only bounds how much work a
         // cancelled run still performs.
         const CHUNK: usize = 32;
-        let mut history: Vec<EvaluationRecord> = Vec::with_capacity(points.len());
-        for chunk in points.chunks(CHUNK) {
+        let mut retries = archive.budget().saturating_mul(20);
+        let mut chunk: Vec<Vec<usize>> = Vec::with_capacity(CHUNK);
+        loop {
             control.check()?;
-            let objectives: Vec<Result<Vec<f64>, EvalError>> =
-                par::parallel_map_with(self.workers(), chunk, |_, p| evaluator.evaluate(p));
-            for (point, objectives) in chunk.iter().zip(objectives) {
-                let iteration = history.len();
-                history.push(EvaluationRecord {
-                    iteration,
-                    point: point.clone(),
-                    objectives: objectives?,
-                });
+            let len = CHUNK.min(archive.budget() - archive.len());
+            archive.draw_fresh(&mut rng, &mut chunk, len, &mut retries);
+            if chunk.is_empty() {
+                break;
             }
-            control.checkpoint(history.len(), 0);
+            archive.evaluate(chunk.drain(..))?;
+            control.checkpoint(archive.len(), 0);
         }
-        Ok(OptimizationResult::from_history(self.name(), history, evaluator.reference_point()))
+        Ok(archive.into_result(self.name()))
     }
 }
 

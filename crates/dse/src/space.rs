@@ -1,7 +1,7 @@
 //! Discrete design spaces and their normalized encodings.
 
 use autopilot_rng::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -214,10 +214,7 @@ impl DesignSpace {
 /// A map keyed by point rank ([`DesignSpace::rank`]).
 pub(crate) type RankMap<V> = HashMap<u64, V, BuildHasherDefault<RankHasher>>;
 
-/// A set of point ranks ([`DesignSpace::rank`]).
-pub(crate) type RankSet = HashSet<u64, BuildHasherDefault<RankHasher>>;
-
-/// The fixed hasher of [`RankMap`] and [`RankSet`]: the SplitMix64
+/// The fixed hasher of [`RankMap`]: the SplitMix64
 /// finalizer over the rank. Ranks of nearby points differ in their low
 /// bits only, and the finalizer spreads every input bit over the whole
 /// output, so the table's bucket and control bits both vary. It has no

@@ -15,9 +15,10 @@ use dse_opt::pareto::{
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
     ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, KernelExpMode,
-    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch, SparseAcquisition,
-    SparseGaussianProcess,
+    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer,
+    SparseAcquisition, SparseGaussianProcess,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 const CASES: u64 = 64;
@@ -181,6 +182,90 @@ fn optimizers_respect_budget_and_space() {
 }
 
 /// Ascending dot product from `0.0`.
+/// [`Weighted`], counting its calls.
+#[derive(Default)]
+struct Counting(AtomicUsize);
+
+impl Evaluator for Counting {
+    fn num_objectives(&self) -> usize {
+        2
+    }
+    fn evaluate(&self, point: &[usize]) -> Result<Vec<f64>, EvalError> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Weighted.evaluate(point)
+    }
+    fn reference_point(&self) -> Vec<f64> {
+        Weighted.reference_point()
+    }
+}
+
+/// Each of the four samplers at `threads` workers (annealing has no
+/// worker knob).
+fn samplers(seed: u64, threads: usize) -> [Box<dyn MultiObjectiveOptimizer>; 4] {
+    [
+        Box::new(SmsEgoOptimizer::new(seed).with_init_samples(4).with_threads(threads)),
+        Box::new(Nsga2Optimizer::new(seed).with_population(6).with_threads(threads)),
+        Box::new(AnnealingOptimizer::new(seed)),
+        Box::new(RandomSearch::new(seed).with_threads(threads)),
+    ]
+}
+
+/// Every sampler calls the evaluator once per history record, never
+/// repeats a point, stays within `min(budget, |space|)`, including at
+/// budgets past the space, and records the same history at 1 and 3
+/// workers.
+#[test]
+fn samplers_evaluate_each_point_once_within_the_capped_budget() {
+    // SMS-EGO records acquisition counters that other tests read.
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    for case in 0..24 {
+        let mut rng = Rng::seed_stream(0xd5e_0015, case);
+        let seed = rng.next_u64();
+        let dims = rng.range_usize(1, 4);
+        let space = DesignSpace::new((0..dims).map(|_| rng.range_usize(1, 6)).collect()).unwrap();
+        let size = space.len() as usize;
+        // Budgets below a population, within the space and past it.
+        let budget = match case % 3 {
+            0 => rng.range_usize(1, 8),
+            1 => rng.range_usize(1, size + 1),
+            _ => rng.range_usize(size, 2 * size + 8),
+        };
+        let runs = |threads| {
+            samplers(seed, threads).map(|mut sampler| {
+                let evaluator = Counting::default();
+                let result = sampler.run(&space, &evaluator, budget).unwrap();
+                (result, evaluator.0.into_inner())
+            })
+        };
+        for ((result, calls), (again, _)) in runs(1).into_iter().zip(runs(3)) {
+            let context = format!("case {case}: {} at budget {budget} of {size}", result.algorithm);
+            assert_eq!(calls, result.evaluation_count(), "{context}: calls");
+            assert!(result.evaluation_count() <= budget.min(size), "{context}: over budget");
+            let mut points: Vec<&[usize]> =
+                result.evaluations.iter().map(|e| e.point.as_slice()).collect();
+            points.sort_unstable();
+            points.dedup();
+            assert_eq!(points.len(), result.evaluation_count(), "{context}: repeats");
+            assert_eq!(result, again, "{context}: 1 vs 3 workers");
+        }
+    }
+}
+
+/// A `usize::MAX` budget is capped at the space: every sampler and
+/// exhaustive search return normally on a 12-point space.
+#[test]
+fn unbounded_budgets_stop_at_the_space() {
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    let space = DesignSpace::new(vec![3, 4]).unwrap();
+    let mut optimizers: Vec<Box<dyn MultiObjectiveOptimizer>> = samplers(5, 2).into();
+    optimizers.push(Box::new(ExhaustiveSearch::new()));
+    for mut optimizer in optimizers {
+        let result = optimizer.run(&space, &Weighted, usize::MAX).unwrap();
+        assert!(result.evaluation_count() <= 12, "{}", result.algorithm);
+        assert!(result.evaluation_count() > 0, "{}", result.algorithm);
+    }
+}
+
 fn ascending_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
@@ -1151,9 +1236,8 @@ fn exact_selection_correlates_a_cold_pool_in_one_panel() {
 
 /// The sparse-pack selection picks exactly what per-candidate full
 /// scoring picks, over random sparse packs, crowded pools and fronts
-/// (with ties, and empty), with cold and then warm columns, at 1 and 3
-/// workers; kept columns are exactly the `keep`-flagged ones; and every
-/// candidate is scored.
+/// (with ties, and empty), with cold and then warm columns; kept columns
+/// are exactly the `keep`-flagged ones; and every candidate is scored.
 #[test]
 fn sparse_selection_matches_full_scoring() {
     let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1191,18 +1275,12 @@ fn sparse_selection_matches_full_scoring() {
             }
             let keep: Vec<bool> = pool.iter().map(|_| rng.next_f64() < 0.6).collect();
             let acquisition = SparseAcquisition::new(&pack, &scorer);
-            let mut kept = Vec::new();
-            for workers in [1, 3] {
-                let mut trial = columns.clone();
-                let pick = acquisition.select(&pool, &mut trial, &keep, workers);
-                candidates += pool.len() as u64;
-                assert_eq!(pick, want.map(|(_, j)| j), "case {case} ({round}, {workers} workers)");
-                for (j, (column, &k)) in trial.iter().zip(&keep).enumerate() {
-                    assert_eq!(column.is_some(), k, "case {case} ({round}): column {j}");
-                }
-                kept.push(trial);
+            let pick = acquisition.select(&pool, &mut columns, &keep);
+            candidates += pool.len() as u64;
+            assert_eq!(pick, want.map(|(_, j)| j), "case {case} ({round})");
+            for (j, (column, &k)) in columns.iter().zip(&keep).enumerate() {
+                assert_eq!(column.is_some(), k, "case {case} ({round}): column {j}");
             }
-            columns = kept.pop().expect("two runs");
         }
     }
     let scored = obs::snapshot().counter("bo.hv.incremental") - before;
