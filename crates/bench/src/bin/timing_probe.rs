@@ -184,7 +184,6 @@ fn paper_leg() {
     let gp_full_refits = seq_snap.counter("dse.gp.full_refit");
     let gp_rank1_extends = seq_snap.counter("dse.gp.rank1_extend");
     let gp_retargets = seq_snap.counter("bo.gp.retarget");
-    let gp_downdates = seq_snap.counter("bo.gp.downdate");
     let hv_incremental_scores = seq_snap.counter("bo.hv.incremental");
     let column_cache_hits = seq_snap.counter("bo.acquisition.column_cache.hit");
     let column_cache_misses = seq_snap.counter("bo.acquisition.column_cache.miss");
@@ -243,8 +242,7 @@ fn paper_leg() {
     // per objective for the means), so it shares neither the kernel panel
     // nor the blocked solve with the batched side it checks.
     let ls = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("GP fits").lengthscale_sq();
-    let gps = dse_opt::GaussianProcess::fit_pack(&xs, &ys, ls, dse_opt::KernelExpMode::Exact)
-        .expect("surrogate pack fits");
+    let gps = dse_opt::GaussianProcess::fit_pack(&xs, &ys, ls).expect("surrogate pack fits");
     for (p, batched) in xs.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, &xs)) {
         let per_point = dse_opt::ExactColumn::solve(&gps, p);
         assert!(
@@ -260,7 +258,6 @@ fn paper_leg() {
         ("gp_full_refits".into(), num(gp_full_refits as f64)),
         ("gp_rank1_extends".into(), num(gp_rank1_extends as f64)),
         ("gp_retargets".into(), num(gp_retargets as f64)),
-        ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(hv_incremental_scores as f64)),
         ("hv_partitions".into(), num(hv_partitions as f64)),
         ("hv_boxes".into(), num(hv_boxes as f64)),
@@ -314,16 +311,15 @@ fn paper_leg() {
         ("span_bo_acquisition_score_s".into(), num(seq_snap.span_total_s("bo.acquisition.score"))),
         ("span_bo_front_sync_s".into(), num(seq_snap.span_total_s("bo.acquisition.front_sync"))),
         ("span_bo_surrogate_update_s".into(), num(seq_snap.span_total_s("bo.surrogate_update"))),
-        ("kernel_exp_mode".into(), Value::Str(job.exp_mode.unwrap_or_default().id().into())),
         ("bit_identical_across_threads".into(), Value::Bool(true)),
     ]);
     autopilot_bench::emit("BENCH_phase2.json", &report.to_json_pretty());
 }
 
 /// The scale leg: one instrumented sequential Phase-2 run at budget
-/// 2000, plus a count of the kernel rows one sparse prediction over the
-/// resulting archive correlates each candidate against, written to
-/// `BENCH_phase2_scale.json`.
+/// 2000 and the default surrogate settings, plus a count of the kernel
+/// rows one sparse prediction over the resulting archive correlates each
+/// candidate against, written to `BENCH_phase2_scale.json`.
 ///
 /// Past the sparse threshold the optimizer engages the low-rank sparse
 /// surrogates automatically, so this run exercises the
@@ -331,27 +327,13 @@ fn paper_leg() {
 /// exact-pack acquisition's time per iteration.
 fn scale_leg() {
     const BUDGET: usize = 2000;
-    // Exact-GP window band (ROADMAP, PR 6 handoff): with the default
-    // window cap (256) equal to the sparse threshold (256) the exact
-    // window never slides — the sparse pack takes over at exactly the
-    // point the window would first move — so the rank-1 downdate path
-    // sat dormant and `gp_downdates` was structurally zero. Opening a
-    // band between the window cap and the sparse threshold makes the
-    // exact window slide (one downdate per objective-pack slide) for
-    // every archive size in (window, threshold].
-    const GP_WINDOW: usize = 192;
-    const GP_SPARSE_THRESHOLD: usize = 320;
-    const GP_SPARSE_INDUCING: usize = 64;
+    let surrogate = dse_opt::SurrogateMode::default_sparse();
+    let dse_opt::SurrogateMode::Sparse { threshold, inducing } = surrogate;
     let config = AutopilotConfig::paper(7);
     let density = ObstacleDensity::Dense;
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
-    let job = JobConfig::from_env().with_threads(1).with_gp_window(GP_WINDOW).with_surrogate(
-        dse_opt::SurrogateMode::Sparse {
-            threshold: GP_SPARSE_THRESHOLD,
-            inducing: GP_SPARSE_INDUCING,
-        },
-    );
+    let job = JobConfig::from_env().with_threads(1).with_surrogate(surrogate);
     let evaluator = DssocEvaluator::new(db, density);
     let phase2 = Phase2::new(config.optimizer, BUDGET, config.seed).with_job_config(job);
 
@@ -380,29 +362,18 @@ fn scale_leg() {
     let space = autopilot::JointSpace::design_space();
     let xs: Vec<Vec<f64>> = out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
     let ys: Vec<f64> = out.result.evaluations.iter().map(|e| e.objectives[0]).collect();
-    let sparse =
-        dse_opt::SparseGaussianProcess::fit(&xs, &ys, GP_SPARSE_INDUCING).expect("sparse GP fits");
+    let sparse = dse_opt::SparseGaussianProcess::fit(&xs, &ys, inducing).expect("sparse GP fits");
     let pool = &xs[..xs.len().min(512)];
     obs::reset();
     let _ = std::hint::black_box(sparse.cross_correlations(pool));
     let gp_sparse_rows_per_candidate =
         obs::snapshot().counter("bo.gp.panel.entries") as f64 / pool.len().max(1) as f64;
 
-    // The budget is far past the exact-GP window, so the window must
-    // have slid and fired downdates (the counter this leg keeps alive).
-    let gp_downdates = snap.counter("bo.gp.downdate");
-    assert!(
-        gp_downdates > 0,
-        "budget {BUDGET} exceeds the exact-GP window ({GP_WINDOW}); the window must have slid \
-         and recorded downdates"
-    );
-
     let report = Value::Obj(vec![
         ("budget".into(), num(BUDGET as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
-        ("gp_window".into(), num(GP_WINDOW as f64)),
-        ("gp_sparse_threshold".into(), num(GP_SPARSE_THRESHOLD as f64)),
-        ("gp_sparse_inducing".into(), num(GP_SPARSE_INDUCING as f64)),
+        ("gp_sparse_threshold".into(), num(threshold as f64)),
+        ("gp_sparse_inducing".into(), num(inducing as f64)),
         ("wall_s".into(), num(wall_s)),
         ("span_phase2_run_s".into(), num(span_phase2_run_s)),
         ("span_bo_acquisition_score_s".into(), num(span_score_s)),
@@ -424,9 +395,7 @@ fn scale_leg() {
         ("gp_full_refits".into(), num(snap.counter("dse.gp.full_refit") as f64)),
         ("gp_rank1_extends".into(), num(snap.counter("dse.gp.rank1_extend") as f64)),
         ("gp_retargets".into(), num(snap.counter("bo.gp.retarget") as f64)),
-        ("gp_downdates".into(), num(gp_downdates as f64)),
         ("hv_incremental_scores".into(), num(snap.counter("bo.hv.incremental") as f64)),
-        ("kernel_exp_mode".into(), Value::Str(job.exp_mode.unwrap_or_default().id().into())),
         ("gp_panel_calls".into(), num(snap.counter("bo.gp.panel.calls") as f64)),
         ("gp_panel_entries".into(), num(snap.counter("bo.gp.panel.entries") as f64)),
         (

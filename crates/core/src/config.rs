@@ -13,8 +13,8 @@
 use crate::swap::SwapMode;
 use dse_opt::{KernelExpMode, SurrogateMode};
 
-/// Explicit per-job engine knobs: thread count, GP history window,
-/// surrogate mode, kernel exponential mode and the SWaP constraint.
+/// Explicit per-job engine knobs: thread count, surrogate mode and the
+/// SWaP constraint.
 ///
 /// [`JobConfig::default`] is the engine's constant defaults;
 /// [`JobConfig::from_env`] layers the startup environment on top.
@@ -27,14 +27,17 @@ pub struct JobConfig {
     /// (`dse_opt::par::worker_count`: startup `AUTOPILOT_THREADS`, else
     /// hardware parallelism).
     pub threads: Option<usize>,
-    /// Exact-GP history window cap for GP-based optimizers; `None` =
-    /// the optimizer's built-in default.
+    /// Always `None`, and nothing reads it: the exact GP trains on the
+    /// whole archive up to `dse_opt::MAX_EXACT_POINTS`, with no window.
+    /// The field stays only so that the benchmark package, which prints
+    /// it, keeps compiling until it stops naming it.
     pub gp_window: Option<usize>,
     /// Surrogate mode for GP-based optimizers; `None` = the optimizer's
     /// built-in default ([`SurrogateMode::default_sparse`]).
     pub surrogate: Option<SurrogateMode>,
-    /// Kernel exponential mode for GP-based optimizers; `None` = the
-    /// optimizer's built-in default ([`KernelExpMode::Exact`]).
+    /// Always `None`, and nothing reads it: every kernel entry is one
+    /// `f64::exp`. The field stays only so that the benchmark package,
+    /// which prints it, keeps compiling until it stops naming it.
     pub exp_mode: Option<KernelExpMode>,
     /// Always `false`, and nothing reads it: no search path memoizes
     /// layer simulations. The field stays only so that the benchmark
@@ -48,15 +51,14 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE`,
-    /// `AUTOPILOT_GP_FASTEXP` and `AUTOPILOT_SWAP` as captured on first read (later mutations
+    /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE` and
+    /// `AUTOPILOT_SWAP` as captured on first read (later mutations
     /// of the live environment warn once and are ignored). This is the
     /// only library function that reads them; call it at the edge and
     /// pass the result down.
     pub fn from_env() -> JobConfig {
         JobConfig {
             surrogate: Some(SurrogateMode::from_env()),
-            exp_mode: Some(KernelExpMode::from_env()),
             swap: SwapMode::from_env(),
             ..JobConfig::default()
         }
@@ -69,21 +71,9 @@ impl JobConfig {
         self
     }
 
-    /// Caps the exact-GP history window.
-    pub fn with_gp_window(mut self, n: usize) -> JobConfig {
-        self.gp_window = Some(n);
-        self
-    }
-
     /// Pins the surrogate mode.
     pub fn with_surrogate(mut self, mode: SurrogateMode) -> JobConfig {
         self.surrogate = Some(mode);
-        self
-    }
-
-    /// Pins the kernel exponential mode.
-    pub fn with_exp_mode(mut self, mode: KernelExpMode) -> JobConfig {
-        self.exp_mode = Some(mode);
         self
     }
 
@@ -101,23 +91,21 @@ impl JobConfig {
     /// True when a Phase-2 run under this job can differ from one at
     /// [`JobConfig::default`] — the run a [`crate::PipelineCache`]
     /// holds, keyed by scenario alone. Every result-changing knob
-    /// counts: the GP window, surrogate and kernel exponential modes
-    /// steer the search, and the SWaP constraint makes objectives depend
-    /// on the UAV's airframe. Threads never change results.
+    /// counts: the surrogate mode steers the search, and the SWaP
+    /// constraint makes objectives depend on the UAV's airframe. Threads
+    /// never change results.
     pub fn searches_differently(&self) -> bool {
         // Destructured so that a new knob cannot be added without
         // deciding here whether it changes results.
-        let JobConfig { threads: _, gp_window, surrogate, exp_mode, layer_memo: _, swap } = *self;
-        gp_window.is_some()
-            || surrogate.is_some_and(|m| m != SurrogateMode::default_sparse())
-            || exp_mode.is_some_and(|m| m != KernelExpMode::default())
-            || swap.is_on()
+        let JobConfig { threads: _, gp_window: _, surrogate, exp_mode: _, layer_memo: _, swap } =
+            *self;
+        surrogate.is_some_and(|m| m != SurrogateMode::default_sparse()) || swap.is_on()
     }
 }
 
 impl Default for JobConfig {
-    /// The engine's constant defaults: optimizer-default threads, GP
-    /// window, surrogate and exponential modes; the SWaP constraint off.
+    /// The engine's constant defaults: optimizer-default threads and
+    /// surrogate mode; the SWaP constraint off.
     /// Reads no environment.
     fn default() -> JobConfig {
         JobConfig {
@@ -137,18 +125,16 @@ mod tests {
 
     #[test]
     fn builders_override_env_defaults() {
+        let sparse = SurrogateMode::Sparse { threshold: 48, inducing: 16 };
         let cfg = JobConfig::from_env()
             .with_threads(3)
-            .with_gp_window(128)
-            .with_surrogate(SurrogateMode::Exact)
-            .with_exp_mode(KernelExpMode::Fast)
+            .with_surrogate(sparse)
             .with_swap(SwapMode::Constraint);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.effective_threads(), 3);
-        assert_eq!(cfg.gp_window, Some(128));
-        assert_eq!(cfg.surrogate, Some(SurrogateMode::Exact));
-        assert_eq!(cfg.exp_mode, Some(KernelExpMode::Fast));
+        assert_eq!(cfg.surrogate, Some(sparse));
         assert_eq!(cfg.swap, SwapMode::Constraint);
+        assert_eq!((cfg.gp_window, cfg.exp_mode), (None, None));
     }
 
     #[test]
@@ -165,13 +151,11 @@ mod tests {
         let same = JobConfig::default()
             .with_threads(3)
             .with_surrogate(SurrogateMode::default_sparse())
-            .with_exp_mode(KernelExpMode::Exact)
             .with_swap(SwapMode::Off);
         assert!(!same.searches_differently());
         for job in [
-            JobConfig::default().with_gp_window(128),
-            JobConfig::default().with_surrogate(SurrogateMode::Exact),
-            JobConfig::default().with_exp_mode(KernelExpMode::Fast),
+            JobConfig::default()
+                .with_surrogate(SurrogateMode::Sparse { threshold: 48, inducing: 16 }),
             JobConfig::default().with_swap(SwapMode::Constraint),
         ] {
             assert!(job.searches_differently(), "{job:?}");

@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use crate::swap::SwapMode;
     use air_sim::ObstacleDensity;
-    use dse_opt::KernelExpMode;
+    use dse_opt::SurrogateMode;
 
     fn fast_pilot(seed: u64) -> AutoPilot {
         AutoPilot::new(
@@ -438,12 +438,9 @@ mod tests {
         };
         assert_eq!(run(JobConfig::default()), 0, "the default run warms the cache");
         assert_eq!(cache.phase2_stats().misses, 1);
-        for job in [
-            JobConfig::default().with_exp_mode(KernelExpMode::Fast),
-            JobConfig::default().with_gp_window(64),
-        ] {
-            assert_eq!(run(job), 0, "{job:?} must not be served the default search");
-        }
+        let job = JobConfig::default()
+            .with_surrogate(SurrogateMode::Sparse { threshold: 48, inducing: 16 });
+        assert_eq!(run(job), 0, "{job:?} must not be served the default search");
         // A startup-environment job that only pins threads searches like
         // the default unless the environment itself sets a search knob.
         let env_job = JobConfig::from_env().with_threads(1);

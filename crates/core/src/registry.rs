@@ -77,14 +77,8 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
             if let Some(t) = job.threads {
                 opt = opt.with_threads(t);
             }
-            if let Some(w) = job.gp_window {
-                opt = opt.with_max_gp_points(w);
-            }
             if let Some(mode) = job.surrogate {
                 opt = opt.with_surrogate_mode(mode);
-            }
-            if let Some(mode) = job.exp_mode {
-                opt = opt.with_exp_mode(mode);
             }
             Box::new(opt)
         }),

@@ -17,9 +17,9 @@ use crate::archive::Archive;
 use crate::control::RunControl;
 use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::fastexp::KernelExpMode;
 use crate::gp::{
     median_sq_dist, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
+    MAX_EXACT_POINTS,
 };
 use crate::linalg::Matrix;
 use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
@@ -39,9 +39,8 @@ use crate::space::{DesignSpace, RankMap};
 /// the surrogate pack grows by rank-1 Cholesky extension (O(n²) per
 /// new observation) between milestone full refits of the lengthscale,
 /// range moves of the normalization *retarget* the existing
-/// factorization instead of refitting, window slides *downdate* it one
-/// oldest point at a time, objective ranges are running min/max rather
-/// than per-iteration rescans, the candidate pool is built in flat
+/// factorization instead of refitting, objective ranges are running
+/// min/max rather than per-iteration rescans, the candidate pool is built in flat
 /// buffers keyed by point rank (see `CandidatePool`), candidate scores
 /// reuse a per-iteration
 /// [`ContributionScorer`] (one branch-free loop per candidate over a box
@@ -57,18 +56,17 @@ use crate::space::{DesignSpace, RankMap};
 /// count.
 ///
 /// Past the archive size set by [`SurrogateMode`] (default threshold
-/// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]), the
-/// per-objective surrogates switch from exact GPs to low-rank sparse
-/// ones over the *full* archive, keeping large-budget runs
-/// (paper-style budget-2000 fleet sweeps) out of O(n³) territory.
+/// 256, see [`SmsEgoOptimizer::with_surrogate_mode`]) and at the latest
+/// past [`MAX_EXACT_POINTS`], the per-objective surrogates switch from
+/// exact GPs to low-rank sparse ones over the full archive, keeping
+/// large-budget runs (paper-style budget-2000 fleet sweeps) out of O(n³)
+/// territory.
 #[derive(Debug, Clone)]
 pub struct SmsEgoOptimizer {
     seed: u64,
     init_samples: usize,
     candidate_pool: usize,
-    max_gp_points: usize,
     surrogate: SurrogateMode,
-    exp_mode: KernelExpMode,
     seed_points: Vec<Vec<usize>>,
     threads: Option<usize>,
 }
@@ -80,9 +78,7 @@ impl SmsEgoOptimizer {
             seed,
             init_samples: 16,
             candidate_pool: 256,
-            max_gp_points: 256,
             surrogate: SurrogateMode::default_sparse(),
-            exp_mode: KernelExpMode::Exact,
             seed_points: Vec::new(),
             threads: None,
         }
@@ -93,21 +89,6 @@ impl SmsEgoOptimizer {
     /// points).
     pub fn with_surrogate_mode(mut self, mode: SurrogateMode) -> SmsEgoOptimizer {
         self.surrogate = mode;
-        self
-    }
-
-    /// Overrides the kernel exponential mode (default: the bit-exact
-    /// [`KernelExpMode::Exact`]).
-    pub fn with_exp_mode(mut self, mode: KernelExpMode) -> SmsEgoOptimizer {
-        self.exp_mode = mode;
-        self
-    }
-
-    /// Overrides the exact-GP sliding-window size (the most recent `n`
-    /// archive points train the surrogates while the exact path is
-    /// active).
-    pub fn with_max_gp_points(mut self, n: usize) -> SmsEgoOptimizer {
-        self.max_gp_points = n.max(8);
         self
     }
 
@@ -184,7 +165,7 @@ impl AcquisitionState {
             norm_maxs: vec![f64::NEG_INFINITY; n_obj],
             reference: vec![1.2; n_obj],
             synced: 0,
-            columns: ColumnCache { key: (0, 0), columns: RankMap::default() },
+            columns: ColumnCache { key: 0, columns: RankMap::default() },
             pool: CandidatePool::default(),
         }
     }
@@ -228,16 +209,15 @@ enum Column {
 }
 
 /// The cross-iteration column cache: per-candidate surrogate columns,
-/// keyed by candidate rank ([`DesignSpace::rank`]), valid for one
-/// `(fit generation, window start)`.
+/// keyed by candidate rank ([`DesignSpace::rank`]), valid for one fit
+/// generation.
 ///
 /// Within one key the exact pack only extends and retargets, so a
 /// solved exact column is brought current by [`ExactColumn::refresh`]
 /// (bit-identical to a fresh solve) and a pending one by
 /// [`GaussianProcess::extend_correlations`], and the sparse pack's
-/// inducing set, lengthscale and exp mode are frozen, so a sparse column
-/// is reused as is. A full refit or a downdate changes the key and
-/// clears the cache.
+/// inducing set and lengthscale are frozen, so a sparse column is reused
+/// as is. A full refit changes the key and clears the cache.
 ///
 /// Only front neighbours are kept: each iteration takes the pool's
 /// entries out, drops everything else, and puts back the columns of the
@@ -245,7 +225,7 @@ enum Column {
 /// draws almost never recur in a large space and are never stored, so
 /// memory is bounded by the live neighbourhood rather than by a cap.
 struct ColumnCache {
-    key: (u64, usize),
+    key: u64,
     columns: RankMap<Column>,
 }
 
@@ -253,7 +233,7 @@ impl ColumnCache {
     /// Takes the columns of the pool's candidates (by rank) out, in pool
     /// order (`None` for a miss), and evicts every other entry. A cache
     /// filled under another key is cleared first.
-    fn take(&mut self, key: (u64, usize), ranks: &[u64]) -> Vec<Option<Column>> {
+    fn take(&mut self, key: u64, ranks: &[u64]) -> Vec<Option<Column>> {
         if self.key != key {
             self.columns.clear();
             self.key = key;
@@ -387,7 +367,7 @@ impl CandidatePool {
 /// The per-objective surrogate pack, exact or sparse: one GP with one
 /// posterior per objective, so every objective shares the training
 /// inputs, the lengthscale, the factorization and (for the sparse kind)
-/// the inducing set. Each step below factors, extends or downdates once
+/// the inducing set. Each step below factors, extends or retargets once
 /// for the whole pack, and one kernel cross-matrix and one solve serve
 /// every objective during acquisition scoring. A failed step leaves the
 /// pack unchanged.
@@ -416,16 +396,6 @@ impl SurrogatePack {
             SurrogatePack::Sparse(gp) => gp.retarget(ys),
         }
     }
-
-    /// Downdates the pack past its oldest training point. Only the exact
-    /// kind supports this (the sparse kind trains on the full archive and
-    /// never slides).
-    fn drop_oldest(&mut self) -> bool {
-        match self {
-            SurrogatePack::Exact(gp) => gp.drop_oldest(),
-            SurrogatePack::Sparse(_) => false,
-        }
-    }
 }
 
 /// Per-objective GP surrogates kept current incrementally.
@@ -439,26 +409,24 @@ impl SurrogatePack {
 ///   O(m²) sparse),
 /// * archive range moves are *retargets* — new normalized targets are
 ///   re-solved against the existing factorization (O(n²) / O(n·m))
-///   instead of refitting,
-/// * training-window slides are rank-1 Cholesky *downdates* of the
-///   oldest point (exact kind only; the sparse kind trains on the full
-///   archive).
+///   instead of refitting.
+///
+/// Both kinds train on the full archive; the exact kind only while it
+/// holds at most [`MAX_EXACT_POINTS`] points.
 ///
 /// Any failed incremental step falls back to a full refit, and the
 /// milestone schedule still refreshes the lengthscale every
 /// `max(n/4, 4)` points.
 struct Surrogates {
     pack: SurrogatePack,
-    start: usize,
     trained: usize,
     next_refit: usize,
     norm_mins: Vec<f64>,
     norm_maxs: Vec<f64>,
     /// Bumped on every full refit — the only event that can change the
     /// pack's training rows, inducing set, or lengthscale wholesale —
-    /// and never reused within a run. Incremental reuse
-    /// (extend/retarget/downdate) keeps the generation; together with
-    /// `start` (which a downdate moves) it keys the acquisition side's
+    /// and never reused within a run. Incremental reuse (extend and
+    /// retarget) keeps the generation, which keys the acquisition side's
     /// [`ColumnCache`].
     fit_generation: u64,
 }
@@ -466,7 +434,7 @@ struct Surrogates {
 impl Surrogates {
     /// Brings the surrogates up to date with the archive, incrementally
     /// when valid and refitting otherwise. Returns `None` when the
-    /// window cannot be fitted (degenerate geometry); the caller then
+    /// archive cannot be fitted (degenerate geometry); the caller then
     /// falls back to random sampling for this iteration. `generations`
     /// counts the run's full fits, including failed ones, and numbers
     /// the next one.
@@ -474,25 +442,16 @@ impl Surrogates {
         current: Option<Surrogates>,
         space: &DesignSpace,
         archive: &Archive<'_>,
-        max_gp_points: usize,
         mode: SurrogateMode,
-        exp_mode: KernelExpMode,
         generations: &mut u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
-        let sparse_inducing = match mode {
-            SurrogateMode::Sparse { threshold, inducing } if n > threshold => Some(inducing),
-            _ => None,
-        };
-        // The sparse surrogate is low-rank in the inducing set, so it
-        // affords the full archive; the exact kind slides a window.
-        let start = if sparse_inducing.is_some() { 0 } else { n.saturating_sub(max_gp_points) };
+        let SurrogateMode::Sparse { threshold, inducing } = mode;
+        let sparse_inducing = (n > threshold.min(MAX_EXACT_POINTS)).then_some(inducing);
         if let Some(mut s) = current {
-            let compatible = s.pack.is_sparse() == sparse_inducing.is_some()
-                && s.start <= start
-                && n < s.next_refit;
+            let compatible = s.pack.is_sparse() == sparse_inducing.is_some() && n < s.next_refit;
             if compatible {
-                if s.reuse(space, archive, start) {
+                if s.reuse(space, archive) {
                     return Some(s);
                 }
                 obs::add("dse.gp.extend_fallback", 1);
@@ -500,23 +459,16 @@ impl Surrogates {
         }
         obs::add("dse.gp.full_refit", 1);
         *generations += 1;
-        Surrogates::full_fit(space, archive, start, sparse_inducing, exp_mode, *generations)
+        Surrogates::full_fit(space, archive, sparse_inducing, *generations)
     }
 
     /// Brings an existing pack current without refitting: retarget on
-    /// range moves, slide the window by downdates, extend new points.
-    fn reuse(&mut self, space: &DesignSpace, archive: &Archive<'_>, start: usize) -> bool {
+    /// range moves, extend new points.
+    fn reuse(&mut self, space: &DesignSpace, archive: &Archive<'_>) -> bool {
         if (self.norm_mins != archive.mins() || self.norm_maxs != archive.maxs())
             && !self.retarget(archive)
         {
             return false;
-        }
-        while self.start < start {
-            if !self.pack.drop_oldest() {
-                return false;
-            }
-            self.start += 1;
-            obs::add("bo.gp.downdate", 1);
         }
         self.try_extend(space, archive)
     }
@@ -527,11 +479,11 @@ impl Surrogates {
     /// `bo.front.rebuild`: a range move costs two triangular solves per
     /// objective instead of a full refit.
     fn retarget(&mut self, archive: &Archive<'_>) -> bool {
-        let window = &archive.history()[self.start..self.trained];
+        let trained = &archive.history()[..self.trained];
         let n_obj = archive.mins().len();
         let ys: Vec<Vec<f64>> = (0..n_obj)
             .map(|obj| {
-                window
+                trained
                     .iter()
                     .map(|e| normalize(e.objectives[obj], archive.mins()[obj], archive.maxs()[obj]))
                     .collect()
@@ -569,13 +521,11 @@ impl Surrogates {
     fn full_fit(
         space: &DesignSpace,
         archive: &Archive<'_>,
-        start: usize,
         sparse_inducing: Option<usize>,
-        exp_mode: KernelExpMode,
         fit_generation: u64,
     ) -> Option<Surrogates> {
         let n = archive.len();
-        let train = &archive.history()[start..];
+        let train = archive.history();
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
         let lengthscale_sq = median_sq_dist(&xs);
         let ys: Vec<Vec<f64>> = (0..archive.mins().len())
@@ -590,18 +540,15 @@ impl Surrogates {
         // non-fatal here: the caller falls back to random sampling for
         // this iteration rather than aborting the run.
         let pack = if let Some(m) = sparse_inducing {
-            let gp = SparseGaussianProcess::fit_pack(&xs, &ys, lengthscale_sq, m, exp_mode).ok()?;
+            let gp = SparseGaussianProcess::fit_pack(&xs, &ys, lengthscale_sq, m).ok()?;
             obs::add("bo.gp.sparse.fit", 1);
             obs::gauge_set("bo.gp.sparse.inducing", gp.inducing_count() as f64);
             SurrogatePack::Sparse(gp)
         } else {
-            SurrogatePack::Exact(
-                GaussianProcess::fit_pack(&xs, &ys, lengthscale_sq, exp_mode).ok()?,
-            )
+            SurrogatePack::Exact(GaussianProcess::fit_pack(&xs, &ys, lengthscale_sq).ok()?)
         };
         Some(Surrogates {
             pack,
-            start,
             trained: n,
             // Milestone schedule: refreshing the lengthscale every
             // max(n/4, 4) points amortizes the O(n³) refit to O(n²)
@@ -662,9 +609,7 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
                     surrogates.take(),
                     space,
                     &archive,
-                    self.max_gp_points,
                     self.surrogate,
-                    self.exp_mode,
                     &mut generations,
                 )
             });
@@ -739,7 +684,7 @@ impl SmsEgoOptimizer {
         // the next iteration. Cache traffic and the candidates' encoding
         // are charged to the score / gp_predict spans like the GP work
         // itself.
-        let key = (surrogates.fit_generation, surrogates.start);
+        let key = surrogates.fit_generation;
         let columns = obs::time("bo.acquisition.score", || {
             obs::time("bo.acquisition.gp_predict", || {
                 pool.encode(space);
@@ -1115,8 +1060,7 @@ impl<'a> ExactAcquisition<'a> {
     ///
     /// `points` are the encoded candidates. `slots[j]` holds candidate
     /// `j`'s cached state from an earlier call, taken against this pack
-    /// before some extends and retargets only — a downdate or refit makes
-    /// it stale (`None` when there is none). On return it holds the state
+    /// before some extends and retargets only — a refit makes it stale (`None` when there is none). On return it holds the state
     /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
     /// The first pass refreshes and scores the cached solved columns,
     /// correlates every other candidate (all cache misses through one
@@ -1486,10 +1430,10 @@ mod tests {
                 .run(&space, &Bowl3, budget)
                 .unwrap()
                 .final_hypervolume();
+            // The default threshold (256) keeps a 40-point run exact.
             exact_total += SmsEgoOptimizer::new(seed)
                 .with_init_samples(10)
                 .with_candidate_pool(64)
-                .with_surrogate_mode(SurrogateMode::Exact)
                 .run(&space, &Bowl3, budget)
                 .unwrap()
                 .final_hypervolume();
@@ -1501,23 +1445,23 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_downdates_stay_deterministic() {
-        // A tiny exact-GP window on a longer run forces the downdate
-        // (drop-oldest) path every iteration past the window size.
+    fn exact_pack_never_trains_past_max_exact_points() {
+        // A threshold past MAX_EXACT_POINTS still switches to the sparse
+        // pack once the archive outgrows the exact bound.
         let space = DesignSpace::new(vec![8, 8, 8]).unwrap();
-        let run = |threads| {
-            SmsEgoOptimizer::new(11)
-                .with_init_samples(8)
-                .with_candidate_pool(32)
-                .with_max_gp_points(12)
-                .with_surrogate_mode(SurrogateMode::Exact)
-                .with_threads(threads)
-                .run(&space, &Bowl3, 28)
-                .unwrap()
-        };
-        let base = run(1);
-        assert_eq!(base.evaluation_count(), 28);
-        assert_eq!(base, run(3), "downdate path must be thread-independent");
+        let mode = SurrogateMode::Sparse { threshold: 10_000, inducing: 16 };
+        let mut archive = Archive::new(&space, &Bowl3, MAX_EXACT_POINTS + 1, Some(1));
+        let points = (0..=MAX_EXACT_POINTS).map(|i| vec![i % 8, i / 8 % 8, i / 64]);
+        archive.evaluate(points.clone().take(MAX_EXACT_POINTS)).unwrap();
+        let mut generations = 0;
+        let exact = Surrogates::update(None, &space, &archive, mode, &mut generations).unwrap();
+        assert!(!exact.pack.is_sparse(), "{MAX_EXACT_POINTS} points stay exact");
+        archive.evaluate(points.skip(MAX_EXACT_POINTS)).unwrap();
+        assert_eq!(archive.len(), MAX_EXACT_POINTS + 1);
+        let sparse =
+            Surrogates::update(Some(exact), &space, &archive, mode, &mut generations).unwrap();
+        assert!(sparse.pack.is_sparse(), "one point past the bound is sparse");
+        assert_eq!(generations, 2, "the switch is a full refit");
     }
 
     #[test]

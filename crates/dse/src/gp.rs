@@ -1,13 +1,12 @@
 //! Gaussian-process regression with a squared-exponential kernel:
-//! an exact GP supporting incremental O(n²) updates and downdates, a
-//! low-rank Nyström/DTC sparse GP for large archives
-//! ([`SparseGaussianProcess`]), and the [`SurrogateMode`] switch that
-//! selects between them (`AUTOPILOT_GP_SPARSE`). Both GPs carry one
+//! an exact GP supporting incremental O(n²) updates, a low-rank
+//! Nyström/DTC sparse GP for large archives ([`SparseGaussianProcess`]),
+//! and the [`SurrogateMode`] threshold that switches between them
+//! (`AUTOPILOT_GP_SPARSE`). Both GPs carry one
 //! posterior per objective over one shared factorization: a surrogate
 //! pack.
 
 use crate::error::GpError;
-use crate::fastexp::{exp_slice, KernelExpMode};
 use crate::linalg::{sq_dist, Matrix};
 use autopilot_obs as obs;
 use std::cell::RefCell;
@@ -18,24 +17,31 @@ use std::cell::RefCell;
 /// | value                        | meaning                                            |
 /// |------------------------------|----------------------------------------------------|
 /// | *(unset)*, `1`, `on`, `true` | default: exact below 256 points, sparse above      |
-/// | `0`, `off`, `false`, `exact` | always exact (sliding-window) GPs                  |
 /// | `N`                          | sparse past `N` points, `max(N/4, 16)` inducing    |
 /// | `N:M`                        | sparse past `N` points with `M` inducing points    |
+///
+/// Past [`MAX_EXACT_POINTS`] the surrogate is sparse whatever `N` says.
 pub const GP_SPARSE_ENV: &str = "AUTOPILOT_GP_SPARSE";
 
-/// Which surrogate the Bayesian-optimization loop trains as the archive
-/// grows. Exact GP inference is O(n³) per refit and O(n²) per candidate
-/// batch row; the sparse mode caps both at the inducing-point count `m`,
-/// trading a bounded approximation error for archive-scale budgets.
+/// The largest archive an exact surrogate pack trains on. Exact GP
+/// inference is O(n³) per refit and O(n²) memory, so a larger archive
+/// always switches to the sparse pack, whatever its threshold.
+pub const MAX_EXACT_POINTS: usize = 256;
+
+/// When the Bayesian-optimization loop switches from the exact surrogate
+/// pack to the sparse one as the archive grows. Exact GP inference is
+/// O(n³) per refit and O(n²) per candidate batch row; the sparse pack
+/// caps both at the inducing-point count `m`, trading a bounded
+/// approximation error for archive-scale budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SurrogateMode {
-    /// Always exact (sliding-window) GPs, regardless of archive size.
-    Exact,
-    /// Exact while the training window holds at most `threshold` points;
-    /// past that, a [`SparseGaussianProcess`] with `inducing` inducing
-    /// points trained on the *full* archive (no window).
+    /// Exact while the archive holds at most
+    /// `min(threshold, MAX_EXACT_POINTS)` points; past that, a
+    /// [`SparseGaussianProcess`] with `inducing` inducing points trained
+    /// on the full archive.
     Sparse {
-        /// Training-set size past which the sparse path engages.
+        /// Training-set size past which the sparse path engages (at most
+        /// [`MAX_EXACT_POINTS`] in effect).
         threshold: usize,
         /// Number of inducing points (clamped to the training size).
         inducing: usize,
@@ -84,19 +90,20 @@ impl SurrogateMode {
     }
 
     /// Parses the [`GP_SPARSE_ENV`] grammar; `None` for unrecognized
-    /// input.
+    /// input, including a threshold of `0` (there is no exact-only
+    /// mode).
     pub fn parse(raw: &str) -> Option<SurrogateMode> {
         let v = raw.trim().to_ascii_lowercase();
+        let threshold = |t: &str| t.parse::<usize>().ok().filter(|&t| t > 0).map(|t| t.max(8));
         match v.as_str() {
             "" | "1" | "on" | "true" => Some(SurrogateMode::default_sparse()),
-            "0" | "off" | "false" | "exact" => Some(SurrogateMode::Exact),
             _ => {
                 if let Some((t, m)) = v.split_once(':') {
-                    let threshold = t.parse::<usize>().ok()?.max(8);
+                    let threshold = threshold(t)?;
                     let inducing = m.parse::<usize>().ok()?.max(2);
                     Some(SurrogateMode::Sparse { threshold, inducing })
                 } else {
-                    let threshold = v.parse::<usize>().ok()?.max(8);
+                    let threshold = threshold(&v)?;
                     Some(SurrogateMode::Sparse { threshold, inducing: (threshold / 4).max(16) })
                 }
             }
@@ -141,25 +148,15 @@ fn with_kernel_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> 
 }
 
 /// Kernel correlation vector of one query `point` against `xs`, written
-/// into a reusable buffer: squared distances accumulate in the same
-/// ascending-dimension order as [`sq_dist`], then the exponential mode's
-/// fused pass — element `i` is bit-identical to the legacy scalar
-/// `(sq_dist(&xs[i], point) * scale).exp()` in `Exact` mode.
-fn kernel_vector_into(
-    xs: &[Vec<f64>],
-    point: &[f64],
-    scale: f64,
-    mode: KernelExpMode,
-    out: &mut Vec<f64>,
-) {
+/// into a reusable buffer: element `i` is
+/// `(sq_dist(&xs[i], point) * scale).exp()`.
+fn kernel_vector_into(xs: &[Vec<f64>], point: &[f64], scale: f64, out: &mut Vec<f64>) {
     out.clear();
-    out.extend(xs.iter().map(|xi| sq_dist(xi, point) * scale));
-    exp_slice(out, mode);
+    out.extend(xs.iter().map(|xi| (sq_dist(xi, point) * scale).exp()));
 }
 
 /// Cache-blocked, fused distance+exp kernel panel: entry `(i, j)` is
-/// `exp(‖rows[i] − cols[j]‖² · scale)` — in [`KernelExpMode::Exact`]
-/// bit-identical to the scalar
+/// `exp(‖rows[i] − cols[j]‖² · scale)`, bit-identical to the scalar
 /// `(sq_dist(&rows[i], &cols[j]) * scale).exp()`.
 ///
 /// Every entry's arithmetic — ascending-dimension accumulation in the
@@ -177,7 +174,6 @@ pub fn correlation_panel(
     rows: &[impl AsRef<[f64]>],
     cols: &[impl AsRef<[f64]>],
     scale: f64,
-    mode: KernelExpMode,
 ) -> Matrix {
     let n = rows.len();
     let m = cols.len();
@@ -211,9 +207,8 @@ pub fn correlation_panel(
                     }
                 }
                 for v in orow.iter_mut() {
-                    *v *= scale;
+                    *v = (*v * scale).exp();
                 }
-                exp_slice(orow, mode);
             }
         }
     });
@@ -364,10 +359,6 @@ pub struct GaussianProcess {
     /// `k*ᵀK⁻¹(y-ȳ) = c*ᵀC_j⁻¹(y-ȳ)`.
     objectives: Vec<Targets>,
     lengthscale_sq: f64,
-    /// Kernel exponential mode, frozen at fit time so every correlation
-    /// this GP ever computes — fit panel, extend vector, predict vector,
-    /// batched cross-correlations — uses one consistent exponential.
-    exp_mode: KernelExpMode,
 }
 
 impl GaussianProcess {
@@ -386,12 +377,11 @@ impl GaussianProcess {
     ///   factorized (singular or non-finite).
     pub fn fit(x: &[Vec<f64>], y: &[f64]) -> Result<GaussianProcess, GpError> {
         validate_training(x, y)?;
-        GaussianProcess::fit_with_lengthscale(x, y, median_sq_dist(x), KernelExpMode::Exact)
+        GaussianProcess::fit_with_lengthscale(x, y, median_sq_dist(x))
     }
 
     /// Fits a single-objective GP at an explicitly chosen squared
-    /// lengthscale and kernel exponential mode: a one-objective
-    /// [`GaussianProcess::fit_pack`].
+    /// lengthscale: a one-objective [`GaussianProcess::fit_pack`].
     ///
     /// # Errors
     ///
@@ -400,16 +390,13 @@ impl GaussianProcess {
         x: &[Vec<f64>],
         y: &[f64],
         lengthscale_sq: f64,
-        exp_mode: KernelExpMode,
     ) -> Result<GaussianProcess, GpError> {
-        GaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq, exp_mode)
+        GaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq)
     }
 
     /// Fits a surrogate pack: one posterior per target vector in `ys`,
-    /// all on inputs `x` at one squared lengthscale and kernel
-    /// exponential mode, sharing one Cholesky factorization. The mode is
-    /// frozen into the GP so every later query uses the same exponential
-    /// as the fit-time factorization.
+    /// all on inputs `x` at one squared lengthscale, sharing one Cholesky
+    /// factorization.
     ///
     /// # Errors
     ///
@@ -419,12 +406,11 @@ impl GaussianProcess {
         x: &[Vec<f64>],
         ys: &[Vec<f64>],
         lengthscale_sq: f64,
-        exp_mode: KernelExpMode,
     ) -> Result<GaussianProcess, GpError> {
         validate_pack(x, ys)?;
         let n = x.len();
         let lengthscale_sq = lengthscale_sq.max(1e-6);
-        let mut c = correlation_panel(x, x, kernel_scale(lengthscale_sq), exp_mode);
+        let mut c = correlation_panel(x, x, kernel_scale(lengthscale_sq));
         for i in 0..n {
             c[(i, i)] += RELATIVE_NOISE;
         }
@@ -434,7 +420,6 @@ impl GaussianProcess {
             chol,
             objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
-            exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
@@ -460,7 +445,7 @@ impl GaussianProcess {
         }
         let scale = kernel_scale(self.lengthscale_sq);
         let ok = with_kernel_scratch(|c, w| {
-            kernel_vector_into(&self.x, x_new, scale, self.exp_mode, c);
+            kernel_vector_into(&self.x, x_new, scale, c);
             self.chol.solve_lower_into(c, w);
             let d2 = 1.0 + RELATIVE_NOISE - w.iter().map(|v| v * v).sum::<f64>();
             // Guard well above zero: a tiny pivot makes the factor
@@ -503,26 +488,6 @@ impl GaussianProcess {
         true
     }
 
-    /// Removes the *oldest* training point in O(n²) by downdating the
-    /// shared Cholesky factor (see [`Matrix::delete_lower_first`]),
-    /// keeping the current lengthscale frozen. This is how the BO loop
-    /// slides its training window forward without refactorizing.
-    ///
-    /// Returns `false` — leaving the GP unchanged — when fewer than
-    /// three points remain (a GP needs two) or the downdate degenerates
-    /// numerically.
-    pub fn drop_oldest(&mut self) -> bool {
-        if self.x.len() <= 2 || !self.chol.delete_lower_first() {
-            return false;
-        }
-        self.x.remove(0);
-        for targets in &mut self.objectives {
-            targets.y.remove(0);
-        }
-        self.refresh_targets();
-        true
-    }
-
     /// Recomputes every objective's target-dependent state (mean, signal
     /// variance, `α`) against the shared factorization — O(n²) each.
     fn refresh_targets(&mut self) {
@@ -554,11 +519,6 @@ impl GaussianProcess {
         self.lengthscale_sq
     }
 
-    /// The kernel exponential mode frozen at fit time.
-    pub fn exp_mode(&self) -> KernelExpMode {
-        self.exp_mode
-    }
-
     /// Posterior mean and variance at `point`, one pair per objective: a
     /// batch of one through [`GaussianProcess::predict_batch`].
     ///
@@ -580,7 +540,7 @@ impl GaussianProcess {
     /// Panics if any query point has the wrong dimension.
     pub fn cross_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
         self.check_query_dims(points);
-        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
+        correlation_panel(&self.x, points, kernel_scale(self.lengthscale_sq))
     }
 
     /// [`GaussianProcess::cross_correlations`] transposed: row `j` holds
@@ -594,7 +554,7 @@ impl GaussianProcess {
     /// Panics if any query point has the wrong dimension.
     pub(crate) fn query_correlations(&self, points: &[impl AsRef<[f64]>]) -> Matrix {
         self.check_query_dims(points);
-        correlation_panel(points, &self.x, kernel_scale(self.lengthscale_sq), self.exp_mode)
+        correlation_panel(points, &self.x, kernel_scale(self.lengthscale_sq))
     }
 
     fn check_query_dims(&self, points: &[impl AsRef<[f64]>]) {
@@ -626,8 +586,8 @@ impl GaussianProcess {
     /// The means are bit-identical to [`ExactColumn::predict`]'s. The
     /// variance is `σ²(1 − cᵀC_j⁻¹c)`, and Cauchy–Schwarz in the
     /// `C_j`-inner product gives `cᵀC_j⁻¹c ≥ cᵢ²/(C_j)ᵢᵢ` for every `i`.
-    /// Every diagonal entry of `C_j` is `1 + RELATIVE_NOISE` (fit, extend
-    /// and downdate all keep it), so `σ²(1 − max cᵢ²/(1 + RELATIVE_NOISE))`
+    /// Every diagonal entry of `C_j` is `1 + RELATIVE_NOISE` (fit and
+    /// extend both keep it), so `σ²(1 − max cᵢ²/(1 + RELATIVE_NOISE))`
     /// is at least the true variance.
     ///
     /// # Panics
@@ -671,11 +631,10 @@ impl GaussianProcess {
         let mut at = 0;
         for a in 0..p {
             for b in 0..a {
-                kernel[at] = sq_dist(&self.x[rows[b]], &self.x[rows[a]]) * scale;
+                kernel[at] = (sq_dist(&self.x[rows[b]], &self.x[rows[a]]) * scale).exp();
                 at += 1;
             }
         }
-        exp_slice(&mut kernel[..at], self.exp_mode);
         // Row-by-row Cholesky of C_SS + RELATIVE_NOISE·I fused with the
         // forward solve w = L⁻¹c_S, accumulating q = Σw².
         let (mut l, mut w, mut q) = ([[0.0f64; P]; P], [0.0f64; P], 0.0);
@@ -723,8 +682,7 @@ impl GaussianProcess {
         assert!(old <= n, "correlations taken against a larger training set");
         assert_eq!(point.len(), self.x[0].len(), "dimension mismatch");
         let scale = kernel_scale(self.lengthscale_sq);
-        corr.extend(self.x[old..].iter().map(|xi| sq_dist(xi, point) * scale));
-        exp_slice(&mut corr[old..], self.exp_mode);
+        corr.extend(self.x[old..].iter().map(|xi| (sq_dist(xi, point) * scale).exp()));
     }
 }
 
@@ -748,8 +706,8 @@ fn cauchy_schwarz_fraction(max_corr_sq: f64) -> f64 {
 /// a retarget leaves `L` untouched. So [`ExactColumn::refresh`] solves
 /// only the rows added since the column was last current — `O(Δn·n)`
 /// instead of `O(n²)` — and [`ExactColumn::predict`] is bit-identical to
-/// a freshly solved column's. A downdate or a refit rewrites the factor,
-/// so columns from before one are stale.
+/// a freshly solved column's. A refit rewrites the factor, so columns
+/// from before one are stale.
 ///
 /// This is the one exact prediction route: [`GaussianProcess::predict_batch`]
 /// and [`GaussianProcess::predict`] go through it. The posterior means
@@ -940,9 +898,6 @@ pub struct SparseGaussianProcess {
     /// `w = λ⁻¹·A⁻¹·C_nmᵀ(y − ȳ)`.
     objectives: Vec<Targets>,
     lengthscale_sq: f64,
-    /// Kernel exponential mode, frozen at fit time (see
-    /// [`GaussianProcess`]'s field of the same name).
-    exp_mode: KernelExpMode,
 }
 
 impl SparseGaussianProcess {
@@ -959,18 +914,11 @@ impl SparseGaussianProcess {
         inducing: usize,
     ) -> Result<SparseGaussianProcess, GpError> {
         validate_training(x, y)?;
-        SparseGaussianProcess::fit_with_lengthscale(
-            x,
-            y,
-            median_sq_dist(x),
-            inducing,
-            KernelExpMode::Exact,
-        )
+        SparseGaussianProcess::fit_with_lengthscale(x, y, median_sq_dist(x), inducing)
     }
 
     /// Fits a single-objective sparse GP at an explicitly chosen squared
-    /// lengthscale and kernel exponential mode: a one-objective
-    /// [`SparseGaussianProcess::fit_pack`].
+    /// lengthscale: a one-objective [`SparseGaussianProcess::fit_pack`].
     ///
     /// # Errors
     ///
@@ -980,15 +928,13 @@ impl SparseGaussianProcess {
         y: &[f64],
         lengthscale_sq: f64,
         inducing: usize,
-        exp_mode: KernelExpMode,
     ) -> Result<SparseGaussianProcess, GpError> {
-        SparseGaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq, inducing, exp_mode)
+        SparseGaussianProcess::fit_pack(x, &[y.to_vec()], lengthscale_sq, inducing)
     }
 
     /// Fits a sparse surrogate pack: one posterior per target vector in
-    /// `ys`, all on inputs `x` at one squared lengthscale, inducing set
-    /// and kernel exponential mode (frozen into the GP for every later
-    /// query), sharing every factorization.
+    /// `ys`, all on inputs `x` at one squared lengthscale and inducing
+    /// set, sharing every factorization.
     ///
     /// Inducing points are selected deterministically from the training
     /// inputs by greedy farthest-point traversal: start from index 0,
@@ -1006,7 +952,6 @@ impl SparseGaussianProcess {
         ys: &[Vec<f64>],
         lengthscale_sq: f64,
         inducing: usize,
-        exp_mode: KernelExpMode,
     ) -> Result<SparseGaussianProcess, GpError> {
         validate_pack(x, ys)?;
         let n = x.len();
@@ -1015,8 +960,8 @@ impl SparseGaussianProcess {
 
         let inducing = select_inducing(x, inducing.clamp(2, n));
         let m = inducing.len();
-        let cnm = correlation_panel(x, &inducing, scale, exp_mode);
-        let mut cmm = correlation_panel(&inducing, &inducing, scale, exp_mode);
+        let cnm = correlation_panel(x, &inducing, scale);
+        let mut cmm = correlation_panel(&inducing, &inducing, scale);
         for i in 0..m {
             cmm[(i, i)] += INDUCING_RIDGE;
         }
@@ -1036,7 +981,6 @@ impl SparseGaussianProcess {
             var_form_l,
             objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
-            exp_mode,
         };
         gp.refresh_targets();
         Ok(gp)
@@ -1081,11 +1025,6 @@ impl SparseGaussianProcess {
         self.lengthscale_sq
     }
 
-    /// The kernel exponential mode frozen at fit time.
-    pub fn exp_mode(&self) -> KernelExpMode {
-        self.exp_mode
-    }
-
     /// Posterior mean and variance at `point`, one pair per objective: a
     /// batch of one through [`SparseGaussianProcess::predict_batch`].
     ///
@@ -1108,7 +1047,7 @@ impl SparseGaussianProcess {
         for p in points {
             assert_eq!(p.as_ref().len(), dim, "dimension mismatch");
         }
-        correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq), self.exp_mode)
+        correlation_panel(&self.inducing, points, kernel_scale(self.lengthscale_sq))
     }
 
     /// Batched posterior `(mean, variance)` per query column of a
@@ -1211,7 +1150,7 @@ impl SparseGaussianProcess {
         let scale = kernel_scale(self.lengthscale_sq);
         let inv_sqrt_noise = 1.0 / RELATIVE_NOISE.sqrt();
         let ok = with_kernel_scratch(|c, v| {
-            kernel_vector_into(&self.inducing, x_new, scale, self.exp_mode, c);
+            kernel_vector_into(&self.inducing, x_new, scale, c);
             v.clear();
             v.extend(c.iter().map(|ci| ci * inv_sqrt_noise));
             if !self.l_a.rank1_update_lower(v) {
@@ -1366,12 +1305,8 @@ mod tests {
     fn mismatched_lengths_are_an_error() {
         let r = GaussianProcess::fit(&[vec![0.0], vec![1.0]], &[1.0]);
         assert!(matches!(r, Err(GpError::DimensionMismatch { .. })));
-        let r = GaussianProcess::fit_with_lengthscale(
-            &[vec![0.0], vec![1.0, 2.0]],
-            &[1.0, 2.0],
-            0.5,
-            KernelExpMode::Exact,
-        );
+        let r =
+            GaussianProcess::fit_with_lengthscale(&[vec![0.0], vec![1.0, 2.0]], &[1.0, 2.0], 0.5);
         assert!(matches!(r, Err(GpError::DimensionMismatch { .. })));
     }
 
@@ -1412,7 +1347,7 @@ mod tests {
         for i in 6..10 {
             assert!(inc.extend(&x[i], &[y[i]]), "extension failed at {i}");
         }
-        let full = GaussianProcess::fit_with_lengthscale(&x, &y, ls, KernelExpMode::Exact).unwrap();
+        let full = GaussianProcess::fit_with_lengthscale(&x, &y, ls).unwrap();
         for q in [0.05, 0.33, 0.61, 0.97] {
             let (mi, vi) = inc.predict(&[q])[0];
             let (mf, vf) = full.predict(&[q])[0];
@@ -1505,12 +1440,8 @@ mod tests {
         let y1: Vec<f64> = x.iter().map(|p| p[0] * p[0]).collect();
         let y2: Vec<f64> = x.iter().map(|p| (5.0 * p[0]).cos()).collect();
         let ls = median_sq_dist(&x);
-        let pack =
-            GaussianProcess::fit_pack(&x, &[y1.clone(), y2.clone()], ls, KernelExpMode::Exact)
-                .unwrap();
-        let alone = [y1, y2].map(|y| {
-            GaussianProcess::fit_with_lengthscale(&x, &y, ls, KernelExpMode::Exact).unwrap()
-        });
+        let pack = GaussianProcess::fit_pack(&x, &[y1.clone(), y2.clone()], ls).unwrap();
+        let alone = [y1, y2].map(|y| GaussianProcess::fit_with_lengthscale(&x, &y, ls).unwrap());
         let pool: Vec<Vec<f64>> = (0..11).map(|j| vec![j as f64 * 0.09 - 0.05]).collect();
         for (p, column) in pool.iter().zip(ExactColumn::solve_batch(&pack, &pool)) {
             for (gp, got) in alone.iter().zip(column.predict(&pack)) {
@@ -1524,7 +1455,7 @@ mod tests {
     #[test]
     fn query_correlations_transpose_cross_correlations_bitwise() {
         // Wider and taller than one panel tile, with negative and
-        // repeated coordinates, in both exponential modes.
+        // repeated coordinates.
         let x: Vec<Vec<f64>> = (0..150)
             .map(|i| vec![(i as f64 * 0.29) % 1.1 - 0.3, (i * i % 13) as f64 / 6.0, 0.5])
             .collect();
@@ -1533,18 +1464,12 @@ mod tests {
             .map(|j| vec![(j as f64 * 0.43) % 1.7 - 0.5, (j % 7) as f64 / 3.0, -0.25])
             .chain(x.iter().take(5).cloned())
             .collect();
-        for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-            let gp = GaussianProcess::fit_with_lengthscale(&x, &y, 0.3, mode).unwrap();
-            let (cross, query) = (gp.cross_correlations(&pool), gp.query_correlations(&pool));
-            assert_eq!((query.rows(), query.cols()), (pool.len(), x.len()));
-            for j in 0..pool.len() {
-                for i in 0..x.len() {
-                    assert_eq!(
-                        query[(j, i)].to_bits(),
-                        cross[(i, j)].to_bits(),
-                        "{mode:?} ({i}, {j})"
-                    );
-                }
+        let gp = GaussianProcess::fit_with_lengthscale(&x, &y, 0.3).unwrap();
+        let (cross, query) = (gp.cross_correlations(&pool), gp.query_correlations(&pool));
+        assert_eq!((query.rows(), query.cols()), (pool.len(), x.len()));
+        for j in 0..pool.len() {
+            for i in 0..x.len() {
+                assert_eq!(query[(j, i)].to_bits(), cross[(i, j)].to_bits(), "({i}, {j})");
             }
         }
     }
@@ -1592,15 +1517,25 @@ mod tests {
         assert_eq!(SurrogateMode::parse("1"), Some(SurrogateMode::default_sparse()));
         assert_eq!(SurrogateMode::parse("on"), Some(SurrogateMode::default_sparse()));
         assert_eq!(SurrogateMode::parse("true"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("0"), Some(Exact));
-        assert_eq!(SurrogateMode::parse("off"), Some(Exact));
-        assert_eq!(SurrogateMode::parse("exact"), Some(Exact));
         assert_eq!(SurrogateMode::parse("300:48"), Some(Sparse { threshold: 300, inducing: 48 }));
         assert_eq!(SurrogateMode::parse("100"), Some(Sparse { threshold: 100, inducing: 25 }));
         // Floors keep degenerate configurations usable.
         assert_eq!(SurrogateMode::parse("4:1"), Some(Sparse { threshold: 8, inducing: 2 }));
         assert_eq!(SurrogateMode::parse("banana"), None);
         assert_eq!(SurrogateMode::parse("12:"), None);
+    }
+
+    #[test]
+    fn exact_only_spellings_are_rejected() {
+        // There is no always-exact surrogate: these fall through to the
+        // "not a recognized surrogate mode" warning and the default.
+        for raw in ["0", "off", "false", "exact", " Exact ", "0:16"] {
+            assert_eq!(SurrogateMode::parse(raw), None, "{raw:?}");
+        }
+        let sparse = |threshold, inducing| Some(SurrogateMode::Sparse { threshold, inducing });
+        assert_eq!(SurrogateMode::parse("48"), sparse(48, 16));
+        assert_eq!(SurrogateMode::parse("48:16"), sparse(48, 16));
+        assert_eq!(SurrogateMode::parse("10000"), sparse(10_000, 2_500));
     }
 
     #[test]
@@ -1612,14 +1547,9 @@ mod tests {
             (0..24).map(|i| vec![(i * 7 % 24) as f64 / 23.0, (i * 5 % 24) as f64 / 23.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (4.0 * p[0]).sin() - p[1] * p[1]).collect();
         let exact = GaussianProcess::fit(&x, &y).unwrap();
-        let sparse = SparseGaussianProcess::fit_with_lengthscale(
-            &x,
-            &y,
-            exact.lengthscale_sq(),
-            x.len(),
-            KernelExpMode::Exact,
-        )
-        .unwrap();
+        let sparse =
+            SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), x.len())
+                .unwrap();
         assert_eq!(sparse.inducing_count(), x.len());
         for q in [[0.1, 0.9], [0.45, 0.2], [0.77, 0.61], [1.3, -0.2]] {
             let (me, ve) = exact.predict(&q)[0];
@@ -1636,14 +1566,8 @@ mod tests {
         let x = grid1d(32);
         let y: Vec<f64> = x.iter().map(|p| (2.0 * p[0]).sin()).collect();
         let exact = GaussianProcess::fit(&x, &y).unwrap();
-        let sparse = SparseGaussianProcess::fit_with_lengthscale(
-            &x,
-            &y,
-            exact.lengthscale_sq(),
-            8,
-            KernelExpMode::Exact,
-        )
-        .unwrap();
+        let sparse =
+            SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), 8).unwrap();
         assert_eq!(sparse.inducing_count(), 8);
         for q in [0.05, 0.31, 0.62, 0.94] {
             let (me, _) = exact.predict(&[q])[0];
@@ -1717,9 +1641,7 @@ mod tests {
         // A refit over all 16 points selects its own inducing set, so
         // compare against a refit that reuses the incremental GP's frozen
         // lengthscale and (via the first 12 points) inducing selection.
-        let refit =
-            SparseGaussianProcess::fit_with_lengthscale(&x, &y, ls, 5, KernelExpMode::Exact)
-                .unwrap();
+        let refit = SparseGaussianProcess::fit_with_lengthscale(&x, &y, ls, 5).unwrap();
         for q in [0.08, 0.37, 0.66, 0.91] {
             let (mi, _) = inc.predict(&[q])[0];
             let (mr, _) = refit.predict(&[q])[0];
@@ -1751,14 +1673,9 @@ mod tests {
         let y2: Vec<f64> = x.iter().map(|p| (6.0 * p[0]).sin()).collect();
         let mut gp = SparseGaussianProcess::fit(&x, &y1, x.len()).unwrap();
         assert!(gp.retarget(std::slice::from_ref(&y2)));
-        let fresh = SparseGaussianProcess::fit_with_lengthscale(
-            &x,
-            &y2,
-            gp.lengthscale_sq(),
-            x.len(),
-            KernelExpMode::Exact,
-        )
-        .unwrap();
+        let fresh =
+            SparseGaussianProcess::fit_with_lengthscale(&x, &y2, gp.lengthscale_sq(), x.len())
+                .unwrap();
         for q in [0.11, 0.48, 0.83] {
             assert_eq!(gp.predict(&[q]), fresh.predict(&[q]), "at {q}");
         }
@@ -1793,13 +1710,7 @@ mod tests {
         assert!(gp.retarget(std::slice::from_ref(&y2)));
         // Same factorization, new targets: the factor depends on no
         // target, so the result is exactly a fresh fit's.
-        let fresh = GaussianProcess::fit_with_lengthscale(
-            &x,
-            &y2,
-            gp.lengthscale_sq(),
-            KernelExpMode::Exact,
-        )
-        .unwrap();
+        let fresh = GaussianProcess::fit_with_lengthscale(&x, &y2, gp.lengthscale_sq()).unwrap();
         for q in [0.15, 0.52, 0.88] {
             let (mr, vr) = gp.predict(&[q])[0];
             let (mf, vf) = fresh.predict(&[q])[0];
@@ -1810,36 +1721,5 @@ mod tests {
         assert!(!gp.retarget(&[vec![f64::NAN; 9]]));
         assert!(!gp.retarget(&[y2.clone(), y2]), "one target vector per objective");
         assert_eq!(gp.predict(&[0.3]), before);
-    }
-
-    #[test]
-    fn drop_oldest_tracks_fresh_fit_on_suffix() {
-        let x = grid1d(10);
-        let y: Vec<f64> = x.iter().map(|p| (2.5 * p[0]).sin() + p[0]).collect();
-        let mut gp = GaussianProcess::fit(&x, &y).unwrap();
-        let ls = gp.lengthscale_sq();
-        assert!(gp.drop_oldest());
-        assert!(gp.drop_oldest());
-        assert_eq!(gp.len(), 8);
-        let fresh =
-            GaussianProcess::fit_with_lengthscale(&x[2..], &y[2..], ls, KernelExpMode::Exact)
-                .unwrap();
-        for q in [0.3, 0.55, 0.81] {
-            let (md, vd) = gp.predict(&[q])[0];
-            let (mf, vf) = fresh.predict(&[q])[0];
-            assert!((md - mf).abs() < 1e-6, "mean {md} vs {mf} at {q}");
-            assert!((vd - vf).abs() < 1e-6, "var {vd} vs {vf} at {q}");
-        }
-    }
-
-    #[test]
-    fn drop_oldest_refuses_to_shrink_below_two() {
-        let x = grid1d(3);
-        let y = vec![0.0, 0.5, 1.0];
-        let mut gp = GaussianProcess::fit(&x, &y).unwrap();
-        assert!(gp.drop_oldest());
-        assert_eq!(gp.len(), 2);
-        assert!(!gp.drop_oldest(), "must not shrink below 2 points");
-        assert_eq!(gp.len(), 2);
     }
 }

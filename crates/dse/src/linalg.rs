@@ -445,39 +445,6 @@ impl Matrix {
         true
     }
 
-    /// Cholesky *downdate* that deletes the first row and column of the
-    /// factorized matrix: given lower-triangular `L` with `L·Lᵀ = A`,
-    /// replaces `L` with the factor of `A` minus its first row/column,
-    /// in O(n²) instead of an O(n³) refactorization.
-    ///
-    /// Partitioning `L = [[l₁₁, 0], [l₂₁, L₂₂]]` gives the trailing
-    /// block `A₂₂ = L₂₂·L₂₂ᵀ + l₂₁·l₂₁ᵀ`, so the new factor is the
-    /// rank-1 *update* of `L₂₂` by the deleted column `l₂₁` — an
-    /// additive update, hence unconditionally positive definite (no
-    /// cancellation, unlike a general downdate). Returns `false` with
-    /// `self` untouched only on numerical degeneracy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or has fewer than two rows.
-    pub fn delete_lower_first(&mut self) -> bool {
-        assert_eq!(self.rows, self.cols, "delete_lower_first requires a square matrix");
-        assert!(self.rows >= 2, "cannot delete the only row");
-        let n = self.rows;
-        let l21: Vec<f64> = (1..n).map(|i| self.data[i * n]).collect();
-        let mut trailing = Matrix::zeros(n - 1, n - 1);
-        for i in 1..n {
-            for j in 1..=i {
-                trailing.data[(i - 1) * (n - 1) + (j - 1)] = self.data[i * n + j];
-            }
-        }
-        if !trailing.rank1_update_lower(&l21) {
-            return false;
-        }
-        *self = trailing;
-        true
-    }
-
     /// Gram matrix `AᵀA` of this `n×m` matrix (an `m×m` symmetric
     /// result), accumulated row-by-row so the `n`-long dimension streams
     /// through the cache once — the `CₙₘᵀCₙₘ` product of the sparse-GP
@@ -774,21 +741,6 @@ mod tests {
         assert!(l.rank1_update_lower(&v));
         let updated = Matrix::from_fn(6, 6, |r, c| a[(r, c)] + v[r] * v[c]);
         let direct = updated.cholesky().expect("still SPD");
-        for r in 0..6 {
-            for c in 0..=r {
-                assert!((l[(r, c)] - direct[(r, c)]).abs() < 1e-10, "({r},{c})");
-            }
-        }
-    }
-
-    #[test]
-    fn delete_lower_first_matches_trailing_cholesky() {
-        let a = spd(7, 1.5);
-        let mut l = a.cholesky().expect("SPD");
-        assert!(l.delete_lower_first());
-        let trailing = Matrix::from_fn(6, 6, |r, c| a[(r + 1, c + 1)]);
-        let direct = trailing.cholesky().expect("SPD");
-        assert_eq!(l.rows(), 6);
         for r in 0..6 {
             for c in 0..=r {
                 assert!((l[(r, c)] - direct[(r, c)]).abs() < 1e-10, "({r},{c})");

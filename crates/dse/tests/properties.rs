@@ -14,9 +14,9 @@ use dse_opt::pareto::{
 };
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
-    ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, KernelExpMode,
-    MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer,
-    SparseAcquisition, SparseGaussianProcess,
+    ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer,
+    Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseAcquisition,
+    SparseGaussianProcess,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -284,7 +284,7 @@ fn moments(y: &[f64]) -> (f64, f64) {
     (mean, (centred.iter().map(|v| v * v).sum::<f64>() / n).max(1e-12))
 }
 
-/// The [`KernelExpMode::Exact`] squared-exponential kernel.
+/// The squared-exponential kernel.
 fn kernel(a: &[f64], b: &[f64], lengthscale_sq: f64) -> f64 {
     (sq_dist(a, b) * (-0.5 / lengthscale_sq)).exp()
 }
@@ -572,14 +572,8 @@ fn sparse_gp_with_full_inducing_matches_exact() {
         let x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.next_f64()).collect()).collect();
         let y: Vec<f64> = x.iter().map(|p| smooth_target(p)).collect();
         let exact = GaussianProcess::fit(&x, &y).expect("exact GP fits");
-        let sparse = SparseGaussianProcess::fit_with_lengthscale(
-            &x,
-            &y,
-            exact.lengthscale_sq(),
-            n,
-            KernelExpMode::Exact,
-        )
-        .expect("sparse GP fits");
+        let sparse = SparseGaussianProcess::fit_with_lengthscale(&x, &y, exact.lengthscale_sq(), n)
+            .expect("sparse GP fits");
         assert_eq!(sparse.inducing_count(), n, "case {case}");
         for _ in 0..8 {
             let q: Vec<f64> = (0..d).map(|_| rng.next_f64()).collect();
@@ -716,10 +710,10 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
 }
 
 /// The acquisition loop's cached exact columns stay bit-identical to a
-/// fresh batched prediction through any sequence of extends, retargets
-/// and downdates: after every step each refreshed column (and each column
+/// fresh batched prediction through any sequence of extends and
+/// retargets: after every step each refreshed column (and each column
 /// first solved mid-sequence, batched or per point) predicts exactly
-/// what `predict_batch` does, in both kernel exponential modes.
+/// what `predict_batch` does.
 ///
 /// Beside the shared-factor pack runs one separately fitted
 /// single-objective GP per objective, and after every step the pack
@@ -729,139 +723,118 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
 /// the pack's, and sharing it changes no result.
 #[test]
 fn exact_columns_track_predict_batch_through_extends_and_retargets() {
-    for mode in [KernelExpMode::Exact, KernelExpMode::Fast] {
-        for case in 0..CASES / 2 {
-            let mut rng = Rng::seed_stream(0xd5e_000d, case);
-            let d = rng.range_usize(2, 5);
-            let n_obj = rng.range_usize(1, 4);
-            let n0 = rng.range_usize(3, 12);
-            let draw = |rng: &mut Rng| -> Vec<f64> { (0..d).map(|_| rng.next_f64()).collect() };
-            let mut xs: Vec<Vec<f64>> = (0..n0).map(|_| draw(&mut rng)).collect();
-            let target = |rng: &mut Rng, xs: &[Vec<f64>]| -> Vec<f64> {
-                let shift = rng.range_f64(-1.0, 1.0);
-                xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect()
-            };
-            let ls = rng.range_f64(0.05, 0.8);
-            let mut ys: Vec<Vec<f64>> = (0..n_obj).map(|_| target(&mut rng, &xs)).collect();
-            let mut pack = GaussianProcess::fit_pack(&xs, &ys, ls, mode).expect("fits");
-            let mut members: Vec<GaussianProcess> = ys
-                .iter()
-                .map(|y| GaussianProcess::fit_with_lengthscale(&xs, y, ls, mode).expect("fits"))
-                .collect();
-            let mut pool: Vec<Vec<f64>> =
-                (0..rng.range_usize(1, 70)).map(|_| draw(&mut rng)).collect();
-            pool.push(xs[0].clone());
-            let mut columns = ExactColumn::solve_batch(&pack, &pool);
+    for case in 0..CASES / 2 {
+        let mut rng = Rng::seed_stream(0xd5e_000d, case);
+        let d = rng.range_usize(2, 5);
+        let n_obj = rng.range_usize(1, 4);
+        let n0 = rng.range_usize(3, 12);
+        let draw = |rng: &mut Rng| -> Vec<f64> { (0..d).map(|_| rng.next_f64()).collect() };
+        let mut xs: Vec<Vec<f64>> = (0..n0).map(|_| draw(&mut rng)).collect();
+        let target = |rng: &mut Rng, xs: &[Vec<f64>]| -> Vec<f64> {
+            let shift = rng.range_f64(-1.0, 1.0);
+            xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect()
+        };
+        let ls = rng.range_f64(0.05, 0.8);
+        let mut ys: Vec<Vec<f64>> = (0..n_obj).map(|_| target(&mut rng, &xs)).collect();
+        let mut pack = GaussianProcess::fit_pack(&xs, &ys, ls).expect("fits");
+        let mut members: Vec<GaussianProcess> = ys
+            .iter()
+            .map(|y| GaussianProcess::fit_with_lengthscale(&xs, y, ls).expect("fits"))
+            .collect();
+        let mut pool: Vec<Vec<f64>> = (0..rng.range_usize(1, 70)).map(|_| draw(&mut rng)).collect();
+        pool.push(xs[0].clone());
+        let mut columns = ExactColumn::solve_batch(&pack, &pool);
+        let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+        assert_pack_matches_members(
+            &pack.predict_batch(&pool),
+            &alone,
+            &format!("case {case} exact fit"),
+        );
+        for step in 0..rng.range_usize(1, 10) {
+            let context = format!("case {case} step {step}");
+            if rng.next_f64() < 0.6 {
+                let x = draw(&mut rng);
+                let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
+                let accepted = pack.extend(&x, &new);
+                for (gp, &y) in members.iter_mut().zip(&new) {
+                    assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
+                }
+                if !accepted {
+                    continue;
+                }
+                for (y, v) in ys.iter_mut().zip(new) {
+                    y.push(v);
+                }
+                xs.push(x);
+            } else {
+                let obj = rng.range_usize(0, n_obj);
+                ys[obj] = target(&mut rng, &xs);
+                assert!(pack.retarget(&ys), "{context}: retarget");
+                let y = std::slice::from_ref(&ys[obj]);
+                assert!(members[obj].retarget(y), "{context}: member retarget");
+            }
+            if rng.next_f64() < 0.3 {
+                let fresh = draw(&mut rng);
+                if rng.next_f64() < 0.5 {
+                    columns.extend(ExactColumn::solve_batch(&pack, std::slice::from_ref(&fresh)));
+                } else {
+                    columns.push(ExactColumn::solve(&pack, &fresh));
+                }
+                pool.push(fresh);
+            }
+            let want = pack.predict_batch(&pool);
+            for (j, (column, p)) in columns.iter_mut().zip(&pool).enumerate() {
+                column.refresh(&pack, p);
+                for (o, (m, v)) in column.predict(&pack).enumerate() {
+                    let (wm, wv) = want[j][o];
+                    assert_eq!(
+                        (m.to_bits(), v.to_bits()),
+                        (wm.to_bits(), wv.to_bits()),
+                        "{context}: objective {o}, pool[{j}]"
+                    );
+                }
+            }
             let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
-            assert_pack_matches_members(
-                &pack.predict_batch(&pool),
-                &alone,
-                &format!("{mode:?} case {case} exact fit"),
-            );
-            for step in 0..rng.range_usize(1, 10) {
-                let context = format!("{mode:?} case {case} step {step}");
-                let kind = rng.next_f64();
-                if kind < 0.5 {
-                    let x = draw(&mut rng);
-                    let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
-                    let accepted = pack.extend(&x, &new);
-                    for (gp, &y) in members.iter_mut().zip(&new) {
-                        assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
-                    }
-                    if !accepted {
-                        continue;
-                    }
+            assert_pack_matches_members(&want, &alone, &context);
+        }
+
+        let m = rng.range_usize(3, 12);
+        let mut sparse =
+            SparseGaussianProcess::fit_pack(&xs, &ys, ls, m).expect("sparse pack fits");
+        let mut members: Vec<SparseGaussianProcess> = ys
+            .iter()
+            .map(|y| SparseGaussianProcess::fit_with_lengthscale(&xs, y, ls, m).expect("fits"))
+            .collect();
+        let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
+        assert_pack_matches_members(
+            &sparse.predict_batch(&pool),
+            &alone,
+            &format!("case {case} sparse fit"),
+        );
+        for step in 0..rng.range_usize(1, 10) {
+            let context = format!("case {case} sparse step {step}");
+            if rng.next_f64() < 0.6 {
+                let x = draw(&mut rng);
+                let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
+                let accepted = sparse.extend(&x, &new);
+                for (gp, &y) in members.iter_mut().zip(&new) {
+                    assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
+                }
+                if accepted {
                     for (y, v) in ys.iter_mut().zip(new) {
                         y.push(v);
                     }
                     xs.push(x);
-                } else if kind < 0.8 {
-                    let obj = rng.range_usize(0, n_obj);
-                    ys[obj] = target(&mut rng, &xs);
-                    assert!(pack.retarget(&ys), "{context}: retarget");
-                    let y = std::slice::from_ref(&ys[obj]);
-                    assert!(members[obj].retarget(y), "{context}: member retarget");
-                } else {
-                    // A downdate rewrites the factor, so every column is
-                    // solved afresh against it.
-                    let dropped = pack.drop_oldest();
-                    for gp in &mut members {
-                        assert_eq!(gp.drop_oldest(), dropped, "{context}: member downdate");
-                    }
-                    if dropped {
-                        xs.remove(0);
-                        for y in &mut ys {
-                            y.remove(0);
-                        }
-                        columns = ExactColumn::solve_batch(&pack, &pool);
-                    }
                 }
-                if rng.next_f64() < 0.3 {
-                    let fresh = draw(&mut rng);
-                    if rng.next_f64() < 0.5 {
-                        columns
-                            .extend(ExactColumn::solve_batch(&pack, std::slice::from_ref(&fresh)));
-                    } else {
-                        columns.push(ExactColumn::solve(&pack, &fresh));
-                    }
-                    pool.push(fresh);
-                }
-                let want = pack.predict_batch(&pool);
-                for (j, (column, p)) in columns.iter_mut().zip(&pool).enumerate() {
-                    column.refresh(&pack, p);
-                    for (o, (m, v)) in column.predict(&pack).enumerate() {
-                        let (wm, wv) = want[j][o];
-                        assert_eq!(
-                            (m.to_bits(), v.to_bits()),
-                            (wm.to_bits(), wv.to_bits()),
-                            "{context}: objective {o}, pool[{j}]"
-                        );
-                    }
-                }
-                let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
-                assert_pack_matches_members(&want, &alone, &context);
+            } else {
+                let obj = rng.range_usize(0, n_obj);
+                ys[obj] = target(&mut rng, &xs);
+                assert!(sparse.retarget(&ys), "{context}: retarget");
+                let y = std::slice::from_ref(&ys[obj]);
+                assert!(members[obj].retarget(y), "{context}: member retarget");
             }
-
-            let m = rng.range_usize(3, 12);
-            let mut sparse =
-                SparseGaussianProcess::fit_pack(&xs, &ys, ls, m, mode).expect("sparse pack fits");
-            let mut members: Vec<SparseGaussianProcess> = ys
-                .iter()
-                .map(|y| {
-                    SparseGaussianProcess::fit_with_lengthscale(&xs, y, ls, m, mode).expect("fits")
-                })
-                .collect();
             let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
-            assert_pack_matches_members(
-                &sparse.predict_batch(&pool),
-                &alone,
-                &format!("{mode:?} case {case} sparse fit"),
-            );
-            for step in 0..rng.range_usize(1, 10) {
-                let context = format!("{mode:?} case {case} sparse step {step}");
-                if rng.next_f64() < 0.6 {
-                    let x = draw(&mut rng);
-                    let new: Vec<f64> = ys.iter().map(|y| y[0] + x[1]).collect();
-                    let accepted = sparse.extend(&x, &new);
-                    for (gp, &y) in members.iter_mut().zip(&new) {
-                        assert_eq!(gp.extend(&x, &[y]), accepted, "{context}: member extend");
-                    }
-                    if accepted {
-                        for (y, v) in ys.iter_mut().zip(new) {
-                            y.push(v);
-                        }
-                        xs.push(x);
-                    }
-                } else {
-                    let obj = rng.range_usize(0, n_obj);
-                    ys[obj] = target(&mut rng, &xs);
-                    assert!(sparse.retarget(&ys), "{context}: retarget");
-                    let y = std::slice::from_ref(&ys[obj]);
-                    assert!(members[obj].retarget(y), "{context}: member retarget");
-                }
-                let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
-                assert_pack_matches_members(&sparse.predict_batch(&pool), &alone, &context);
-            }
+            assert_pack_matches_members(&sparse.predict_batch(&pool), &alone, &context);
         }
     }
 }
@@ -908,7 +881,7 @@ fn random_pack(
             raw.iter().map(|v| (v - lo) / (hi - lo).max(1e-12)).collect()
         })
         .collect();
-    let pack = GaussianProcess::fit_pack(&xs, &ys, ls, KernelExpMode::Exact).expect("fits");
+    let pack = GaussianProcess::fit_pack(&xs, &ys, ls).expect("fits");
     (pack, xs)
 }
 
@@ -1257,8 +1230,7 @@ fn sparse_selection_matches_full_scoring() {
                 xs.iter().map(|p| smooth_target(p) + shift * p[0]).collect()
             })
             .collect();
-        let pack = SparseGaussianProcess::fit_pack(&xs, &ys, ls, m, KernelExpMode::Exact)
-            .expect("sparse GP fits");
+        let pack = SparseGaussianProcess::fit_pack(&xs, &ys, ls, m).expect("sparse GP fits");
         let pool = crowded_pool(&mut rng, &xs);
         let mut columns: Vec<Option<Vec<f64>>> = vec![None; pool.len()];
         for round in ["cold", "warm"] {

@@ -6,9 +6,8 @@
 //!
 //! Worker-pool size comes from `AUTOPILOT_SERVE_WORKERS` (default 2);
 //! per-job engine defaults are captured from the environment once at
-//! startup (`AUTOPILOT_THREADS`, `AUTOPILOT_GP_SPARSE`,
-//! `AUTOPILOT_GP_FASTEXP`, `AUTOPILOT_SWAP`), and a request can override
-//! all but the surrogate mode. SIGTERM/SIGINT drain the server gracefully.
+//! startup (`AUTOPILOT_THREADS`, `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_SWAP`),
+//! and a request can override the thread count and the SWaP mode. SIGTERM/SIGINT drain the server gracefully.
 
 use autopilot::JobConfig;
 use autopilot_serve::{JobManager, Server};

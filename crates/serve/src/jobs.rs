@@ -34,7 +34,7 @@ use autopilot::{
 };
 use autopilot_obs as obs;
 use autopilot_obs::json::Value;
-use dse_opt::{KernelExpMode, RunControl};
+use dse_opt::RunControl;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,9 +63,8 @@ pub struct JobSpec {
     pub optimizer: String,
     /// Deterministic seed (default 7, the repo-wide experiment seed).
     pub seed: u64,
-    /// Per-job engine knobs (threads, GP window, SWaP mode, kernel
-    /// exponential mode), defaulting to the server's
-    /// startup-captured environment.
+    /// Per-job engine knobs (threads, SWaP mode), defaulting to the
+    /// server's startup-captured environment.
     pub config: JobConfig,
 }
 
@@ -122,9 +121,6 @@ impl JobSpec {
             }
             config = config.with_threads(t as usize);
         }
-        if let Some(w) = root.get("gp_window").and_then(Value::as_u64) {
-            config = config.with_gp_window(w as usize);
-        }
         match root.get("swap") {
             None | Some(Value::Null) => {}
             Some(Value::Str(s)) => match SwapMode::parse(s) {
@@ -136,18 +132,6 @@ impl JobSpec {
                 }
             },
             Some(_) => return Err("`swap` must be a string".into()),
-        }
-        match root.get("fastexp") {
-            None | Some(Value::Null) => {}
-            Some(Value::Str(s)) => match KernelExpMode::parse(s) {
-                Some(mode) => config = config.with_exp_mode(mode),
-                None => {
-                    return Err(format!(
-                        "unknown `fastexp` {s:?}; expected exact (0/off/false) or fast (1/on/true)"
-                    ));
-                }
-            },
-            Some(_) => return Err("`fastexp` must be a string".into()),
         }
         Ok(JobSpec { uav, scenario, budget, optimizer, seed, config })
     }
@@ -592,14 +576,6 @@ mod tests {
                 r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "swap": 3}"#,
                 "swap",
             ),
-            (
-                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "fastexp": "approximate"}"#,
-                "fastexp",
-            ),
-            (
-                r#"{"uav_class": "nano", "scenario": "low", "budget": 12, "optimizer": "random-search", "fastexp": 1}"#,
-                "fastexp",
-            ),
         ] {
             let err = JobSpec::parse(body, defaults()).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
@@ -607,18 +583,22 @@ mod tests {
     }
 
     #[test]
-    fn fastexp_field_selects_exp_mode() {
-        let body = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
-                       "optimizer": "random-search", "seed": 3, "fastexp": "fast"}"#;
-        let spec = JobSpec::parse(body, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, Some(KernelExpMode::Fast));
-        let body = r#"{"uav_class": "nano", "scenario": "low", "budget": 12,
-                       "optimizer": "random-search", "seed": 3, "fastexp": "exact"}"#;
-        let spec = JobSpec::parse(body, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, Some(KernelExpMode::Exact));
-        // Absent field keeps the startup default.
-        let spec = JobSpec::parse(VALID, defaults()).unwrap();
-        assert_eq!(spec.config.exp_mode, defaults().exp_mode);
+    fn retired_knob_fields_are_ignored_like_unknown_keys() {
+        // Clients may still send the retired `gp_window` and `fastexp`
+        // knobs; like any unknown key, no value of either changes the
+        // spec or fails the request.
+        let plain = JobSpec::parse(VALID, defaults()).unwrap();
+        for extra in [
+            r#""gp_window": 64, "fastexp": "fast""#,
+            r#""gp_window": "wide", "fastexp": 1"#,
+            r#""gp_window": null, "fastexp": "approximate""#,
+        ] {
+            let body = format!(
+                r#"{{"uav_class": "nano", "scenario": "low", "budget": 12,
+                     "optimizer": "random-search", "seed": 3, {extra}}}"#
+            );
+            assert_eq!(JobSpec::parse(&body, defaults()).unwrap(), plain, "{extra}");
+        }
     }
 
     #[test]

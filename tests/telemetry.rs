@@ -7,8 +7,8 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{
-    AutoPilot, AutopilotConfig, DssocEvaluator, JobConfig, OptimizerChoice, Phase1, Phase2,
-    PipelineCache, SuccessModel, TaskSpec,
+    AutoPilot, AutopilotConfig, DssocEvaluator, OptimizerChoice, Phase1, Phase2, PipelineCache,
+    SuccessModel, TaskSpec,
 };
 use autopilot_obs as obs;
 use dse_opt::Evaluator;
@@ -138,29 +138,6 @@ fn phase2_layers_simulated_equal_memo_misses() {
     let replayed = obs::snapshot().counter("systolic.layers") - before - total as u64;
     assert_eq!(replayed, keys.len() as u64, "layers simulated must equal memo misses");
     assert!(replayed < total as u64, "a 24-point DSE must produce memo hits");
-}
-
-#[test]
-fn gp_window_plumbs_through_and_records_downdates() {
-    let _guard = guard();
-    obs::force_metrics(true);
-
-    // Regression: the default exact-GP window equalled the sparse
-    // threshold, so the window never slid and `bo.gp.downdate` stayed 0
-    // forever. With an explicit window smaller than the budget the
-    // incremental Cholesky downdate path must actually fire.
-    let ev = evaluator();
-    let before = obs::snapshot();
-    let phase2 = Phase2::new(OptimizerChoice::SmsEgo, 24, 5).with_job_config(
-        JobConfig::default().with_gp_window(10).with_surrogate(dse_opt::SurrogateMode::Exact),
-    );
-    phase2.run(&ev).expect("phase 2 runs");
-    let after = obs::snapshot();
-    let downdates = after.counter("bo.gp.downdate") - before.counter("bo.gp.downdate");
-    assert!(
-        downdates > 0,
-        "a budget-24 SMS-EGO run with a 10-point GP window must slide the window"
-    );
 }
 
 #[test]
