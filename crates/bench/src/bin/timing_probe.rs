@@ -144,9 +144,9 @@ fn paper_leg() {
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
 
     // The probe runs through the same explicit JobConfig path the
-    // server uses: startup-captured environment defaults, with the
-    // sequential runs pinning threads=1 per job rather than via env.
-    let job = JobConfig::from_env();
+    // server uses: the default knobs, with the sequential runs pinning
+    // threads=1 per job.
+    let job = JobConfig::default();
     let evaluator = DssocEvaluator::new(db, density);
 
     let workers = job.effective_threads();
@@ -333,7 +333,7 @@ fn scale_leg() {
     let density = ObstacleDensity::Dense;
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
-    let job = JobConfig::from_env().with_threads(1).with_surrogate(surrogate);
+    let job = JobConfig::default().with_threads(1).with_surrogate(surrogate);
     let evaluator = DssocEvaluator::new(db, density);
     let phase2 = Phase2::new(config.optimizer, BUDGET, config.seed).with_job_config(job);
 

@@ -55,7 +55,7 @@ fn run_class(uav: &UavSpec) -> AutopilotResult {
         .with_optimizer(OptimizerChoice::Random)
         .with_budget(BUDGET);
     let pilot = AutoPilot::new(config)
-        .with_job_config(JobConfig::from_env().with_swap(SwapMode::Constraint));
+        .with_job_config(JobConfig::default().with_swap(SwapMode::Constraint));
     pilot
         .run(uav, &TaskSpec::navigation(ObstacleDensity::Low))
         .expect("SWaP sweep runs on the default catalog")

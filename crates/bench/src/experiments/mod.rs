@@ -38,13 +38,13 @@ pub fn shared_cache() -> Arc<PipelineCache> {
 }
 
 /// Runs the full AutoPilot pipeline in the paper configuration for one
-/// (UAV, scenario) pair with the startup-environment knobs
-/// ([`JobConfig::from_env`]), reusing Phase-1/Phase-2 results through
+/// (UAV, scenario) pair with the default job knobs
+/// ([`JobConfig::default`]), reusing Phase-1/Phase-2 results through
 /// [`shared_cache`].
 pub fn run_scenario(uav: &UavSpec, density: ObstacleDensity) -> AutopilotResult {
     let pilot = AutoPilot::new(AutopilotConfig::paper(SEED))
         .with_cache(shared_cache())
-        .with_job_config(JobConfig::from_env());
+        .with_job_config(JobConfig::default());
     pilot.run(uav, &TaskSpec::navigation(density)).expect("paper pipeline runs")
 }
 
@@ -53,18 +53,14 @@ pub fn run_scenario(uav: &UavSpec, density: ObstacleDensity) -> AutopilotResult 
 /// and are bit-identical to calling [`run_scenario`] sequentially.
 ///
 /// The distinct densities are warmed first (in parallel) so the per-pair
-/// fan-out below never races two copies of the same Phase-2 problem;
-/// the warm-up is skipped when the environment's knobs make every run
-/// bypass the cache.
+/// fan-out below never races two copies of the same Phase-2 problem.
 pub fn run_scenarios(pairs: &[(UavSpec, ObstacleDensity)]) -> Vec<AutopilotResult> {
     let cache = shared_cache();
     let config = AutopilotConfig::paper(SEED);
     let mut densities: Vec<ObstacleDensity> = Vec::new();
-    if !JobConfig::from_env().searches_differently() {
-        for (_, d) in pairs {
-            if !densities.contains(d) {
-                densities.push(*d);
-            }
+    for (_, d) in pairs {
+        if !densities.contains(d) {
+            densities.push(*d);
         }
     }
     dse_opt::par::parallel_map(&densities, |_, &density| {

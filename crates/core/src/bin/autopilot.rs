@@ -2,13 +2,14 @@
 //!
 //! ```sh
 //! autopilot --uav nano --scenario dense --budget 200 --optimizer bo --seed 7 --json out.json
+//! autopilot --uav micro --scenario medium --swap constraint
 //! autopilot --list
 //! ```
 
 use air_sim::ObstacleDensity;
 use autopilot::{
     registry, AutoPilot, AutopilotConfig, JobConfig, JointSpace, OptimizerChoice, RunSummary,
-    TaskSpec,
+    SwapMode, TaskSpec,
 };
 use autopilot_obs::{obs_error, obs_info, obs_warn};
 use std::process::ExitCode;
@@ -21,6 +22,7 @@ struct Args {
     optimizer: OptimizerChoice,
     seed: u64,
     sensor_fps: f64,
+    swap: SwapMode,
     json_path: Option<String>,
 }
 
@@ -59,6 +61,8 @@ OPTIONS:
                                    (bo|ga|sa|random aliases) [default: bo]
     --seed <N>                     deterministic seed     [default: 7]
     --sensor-fps <30|60|...>       camera frame rate      [default: 60]
+    --swap <off|constraint>        enforce the airframe SWaP
+                                   constraint             [default: off]
     --json <PATH>                  also write a JSON run summary
     --list                         list platforms and scenarios, then exit
     --help                         show this help
@@ -72,6 +76,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         optimizer: OptimizerChoice::SmsEgo,
         seed: 7,
         sensor_fps: 60.0,
+        swap: SwapMode::Off,
         json_path: None,
     };
     let mut it = std::env::args().skip(1);
@@ -131,6 +136,11 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.sensor_fps =
                     value("--sensor-fps")?.parse().map_err(|e| format!("bad --sensor-fps: {e}"))?
             }
+            "--swap" => {
+                let raw = value("--swap")?;
+                args.swap = SwapMode::parse(&raw)
+                    .ok_or_else(|| format!("bad --swap '{raw}' (expected off or constraint)"))?
+            }
             "--json" => args.json_path = Some(value("--json")?),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
@@ -163,7 +173,7 @@ fn main() -> ExitCode {
         args.budget,
         args.optimizer.name()
     );
-    let pilot = AutoPilot::new(config).with_job_config(JobConfig::from_env());
+    let pilot = AutoPilot::new(config).with_job_config(JobConfig::default().with_swap(args.swap));
     let result = match pilot.run(&args.uav, &task) {
         Ok(r) => r,
         Err(e) => {

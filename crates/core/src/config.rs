@@ -3,12 +3,10 @@
 //! [`JobConfig`] is the one carrier of the engine's knobs from the edge
 //! (CLI, server, probes) down to the optimizer: [`crate::AutoPilot`],
 //! [`crate::Phase2`] and [`crate::registry::OptimizerContext`] each hold
-//! one, and nothing below them reads the environment. The environment
-//! is read in exactly one place, [`JobConfig::from_env`], which captures
-//! it **once per process** (via [`autopilot_obs::env_once`], which warns
-//! if the live environment later diverges). Library defaults
-//! ([`JobConfig::default`]) are constants, so two jobs in one process
-//! can carry different knobs without mutating the environment.
+//! one. No environment variable sets a knob that changes results:
+//! binaries start from [`JobConfig::default`] and apply their own flags
+//! or job fields through the `with_*` builders, so two jobs in one
+//! process can carry different knobs.
 
 use crate::swap::SwapMode;
 use dse_opt::{KernelExpMode, SurrogateMode};
@@ -16,8 +14,7 @@ use dse_opt::{KernelExpMode, SurrogateMode};
 /// Explicit per-job engine knobs: thread count, surrogate mode and the
 /// SWaP constraint.
 ///
-/// [`JobConfig::default`] is the engine's constant defaults;
-/// [`JobConfig::from_env`] layers the startup environment on top.
+/// [`JobConfig::default`] is the engine's constant defaults.
 /// Results are bit-identical across `threads` values;
 /// the other knobs legitimately change the search or its objectives
 /// (see [`JobConfig::searches_differently`]).
@@ -51,17 +48,10 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// The startup-environment knobs: `AUTOPILOT_GP_SPARSE` and
-    /// `AUTOPILOT_SWAP` as captured on first read (later mutations
-    /// of the live environment warn once and are ignored). This is the
-    /// only library function that reads them; call it at the edge and
-    /// pass the result down.
+    /// [`JobConfig::default`]; reads no environment. Kept only so the
+    /// benchmark package compiles until it stops naming it.
     pub fn from_env() -> JobConfig {
-        JobConfig {
-            surrogate: Some(SurrogateMode::from_env()),
-            swap: SwapMode::from_env(),
-            ..JobConfig::default()
-        }
+        JobConfig::default()
     }
 
     /// Pins the optimizer worker count (bit-identical results at any
@@ -124,9 +114,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_override_env_defaults() {
+    fn builders_override_defaults() {
         let sparse = SurrogateMode::Sparse { threshold: 48, inducing: 16 };
-        let cfg = JobConfig::from_env()
+        let cfg = JobConfig::default()
             .with_threads(3)
             .with_surrogate(sparse)
             .with_swap(SwapMode::Constraint);
@@ -139,8 +129,8 @@ mod tests {
 
     #[test]
     fn thread_count_is_floored_at_one() {
-        assert_eq!(JobConfig::from_env().with_threads(0).threads, Some(1));
-        assert!(JobConfig::from_env().effective_threads() >= 1);
+        assert_eq!(JobConfig::default().with_threads(0).threads, Some(1));
+        assert!(JobConfig::default().effective_threads() >= 1);
     }
 
     #[test]

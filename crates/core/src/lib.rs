@@ -9,14 +9,14 @@
 //! accelerator configuration that maximizes the number of missions the
 //! UAV can fly per battery charge. The flow has three phases:
 //!
-//! 1. [`phase1`] — *domain-specific front end*: train/validate candidate
+//! 1. [`Phase1`] — *domain-specific front end*: train/validate candidate
 //!    policies for the scenario and record their success rates in the
 //!    Air Learning database.
-//! 2. [`phase2`] — *domain-agnostic multi-objective DSE*: search the joint
+//! 2. [`Phase2`] — *domain-agnostic multi-objective DSE*: search the joint
 //!    (algorithm x accelerator) space of Table II with Bayesian
 //!    optimization (or a drop-in alternative) for designs Pareto-optimal
 //!    in task success, SoC power, and inference latency.
-//! 3. [`phase3`] — *domain-specific back end*: evaluate the candidates
+//! 3. [`Phase3`] — *domain-specific back end*: evaluate the candidates
 //!    against the full UAV system (compute weight -> thrust-to-weight ->
 //!    F-1 roofline -> missions) and select the balanced design, optionally
 //!    fine-tuning clock and technology node toward the knee-point.
@@ -71,4 +71,4 @@ pub use registry::{
 pub use report::{CandidateSummary, RunSummary};
 pub use space::{JointSpace, PE_CHOICES, SRAM_KB_CHOICES};
 pub use spec::TaskSpec;
-pub use swap::{SwapMode, SWAP_ENV};
+pub use swap::SwapMode;

@@ -441,11 +441,11 @@ mod tests {
         let job = JobConfig::default()
             .with_surrogate(SurrogateMode::Sparse { threshold: 48, inducing: 16 });
         assert_eq!(run(job), 0, "{job:?} must not be served the default search");
-        // A startup-environment job that only pins threads searches like
-        // the default unless the environment itself sets a search knob.
-        let env_job = JobConfig::from_env().with_threads(1);
-        let hits = run(env_job);
-        assert_eq!(hits == 1, !env_job.searches_differently(), "{env_job:?}");
+        // Threads never change results, so a job that only pins them is
+        // served the warmed default search.
+        assert_eq!(run(JobConfig::default().with_threads(1)), 1);
+        let job = JobConfig::default().with_swap(SwapMode::Constraint);
+        assert_eq!(run(job), 1, "{job:?} must not be served the default search");
     }
 
     #[test]

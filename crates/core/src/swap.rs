@@ -1,14 +1,8 @@
 //! The SWaP-constraint knob: whether Phase 2/3 treat compute weight as
-//! a first-class airframe feasibility constraint (`AUTOPILOT_SWAP`).
-
-/// Environment variable selecting the SWaP-constraint mode for the
-/// pipeline. Accepted values:
-///
-/// | value                          | meaning                                 |
-/// |--------------------------------|-----------------------------------------|
-/// | *(unset)*, `0`, `off`, `false` | legacy scalar-payload mode (default)    |
-/// | `1`, `on`, `true`, `constraint`| airframe CG/stability/weight constraint |
-pub const SWAP_ENV: &str = "AUTOPILOT_SWAP";
+//! a first-class airframe feasibility constraint. A job sets it with
+//! [`JobConfig::with_swap`](crate::JobConfig::with_swap); the CLI's
+//! `--swap` flag and the server's `"swap"` job field parse it with
+//! [`SwapMode::parse`].
 
 /// Whether the pipeline enforces component-level SWaP feasibility.
 ///
@@ -37,36 +31,10 @@ pub enum SwapMode {
 }
 
 impl SwapMode {
-    /// Reads the mode from [`SWAP_ENV`]; unset or unparsable values fall
-    /// back to [`SwapMode::Off`] (with a warn-level obs event for the
-    /// unparsable case).
-    ///
-    /// The variable is captured **once per process** (via
-    /// [`autopilot_obs::env_once`]); later env mutations warn once and
-    /// are otherwise ignored. Per-job swap modes go through
-    /// [`JobConfig::with_swap`](crate::JobConfig::with_swap) instead.
-    pub fn from_env() -> SwapMode {
-        static CACHED: std::sync::OnceLock<SwapMode> = std::sync::OnceLock::new();
-        let raw = autopilot_obs::env_once(SWAP_ENV);
-        *CACHED.get_or_init(|| {
-            let raw = match raw {
-                Some(v) => v,
-                None => return SwapMode::Off,
-            };
-            match SwapMode::parse(&raw) {
-                Some(mode) => mode,
-                None => {
-                    autopilot_obs::obs_warn!(
-                        "swap: {SWAP_ENV}={raw:?} is not a recognized SWaP mode; \
-                         staying in legacy scalar-payload mode"
-                    );
-                    SwapMode::Off
-                }
-            }
-        })
-    }
-
-    /// Parses the [`SWAP_ENV`] grammar; `None` for unrecognized input.
+    /// Parses a mode name, as given to the CLI's `--swap` flag or a
+    /// server job's `"swap"` field, case-insensitively: `off`, `0`,
+    /// `false` or empty for [`SwapMode::Off`]; `constraint`, `on`, `1` or
+    /// `true` for [`SwapMode::Constraint`]; `None` for anything else.
     pub fn parse(raw: &str) -> Option<SwapMode> {
         let v = raw.trim().to_ascii_lowercase();
         match v.as_str() {

@@ -907,7 +907,7 @@ pub enum ExactSlot {
 ///    one `O(|front|)` loop over the scorer's partition.
 /// 2. **Subset**: the full score of the LCB with the variances of
 ///    [`GaussianProcess::subset_variance_bounds`] (an 8-row Schur bound).
-/// 3. **Solve**: the exact score, solved in rounds of [`SOLVE_ROUND`].
+/// 3. **Solve**: the exact score, solved in rounds of `SOLVE_ROUND` (8).
 ///
 /// The subset rung pays at large training sets. Sending every subset
 /// promotion straight to a solve round left picks and results bit-equal
@@ -920,8 +920,8 @@ pub enum ExactSlot {
 /// which sets the running best `τ`, then refines best-first: the
 /// candidate with the highest current bound (ties by pool index) moves
 /// up one tier, and one at the top tier joins the next solve round,
-/// until the highest bound is below `τ` by more than [`PRUNE_MARGIN`].
-/// Up to [`SOLVE_ROUND`] heap tops in a row at the score tier move up
+/// until the highest bound is below `τ` by more than `PRUNE_MARGIN`.
+/// Up to `SOLVE_ROUND` heap tops in a row at the score tier move up
 /// together, so their `p × p` solves share one prediction span.
 /// A pruned candidate's exact score is then strictly below the final
 /// maximum, so first-max-wins over the exactly scored candidates picks

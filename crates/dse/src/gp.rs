@@ -1,27 +1,15 @@
 //! Gaussian-process regression with a squared-exponential kernel:
 //! an exact GP supporting incremental O(n²) updates, a low-rank
 //! Nyström/DTC sparse GP for large archives ([`SparseGaussianProcess`]),
-//! and the [`SurrogateMode`] threshold that switches between them
-//! (`AUTOPILOT_GP_SPARSE`). Both GPs carry one
-//! posterior per objective over one shared factorization: a surrogate
-//! pack.
+//! and the [`SurrogateMode`] threshold that switches between them. Both
+//! GPs carry one posterior per objective over one shared factorization:
+//! a surrogate pack. The mode reaches an optimizer only through
+//! [`SmsEgoOptimizer::with_surrogate_mode`](crate::SmsEgoOptimizer::with_surrogate_mode).
 
 use crate::error::GpError;
 use crate::linalg::{sq_dist, Matrix};
 use autopilot_obs as obs;
 use std::cell::RefCell;
-
-/// Environment variable selecting the surrogate inference mode for the
-/// SMS-EGO optimizer. Accepted values:
-///
-/// | value                        | meaning                                            |
-/// |------------------------------|----------------------------------------------------|
-/// | *(unset)*, `1`, `on`, `true` | default: exact below 256 points, sparse above      |
-/// | `N`                          | sparse past `N` points, `max(N/4, 16)` inducing    |
-/// | `N:M`                        | sparse past `N` points with `M` inducing points    |
-///
-/// Past [`MAX_EXACT_POINTS`] the surrogate is sparse whatever `N` says.
-pub const GP_SPARSE_ENV: &str = "AUTOPILOT_GP_SPARSE";
 
 /// The largest archive an exact surrogate pack trains on. Exact GP
 /// inference is O(n³) per refit and O(n²) memory, so a larger archive
@@ -55,59 +43,10 @@ impl SurrogateMode {
         SurrogateMode::Sparse { threshold: 256, inducing: 64 }
     }
 
-    /// Reads the mode from [`GP_SPARSE_ENV`]; unset or unparsable values
-    /// fall back to [`SurrogateMode::default_sparse`] (with a warn-level
-    /// obs event for the unparsable case).
-    ///
-    /// The variable is captured **once per process** (via
-    /// [`autopilot_obs::env_once`]); later env mutations warn once and
-    /// are otherwise ignored. Only the core crate's `JobConfig::from_env`
-    /// calls this; optimizers take their mode explicitly
-    /// ([`SmsEgoOptimizer::with_surrogate_mode`]).
-    ///
-    /// [`SmsEgoOptimizer::with_surrogate_mode`]: crate::SmsEgoOptimizer::with_surrogate_mode
+    /// [`SurrogateMode::default_sparse`]; reads no environment. Kept
+    /// only so the benchmark package compiles until it stops naming it.
     pub fn from_env() -> SurrogateMode {
-        static CACHED: std::sync::OnceLock<SurrogateMode> = std::sync::OnceLock::new();
-        // env_once re-checks the live environment for drift (warning
-        // once) while pinning the value used for parsing.
-        let raw = autopilot_obs::env_once(GP_SPARSE_ENV);
-        *CACHED.get_or_init(|| {
-            let raw = match raw {
-                Some(v) => v,
-                None => return SurrogateMode::default_sparse(),
-            };
-            match SurrogateMode::parse(&raw) {
-                Some(mode) => mode,
-                None => {
-                    autopilot_obs::obs_warn!(
-                        "gp: {GP_SPARSE_ENV}={raw:?} is not a recognized surrogate mode; \
-                         using the default (sparse past 256 points)"
-                    );
-                    SurrogateMode::default_sparse()
-                }
-            }
-        })
-    }
-
-    /// Parses the [`GP_SPARSE_ENV`] grammar; `None` for unrecognized
-    /// input, including a threshold of `0` (there is no exact-only
-    /// mode).
-    pub fn parse(raw: &str) -> Option<SurrogateMode> {
-        let v = raw.trim().to_ascii_lowercase();
-        let threshold = |t: &str| t.parse::<usize>().ok().filter(|&t| t > 0).map(|t| t.max(8));
-        match v.as_str() {
-            "" | "1" | "on" | "true" => Some(SurrogateMode::default_sparse()),
-            _ => {
-                if let Some((t, m)) = v.split_once(':') {
-                    let threshold = threshold(t)?;
-                    let inducing = m.parse::<usize>().ok()?.max(2);
-                    Some(SurrogateMode::Sparse { threshold, inducing })
-                } else {
-                    let threshold = threshold(&v)?;
-                    Some(SurrogateMode::Sparse { threshold, inducing: (threshold / 4).max(16) })
-                }
-            }
-        }
+        SurrogateMode::default_sparse()
     }
 }
 
@@ -602,20 +541,20 @@ impl GaussianProcess {
     }
 
     /// Upper bounds on every objective's posterior variance at the query
-    /// whose training correlations are `corr`, from the [`SUBSET_ROWS`]
+    /// whose training correlations are `corr`, from the `SUBSET_ROWS` (8)
     /// training rows `S` most correlated with it and no `n`-row solve:
-    /// `σ²(1 − c_Sᵀ(C_SS + RELATIVE_NOISE·I)⁻¹c_S)`, capped by
-    /// [`GaussianProcess::optimistic_moments`]' bound. The quadratic form
-    /// depends only on the inputs, so one `p × p` factorization serves
-    /// the whole pack.
+    /// `σ²(1 − c_Sᵀ(C_SS + RELATIVE_NOISE·I)⁻¹c_S)`, capped by the
+    /// Cauchy–Schwarz variance bound of `optimistic_moments`. The
+    /// quadratic form depends only on the inputs, so one `p × p`
+    /// factorization serves the whole pack.
     ///
     /// `(C_SS + RELATIVE_NOISE·I)` is the `S × S` principal block of the
     /// jittered training matrix `C_j`, and for any SPD `C_j` the Schur
     /// complement gives `cᵀC_j⁻¹c ≥ c_Sᵀ((C_j)_SS)⁻¹c_S`, so the subset
     /// variance is at least the exact one. Its eigenvalues are at least
-    /// the jitter, so the `p × p` solve is well conditioned;
-    /// [`SUBSET_SLACK`] keeps the bound above the computed exact variance
-    /// despite the roundoff of both solves.
+    /// the jitter, so the `p × p` solve is well conditioned; a small
+    /// relative slack (`SUBSET_SLACK`) keeps the bound above the computed
+    /// exact variance despite the roundoff of both solves.
     ///
     /// # Panics
     ///
@@ -1508,34 +1447,6 @@ mod tests {
         assert_eq!(gp.lengthscale_sq(), median_sq_dist(&x));
         let sparse = SparseGaussianProcess::fit(&x, &y, 4).unwrap();
         assert_eq!(sparse.lengthscale_sq(), median_sq_dist(&x));
-    }
-
-    #[test]
-    fn surrogate_mode_grammar() {
-        use SurrogateMode::*;
-        assert_eq!(SurrogateMode::parse(""), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("1"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("on"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("true"), Some(SurrogateMode::default_sparse()));
-        assert_eq!(SurrogateMode::parse("300:48"), Some(Sparse { threshold: 300, inducing: 48 }));
-        assert_eq!(SurrogateMode::parse("100"), Some(Sparse { threshold: 100, inducing: 25 }));
-        // Floors keep degenerate configurations usable.
-        assert_eq!(SurrogateMode::parse("4:1"), Some(Sparse { threshold: 8, inducing: 2 }));
-        assert_eq!(SurrogateMode::parse("banana"), None);
-        assert_eq!(SurrogateMode::parse("12:"), None);
-    }
-
-    #[test]
-    fn exact_only_spellings_are_rejected() {
-        // There is no always-exact surrogate: these fall through to the
-        // "not a recognized surrogate mode" warning and the default.
-        for raw in ["0", "off", "false", "exact", " Exact ", "0:16"] {
-            assert_eq!(SurrogateMode::parse(raw), None, "{raw:?}");
-        }
-        let sparse = |threshold, inducing| Some(SurrogateMode::Sparse { threshold, inducing });
-        assert_eq!(SurrogateMode::parse("48"), sparse(48, 16));
-        assert_eq!(SurrogateMode::parse("48:16"), sparse(48, 16));
-        assert_eq!(SurrogateMode::parse("10000"), sparse(10_000, 2_500));
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use exhaustive::ExhaustiveSearch;
 pub use ga::Nsga2Optimizer;
 pub use gp::{
     correlation_panel, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
-    GP_SPARSE_ENV, MAX_EXACT_POINTS,
+    MAX_EXACT_POINTS,
 };
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};

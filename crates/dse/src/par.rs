@@ -32,39 +32,28 @@ pub const THREADS_ENV: &str = "AUTOPILOT_THREADS";
 /// positive integer, otherwise [`std::thread::available_parallelism`]
 /// (falling back to 1 when the hardware cannot be queried). An
 /// unparsable `AUTOPILOT_THREADS` falls back to the hardware count and
-/// emits a warn-level obs event (once per process) so the
-/// misconfiguration is visible instead of silently ignored.
+/// emits a warn-level obs event so the misconfiguration is visible
+/// instead of silently ignored.
 ///
-/// The environment is read **once per process** (via
-/// [`obs::env_once`]): this is a startup default, and mutating
-/// `AUTOPILOT_THREADS` afterwards only triggers a one-shot obs warning.
+/// The environment is read **once per process**, at the first call.
+/// The worker count never changes results, only how fast they come.
 /// Per-job thread counts go through the optimizers' `with_threads`
 /// builders (plumbed from the core crate's `JobConfig`).
 pub fn worker_count() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    // Re-read through env_once on every call so a post-startup env
-    // mutation is detected and warned about, while the parsed value
-    // stays pinned to the first read.
-    let raw = obs::env_once(THREADS_ENV);
-    *CACHED.get_or_init(|| match raw {
-        Some(v) => match v.trim().parse::<usize>() {
+    *CACHED.get_or_init(|| match std::env::var(THREADS_ENV) {
+        Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => {
-                warn_bad_threads_env(&v);
+                obs::obs_warn!(
+                    "par: {THREADS_ENV}={v:?} is not a positive integer; \
+                     using hardware parallelism"
+                );
                 hardware_workers()
             }
         },
-        None => hardware_workers(),
+        Err(_) => hardware_workers(),
     })
-}
-
-fn warn_bad_threads_env(value: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        obs::obs_warn!(
-            "par: {THREADS_ENV}={value:?} is not a positive integer; using hardware parallelism"
-        );
-    });
 }
 
 fn hardware_workers() -> usize {

@@ -70,7 +70,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod env;
 pub mod json;
 mod registry;
 mod span;
@@ -79,7 +78,6 @@ pub mod trace;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-pub use env::env_once;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SpanSnapshot, CYCLE_BOUNDS,
     RATIO_BOUNDS, SECONDS_BOUNDS,

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency deterministic randomness for the AutoPilot
 //! reproduction: a [ChaCha12](chacha::chacha_block) keystream generator
-//! ([`Rng`]) with [SplitMix64](SplitMix64) seed expansion and stream
+//! ([`Rng`]) with [SplitMix64] seed expansion and stream
 //! derivation, plus the exact sampling surface the workspace uses —
 //! uniform integers and floats, bias-free bounded ranges, Box-Muller
 //! Gaussians, Fisher-Yates shuffles, and weighted/tournament choice.

@@ -4,10 +4,10 @@
 //! serve [ADDR]           # default 127.0.0.1:8641, or AUTOPILOT_SERVE_ADDR
 //! ```
 //!
-//! Worker-pool size comes from `AUTOPILOT_SERVE_WORKERS` (default 2);
-//! per-job engine defaults are captured from the environment once at
-//! startup (`AUTOPILOT_THREADS`, `AUTOPILOT_GP_SPARSE`, `AUTOPILOT_SWAP`),
-//! and a request can override the thread count and the SWaP mode. SIGTERM/SIGINT drain the server gracefully.
+//! Worker-pool size comes from `AUTOPILOT_SERVE_WORKERS` (default 2).
+//! Every job starts from `JobConfig::default()`, and a request can set
+//! its thread count and SWaP mode (`"threads"`, `"swap"`). SIGTERM/SIGINT
+//! drain the server gracefully.
 
 use autopilot::JobConfig;
 use autopilot_serve::{JobManager, Server};
@@ -31,9 +31,8 @@ fn main() {
         .filter(|w| *w > 0)
         .unwrap_or(2);
 
-    // Environment is read exactly once, here; jobs see these as
-    // defaults and may override per request.
-    let defaults = JobConfig::from_env();
+    // Jobs see these as defaults and may override them per request.
+    let defaults = JobConfig::default();
     let manager = Arc::new(JobManager::new(MAX_QUEUE, defaults));
 
     let server = match Server::bind(addr.as_str(), manager, workers) {

@@ -152,7 +152,7 @@ fn main() {
 
     // Boot the server on an ephemeral port with the same per-job
     // defaults the bit-identity comparison below uses.
-    let defaults = JobConfig::from_env().with_threads(1);
+    let defaults = JobConfig::default().with_threads(1);
     let manager = Arc::new(JobManager::new(16, defaults));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&manager), 2).expect("bind ephemeral");
     let addr = server.local_addr().expect("bound address");

@@ -64,7 +64,7 @@ pub struct JobSpec {
     /// Deterministic seed (default 7, the repo-wide experiment seed).
     pub seed: u64,
     /// Per-job engine knobs (threads, SWaP mode), defaulting to the
-    /// server's startup-captured environment.
+    /// server's job defaults.
     pub config: JobConfig,
 }
 
@@ -532,7 +532,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn defaults() -> JobConfig {
-        JobConfig::from_env().with_threads(1)
+        JobConfig::default().with_threads(1)
     }
 
     const VALID: &str = r#"{"uav_class": "nano", "scenario": "low",

@@ -440,7 +440,7 @@ mod tests {
     }
 
     fn manager() -> JobManager {
-        JobManager::new(4, JobConfig::from_env().with_threads(1))
+        JobManager::new(4, JobConfig::default().with_threads(1))
     }
 
     const VALID: &str = r#"{"uav_class": "nano", "scenario": "low",
@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn bad_submission_is_400_and_full_queue_is_429() {
-        let mgr = JobManager::new(1, JobConfig::from_env().with_threads(1));
+        let mgr = JobManager::new(1, JobConfig::default().with_threads(1));
         let stop = AtomicBool::new(false);
         let (_, resp) = route(&mgr, &stop, &request("POST", "/jobs", "{}"));
         assert_eq!(resp.status, 400);
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn registry_evicts_the_oldest_terminal_jobs_past_the_cap() {
-        let mgr = JobManager::new(2 * MAX_TERMINAL_JOBS, JobConfig::from_env().with_threads(1));
+        let mgr = JobManager::new(2 * MAX_TERMINAL_JOBS, JobConfig::default().with_threads(1));
         let stop = AtomicBool::new(false);
         // Job 1 stays queued; jobs 2.. are cancelled while queued.
         mgr.submit(VALID).unwrap();

@@ -123,7 +123,7 @@ impl F1Model {
     }
 
     /// The knee-point: the minimum compute throughput (FPS) that achieves
-    /// [`KNEE_FRACTION`] of the velocity ceiling, or `None` when the UAV
+    /// 98 % of the velocity ceiling, or `None` when the UAV
     /// is grounded or even the sensor rate cannot reach the knee.
     pub fn knee_fps(&self) -> Option<f64> {
         if self.payload.grounded() {

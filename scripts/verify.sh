@@ -32,6 +32,11 @@ echo "==> cargo clippy (workspace, warnings are errors)"
 # clippy.toml.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (warnings are errors)"
+# Public docs must not link private items or carry broken or redundant
+# links.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo test"
 cargo test -q --workspace
 
@@ -40,19 +45,6 @@ echo "==> perfbench self-tests (the benchmark package against the library API)"
 # build above never compiles it; a library API change that breaks the
 # benchmark fails here instead of when the benchmark next runs.
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
-
-echo "==> env matrix (goldens invariant under AUTOPILOT_SWAP x AUTOPILOT_GP_SPARSE)"
-# The golden tests pin the swap mode per run via JobConfig, so the
-# environment knobs must not leak into them: the legacy fingerprints
-# (and the constraint-mode ones) have to hold in every env corner,
-# including a non-default surrogate threshold (sparse past 48 points).
-for swap in 0 1; do
-    for sparse in 1 48:16; do
-        echo "    AUTOPILOT_SWAP=$swap AUTOPILOT_GP_SPARSE=$sparse"
-        AUTOPILOT_SWAP=$swap AUTOPILOT_GP_SPARSE=$sparse \
-            cargo test -q --test swap_goldens >/dev/null
-    done
-done
 
 echo "==> telemetry smoke (obs_smoke: small experiment + JSON validation)"
 # Runs a small two-UAV scenario with metrics forced on, writes

@@ -40,7 +40,7 @@ fn run(uav: &UavSpec, swap: SwapMode, threads: usize) -> AutopilotResult {
     let config =
         AutopilotConfig::fast(SEED).with_optimizer(OptimizerChoice::Random).with_budget(BUDGET);
     let pilot = AutoPilot::new(config)
-        .with_job_config(JobConfig::from_env().with_swap(swap).with_threads(threads));
+        .with_job_config(JobConfig::default().with_swap(swap).with_threads(threads));
     pilot.run(uav, &TaskSpec::navigation(ObstacleDensity::Low)).expect("pipeline runs")
 }
 
