@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! { "name":   "human-readable label",
-//!   "source": "BENCH_phase2_scale.json",             // under results/
+//!   "source": "timings_phase2_scale.json",           // under results/
 //!   "metric": "exact_acquisition_ms_per_iteration",  // field of that file
 //!   "max": 3.0 }                                     // and/or "min"
 //! ```
@@ -19,10 +19,10 @@
 //! non-numeric bound or no bound at all fails the load: a typo such as
 //! `"mx"` must not quietly leave a bound ungated.
 //!
-//! Sources are the flat `BENCH_*.json` objects written by the probes; a
-//! `telemetry_*.json` source is read through the snapshot schema, with
-//! the metric addressed as `counter:<name>`, `gauge:<name>`, or
-//! `span_total:<name>`. Prints a PASS/FAIL table with the measured value
+//! Sources are the flat `BENCH_*.json` and `timings_*.json` objects
+//! written by the probes; a `telemetry_*.json` source is read through the
+//! snapshot schema, with the metric addressed as `counter:<name>`,
+//! `gauge:<name>`, or `span_total:<name>`. Prints a PASS/FAIL table with the measured value
 //! next to its bound and exits non-zero when any budget is breached —
 //! the readable diff a perf regression should fail CI with.
 

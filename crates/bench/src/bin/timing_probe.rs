@@ -7,10 +7,16 @@
 //!
 //! One invocation, no knobs, runs two legs:
 //!
+//! Each leg writes its counts, which repeat exactly run to run, to a
+//! tracked `results/BENCH_*.json`, and its span timings (and the host's
+//! worker count) to an untracked `results/timings_*.json`, so a re-run
+//! on unchanged code leaves the tracked files as they were.
+//!
 //! 1. The *paper leg*: the paper-configuration dense-scenario search
 //!    (`AutopilotConfig::paper(7)`, budget 200), emitting
-//!    `results/BENCH_phase2.json`, `results/telemetry_timing_probe.json`
-//!    and `results/trace_timing_probe.json` (the flamegraph gate's input).
+//!    `results/BENCH_phase2.json`, `results/timings_phase2.json`,
+//!    `results/telemetry_timing_probe.json` and
+//!    `results/trace_timing_probe.json` (the flamegraph gate's input).
 //!    In order it makes
 //!    - the *counted run*: sequential, metrics on, traced, so every
 //!      counter and span in the file, the telemetry snapshot and the
@@ -57,11 +63,12 @@
 //!
 //! 2. The *scale leg*: one instrumented, untraced sequential search at
 //!    budget 2000 (large enough to engage the sparse surrogate), emitting
-//!    `results/BENCH_phase2_scale.json` with the exact-pack acquisition's
-//!    time per iteration, the kernel rows a sparse prediction correlates
-//!    each candidate against (`gp_sparse_rows_per_candidate`: the
-//!    inducing count, not the archive size), the kernel panel counters,
-//!    and the incremental-surrogate counters.
+//!    `results/BENCH_phase2_scale.json` with the kernel rows a sparse
+//!    prediction correlates each candidate against
+//!    (`gp_sparse_rows_per_candidate`: the inducing count, not the
+//!    archive size), the kernel panel counters and the
+//!    incremental-surrogate counters, and `results/timings_phase2_scale.json`
+//!    with the exact-pack acquisition's time per iteration.
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot::{AutopilotConfig, DssocEvaluator, JobConfig, Phase1, Phase2};
@@ -133,7 +140,7 @@ fn main() {
 }
 
 /// The paper-configuration search: counters and invariants, written to
-/// `BENCH_phase2.json`.
+/// `BENCH_phase2.json`, and its span timings, to `timings_phase2.json`.
 fn paper_leg() {
     let config = AutopilotConfig::paper(7);
     let density = ObstacleDensity::Dense;
@@ -254,7 +261,6 @@ fn paper_leg() {
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
-        ("workers".into(), num(workers as f64)),
         ("gp_full_refits".into(), num(gp_full_refits as f64)),
         ("gp_rank1_extends".into(), num(gp_rank1_extends as f64)),
         ("gp_retargets".into(), num(gp_retargets as f64)),
@@ -306,20 +312,25 @@ fn paper_leg() {
             "systolic_layers_per_network_layer".into(),
             num(systolic_layers as f64 / network_layers.max(1) as f64),
         ),
+        ("bit_identical_across_threads".into(), Value::Bool(true)),
+    ]);
+    autopilot_bench::emit("BENCH_phase2.json", &report.to_json_pretty());
+    let timings = Value::Obj(vec![
+        ("workers".into(), num(workers as f64)),
         ("span_phase2_run_s".into(), num(seq_snap.span_total_s("phase2.run"))),
         ("span_bo_acquisition_s".into(), num(seq_snap.span_total_s("bo.acquisition"))),
         ("span_bo_acquisition_score_s".into(), num(seq_snap.span_total_s("bo.acquisition.score"))),
         ("span_bo_front_sync_s".into(), num(seq_snap.span_total_s("bo.acquisition.front_sync"))),
         ("span_bo_surrogate_update_s".into(), num(seq_snap.span_total_s("bo.surrogate_update"))),
-        ("bit_identical_across_threads".into(), Value::Bool(true)),
     ]);
-    autopilot_bench::emit("BENCH_phase2.json", &report.to_json_pretty());
+    autopilot_bench::emit("timings_phase2.json", &timings.to_json_pretty());
 }
 
 /// The scale leg: one instrumented sequential Phase-2 run at budget
 /// 2000 and the default surrogate settings, plus a count of the kernel
 /// rows one sparse prediction over the resulting archive correlates each
-/// candidate against, written to `BENCH_phase2_scale.json`.
+/// candidate against, written to `BENCH_phase2_scale.json`; its timings
+/// go to `timings_phase2_scale.json`.
 ///
 /// Past the sparse threshold the optimizer engages the low-rank sparse
 /// surrogates automatically, so this run exercises the
@@ -333,7 +344,7 @@ fn scale_leg() {
     let density = ObstacleDensity::Dense;
     let mut db = AirLearningDatabase::new();
     Phase1::new(config.success_model, config.seed).populate(density, &mut db);
-    let job = JobConfig::default().with_threads(1).with_surrogate(surrogate);
+    let job = JobConfig::default().with_threads(1);
     let evaluator = DssocEvaluator::new(db, density);
     let phase2 = Phase2::new(config.optimizer, BUDGET, config.seed).with_job_config(job);
 
@@ -374,20 +385,7 @@ fn scale_leg() {
         ("optimizer".into(), Value::Str(format!("{:?}", config.optimizer))),
         ("gp_sparse_threshold".into(), num(threshold as f64)),
         ("gp_sparse_inducing".into(), num(inducing as f64)),
-        ("wall_s".into(), num(wall_s)),
-        ("span_phase2_run_s".into(), num(span_phase2_run_s)),
-        ("span_bo_acquisition_score_s".into(), num(span_score_s)),
-        (
-            "span_bo_acquisition_gp_predict_s".into(),
-            num(snap.span_total_s("bo.acquisition.gp_predict")),
-        ),
-        (
-            "span_bo_acquisition_hv_score_s".into(),
-            num(snap.span_total_s("bo.acquisition.hv_score")),
-        ),
-        ("acquisition_score_ratio".into(), num(score_ratio)),
         ("exact_acquisition_iterations".into(), num(exact_iterations as f64)),
-        ("exact_acquisition_ms_per_iteration".into(), num(exact_ms_per_iteration)),
         ("gp_sparse_rows_per_candidate".into(), num(gp_sparse_rows_per_candidate)),
         ("gp_sparse_fits".into(), num(snap.counter("bo.gp.sparse.fit") as f64)),
         ("gp_sparse_extends".into(), num(snap.counter("bo.gp.sparse.extend") as f64)),
@@ -408,4 +406,20 @@ fn scale_leg() {
         ),
     ]);
     autopilot_bench::emit("BENCH_phase2_scale.json", &report.to_json_pretty());
+    let timings = Value::Obj(vec![
+        ("wall_s".into(), num(wall_s)),
+        ("span_phase2_run_s".into(), num(span_phase2_run_s)),
+        ("span_bo_acquisition_score_s".into(), num(span_score_s)),
+        (
+            "span_bo_acquisition_gp_predict_s".into(),
+            num(snap.span_total_s("bo.acquisition.gp_predict")),
+        ),
+        (
+            "span_bo_acquisition_hv_score_s".into(),
+            num(snap.span_total_s("bo.acquisition.hv_score")),
+        ),
+        ("acquisition_score_ratio".into(), num(score_ratio)),
+        ("exact_acquisition_ms_per_iteration".into(), num(exact_ms_per_iteration)),
+    ]);
+    autopilot_bench::emit("timings_phase2_scale.json", &timings.to_json_pretty());
 }

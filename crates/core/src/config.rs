@@ -11,13 +11,12 @@
 use crate::swap::SwapMode;
 use dse_opt::{KernelExpMode, SurrogateMode};
 
-/// Explicit per-job engine knobs: thread count, surrogate mode and the
-/// SWaP constraint.
+/// Explicit per-job engine knobs: thread count and the SWaP constraint.
 ///
 /// [`JobConfig::default`] is the engine's constant defaults.
-/// Results are bit-identical across `threads` values;
-/// the other knobs legitimately change the search or its objectives
-/// (see [`JobConfig::searches_differently`]).
+/// Results are bit-identical across `threads` values; the SWaP
+/// constraint legitimately changes the objectives (see
+/// [`JobConfig::searches_differently`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobConfig {
     /// Optimizer worker-pool size. `None` = the engine-wide default
@@ -29,8 +28,10 @@ pub struct JobConfig {
     /// The field stays only so that the benchmark package, which prints
     /// it, keeps compiling until it stops naming it.
     pub gp_window: Option<usize>,
-    /// Surrogate mode for GP-based optimizers; `None` = the optimizer's
-    /// built-in default ([`SurrogateMode::default_sparse`]).
+    /// Always `None`, and nothing reads it: SMS-EGO runs its built-in
+    /// [`SurrogateMode::default_sparse`]. The field stays only so that
+    /// the benchmark package, which prints it, keeps compiling until it
+    /// stops naming it.
     pub surrogate: Option<SurrogateMode>,
     /// Always `None`, and nothing reads it: every kernel entry is one
     /// `f64::exp`. The field stays only so that the benchmark package,
@@ -61,12 +62,6 @@ impl JobConfig {
         self
     }
 
-    /// Pins the surrogate mode.
-    pub fn with_surrogate(mut self, mode: SurrogateMode) -> JobConfig {
-        self.surrogate = Some(mode);
-        self
-    }
-
     /// Sets the SWaP-constraint mode.
     pub fn with_swap(mut self, mode: SwapMode) -> JobConfig {
         self.swap = mode;
@@ -80,22 +75,21 @@ impl JobConfig {
 
     /// True when a Phase-2 run under this job can differ from one at
     /// [`JobConfig::default`] — the run a [`crate::PipelineCache`]
-    /// holds, keyed by scenario alone. Every result-changing knob
-    /// counts: the surrogate mode steers the search, and the SWaP
-    /// constraint makes objectives depend on the UAV's airframe. Threads
-    /// never change results.
+    /// holds, keyed by scenario alone: true when the SWaP constraint
+    /// makes objectives depend on the UAV's airframe. Threads never
+    /// change results.
     pub fn searches_differently(&self) -> bool {
         // Destructured so that a new knob cannot be added without
         // deciding here whether it changes results.
-        let JobConfig { threads: _, gp_window: _, surrogate, exp_mode: _, layer_memo: _, swap } =
+        let JobConfig { threads: _, gp_window: _, surrogate: _, exp_mode: _, layer_memo: _, swap } =
             *self;
-        surrogate.is_some_and(|m| m != SurrogateMode::default_sparse()) || swap.is_on()
+        swap.is_on()
     }
 }
 
 impl Default for JobConfig {
-    /// The engine's constant defaults: optimizer-default threads and
-    /// surrogate mode; the SWaP constraint off.
+    /// The engine's constant defaults: optimizer-default threads; the
+    /// SWaP constraint off.
     /// Reads no environment.
     fn default() -> JobConfig {
         JobConfig {
@@ -115,16 +109,11 @@ mod tests {
 
     #[test]
     fn builders_override_defaults() {
-        let sparse = SurrogateMode::Sparse { threshold: 48, inducing: 16 };
-        let cfg = JobConfig::default()
-            .with_threads(3)
-            .with_surrogate(sparse)
-            .with_swap(SwapMode::Constraint);
+        let cfg = JobConfig::default().with_threads(3).with_swap(SwapMode::Constraint);
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.effective_threads(), 3);
-        assert_eq!(cfg.surrogate, Some(sparse));
         assert_eq!(cfg.swap, SwapMode::Constraint);
-        assert_eq!((cfg.gp_window, cfg.exp_mode), (None, None));
+        assert_eq!((cfg.gp_window, cfg.surrogate, cfg.exp_mode), (None, None, None));
     }
 
     #[test]
@@ -138,17 +127,9 @@ mod tests {
         assert!(!JobConfig::default().searches_differently());
         // Pinning a knob to its default value keeps the cached search;
         // threads never change results.
-        let same = JobConfig::default()
-            .with_threads(3)
-            .with_surrogate(SurrogateMode::default_sparse())
-            .with_swap(SwapMode::Off);
+        let same = JobConfig::default().with_threads(3).with_swap(SwapMode::Off);
         assert!(!same.searches_differently());
-        for job in [
-            JobConfig::default()
-                .with_surrogate(SurrogateMode::Sparse { threshold: 48, inducing: 16 }),
-            JobConfig::default().with_swap(SwapMode::Constraint),
-        ] {
-            assert!(job.searches_differently(), "{job:?}");
-        }
+        let job = JobConfig::default().with_swap(SwapMode::Constraint);
+        assert!(job.searches_differently(), "{job:?}");
     }
 }

@@ -295,8 +295,7 @@ impl Evaluator for RecordingEvaluator<'_> {
 /// optimizer registered at runtime is equally selectable. Engine knobs
 /// come from one [`JobConfig`] (constant defaults unless
 /// [`Phase2::with_job_config`] sets one); the optimizer sees its worker
-/// count, GP window, surrogate and exponential modes, while SWaP gating
-/// belongs to the evaluator.
+/// count, while SWaP gating belongs to the evaluator.
 #[derive(Debug, Clone)]
 pub struct Phase2 {
     optimizer: String,

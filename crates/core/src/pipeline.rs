@@ -2,8 +2,9 @@
 
 use air_sim::{AirLearningDatabase, ObstacleDensity};
 use autopilot_obs as obs;
-use autopilot_shard::{CacheStats, ShardedMap};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use uav_dynamics::UavSpec;
 
 use crate::config::JobConfig;
@@ -64,9 +65,113 @@ impl AutopilotConfig {
 
 /// Most Phase-1 databases a [`PipelineCache`] holds. The co-design
 /// server keys them by request seed, which is untrusted input, so the
-/// map clock-evicts past this many scenario keys (one shard: the bound
-/// is exact). A Fig. 5 sweep needs 3.
+/// map evicts its oldest key past this many scenario keys. A Fig. 5
+/// sweep needs 3.
 const PHASE1_KEYS: usize = 16;
+
+/// Hit/miss/eviction counters of one [`PipelineCache`] map, captured at
+/// a point in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that computed the value.
+    pub misses: u64,
+    /// Entries evicted to keep the map within its key bound.
+    pub evictions: u64,
+    /// Live entries at snapshot time.
+    pub entries: usize,
+}
+
+/// A get-or-compute map from string keys to cloned values. A bounded
+/// map evicts its oldest insertion (FIFO) to make room for a new key.
+/// Every counted lookup bumps its [`CacheStats`] and the obs counter of
+/// the same outcome.
+#[derive(Debug)]
+struct FifoMap<V> {
+    state: Mutex<FifoState<V>>,
+    /// Most keys held; `None` = unbounded.
+    bound: Option<usize>,
+    /// Obs counter names of hits, misses and evictions.
+    counters: [String; 3],
+}
+
+#[derive(Debug)]
+struct FifoState<V> {
+    entries: HashMap<String, V>,
+    /// The keys of `entries`, oldest insertion first.
+    order: VecDeque<String>,
+    /// Counters; `entries` is filled in at snapshot time.
+    stats: CacheStats,
+}
+
+impl<V: Clone> FifoMap<V> {
+    /// An empty map counting under `{prefix}.hits`, `.misses` and
+    /// `.evictions`.
+    fn new(bound: Option<usize>, prefix: &str) -> FifoMap<V> {
+        FifoMap {
+            state: Mutex::new(FifoState {
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+                stats: CacheStats::default(),
+            }),
+            bound,
+            counters: ["hits", "misses", "evictions"].map(|outcome| format!("{prefix}.{outcome}")),
+        }
+    }
+
+    /// The map's state. Under the lock only cloning a value can panic,
+    /// and it happens before any entry changes, so a poisoned lock still
+    /// guards consistent entries and order, and is recovered.
+    fn lock(&self) -> MutexGuard<'_, FifoState<V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns the value cached under `key`, or runs `compute` outside
+    /// the lock, so distinct keys fill concurrently, and caches its `Ok`
+    /// value. When a racing writer stored `key` first, its entry is kept
+    /// and returned; the miss still counts, since this caller computed.
+    /// An `Err` is returned uncached and uncounted, so the next request
+    /// retries.
+    fn get_or_try_insert_with<E>(
+        &self,
+        key: String,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        let [hits, misses, evictions] = &self.counters;
+        {
+            let mut state = self.lock();
+            if let Some(value) = state.entries.get(&key).cloned() {
+                state.stats.hits += 1;
+                obs::add(hits, 1);
+                return Ok(value);
+            }
+        }
+        let value = compute()?;
+        let mut state = self.lock();
+        state.stats.misses += 1;
+        obs::add(misses, 1);
+        if let Some(held) = state.entries.get(&key) {
+            return Ok(held.clone());
+        }
+        let stored = value.clone();
+        if self.bound.is_some_and(|bound| state.entries.len() >= bound) {
+            if let Some(oldest) = state.order.pop_front() {
+                state.entries.remove(&oldest);
+                state.stats.evictions += 1;
+                obs::add(evictions, 1);
+            }
+        }
+        state.order.push_back(key.clone());
+        state.entries.insert(key, stored);
+        Ok(value)
+    }
+
+    fn stats(&self) -> CacheStats {
+        let state = self.lock();
+        CacheStats { entries: state.entries.len(), ..state.stats }
+    }
+}
 
 /// Cross-run memoization of the UAV-independent pipeline stages.
 ///
@@ -80,8 +185,8 @@ const PHASE1_KEYS: usize = 16;
 /// `pipeline.phase{1,2}_cache.*`.
 #[derive(Debug)]
 pub struct PipelineCache {
-    phase1: ShardedMap<String, AirLearningDatabase>,
-    phase2: ShardedMap<String, Phase2Output>,
+    phase1: FifoMap<AirLearningDatabase>,
+    phase2: FifoMap<Phase2Output>,
 }
 
 impl Default for PipelineCache {
@@ -94,8 +199,8 @@ impl PipelineCache {
     /// Creates an empty cache.
     pub fn new() -> PipelineCache {
         PipelineCache {
-            phase1: ShardedMap::new(1, PHASE1_KEYS).with_obs_prefix("pipeline.phase1_cache"),
-            phase2: ShardedMap::new(1, 0).with_obs_prefix("pipeline.phase2_cache"),
+            phase1: FifoMap::new(Some(PHASE1_KEYS), "pipeline.phase1_cache"),
+            phase2: FifoMap::new(None, "pipeline.phase2_cache"),
         }
     }
 
@@ -124,7 +229,8 @@ impl PipelineCache {
             Phase1::new(config.success_model, config.seed).populate(density, &mut db);
             db
         };
-        self.phase1.get_or_insert_with(key, populate).0
+        let Ok(db) = self.phase1.get_or_try_insert_with(key, || Ok::<_, Infallible>(populate()));
+        db
     }
 
     /// The Phase-2 output for a scenario, running the DSE on first
@@ -148,7 +254,7 @@ impl PipelineCache {
             }
             phase2.run(evaluator)
         };
-        Ok(self.phase2.get_or_try_insert_with(key, run)?.0)
+        self.phase2.get_or_try_insert_with(key, run)
     }
 
     /// Hit/miss/entry counters for the Phase-1 database cache.
@@ -190,8 +296,7 @@ impl AutoPilot {
         self
     }
 
-    /// Runs with `job`'s engine knobs — worker count, GP window,
-    /// surrogate and exponential modes and SWaP mode —
+    /// Runs with `job`'s engine knobs — worker count and SWaP mode —
     /// replacing every knob set so far (the thread count included). A
     /// job that [searches differently](JobConfig::searches_differently)
     /// from the defaults bypasses the scenario-keyed pipeline cache.
@@ -325,7 +430,6 @@ mod tests {
     use super::*;
     use crate::swap::SwapMode;
     use air_sim::ObstacleDensity;
-    use dse_opt::SurrogateMode;
 
     fn fast_pilot(seed: u64) -> AutoPilot {
         AutoPilot::new(
@@ -438,9 +542,6 @@ mod tests {
         };
         assert_eq!(run(JobConfig::default()), 0, "the default run warms the cache");
         assert_eq!(cache.phase2_stats().misses, 1);
-        let job = JobConfig::default()
-            .with_surrogate(SurrogateMode::Sparse { threshold: 48, inducing: 16 });
-        assert_eq!(run(job), 0, "{job:?} must not be served the default search");
         // Threads never change results, so a job that only pins them is
         // served the warmed default search.
         assert_eq!(run(JobConfig::default().with_threads(1)), 1);
@@ -461,5 +562,113 @@ mod tests {
         assert_eq!(plain.selection, cached.selection);
         assert_eq!(plain.phase2.candidates, cached.phase2.candidates);
         assert_eq!(plain.phase2.result, cached.phase2.result);
+    }
+
+    /// Obs counter prefix for maps built by the tests below, apart from
+    /// the pipeline's own.
+    const TEST_COUNTERS: &str = "pipeline_test.map";
+
+    /// Caches `value` under `key` unless already present.
+    fn put(map: &FifoMap<u64>, key: u64, value: u64) -> u64 {
+        let Ok(held) = map.get_or_try_insert_with(key.to_string(), || Ok::<_, Infallible>(value));
+        held
+    }
+
+    #[test]
+    fn racing_writer_keeps_the_first_entry() {
+        let map = FifoMap::new(None, TEST_COUNTERS);
+        // The compute closure stands in for a racing writer: it stores
+        // the key while this caller is still computing.
+        let value = map.get_or_try_insert_with("5".to_owned(), || {
+            put(&map, 5, 50);
+            Ok::<_, Infallible>(51)
+        });
+        assert_eq!(value, Ok(50), "the stored entry must win");
+        assert_eq!(put(&map, 5, 0), 50);
+        let st = map.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (1, 2, 1), "both writers computed");
+    }
+
+    #[test]
+    fn unbounded_map_never_evicts() {
+        let map = FifoMap::new(None, TEST_COUNTERS);
+        for k in 0..1_000 {
+            put(&map, k, k);
+        }
+        let st = map.stats();
+        assert_eq!((st.entries, st.evictions), (1_000, 0));
+    }
+
+    #[test]
+    fn errors_are_neither_cached_nor_counted() {
+        let map = FifoMap::new(Some(2), TEST_COUNTERS);
+        assert_eq!(
+            map.get_or_try_insert_with("1".to_owned(), || Err("transient")),
+            Err("transient")
+        );
+        assert_eq!(map.stats(), CacheStats::default());
+        // The next request retries and caches.
+        assert_eq!(map.get_or_try_insert_with("1".to_owned(), || Ok::<_, ()>(10)), Ok(10));
+        assert_eq!(put(&map, 1, 0), 10);
+        let st = map.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn phase1_keys_are_bounded_and_evictions_counted() {
+        obs::force_metrics(true);
+        let before = obs::snapshot().counter("pipeline.phase1_cache.evictions");
+        let cache = PipelineCache::new();
+        let fetch =
+            |seed: u64| cache.phase1_database(&AutopilotConfig::fast(seed), ObstacleDensity::Low);
+        for seed in 0..20 {
+            fetch(seed);
+        }
+        let st = cache.phase1_stats();
+        assert_eq!((st.misses, st.evictions, st.entries), (20, 4, PHASE1_KEYS));
+        assert_eq!(obs::snapshot().counter("pipeline.phase1_cache.evictions") - before, 4);
+        // Insertion order decides: seed 4 is the oldest key still held,
+        // and seeds 0-3 are gone.
+        let held = fetch(4);
+        assert_eq!(cache.phase1_stats().hits, 1);
+        assert_eq!(held, fetch(4));
+        fetch(0);
+        assert_eq!(cache.phase1_stats().misses, 21, "evicted seed 0 is recomputed");
+    }
+
+    #[test]
+    fn concurrent_counters_equal_the_outcomes_callers_saw() {
+        // Every lookup is counted exactly once, on the outcome its caller
+        // saw (a miss runs `compute`), under contention on a bounded map.
+        let map: FifoMap<usize> = FifoMap::new(Some(16), TEST_COUNTERS);
+        let (threads, per_thread) = (4, 2_000);
+        let misses: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let map = &map;
+                    scope.spawn(move || {
+                        let (mut rng, mut computed) = (autopilot_rng::Rng::seed_from_u64(t), 0);
+                        for _ in 0..per_thread {
+                            let key = rng.below(32);
+                            let value = map.get_or_try_insert_with(key.to_string(), || {
+                                computed += 1;
+                                Ok::<_, Infallible>(key)
+                            });
+                            assert_eq!(value, Ok(key));
+                        }
+                        computed
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker")).sum()
+        });
+        let st = map.stats();
+        assert_eq!(st.hits + st.misses, threads * per_thread);
+        assert_eq!(st.misses, misses as u64);
+        assert!(st.hits > 0, "2,000 draws from 32 keys must hit a 16-key map");
+        assert!(st.entries <= 16, "key bound violated: {}", st.entries);
+        // Each insert either adds an entry or displaces one; a racing
+        // writer's miss inserts nothing.
+        assert!(st.entries as u64 + st.evictions <= st.misses);
     }
 }

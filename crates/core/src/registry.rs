@@ -31,9 +31,8 @@ use crate::error::AutopilotError;
 /// Everything a factory may use to parameterize an optimizer. Budgets
 /// and seeds come from the Phase-2 configuration; `seed_points` carry
 /// the domain-informed warm starts (Section III-A); `job` carries the
-/// engine knobs (worker count, GP window, surrogate and kernel
-/// exponential modes), which factories for non-GP optimizers partly
-/// ignore.
+/// engine knobs, of which factories read the worker count (the SWaP
+/// mode belongs to the evaluator).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct OptimizerContext {
@@ -69,16 +68,12 @@ fn builtin_factories() -> HashMap<String, Arc<Factory>> {
     map.insert(
         "sms-ego-bo".to_owned(),
         Arc::new(|ctx: &OptimizerContext| {
-            let job = &ctx.job;
             let mut opt = SmsEgoOptimizer::new(ctx.seed)
                 .with_init_samples((ctx.budget / 4).clamp(8, 32))
                 .with_candidate_pool(128)
                 .with_seed_points(ctx.seed_points.clone());
-            if let Some(t) = job.threads {
+            if let Some(t) = ctx.job.threads {
                 opt = opt.with_threads(t);
-            }
-            if let Some(mode) = job.surrogate {
-                opt = opt.with_surrogate_mode(mode);
             }
             Box::new(opt)
         }),

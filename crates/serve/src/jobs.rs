@@ -17,15 +17,17 @@
 //! full). Cancellation (`DELETE /jobs/:id`) is cooperative: each job
 //! carries a [`RunControl`] token threaded through the optimizer's
 //! inner loop, which also publishes progress (evaluations done, front
-//! size) for `GET /jobs/:id`.
+//! size) for `GET /jobs/:id`. Shutdown refuses every later submission
+//! and cancels every job admitted before it, so each admitted job still
+//! reaches a terminal state and the workers drain and exit.
 //!
 //! Jobs share one thing across runs: the Phase-1 scenario databases of
 //! a process-lifetime [`PipelineCache`], keyed by `(scenario, success
 //! model, seed)` (hits and misses count under `pipeline.phase1_cache.*`).
 //! The seed is untrusted input, so that map holds at most 16 keys and
-//! clock-evicts past that. Phase 2 shares nothing: each job's search
-//! evaluates its own design points, as `AutoPilot::run` does, and
-//! records its candidates for that run only.
+//! evicts its oldest key past that. Phase 2 shares nothing: each job's
+//! search evaluates its own design points, as `AutoPilot::run` does,
+//! and records its candidates for that run only.
 
 use air_sim::ObstacleDensity;
 use autopilot::{
@@ -347,6 +349,12 @@ impl JobManager {
         }
         let spec = JobSpec::parse(body, self.defaults).map_err(AdmitError::Invalid)?;
         let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        // Checked again under the queue lock, which `shutdown` takes to
+        // set the flag: a job is either queued before shutdown begins,
+        // and so cancelled or run by it, or refused.
+        if self.shutdown.load(Ordering::Relaxed) {
+            return Err(AdmitError::ShuttingDown);
+        }
         // Jobs cancelled while queued are terminal and hold no place in
         // admission; workers would only skip them.
         queue.retain(|job| job.state() == JobState::Queued);
@@ -389,7 +397,12 @@ impl JobManager {
     /// Begins shutdown: stops admission, cancels every non-terminal
     /// job, and wakes all workers so they can drain and exit.
     pub fn shutdown(&self) {
+        // Set under the queue lock, so that no worker can miss the
+        // wake-up between its check of the flag and its wait, and no
+        // submission can queue a job after the cancellations below.
+        let queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         self.shutdown.store(true, Ordering::Relaxed);
+        drop(queue);
         for job in self.list() {
             job.cancel();
         }
@@ -889,6 +902,14 @@ mod tests {
         }
     }
 
+    /// Draw `i` of the SplitMix64 stream seeded with `seed`.
+    fn splitmix(seed: u64, i: u64) -> u64 {
+        let mut z = seed.wrapping_add((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     #[test]
     fn cancel_and_shutdown_drive_every_job_to_a_terminal_state() {
         autopilot::register_optimizer("test-gated", |ctx: &autopilot::OptimizerContext| {
@@ -906,14 +927,9 @@ mod tests {
         }
         const JOBS: u64 = 14;
         const SEED_BASE: u64 = 9_000;
-        let mut x = 0x5eed_u64;
         let plans: Vec<Plan> = (0..JOBS)
             .map(|i| {
-                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                match (i, (z ^ (z >> 31)) % 3) {
+                match (i, splitmix(0x5eed, i) % 3) {
                     // The last jobs are still queued or running when
                     // shutdown begins.
                     (i, _) if i >= JOBS - 4 => Plan::Shutdown,
@@ -999,6 +1015,84 @@ mod tests {
             assert_eq!(job.state(), expected, "job {i} ({:?}): {:?}", plans[i], job.error());
             if plans[i] == Plan::CancelQueued {
                 assert!(!ran.contains(&(SEED_BASE + i as u64)), "job {i} ran after its cancel");
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_racing_admission_settles_every_admitted_job() {
+        // Per seed, one thread submits in a tight loop while this thread
+        // calls `shutdown` after a seeded number of admissions and a
+        // seeded spin, so shutdown lands at a different point of
+        // admission each time.
+        for seed in 0..16u64 {
+            let (admit_first, spin) = (1 + splitmix(seed, 0) % 6, splitmix(seed, 1) % 20_000);
+            let mgr = Arc::new(JobManager::new(8, defaults()));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (mgr, done_tx) = (Arc::clone(&mgr), done_tx.clone());
+                    std::thread::spawn(move || {
+                        while let Some(job) = mgr.next_job() {
+                            mgr.execute(&job);
+                        }
+                        let _ = done_tx.send(());
+                    })
+                })
+                .collect();
+            let admitted_count = Arc::new(AtomicU64::new(0));
+            let shutdown_returned = Arc::new(AtomicBool::new(false));
+            let submitter = {
+                let (mgr, admitted_count, shutdown_returned) =
+                    (Arc::clone(&mgr), Arc::clone(&admitted_count), Arc::clone(&shutdown_returned));
+                std::thread::spawn(move || {
+                    let (mut admitted, mut refusals) = (Vec::new(), 0);
+                    // Stop after a few refusals: each must be the shutdown
+                    // one, as must every submission after the first.
+                    while refusals < 4 {
+                        let after_shutdown = shutdown_returned.load(Ordering::SeqCst);
+                        match mgr.submit(VALID) {
+                            Ok(job) => {
+                                assert!(refusals == 0, "seed {seed}: admitted after a refusal");
+                                assert!(!after_shutdown, "seed {seed}: admitted after shutdown");
+                                admitted.push(job);
+                                admitted_count.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(AdmitError::ShuttingDown) => refusals += 1,
+                            Err(AdmitError::QueueFull) => {
+                                assert!(!after_shutdown, "seed {seed}: queue full after shutdown");
+                                std::thread::yield_now();
+                            }
+                            Err(AdmitError::Invalid(e)) => panic!("seed {seed}: {e}"),
+                        }
+                    }
+                    admitted
+                })
+            };
+            wait_until("the seeded admissions", || {
+                admitted_count.load(Ordering::SeqCst) >= admit_first
+            });
+            for _ in 0..spin {
+                std::hint::spin_loop();
+            }
+            mgr.shutdown();
+            shutdown_returned.store(true, Ordering::SeqCst);
+            let admitted = submitter.join().expect("the submitter keeps to the refusal rules");
+            for _ in &workers {
+                let exited = done_rx.recv_timeout(Duration::from_secs(30));
+                assert_eq!(exited, Ok(()), "seed {seed}: a worker did not exit after shutdown");
+            }
+            for worker in workers {
+                worker.join().expect("workers exit cleanly");
+            }
+            assert!(admitted.len() as u64 >= admit_first);
+            for job in &admitted {
+                assert!(
+                    job.state().is_terminal(),
+                    "seed {seed}: job {} ends {:?}",
+                    job.id,
+                    job.state()
+                );
             }
         }
     }

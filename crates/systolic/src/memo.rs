@@ -6,7 +6,8 @@
 //! for the benchmark's `systolic.memo_sim_s` replay, which times a fresh
 //! memo against the plain simulator over the same recorded networks.
 
-use autopilot_shard::ShardedMap;
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::config::ArrayConfig;
 use crate::dataflow::Dataflow;
@@ -58,17 +59,20 @@ impl MemoKey {
 /// the simulator.
 #[derive(Debug)]
 pub struct LayerMemo {
-    map: ShardedMap<MemoKey, LayerStats>,
+    map: Mutex<HashMap<MemoKey, LayerStats>>,
     disabled: bool,
 }
-
-/// Shard fan-out of the memo's map.
-const MEMO_SHARDS: usize = 8;
 
 impl LayerMemo {
     /// Creates an empty memo, switched on or off explicitly.
     pub fn with_enabled(enabled: bool) -> LayerMemo {
-        LayerMemo { map: ShardedMap::new(MEMO_SHARDS, 0), disabled: !enabled }
+        LayerMemo { map: Mutex::new(HashMap::new()), disabled: !enabled }
+    }
+
+    /// The memo's entries; an entry is inserted whole, so a poisoned
+    /// lock is recovered.
+    fn map(&self) -> MutexGuard<'_, HashMap<MemoKey, LayerStats>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Simulates `layer` under `sim`'s configuration, serving repeats of
@@ -78,7 +82,12 @@ impl LayerMemo {
             return sim.simulate_layer(layer);
         }
         let key = MemoKey::new(sim.config(), layer);
-        self.map.get_or_insert_with(key, || sim.simulate_layer(layer)).0
+        if let Some(stats) = self.map().get(&key) {
+            return stats.clone();
+        }
+        // Simulated outside the lock; a racing writer's equal stats win.
+        let stats = sim.simulate_layer(layer);
+        self.map().entry(key).or_insert(stats).clone()
     }
 
     /// Simulates every layer of `network` in order through the memo. The
@@ -97,7 +106,6 @@ mod tests {
     use super::*;
     use crate::config::ArrayConfig;
     use crate::dataflow::Dataflow;
-    use autopilot_shard::CacheStats;
 
     fn sim(rows: usize, cols: usize) -> Simulator {
         Simulator::new(ArrayConfig::builder().rows(rows).cols(cols).build().unwrap())
@@ -116,10 +124,7 @@ mod tests {
             // Second call must hit and return the identical stats.
             assert_eq!(memo.simulate_layer(&s, l), direct);
         }
-        let st = memo.map.stats();
-        assert_eq!(st.entries, 2, "duplicate dense layer shares one entry");
-        assert_eq!(st.misses, 2);
-        assert_eq!(st.hits, 4);
+        assert_eq!(memo.map().len(), 2, "duplicate dense layer shares one entry");
     }
 
     #[test]
@@ -138,7 +143,7 @@ mod tests {
         let a = memo.simulate_layer(&sim(16, 16), &layer);
         let b = memo.simulate_layer(&sim(64, 64), &layer);
         assert_ne!(a.compute_cycles, b.compute_cycles);
-        assert_eq!(memo.map.stats().entries, 2);
+        assert_eq!(memo.map().len(), 2);
         let df = Simulator::new(
             ArrayConfig::builder()
                 .rows(16)
@@ -148,7 +153,7 @@ mod tests {
                 .unwrap(),
         );
         let c = memo.simulate_layer(&df, &layer);
-        assert_eq!(memo.map.stats().entries, 3);
+        assert_eq!(memo.map().len(), 3);
         assert_eq!(c, df.simulate_layer(&layer));
     }
 
@@ -160,8 +165,7 @@ mod tests {
         let net = [Layer::dense(1024, 25)];
         let slow_stats = memo.simulate_network(&Simulator::new(base), &net);
         let fast_stats = memo.simulate_network(&Simulator::new(fast), &net);
-        assert_eq!(memo.map.stats().entries, 1, "clock must not be part of the memo key");
-        assert_eq!(memo.map.stats().hits, 1);
+        assert_eq!(memo.map().len(), 1, "clock must not be part of the memo key");
         assert_eq!(slow_stats.total_cycles(), fast_stats.total_cycles());
         assert!(fast_stats.fps() > slow_stats.fps());
     }
@@ -174,6 +178,6 @@ mod tests {
         let a = memo.simulate_layer(&s, &layer);
         let b = memo.simulate_layer(&s, &layer);
         assert_eq!(a, b);
-        assert_eq!(memo.map.stats(), CacheStats::default());
+        assert!(memo.map().is_empty());
     }
 }
