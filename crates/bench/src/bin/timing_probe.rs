@@ -39,10 +39,13 @@
 //!      history as the candidate pool.
 //!
 //!    `acquisition_pruned_fraction` / `acquisition_solved_fraction` are
-//!    the shares of the exact acquisition's bounded candidates (cache
-//!    misses and pending columns) pruned without a triangular solve and
-//!    solved, with `acquisition_score_pruned` / `acquisition_subset_pruned`
-//!    splitting the pruned ones by the ladder tier they fell at.
+//!    the shares of the exact acquisition's bounded candidates pruned
+//!    without a triangular solve and solved. Every pool candidate is
+//!    bounded, cache hit or miss; the paper leg's surrogates are all
+//!    exact, so the probe asserts that the bounded count is the cache
+//!    hits plus misses. `acquisition_score_pruned` /
+//!    `acquisition_subset_pruned` split the pruned ones by the ladder
+//!    tier they fell at.
 //!    `hv_boxes_per_front_point` is the counted run's boxes partitioning
 //!    the non-dominated region (counter `bo.hv.boxes`), less each
 //!    partition's first box, per front point scored against (counter
@@ -220,6 +223,11 @@ fn paper_leg() {
         acquisition_bounded,
         acquisition_solved + acquisition_pruned,
         "every bounded acquisition candidate is either solved or pruned"
+    );
+    assert_eq!(
+        acquisition_bounded,
+        column_cache_hits + column_cache_misses,
+        "every pool candidate of an exact acquisition is bounded"
     );
     let systolic_layers = seq_snap.counter("systolic.layers");
     let network_layers: usize =

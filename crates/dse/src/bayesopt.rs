@@ -18,8 +18,7 @@ use crate::control::RunControl;
 use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
 use crate::gp::{
-    median_sq_dist, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
-    MAX_EXACT_POINTS,
+    median_sq_dist, GaussianProcess, SparseGaussianProcess, SurrogateMode, MAX_EXACT_POINTS,
 };
 use crate::linalg::Matrix;
 use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
@@ -45,12 +44,11 @@ use crate::space::{DesignSpace, RankMap};
 /// reuse a per-iteration
 /// [`ContributionScorer`] (one branch-free loop per candidate over a box
 /// partition of the region the front does not dominate), front
-/// neighbours that recur from one pool to the next keep their surrogate
-/// columns in a cross-iteration cache (an exact-pack hit solves only the
-/// rows added since, bit-identical to a fresh solve — see
-/// [`ExactColumn`]), exact-pack candidates are bounded from their
-/// kernel correlations first and solved only while they can still win
-/// (see [`ExactAcquisition`]), and the initial sample is evaluated as
+/// neighbours that recur from one pool to the next keep their kernel
+/// correlations in a cross-iteration cache (an exact-pack hit correlates
+/// only the rows added since), exact-pack candidates are bounded from
+/// their kernel correlations first and solved only while they can still
+/// win (see [`ExactAcquisition`]), and the initial sample is evaluated as
 /// one batch over worker threads with results committed in draw order —
 /// so a run is bit-identical for a fixed seed regardless of thread
 /// count.
@@ -140,7 +138,7 @@ const EPS: f64 = 1e-3;
 /// [`IncrementalFront`]'s equivalence contract), so acquisition scores
 /// are bit-identical to the full-rescan implementation.
 ///
-/// It also carries the [`ColumnCache`]: the surrogate columns of the
+/// It also carries the [`ColumnCache`]: the kernel correlations of the
 /// previous pool's front neighbours, which mostly recur in the next
 /// pool; and the [`CandidatePool`]'s buffers, which every iteration
 /// refills.
@@ -200,45 +198,40 @@ impl AcquisitionState {
     }
 }
 
-/// One candidate's surrogate state, as held by the [`ColumnCache`].
-enum Column {
-    /// A candidate of the exact pack, solved or only correlated.
-    Exact(ExactSlot),
-    /// Kernel correlations against the sparse pack's inducing set.
-    Sparse(Vec<f64>),
-}
-
-/// The cross-iteration column cache: per-candidate surrogate columns,
+/// The cross-iteration column cache: per-candidate kernel correlations,
 /// keyed by candidate rank ([`DesignSpace::rank`]), valid for one fit
 /// generation.
 ///
-/// Within one key the exact pack only extends and retargets, so a
-/// solved exact column is brought current by [`ExactColumn::refresh`]
-/// (bit-identical to a fresh solve) and a pending one by
-/// [`GaussianProcess::extend_correlations`], and the sparse pack's
-/// inducing set and lengthscale are frozen, so a sparse column is reused
-/// as is. A full refit changes the key and clears the cache.
+/// An exact-pack entry holds the candidate's correlations against the
+/// training rows. Within one key the exact pack only extends and
+/// retargets, so [`GaussianProcess::extend_correlations`] brings an
+/// entry current over the rows added since. A sparse-pack entry holds
+/// the candidate's correlations against the inducing set, which with
+/// the lengthscale is frozen within one key, so it is reused as is. A
+/// full refit (and so any switch between the packs) changes the key and
+/// clears the cache.
 ///
 /// Only front neighbours are kept: each iteration takes the pool's
-/// entries out, drops everything else, and puts back the columns of the
-/// candidates that were drawn as neighbours of the Pareto set. Random
-/// draws almost never recur in a large space and are never stored, so
-/// memory is bounded by the live neighbourhood rather than by a cap.
+/// entries out, drops everything else, and puts back the correlations
+/// of the candidates that were drawn as neighbours of the Pareto set.
+/// Random draws almost never recur in a large space and are never
+/// stored, so memory is bounded by the live neighbourhood rather than by
+/// a cap.
 struct ColumnCache {
     key: u64,
-    columns: RankMap<Column>,
+    columns: RankMap<Vec<f64>>,
 }
 
 impl ColumnCache {
     /// Takes the columns of the pool's candidates (by rank) out, in pool
     /// order (`None` for a miss), and evicts every other entry. A cache
     /// filled under another key is cleared first.
-    fn take(&mut self, key: u64, ranks: &[u64]) -> Vec<Option<Column>> {
+    fn take(&mut self, key: u64, ranks: &[u64]) -> Vec<Option<Vec<f64>>> {
         if self.key != key {
             self.columns.clear();
             self.key = key;
         }
-        let taken: Vec<Option<Column>> =
+        let taken: Vec<Option<Vec<f64>>> =
             ranks.iter().map(|rank| self.columns.remove(rank)).collect();
         self.columns.clear();
         let hits = taken.iter().filter(|c| c.is_some()).count();
@@ -249,7 +242,7 @@ impl ColumnCache {
 
     /// Puts back the columns scoring kept (the pool's front neighbours'),
     /// in pool order.
-    fn put_back(&mut self, ranks: &[u64], columns: Vec<Option<Column>>) {
+    fn put_back(&mut self, ranks: &[u64], columns: Vec<Option<Vec<f64>>>) {
         for (&rank, column) in ranks.iter().zip(columns) {
             if let Some(column) = column {
                 self.columns.insert(rank, column);
@@ -685,42 +678,27 @@ impl SmsEgoOptimizer {
         // are charged to the score / gp_predict spans like the GP work
         // itself.
         let key = surrogates.fit_generation;
-        let columns = obs::time("bo.acquisition.score", || {
+        let mut columns = obs::time("bo.acquisition.score", || {
             obs::time("bo.acquisition.gp_predict", || {
                 pool.encode(space);
                 acquisition.columns.take(key, pool.ranks())
             })
         });
         let pool = &*pool;
-        let (best, columns) = obs::time("bo.acquisition.score", || {
+        let best = obs::time("bo.acquisition.score", || {
             let points = pool.encoded();
             match &surrogates.pack {
                 SurrogatePack::Exact(gp) => {
-                    let mut slots: Vec<Option<ExactSlot>> = columns
-                        .into_iter()
-                        .map(|c| match c {
-                            Some(Column::Exact(slot)) => Some(slot),
-                            _ => None,
-                        })
-                        .collect();
                     let acquisition = ExactAcquisition::new(gp, &scorer);
-                    let best = obs::time("bo.acquisition.exact", || {
-                        acquisition.select(&points, &mut slots, pool.neighbour())
-                    });
-                    (best, slots.into_iter().map(|slot| slot.map(Column::Exact)).collect())
+                    obs::time("bo.acquisition.exact", || {
+                        acquisition.select(&points, &mut columns, pool.neighbour())
+                    })
                 }
-                SurrogatePack::Sparse(gp) => {
-                    let mut slots: Vec<Option<Vec<f64>>> = columns
-                        .into_iter()
-                        .map(|c| match c {
-                            Some(Column::Sparse(column)) => Some(column),
-                            _ => None,
-                        })
-                        .collect();
-                    let acquisition = SparseAcquisition::new(gp, &scorer);
-                    let best = acquisition.select(&points, &mut slots, pool.neighbour());
-                    (best, slots.into_iter().map(|slot| slot.map(Column::Sparse)).collect())
-                }
+                SurrogatePack::Sparse(gp) => SparseAcquisition::new(gp, &scorer).select(
+                    &points,
+                    &mut columns,
+                    pool.neighbour(),
+                ),
             }
         });
         obs::time("bo.acquisition.score", || {
@@ -873,19 +851,6 @@ fn prune_cut(best: Option<f64>) -> Option<f64> {
     best.map(|t| t - PRUNE_MARGIN * t.abs().max(1.0))
 }
 
-/// One exact-pack candidate's state between acquisition calls, as
-/// [`ExactAcquisition::select`] takes and leaves it.
-#[derive(Debug, Clone)]
-pub enum ExactSlot {
-    /// Solved: the candidate's correlations and forward solve,
-    /// refreshed over the rows added since
-    /// ([`ExactColumn::refresh`]) and scored exactly.
-    Solved(ExactColumn),
-    /// Correlations only: the candidate was bounded and pruned before
-    /// its solve. Extended over the rows added since and bounded again.
-    Pending(Vec<f64>),
-}
-
 /// The exact-pack SMS-EGO acquisition over one candidate pool: every
 /// candidate climbs a ladder of score bounds, each tighter and costlier
 /// than the one before, and the `O(n²)` triangular solves run only for
@@ -916,11 +881,13 @@ pub enum ExactSlot {
 /// (SMS-EGO budgets 24–120) was faster in 4 of 4 (−3 % to −15 %). A rung
 /// chosen by training-set size could take both gains.
 ///
-/// [`ExactAcquisition::select`] scores cached solved columns exactly,
-/// which sets the running best `τ`, then refines best-first: the
-/// candidate with the highest current bound (ties by pool index) moves
-/// up one tier, and one at the top tier joins the next solve round,
-/// until the highest bound is below `τ` by more than `PRUNE_MARGIN`.
+/// [`ExactAcquisition::select`] bounds every candidate at the score
+/// tier, then refines best-first: the candidate with the highest current
+/// bound (ties by pool index) moves up one tier, and one at the top tier
+/// joins the next solve round, whose exact scores raise the running
+/// best `τ`, until the highest bound is below `τ` by more than
+/// `PRUNE_MARGIN`. The first round is the single top candidate, so `τ`
+/// exists before most candidates are refined.
 /// Up to `SOLVE_ROUND` heap tops in a row at the score tier move up
 /// together, so their `p × p` solves share one prediction span.
 /// A pruned candidate's exact score is then strictly below the final
@@ -940,18 +907,17 @@ enum Tier {
 }
 
 /// A bounded candidate on the ladder, ordered for a max-heap: highest
-/// bound first, ties by lower `k`. `k` numbers the bounded candidates
-/// in pool order, so ties go to the lower pool index.
+/// bound first, ties by the lower pool index `j`.
 #[derive(Debug, Clone, Copy)]
 struct Rung {
     bound: f64,
     tier: Tier,
-    k: usize,
+    j: usize,
 }
 
 impl Ord for Rung {
     fn cmp(&self, other: &Rung) -> std::cmp::Ordering {
-        self.bound.total_cmp(&other.bound).then(other.k.cmp(&self.k))
+        self.bound.total_cmp(&other.bound).then(other.j.cmp(&self.j))
     }
 }
 
@@ -969,12 +935,10 @@ impl PartialEq for Rung {
 
 impl Eq for Rung {}
 
-/// An unsolved candidate on the ladder: its pool index `j`, its training
-/// correlations (taken when it is solved or left pending), and per
+/// A candidate on the ladder: its training correlations, and per
 /// objective (the scorer takes at most three) its exact posterior mean
 /// and optimistic LCB.
-struct Unsolved {
-    j: usize,
+struct Candidate {
     corr: Vec<f64>,
     means: [f64; 3],
     lcb: [f64; 3],
@@ -997,7 +961,7 @@ impl<'a> ExactAcquisition<'a> {
     ///
     /// Panics if `corr` does not have one entry per training point.
     pub fn bounds(&self, corr: &[f64]) -> [f64; 2] {
-        let candidate = self.unsolved(0, corr.to_vec());
+        let candidate = self.candidate(corr.to_vec());
         let lcb = &candidate.lcb[..self.n_obj()];
         let mut scratch = self.scorer.scratch();
         [
@@ -1026,20 +990,20 @@ impl<'a> ExactAcquisition<'a> {
 
     /// The candidate's exact means and optimistic LCB from its
     /// correlations alone.
-    fn unsolved(&self, j: usize, corr: Vec<f64>) -> Unsolved {
+    fn candidate(&self, corr: Vec<f64>) -> Candidate {
         let (mut means, mut lcb) = ([0.0; 3], [0.0; 3]);
         for (o, (mean, var)) in self.pack.optimistic_moments(&corr).enumerate() {
             means[o] = mean;
             lcb[o] = mean - BETA * var.sqrt();
         }
-        Unsolved { j, corr, means, lcb }
+        Candidate { corr, means, lcb }
     }
 
     /// The subset tier: the score of the LCB with the subset variance
     /// bounds `variances`.
     fn subset_score(
         &self,
-        candidate: &Unsolved,
+        candidate: &Candidate,
         variances: &[f64],
         scratch: &mut ScorerScratch,
     ) -> f64 {
@@ -1050,84 +1014,71 @@ impl<'a> ExactAcquisition<'a> {
         self.scorer.score_with(scratch, &lcb[..self.n_obj()], EPS)
     }
 
-    fn exact_lcb(&self, column: &ExactColumn) -> Vec<f64> {
-        column.predict(self.pack).map(|(mean, var)| mean - BETA * var.sqrt()).collect()
-    }
-
     /// Picks the pool's SMS-EGO winner — the first candidate in pool
     /// order with the highest exact score — solving only candidates
     /// that can still win (see [`ExactAcquisition`]).
     ///
-    /// `points` are the encoded candidates. `slots[j]` holds candidate
-    /// `j`'s cached state from an earlier call, taken against this pack
-    /// before some extends and retargets only — a refit makes it stale (`None` when there is none). On return it holds the state
-    /// to keep when `keep[j]` (solved or pending) and `None` otherwise.
-    /// The first pass refreshes and scores the cached solved columns,
-    /// correlates every other candidate (all cache misses through one
-    /// kernel panel) and bounds it at the score tier; then the ladder
-    /// runs. Both run on the calling thread, in pool order.
-    /// When no cached column sets the running best, the first solve round
-    /// is the single most promising candidate.
+    /// `points` are the encoded candidates. `columns[j]` holds candidate
+    /// `j`'s training correlations from an earlier call, taken against
+    /// this pack before some extends and retargets only — a refit makes
+    /// them stale (`None` when there are none). On return it holds the
+    /// candidate's current correlations when `keep[j]` and `None`
+    /// otherwise. The first pass extends the cached correlations over
+    /// the rows added since, correlates every miss through one kernel
+    /// panel and bounds every candidate at the score tier; then the
+    /// ladder runs. Both run on the calling thread, in pool order.
     ///
     /// # Panics
     ///
     /// Panics if the three slices differ in length, a point has the
-    /// wrong dimension, or a slot was taken against a larger pack.
+    /// wrong dimension, or a column was taken against a larger pack.
     pub fn select(
         &self,
         points: &[impl AsRef<[f64]>],
-        slots: &mut [Option<ExactSlot>],
+        columns: &mut [Option<Vec<f64>>],
         keep: &[bool],
     ) -> Option<usize> {
-        assert_eq!(points.len(), slots.len(), "one slot per candidate");
+        assert_eq!(points.len(), columns.len(), "one column per candidate");
         assert_eq!(points.len(), keep.len(), "one keep flag per candidate");
-        // The first pass's predictions: the cached solved columns' exact
-        // LCBs, and every other candidate unsolved, both in pool order.
-        let mut exact: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut unsolved: Vec<Unsolved> = Vec::new();
-        obs::time("bo.acquisition.gp_predict", || {
+        let candidates: Vec<Candidate> = obs::time("bo.acquisition.gp_predict", || {
             let misses: Vec<&[f64]> = points
                 .iter()
-                .zip(slots.iter())
-                .filter(|(_, slot)| slot.is_none())
+                .zip(columns.iter())
+                .filter(|(_, column)| column.is_none())
                 .map(|(p, _)| p.as_ref())
                 .collect();
             let panel = self.pack.query_correlations(&misses);
             let mut next_miss = 0;
-            for (j, (point, slot)) in points.iter().zip(slots.iter_mut()).enumerate() {
-                let point = point.as_ref();
-                if let Some(ExactSlot::Solved(column)) = slot {
-                    column.refresh(self.pack, point);
-                    exact.push((j, self.exact_lcb(column)));
-                    continue;
-                }
-                let corr = match slot.take() {
-                    Some(ExactSlot::Pending(mut corr)) => {
-                        self.pack.extend_correlations(point, &mut corr);
-                        corr
-                    }
-                    _ => {
-                        next_miss += 1;
-                        panel.row(next_miss - 1).to_vec()
-                    }
-                };
-                unsolved.push(self.unsolved(j, corr));
-            }
+            points
+                .iter()
+                .zip(columns.iter_mut())
+                .map(|(point, column)| {
+                    let corr = match column.take() {
+                        Some(mut corr) => {
+                            self.pack.extend_correlations(point.as_ref(), &mut corr);
+                            corr
+                        }
+                        None => {
+                            next_miss += 1;
+                            panel.row(next_miss - 1).to_vec()
+                        }
+                    };
+                    self.candidate(corr)
+                })
+                .collect()
+        });
+        let mut scratch = self.scorer.scratch();
+        let mut ladder: BinaryHeap<Rung> = obs::time("bo.acquisition.hv_score", || {
+            let n_obj = self.n_obj();
+            (candidates.iter().enumerate())
+                .map(|(j, candidate)| {
+                    let bound = self.scorer.score_with(&mut scratch, &candidate.lcb[..n_obj], EPS);
+                    Rung { bound, tier: Tier::Score, j }
+                })
+                .collect()
         });
         let mut scores: Vec<Option<f64>> = vec![None; points.len()];
-        let mut ladder: BinaryHeap<Rung> = BinaryHeap::with_capacity(unsolved.len());
-        let mut scratch = self.scorer.scratch();
-        obs::time("bo.acquisition.hv_score", || {
-            for (j, lcb) in exact {
-                scores[j] = Some(self.scorer.score_with(&mut scratch, &lcb, EPS));
-            }
-            for (k, candidate) in unsolved.iter().enumerate() {
-                let bound =
-                    self.scorer.score_with(&mut scratch, &candidate.lcb[..self.n_obj()], EPS);
-                ladder.push(Rung { bound, tier: Tier::Score, k });
-            }
-        });
-        let mut best: Option<f64> = scores.iter().flatten().copied().reduce(f64::max);
+        let mut best: Option<f64> = None;
 
         let n = self.pack.len();
         let mut round: Vec<usize> = Vec::with_capacity(SOLVE_ROUND);
@@ -1144,7 +1095,7 @@ impl<'a> ExactAcquisition<'a> {
             if let Some(rung) = top {
                 refining.get_or_insert_with(|| obs::span("bo.acquisition.hv_score"));
                 if rung.tier == Tier::Subset {
-                    round.push(rung.k);
+                    round.push(rung.j);
                 } else {
                     // This rung and the heap tops right behind it that
                     // are also at the score tier are promoted together,
@@ -1161,12 +1112,12 @@ impl<'a> ExactAcquisition<'a> {
                     let variances: Vec<Vec<f64>> = obs::time("bo.acquisition.gp_predict", || {
                         batch
                             .iter()
-                            .map(|r| self.pack.subset_variance_bounds(&unsolved[r.k].corr))
+                            .map(|r| self.pack.subset_variance_bounds(&candidates[r.j].corr))
                             .collect()
                     });
                     promoted += batch.len();
                     for (r, variances) in batch.into_iter().zip(variances) {
-                        let bound = self.subset_score(&unsolved[r.k], &variances, &mut scratch);
+                        let bound = self.subset_score(&candidates[r.j], &variances, &mut scratch);
                         ladder.push(Rung { bound, tier: Tier::Subset, ..r });
                     }
                 }
@@ -1177,54 +1128,45 @@ impl<'a> ExactAcquisition<'a> {
             }
             refining = None;
             solved += round.len();
-            let solved_round: Vec<(ExactColumn, Vec<f64>)> =
-                obs::time("bo.acquisition.gp_predict", || {
-                    let corrs: Vec<Vec<f64>> =
-                        round.iter().map(|&k| std::mem::take(&mut unsolved[k].corr)).collect();
-                    let panel = Matrix::from_fn(n, round.len(), |i, c| corrs[c][i]);
-                    ExactColumn::solve_correlations(self.pack, &panel)
-                        .into_iter()
-                        .map(|column| {
-                            let lcb = self.exact_lcb(&column);
-                            (column, lcb)
-                        })
-                        .collect()
-                });
+            // The round's exact LCBs: one blocked solve over a panel of
+            // the candidates' correlations, which stay with them.
+            let lcbs: Vec<[f64; 3]> = obs::time("bo.acquisition.gp_predict", || {
+                let panel = Matrix::from_fn(n, round.len(), |i, c| candidates[round[c]].corr[i]);
+                let sumsqs = self.pack.forward_sumsq(&panel);
+                (round.iter().zip(sumsqs))
+                    .map(|(&j, sumsq)| {
+                        let mut lcb = [0.0; 3];
+                        let moments = self.pack.exact_moments(&candidates[j].corr, sumsq);
+                        for (slot, (mean, var)) in lcb.iter_mut().zip(moments) {
+                            *slot = mean - BETA * var.sqrt();
+                        }
+                        lcb
+                    })
+                    .collect()
+            });
             obs::time("bo.acquisition.hv_score", || {
-                for (&k, (column, lcb)) in round.iter().zip(solved_round) {
-                    let score = self.scorer.score_with(&mut scratch, &lcb, EPS);
-                    let j = unsolved[k].j;
+                for (&j, lcb) in round.iter().zip(lcbs) {
+                    let score = self.scorer.score_with(&mut scratch, &lcb[..self.n_obj()], EPS);
                     best = Some(best.map_or(score, |b| b.max(score)));
                     scores[j] = Some(score);
-                    if keep[j] {
-                        slots[j] = Some(ExactSlot::Solved(column));
-                    }
                 }
             });
             round.clear();
         }
         drop(refining);
         let tier_count = |tier: Tier| ladder.iter().filter(|r| r.tier == tier).count() as u64;
-        obs::add("bo.acquisition.bounded", unsolved.len() as u64);
+        obs::add("bo.acquisition.bounded", candidates.len() as u64);
         obs::add("bo.acquisition.solved", solved as u64);
         obs::add("bo.acquisition.pruned", ladder.len() as u64);
         obs::add("bo.acquisition.score_pruned", tier_count(Tier::Score));
         obs::add("bo.acquisition.subset_pruned", tier_count(Tier::Subset));
         obs::add("bo.hv.incremental", (points.len() + promoted + solved) as u64);
         obs::time("bo.acquisition.gp_predict", || {
-            for rung in ladder {
-                let candidate = &mut unsolved[rung.k];
-                if keep[candidate.j] {
-                    let corr = std::mem::take(&mut candidate.corr);
-                    slots[candidate.j] = Some(ExactSlot::Pending(corr));
+            for ((column, candidate), &keep) in columns.iter_mut().zip(candidates).zip(keep) {
+                if keep {
+                    *column = Some(candidate.corr);
                 }
             }
-            for (slot, &keep) in slots.iter_mut().zip(keep) {
-                if !keep {
-                    *slot = None;
-                }
-            }
-            drop(unsolved);
         });
         first_max(scores)
     }

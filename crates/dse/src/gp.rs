@@ -360,7 +360,7 @@ impl GaussianProcess {
             objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
         };
-        gp.refresh_targets();
+        gp.solve_targets();
         Ok(gp)
     }
 
@@ -402,7 +402,7 @@ impl GaussianProcess {
         for (targets, &y) in self.objectives.iter_mut().zip(ys) {
             targets.y.push(y);
         }
-        self.refresh_targets();
+        self.solve_targets();
         true
     }
 
@@ -423,13 +423,13 @@ impl GaussianProcess {
         if !replace_targets(&mut self.objectives, ys, self.x.len()) {
             return false;
         }
-        self.refresh_targets();
+        self.solve_targets();
         true
     }
 
     /// Recomputes every objective's target-dependent state (mean, signal
     /// variance, `α`) against the shared factorization — O(n²) each.
-    fn refresh_targets(&mut self) {
+    fn solve_targets(&mut self) {
         for targets in &mut self.objectives {
             let centred = targets.centre();
             let tmp = self.chol.solve_lower(&centred);
@@ -540,6 +540,36 @@ impl GaussianProcess {
         self.objectives.iter().map(move |t| (t.mean(corr), t.variance(fraction)))
     }
 
+    /// Per objective, the exact posterior `(mean, variance)` at the query
+    /// whose training correlations are `corr` and whose forward solve
+    /// `v = L⁻¹c` has `Σv² = sumsq` (see
+    /// [`GaussianProcess::forward_sumsq`]): the means `ȳ + Σ cᵢαᵢ` and
+    /// the variances `σ²(1 − Σv²)`, clamped at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` does not have one entry per training point.
+    pub(crate) fn exact_moments<'a>(
+        &'a self,
+        corr: &'a [f64],
+        sumsq: f64,
+    ) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.objectives.iter().map(move |t| (t.mean(corr), t.variance(1.0 - sumsq)))
+    }
+
+    /// `Σv²` for every column `v = L⁻¹c` of the `n × k` correlation
+    /// panel `corr` (one column per query): one blocked triangular solve
+    /// ([`Matrix::solve_lower_columns`]) against the pack's one factor,
+    /// each sum accumulated in ascending row order from `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` does not have one row per training point.
+    pub(crate) fn forward_sumsq(&self, corr: &Matrix) -> Vec<f64> {
+        let v = self.chol.solve_lower_columns(corr);
+        (0..v.cols()).map(|j| (0..v.rows()).fold(0.0, |s, i| s + v[(i, j)] * v[(i, j)])).collect()
+    }
+
     /// Upper bounds on every objective's posterior variance at the query
     /// whose training correlations are `corr`, from the `SUBSET_ROWS` (8)
     /// training rows `S` most correlated with it and no `n`-row solve:
@@ -631,31 +661,22 @@ fn cauchy_schwarz_fraction(max_corr_sq: f64) -> f64 {
     1.0 - max_corr_sq / (1.0 + RELATIVE_NOISE)
 }
 
-/// One query point's cached posterior state against an exact surrogate
+/// One query point's solved posterior state against an exact surrogate
 /// pack: the point's kernel correlations `c` against the training rows
-/// and the forward-substitution solution `v = L⁻¹c` of the pack's shared
-/// factor with its running `Σv²`, which every objective's variance
-/// shares.
-///
-/// The state stays valid while the pack only grows by
-/// [`GaussianProcess::extend`] or changes targets by
-/// [`GaussianProcess::retarget`]. [`Matrix::extend_lower`] never rewrites
-/// a factor's leading block, row `i` of a forward substitution depends
-/// only on rows `≤ i` of `L` and `c` (subtracting in ascending `k`), and
-/// a retarget leaves `L` untouched. So [`ExactColumn::refresh`] solves
-/// only the rows added since the column was last current — `O(Δn·n)`
-/// instead of `O(n²)` — and [`ExactColumn::predict`] is bit-identical to
-/// a freshly solved column's. A refit rewrites the factor, so columns
-/// from before one are stale.
+/// and `Σv²` of the forward-substitution solution `v = L⁻¹c` of the
+/// pack's shared factor, which every objective's variance shares.
 ///
 /// This is the one exact prediction route: [`GaussianProcess::predict_batch`]
-/// and [`GaussianProcess::predict`] go through it. The posterior means
-/// are `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both accumulated in
-/// ascending `i` from `0.0`.
+/// and [`GaussianProcess::predict`] go through it, and the acquisition's
+/// solve rounds use its arithmetic (`GaussianProcess::forward_sumsq`
+/// and `GaussianProcess::exact_moments`). The posterior means are
+/// `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both accumulated in
+/// ascending `i` from `0.0`. A column depends only on the pack's
+/// training inputs and factor, so it stays current through a retarget;
+/// an extend or a refit makes it stale.
 #[derive(Debug, Clone)]
 pub struct ExactColumn {
     corr: Vec<f64>,
-    solve: Vec<f64>,
     sumsq: f64,
 }
 
@@ -669,62 +690,31 @@ impl ExactColumn {
     ///
     /// Panics if a point has the wrong dimension.
     pub fn solve_batch(pack: &GaussianProcess, points: &[Vec<f64>]) -> Vec<ExactColumn> {
-        ExactColumn::solve_correlations(pack, &pack.cross_correlations(points))
-    }
-
-    /// [`ExactColumn::solve_batch`] from an already computed `n × k`
-    /// correlation panel (one column per query): one blocked triangular
-    /// solve against the pack's one factor, `k` forward solves in all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corr` does not have one row per training point.
-    pub(crate) fn solve_correlations(pack: &GaussianProcess, corr: &Matrix) -> Vec<ExactColumn> {
-        let n = corr.rows();
-        let v = pack.chol.solve_lower_columns(corr);
-        (0..corr.cols())
-            .map(|j| {
-                let solve: Vec<f64> = (0..n).map(|i| v[(i, j)]).collect();
-                ExactColumn {
-                    corr: (0..n).map(|i| corr[(i, j)]).collect(),
-                    sumsq: solve.iter().fold(0.0, |s, w| s + w * w),
-                    solve,
-                }
+        let corr = pack.cross_correlations(points);
+        let sumsqs = pack.forward_sumsq(&corr);
+        sumsqs
+            .into_iter()
+            .enumerate()
+            .map(|(j, sumsq)| ExactColumn {
+                corr: (0..corr.rows()).map(|i| corr[(i, j)]).collect(),
+                sumsq,
             })
             .collect()
     }
 
     /// Solves one query point's column on its own: its correlations and
-    /// one forward substitution ([`Matrix::solve_lower`]'s loop) over
-    /// every training row — the per-point counterpart of
+    /// one forward substitution ([`Matrix::solve_lower`]) over every
+    /// training row — the per-point counterpart of
     /// [`ExactColumn::solve_batch`], with identical results.
     ///
     /// # Panics
     ///
     /// Panics if `point` has the wrong dimension.
     pub fn solve(pack: &GaussianProcess, point: &[f64]) -> ExactColumn {
-        let mut column = ExactColumn { corr: Vec::new(), solve: Vec::new(), sumsq: 0.0 };
-        column.refresh(pack, point);
-        column
-    }
-
-    /// Brings the column current with `pack` after extends and retargets:
-    /// correlates `point` (the query this column was solved for) with the
-    /// training rows added since, and continues the forward substitution
-    /// and `Σv²` over just those rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column has more rows than the pack (it was solved
-    /// against a different factor) or `point` has the wrong dimension.
-    pub fn refresh(&mut self, pack: &GaussianProcess, point: &[f64]) {
-        let old = self.corr.len();
-        pack.extend_correlations(point, &mut self.corr);
-        if old == self.corr.len() {
-            return;
-        }
-        pack.chol.solve_lower_from(old, &self.corr, &mut self.solve);
-        self.sumsq = self.solve[old..].iter().fold(self.sumsq, |s, w| s + w * w);
+        let mut corr = Vec::new();
+        pack.extend_correlations(point, &mut corr);
+        let sumsq = pack.chol.solve_lower(&corr).iter().fold(0.0, |s, w| s + w * w);
+        ExactColumn { corr, sumsq }
     }
 
     /// Posterior `(mean, variance)` per objective of the pack: equal, bit
@@ -732,14 +722,12 @@ impl ExactColumn {
     ///
     /// # Panics
     ///
-    /// Panics if the column is not current with the pack (see
-    /// [`ExactColumn::refresh`]).
+    /// Panics if the pack has grown since the column was solved.
     pub fn predict<'a>(
         &'a self,
         pack: &'a GaussianProcess,
     ) -> impl Iterator<Item = (f64, f64)> + 'a {
-        let fraction = 1.0 - self.sumsq;
-        pack.objectives.iter().map(move |t| (t.mean(&self.corr), t.variance(fraction)))
+        pack.exact_moments(&self.corr, self.sumsq)
     }
 }
 
@@ -921,14 +909,14 @@ impl SparseGaussianProcess {
             objectives: ys.iter().map(|y| Targets::new(y.clone())).collect(),
             lengthscale_sq,
         };
-        gp.refresh_targets();
+        gp.solve_targets();
         Ok(gp)
     }
 
     /// Recomputes every objective's target-dependent state (mean, signal
     /// variance, and the posterior weights `w`) against the shared
     /// factorizations — O(n·m + m²) each.
-    fn refresh_targets(&mut self) {
+    fn solve_targets(&mut self) {
         for targets in &mut self.objectives {
             let centred = targets.centre();
             let t = self.cnm.transpose_mul_vec(&centred);
@@ -1105,7 +1093,7 @@ impl SparseGaussianProcess {
             targets.y.push(y);
         }
         self.var_form_l = variance_form(&self.cmm_inv, &self.l_a);
-        self.refresh_targets();
+        self.solve_targets();
         true
     }
 
@@ -1120,7 +1108,7 @@ impl SparseGaussianProcess {
         if !replace_targets(&mut self.objectives, ys, self.cnm.rows()) {
             return false;
         }
-        self.refresh_targets();
+        self.solve_targets();
         true
     }
 }

@@ -70,7 +70,7 @@ mod result;
 mod space;
 
 pub use anneal::AnnealingOptimizer;
-pub use bayesopt::{ExactAcquisition, ExactSlot, SmsEgoOptimizer, SparseAcquisition};
+pub use bayesopt::{ExactAcquisition, SmsEgoOptimizer, SparseAcquisition};
 pub use control::RunControl;
 pub use error::{DseError, EvalError, GpError};
 pub use evaluator::{Evaluator, MultiObjectiveOptimizer};

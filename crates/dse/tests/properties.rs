@@ -14,9 +14,8 @@ use dse_opt::pareto::{
 };
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
-    ExactColumn, ExactSlot, ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer,
-    Nsga2Optimizer, OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseAcquisition,
-    SparseGaussianProcess,
+    ExactColumn, ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer,
+    OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseAcquisition, SparseGaussianProcess,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -328,7 +327,7 @@ impl ReferenceGp {
             mean_y: 0.0,
             signal_var: 0.0,
         };
-        gp.refresh();
+        gp.solve_targets();
         gp
     }
 
@@ -339,10 +338,10 @@ impl ReferenceGp {
         self.chol.extend_lower(&w, d2.sqrt());
         self.x.push(x_new.to_vec());
         self.y.push(y_new);
-        self.refresh();
+        self.solve_targets();
     }
 
-    fn refresh(&mut self) {
+    fn solve_targets(&mut self) {
         (self.mean_y, self.signal_var) = moments(&self.y);
         let centred: Vec<f64> = self.y.iter().map(|v| v - self.mean_y).collect();
         self.alpha = self.chol.solve_lower_transpose(&self.chol.solve_lower(&centred));
@@ -709,11 +708,10 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
     }
 }
 
-/// The acquisition loop's cached exact columns stay bit-identical to a
-/// fresh batched prediction through any sequence of extends and
-/// retargets: after every step each refreshed column (and each column
-/// first solved mid-sequence, batched or per point) predicts exactly
-/// what `predict_batch` does.
+/// Exact columns track the batched prediction through any sequence of
+/// extends and retargets: after every step each pool point's column,
+/// solved alone either batched or per point, predicts exactly what
+/// `predict_batch` over the whole pool does.
 ///
 /// Beside the shared-factor pack runs one separately fitted
 /// single-objective GP per objective, and after every step the pack
@@ -743,7 +741,6 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
             .collect();
         let mut pool: Vec<Vec<f64>> = (0..rng.range_usize(1, 70)).map(|_| draw(&mut rng)).collect();
         pool.push(xs[0].clone());
-        let mut columns = ExactColumn::solve_batch(&pack, &pool);
         let alone: Vec<_> = members.iter().map(|gp| gp.predict_batch(&pool)).collect();
         assert_pack_matches_members(
             &pack.predict_batch(&pool),
@@ -774,17 +771,15 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
                 assert!(members[obj].retarget(y), "{context}: member retarget");
             }
             if rng.next_f64() < 0.3 {
-                let fresh = draw(&mut rng);
-                if rng.next_f64() < 0.5 {
-                    columns.extend(ExactColumn::solve_batch(&pack, std::slice::from_ref(&fresh)));
-                } else {
-                    columns.push(ExactColumn::solve(&pack, &fresh));
-                }
-                pool.push(fresh);
+                pool.push(draw(&mut rng));
             }
             let want = pack.predict_batch(&pool);
-            for (j, (column, p)) in columns.iter_mut().zip(&pool).enumerate() {
-                column.refresh(&pack, p);
+            for (j, p) in pool.iter().enumerate() {
+                let column = if rng.next_f64() < 0.5 {
+                    ExactColumn::solve_batch(&pack, std::slice::from_ref(p)).swap_remove(0)
+                } else {
+                    ExactColumn::solve(&pack, p)
+                };
                 for (o, (m, v)) in column.predict(&pack).enumerate() {
                     let (wm, wv) = want[j][o];
                     assert_eq!(
@@ -1091,9 +1086,9 @@ fn subset_variance_bound_is_at_least_the_exact_variance() {
 
 /// The pruned selection picks exactly what full scoring picks, over 256
 /// seeds of crowded pools, with a cold column cache and then warm
-/// (solved and pending slots carried across pack extends and a new
-/// front). Kept slots are exactly the
-/// `keep`-flagged ones. Often more than eight candidates' bounds reach
+/// (correlations carried across pack extends and a new front). Kept
+/// columns are exactly the `keep`-flagged ones. Often more than eight
+/// candidates' bounds reach
 /// the best exact score, so stopping after one round would be caught,
 /// and both the score and the subset tier prune candidates.
 #[test]
@@ -1111,7 +1106,7 @@ fn pruned_selection_matches_full_scoring() {
         let n = rng.range_usize(3, 24);
         let (mut pack, xs) = random_pack(&mut rng, d, n_obj, n);
         let mut pool = crowded_pool(&mut rng, &xs);
-        let mut slots: Vec<Option<ExactSlot>> = vec![None; pool.len()];
+        let mut slots: Vec<Option<Vec<f64>>> = vec![None; pool.len()];
         for round in ["cold", "warm", "warmer"] {
             let front = random_front(&mut rng, n_obj);
             let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
@@ -1193,7 +1188,7 @@ fn exact_selection_correlates_a_cold_pool_in_one_panel() {
         let scorer = ContributionScorer::new(&front, &vec![1.2; n_obj]);
         let want = reference_pick(&pack, &scorer, &pool);
         let keep: Vec<bool> = pool.iter().map(|_| rng.next_f64() < 0.6).collect();
-        let mut slots: Vec<Option<ExactSlot>> = vec![None; pool.len()];
+        let mut slots: Vec<Option<Vec<f64>>> = vec![None; pool.len()];
         let before = panels();
         let pick = {
             let _parent = obs::span("cold_pool_select");

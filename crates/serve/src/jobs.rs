@@ -113,11 +113,11 @@ impl JobSpec {
                 registered.join(", ")
             ));
         }
-        let seed = root.get("seed").and_then(Value::as_u64).unwrap_or(7);
+        let seed = optional_integer(&root, "seed")?.unwrap_or(7);
 
         // Optional per-job engine knobs on top of the startup defaults.
         let mut config = defaults;
-        if let Some(t) = root.get("threads").and_then(Value::as_u64) {
+        if let Some(t) = optional_integer(&root, "threads")? {
             if t == 0 {
                 return Err("`threads` must be >= 1".into());
             }
@@ -136,6 +136,20 @@ impl JobSpec {
             Some(_) => return Err("`swap` must be a string".into()),
         }
         Ok(JobSpec { uav, scenario, budget, optimizer, seed, config })
+    }
+}
+
+/// Reads the optional integer field `field` of a job body: `None` when
+/// it is absent or `null`, and an error naming the field when it is
+/// present but not an integer in `0..=2^53` (the integers JSON numbers
+/// hold exactly).
+fn optional_integer(root: &Value, field: &str) -> Result<Option<u64>, String> {
+    match root.get(field) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => value
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| format!("`{field}` must be an integer in 0..=2^53")),
     }
 }
 
@@ -593,6 +607,18 @@ mod tests {
             let err = JobSpec::parse(body, defaults()).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+        // A present `seed` or `threads` that is not an integer in range
+        // is refused, never read as absent.
+        for field in ["seed", "threads"] {
+            for value in [r#""42""#, "-1", "1.5", "2e19", "true", "[1]"] {
+                let body = VALID.replace(r#""seed": 3"#, &format!(r#""{field}": {value}"#));
+                let err = JobSpec::parse(&body, defaults()).unwrap_err();
+                assert!(err.contains(&format!("`{field}`")), "{body} -> {err}");
+            }
+        }
+        let body = VALID.replace(r#""seed": 3"#, r#""seed": null, "threads": null"#);
+        let spec = JobSpec::parse(&body, defaults()).unwrap();
+        assert_eq!((spec.seed, spec.config), (7, defaults()), "null reads as absent");
     }
 
     #[test]
