@@ -31,12 +31,7 @@
 //!      (`sms_ego_allocations_per_iteration_metrics_on`): the counted run
 //!      has registered every metric name, so what this adds over the
 //!      metrics-off count is what recording itself allocates;
-//!    - one run at the default worker count, bit-identical to both;
-//!    - a bit-identity check of per-point solves (`ExactColumn::solve`,
-//!      one forward substitution per candidate) against the shipping
-//!      batched route (`ExactColumn::solve_batch`: one kernel
-//!      cross-matrix with one blocked triangular solve), over the run
-//!      history as the candidate pool.
+//!    - one run at the default worker count, bit-identical to both.
 //!
 //!    `acquisition_pruned_fraction` / `acquisition_solved_fraction` are
 //!    the shares of the exact acquisition's bounded candidates pruned
@@ -238,33 +233,6 @@ fn paper_leg() {
         par_out.result, seq_out.result,
         "optimizer output must be bit-identical across thread counts"
     );
-
-    let space = autopilot::JointSpace::design_space();
-    let xs: Vec<Vec<f64>> =
-        seq_out.result.evaluations.iter().map(|e| space.encode(&e.point)).collect();
-    let ys: Vec<Vec<f64>> = (0..3)
-        .map(|k| seq_out.result.evaluations.iter().map(|e| e.objectives[k]).collect())
-        .collect();
-    // Batched vs per-point acquisition prediction: the surrogate pack the
-    // optimizer actually uses — one posterior per objective over one
-    // shared factor — queried over the run history as the candidate pool.
-    // The batched side is the route SMS-EGO solves its unpruned
-    // candidates through (a kernel panel, then
-    // `ExactColumn::solve_correlations` + `predict`, here together as
-    // `ExactColumn::solve_batch`). The per-point side solves each
-    // candidate on its own (`ExactColumn::solve`: one forward
-    // substitution, the `Matrix::solve_lower` loop, and an ascending dot
-    // per objective for the means), so it shares neither the kernel panel
-    // nor the blocked solve with the batched side it checks.
-    let ls = dse_opt::GaussianProcess::fit(&xs, &ys[0]).expect("GP fits").lengthscale_sq();
-    let gps = dse_opt::GaussianProcess::fit_pack(&xs, &ys, ls).expect("surrogate pack fits");
-    for (p, batched) in xs.iter().zip(dse_opt::ExactColumn::solve_batch(&gps, &xs)) {
-        let per_point = dse_opt::ExactColumn::solve(&gps, p);
-        assert!(
-            per_point.predict(&gps).eq(batched.predict(&gps)),
-            "batched prediction diverged from per-point"
-        );
-    }
 
     let report = Value::Obj(vec![
         ("budget".into(), num(budget as f64)),

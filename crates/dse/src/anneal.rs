@@ -49,7 +49,7 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
         let n_obj = evaluator.num_objectives();
-        let mut archive = Archive::new(space, evaluator, budget, None);
+        let mut archive = Archive::new(space, evaluator, budget, None, control);
         let stale_limit = archive.budget().saturating_mul(20).saturating_add(500);
         let mut stale_steps = 0usize;
 
@@ -60,14 +60,14 @@ impl MultiObjectiveOptimizer for AnnealingOptimizer {
         let mut temperature = INITIAL_TEMPERATURE;
         let mut weights = random_weights(n_obj, &mut rng);
         // Running objective ranges for normalization: the first point
-        // and every proposal, but not the restarts.
+        // and every proposal, but not the restarts, so they are not the
+        // archive's ranges.
         let mut mins = current_objs.clone();
         let mut maxs = current_objs.clone();
 
         let mut step = 0usize;
         while !archive.is_full() {
             control.check()?;
-            control.checkpoint(archive.len(), 0);
             step += 1;
             if step.is_multiple_of(REWEIGHT_EVERY) {
                 weights = random_weights(n_obj, &mut rng);

@@ -22,7 +22,7 @@ use crate::gp::{
 };
 use crate::linalg::Matrix;
 use crate::pareto::{ContributionScorer, IncrementalFront, ScorerScratch};
-use crate::result::{EvaluationRecord, OptimizationResult};
+use crate::result::OptimizationResult;
 use crate::space::{DesignSpace, RankMap};
 
 /// S-Metric-Selection Efficient Global Optimization (Ponweiser et al.,
@@ -128,25 +128,24 @@ const EPS: f64 = 1e-3;
 /// Acquisition bookkeeping reused across BO iterations instead of being
 /// rebuilt from the full history every time a candidate pool is scored.
 ///
-/// The raw-objective Pareto front only ever *extends* (raw objective
-/// values never change once evaluated), so it is maintained purely
-/// incrementally. The normalized front depends on the archive's running
+/// The normalized Pareto front depends on the archive's running
 /// objective ranges: while the ranges hold still it extends
-/// incrementally too, and only a range-moving evaluation triggers a
-/// renormalizing rebuild. Both fronts reproduce `pareto_indices` over
-/// the corresponding point sequence exactly (see
-/// [`IncrementalFront`]'s equivalence contract), so acquisition scores
-/// are bit-identical to the full-rescan implementation.
+/// incrementally, and only a range-moving commit triggers a
+/// renormalizing rebuild. It reproduces `pareto_indices` over the
+/// normalized history exactly (see [`IncrementalFront`]'s equivalence
+/// contract), so acquisition scores are bit-identical to the
+/// full-rescan implementation. The raw-objective front is the
+/// archive's own ([`Archive::front`]).
 ///
 /// It also carries the [`ColumnCache`]: the kernel correlations of the
 /// previous pool's front neighbours, which mostly recur in the next
 /// pool; and the [`CandidatePool`]'s buffers, which every iteration
 /// refills.
 struct AcquisitionState {
-    raw_front: IncrementalFront,
     norm_front: IncrementalFront,
-    norm_mins: Vec<f64>,
-    norm_maxs: Vec<f64>,
+    /// The archive's [`Archive::range_moves`] when `norm_front` was
+    /// last normalized.
+    norm_ranges: u64,
     /// The hypervolume reference point in normalized objective space.
     reference: Vec<f64>,
     synced: usize,
@@ -157,10 +156,8 @@ struct AcquisitionState {
 impl AcquisitionState {
     fn new(n_obj: usize) -> AcquisitionState {
         AcquisitionState {
-            raw_front: IncrementalFront::new(),
             norm_front: IncrementalFront::new(),
-            norm_mins: vec![f64::INFINITY; n_obj],
-            norm_maxs: vec![f64::NEG_INFINITY; n_obj],
+            norm_ranges: 0,
             reference: vec![1.2; n_obj],
             synced: 0,
             columns: ColumnCache { key: 0, columns: RankMap::default() },
@@ -168,31 +165,19 @@ impl AcquisitionState {
         }
     }
 
-    /// Brings both fronts up to date with the archive.
+    /// Brings the normalized front up to date with the archive.
     fn sync(&mut self, archive: &Archive<'_>) {
-        let normalized = |rec: &EvaluationRecord| -> Vec<f64> {
-            rec.objectives
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| normalize(v, archive.mins()[i], archive.maxs()[i]))
-                .collect()
-        };
-        for rec in &archive.history()[self.synced..] {
-            self.raw_front.push(rec.iteration, rec.objectives.clone());
-        }
-        if self.norm_mins == archive.mins() && self.norm_maxs == archive.maxs() {
-            for rec in &archive.history()[self.synced..] {
-                self.norm_front.push(rec.iteration, normalized(rec));
-            }
+        let fresh = if self.norm_ranges == archive.range_moves() {
             obs::add("bo.front.extend", (archive.len() - self.synced) as u64);
+            self.synced
         } else {
             self.norm_front.clear();
-            for rec in archive.history() {
-                self.norm_front.push(rec.iteration, normalized(rec));
-            }
-            self.norm_mins = archive.mins().to_vec();
-            self.norm_maxs = archive.maxs().to_vec();
+            self.norm_ranges = archive.range_moves();
             obs::add("bo.front.rebuild", 1);
+            0
+        };
+        for rec in &archive.history()[fresh..] {
+            self.norm_front.push(rec.iteration, archive.normalized(&rec.objectives));
         }
         self.synced = archive.len();
     }
@@ -414,8 +399,9 @@ struct Surrogates {
     pack: SurrogatePack,
     trained: usize,
     next_refit: usize,
-    norm_mins: Vec<f64>,
-    norm_maxs: Vec<f64>,
+    /// The archive's [`Archive::range_moves`] when the targets were last
+    /// normalized.
+    norm_ranges: u64,
     /// Bumped on every full refit — the only event that can change the
     /// pack's training rows, inducing set, or lengthscale wholesale —
     /// and never reused within a run. Incremental reuse (extend and
@@ -458,9 +444,7 @@ impl Surrogates {
     /// Brings an existing pack current without refitting: retarget on
     /// range moves, extend new points.
     fn reuse(&mut self, space: &DesignSpace, archive: &Archive<'_>) -> bool {
-        if (self.norm_mins != archive.mins() || self.norm_maxs != archive.maxs())
-            && !self.retarget(archive)
-        {
+        if self.norm_ranges != archive.range_moves() && !self.retarget(archive) {
             return false;
         }
         self.try_extend(space, archive)
@@ -472,21 +456,10 @@ impl Surrogates {
     /// `bo.front.rebuild`: a range move costs two triangular solves per
     /// objective instead of a full refit.
     fn retarget(&mut self, archive: &Archive<'_>) -> bool {
-        let trained = &archive.history()[..self.trained];
-        let n_obj = archive.mins().len();
-        let ys: Vec<Vec<f64>> = (0..n_obj)
-            .map(|obj| {
-                trained
-                    .iter()
-                    .map(|e| normalize(e.objectives[obj], archive.mins()[obj], archive.maxs()[obj]))
-                    .collect()
-            })
-            .collect();
-        if !self.pack.retarget(&ys) {
+        if !self.pack.retarget(&archive.normalized_targets(self.trained)) {
             return false;
         }
-        self.norm_mins = archive.mins().to_vec();
-        self.norm_maxs = archive.maxs().to_vec();
+        self.norm_ranges = archive.range_moves();
         obs::add("bo.gp.retarget", 1);
         true
     }
@@ -496,13 +469,7 @@ impl Surrogates {
             if self.pack.is_sparse() { "bo.gp.sparse.extend" } else { "dse.gp.rank1_extend" };
         for rec in &archive.history()[self.trained..] {
             let x = space.encode(&rec.point);
-            let ys: Vec<f64> = rec
-                .objectives
-                .iter()
-                .enumerate()
-                .map(|(obj, &v)| normalize(v, self.norm_mins[obj], self.norm_maxs[obj]))
-                .collect();
-            if !self.pack.extend(&x, &ys) {
+            if !self.pack.extend(&x, &archive.normalized(&rec.objectives)) {
                 return false;
             }
             obs::add(counter, 1);
@@ -521,14 +488,7 @@ impl Surrogates {
         let train = archive.history();
         let xs: Vec<Vec<f64>> = train.iter().map(|e| space.encode(&e.point)).collect();
         let lengthscale_sq = median_sq_dist(&xs);
-        let ys: Vec<Vec<f64>> = (0..archive.mins().len())
-            .map(|obj| {
-                train
-                    .iter()
-                    .map(|e| normalize(e.objectives[obj], archive.mins()[obj], archive.maxs()[obj]))
-                    .collect()
-            })
-            .collect();
+        let ys = archive.normalized_targets(n);
         // A degenerate fit (duplicate geometry, singular kernel) is
         // non-fatal here: the caller falls back to random sampling for
         // this iteration rather than aborting the run.
@@ -547,8 +507,7 @@ impl Surrogates {
             // max(n/4, 4) points amortizes the O(n³) refit to O(n²)
             // per iteration.
             next_refit: n + (n / 4).max(4),
-            norm_mins: archive.mins().to_vec(),
-            norm_maxs: archive.maxs().to_vec(),
+            norm_ranges: archive.range_moves(),
             fit_generation,
         })
     }
@@ -570,7 +529,7 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
         let n_obj = evaluator.num_objectives();
-        let mut archive = Archive::new(space, evaluator, budget, self.threads);
+        let mut archive = Archive::new(space, evaluator, budget, self.threads, control);
 
         // Domain-informed seed points, then the space-filling random
         // sample, evaluated as one batch: the points are drawn first (the
@@ -595,7 +554,6 @@ impl MultiObjectiveOptimizer for SmsEgoOptimizer {
         let mut acquisition = AcquisitionState::new(n_obj);
         while !archive.is_full() {
             control.check()?;
-            control.checkpoint(archive.len(), acquisition.raw_front.indices().len());
             let _iter = obs::span("bo.iteration");
             surrogates = obs::time("bo.surrogate_update", || {
                 Surrogates::update(
@@ -662,7 +620,7 @@ impl SmsEgoOptimizer {
         // a front neighbour: only those keep their columns for the next
         // iteration.
         let pool = &mut acquisition.pool;
-        let front_points = acquisition.raw_front.indices().iter().take(16);
+        let front_points = archive.front().indices().iter().take(16);
         pool.build(
             space,
             |rank| archive.contains(rank),
@@ -1172,14 +1130,6 @@ impl<'a> ExactAcquisition<'a> {
     }
 }
 
-fn normalize(v: f64, min: f64, max: f64) -> f64 {
-    if max > min {
-        (v - min) / (max - min)
-    } else {
-        0.5
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1392,7 +1342,8 @@ mod tests {
         // pack once the archive outgrows the exact bound.
         let space = DesignSpace::new(vec![8, 8, 8]).unwrap();
         let mode = SurrogateMode::Sparse { threshold: 10_000, inducing: 16 };
-        let mut archive = Archive::new(&space, &Bowl3, MAX_EXACT_POINTS + 1, Some(1));
+        let mut archive =
+            Archive::new(&space, &Bowl3, MAX_EXACT_POINTS + 1, Some(1), &RunControl::none());
         let points = (0..=MAX_EXACT_POINTS).map(|i| vec![i % 8, i / 8 % 8, i / 64]);
         archive.evaluate(points.clone().take(MAX_EXACT_POINTS)).unwrap();
         let mut generations = 0;

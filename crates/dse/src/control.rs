@@ -9,9 +9,12 @@
 //! escapes, no panic.
 //!
 //! The same token carries coarse progress (evaluations done, current
-//! Pareto-front size) published by the optimizer at each checkpoint, so
-//! a status endpoint can report on a running job without touching
-//! process-global gauges that concurrent jobs would race on.
+//! Pareto-front size), so a status endpoint can report on a running job
+//! without touching process-global gauges that concurrent jobs would
+//! race on. The built-in optimizers' evaluation archive publishes it
+//! after each committed batch, so it always matches the records the run
+//! has committed; a custom optimizer calls [`RunControl::checkpoint`]
+//! itself.
 //!
 //! The default token ([`RunControl::none`]) has no shared state at all:
 //! every check is a branch on a `None`, so CLI runs pay nothing.
@@ -84,8 +87,9 @@ impl RunControl {
     }
 
     /// Publishes run progress: total objective evaluations committed so
-    /// far and the current Pareto-front size. Called by optimizers at
-    /// iteration boundaries; a no-op on an inert token.
+    /// far and the current Pareto-front size. The built-in optimizers'
+    /// archive calls it after each committed batch; a custom optimizer
+    /// calls it itself. A no-op on an inert token.
     pub fn checkpoint(&self, evaluations: usize, front_size: usize) {
         if let Some(state) = &self.inner {
             state.evaluations.store(evaluations as u64, Ordering::Relaxed);

@@ -85,8 +85,10 @@ pub trait MultiObjectiveOptimizer {
     }
 
     /// Runs the optimizer under a [`RunControl`] token: the inner loop
-    /// polls [`RunControl::check`] and publishes progress via
-    /// [`RunControl::checkpoint`].
+    /// polls [`RunControl::check`], and progress reaches
+    /// [`RunControl::checkpoint`] (the built-in optimizers' archive
+    /// publishes it after every committed batch; a custom optimizer
+    /// calls it itself).
     ///
     /// Cancellation must not perturb the search: a token that is never
     /// cancelled yields results bit-identical to [`run`]

@@ -1,9 +1,10 @@
 //! Exhaustive enumeration, the ground-truth baseline for small spaces.
 
+use crate::archive::Archive;
 use crate::control::RunControl;
 use crate::error::DseError;
 use crate::evaluator::{Evaluator, MultiObjectiveOptimizer};
-use crate::result::{EvaluationRecord, OptimizationResult};
+use crate::result::OptimizationResult;
 use crate::space::DesignSpace;
 
 /// Enumerates the design space in lexicographic order until the budget
@@ -34,14 +35,17 @@ impl MultiObjectiveOptimizer for ExhaustiveSearch {
         budget: usize,
         control: &RunControl,
     ) -> Result<OptimizationResult, DseError> {
-        let mut history: Vec<EvaluationRecord> = Vec::new();
-        for (iteration, point) in space.iter_points().take(budget).enumerate() {
+        let mut archive = Archive::new(space, evaluator, budget, None, control);
+        // As in random search, chunks only bound how much work a
+        // cancelled run still performs.
+        const CHUNK: usize = 32;
+        let mut points = space.iter_points();
+        while !archive.is_full() {
             control.check()?;
-            let objectives = evaluator.evaluate(&point)?;
-            history.push(EvaluationRecord { iteration, point, objectives });
-            control.checkpoint(history.len(), 0);
+            let len = CHUNK.min(archive.budget() - archive.len());
+            archive.evaluate(points.by_ref().take(len))?;
         }
-        Ok(OptimizationResult::from_history(self.name(), history, evaluator.reference_point()))
+        Ok(archive.into_result(self.name()))
     }
 }
 

@@ -71,7 +71,7 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
         let _span = obs::span("nsga2.run");
         control.check()?;
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut archive = Archive::new(space, evaluator, budget, self.threads);
+        let mut archive = Archive::new(space, evaluator, budget, self.threads, control);
         let mut stale_generations = 0usize;
 
         // Initial population. A budget below the population size is spent
@@ -92,7 +92,6 @@ impl MultiObjectiveOptimizer for Nsga2Optimizer {
             let archived_before = archive.len();
             // Ranks and crowding for parent selection.
             let fronts = non_dominated_sort(&pop_objs);
-            control.checkpoint(archive.len(), fronts.first().map_or(0, Vec::len));
             let mut rank = vec![0usize; pop.len()];
             let mut crowd = vec![0.0f64; pop.len()];
             for (r, front) in fronts.iter().enumerate() {

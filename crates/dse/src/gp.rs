@@ -505,25 +505,37 @@ impl GaussianProcess {
 
     /// Batched posterior mean and variance for a pool of query points,
     /// one pair per objective for each point, through the acquisition
-    /// loop's own route: [`ExactColumn::solve_batch`] (one kernel panel,
-    /// one blocked triangular solve whose columns are bit-identical to
-    /// per-column [`Matrix::solve_lower`]) and [`ExactColumn::predict`].
-    /// Each output depends only on its own point, so it is bit-identical
-    /// to `predict(&points[j])`.
+    /// loop's own arithmetic: one kernel panel
+    /// ([`GaussianProcess::cross_correlations`]), one blocked triangular
+    /// solve whose columns are bit-identical to per-column
+    /// [`Matrix::solve_lower`] (`forward_sumsq`), and `exact_moments`.
+    /// The means are `Σ cᵢαᵢ` and the variances use `Σ vᵢ²`, both
+    /// accumulated in ascending `i` from `0.0`. Each output depends only
+    /// on its own point, so it is bit-identical to `predict(&points[j])`.
     ///
     /// # Panics
     ///
     /// Panics if any query point has the wrong dimension.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<Vec<(f64, f64)>> {
-        ExactColumn::solve_batch(self, points).iter().map(|c| c.predict(self).collect()).collect()
+        let corr = self.cross_correlations(points);
+        let mut column = Vec::with_capacity(corr.rows());
+        self.forward_sumsq(&corr)
+            .into_iter()
+            .enumerate()
+            .map(|(j, sumsq)| {
+                column.clear();
+                column.extend((0..corr.rows()).map(|i| corr[(i, j)]));
+                self.exact_moments(&column, sumsq).collect()
+            })
+            .collect()
     }
 
     /// Per objective, the posterior mean and an upper bound on the
     /// posterior variance from a query's training correlations `corr`
     /// alone, with no triangular solve.
     ///
-    /// The means are bit-identical to [`ExactColumn::predict`]'s. The
-    /// variance is `σ²(1 − cᵀC_j⁻¹c)`, and Cauchy–Schwarz in the
+    /// The means are bit-identical to [`GaussianProcess::predict_batch`]'s.
+    /// The variance is `σ²(1 − cᵀC_j⁻¹c)`, and Cauchy–Schwarz in the
     /// `C_j`-inner product gives `cᵀC_j⁻¹c ≥ cᵢ²/(C_j)ᵢᵢ` for every `i`.
     /// Every diagonal entry of `C_j` is `1 + RELATIVE_NOISE` (fit and
     /// extend both keep it), so `σ²(1 − max cᵢ²/(1 + RELATIVE_NOISE))`
@@ -659,76 +671,6 @@ impl GaussianProcess {
 /// [`GaussianProcess::optimistic_moments`]' Cauchy–Schwarz bound.
 fn cauchy_schwarz_fraction(max_corr_sq: f64) -> f64 {
     1.0 - max_corr_sq / (1.0 + RELATIVE_NOISE)
-}
-
-/// One query point's solved posterior state against an exact surrogate
-/// pack: the point's kernel correlations `c` against the training rows
-/// and `Σv²` of the forward-substitution solution `v = L⁻¹c` of the
-/// pack's shared factor, which every objective's variance shares.
-///
-/// This is the one exact prediction route: [`GaussianProcess::predict_batch`]
-/// and [`GaussianProcess::predict`] go through it, and the acquisition's
-/// solve rounds use its arithmetic (`GaussianProcess::forward_sumsq`
-/// and `GaussianProcess::exact_moments`). The posterior means are
-/// `Σ cᵢαᵢ` and the variance uses `Σ vᵢ²`, both accumulated in
-/// ascending `i` from `0.0`. A column depends only on the pack's
-/// training inputs and factor, so it stays current through a retarget;
-/// an extend or a refit makes it stale.
-#[derive(Debug, Clone)]
-pub struct ExactColumn {
-    corr: Vec<f64>,
-    sumsq: f64,
-}
-
-impl ExactColumn {
-    /// Solves fresh columns for a batch of query points: one kernel panel
-    /// and one blocked triangular solve ([`Matrix::solve_lower_columns`])
-    /// for the whole pack. The Cholesky factor streams through the cache
-    /// once per column block instead of once per point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a point has the wrong dimension.
-    pub fn solve_batch(pack: &GaussianProcess, points: &[Vec<f64>]) -> Vec<ExactColumn> {
-        let corr = pack.cross_correlations(points);
-        let sumsqs = pack.forward_sumsq(&corr);
-        sumsqs
-            .into_iter()
-            .enumerate()
-            .map(|(j, sumsq)| ExactColumn {
-                corr: (0..corr.rows()).map(|i| corr[(i, j)]).collect(),
-                sumsq,
-            })
-            .collect()
-    }
-
-    /// Solves one query point's column on its own: its correlations and
-    /// one forward substitution ([`Matrix::solve_lower`]) over every
-    /// training row — the per-point counterpart of
-    /// [`ExactColumn::solve_batch`], with identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `point` has the wrong dimension.
-    pub fn solve(pack: &GaussianProcess, point: &[f64]) -> ExactColumn {
-        let mut corr = Vec::new();
-        pack.extend_correlations(point, &mut corr);
-        let sumsq = pack.chol.solve_lower(&corr).iter().fold(0.0, |s, w| s + w * w);
-        ExactColumn { corr, sumsq }
-    }
-
-    /// Posterior `(mean, variance)` per objective of the pack: equal, bit
-    /// for bit, to `pack.predict(point)` for this column's point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pack has grown since the column was solved.
-    pub fn predict<'a>(
-        &'a self,
-        pack: &'a GaussianProcess,
-    ) -> impl Iterator<Item = (f64, f64)> + 'a {
-        pack.exact_moments(&self.corr, self.sumsq)
-    }
 }
 
 /// Training rows in the subset of
@@ -1370,8 +1312,8 @@ mod tests {
         let pack = GaussianProcess::fit_pack(&x, &[y1.clone(), y2.clone()], ls).unwrap();
         let alone = [y1, y2].map(|y| GaussianProcess::fit_with_lengthscale(&x, &y, ls).unwrap());
         let pool: Vec<Vec<f64>> = (0..11).map(|j| vec![j as f64 * 0.09 - 0.05]).collect();
-        for (p, column) in pool.iter().zip(ExactColumn::solve_batch(&pack, &pool)) {
-            for (gp, got) in alone.iter().zip(column.predict(&pack)) {
+        for (p, preds) in pool.iter().zip(pack.predict_batch(&pool)) {
+            for (gp, got) in alone.iter().zip(preds) {
                 let (m, v) = exact_reference(gp, p)[0];
                 assert_eq!(got.0.to_bits(), m.to_bits());
                 assert_eq!(got.1.to_bits(), v.to_bits());

@@ -77,8 +77,7 @@ pub use evaluator::{Evaluator, MultiObjectiveOptimizer};
 pub use exhaustive::ExhaustiveSearch;
 pub use ga::Nsga2Optimizer;
 pub use gp::{
-    correlation_panel, ExactColumn, GaussianProcess, SparseGaussianProcess, SurrogateMode,
-    MAX_EXACT_POINTS,
+    correlation_panel, GaussianProcess, SparseGaussianProcess, SurrogateMode, MAX_EXACT_POINTS,
 };
 pub use random::RandomSearch;
 pub use result::{EvaluationRecord, OptimizationResult};

@@ -49,7 +49,7 @@ impl MultiObjectiveOptimizer for RandomSearch {
     ) -> Result<OptimizationResult, DseError> {
         let _span = obs::span("random_search.run");
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut archive = Archive::new(space, evaluator, budget, self.threads);
+        let mut archive = Archive::new(space, evaluator, budget, self.threads, control);
         // The point sequence depends only on the seed, so evaluating it
         // in chunks with a cancellation check between chunks changes
         // nothing about the result; it only bounds how much work a
@@ -65,7 +65,6 @@ impl MultiObjectiveOptimizer for RandomSearch {
                 break;
             }
             archive.evaluate(chunk.drain(..))?;
-            control.checkpoint(archive.len(), 0);
         }
         Ok(archive.into_result(self.name()))
     }

@@ -137,12 +137,26 @@ fn active_token_is_bit_identical_to_uncontrolled_run() {
     assert_eq!(plain, controlled);
 }
 
+/// The progress a finished run leaves on its token is its result's:
+/// every evaluation counted, and the front size of the whole history.
 #[test]
 fn progress_checkpoints_are_published() {
-    let control = RunControl::new();
-    let res =
-        SmsEgoOptimizer::new(5).with_init_samples(6).run_controlled(&space(), &Quiet, 24, &control);
-    assert!(res.is_ok());
-    assert!(control.evaluations() > 0, "no progress published");
-    assert!(control.front_size() > 0, "no front size published");
+    let optimizers: Vec<Box<dyn MultiObjectiveOptimizer>> = vec![
+        Box::new(SmsEgoOptimizer::new(13).with_init_samples(6)),
+        Box::new(Nsga2Optimizer::new(13).with_population(8)),
+        Box::new(RandomSearch::new(13)),
+        Box::new(AnnealingOptimizer::new(13)),
+        Box::new(ExhaustiveSearch::new()),
+    ];
+    let mut stale = Vec::new();
+    for mut opt in optimizers {
+        let control = RunControl::new();
+        let res = opt.run_controlled(&space(), &Quiet, 40, &control).unwrap();
+        let published = (control.evaluations(), control.front_size());
+        let record = (res.evaluations.len() as u64, res.pareto_indices().len() as u64);
+        if published != record {
+            stale.push(format!("{}: published {published:?}, result {record:?}", opt.name()));
+        }
+    }
+    assert!(stale.is_empty(), "{stale:#?}");
 }

@@ -14,8 +14,8 @@ use dse_opt::pareto::{
 };
 use dse_opt::{
     AnnealingOptimizer, DesignSpace, EvalError, EvaluationRecord, Evaluator, ExactAcquisition,
-    ExactColumn, ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer,
-    OptimizationResult, RandomSearch, SmsEgoOptimizer, SparseAcquisition, SparseGaussianProcess,
+    ExhaustiveSearch, GaussianProcess, MultiObjectiveOptimizer, Nsga2Optimizer, OptimizationResult,
+    RandomSearch, SmsEgoOptimizer, SparseAcquisition, SparseGaussianProcess,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -708,10 +708,10 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
     }
 }
 
-/// Exact columns track the batched prediction through any sequence of
-/// extends and retargets: after every step each pool point's column,
-/// solved alone either batched or per point, predicts exactly what
-/// `predict_batch` over the whole pool does.
+/// Single-point prediction tracks the batched prediction through any
+/// sequence of extends and retargets: after every step each pool point,
+/// predicted alone, gets exactly what `predict_batch` over the whole
+/// pool gives it.
 ///
 /// Beside the shared-factor pack runs one separately fitted
 /// single-objective GP per objective, and after every step the pack
@@ -720,7 +720,7 @@ fn sparse_gp_low_rank_is_well_formed_and_batch_consistent() {
 /// relative noise depends on no target, so every member's factor equals
 /// the pack's, and sharing it changes no result.
 #[test]
-fn exact_columns_track_predict_batch_through_extends_and_retargets() {
+fn predictions_track_predict_batch_through_extends_and_retargets() {
     for case in 0..CASES / 2 {
         let mut rng = Rng::seed_stream(0xd5e_000d, case);
         let d = rng.range_usize(2, 5);
@@ -775,12 +775,7 @@ fn exact_columns_track_predict_batch_through_extends_and_retargets() {
             }
             let want = pack.predict_batch(&pool);
             for (j, p) in pool.iter().enumerate() {
-                let column = if rng.next_f64() < 0.5 {
-                    ExactColumn::solve_batch(&pack, std::slice::from_ref(p)).swap_remove(0)
-                } else {
-                    ExactColumn::solve(&pack, p)
-                };
-                for (o, (m, v)) in column.predict(&pack).enumerate() {
+                for (o, (m, v)) in pack.predict(p).into_iter().enumerate() {
                     let (wm, wv) = want[j][o];
                     assert_eq!(
                         (m.to_bits(), v.to_bits()),
@@ -913,11 +908,10 @@ fn random_front(rng: &mut Rng, n_obj: usize) -> Vec<Vec<f64>> {
     pareto_indices(&points).into_iter().map(|i| points[i].clone()).collect()
 }
 
-/// The SMS-EGO score of `point` through a fresh per-point solve: the
-/// test-side full-scoring reference for [`ExactAcquisition`].
+/// The SMS-EGO score of `point` through a fresh per-point prediction:
+/// the test-side full-scoring reference for [`ExactAcquisition`].
 fn reference_score(pack: &GaussianProcess, scorer: &ContributionScorer, point: &[f64]) -> f64 {
-    let lcb: Vec<f64> =
-        ExactColumn::solve(pack, point).predict(pack).map(|(m, v)| m - v.sqrt()).collect();
+    let lcb: Vec<f64> = pack.predict(point).into_iter().map(|(m, v)| m - v.sqrt()).collect();
     scorer.score(&lcb, 1e-3)
 }
 
@@ -1067,8 +1061,8 @@ fn subset_variance_bound_is_at_least_the_exact_variance() {
         for (j, p) in pool.iter().enumerate() {
             let column: Vec<f64> = (0..corr.rows()).map(|i| corr[(i, j)]).collect();
             let bounds = pack.subset_variance_bounds(&column);
-            let exact = ExactColumn::solve(&pack, p);
-            for (o, (bound, (_, var))) in bounds.into_iter().zip(exact.predict(&pack)).enumerate() {
+            let exact = pack.predict(p);
+            for (o, (bound, (_, var))) in bounds.into_iter().zip(exact).enumerate() {
                 assert!(
                     bound >= var - 1e-14,
                     "case {case}, pool[{j}], member {o}: {bound} < {var}"

@@ -12,12 +12,11 @@
 //! * **Gating.** `AUTOPILOT_TRACE` unset / `0` / `off` / `false` means
 //!   off; anything else means on. Like the metrics gate, the off path
 //!   is one relaxed atomic load and an untaken branch per span.
-//! * **Recording.** Each thread owns a private ring buffer
-//!   ([`DEFAULT_RING_EVENTS`] events by default, `AUTOPILOT_TRACE_EVENTS`
-//!   overrides). Recording an event is a thread-local borrow plus a
-//!   vector write — no locks, no allocation once the ring has grown to
-//!   capacity; when full, the oldest events are overwritten and counted
-//!   as dropped.
+//! * **Recording.** Each thread owns a private ring buffer of
+//!   [`DEFAULT_RING_EVENTS`] events. Recording an event is a
+//!   thread-local borrow plus a vector write — no locks, no allocation
+//!   once the ring has grown to capacity; when full, the oldest events
+//!   are overwritten and counted as dropped.
 //! * **Identity.** Every span gets a process-unique id from one atomic
 //!   counter; events carry `(name, kind, ts_ns, tid, id, parent)`.
 //!   Timestamps are nanoseconds from a process-wide monotonic epoch.
@@ -44,13 +43,9 @@ use crate::json::Value;
 /// Environment variable gating per-event trace recording.
 pub const TRACE_ENV: &str = "AUTOPILOT_TRACE";
 
-/// Environment variable overriding the per-thread ring capacity
-/// (events).
-pub const TRACE_EVENTS_ENV: &str = "AUTOPILOT_TRACE_EVENTS";
-
-/// Default per-thread ring capacity in events (~4 MiB per busy thread
-/// at 32 bytes/event; workers that record little stay small because the
-/// ring grows lazily up to capacity).
+/// Per-thread ring capacity in events (~4 MiB per busy thread at 32
+/// bytes/event; workers that record little stay small because the ring
+/// grows lazily up to capacity).
 pub const DEFAULT_RING_EVENTS: usize = 131_072;
 
 // Finished-thread pool cap: rings from exited threads are kept until
@@ -59,8 +54,8 @@ const POOL_EVENT_CAP: usize = 4 * DEFAULT_RING_EVENTS;
 
 // Cached gate: 0 = uninitialized, 1 = off, 2 = on.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
-// Cached ring capacity (0 = uninitialized).
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
+// Ring capacity; only the wraparound test changes it.
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_EVENTS);
 // Process-unique span ids; 0 means "no parent", so ids start at 1.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 // Small sequential trace thread ids (stable within a process run,
@@ -101,28 +96,15 @@ pub fn force_enabled(on: bool) {
 }
 
 fn capacity() -> usize {
-    match CAPACITY.load(Ordering::Relaxed) {
-        0 => {
-            let cap = std::env::var(TRACE_EVENTS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_RING_EVENTS)
-                .max(16);
-            CAPACITY.store(cap, Ordering::Relaxed);
-            cap
-        }
-        cap => cap,
-    }
+    CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Overrides the ring capacity (events) for recorders created after the
 /// call, and re-caps the calling thread's recorder immediately (its
-/// buffered events are flushed to the finished pool first). Test hook
-/// for exercising wraparound without recording hundreds of thousands of
-/// spans.
-pub fn force_capacity(events: usize) {
-    let cap = events.max(16);
+/// buffered events are flushed to the finished pool first), so the
+/// wraparound test need not record hundreds of thousands of spans.
+#[cfg(test)]
+fn set_capacity(cap: usize) {
     CAPACITY.store(cap, Ordering::Relaxed);
     RECORDER.with(|cell| {
         if let Some(r) = cell.0.borrow_mut().as_mut() {
@@ -691,13 +673,13 @@ mod tests {
         let _guard = test_guard();
         force_enabled(true);
         clear();
-        force_capacity(16);
+        set_capacity(16);
         for _ in 0..40 {
             let _s = crate::span("trace_wrap");
         }
         force_enabled(false);
         let trace = take();
-        force_capacity(DEFAULT_RING_EVENTS);
+        set_capacity(DEFAULT_RING_EVENTS);
         assert_eq!(trace.events.len(), 16);
         assert_eq!(trace.dropped, 64);
         let paired = trace.pair();

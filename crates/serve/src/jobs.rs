@@ -16,10 +16,11 @@
 //! FIFO admission queue (`POST /jobs` returns `429` when the queue is
 //! full). Cancellation (`DELETE /jobs/:id`) is cooperative: each job
 //! carries a [`RunControl`] token threaded through the optimizer's
-//! inner loop, which also publishes progress (evaluations done, front
-//! size) for `GET /jobs/:id`. Shutdown refuses every later submission
-//! and cancels every job admitted before it, so each admitted job still
-//! reaches a terminal state and the workers drain and exit.
+//! inner loop, on which the run also publishes progress (evaluations
+//! committed, front size) for `GET /jobs/:id`. A cancel accepted while
+//! the job runs ends it `Cancelled`. Shutdown refuses every later
+//! submission and cancels every job admitted before it, so each admitted
+//! job still reaches a terminal state and the workers drain and exit.
 //!
 //! Jobs share one thing across runs: the Phase-1 scenario databases of
 //! a process-lifetime [`PipelineCache`], keyed by `(scenario, success
@@ -247,7 +248,10 @@ impl Job {
     }
 
     /// Requests cooperative cancellation. Returns `false` when the job
-    /// already reached a terminal state.
+    /// already reached a terminal state. A cancel that returns `true`
+    /// always ends the job [`JobState::Cancelled`], even when its
+    /// pipeline finishes before it next checks the token: the job then
+    /// keeps no result.
     pub fn cancel(&self) -> bool {
         let mut st = self.status();
         match st.state {
@@ -260,16 +264,18 @@ impl Job {
                 true
             }
             JobState::Running => {
-                // The worker observes the token at its next checkpoint
-                // and transitions the state itself.
+                // The worker ends the job when it next checks the token,
+                // or when the pipeline returns.
                 self.control.cancel();
                 true
             }
         }
     }
 
-    /// Progress snapshot `(evaluations done, current front size)` as
-    /// published by the optimizer's checkpoints.
+    /// Progress snapshot `(evaluations committed, current front size)`
+    /// as last published on the job's [`RunControl`]. A completed job of
+    /// a built-in optimizer reports its result's evaluation count and
+    /// Pareto-front size.
     pub fn progress(&self) -> (u64, u64) {
         (self.control.evaluations(), self.control.front_size())
     }
@@ -475,21 +481,23 @@ impl JobManager {
                     Err(format!("job panicked: {message}"))
                 });
         let mut st = job.status();
+        // `Job::cancel` sets the token under this lock, so every cancel
+        // it accepted shows here, including one the pipeline finished
+        // too soon to notice.
         match outcome {
+            _ if job.control.is_cancelled() => {
+                st.state = JobState::Cancelled;
+                obs::add("serve.jobs.cancelled", 1);
+            }
             Ok(summary_json) => {
                 st.state = JobState::Completed;
                 st.result = Some(summary_json);
                 obs::add("serve.jobs.completed", 1);
             }
             Err(message) => {
-                if job.control.is_cancelled() {
-                    st.state = JobState::Cancelled;
-                    obs::add("serve.jobs.cancelled", 1);
-                } else {
-                    st.state = JobState::Failed;
-                    st.error = Some(message);
-                    obs::add("serve.jobs.failed", 1);
-                }
+                st.state = JobState::Failed;
+                st.error = Some(message);
+                obs::add("serve.jobs.failed", 1);
             }
         }
         drop(st);
@@ -675,19 +683,25 @@ mod tests {
         assert_eq!(via_server, via_cli, "swap jobs must be bit-identical to the CLI path");
     }
 
+    /// A finished job's status reports its whole run: every evaluation
+    /// and the front size of its result.
     #[test]
     fn job_runs_to_completion() {
         let mgr = JobManager::new(4, defaults());
-        let job = mgr.submit(VALID).unwrap();
-        assert_eq!(job.state(), JobState::Queued);
-        let next = mgr.next_job().unwrap();
-        assert_eq!(next.id, job.id);
-        mgr.execute(&next);
-        assert_eq!(job.state(), JobState::Completed);
-        let summary = RunSummary::from_json(&job.result_json().unwrap()).unwrap();
-        assert_eq!(summary.evaluations, 12);
-        let (evals, _) = job.progress();
-        assert_eq!(evals, 12);
+        for optimizer in ["random-search", "sms-ego-bo"] {
+            let job = mgr.submit(&VALID.replace("random-search", optimizer)).unwrap();
+            assert_eq!(job.state(), JobState::Queued);
+            let next = mgr.next_job().unwrap();
+            assert_eq!(next.id, job.id);
+            mgr.execute(&next);
+            assert_eq!(job.state(), JobState::Completed, "{optimizer}");
+            let summary = RunSummary::from_json(&job.result_json().unwrap()).unwrap();
+            assert_eq!(summary.evaluations, 12, "{optimizer}");
+            let status = Value::parse(&job.status_json()).unwrap();
+            let field = |key| status.get(key).and_then(Value::as_u64).unwrap();
+            assert_eq!(field("evaluations"), 12, "{optimizer}");
+            assert_eq!(field("front_size"), summary.pareto_size as u64, "{optimizer}");
+        }
     }
 
     #[test]

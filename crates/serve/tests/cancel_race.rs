@@ -5,8 +5,9 @@
 //! the job's `DELETE` (`JobManager::cancel`) after a seeded spin of its
 //! own, so the cancel lands while the job is queued, held at its gate,
 //! searching, or finished. Every job must end in exactly one terminal
-//! state, with a result exactly when it completed, and a cancel must be
-//! refused exactly when the job had already ended.
+//! state, with a result exactly when it completed; a cancel must be
+//! refused exactly when the job had already ended, and an accepted one
+//! must end the job cancelled.
 //!
 //! The test lives in its own binary because it checks the process-wide
 //! `serve.jobs.*` counters, which the library's unit tests move
@@ -216,13 +217,15 @@ fn cancel_racing_completion_ends_every_job_in_one_terminal_state() {
             }
             other => panic!("job {id} ({plan:?}) ended {other:?}: {error:?}"),
         }
-        // A cancel is accepted only while the job is live: one that
-        // found the job ended is refused, and a refused one saw the
-        // job's final state.
+        // A cancel is accepted only while the job is live and then
+        // ends it cancelled: one that found the job ended is refused,
+        // and a refused one saw the job's final state.
         if sent.before.is_terminal() {
             assert!(!sent.accepted, "job {id}: cancel accepted after the job ended");
         }
-        if !sent.accepted {
+        if sent.accepted {
+            assert_eq!(state, JobState::Cancelled, "job {id}: an accepted cancel did not stick");
+        } else {
             assert_eq!(sent.after, state, "job {id}: a refused cancel saw a live job");
         }
         if *plan == Plan::AfterEnd {

@@ -22,6 +22,21 @@ if [ -n "$dependents" ]; then
     exit 1
 fi
 
+echo "==> environment-read gate: the library reads three variables"
+# Configuration enters at the binaries (flags, job fields, JobConfig
+# builders). Library code reads only AUTOPILOT_THREADS (par), AUTOPILOT_OBS
+# and AUTOPILOT_TRACE (autopilot-obs), none of which changes a result; a
+# fourth read fails here. A wildcard pathspec matches whole paths, hence
+# the trailing `/*`.
+reads=$(git grep -n -e 'env::var' -e 'var_os' -e 'option_env!' -- \
+    'crates/*/src/*' ':!crates/*/src/bin/*' || true)
+names=$(printf '%s\n' "$reads" | grep -o -e 'THREADS_ENV' -e 'OBS_ENV' -e 'TRACE_ENV' | sort | tr '\n' ' ')
+if [ "$(printf '%s\n' "$reads" | wc -l)" -ne 3 ] || [ "$names" != "OBS_ENV THREADS_ENV TRACE_ENV " ]; then
+    echo "library environment reads (want exactly THREADS_ENV, OBS_ENV, TRACE_ENV):"
+    echo "$reads"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
